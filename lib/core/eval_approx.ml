@@ -146,6 +146,44 @@ let sigma_hat_eval ?budget ~eps0 ~max_rounds ~sigma_delta ~rng ~stats w
     unrel = true;
   }
 
+(* Per-output-tuple bounds and suspects of a product or join, recomputed
+   from the possible tuples of both sides (Lemma 6.4(1): sum over
+   provenance). *)
+let provenance_bounds kind a b =
+  let sa = Urelation.schema a.au and sb = Urelation.schema b.au in
+  let shared = Schema.common sa sb in
+  let sa_shared = positions sa shared and sb_shared = positions sb shared in
+  let sb_only =
+    List.filter (fun x -> not (List.mem x shared)) (Schema.attributes sb)
+  in
+  let sb_only_pos = positions sb sb_only in
+  let mu = ref TMap.empty and susp = ref TSet.empty in
+  List.iter
+    (fun ta ->
+      List.iter
+        (fun tb ->
+          let matches =
+            match kind with
+            | `Product -> true
+            | `Join ->
+                Tuple.equal (Tuple.project ta sa_shared)
+                  (Tuple.project tb sb_shared)
+          in
+          if matches then begin
+            let out =
+              match kind with
+              | `Product -> Tuple.concat ta tb
+              | `Join -> Tuple.concat ta (Tuple.project tb sb_only_pos)
+            in
+            let v = mu_of a ta +. mu_of b tb in
+            mu := add_mu !mu out v;
+            if TSet.mem ta a.susp || TSet.mem tb b.susp then
+              susp := TSet.add out !susp
+          end)
+        (Urelation.possible_tuples b.au))
+    (Urelation.possible_tuples a.au);
+  (!mu, !susp)
+
 let conf_row t p value_of = Tuple.concat t (Tuple.of_list [ value_of p ])
 
 let conf_like a confs value_of =
@@ -318,12 +356,7 @@ and eval_ann_raw ?budget ?stream ~aconf_ord ~cache ~eps0 ~max_rounds
       in
       let mu =
         List.fold_left
-          (fun acc (t, _) ->
-            let p =
-              match List.find_opt (fun (s, _) -> Tuple.equal s t) approx with
-              | Some (_, p) -> p
-              | None -> assert false
-            in
+          (fun acc (t, p) ->
             let row = conf_row t p (fun p -> Value.Float p) in
             if TMap.mem row acc then acc else TMap.add row delta acc)
           mu approx
@@ -362,47 +395,22 @@ and eval_ann_raw ?budget ?stream ~aconf_ord ~cache ~eps0 ~max_rounds
       sigma_hat_eval ?budget ~eps0 ~max_rounds ~sigma_delta ~rng ~stats w sh
         input_ann
 
-and binary ~recur kind l r =  let a = recur l and b = recur r in
+and binary ~recur kind l r =
+  let a = recur l and b = recur r in
   let au =
     match kind with
     | `Product -> Translate.product a.au b.au
     | `Join -> Translate.join a.au b.au
   in
-  (* Recompute per-output-tuple bounds from the possible tuples of both
-     sides (Lemma 6.4(1): sum over provenance). *)
-  let sa = Urelation.schema a.au and sb = Urelation.schema b.au in
-  let shared = Schema.common sa sb in
-  let sa_shared = positions sa shared and sb_shared = positions sb shared in
-  let sb_only =
-    List.filter (fun x -> not (List.mem x shared)) (Schema.attributes sb)
+  let carries x = not (TMap.is_empty x.mu && TSet.is_empty x.susp) in
+  let mu, susp =
+    if carries a || carries b then provenance_bounds kind a b
+    else
+      (* Every provenance bound is 0 and nothing is suspect, so the sum is
+         empty: skip its |a|×|b| scan. *)
+      (TMap.empty, TSet.empty)
   in
-  let sb_only_pos = positions sb sb_only in
-  let mu = ref TMap.empty and susp = ref TSet.empty in
-  List.iter
-    (fun ta ->
-      List.iter
-        (fun tb ->
-          let matches =
-            match kind with
-            | `Product -> true
-            | `Join ->
-                Tuple.equal (Tuple.project ta sa_shared)
-                  (Tuple.project tb sb_shared)
-          in
-          if matches then begin
-            let out =
-              match kind with
-              | `Product -> Tuple.concat ta tb
-              | `Join -> Tuple.concat ta (Tuple.project tb sb_only_pos)
-            in
-            let v = mu_of a ta +. mu_of b tb in
-            mu := add_mu !mu out v;
-            if TSet.mem ta a.susp || TSet.mem tb b.susp then
-              susp := TSet.add out !susp
-          end)
-        (Urelation.possible_tuples b.au))
-    (Urelation.possible_tuples a.au);
-  { au; mu = !mu; susp = !susp; unrel = a.unrel || b.unrel }
+  { au; mu; susp; unrel = a.unrel || b.unrel }
 
 let fresh_stats () = { decisions = 0; estimator_calls = 0; round_limit_hits = 0 }
 
@@ -448,10 +456,16 @@ let active_domain_size udb =
 
 let eval_with_guarantee ?budget ?stream ?(eps0 = 0.05) ?(initial_rounds = 1)
     ~rng ~delta udb q =
-  let k = max 1 (Ua.max_conf_width q) in
-  let d = max 1 (Ua.nesting_depth q) in
-  let n = active_domain_size udb in
-  let l_cap = Stats.theorem_6_7_rounds ~eps0 ~delta ~k ~d ~n in
+  (* The Theorem 6.7 round cap only matters once an attempt misses δ, which
+     a query whose one approximate operator is an aconf never does; the
+     active-domain scan behind it is forced on that first miss. *)
+  let l_cap =
+    lazy
+      (let k = max 1 (Ua.max_conf_width q) in
+       let d = max 1 (Ua.nesting_depth q) in
+       let n = active_domain_size udb in
+       Stats.theorem_6_7_rounds ~eps0 ~delta ~k ~d ~n)
+  in
   let total = fresh_stats () in
   let accumulate stats =
     total.decisions <- total.decisions + stats.decisions;
@@ -495,8 +509,9 @@ let eval_with_guarantee ?budget ?stream ?(eps0 = 0.05) ?(initial_rounds = 1)
     (* An exhausted governor ends the doubling: another attempt could not
        sample anyway, and the current result already carries sound (wider)
        bounds and suspects. *)
-    if max_error r <= delta || l >= l_cap || budget_exhausted then
+    if max_error r <= delta || budget_exhausted || l >= Lazy.force l_cap then
       (r, total, l)
-    else attempt ~first:false (min l_cap (2 * l)) (sigma_delta /. 2.)
+    else
+      attempt ~first:false (min (Lazy.force l_cap) (2 * l)) (sigma_delta /. 2.)
   in
   attempt ~first:true (max 1 initial_rounds) delta

@@ -309,32 +309,42 @@ let solve_residuals rng t ~eps ~delta =
     end
   end
 
+(* A sampled estimate and the bracket it reports: the bracket is cut to
+   [0, 1] and the estimate clamped into it.  The estimate of a sum of
+   residuals can leave the intersection of their brackets (or exceed 1);
+   clamping only moves it toward any truth inside the bracket, so its
+   relative-ε claim still holds whenever the bracket does. *)
+let bracketed v ~lo ~hi =
+  let lo = Float.min 1. (Float.max 0. lo) in
+  let hi = Float.max lo (Float.min 1. hi) in
+  (Float.min hi (Float.max lo v), lo, hi)
+
 (* Assemble the tuple outcome from per-residual results.  The interval
    always holds with probability ≥ 1 − δ: the monotone tree maps sound
    per-residual intervals to a sound root interval, and on a complete pass
    the relative-ε claim [v/(1+ε), v/(1−ε)] is intersected in. *)
 let assemble t rrs ~eps ~trials ~complete =
   let v = eval_node (Array.map (fun rr -> rr.r_est) rrs) t.root in
-  let lo_tree = eval_node (Array.map (fun rr -> rr.r_lo) rrs) t.root in
-  let hi_tree = eval_node (Array.map (fun rr -> rr.r_hi) rrs) t.root in
-  let lo = Float.max 0. lo_tree and hi = Float.min 1. hi_tree in
+  let lo = eval_node (Array.map (fun rr -> rr.r_lo) rrs) t.root in
+  let hi = eval_node (Array.map (fun rr -> rr.r_hi) rrs) t.root in
   let lo, hi =
     if complete then
       ( Float.max lo (v /. (1. +. eps)),
         if eps >= 1. then hi else Float.min hi (v /. (1. -. eps)) )
     else (lo, hi)
   in
+  let value, lo, hi = bracketed v ~lo ~hi in
   let mass = ref 0. in
   Array.iteri (fun i rr -> mass := !mass +. (t.res_weights.(i) *. rr.r_est)) rrs;
   let achieved_eps =
     if complete then eps
     else Array.fold_left (fun acc rr -> Float.max acc rr.r_eps) 0. rrs
   in
-  { value = v;
+  { value;
     trials;
-    residual_mass = Float.min v !mass;
+    residual_mass = Float.min value !mass;
     lo;
-    hi = Float.max lo hi;
+    hi;
     achieved_eps;
     complete }
 
@@ -348,13 +358,15 @@ let exact_outcome v =
 let fallback_outcome t partial =
   let open Karp_luby in
   let tree_lo, tree_hi = vacuous_interval t in
-  let lo = Float.max tree_lo partial.p_lo
-  and hi = Float.min tree_hi partial.p_hi in
-  { value = partial.p_estimate;
+  let value, lo, hi =
+    bracketed partial.p_estimate ~lo:(Float.max tree_lo partial.p_lo)
+      ~hi:(Float.min tree_hi partial.p_hi)
+  in
+  { value;
     trials = partial.p_trials;
-    residual_mass = partial.p_estimate;
+    residual_mass = value;
     lo;
-    hi = Float.max lo hi;
+    hi;
     achieved_eps = partial.p_eps;
     complete = partial.p_complete }
 

@@ -68,7 +68,9 @@ val size : t -> int
 (** Node count (diagnostics). *)
 
 type outcome = {
-  value : float;  (** the (ε, δ) estimate — exact when [trials = 0] *)
+  value : float;
+      (** the (ε, δ) estimate — exact when [trials = 0]; always inside
+          [[lo, hi]] *)
   trials : int;  (** estimator calls spent on residuals *)
   residual_mass : float;
       (** Σ path-weight·p̂ over residuals, clamped to [value]: the share of
@@ -79,8 +81,8 @@ type outcome = {
       (** a sound probability interval for the tuple confidence, holding
           with probability ≥ 1 − δ: per-residual certified intervals pushed
           through the monotone tree, intersected with the relative-ε bracket
-          when [complete].  Degenerates to a point when exact; never wider
-          than the a-priori {!vacuous_interval}. *)
+          when [complete], and cut to [[0, 1]].  Degenerates to a point
+          when exact; never wider than the a-priori {!vacuous_interval}. *)
   achieved_eps : float;
       (** the relative error actually certified at confidence δ: the
           requested ε when [complete], the worst residual's partial-trial

@@ -301,7 +301,11 @@ let run_stream ?budget ?nworkers ?compile_fuel
   let resumed_count = ref 0 in
   let all_complete = ref true in
   let run_shard (sh : Shard.t) =
-    let fp = Shard.fingerprint clause_sets sh in
+    (* The fingerprint only travels in journal records. *)
+    let fp =
+      if Shard.journal_live journal then Shard.fingerprint clause_sets sh
+      else ""
+    in
     let attempt_once () =
       let sub_budget, charge_parent =
         match budget with
@@ -359,7 +363,7 @@ let run_stream ?budget ?nworkers ?compile_fuel
       (match outcome.Shard.quarantined with
       | Some err -> quarantined := (sh.index, err) :: !quarantined
       | None ->
-          if not outcome.Shard.resumed then
+          if (not outcome.Shard.resumed) && Shard.journal_live journal then
             Shard.journal_append journal (Shard.to_payload outcome));
       emit outcome)
     shards;

@@ -185,6 +185,7 @@ type journal = {
 let null_journal () = { jw = None; ok = true; retries = 0 }
 
 let journal_ok j = j.ok
+let journal_live j = Option.is_some j.jw
 
 let journal_append j payload =
   match j.jw with

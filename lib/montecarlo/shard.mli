@@ -47,7 +47,10 @@ val fingerprint : Assignment.t list array -> t -> string
 
 type outcome = {
   shard : t;
-  fp : string;  (** the shard's {!fingerprint}, carried in the record *)
+  fp : string;
+      (** the shard's {!fingerprint}, carried in the record; [""] from a
+          {!Confidence.run_stream} whose journal was not live, since
+          nothing reads it there *)
   estimates : float array;  (** per tuple of the shard, in batch order *)
   intervals : (float * float) array;
   trials : int array;
@@ -120,6 +123,11 @@ val journal_append : journal -> string -> unit
     {!journal_ok} turns [false]) — journaling is an aid, not a contract. *)
 
 val journal_ok : journal -> bool
+
+val journal_live : journal -> bool
+(** [true] while appends still reach a file: [false] for {!null_journal},
+    after {!close_journal}, and once the journal was abandoned.  Callers
+    skip fingerprint and payload work for a journal that is not live. *)
 
 val close_journal : journal -> unit
 (** Close the underlying writer (idempotent; no-op when abandoned). *)

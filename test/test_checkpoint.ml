@@ -332,6 +332,70 @@ let test_stream_matches_run () =
     summary.Confidence.shards;
   check_same_result "singleton stream vs run" reference streamed
 
+(* Fingerprints and journal payloads are only built while a journal is
+   live; that must not move a bit.  A journaled run and a journal-free run
+   return the same estimates, brackets, trials, masses and summary, the
+   journal carries every shard's real data fingerprint, and resuming from
+   it passes the fingerprint check and replays the same bits. *)
+let test_journal_on_off_identical () =
+  clear_all ();
+  with_temp_dir (fun dir ->
+      let w, clause_sets = fixture () in
+      let shard_cost = shard_cost_for clause_sets ~target:6 in
+      let compile_fuel = 2 in
+      let plan = Shard.plan ~eps ~delta ~max_cost:shard_cost clause_sets in
+      let run options =
+        let outcomes = ref [] in
+        let summary =
+          Confidence.run_stream ~compile_fuel ~options (Rng.create ~seed:99) w
+            clause_sets ~eps ~delta ~emit:(fun o -> outcomes := o :: !outcomes)
+        in
+        (List.rev !outcomes, summary)
+      in
+      let same name (a : Shard.outcome list) (b : Shard.outcome list) =
+        check int_c (name ^ ": shards") (List.length a) (List.length b);
+        List.iter2
+          (fun (x : Shard.outcome) (y : Shard.outcome) ->
+            let tag = Printf.sprintf "%s: shard %d" name x.shard.Shard.index in
+            check bool_c (tag ^ ": geometry") true (x.shard = y.shard);
+            check_floats_bitwise (tag ^ ": estimates") x.estimates y.estimates;
+            check_intervals_bitwise (tag ^ ": intervals") x.intervals
+              y.intervals;
+            check Alcotest.(array int_c) (tag ^ ": trials") x.trials y.trials;
+            check_floats_bitwise (tag ^ ": achieved") x.achieved y.achieved;
+            check_floats_bitwise (tag ^ ": masses") x.masses y.masses;
+            check bool_c (tag ^ ": complete") x.complete y.complete)
+          a b
+      in
+      let bare, bare_summary = run (stream_opts ~shard_cost ()) in
+      check bool_c "the fixture samples" true
+        (List.exists
+           (fun (o : Shard.outcome) -> Array.exists (fun t -> t > 0) o.trials)
+           bare);
+      let path = Filename.concat dir "on-off.ckpt" in
+      let journaled, journaled_summary =
+        run (stream_opts ~checkpoint:path ~shard_cost ())
+      in
+      same "journal vs none" bare journaled;
+      check bool_c "same summary" true (bare_summary = journaled_summary);
+      check bool_c "several shards" true (bare_summary.Confidence.shards >= 4);
+      List.iter
+        (fun (o : Shard.outcome) ->
+          check Alcotest.string
+            (Printf.sprintf "shard %d journaled with its data fingerprint"
+               o.shard.Shard.index)
+            (Shard.fingerprint clause_sets plan.(o.shard.Shard.index))
+            o.fp)
+        journaled;
+      let replayed, summary =
+        run (stream_opts ~checkpoint:path ~resume:true ~shard_cost ())
+      in
+      check int_c "every shard replayed" summary.Confidence.shards
+        summary.Confidence.resumed_shards;
+      same "replay vs none" bare replayed;
+      check int_c "same trials" bare_summary.Confidence.stream_trials
+        summary.Confidence.stream_trials)
+
 (* ------------------------------------------------------------------ *)
 (* 3. Crash mid-stream, resume, bit-identical. *)
 
@@ -963,6 +1027,8 @@ let () =
         ] );
       ( "stream",
         [
+          Alcotest.test_case "journal on/off bit-identical" `Quick
+            test_journal_on_off_identical;
           Alcotest.test_case "bit-identical to materialized run" `Quick
             test_stream_matches_run;
           Alcotest.test_case "shard plan geometry" `Quick test_shard_plan;

@@ -466,48 +466,51 @@ let test_kill_worker_mid_run () =
     Confidence.run_stream ~options:opts (Rng.create ~seed) w sets ~eps ~delta
       ~emit:emit_ref
   in
-  let pids = ref [] in
-  let killed = ref false in
+  (* The victim, worker 0, sits 5 s in every shard it is given and the
+     other worker 50 ms, so both are admitted and dealt work long before
+     the run can end, and the victim is mid-shard whenever it is killed:
+     at the first emission, or after 0.5 s when the victim holds shard 0
+     (emission waits for it). *)
+  let victim = ref None in
+  let killed = Atomic.make false in
+  let kill_victim () =
+    if not (Atomic.exchange killed true) then
+      Option.iter (fun pid -> Unix.kill pid Sys.sigkill) !victim
+  in
   let emit2, est', lo', hi', tr', _ = collector n in
+  let timer = Thread.create (fun () -> Unix.sleepf 0.5; kill_victim ()) () in
   let summary =
     Coordinator.run ~options:opts ~workers:2
       ~spawn:(fun id ->
-        let tr =
-          let to_w_r, to_w_w = Unix.pipe () in
-          let from_w_r, from_w_w = Unix.pipe () in
-          match Unix.fork () with
-          | 0 ->
-              Unix.close to_w_w;
-              Unix.close from_w_r;
-              let input = Unix.in_channel_of_descr to_w_r in
-              let output = Unix.out_channel_of_descr from_w_w in
-              (try
-                 Worker.serve ~shard_cost ~heartbeat_s:0.05
-                   (Rng.create ~seed) w sets ~eps ~delta ~input ~output
-               with _ -> ());
-              (try flush output with _ -> ());
-              Unix._exit 0
-          | pid ->
-              Unix.close to_w_r;
-              Unix.close from_w_w;
-              pids := pid :: !pids;
-              Coordinator.channel_transport ~pid
-                ~close:(fun () -> ())
-                (Unix.in_channel_of_descr from_w_r)
-                (Unix.out_channel_of_descr to_w_w)
-        in
-        ignore id;
-        tr)
+        let to_w_r, to_w_w = Unix.pipe () in
+        let from_w_r, from_w_w = Unix.pipe () in
+        match Unix.fork () with
+        | 0 ->
+            Unix.close to_w_w;
+            Unix.close from_w_r;
+            FP.arm ~mode:(FP.Delay (if id = 0 then 5. else 0.05)) "shard.run";
+            let input = Unix.in_channel_of_descr to_w_r in
+            let output = Unix.out_channel_of_descr from_w_w in
+            (try
+               Worker.serve ~shard_cost ~heartbeat_s:0.05 (Rng.create ~seed) w
+                 sets ~eps ~delta ~input ~output
+             with _ -> ());
+            (try flush output with _ -> ());
+            Unix._exit 0
+        | pid ->
+            Unix.close to_w_r;
+            Unix.close from_w_w;
+            if id = 0 then victim := Some pid;
+            Coordinator.channel_transport ~pid
+              ~close:(fun () -> ())
+              (Unix.in_channel_of_descr from_w_r)
+              (Unix.out_channel_of_descr to_w_w))
       (Rng.create ~seed) w sets ~eps ~delta
       ~emit:(fun o ->
-        (* First emission: both workers are busy on later shards — SIGKILL
-           one mid-shard and let the coordinator reassign. *)
-        if not !killed then begin
-          killed := true;
-          Unix.kill (List.hd !pids) Sys.sigkill
-        end;
+        kill_victim ();
         emit2 o)
   in
+  Thread.join timer;
   check int_c "one worker lost" 1 summary.Coordinator.workers_lost;
   check bool_c "its shard was reassigned" true
     (summary.Coordinator.reassigned >= 1);

@@ -563,11 +563,69 @@ let prop_weight_aware_budgets_sound =
         (not o.Compile.complete)
         || Float.abs (o.Compile.value -. expect) <= (eps *. expect) +. 1e-9
       in
-      (* [lo, hi] brackets the true probability, not the point estimate:
-         the certified interval intersected with the relative-ε band can
-         exclude [value] by a hair while both still contain the truth. *)
-      let interval_sane = o.Compile.lo <= o.Compile.hi +. 1e-9 in
+      let interval_sane =
+        o.Compile.lo <= o.Compile.value && o.Compile.value <= o.Compile.hi
+      in
       bracketed && relative_ok && interval_sane)
+
+(* Every reported estimate lies in its own reported bracket, and the
+   bracket in [0, 1]: across many seeds, fuels (0 = pure FPRAS, small ones
+   leaving several residuals or triggering the truncation-guard fallback,
+   the default), ε on both sides of the coarse ½ cut-off, and trial
+   budgets that stop sampling part-way — through Compile.solve directly and
+   through the streaming batch engine. *)
+let test_estimates_inside_own_bracket () =
+  let inside what (v, lo, hi) =
+    if not (0. <= lo && lo <= v && v <= hi && hi <= 1.) then
+      Alcotest.failf "%s: estimate %h outside [%h, %h] or bracket not in [0, 1]"
+        what v lo hi
+  in
+  let solved = ref 0 in
+  for seed = 1 to 40 do
+    let rng = Rng.create ~seed in
+    let w = Wtable.create () in
+    let sets =
+      Array.init 6 (fun i ->
+          let vars = 8 + (((seed * 7) + i) mod 17) in
+          Gen.random_dnf rng w ~vars ~clauses:(6 + ((seed + i) mod 12))
+            ~clause_len:3)
+    in
+    let fuel = [| Some 0; Some 2; Some 6; Some 24; None |].(seed mod 5) in
+    let eps = [| 0.1; 0.3; 0.2; 0.6 |].(seed mod 4) in
+    let delta = 0.05 in
+    Array.iteri
+      (fun i clauses ->
+        let c = Compile.compile ?fuel w clauses in
+        let budget =
+          if seed mod 3 = 0 then
+            Some (Budget.create ~max_trials:(40 * (i + 1)) ())
+          else None
+        in
+        let o =
+          Compile.solve ?budget (Rng.create ~seed:((100 * seed) + i)) c ~eps
+            ~delta
+        in
+        incr solved;
+        inside
+          (Printf.sprintf "solve seed %d tuple %d" seed i)
+          (o.Compile.value, o.Compile.lo, o.Compile.hi))
+      sets;
+    let options =
+      { Confidence.default_stream_options with shard_cost = 20_000 }
+    in
+    ignore
+      (Confidence.run_stream ?compile_fuel:fuel ~options (Rng.create ~seed) w
+         sets ~eps ~delta ~emit:(fun o ->
+           Array.iteri
+             (fun j v ->
+               let lo, hi = o.Shard.intervals.(j) in
+               inside
+                 (Printf.sprintf "run_stream seed %d tuple %d" seed
+                    (o.Shard.shard.Shard.first + j))
+                 (v, lo, hi))
+             o.Shard.estimates))
+  done;
+  check int_c "tuples solved" 240 !solved
 
 (* ------------------------------------------------------------------ *)
 (* Adaptive stopping rule                                               *)
@@ -795,6 +853,8 @@ let () =
           qcheck prop_compile_matches_exact;
           qcheck prop_compile_residual_path_tracks_exact;
           qcheck prop_weight_aware_budgets_sound;
+          Alcotest.test_case "estimates inside their own bracket" `Quick
+            test_estimates_inside_own_bracket;
         ] );
       ( "adaptive stopping",
         [

@@ -188,6 +188,37 @@ let test_approx_conf_tracks_exact () =
     rel;
   check bool_c "unreliable" true result.unreliable
 
+(* The Theorem 6.7 doubling driver, replayed by hand: one [eval] per
+   round budget l = 1, 2, 4, … (per-decision δ halving alongside), stopping
+   once the target is met or l reaches the cap computed from the
+   active-domain size of the base relations. *)
+let doubling_by_hand ~eps0 ~delta ~seed udb q =
+  let seen = Hashtbl.create 16 in
+  List.iter
+    (fun name ->
+      List.iter
+        (fun t ->
+          List.iter
+            (fun v -> Hashtbl.replace seen (V.to_string v) ())
+            (Tuple.to_list t))
+        (Urelation.possible_tuples (Udb.find udb name)))
+    (Udb.names udb);
+  let l_cap =
+    Pqdb_numeric.Stats.theorem_6_7_rounds ~eps0 ~delta
+      ~k:(max 1 (Ua.max_conf_width q))
+      ~d:(max 1 (Ua.nesting_depth q))
+      ~n:(max 2 (Hashtbl.length seen))
+  in
+  let rng = Rng.create ~seed in
+  let rec go l sigma_delta =
+    let r, _ =
+      Approx.eval ~eps0 ~max_rounds:l ~sigma_delta ~rng (Udb.copy udb) q
+    in
+    if Approx.max_error r <= delta || l >= l_cap then (r, l)
+    else go (min l_cap (2 * l)) (sigma_delta /. 2.)
+  in
+  go 1 delta
+
 let test_doubling_driver () =
   let rng = Rng.create ~seed:31415 in
   let udb = coin_udb () in
@@ -199,7 +230,32 @@ let test_doubling_driver () =
   check bool_c "final budget positive" true (l >= 1);
   check rel_testable "and the answer is right"
     (Relation.of_rows [ "CoinType" ] [ [ V.Str "fair" ] ])
-    (Urelation.to_relation result.urel)
+    (Urelation.to_relation result.urel);
+  (* Queries that need doubling stop at the same round count as the
+     driver replayed by hand, with the same answer and bounds — including
+     the near-singular threshold that runs the budget up to its cap. *)
+  List.iter
+    (fun (threshold, eps0, delta, seed, expect_l) ->
+      let q = sigma_hat_query threshold in
+      let r, _, l =
+        Approx.eval_with_guarantee ~eps0 ~rng:(Rng.create ~seed) ~delta
+          (coin_udb ()) q
+      in
+      let r', l' = doubling_by_hand ~eps0 ~delta ~seed (coin_udb ()) q in
+      let tag = Printf.sprintf "threshold %g delta %g" threshold delta in
+      check int_c (tag ^ ": rounds") expect_l l;
+      check int_c (tag ^ ": rounds by hand") l' l;
+      check rel_testable (tag ^ ": answer")
+        (Urelation.to_relation r'.urel)
+        (Urelation.to_relation r.urel);
+      check bool_c (tag ^ ": bounds") true (r.errors = r'.errors);
+      check bool_c (tag ^ ": suspects") true (r.suspects = r'.suspects))
+    [
+      (0.5, 0.05, 0.1, 31415, 512);
+      (0.5, 0.3, 0.2, 3, 128);
+      (* the cap, 31, is not a power of two: the last doubling is clipped *)
+      (2. /. 3., 0.9, 0.05, 7, 31);
+    ]
 
 let test_near_singularity_suspect () =
   (* Threshold ~exactly at the posterior 2/3: that tuple's decision sits on
@@ -248,6 +304,76 @@ let test_projection_error_fanin () =
     result.errors;
   check bool_c "output nonempty (both posteriors < 0.99)" true
     (not (Urelation.is_empty result.urel))
+
+(* Lemma 6.4(1) by nested loop over two standalone results: a join output
+   tuple's bound is the (capped) sum of its two provenance tuples' bounds,
+   and it is suspect iff either provenance tuple is. *)
+let nested_loop_join (l : Approx.result) (r : Approx.result) =
+  let sl = Urelation.schema l.urel and sr = Urelation.schema r.urel in
+  let shared = Schema.common sl sr in
+  let key s t = Tuple.project t (List.map (Schema.index s) shared) in
+  let r_only =
+    List.filter (fun a -> not (List.mem a shared)) (Schema.attributes sr)
+    |> List.map (Schema.index sr)
+  in
+  let suspect (res : Approx.result) t =
+    List.exists (Tuple.equal t) res.suspects
+  in
+  List.concat_map
+    (fun ta ->
+      List.filter_map
+        (fun tb ->
+          if Tuple.equal (key sl ta) (key sr tb) then
+            Some
+              ( Tuple.concat ta (Tuple.project tb r_only),
+                Float.min 0.5 (Approx.error_of l ta +. Approx.error_of r tb),
+                suspect l ta || suspect r tb )
+          else None)
+        (Urelation.possible_tuples r.urel))
+    (Urelation.possible_tuples l.urel)
+
+let test_join_one_unreliable_side () =
+  (* A σ̂ result joined with a base table, in both orders: only one side
+     carries bounds or suspects.  The tight round budget makes the
+     near-boundary 2headed decision a selected suspect on some seeds. *)
+  let sel = sigma_hat_query 0.67 in
+  let base = Ua.table "Coins" in
+  let run seed q =
+    fst
+      (Approx.eval ~eps0:0.02 ~max_rounds:3 ~sigma_delta:0.01
+         ~rng:(Rng.create ~seed) (coin_udb ()) q)
+  in
+  let tuples = Alcotest.(list (testable Tuple.pp Tuple.equal)) in
+  let sorted = List.sort Tuple.compare in
+  let with_error = ref 0 and with_suspect = ref 0 in
+  for seed = 1 to 12 do
+    let sel_r = run seed sel and base_r = run seed base in
+    List.iter
+      (fun (tag, q, l, r) ->
+        let joined = run seed q in
+        let expect = nested_loop_join l r in
+        let tag = Printf.sprintf "seed %d %s" seed tag in
+        check tuples (tag ^ ": tuples")
+          (sorted (List.map (fun (t, _, _) -> t) expect))
+          (sorted (Urelation.possible_tuples joined.urel));
+        List.iter
+          (fun (t, e, _) ->
+            if e > 0. then incr with_error;
+            check (Alcotest.float 0.) (tag ^ ": bound") e
+              (Approx.error_of joined t))
+          expect;
+        let susp =
+          List.filter_map (fun (t, _, s) -> if s then Some t else None) expect
+        in
+        if susp <> [] then incr with_suspect;
+        check tuples (tag ^ ": suspects") (sorted susp) (sorted joined.suspects))
+      [
+        ("aselect join Coins", Ua.join sel base, sel_r, base_r);
+        ("Coins join aselect", Ua.join base sel, base_r, sel_r);
+      ]
+  done;
+  check bool_c "some joined tuple carries a bound" true (!with_error > 0);
+  check bool_c "some joined tuple is suspect" true (!with_suspect > 0)
 
 (* --- Theorem 4.4: egd rewriting -------------------------------------- *)
 
@@ -489,6 +615,8 @@ let () =
         ] );
       ( "error propagation",
         [
+          Alcotest.test_case "join with one unreliable side" `Quick
+            test_join_one_unreliable_side;
           Alcotest.test_case "projection fan-in (Example 6.5)" `Quick
             test_projection_error_fanin;
         ] );
