@@ -11,6 +11,8 @@ module Apred = Pqdb_ast.Apred
 module Gen = Pqdb_workload.Gen
 module Dnf = Pqdb_montecarlo.Dnf
 module Estimator = Pqdb_montecarlo.Estimator
+module Lineage = Pqdb_montecarlo.Lineage
+module Compile = Pqdb_montecarlo.Compile
 
 (* ------------------------------------------------------------------ *)
 (* E13: the logical optimizer                                          *)
@@ -124,12 +126,12 @@ let e14_batch_size ~quick =
      stopping point; the paper's |F| batching wins on both counts."
 
 (* ------------------------------------------------------------------ *)
-(* E15: rational vs float Shannon expansion                            *)
+(* E15: rational vs float arithmetic on the one lineage decomposer      *)
 (* ------------------------------------------------------------------ *)
 
 let e15_rational_vs_float ~quick =
   Report.section "E15"
-    "Ablation: exact rational Shannon expansion vs machine floats";
+    "Ablation: the lineage decomposer over exact rationals vs machine floats";
   let sizes = if quick then [ 8; 12; 16 ] else [ 8; 12; 16; 20 ] in
   let rows =
     List.map
@@ -140,21 +142,19 @@ let e15_rational_vs_float ~quick =
         let exact = ref Q.zero and fl = ref 0. in
         let t_rat =
           Report.time_median ~repeat:3 (fun () ->
-              exact := Confidence.by_shannon w clauses)
-        in
-        let t_decomp =
-          Report.time_median ~repeat:3 (fun () ->
-              ignore (Confidence.by_decomposition w clauses))
+              exact := Lineage.exact w clauses)
         in
         let t_float =
           Report.time_median ~repeat:3 (fun () ->
-              fl := Confidence.by_shannon_float w clauses)
+              fl :=
+                Option.get
+                  (Compile.exact_value
+                     (Compile.compile ~fuel:max_int w clauses)))
         in
         let err = Float.abs (!fl -. Q.to_float !exact) in
         [
           Report.fmt_int vars;
           Report.fmt_seconds t_rat;
-          Report.fmt_seconds t_decomp;
           Report.fmt_seconds t_float;
           Report.fmt_float (t_rat /. t_float);
           Printf.sprintf "%.2e" err;
@@ -165,9 +165,8 @@ let e15_rational_vs_float ~quick =
     ~header:
       [
         "vars";
-        "shannon (rational)";
-        "decomposition (rational)";
-        "float";
+        "Lineage.exact (rational)";
+        "compile, no fuel bound (float)";
         "rat/float";
         "abs. error of float";
       ]

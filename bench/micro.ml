@@ -16,15 +16,16 @@ module Distrib = Pqdb_distrib
 module Budget = Pqdb_montecarlo.Budget
 module Memo = Pqdb_montecarlo.Memo
 module Compile = Pqdb_montecarlo.Compile
+module Lineage = Pqdb_montecarlo.Lineage
 module Schema = Pqdb_relational.Schema
 module Tuple = Pqdb_relational.Tuple
 
-let test_shannon_confidence () =
+let test_exact_confidence () =
   let rng = Rng.create ~seed:201 in
   let w = Wtable.create () in
   let clauses = Gen.random_dnf rng w ~vars:12 ~clauses:12 ~clause_len:3 in
-  Test.make ~name:"confidence/shannon-12v"
-    (Staged.stage (fun () -> ignore (Confidence.by_shannon w clauses)))
+  Test.make ~name:"confidence/exact-12v"
+    (Staged.stage (fun () -> ignore (Lineage.exact w clauses)))
 
 let test_karp_luby () =
   let rng = Rng.create ~seed:202 in
@@ -55,14 +56,6 @@ let kl_dnf () =
   let clauses = Gen.random_dnf rng w ~vars:12 ~clauses:12 ~clause_len:3 in
   Dnf.prepare w clauses
 
-let test_karp_luby_parallel nworkers =
-  let dnf = kl_dnf () in
-  let rng = Rng.create ~seed:202 in
-  Test.make
-    ~name:(Printf.sprintf "confidence/karp-luby-parallel-%ddom" nworkers)
-    (Staged.stage (fun () ->
-         ignore (Karp_luby.run_parallel ~nworkers rng dnf ~trials:1000)))
-
 let batch_inputs () =
   let rng = Rng.create ~seed:208 in
   let w = Wtable.create () in
@@ -80,7 +73,9 @@ let test_batch_confidence () =
   let rng = Rng.create ~seed:208 in
   Test.make ~name:"confidence/batch-500-tuples"
     (Staged.stage (fun () ->
-         ignore (Mc_confidence.run ~nworkers:2 rng batch ~eps:0.3 ~delta:0.2)))
+         ignore
+           (Mc_confidence.run_with_stats ~nworkers:2 rng batch ~eps:0.3
+              ~delta:0.2)))
 
 let test_thm52 () =
   let rng = Rng.create ~seed:204 in
@@ -118,13 +113,6 @@ let test_repair_key () =
          let w = Wtable.create () in
          ignore (Translate.repair_key w ~key:[ "A" ] ~weight:"W" u)))
 
-let test_decomposition () =
-  let rng = Rng.create ~seed:206 in
-  let w = Wtable.create () in
-  let clauses = Gen.random_dnf rng w ~vars:12 ~clauses:12 ~clause_len:3 in
-  Test.make ~name:"confidence/decomposition-12v"
-    (Staged.stage (fun () -> ignore (Confidence.by_decomposition w clauses)))
-
 let test_optimizer () =
   let q =
     Pqdb_lang.Qparser.parse_query
@@ -151,18 +139,14 @@ let run () =
   let tests =
     Test.make_grouped ~name:"pqdb"
       [
-        test_shannon_confidence ();
+        test_exact_confidence ();
         test_karp_luby ();
-        test_karp_luby_parallel 1;
-        test_karp_luby_parallel 2;
-        test_karp_luby_parallel 4;
         test_batch_confidence ();
         test_translate_join ();
         test_thm52 ();
         test_corner_search ();
         test_coin_posterior ();
         test_repair_key ();
-        test_decomposition ();
         test_optimizer ();
         test_topk ();
       ]
@@ -297,10 +281,14 @@ type bench_entry = {
          overload burst, for the serve-under-faults entry *)
 }
 
+(* The fixed-budget FPRAS of Proposition 4.2, the per-tuple baseline. *)
+let fpras rng dnf ~eps ~delta =
+  Karp_luby.run rng dnf ~trials:(Karp_luby.trials_for dnf ~eps ~delta)
+
 let confidence_engine () =
   Report.section "CONF-ENGINE"
     "Confidence-engine wall clock: compiled lineage, adaptive stopping, \
-     parallel Karp-Luby, hash join";
+     anytime and streaming batches, hash join";
   let entries = ref [] in
   let record ?trials ?exact_fraction ?width ?peak_words ?cores ?shed name
       seconds baseline =
@@ -319,7 +307,8 @@ let confidence_engine () =
       :: !entries
   in
   let cores = Domain.recommended_domain_count () in
-  (* 1. Domain-parallel Karp-Luby on one large trial budget. *)
+  (* 1. Karp-Luby on one large trial budget (production parallelises
+     across tuples, never within one). *)
   let dnf = kl_dnf () in
   let trials = 200_000 in
   let serial =
@@ -327,27 +316,9 @@ let confidence_engine () =
         ignore (Karp_luby.run (Rng.create ~seed:1) dnf ~trials))
   in
   record "karp-luby-serial-200k" serial serial;
-  let kl_rows =
-    List.map
-      (fun n ->
-        let s =
-          Report.time_median (fun () ->
-              ignore
-                (Karp_luby.run_parallel ~nworkers:n (Rng.create ~seed:1) dnf
-                   ~trials))
-        in
-        record ~cores (Printf.sprintf "karp-luby-parallel-%ddom-200k" n) s
-          serial;
-        [
-          Printf.sprintf "%d domains" n;
-          Report.fmt_seconds s;
-          Printf.sprintf "%.2fx" (serial /. s);
-        ])
-      [ 1; 2; 4 ]
-  in
   Report.table
-    ~header:[ "karp-luby, 200k trials"; "median"; "speedup vs serial" ]
-    ([ "serial"; Report.fmt_seconds serial; "1.00x" ] :: kl_rows);
+    ~header:[ "karp-luby, 200k trials"; "median" ]
+    [ [ "serial"; Report.fmt_seconds serial ] ];
   (* 2. Batched compiled confidence vs a per-tuple prepare+fpras loop. *)
   let w, clause_sets = batch_inputs () in
   let eps = 0.3 and delta = 0.2 in
@@ -356,7 +327,7 @@ let confidence_engine () =
         let rng = Rng.create ~seed:2 in
         Array.iter
           (fun clauses ->
-            ignore (Karp_luby.confidence rng w clauses ~eps ~delta))
+            ignore (fpras rng (Dnf.prepare w clauses) ~eps ~delta))
           clause_sets)
   in
   let fixed_trials =
@@ -372,7 +343,7 @@ let confidence_engine () =
   in
   let batched =
     Report.time_median (fun () ->
-        ignore (Mc_confidence.run (Rng.create ~seed:2) batch ~eps ~delta))
+        ignore (Mc_confidence.run_with_stats (Rng.create ~seed:2) batch ~eps ~delta))
   in
   record
     ~trials:
@@ -399,7 +370,7 @@ let confidence_engine () =
         let rng = Rng.create ~seed:3 in
         Array.iter
           (fun clauses ->
-            ignore (Karp_luby.confidence rng wm clauses ~eps ~delta))
+            ignore (fpras rng (Dnf.prepare wm clauses) ~eps ~delta))
           mixed_sets)
   in
   let mixed_fixed_trials =
@@ -415,7 +386,7 @@ let confidence_engine () =
   in
   let mixed_compiled =
     Report.time_median (fun () ->
-        ignore (Mc_confidence.run (Rng.create ~seed:3) mixed_batch ~eps ~delta))
+        ignore (Mc_confidence.run_with_stats (Rng.create ~seed:3) mixed_batch ~eps ~delta))
   in
   let mixed_trials =
     Array.fold_left ( + ) 0 mixed_stats.Mc_confidence.trials_used
@@ -456,7 +427,7 @@ let confidence_engine () =
     Report.time_median (fun () ->
         let rng = Rng.create ~seed:4 in
         Array.iter
-          (fun dnf -> ignore (Karp_luby.fpras rng dnf ~eps:seps ~delta:sdelta))
+          (fun dnf -> ignore (fpras rng dnf ~eps:seps ~delta:sdelta))
           stop_dnfs)
   in
   record ~trials:fixed_stop_trials "fixed-budget-500" fixed_stop fixed_stop;
@@ -467,8 +438,8 @@ let confidence_engine () =
         adaptive_trials := 0;
         Array.iter
           (fun dnf ->
-            let _, n = Karp_luby.adaptive rng dnf ~eps:seps ~delta:sdelta in
-            adaptive_trials := !adaptive_trials + n)
+            let p = Karp_luby.adaptive_partial rng dnf ~eps:seps ~delta:sdelta in
+            adaptive_trials := !adaptive_trials + p.Karp_luby.p_trials)
           stop_dnfs)
   in
   record ~trials:!adaptive_trials "stopping-rule-500" adaptive_stop fixed_stop;
@@ -507,7 +478,7 @@ let confidence_engine () =
   let governed =
     Report.time_median (fun () ->
         ignore
-          (Mc_confidence.run ~budget:(generous ()) (Rng.create ~seed:3)
+          (Mc_confidence.run_with_stats ~budget:(generous ()) (Rng.create ~seed:3)
              mixed_batch ~eps ~delta))
   in
   let _, gov_stats =
@@ -523,7 +494,7 @@ let confidence_engine () =
     let seconds =
       Report.time_median (fun () ->
           ignore
-            (Mc_confidence.run
+            (Mc_confidence.run_with_stats
                ~budget:(Budget.create ~deadline_s:d ())
                (Rng.create ~seed:3) mixed_batch ~eps ~delta))
     in
@@ -582,7 +553,7 @@ let confidence_engine () =
   let mat_time =
     Report.time_median (fun () ->
         ignore
-          (Mc_confidence.run (Rng.create ~seed:5) (Option.get !mat_batch)
+          (Mc_confidence.run_with_stats (Rng.create ~seed:5) (Option.get !mat_batch)
              ~eps:seps2 ~delta:sdelta2))
   in
   mat_batch := None;

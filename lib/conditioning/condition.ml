@@ -1,7 +1,6 @@
 module Pqdb_error = Pqdb_runtime.Pqdb_error
 module Ua = Pqdb_ast.Ua
 module Uconstraint = Pqdb_ast.Uconstraint
-module Exact = Pqdb_urel.Confidence
 open Pqdb_numeric
 open Pqdb_relational
 open Pqdb_urel
@@ -74,18 +73,14 @@ let compile udb set =
 (* ------------------------------------------------------------------ *)
 (* Exact path (rationals).                                             *)
 
-let exact_dnf w = function
-  | [] -> Rational.zero
-  | clauses -> Exact.by_decomposition w clauses
-
 (* Theorem 4.4 on the constraint event c = E ∧ ¬V:
    Pr(φ ∧ c) = Pr(φ ∧ E) − Pr(φ ∧ E ∧ V), all positive DNFs. *)
 let exact_joint w c phi =
   let pe = conjoin phi c.positive in
-  let with_e = exact_dnf w pe in
+  let with_e = Lineage.exact w pe in
   match c.violation with
   | [] -> with_e
-  | v -> Rational.sub with_e (exact_dnf w (conjoin pe v))
+  | v -> Rational.sub with_e (Lineage.exact w (conjoin pe v))
 
 let probability w c = exact_joint w c [ Assignment.empty ]
 

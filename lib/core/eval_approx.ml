@@ -303,7 +303,7 @@ and eval_ann_raw ?budget ?stream ~aconf_ord ~cache ~eps0 ~max_rounds
     end
   | Ua.Conf q ->
       let a = recur q in
-      let confs = Confidence.all_confidences w a.au in
+      let confs = Eval_exact.all_confidences w a.au in
       conf_like a confs (fun p -> Value.Rat p)
   | Ua.ApproxConf ({ eps; delta }, q) ->
       let a = recur q in
@@ -382,7 +382,7 @@ and eval_ann_raw ?budget ?stream ~aconf_ord ~cache ~eps0 ~max_rounds
         List.filter_map
           (fun (t, p) ->
             if Rational.equal p Rational.one then Some t else None)
-          (Confidence.all_confidences w a.au)
+          (Eval_exact.all_confidences w a.au)
       in
       {
         a with

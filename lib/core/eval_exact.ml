@@ -5,11 +5,16 @@ module Ua = Pqdb_ast.Ua
 
 exception Unsupported of string
 
+let all_confidences w u =
+  List.map
+    (fun (t, clauses) -> (t, Pqdb_montecarlo.Lineage.exact w clauses))
+    (Urelation.clauses_by_tuple u)
+
 let conf_urelation w u =
   if Schema.mem (Urelation.schema u) "P" then
     raise
       (Unsupported "conf: the input already has a P column; rename it first");
-  let confs = Confidence.all_confidences w u in
+  let confs = all_confidences w u in
   let out_schema =
     Schema.of_list (Schema.attributes (Urelation.schema u) @ [ "P" ])
   in
@@ -71,7 +76,7 @@ and eval_raw cache udb (q : Ua.t) =
       let certain =
         List.filter_map
           (fun (t, p) -> if Rational.equal p Rational.one then Some t else None)
-          (Confidence.all_confidences w u)
+          (all_confidences w u)
       in
       Urelation.of_relation (Relation.of_list (Urelation.schema u) certain)
   | Ua.ApproxSelect _ -> eval udb (Ua.desugar_sigma_hat q)
@@ -84,4 +89,4 @@ let eval_relation udb q =
   else raise (Unsupported "result is uncertain; use eval or confidences")
 
 let confidences udb q =
-  Confidence.all_confidences (Udb.wtable udb) (eval udb q)
+  all_confidences (Udb.wtable udb) (eval udb q)

@@ -73,7 +73,7 @@ let allocate ~trials ~costs =
     let out = Array.make n base in
     let pool = trials - (base * n) in
     if pool > 0 then begin
-      let total = Array.fold_left ( + ) 0 costs in
+      let total = Array.fold_left Pqdb_numeric.Stats.saturating_add 0 costs in
       if total <= 0 then begin
         let q = pool / n and r = pool mod n in
         for i = 0 to n - 1 do

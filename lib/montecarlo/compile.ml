@@ -1,3 +1,4 @@
+open Pqdb_numeric
 open Pqdb_urel
 
 type node =
@@ -36,22 +37,17 @@ let compile ?(fuel = default_fuel) w clauses =
     | [ c ] -> Const (Assignment.weight_float w c)
     | cs when !fuel <= 0 -> residual cs
     | cs -> (
-        match Lineage.components cs with
-        | _ :: _ :: _ as comps ->
+        match Lineage.split cs with
+        | Lineage.Independent comps ->
             IndepOr (Array.of_list (List.map go comps))
-        | _ -> (
-            match Lineage.universal_var cs with
-            | Some v ->
-                (* Disjoint-OR: the branches v = x are mutually exclusive
-                   and every clause shrinks, so expansion is free (no
-                   Shannon fuel) and terminates on binding count alone. *)
-                expand v cs
-            | None -> (
-                match Lineage.most_shared_var cs with
-                | None -> assert false (* nonempty clauses have variables *)
-                | Some v ->
-                    fuel := !fuel - Wtable.domain_size w v - List.length cs;
-                    expand v cs)))
+        | Lineage.Disjoint v ->
+            (* The branches v = x are mutually exclusive and every clause
+               shrinks, so expansion is free (no Shannon fuel) and
+               terminates on binding count alone. *)
+            expand v cs
+        | Lineage.Shannon v ->
+            fuel := !fuel - Wtable.domain_size w v - List.length cs;
+            expand v cs)
   and expand v cs =
     let n = Wtable.domain_size w v in
     Sum
@@ -126,7 +122,7 @@ type outcome = {
 let cost_cap dnf ~eps ~delta =
   if Dnf.is_trivially_false dnf || Dnf.is_trivially_true dnf then 0
   else if Dnf.clause_count dnf = 1 then 0
-  else Pqdb_numeric.Stats.karp_luby_trials ~clauses:(Dnf.clause_count dnf) ~eps ~delta
+  else Stats.karp_luby_trials ~clauses:(Dnf.clause_count dnf) ~eps ~delta
 
 let residual_ub dnf = Float.min 1. (Dnf.total_weight dnf)
 
@@ -144,48 +140,46 @@ let vacuous_interval t =
     ( Float.max 0. (eval_node zeros t.root),
       Float.min 1. (eval_node ubs t.root) )
 
-(* Per-residual sampling result: estimate, sound probability interval,
-   relative error certified at the residual's δ share (0 = exact, infinity =
-   vacuous), and whether the residual's own (ε, δ) ask was met. *)
-type rres = { r_est : float; r_lo : float; r_hi : float; r_eps : float; r_ok : bool }
+(* Per-residual sampling results are Karp_luby's partial records: estimate,
+   sound interval, relative error certified at the residual's δ share
+   (0 = exact, infinity = vacuous) and whether its own (ε, δ) ask was met. *)
+open Karp_luby
 
-let r_vacuous dnf =
-  { r_est = 0.; r_lo = 0.; r_hi = residual_ub dnf; r_eps = Float.infinity; r_ok = false }
-
-let r_point p = { r_est = p; r_lo = p; r_hi = p; r_eps = 0.; r_ok = true }
-
-let r_certified dnf ~eps p =
-  let ub = residual_ub dnf in
-  { r_est = p;
-    r_lo = Float.max 0. (p /. (1. +. eps));
-    r_hi = (if eps >= 1. then ub else Float.min ub (p /. (1. -. eps)));
-    r_eps = eps;
-    r_ok = true }
+(* A residual whose sampling died: its a-priori interval [0, min(1, Mᵢ)]
+   and no certified error. *)
+let vacuous_partial dnf =
+  { p_estimate = 0.; p_lo = 0.; p_hi = residual_ub dnf; p_trials = 0;
+    p_eps = Float.infinity; p_complete = false }
 
 (* One contained adaptive pass over a residual.  Any estimator failure
    (injected or real) degrades that residual to its vacuous interval instead
    of aborting the tuple. *)
-let sample_residual rng trials dnf ~eps ~delta =
-  match Karp_luby.adaptive rng dnf ~eps ~delta with
-  | p, n ->
-      trials := !trials + n;
-      if n = 0 then r_point p else r_certified dnf ~eps p
-  | exception _ -> r_vacuous dnf
+let sample_residual ?budget rng trials dnf ~eps ~delta =
+  match adaptive_partial ?budget rng dnf ~eps ~delta with
+  | p ->
+      trials := !trials + p.p_trials;
+      p
+  | exception _ -> vacuous_partial dnf
+
+(* One pass per residual at (eps, δ/r): by the error propagation lemma and
+   the union bound it certifies the root at relative [eps] when every
+   residual meets its own contract.  With a budget every pass charges the
+   shared governor. *)
+let single_pass ?budget rng t ~eps ~delta =
+  let d = delta /. float_of_int (Array.length t.residuals) in
+  let trials = ref 0 in
+  let rrs =
+    Array.map
+      (fun dnf -> sample_residual ?budget rng trials dnf ~eps ~delta:d)
+      t.residuals
+  in
+  (rrs, !trials, Array.for_all (fun rr -> rr.p_complete) rrs)
 
 (* Returns (per-residual results, trials, complete): [complete] means the
    pass certifies the root at relative [eps] (error propagation lemma +
    union bound, or the exact-mass tightening argument below). *)
 let solve_residuals rng t ~eps ~delta =
-  let r = Array.length t.residuals in
-  let trials = ref 0 in
-  if eps >= 0.5 then begin
-    (* Coarse target: a single adaptive pass per residual at (eps, δ/r)
-       already meets the guarantee (error propagation lemma + union
-       bound). *)
-    let d = delta /. float_of_int r in
-    let rrs = Array.map (fun dnf -> sample_residual rng trials dnf ~eps ~delta:d) t.residuals in
-    (rrs, !trials, Array.for_all (fun rr -> rr.r_ok) rrs)
-  end
+  if eps >= 0.5 then single_pass rng t ~eps ~delta
   else begin
     (* Exact-mass tightening.  Phase 1: coarse (ε₁ = ½) estimates of every
        residual, spending δ/2r each.  They yield, with probability
@@ -203,12 +197,14 @@ let solve_residuals rng t ~eps ~delta =
        re-sampled; one that fails in phase 2 keeps its (coarser) phase-1
        certificate.  Either failure voids the root's ε contract
        ([complete = false]) but never its interval. *)
+    let r = Array.length t.residuals in
+    let trials = ref 0 in
     let eps1 = 0.5 in
     let d = delta /. 2. /. float_of_int r in
     let p1 =
       Array.map (fun dnf -> sample_residual rng trials dnf ~eps:eps1 ~delta:d) t.residuals
     in
-    let t_lo = eval_node (Array.map (fun rr -> rr.r_lo) p1) t.root in
+    let t_lo = eval_node (Array.map (fun rr -> rr.p_lo) p1) t.root in
     (* Per-residual absolute-error capacity a_i ≥ w_i·p_i (w.h.p.): sampling
        residual i at relative ε_i contributes ≤ a_i·ε_i to the root's
        absolute error.  Failed residuals are excluded (they void the ε
@@ -216,7 +212,8 @@ let solve_residuals rng t ~eps ~delta =
     let a =
       Array.mapi
         (fun i rr ->
-          if rr.r_ok then (1. +. eps1) *. t.res_weights.(i) *. rr.r_est else 0.)
+          if rr.p_complete then (1. +. eps1) *. t.res_weights.(i) *. rr.p_estimate
+          else 0.)
         p1
     in
     let s_hi = Array.fold_left ( +. ) 0. a in
@@ -224,7 +221,7 @@ let solve_residuals rng t ~eps ~delta =
     if s_hi <= 0. || e_total >= eps1 *. s_hi then
       (* Even a uniform ε₁ target fits inside ε·T_lo (or nothing was
          sampled): the coarse pass already certifies the root at ε. *)
-      (p1, !trials, Array.for_all (fun rr -> rr.r_ok) p1)
+      (p1, !trials, Array.for_all (fun rr -> rr.p_complete) p1)
     else begin
       (* Weight-aware targets.  Σ a_i·ε_i ≤ E = ε·T_lo keeps the root
          within relative ε (absolute error ≤ Σ w_i·p_i·ε_i ≤ Σ a_i·ε_i ≤
@@ -240,12 +237,14 @@ let solve_residuals rng t ~eps ~delta =
          propagation lemma alone, exactly the pre-weighted behaviour. *)
       let targets = Array.make r eps1 in
       if e_total <= eps *. s_hi then
-        Array.iteri (fun i rr -> if rr.r_ok then targets.(i) <- eps) p1
+        Array.iteri
+          (fun i rr -> if rr.p_complete then targets.(i) <- eps)
+          p1
       else begin
         let shape =
           Array.mapi
             (fun i rr ->
-              if (not rr.r_ok) || a.(i) <= 0. then 0.
+              if (not rr.p_complete) || a.(i) <= 0. then 0.
               else
                 Float.pow
                   (float_of_int (Dnf.clause_count t.residuals.(i)) /. a.(i))
@@ -257,7 +256,7 @@ let solve_residuals rng t ~eps ~delta =
           let e_free = ref e_total and denom = ref 0. in
           Array.iteri
             (fun i rr ->
-              if rr.r_ok && a.(i) > 0. then
+              if rr.p_complete && a.(i) > 0. then
                 if floored.(i) then e_free := !e_free -. (a.(i) *. eps)
                 else denom := !denom +. (a.(i) *. shape.(i)))
             p1;
@@ -266,14 +265,14 @@ let solve_residuals rng t ~eps ~delta =
               (* infeasible: floor everything — the ε fallback below *)
               Array.iteri
                 (fun i rr ->
-                  if rr.r_ok && a.(i) > 0. then floored.(i) <- true)
+                  if rr.p_complete && a.(i) > 0. then floored.(i) <- true)
                 p1
             else begin
               let c = !e_free /. !denom in
               let changed = ref false in
               Array.iteri
                 (fun i rr ->
-                  if rr.r_ok && a.(i) > 0. && not floored.(i) then begin
+                  if rr.p_complete && a.(i) > 0. && not floored.(i) then begin
                     let e_i = c *. shape.(i) in
                     if e_i < eps then begin
                       floored.(i) <- true;
@@ -291,19 +290,21 @@ let solve_residuals rng t ~eps ~delta =
       let rrs =
         Array.mapi
           (fun i rr1 ->
-            if not rr1.r_ok then rr1
+            if not rr1.p_complete then rr1
             else if targets.(i) >= eps1 then rr1
             else
               let rr2 =
                 sample_residual rng trials t.residuals.(i) ~eps:targets.(i)
                   ~delta:d
               in
-              if rr2.r_ok then rr2 else rr1)
+              if rr2.p_complete then rr2 else rr1)
           p1
       in
       let complete = ref true in
       Array.iteri
-        (fun i rr -> if not (rr.r_ok && rr.r_eps <= targets.(i)) then complete := false)
+        (fun i rr ->
+          if not (rr.p_complete && rr.p_eps <= targets.(i)) then
+            complete := false)
         rrs;
       (rrs, !trials, !complete)
     end
@@ -324,9 +325,9 @@ let bracketed v ~lo ~hi =
    per-residual intervals to a sound root interval, and on a complete pass
    the relative-ε claim [v/(1+ε), v/(1−ε)] is intersected in. *)
 let assemble t rrs ~eps ~trials ~complete =
-  let v = eval_node (Array.map (fun rr -> rr.r_est) rrs) t.root in
-  let lo = eval_node (Array.map (fun rr -> rr.r_lo) rrs) t.root in
-  let hi = eval_node (Array.map (fun rr -> rr.r_hi) rrs) t.root in
+  let v = eval_node (Array.map (fun rr -> rr.p_estimate) rrs) t.root in
+  let lo = eval_node (Array.map (fun rr -> rr.p_lo) rrs) t.root in
+  let hi = eval_node (Array.map (fun rr -> rr.p_hi) rrs) t.root in
   let lo, hi =
     if complete then
       ( Float.max lo (v /. (1. +. eps)),
@@ -335,10 +336,12 @@ let assemble t rrs ~eps ~trials ~complete =
   in
   let value, lo, hi = bracketed v ~lo ~hi in
   let mass = ref 0. in
-  Array.iteri (fun i rr -> mass := !mass +. (t.res_weights.(i) *. rr.r_est)) rrs;
+  Array.iteri
+    (fun i rr -> mass := !mass +. (t.res_weights.(i) *. rr.p_estimate))
+    rrs;
   let achieved_eps =
     if complete then eps
-    else Array.fold_left (fun acc rr -> Float.max acc rr.r_eps) 0. rrs
+    else Array.fold_left (fun acc rr -> Float.max acc rr.p_eps) 0. rrs
   in
   { value;
     trials;
@@ -356,7 +359,6 @@ let exact_outcome v =
    residual leaves; the compiled tree still brackets the answer when that
    sampling fails or runs out of budget. *)
 let fallback_outcome t partial =
-  let open Karp_luby in
   let tree_lo, tree_hi = vacuous_interval t in
   let value, lo, hi =
     bracketed partial.p_estimate ~lo:(Float.max tree_lo partial.p_lo)
@@ -382,7 +384,7 @@ let solve ?budget rng t ~eps ~delta =
     let compiled_cap =
       let d = delta /. 2. /. float_of_int r in
       Array.fold_left
-        (fun acc dnf -> acc + cost_cap dnf ~eps ~delta:d)
+        (fun acc dnf -> Stats.saturating_add acc (cost_cap dnf ~eps ~delta:d))
         0 t.residuals
     in
     let plain_cap =
@@ -392,7 +394,7 @@ let solve ?budget rng t ~eps ~delta =
     in
     if plain_cap < compiled_cap then begin
       let dnf = Option.get t.fallback in
-      match Karp_luby.adaptive_partial ?budget rng dnf ~eps ~delta with
+      match adaptive_partial ?budget rng dnf ~eps ~delta with
       | partial -> fallback_outcome t partial
       | exception _ ->
           (* Sampling the fallback died outright: all that remains sound is
@@ -402,33 +404,13 @@ let solve ?budget rng t ~eps ~delta =
             achieved_eps = (hi -. lo) /. 2.; complete = false }
     end
     else
-      match budget with
-      | None ->
-          let rrs, trials, complete = solve_residuals rng t ~eps ~delta in
-          assemble t rrs ~eps ~trials ~complete
-      | Some _ ->
-          (* Budget-governed: one partial pass per residual at (ε, δ/r),
-             all charging the shared governor.  Residuals past the deadline
-             come back with whatever interval their trials certify. *)
-          let d = delta /. float_of_int r in
-          let trials = ref 0 in
-          let rrs =
-            Array.map
-              (fun dnf ->
-                match Karp_luby.adaptive_partial ?budget rng dnf ~eps ~delta:d with
-                | p ->
-                    trials := !trials + p.Karp_luby.p_trials;
-                    { r_est = p.Karp_luby.p_estimate;
-                      r_lo = p.Karp_luby.p_lo;
-                      r_hi = p.Karp_luby.p_hi;
-                      r_eps = p.Karp_luby.p_eps;
-                      r_ok = p.Karp_luby.p_complete }
-                | exception _ -> r_vacuous dnf)
-              t.residuals
-          in
-          let complete = Array.for_all (fun rr -> rr.r_ok) rrs in
-          assemble t rrs ~eps ~trials:!trials ~complete
+      let rrs, trials, complete =
+        match budget with
+        | None -> solve_residuals rng t ~eps ~delta
+        | Some _ ->
+            (* Budget-governed: residuals past the deadline come back with
+               whatever interval their trials certify. *)
+            single_pass ?budget rng t ~eps ~delta
+      in
+      assemble t rrs ~eps ~trials ~complete
   end
-
-let confidence ?fuel rng w clauses ~eps ~delta =
-  (solve rng (compile ?fuel w clauses) ~eps ~delta).value

@@ -5,11 +5,12 @@
     databases"): after normalization ({!Lineage.normalize}) a tuple's DNF
     usually splits into variable-disjoint independent components, each of
     which factors further through disjoint (mutually exclusive) expansions.
-    [compile] applies those rewrites — independent-OR, disjoint-OR on a
-    variable bound in every clause, and {e bounded} Shannon expansion on the
-    most-shared variable — solving everything it can in closed form and
-    leaving only the irreducible residues as prepared {!Dnf} leaves for the
-    adaptive Karp-Luby sampler.
+    [compile] applies those rewrites as {!Lineage.split} decides them —
+    independent-OR, disjoint-OR on a variable bound in every clause, and
+    {e bounded} Shannon expansion on the most-shared variable — solving
+    everything it can in closed form and leaving only the irreducible
+    residues as prepared {!Dnf} leaves for the adaptive Karp-Luby sampler.
+    {!Lineage.exact} walks the same policy in rationals with no fuel bound.
 
     {2 Error propagation}
 
@@ -102,8 +103,8 @@ val vacuous_interval : t -> float * float
     point when [is_exact]. *)
 
 val solve : ?budget:Budget.t -> Rng.t -> t -> eps:float -> delta:float -> outcome
-(** Estimate every residual with {!Karp_luby.adaptive} and evaluate the
-    tree; by the error propagation above the result is an (ε, δ) relative
+(** Estimate every residual with {!Karp_luby.adaptive_partial} and evaluate
+    the tree; by the error propagation above the result is an (ε, δ) relative
     approximation of the tuple confidence.  Residuals are sampled in order
     from the given RNG, so the outcome is deterministic per RNG state.
 
@@ -143,8 +144,3 @@ val solve : ?budget:Budget.t -> Rng.t -> t -> eps:float -> delta:float -> outcom
     the RNG exactly as before and returns [complete = true] with
     [achieved_eps = eps].
     @raise Invalid_argument when [eps <= 0] or [delta <= 0]. *)
-
-val confidence :
-  ?fuel:int -> Rng.t -> Wtable.t -> Assignment.t list ->
-  eps:float -> delta:float -> float
-(** [compile] + [solve], returning just the estimate. *)

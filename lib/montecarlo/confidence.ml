@@ -32,7 +32,9 @@ let total_trials batch ~eps ~delta =
       match clauses with
       | [] -> acc
       | cs when List.exists Assignment.is_empty cs -> acc
-      | cs -> acc + Stats.karp_luby_trials ~clauses:(List.length cs) ~eps ~delta)
+      | cs ->
+          Stats.saturating_add acc
+            (Stats.karp_luby_trials ~clauses:(List.length cs) ~eps ~delta))
     0 batch.clause_sets
 
 (* Cap on what the adaptive sampler can spend on tuple [i] — used only to
@@ -41,7 +43,9 @@ let cost_bound batch i ~eps ~delta =
   Array.fold_left
     (fun acc dnf ->
       if Dnf.is_trivially_false dnf || Dnf.is_trivially_true dnf then acc
-      else acc + Stats.karp_luby_trials ~clauses:(Dnf.clause_count dnf) ~eps ~delta)
+      else
+        Stats.saturating_add acc
+          (Stats.karp_luby_trials ~clauses:(Dnf.clause_count dnf) ~eps ~delta))
     0
     (Compile.residuals batch.comps.(i))
 
@@ -161,18 +165,6 @@ let run_with_stats ?budget ?nworkers rng batch ~eps ~delta =
       achieved_eps = c.c_achieved;
       complete = c.c_complete;
     } )
-
-let run ?budget ?nworkers rng batch ~eps ~delta =
-  fst (run_with_stats ?budget ?nworkers rng batch ~eps ~delta)
-
-let batch_fpras ?budget ?nworkers ?compile_fuel rng w clause_sets ~eps ~delta =
-  run ?budget ?nworkers rng (prepare ?compile_fuel w clause_sets) ~eps ~delta
-
-let approx_confidences ?budget ?nworkers ?compile_fuel rng w u ~eps ~delta =
-  let groups = Urelation.clauses_by_tuple u in
-  let batch = prepare ?compile_fuel w (Array.of_list (List.map snd groups)) in
-  let estimates = run ?budget ?nworkers rng batch ~eps ~delta in
-  List.mapi (fun i (t, _) -> (t, estimates.(i))) groups
 
 (* --- streaming / checkpointed execution --------------------------------- *)
 
@@ -294,7 +286,9 @@ let run_stream ?budget ?nworkers ?compile_fuel
         Shard.open_journal ~retries:options.retries ~resume:options.resume
           ~meta ~plan:shards ~clause_sets path
   in
-  let total_cost = Array.fold_left (fun a s -> a + s.Shard.cost) 0 shards in
+  let total_cost =
+    Array.fold_left (fun a s -> Stats.saturating_add a s.Shard.cost) 0 shards
+  in
   let remaining_cost = ref total_cost in
   let stream_trials = ref 0 in
   let quarantined = ref [] in

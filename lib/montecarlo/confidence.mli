@@ -1,21 +1,18 @@
 (** Batched approximate confidence: the whole-U-relation compiled path.
 
-    Where {!Karp_luby.fpras} answers one tuple by pure sampling, this module
-    compiles every tuple's lineage first ({!Compile}): tuples that decompose
-    fully are answered exactly for free, and only the irreducible residues
-    are farmed to the adaptive Karp-Luby sampler over the domain pool.  Not
-    to be confused with {!Pqdb_urel.Confidence}, the exact (#P-hard) solver.
+    Every tuple's lineage is compiled first ({!Compile}): tuples that
+    decompose fully are answered exactly for free, and only the irreducible
+    residues are farmed to the adaptive Karp-Luby sampler over the domain
+    pool.  Exact confidence lives in {!Lineage.exact}.
 
     Determinism contract: every tuple gets its own
     {!Pqdb_numeric.Rng.split_n} child stream and its own output slot, and
     runs its residual budgets serially on one domain.  For a fixed parent
     RNG state (and fixed compilation fuel) the estimates are therefore
     bit-identical across runs {e and across pool sizes}; parallelism is
-    across tuples only (shard a single huge tuple with
-    {!Karp_luby.run_parallel} instead). *)
+    across tuples only. *)
 
 open Pqdb_numeric
-open Pqdb_relational
 open Pqdb_urel
 
 type batch
@@ -61,18 +58,12 @@ val total_trials : batch -> eps:float -> delta:float -> int
     pay.  The compiled run typically spends far less; compare against
     {!stats.trials_used}. *)
 
-val run :
-  ?budget:Budget.t -> ?nworkers:int -> Rng.t -> batch ->
-  eps:float -> delta:float -> float array
-(** Per-tuple (ε, δ) estimates, in the order of the prepared clause sets.
-    [nworkers] defaults to {!Pool.default_workers}.
-    @raise Invalid_argument when [eps <= 0], [delta <= 0] or [nworkers <= 0]. *)
-
 val run_with_stats :
   ?budget:Budget.t -> ?nworkers:int -> Rng.t -> batch ->
   eps:float -> delta:float -> float array * stats
-(** As {!run}, also reporting the per-tuple trial spend, the batch exact
-    fraction, and the soundness brackets.
+(** Per-tuple (ε, δ) estimates, in the order of the prepared clause sets,
+    with the per-tuple trial spend, the batch exact fraction, and the
+    soundness brackets.  [nworkers] defaults to {!Pool.default_workers}.
 
     With a [budget], all tuples charge the shared governor and the call is
     {e anytime}: on exhaustion the remaining sampling is cut short and
@@ -84,21 +75,9 @@ val run_with_stats :
     The call never throws because of a single tuple: per-tuple failures
     (including injected ones) are contained and degrade that tuple to its
     sound bracket; pool-level failures degrade the whole batch to the
-    pre-filled brackets. *)
-
-val batch_fpras :
-  ?budget:Budget.t -> ?nworkers:int -> ?compile_fuel:int -> Rng.t ->
-  Wtable.t -> Assignment.t list array -> eps:float -> delta:float ->
-  float array
-(** [prepare] + [run]. *)
-
-val approx_confidences :
-  ?budget:Budget.t -> ?nworkers:int -> ?compile_fuel:int -> Rng.t ->
-  Wtable.t -> Urelation.t -> eps:float -> delta:float ->
-  (Tuple.t * float) list
-(** The approximate [conf(R)]: every possible tuple of [u] with its (ε, δ)
-    confidence estimate, grouped via
-    {!Pqdb_urel.Urelation.clauses_by_tuple}. *)
+    pre-filled brackets.
+    @raise Invalid_argument when [eps <= 0], [delta <= 0] or
+    [nworkers <= 0]. *)
 
 (** {1 Streaming, checkpointed execution}
 

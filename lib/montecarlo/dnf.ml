@@ -65,6 +65,4 @@ let sample_estimator rng t =
       in
       if smallest 0 then 1 else 0
 
-(* Fully qualified: [Confidence] unqualified would resolve to this library's
-   batched-confidence module and create a dependency cycle. *)
-let exact t = Pqdb_urel.Confidence.exact t.w (Array.to_list t.clauses)
+let exact t = Lineage.exact t.w (Array.to_list t.clauses)

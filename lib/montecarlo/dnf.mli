@@ -41,5 +41,5 @@ val sample_estimator : Rng.t -> t -> int
     @raise Invalid_argument on a trivially false DNF. *)
 
 val exact : t -> Rational.t
-(** Exact confidence (delegates to {!Pqdb_urel.Confidence}); for tests and
-    error measurement. *)
+(** Exact confidence ({!Lineage.exact}); for tests and error
+    measurement. *)

@@ -12,56 +12,10 @@ let run rng dnf ~trials =
     float_of_int !x *. Dnf.total_weight dnf /. float_of_int trials
   end
 
-let run_parallel ?nworkers rng dnf ~trials =
-  let nworkers =
-    match nworkers with Some n -> n | None -> Pool.default_workers ()
-  in
-  if nworkers <= 0 then
-    invalid_arg "Karp_luby.run_parallel: nworkers must be positive";
-  if Dnf.is_trivially_false dnf then 0.
-  else if Dnf.is_trivially_true dnf then 1.
-  else begin
-    if trials <= 0 then
-      invalid_arg "Karp_luby.run_parallel: trials must be positive";
-    (* Shard the trial budget over deterministic child streams.  Shard count,
-       shard sizes and shard RNGs depend only on (rng state, nworkers,
-       trials), and the per-shard success counts are summed as integers, so
-       the estimate is bit-identical across runs and across schedulings. *)
-    let nshards = min nworkers trials in
-    let rngs = Rng.split_n rng nshards in
-    let base = trials / nshards and extra = trials mod nshards in
-    let successes = Array.make nshards 0 in
-    Pool.run (Pool.create nshards) ~ntasks:nshards (fun i ->
-        let m = base + if i < extra then 1 else 0 in
-        let rng = rngs.(i) in
-        let x = ref 0 in
-        for _ = 1 to m do
-          x := !x + Dnf.sample_estimator rng dnf
-        done;
-        successes.(i) <- !x);
-    let x = Array.fold_left ( + ) 0 successes in
-    float_of_int x *. Dnf.total_weight dnf /. float_of_int trials
-  end
-
 let trials_for dnf ~eps ~delta =
   if Dnf.is_trivially_false dnf || Dnf.is_trivially_true dnf then 0
   else
     Stats.karp_luby_trials ~clauses:(Dnf.clause_count dnf) ~eps ~delta
-
-let fpras rng dnf ~eps ~delta =
-  if eps <= 0. || delta <= 0. then invalid_arg "Karp_luby.fpras";
-  if Dnf.is_trivially_false dnf then 0.
-  else if Dnf.is_trivially_true dnf then 1.
-  else run rng dnf ~trials:(trials_for dnf ~eps ~delta)
-
-let fpras_parallel ?nworkers rng dnf ~eps ~delta =
-  if eps <= 0. || delta <= 0. then invalid_arg "Karp_luby.fpras_parallel";
-  if Dnf.is_trivially_false dnf then 0.
-  else if Dnf.is_trivially_true dnf then 1.
-  else run_parallel ?nworkers rng dnf ~trials:(trials_for dnf ~eps ~delta)
-
-let confidence rng w clauses ~eps ~delta =
-  fpras rng (Dnf.prepare w clauses) ~eps ~delta
 
 (* ------------------------------------------------------------------ *)
 (* Adaptive stopping (Dagum–Karp–Luby–Ross)                            *)
@@ -77,7 +31,7 @@ let stopping_rule rng dnf ~eps ~delta ~cap =
   let lambda = Float.exp 1. -. 2. in
   let ups = 4. *. lambda *. log (2. /. delta) /. (eps *. eps) in
   let ups1 = 1. +. ((1. +. eps) *. ups) in
-  let target = int_of_float (Float.ceil ups1) in
+  let target = Stats.count_of_float ups1 in
   let s = ref 0 and n = ref 0 in
   while !s < target && !n < cap do
     s := !s + Dnf.sample_estimator rng dnf;
@@ -91,8 +45,10 @@ let stopping_rule rng dnf ~eps ~delta ~cap =
   in
   (estimate, !n)
 
+(* The unbudgeted schedule behind [adaptive_partial], which validates
+   (ε, δ): (estimate, trials), with 0 trials exactly when the answer is
+   exact. *)
 let adaptive rng dnf ~eps ~delta =
-  if eps <= 0. || delta <= 0. then invalid_arg "Karp_luby.adaptive";
   if Dnf.is_trivially_false dnf then (0., 0)
   else if Dnf.is_trivially_true dnf then (1., 0)
   else if Dnf.clause_count dnf = 1 then
@@ -123,18 +79,15 @@ let adaptive rng dnf ~eps ~delta =
       in
       let n2 =
         max 1
-          (int_of_float
-             (Float.ceil (3. *. log (4. /. delta) /. (eps *. eps *. mu_lo))))
+          (Stats.count_of_float (3. *. log (4. /. delta) /. (eps *. eps *. mu_lo)))
       in
       let s = ref 0 in
       for _ = 1 to n2 do
         s := !s + Dnf.sample_estimator rng dnf
       done;
-      (float_of_int !s *. m /. float_of_int n2, n1 + n2)
+      (float_of_int !s *. m /. float_of_int n2, Stats.saturating_add n1 n2)
     end
   end
-
-let fpras_adaptive rng dnf ~eps ~delta = fst (adaptive rng dnf ~eps ~delta)
 
 (* ------------------------------------------------------------------ *)
 (* Budget-governed estimation with partial-trial bounds                *)
@@ -163,9 +116,8 @@ let adaptive_partial ?budget rng dnf ~eps ~delta =
   if eps <= 0. || delta <= 0. then invalid_arg "Karp_luby.adaptive_partial";
   match budget with
   | None ->
-      (* No governor: delegate to [adaptive] (same RNG consumption, same
-         estimate) and dress the result as a complete partial.  [adaptive]
-         spends 0 trials exactly when the answer is exact. *)
+      (* No governor: the adaptive schedule, dressed as a complete
+         partial. *)
       let p, n = adaptive rng dnf ~eps ~delta in
       if n = 0 then point p n
       else certified ~ub:(Float.min 1. (Dnf.total_weight dnf)) ~eps p n
@@ -191,7 +143,7 @@ let adaptive_partial ?budget rng dnf ~eps ~delta =
         let lambda = Float.exp 1. -. 2. in
         let ups = 4. *. lambda *. log (2. /. delta) /. (eps *. eps) in
         let ups1 = 1. +. ((1. +. eps) *. ups) in
-        let target = int_of_float (Float.ceil ups1) in
+        let target = Stats.count_of_float ups1 in
         let s = ref 0 and n = ref 0 in
         let out_of_budget = ref false in
         while (not !out_of_budget) && !s < target && !n < cap do

@@ -6,38 +6,17 @@
     [m = ⌈3·|F|·ln(2/δ)/ε²⌉] yields an (ε, δ) guarantee. *)
 
 open Pqdb_numeric
-open Pqdb_urel
 
 val run : Rng.t -> Dnf.t -> trials:int -> float
 (** [p̂] after exactly [trials] estimator calls.  Degenerate DNFs (no clauses
     / empty clause) return 0 or 1 without sampling. *)
 
-val run_parallel : ?nworkers:int -> Rng.t -> Dnf.t -> trials:int -> float
-(** As {!run}, with the trial budget sharded over up to [nworkers] domains
-    (default {!Pool.default_workers}), one {!Pqdb_numeric.Rng.split_n} child
-    stream per shard.  For a fixed (parent RNG state, [nworkers], [trials])
-    the estimate is bit-deterministic — shard sizes, shard streams and the
-    integer success sum do not depend on scheduling — and each shard runs the
-    same unbiased estimator as {!run}, so the statistical (ε, δ) guarantees
-    are unchanged.  [nworkers = 1] runs on the calling domain alone (no
-    spawns) but still draws from a child stream, so it reproduces
-    [run_parallel], not [run].
-    @raise Invalid_argument when [trials <= 0] or [nworkers <= 0]. *)
-
-val fpras : Rng.t -> Dnf.t -> eps:float -> delta:float -> float
-(** The (ε, δ) approximation scheme: picks the Chernoff-derived trial count.
-    @raise Invalid_argument when [eps <= 0] or [delta <= 0]. *)
-
-val fpras_parallel :
-  ?nworkers:int -> Rng.t -> Dnf.t -> eps:float -> delta:float -> float
-(** {!fpras} with the trial budget run through {!run_parallel}. *)
-
 val trials_for : Dnf.t -> eps:float -> delta:float -> int
-(** The [m] used by {!fpras} (0 for degenerate DNFs). *)
-
-val confidence : Rng.t -> Wtable.t -> Assignment.t list ->
-  eps:float -> delta:float -> float
-(** Convenience: prepare + fpras. *)
+(** The Chernoff [m] for an (ε, δ) guarantee (0 for degenerate DNFs,
+    saturated at [max_int]): [run ~trials:(trials_for dnf ~eps ~delta)] is
+    the fixed-budget FPRAS of Proposition 4.2.
+    @raise Invalid_argument when [eps <= 0] or [delta <= 0] on a
+    non-degenerate DNF. *)
 
 (** {1 Adaptive stopping (Dagum–Karp–Luby–Ross)}
 
@@ -46,21 +25,17 @@ val confidence : Rng.t -> Wtable.t -> Assignment.t list ->
     Dagum, Karp, Luby and Ross ("An optimal algorithm for Monte Carlo
     estimation") instead spends [O(ln(1/δ)/(ε²·μ))] expected trials — the
     win is a factor of [|F|·μ], which on real lineage (few deeply
-    overlapping clauses) is most of the budget. *)
+    overlapping clauses) is most of the budget.
 
-val adaptive : Rng.t -> Dnf.t -> eps:float -> delta:float -> float * int
-(** [(p̂, trials)] with [Pr(|p̂ − p| ≥ ε·p) ≤ δ].  Degenerate and
-    single-clause DNFs are answered exactly with 0 trials.  For [ε ≥ ½] one
-    stopping-rule phase runs; below that, a two-phase AA-style schedule:
-    a rough stopping-rule estimate at ε₁ = ½ (δ/2), then a fresh Chernoff
-    batch sized by the estimated mean (δ/2).  Every phase is capped at its
-    fixed-budget equivalent, so the trial count never exceeds roughly the
-    non-adaptive cost and the guarantee holds on the capped path too.
-    Deterministic given the RNG state.
-    @raise Invalid_argument when [eps <= 0] or [delta <= 0]. *)
-
-val fpras_adaptive : Rng.t -> Dnf.t -> eps:float -> delta:float -> float
-(** [fst ∘ adaptive] — drop-in replacement for {!fpras}. *)
+    Without a budget, {!adaptive_partial} answers with [p̂] such that
+    [Pr(|p̂ − p| ≥ ε·p) ≤ δ].  For [ε ≥ ½] one stopping-rule phase runs;
+    below that, a two-phase AA-style schedule: a rough stopping-rule
+    estimate at ε₁ = ½ (δ/2), then a fresh Chernoff batch sized by the
+    estimated mean (δ/2).  Every phase is capped at its fixed-budget
+    equivalent, so the trial count never exceeds roughly the non-adaptive
+    cost and the guarantee holds on the capped path too.  Deterministic
+    given the RNG state.  Trial counts saturate at [max_int], so at tiny ε
+    an unbudgeted call is honest but unbounded. *)
 
 (** {1 Budget-governed estimation}
 
@@ -83,10 +58,10 @@ type partial = {
 
 val adaptive_partial :
   ?budget:Budget.t -> Rng.t -> Dnf.t -> eps:float -> delta:float -> partial
-(** Without a budget this delegates to {!adaptive} (same RNG consumption,
-    same estimate) and always returns [p_complete = true].  With a budget it
-    runs a single DKLR stopping-rule phase at (ε, δ), charging one trial at
-    a time and polling {!Budget.exhausted}; on exhaustion the partial-trial
+(** Without a budget this runs the adaptive schedule above and always
+    returns [p_complete = true].  With a budget it runs a single DKLR
+    stopping-rule phase at (ε, δ), charging one trial at a time and polling
+    {!Budget.exhausted}; on exhaustion the partial-trial
     Chernoff inversion above yields the interval (vacuous [0, min(1, M)]
     when nothing can be said).  Degenerate and single-clause DNFs are
     answered exactly with a point interval and 0 trials either way.

@@ -107,3 +107,44 @@ let condition clauses v x =
       | Some _ -> Some (Assignment.remove clause v)
       | None -> Some clause)
     clauses
+
+type step =
+  | Independent of Assignment.t list list
+  | Disjoint of Wtable.var
+  | Shannon of Wtable.var
+
+let split clauses =
+  match components clauses with
+  | _ :: _ :: _ as comps -> Independent comps
+  | _ -> (
+      match universal_var clauses with
+      | Some v -> Disjoint v
+      | None -> (
+          match most_shared_var clauses with
+          | Some v -> Shannon v
+          | None -> invalid_arg "Lineage.split: no variable to split on"))
+
+let exact w clauses =
+  let open Pqdb_numeric in
+  let rec go clauses =
+    match normalize clauses with
+    | [] -> Rational.zero
+    | [ c ] -> Assignment.weight w c
+    | cs -> (
+        match split cs with
+        | Independent comps ->
+            Rational.complement
+              (List.fold_left
+                 (fun acc comp ->
+                   Rational.mul acc (Rational.complement (go comp)))
+                 Rational.one comps)
+        | Disjoint v | Shannon v ->
+            let p = ref Rational.zero in
+            for x = 0 to Wtable.domain_size w v - 1 do
+              p :=
+                Rational.add !p
+                  (Rational.mul (Wtable.prob w v x) (go (condition cs v x)))
+            done;
+            !p)
+  in
+  go clauses

@@ -9,7 +9,9 @@ let tuple_cost ~eps ~delta clauses =
   match clauses with
   | [] -> 1
   | cs when List.exists Assignment.is_empty cs -> 1
-  | cs -> 1 + Stats.karp_luby_trials ~clauses:(List.length cs) ~eps ~delta
+  | cs ->
+      Stats.saturating_add 1
+        (Stats.karp_luby_trials ~clauses:(List.length cs) ~eps ~delta)
 
 let plan ~eps ~delta ~max_cost clause_sets =
   if max_cost < 1 then invalid_arg "Shard.plan: max_cost must be >= 1";
@@ -32,9 +34,9 @@ let plan ~eps ~delta ~max_cost clause_sets =
   in
   for i = 0 to n - 1 do
     let c = tuple_cost ~eps ~delta clause_sets.(i) in
-    if !count > 0 && !cost + c > max_cost then flush ();
+    if !count > 0 && Stats.saturating_add !cost c > max_cost then flush ();
     incr count;
-    cost := !cost + c
+    cost := Stats.saturating_add !cost c
   done;
   flush ();
   Array.of_list (List.rev !shards)

@@ -40,10 +40,16 @@ let min_max xs =
 let karp_luby_delta ~trials ~clauses ~eps =
   2. *. exp (-.(float_of_int trials *. eps *. eps) /. (3. *. float_of_int clauses))
 
+(* [int_of_float] is unspecified past [max_int]: at tiny ε the Chernoff
+   count would wrap (to 0 on amd64) and read as "no trials needed". *)
+let count_of_float x =
+  if x >= Float.of_int max_int then max_int else int_of_float (Float.ceil x)
+
+let saturating_add a b = if a > max_int - b then max_int else a + b
+
 let karp_luby_trials ~clauses ~eps ~delta =
   if eps <= 0. || delta <= 0. then invalid_arg "Stats.karp_luby_trials";
-  int_of_float
-    (Float.ceil (3. *. float_of_int clauses *. log (2. /. delta) /. (eps *. eps)))
+  count_of_float (3. *. float_of_int clauses *. log (2. /. delta) /. (eps *. eps))
 
 let delta' ~eps ~rounds =
   2. *. exp (-.(float_of_int rounds *. eps *. eps) /. 3.)

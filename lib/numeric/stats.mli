@@ -27,7 +27,15 @@ val karp_luby_delta : trials:int -> clauses:int -> eps:float -> float
     [trials] estimator calls on a DNF with [clauses] disjuncts (Section 4). *)
 
 val karp_luby_trials : clauses:int -> eps:float -> delta:float -> int
-(** [m = ⌈3·|F|·ln(2/δ)/ε²⌉] — trials for an (ε,δ) guarantee (Section 4). *)
+(** [m = ⌈3·|F|·ln(2/δ)/ε²⌉] — trials for an (ε,δ) guarantee (Section 4),
+    saturated at [max_int]. *)
+
+val count_of_float : float -> int
+(** [⌈x⌉] for a non-negative trial count, saturated at [max_int] instead of
+    wrapping. *)
+
+val saturating_add : int -> int -> int
+(** [a + b] for non-negative counts, saturated at [max_int]. *)
 
 val delta' : eps:float -> rounds:int -> float
 (** [δ′(ε, l) = 2·exp(−l·ε²/3)] — the balanced per-value bound used by the

@@ -356,7 +356,7 @@ let check_same name (est, lo, hi, tr) (est', lo', hi', tr') =
 let assert_sound name w clause_sets lo hi =
   Array.iteri
     (fun i clauses ->
-      let p = Q.to_float (Pqdb_urel.Confidence.exact w clauses) in
+      let p = Q.to_float (Pqdb_montecarlo.Lineage.exact w clauses) in
       check bool_c
         (Printf.sprintf "%s: tuple %d exact %.4f inside [%g, %g]" name i p
            lo.(i) hi.(i))

@@ -115,7 +115,7 @@ let shard_cost_for clause_sets ~target =
 
 let exact_probs w clause_sets =
   Array.map
-    (fun clauses -> Q.to_float (Pqdb_urel.Confidence.exact w clauses))
+    (fun clauses -> Q.to_float (Pqdb_montecarlo.Lineage.exact w clauses))
     clause_sets
 
 let assert_sound name w clause_sets (intervals : (float * float) array) =

@@ -141,7 +141,7 @@ let check_same name (est, lo, hi, tr) (est', lo', hi', tr') =
 
 let exact_probs w clause_sets =
   Array.map
-    (fun clauses -> Q.to_float (Pqdb_urel.Confidence.exact w clauses))
+    (fun clauses -> Q.to_float (Pqdb_montecarlo.Lineage.exact w clauses))
     clause_sets
 
 let assert_sound name w clause_sets lo hi =

@@ -46,7 +46,7 @@ let batch_fixture () =
 
 let exact_probs w clause_sets =
   Array.map
-    (fun clauses -> Q.to_float (Pqdb_urel.Confidence.exact w clauses))
+    (fun clauses -> Q.to_float (Pqdb_montecarlo.Lineage.exact w clauses))
     clause_sets
 
 let assert_sound name w clause_sets (stats : Confidence.stats) =
@@ -486,7 +486,7 @@ let prop_save_load_roundtrip =
           Udb_io.save dir udb;
           let back = Udb_io.load dir in
           let conf db =
-            Pqdb_urel.Confidence.all_confidences (Udb.wtable db)
+            Pqdb.Eval_exact.all_confidences (Udb.wtable db)
               (Udb.find db "U")
           in
           List.for_all2

@@ -32,6 +32,15 @@ let fixture () =
   in
   (w, clauses)
 
+(* The fixed-budget FPRAS of Proposition 4.2. *)
+let fpras rng dnf ~eps ~delta =
+  Karp_luby.run rng dnf ~trials:(Karp_luby.trials_for dnf ~eps ~delta)
+
+(* The unbudgeted adaptive schedule as (estimate, trials). *)
+let adaptive rng dnf ~eps ~delta =
+  let p = Karp_luby.adaptive_partial rng dnf ~eps ~delta in
+  (p.Karp_luby.p_estimate, p.Karp_luby.p_trials)
+
 let test_dnf_structure () =
   let w, clauses = fixture () in
   let dnf = Dnf.prepare w clauses in
@@ -83,7 +92,7 @@ let test_fpras_guarantee () =
   let runs = 400 in
   let tally = Stats.tally () in
   for _ = 1 to runs do
-    let p_hat = Karp_luby.fpras rng dnf ~eps ~delta in
+    let p_hat = fpras rng dnf ~eps ~delta in
     Stats.record tally (Float.abs (p_hat -. p) < eps *. p)
   done;
   let rate = Stats.error_rate tally in
@@ -104,11 +113,11 @@ let test_degenerate_dnfs () =
   let rng = Rng.create ~seed:1 in
   let empty = Dnf.prepare w [] in
   check bool_c "empty is false" true (Dnf.is_trivially_false empty);
-  check (Alcotest.float 0.) "p = 0" 0. (Karp_luby.fpras rng empty ~eps:0.1 ~delta:0.1);
+  check (Alcotest.float 0.) "p = 0" 0. (fpras rng empty ~eps:0.1 ~delta:0.1);
   let certain = Dnf.prepare w [ Assignment.empty ] in
   check bool_c "empty clause is true" true (Dnf.is_trivially_true certain);
   check (Alcotest.float 0.) "p = 1" 1.
-    (Karp_luby.fpras rng certain ~eps:0.1 ~delta:0.1);
+    (fpras rng certain ~eps:0.1 ~delta:0.1);
   check int_c "no trials needed" 0 (Karp_luby.trials_for certain ~eps:0.1 ~delta:0.1)
 
 let test_estimator_state () =
@@ -159,7 +168,7 @@ let prop_fpras_tracks_exact =
       let clauses = List.init (1 + Rng.int rng 3) (fun _ -> clause ()) in
       let dnf = Dnf.prepare w clauses in
       let p = Q.to_float (Dnf.exact dnf) in
-      let p_hat = Karp_luby.fpras rng dnf ~eps:0.1 ~delta:0.05 in
+      let p_hat = fpras rng dnf ~eps:0.1 ~delta:0.05 in
       Float.abs (p_hat -. p) <= 0.3 *. p +. 1e-9)
 
 (* ------------------------------------------------------------------ *)
@@ -253,86 +262,8 @@ let prop_estimate_within_bound_often =
       float_of_int !failures /. float_of_int runs <= bound +. 0.15)
 
 (* ------------------------------------------------------------------ *)
-(* Parallel Karp-Luby and the batched confidence engine                 *)
+(* The batched confidence engine                                        *)
 (* ------------------------------------------------------------------ *)
-
-let test_run_parallel_deterministic () =
-  (* The acceptance contract: identical (seed, nworkers, trials) gives a
-     bit-identical estimate, run after run. *)
-  let w, clauses = fixture () in
-  let dnf = Dnf.prepare w clauses in
-  let estimate () =
-    Karp_luby.run_parallel ~nworkers:4 (Rng.create ~seed:31) dnf ~trials:2_000
-  in
-  let first = estimate () in
-  for _ = 1 to 3 do
-    check (Alcotest.float 0.) "bit-identical across runs" first (estimate ())
-  done
-
-let test_run_parallel_agrees_with_serial () =
-  (* Parallel sharding keeps the estimator unbiased: both serial and
-     parallel land near exact p = 0.88 with a generous trial budget. *)
-  let w, clauses = fixture () in
-  let dnf = Dnf.prepare w clauses in
-  let p = Q.to_float (Dnf.exact dnf) in
-  let trials = 60_000 in
-  let serial = Karp_luby.run (Rng.create ~seed:51) dnf ~trials in
-  let par = Karp_luby.run_parallel ~nworkers:4 (Rng.create ~seed:52) dnf ~trials in
-  check bool_c
-    (Printf.sprintf "serial %.4f near p %.4f" serial p)
-    true
-    (Float.abs (serial -. p) < 0.02);
-  check bool_c
-    (Printf.sprintf "parallel %.4f near p %.4f" par p)
-    true
-    (Float.abs (par -. p) < 0.02);
-  (* Worker count changes the shard streams but not the distribution. *)
-  let par1 = Karp_luby.run_parallel ~nworkers:1 (Rng.create ~seed:53) dnf ~trials in
-  let par3 = Karp_luby.run_parallel ~nworkers:3 (Rng.create ~seed:53) dnf ~trials in
-  check bool_c
-    (Printf.sprintf "1 vs 3 workers: %.4f vs %.4f" par1 par3)
-    true
-    (Float.abs (par1 -. par3) < 0.03)
-
-let test_run_parallel_degenerate_and_invalid () =
-  let w = Wtable.create () in
-  let rng = Rng.create ~seed:1 in
-  check (Alcotest.float 0.) "empty DNF = 0" 0.
-    (Karp_luby.run_parallel ~nworkers:4 rng (Dnf.prepare w []) ~trials:100);
-  check (Alcotest.float 0.) "certain DNF = 1" 1.
-    (Karp_luby.run_parallel ~nworkers:4 rng
-       (Dnf.prepare w [ Assignment.empty ])
-       ~trials:100);
-  let w2, clauses2 = fixture () in
-  let dnf = Dnf.prepare w2 clauses2 in
-  Alcotest.check_raises "zero trials"
-    (Invalid_argument "Karp_luby.run_parallel: trials must be positive")
-    (fun () -> ignore (Karp_luby.run_parallel ~nworkers:2 rng dnf ~trials:0));
-  Alcotest.check_raises "zero workers"
-    (Invalid_argument "Karp_luby.run_parallel: nworkers must be positive")
-    (fun () -> ignore (Karp_luby.run_parallel ~nworkers:0 rng dnf ~trials:10));
-  (* More workers than trials collapses to one shard per trial. *)
-  let p = Karp_luby.run_parallel ~nworkers:8 rng dnf ~trials:3 in
-  check bool_c "oversubscribed pool still estimates" true (p >= 0. && p <= Dnf.total_weight dnf)
-
-let test_fpras_parallel_guarantee () =
-  (* The sharded scheme keeps the (ε, δ) guarantee (statistical check). *)
-  let w, clauses = fixture () in
-  let dnf = Dnf.prepare w clauses in
-  let p = Q.to_float (Dnf.exact dnf) in
-  let eps = 0.08 and delta = 0.1 in
-  let rng = Rng.create ~seed:8 in
-  let runs = 200 in
-  let tally = Stats.tally () in
-  for _ = 1 to runs do
-    let p_hat = Karp_luby.fpras_parallel ~nworkers:3 rng dnf ~eps ~delta in
-    Stats.record tally (Float.abs (p_hat -. p) < eps *. p)
-  done;
-  let rate = Stats.error_rate tally in
-  check bool_c
-    (Printf.sprintf "failure rate %.3f <= delta %.3f (+slack)" rate delta)
-    true
-    (rate <= delta +. 0.05)
 
 (* A small batch: the fixture DNF, a single-clause DNF, a certain and an
    impossible one. *)
@@ -361,7 +292,9 @@ let test_batch_deterministic_across_pool_sizes () =
   let w, clause_sets = batch_fixture () in
   let batch = Confidence.prepare w clause_sets in
   let run nworkers =
-    Confidence.run ~nworkers (Rng.create ~seed:61) batch ~eps:0.1 ~delta:0.1
+    fst
+      (Confidence.run_with_stats ~nworkers (Rng.create ~seed:61) batch
+         ~eps:0.1 ~delta:0.1)
   in
   let reference = run 1 in
   List.iter
@@ -379,12 +312,14 @@ let test_batch_matches_exact () =
   let w, clause_sets = batch_fixture () in
   let exact =
     Array.map
-      (fun clauses -> Q.to_float (Pqdb_urel.Confidence.exact w clauses))
+      (fun clauses -> Q.to_float (Lineage.exact w clauses))
       clause_sets
   in
   let estimates =
-    Confidence.batch_fpras ~nworkers:2 (Rng.create ~seed:71) w clause_sets
-      ~eps:0.05 ~delta:0.05
+    fst
+      (Confidence.run_with_stats ~nworkers:2 (Rng.create ~seed:71)
+         (Confidence.prepare w clause_sets)
+         ~eps:0.05 ~delta:0.05)
   in
   check int_c "one estimate per clause set" (Array.length clause_sets)
     (Array.length estimates);
@@ -413,13 +348,16 @@ let test_batch_trials_accounting () =
     (Confidence.total_trials batch ~eps:0.1 ~delta:0.1);
   Alcotest.check_raises "bad eps" (Invalid_argument "Confidence.run")
     (fun () ->
-      ignore (Confidence.run (Rng.create ~seed:1) batch ~eps:0. ~delta:0.1));
+      ignore
+        (Confidence.run_with_stats (Rng.create ~seed:1) batch ~eps:0.
+           ~delta:0.1));
   check int_c "empty batch"
     0
     (Array.length
-       (Confidence.run (Rng.create ~seed:1)
-          (Confidence.prepare w [||])
-          ~eps:0.1 ~delta:0.1))
+       (fst
+          (Confidence.run_with_stats (Rng.create ~seed:1)
+             (Confidence.prepare w [||])
+             ~eps:0.1 ~delta:0.1)))
 
 (* ------------------------------------------------------------------ *)
 (* Lineage compilation                                                  *)
@@ -515,7 +453,7 @@ let prop_compile_matches_exact =
       if not (Compile.is_exact c) then false
       else
         let got = Option.get (Compile.exact_value c) in
-        let expect = Q.to_float (Pqdb_urel.Confidence.exact w clauses) in
+        let expect = Q.to_float (Lineage.exact w clauses) in
         Float.abs (got -. expect) <= 1e-6)
 
 let prop_compile_residual_path_tracks_exact =
@@ -529,7 +467,7 @@ let prop_compile_residual_path_tracks_exact =
       let clauses =
         Gen.random_dnf rng w ~vars:10 ~clauses:8 ~clause_len:3
       in
-      let expect = Q.to_float (Pqdb_urel.Confidence.exact w clauses) in
+      let expect = Q.to_float (Lineage.exact w clauses) in
       let c = Compile.compile ~fuel:8 w clauses in
       let o =
         Compile.solve (Rng.create ~seed:(seed + 1)) c ~eps:0.1 ~delta:0.01
@@ -551,7 +489,7 @@ let prop_weight_aware_budgets_sound =
       let clauses =
         Gen.random_dnf rng w ~vars:10 ~clauses:8 ~clause_len:3
       in
-      let expect = Q.to_float (Pqdb_urel.Confidence.exact w clauses) in
+      let expect = Q.to_float (Lineage.exact w clauses) in
       let fuel = [| 0; 4; 8; 16; 64 |].(seed mod 5) in
       let eps = [| 0.3; 0.1; 0.05 |].(seed mod 3) in
       let c = Compile.compile ~fuel w clauses in
@@ -635,14 +573,14 @@ let test_adaptive_degenerate () =
   let w, _ = fixture () in
   let rng = Rng.create ~seed:3 in
   check (Alcotest.pair (Alcotest.float 0.) int_c) "false -> (0, 0)" (0., 0)
-    (Karp_luby.adaptive rng (Dnf.prepare w []) ~eps:0.1 ~delta:0.1);
+    (adaptive rng (Dnf.prepare w []) ~eps:0.1 ~delta:0.1);
   check (Alcotest.pair (Alcotest.float 0.) int_c) "true -> (1, 0)" (1., 0)
-    (Karp_luby.adaptive rng
+    (adaptive rng
        (Dnf.prepare w [ Assignment.empty ])
        ~eps:0.1 ~delta:0.1);
   let x = Wtable.add_var w [ Q.of_ints 3 10; Q.of_ints 7 10 ] in
   let p, n =
-    Karp_luby.adaptive rng
+    adaptive rng
       (Dnf.prepare w [ Assignment.singleton x 1 ])
       ~eps:0.1 ~delta:0.1
   in
@@ -651,7 +589,7 @@ let test_adaptive_degenerate () =
   check bool_c "invalid eps rejected" true
     (try
        ignore
-         (Karp_luby.adaptive rng (Dnf.prepare w [ Assignment.singleton x 1 ])
+         (adaptive rng (Dnf.prepare w [ Assignment.singleton x 1 ])
             ~eps:0. ~delta:0.1);
        false
      with Invalid_argument _ -> true)
@@ -668,7 +606,7 @@ let test_adaptive_guarantee_and_savings () =
   let runs = 200 in
   let failures = ref 0 and total_trials = ref 0 in
   for seed = 1 to runs do
-    let p, n = Karp_luby.adaptive (Rng.create ~seed) dnf ~eps ~delta in
+    let p, n = adaptive (Rng.create ~seed) dnf ~eps ~delta in
     total_trials := !total_trials + n;
     if Float.abs (p -. 0.88) > eps *. 0.88 then incr failures
   done;
@@ -685,8 +623,8 @@ let test_adaptive_guarantee_and_savings () =
 let test_adaptive_deterministic () =
   let w, clauses = fixture () in
   let dnf = Dnf.prepare w clauses in
-  let a = Karp_luby.adaptive (Rng.create ~seed:77) dnf ~eps:0.2 ~delta:0.1 in
-  let b = Karp_luby.adaptive (Rng.create ~seed:77) dnf ~eps:0.2 ~delta:0.1 in
+  let a = adaptive (Rng.create ~seed:77) dnf ~eps:0.2 ~delta:0.1 in
+  let b = adaptive (Rng.create ~seed:77) dnf ~eps:0.2 ~delta:0.1 in
   check (Alcotest.pair (Alcotest.float 0.) int_c) "same seed, same outcome" a b
 
 (* ------------------------------------------------------------------ *)
@@ -814,17 +752,6 @@ let () =
         [
           Alcotest.test_case "incremental state" `Quick test_estimator_state;
           Alcotest.test_case "convergence" `Slow test_estimator_convergence;
-        ] );
-      ( "parallel",
-        [
-          Alcotest.test_case "fixed-seed determinism" `Quick
-            test_run_parallel_deterministic;
-          Alcotest.test_case "serial/parallel agreement" `Slow
-            test_run_parallel_agrees_with_serial;
-          Alcotest.test_case "degenerate and invalid" `Quick
-            test_run_parallel_degenerate_and_invalid;
-          Alcotest.test_case "fpras_parallel (eps,delta)" `Slow
-            test_fpras_parallel_guarantee;
         ] );
       ( "batch confidence",
         [

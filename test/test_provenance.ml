@@ -192,7 +192,7 @@ let test_vertical_semantics () =
   let v = Vertical.build w ~tid:"#id" ~attrs:[ "Name"; "City" ] ~rows in
   let expanded = Vertical.expanded v in
   let p =
-    Confidence.exact w
+    Pqdb_montecarlo.Lineage.exact w
       (Urelation.clauses_for expanded
          (Tuple.of_list [ V.Str "ann"; V.Str "vienna" ]))
   in

@@ -112,7 +112,7 @@ let assert_sound name w clause_sets lo hi =
         true
         (lo.(i) -. 1e-9 <= p && p <= hi.(i) +. 1e-9))
     (Array.map
-       (fun clauses -> Q.to_float (Pqdb_urel.Confidence.exact w clauses))
+       (fun clauses -> Q.to_float (Pqdb_montecarlo.Lineage.exact w clauses))
        clause_sets)
 
 let reference ~opts w sets =

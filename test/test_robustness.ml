@@ -39,7 +39,7 @@ let batch_fixture () =
 
 let exact_probs w clause_sets =
   Array.map
-    (fun clauses -> Q.to_float (Pqdb_urel.Confidence.exact w clauses))
+    (fun clauses -> Q.to_float (Pqdb_montecarlo.Lineage.exact w clauses))
     clause_sets
 
 let assert_sound_intervals name exact (stats : Confidence.stats) =
@@ -104,9 +104,10 @@ let test_budget_deadline_sticky () =
 let test_adaptive_partial_no_budget_bit_identical () =
   let w, clause_sets = batch_fixture () in
   let dnf = Dnf.prepare w clause_sets.(0) in
-  let reference, trials =
-    Karp_luby.adaptive (Rng.create ~seed:7) dnf ~eps:0.1 ~delta:0.1
-  in
+  (* The DKLR schedule's output for this seed, pinned when [adaptive_partial]
+     delegated to a separately exported [adaptive]: the no-budget path must
+     keep consuming the RNG exactly as before. *)
+  let reference = 0x1.c47c7db787107p-1 and trials = 2430 in
   let p =
     Karp_luby.adaptive_partial (Rng.create ~seed:7) dnf ~eps:0.1 ~delta:0.1
   in
@@ -163,6 +164,45 @@ let test_adaptive_partial_interval_soundness () =
             (p.Karp_luby.p_trials <= cap))
         [ 1; 10; 100; 1000 ])
     [ 3; 17; 42; 99; 123 ]
+
+let test_tiny_eps_saturates_trial_counts () =
+  (* At ε = 1e-9 the Chernoff count passes max_int.  It used to wrap to 0,
+     and a budgeted solve then reported a complete point interval at 1.0
+     for a tuple whose confidence is 0.887. *)
+  check int_c "trial count saturates" max_int
+    (Stats.karp_luby_trials ~clauses:30 ~eps:1e-9 ~delta:0.05);
+  let w = Wtable.create () in
+  let clauses =
+    Pqdb_workload.Gen.random_dnf (Rng.create ~seed:1) w ~vars:12 ~clauses:12
+      ~clause_len:3
+  in
+  let exact = Q.to_float (Lineage.exact w clauses) in
+  check (Alcotest.float 5e-4) "exact confidence" 0.887 exact;
+  let contains what lo hi =
+    check bool_c
+      (Printf.sprintf "%s: %.4f in [%g, %g]" what exact lo hi)
+      true
+      (lo -. 1e-9 <= exact && exact <= hi +. 1e-9)
+  in
+  let budget () = Budget.create ~max_trials:10_000 () in
+  let o =
+    Compile.solve ~budget:(budget ()) (Rng.create ~seed:1)
+      (Compile.compile ~fuel:0 w clauses)
+      ~eps:1e-9 ~delta:0.05
+  in
+  check bool_c "solve incomplete" false o.Compile.complete;
+  check int_c "solve spends the budget" 10_000 o.Compile.trials;
+  contains "solve" o.Compile.lo o.Compile.hi;
+  let p =
+    Karp_luby.adaptive_partial ~budget:(budget ()) (Rng.create ~seed:1)
+      (Dnf.prepare w clauses) ~eps:1e-9 ~delta:0.05
+  in
+  check bool_c "partial incomplete" false p.Karp_luby.p_complete;
+  contains "partial" p.Karp_luby.p_lo p.Karp_luby.p_hi;
+  check int_c "batch cost saturates" max_int
+    (Confidence.total_trials
+       (Confidence.prepare w [| clauses; clauses |])
+       ~eps:1e-9 ~delta:0.05)
 
 (* ------------------------------------------------------------------ *)
 (* Batched confidence under budgets                                    *)
@@ -406,6 +446,8 @@ let () =
             test_adaptive_partial_exhausted_budget_vacuous;
           Alcotest.test_case "partial intervals sound" `Quick
             test_adaptive_partial_interval_soundness;
+          Alcotest.test_case "tiny eps saturates trial counts" `Quick
+            test_tiny_eps_saturates_trial_counts;
         ] );
       ( "anytime batch",
         [

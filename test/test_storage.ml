@@ -113,7 +113,7 @@ let roundtrip_prop =
           check bool_c "canonical binary images identical" true
             (String.equal (read_bytes bin1) (read_bytes bin2));
           let conf u =
-            Confidence.all_confidences (Udb.wtable u) (Udb.find u "events")
+            Pqdb.Eval_exact.all_confidences (Udb.wtable u) (Udb.find u "events")
           in
           List.for_all2
             (fun (t, p) (t', p') -> Tuple.equal t t' && Q.equal p p')

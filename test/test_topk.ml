@@ -1,5 +1,5 @@
-(* Tests for top-k-by-confidence multisimulation and the
-   independence-decomposition exact solver. *)
+(* Tests for top-k-by-confidence multisimulation and the exact lineage
+   decomposer's independence splits. *)
 
 open Pqdb_relational
 open Pqdb_urel
@@ -9,6 +9,7 @@ module Rng = Pqdb_numeric.Rng
 module Ua = Pqdb_ast.Ua
 module Topk = Pqdb.Topk
 module Dnf = Pqdb_montecarlo.Dnf
+module Lineage = Pqdb_montecarlo.Lineage
 module Gen = Pqdb_workload.Gen
 
 let check = Alcotest.check
@@ -20,14 +21,13 @@ let q_testable = Alcotest.testable Q.pp Q.equal
 (* Independence decomposition                                           *)
 (* ------------------------------------------------------------------ *)
 
-let prop_decomposition_equals_shannon =
-  QCheck.Test.make ~name:"decomposition = shannon" ~count:150
+let prop_decomposition_equals_enumeration =
+  QCheck.Test.make ~name:"decomposition = enumeration" ~count:150
     (QCheck.int_range 0 50_000) (fun seed ->
       let rng = Rng.create ~seed in
       let w = Wtable.create () in
       let clauses = Gen.random_dnf rng w ~vars:6 ~clauses:5 ~clause_len:2 in
-      Q.equal (Confidence.by_decomposition w clauses)
-        (Confidence.by_shannon w clauses))
+      Q.equal (Lineage.exact w clauses) (Confidence.by_enumeration w clauses))
 
 let test_decomposition_independent_or () =
   let w = Wtable.create () in
@@ -35,24 +35,22 @@ let test_decomposition_independent_or () =
   let y = Wtable.add_var w [ Q.of_ints 1 4; Q.of_ints 3 4 ] in
   (* Disjoint vars: P = 1 - (1 - 1/2)(1 - 3/4) = 7/8 via the product rule. *)
   check q_testable "7/8" (Q.of_ints 7 8)
-    (Confidence.by_decomposition w
+    (Lineage.exact w
        [ Assignment.singleton x 1; Assignment.singleton y 1 ]);
-  check q_testable "edge: empty" Q.zero (Confidence.by_decomposition w []);
+  check q_testable "edge: empty" Q.zero (Lineage.exact w []);
   check q_testable "edge: certain" Q.one
-    (Confidence.by_decomposition w [ Assignment.empty ])
+    (Lineage.exact w [ Assignment.empty ])
 
 let test_decomposition_speedup_shape () =
-  (* Many independent single-literal clauses: decomposition is linear,
-     Shannon branches; both must agree. *)
+  (* Many independent single-literal clauses: the independence split is
+     linear where enumeration would visit 2^14 worlds. *)
   let w = Wtable.create () in
   let clauses =
     List.init 14 (fun _ ->
         let v = Wtable.add_var w [ Q.of_ints 9 10; Q.of_ints 1 10 ] in
         Assignment.singleton v 1)
   in
-  let a = Confidence.by_decomposition w clauses in
-  let b = Confidence.by_shannon w clauses in
-  check q_testable "agree on 14 independent clauses" a b;
+  let a = Lineage.exact w clauses in
   (* 1 - 0.9^14 *)
   check q_testable "closed form" (Q.complement (Q.pow (Q.of_ints 9 10) 14)) a
 
@@ -192,7 +190,7 @@ let () =
     [
       ( "decomposition",
         [
-          QCheck_alcotest.to_alcotest prop_decomposition_equals_shannon;
+          QCheck_alcotest.to_alcotest prop_decomposition_equals_enumeration;
           Alcotest.test_case "independent or" `Quick
             test_decomposition_independent_or;
           Alcotest.test_case "independent clauses" `Quick

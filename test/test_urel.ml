@@ -8,6 +8,8 @@ module V = Value
 module Q = Pqdb_numeric.Rational
 module Rng = Pqdb_numeric.Rng
 module Pdb = Pqdb_worlds.Pdb
+module Lineage = Pqdb_montecarlo.Lineage
+module Compile = Pqdb_montecarlo.Compile
 
 let check = Alcotest.check
 let bool_c = Alcotest.bool
@@ -147,7 +149,7 @@ let test_repair_key_decodes_to_ground_truth () =
     (Pdb.equal_prel prel expected)
 
 (* ------------------------------------------------------------------ *)
-(* Confidence: enumeration vs Shannon                                  *)
+(* Confidence: enumeration vs the lineage decomposer                   *)
 (* ------------------------------------------------------------------ *)
 
 let random_wtable_and_clauses rng ~vars ~clauses ~max_len =
@@ -176,21 +178,21 @@ let test_confidence_agreement () =
   for _ = 1 to 50 do
     let w, clauses = random_wtable_and_clauses rng ~vars:5 ~clauses:4 ~max_len:3 in
     let a = Confidence.by_enumeration w clauses in
-    let b = Confidence.by_shannon w clauses in
+    let b = Lineage.exact w clauses in
     check q_testable "enumeration = shannon" a b
   done
 
 let test_confidence_edge_cases () =
   let w = Wtable.create () in
   let x = Wtable.add_var w [ Q.half; Q.half ] in
-  check q_testable "empty DNF" Q.zero (Confidence.exact w []);
+  check q_testable "empty DNF" Q.zero (Lineage.exact w []);
   check q_testable "empty clause" Q.one
-    (Confidence.exact w [ Assignment.empty ]);
+    (Lineage.exact w [ Assignment.empty ]);
   check q_testable "single literal" Q.half
-    (Confidence.exact w [ Assignment.singleton x 0 ]);
+    (Lineage.exact w [ Assignment.singleton x 0 ]);
   (* x=0 or x=1 covers everything *)
   check q_testable "exhaustive clauses" Q.one
-    (Confidence.exact w
+    (Lineage.exact w
        [ Assignment.singleton x 0; Assignment.singleton x 1 ])
 
 let test_confidence_independent_or () =
@@ -199,7 +201,7 @@ let test_confidence_independent_or () =
   let x = Wtable.add_var w [ Q.half; Q.half ] in
   let y = Wtable.add_var w [ Q.half; Q.half ] in
   check q_testable "3/4" (Q.of_ints 3 4)
-    (Confidence.exact w
+    (Lineage.exact w
        [ Assignment.singleton x 1; Assignment.singleton y 1 ])
 
 (* ------------------------------------------------------------------ *)
@@ -280,7 +282,7 @@ let test_translation_union_select () =
   in
   let union = Translate.union u1 u2 in
   check q_testable "P(1 in union) = 1" Q.one
-    (Confidence.exact w (Urelation.clauses_for union (Tuple.of_list [ V.Int 1 ])));
+    (Lineage.exact w (Urelation.clauses_for union (Tuple.of_list [ V.Int 1 ])));
   let sel = Translate.select Predicate.(Expr.attr "A" = Expr.int 2) union in
   check bool_c "selection removes all" true (Urelation.is_empty sel)
 
@@ -376,7 +378,7 @@ let prop_confidence_is_probability =
   QCheck.Test.make ~name:"confidence lies in [0, 1]" ~count:200 dnf_case_gen
     (fun seed ->
       let w, clauses = build_case seed in
-      Q.is_proper_probability (Confidence.exact w clauses))
+      Q.is_proper_probability (Lineage.exact w clauses))
 
 let prop_confidence_monotone_in_clauses =
   QCheck.Test.make ~name:"adding a clause never lowers confidence" ~count:200
@@ -385,22 +387,77 @@ let prop_confidence_monotone_in_clauses =
       match clauses with
       | [] -> true
       | _ :: rest ->
-          Q.compare (Confidence.exact w rest) (Confidence.exact w clauses)
+          Q.compare (Lineage.exact w rest) (Lineage.exact w clauses)
           <= 0)
 
-let prop_enumeration_equals_shannon =
-  QCheck.Test.make ~name:"enumeration = shannon (qcheck)" ~count:150
-    dnf_case_gen (fun seed ->
-      let w, clauses = build_case seed in
-      Q.equal (Confidence.by_enumeration w clauses)
-        (Confidence.by_shannon w clauses))
+(* Differential-test DNFs: 1-6 variables with 2-4 values and uneven
+   rational weights.  Every tenth seed is the empty DNF, every tenth (offset
+   one) carries an empty clause, and about half of the rest repeat a clause
+   and add one it subsumes. *)
+let differential_case seed =
+  let rng = Rng.create ~seed in
+  let w = Wtable.create () in
+  let vars =
+    Array.init (1 + Rng.int rng 6) (fun _ ->
+        let weights =
+          List.init (2 + Rng.int rng 3) (fun _ -> 1 + Rng.int rng 9)
+        in
+        let total = List.fold_left ( + ) 0 weights in
+        Wtable.add_var w (List.map (fun k -> Q.of_ints k total) weights))
+  in
+  let clause () =
+    let chosen = ref [] in
+    for _ = 1 to 1 + Rng.int rng 3 do
+      let v = vars.(Rng.int rng (Array.length vars)) in
+      if not (List.mem_assoc v !chosen) then
+        chosen := (v, Rng.int rng (Wtable.domain_size w v)) :: !chosen
+    done;
+    Assignment.of_list !chosen
+  in
+  let clauses =
+    match seed mod 10 with
+    | 0 -> []
+    | k ->
+        let cs = List.init (1 + Rng.int rng 6) (fun _ -> clause ()) in
+        let cs = if k = 1 then Assignment.empty :: cs else cs in
+        if Rng.int rng 2 = 0 then cs
+        else
+          let c = List.nth cs (Rng.int rng (List.length cs)) in
+          let subsumed =
+            match
+              List.find_opt
+                (fun v -> Assignment.value c v = None)
+                (Array.to_list vars)
+            with
+            | None -> c
+            | Some v ->
+                Option.get (Assignment.union c (Assignment.singleton v 0))
+          in
+          cs @ [ c; subsumed ]
+  in
+  (w, clauses)
 
-let prop_float_shannon_close =
-  QCheck.Test.make ~name:"float shannon within 1e-9 of exact" ~count:150
-    dnf_case_gen (fun seed ->
-      let w, clauses = build_case seed in
-      let exact = Q.to_float (Confidence.by_shannon w clauses) in
-      Float.abs (Confidence.by_shannon_float w clauses -. exact) < 1e-9)
+let differential_gen = QCheck.int_range 0 99_999
+
+let prop_enumeration_equals_shannon =
+  QCheck.Test.make ~name:"enumeration = shannon (qcheck)" ~count:400
+    differential_gen (fun seed ->
+      let w, clauses = differential_case seed in
+      Q.equal (Confidence.by_enumeration w clauses) (Lineage.exact w clauses))
+
+(* The compiled tree's float value against the rational one.  The maximum
+   over all 100,000 seeds of [differential_gen] is 2.2e-16 (one ulp at 1);
+   the bound leaves a factor of two. *)
+let compiled_float_bound = 4.5e-16
+
+let prop_compiled_float_close =
+  QCheck.Test.make ~name:"compiled float within 4.5e-16" ~count:400
+    differential_gen (fun seed ->
+      let w, clauses = differential_case seed in
+      let exact = Q.to_float (Lineage.exact w clauses) in
+      match Compile.exact_value (Compile.compile ~fuel:max_int w clauses) with
+      | Some p -> Float.abs (p -. exact) <= compiled_float_bound
+      | None -> false)
 
 let test_total_assignments_weights () =
   let w = Wtable.create () in
@@ -587,10 +644,10 @@ let test_udb_io_roundtrip () =
         (Udb.names udb);
       (* Confidences survive: the W table and conditions are intact. *)
       let conf_orig =
-        Confidence.all_confidences (Udb.wtable udb) (Udb.find udb "R")
+        Pqdb.Eval_exact.all_confidences (Udb.wtable udb) (Udb.find udb "R")
       in
       let conf_back =
-        Confidence.all_confidences (Udb.wtable back) (Udb.find back "R")
+        Pqdb.Eval_exact.all_confidences (Udb.wtable back) (Udb.find back "R")
       in
       List.iter2
         (fun (t, p) (t', p') ->
@@ -705,7 +762,7 @@ let () =
           qcheck prop_confidence_is_probability;
           qcheck prop_confidence_monotone_in_clauses;
           qcheck prop_enumeration_equals_shannon;
-          qcheck prop_float_shannon_close;
+          qcheck prop_compiled_float_close;
           qcheck prop_select_commutes_with_decode;
           qcheck prop_project_commutes_with_decode;
         ] );

@@ -3,6 +3,7 @@
 open Pqdb_relational
 open Pqdb_urel
 module Gen = Pqdb_workload.Gen
+module Lineage = Pqdb_montecarlo.Lineage
 module Scenarios = Pqdb_workload.Scenarios
 module Rng = Pqdb_numeric.Rng
 module Q = Pqdb_numeric.Rational
@@ -53,7 +54,7 @@ let test_random_dnf () =
     (fun c -> check bool_c "clause nonempty" true (not (Assignment.is_empty c)))
     clauses;
   (* Confidence is a proper probability. *)
-  let p = Confidence.exact w clauses in
+  let p = Lineage.exact w clauses in
   check bool_c "proper probability" true (Q.is_proper_probability p)
 
 let test_bernoulli_dnf () =
@@ -61,7 +62,7 @@ let test_bernoulli_dnf () =
   let w = Wtable.create () in
   let clauses = Gen.bernoulli_dnf rng w ~p:0.37 in
   check q_testable "exact weight" (Q.of_ints 370 1000)
-    (Confidence.exact w clauses)
+    (Lineage.exact w clauses)
 
 let test_linear_predicate_arity () =
   let rng = Rng.create ~seed:6 in
