@@ -667,10 +667,22 @@ let confidence_engine () =
   let dopts =
     { Mc_confidence.default_stream_options with shard_cost = 10_000 }
   in
+  (* The sampled results only, in shard order: [fp] is filled in by the
+     coordinator but left empty by a journal-less single-process stream. *)
   let outcome_digest run =
-    let buf = Buffer.create 4096 in
-    run (fun o -> Buffer.add_string buf (Pqdb_montecarlo.Shard.to_payload o));
-    Buffer.contents buf
+    let rows = ref [] in
+    run (fun (o : Pqdb_montecarlo.Shard.outcome) ->
+        let buf = Buffer.create 256 in
+        let floats a = Array.iter (Printf.bprintf buf " %h") a in
+        floats o.estimates;
+        Array.iter (fun (lo, hi) -> Printf.bprintf buf " %h,%h" lo hi)
+          o.intervals;
+        Array.iter (Printf.bprintf buf " %d") o.trials;
+        floats o.achieved;
+        floats o.masses;
+        Printf.bprintf buf " %b" o.complete;
+        rows := (o.shard.index, Buffer.contents buf) :: !rows);
+    String.concat "\n" (List.map snd (List.sort compare !rows))
   in
   let single_digest =
     outcome_digest (fun emit ->

@@ -17,47 +17,53 @@ let atom_occurrences_ok lhs rhs arity =
   go rhs;
   Array.for_all (fun c -> c <= 1) counts
 
-let atom_eps ~search_iterations cmp lhs rhs point =
-  match Linear_eps.atom_epsilon cmp lhs rhs point with
+let prepare_atom ~search_iterations ~arity cmp lhs rhs =
+  match Linear_eps.prepare_atom ~arity cmp lhs rhs with
   | Some eps -> eps
   | None ->
-      let arity = Array.length point in
-      if not (atom_occurrences_ok lhs rhs arity) then
-        raise
-          (Unsupported
-             "non-linear atom with a repeated variable; use split_duplicates")
-      else
-        Orthotope.epsilon_search ~iterations:search_iterations
-          (Apred.Cmp (cmp, lhs, rhs))
-          point
+      let single = atom_occurrences_ok lhs rhs arity in
+      let atom = Apred.Cmp (cmp, lhs, rhs) in
+      fun point ->
+        if not single then
+          raise
+            (Unsupported
+               "non-linear atom with a repeated variable; use split_duplicates")
+        else Orthotope.epsilon_search ~iterations:search_iterations atom point
 
-let rec epsilon ?(search_iterations = 40) phi point =
-  let eps p = epsilon ~search_iterations p point in
-  match phi with
-  | Apred.True | Apred.False -> Linear_eps.eps_max
-  | Apred.Not p -> eps p
-  | Apred.Cmp (cmp, lhs, rhs) ->
-      atom_eps ~search_iterations cmp lhs rhs point
-  | Apred.And (p, q) ->
-      let vp = Apred.eval point p and vq = Apred.eval point q in
-      if vp && vq then Float.min (eps p) (eps q)
-      else begin
-        (* False conjunction: it stays false while some currently-false
-           conjunct stays false. *)
-        let candidates =
-          (if vp then [] else [ eps p ]) @ if vq then [] else [ eps q ]
-        in
-        List.fold_left Float.max 0. candidates
-      end
-  | Apred.Or (p, q) ->
-      let vp = Apred.eval point p and vq = Apred.eval point q in
-      if (not vp) && not vq then Float.min (eps p) (eps q)
-      else begin
-        let candidates =
-          (if vp then [ eps p ] else []) @ if vq then [ eps q ] else []
-        in
-        List.fold_left Float.max 0. candidates
-      end
+(* Every atom is prepared once, so a decision that needs ε every round pays
+   only for the arithmetic.  Each And/Or node computes only the children's
+   ε that its truth-directed rule reads, the right child first. *)
+let prepare ?(search_iterations = 40) phi =
+  let arity = Apred.arity phi in
+  let rec build = function
+    | Apred.True | Apred.False -> fun _ -> Linear_eps.eps_max
+    | Apred.Not p -> build p
+    | Apred.Cmp (cmp, lhs, rhs) ->
+        prepare_atom ~search_iterations ~arity cmp lhs rhs
+    | Apred.And (p, q) ->
+        let eps_p = build p and eps_q = build q in
+        fun point ->
+          let vp = Apred.eval point p and vq = Apred.eval point q in
+          if vp && vq then Float.min (eps_p point) (eps_q point)
+          else
+            (* False conjunction: it stays false while some currently-false
+               conjunct stays false. *)
+            let eq = if vq then 0. else eps_q point in
+            let ep = if vp then 0. else eps_p point in
+            Float.max (Float.max 0. ep) eq
+    | Apred.Or (p, q) ->
+        let eps_p = build p and eps_q = build q in
+        fun point ->
+          let vp = Apred.eval point p and vq = Apred.eval point q in
+          if (not vp) && not vq then Float.min (eps_p point) (eps_q point)
+          else
+            let eq = if vq then eps_q point else 0. in
+            let ep = if vp then eps_p point else 0. in
+            Float.max (Float.max 0. ep) eq
+  in
+  build phi
+
+let epsilon ?search_iterations phi point = prepare ?search_iterations phi point
 
 let epsilon_for_decision ?search_iterations phi point =
   epsilon ?search_iterations phi point

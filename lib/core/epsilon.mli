@@ -24,7 +24,16 @@ val epsilon :
   ?search_iterations:int -> Pqdb_ast.Apred.t -> float array -> float
 (** [epsilon φ p̂]: homogeneity radius of [φ]'s truth value at [p̂], in
     [\[0, {!Linear_eps.eps_max}\]].  0 means the point sits on a decision
-    boundary (a singularity if the true point does too). *)
+    boundary (a singularity if the true point does too).  {!prepare}
+    applied once. *)
+
+val prepare :
+  ?search_iterations:int -> Pqdb_ast.Apred.t -> float array -> float
+(** [prepare φ] builds every atom's affine form (or its Theorem 5.5
+    fallback) once and returns [fun p̂ -> epsilon φ p̂]: the function the
+    Figure-3 loop calls every round.  A non-linear atom with a repeated
+    variable raises {!Unsupported} when its ε is first needed, as
+    {!epsilon} does. *)
 
 val epsilon_for_decision :
   ?search_iterations:int -> Pqdb_ast.Apred.t -> float array -> float

@@ -51,7 +51,9 @@ let rec of_expr ~arity (e : Apred.expr) =
 
 let eval l point =
   let acc = ref l.constant in
-  Array.iteri (fun i a -> acc := !acc +. (a *. point.(i))) l.coeffs;
+  for i = 0 to Array.length l.coeffs - 1 do
+    acc := !acc +. (l.coeffs.(i) *. point.(i))
+  done;
   !acc
 
 let clamp eps =
@@ -76,12 +78,11 @@ let clamp eps =
 let theorem_5_2 l point =
   let b = -.l.constant in
   let alpha = ref 0. and beta = ref 0. in
-  Array.iteri
-    (fun i a ->
-      let t = a *. point.(i) in
-      alpha := !alpha +. t;
-      beta := !beta +. Float.abs t)
-    l.coeffs;
+  for i = 0 to Array.length l.coeffs - 1 do
+    let t = l.coeffs.(i) *. point.(i) in
+    alpha := !alpha +. t;
+    beta := !beta +. Float.abs t
+  done;
   let alpha = !alpha and beta = !beta in
   if beta = 0. then
     (* No effective coefficient: the predicate value cannot change inside any
@@ -104,33 +105,32 @@ let theorem_5_2 l point =
 
 (* Orient the comparison so that we always hand Theorem 5.2 an inequality
    that is true at the point, measuring how far the atom's current truth
-   value extends. *)
-let atom_epsilon cmp lhs rhs point =
-  let arity = Array.length point in
+   value extends.  The affine form l = lhs - rhs and its negation are built
+   once; the returned function only evaluates them. *)
+let prepare_atom ~arity cmp lhs rhs =
   match (of_expr ~arity lhs, of_expr ~arity rhs) with
   | Some ll, Some lr ->
       let l = map2_linear ( -. ) ll lr in
-      (* l(x) = lhs - rhs *)
-      let v = eval l point in
-      let ge () = theorem_5_2 l point in
-      let le () = theorem_5_2 (scale (-1.) l) point in
-      let eps =
-        match (cmp, v >= 0.) with
-        | (Apred.Ge | Apred.Gt), true -> ge ()
-        | (Apred.Ge | Apred.Gt), false -> le ()
-        | (Apred.Le | Apred.Lt), true -> le ()
-        | (Apred.Le | Apred.Lt), false -> ge ()
-        | Apred.Eq, _ ->
-            if v = 0. then Float.min (ge ()) (le ())
-            else if v > 0. then ge ()
-            else le ()
-        | Apred.Neq, _ ->
-            if v = 0. then 0. (* equality holds: a singularity for Neq *)
-            else if v > 0. then ge ()
-            else le ()
-      in
-      (* For Eq at a point off the hyperplane the atom is false and stays
-         false while the sign of l is preserved — which is what ge/le
-         measure.  For Eq on the hyperplane both half-space radii are 0. *)
-      Some eps
+      let neg_l = scale (-1.) l in
+      Some
+        (fun point ->
+          let v = eval l point in
+          let ge () = theorem_5_2 l point in
+          let le () = theorem_5_2 neg_l point in
+          match (cmp, v >= 0.) with
+          | (Apred.Ge | Apred.Gt), true -> ge ()
+          | (Apred.Ge | Apred.Gt), false -> le ()
+          | (Apred.Le | Apred.Lt), true -> le ()
+          | (Apred.Le | Apred.Lt), false -> ge ()
+          | Apred.Eq, _ ->
+              (* Off the hyperplane the atom is false and stays false while
+                 the sign of l is preserved, which is what ge/le measure;
+                 on it both half-space radii are 0. *)
+              if v = 0. then Float.min (ge ()) (le ())
+              else if v > 0. then ge ()
+              else le ()
+          | Apred.Neq, _ ->
+              if v = 0. then 0. (* equality holds: a singularity for Neq *)
+              else if v > 0. then ge ()
+              else le ())
   | _ -> None

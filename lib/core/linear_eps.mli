@@ -35,14 +35,16 @@ val theorem_5_2 : linear -> float array -> float
     relative orthotope around [p̂] (all effective coefficients [aᵢp̂ᵢ]
     vanish). *)
 
-val atom_epsilon :
+val prepare_atom :
+  arity:int ->
   Pqdb_ast.Apred.comparison ->
   Pqdb_ast.Apred.expr ->
   Pqdb_ast.Apred.expr ->
-  float array ->
-  float option
-(** Maximal homogeneity ε for one comparison atom {e at its current truth
-    value} at the point: a true atom's ε bounds the region where it stays
-    true; a false atom's where it stays false.  Equality atoms at points that
-    satisfy them yield 0 (they cannot be approximated, Example 5.7).
-    [None] when either side fails linear extraction. *)
+  (float array -> float) option
+(** [prepare_atom ~arity cmp lhs rhs] builds the atom's affine form once and
+    returns the maximal homogeneity ε for the atom {e at its current truth
+    value} as a function of the point (of at least [arity] coordinates): a
+    true atom's ε bounds the region where it stays true; a false atom's
+    where it stays false.  Equality atoms at points that satisfy them yield
+    0 (they cannot be approximated, Example 5.7).  [None] when either side
+    fails linear extraction. *)

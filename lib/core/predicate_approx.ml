@@ -49,6 +49,7 @@ let finish ~independent ~value ~eps ~eps_phi ~eps0 ~rounds ~hit_round_limit
 let decide ?budget ?(eps0 = 0.05) ?max_rounds ?(search_iterations = 40) ?batch
     ?(independent = false) ~rng ~delta phi estimators =
   check_args ~delta ~eps0 phi estimators;
+  let epsilon = Epsilon.prepare ~search_iterations phi in
   let total_trials () =
     Array.fold_left (fun acc est -> acc + Estimator.trials est) 0 estimators
   in
@@ -68,7 +69,7 @@ let decide ?budget ?(eps0 = 0.05) ?max_rounds ?(search_iterations = 40) ?batch
          say and report the error bound actually achieved, reusing the
          round-limit machinery (callers treat these tuples as suspects). *)
       let p_hat = Array.map Estimator.estimate estimators in
-      let eps_phi = Epsilon.epsilon ~search_iterations phi p_hat in
+      let eps_phi = epsilon p_hat in
       let eps = Float.max eps0 eps_phi in
       finish ~independent
         ~value:(Apred.eval p_hat phi)
@@ -84,7 +85,7 @@ let decide ?budget ?(eps0 = 0.05) ?max_rounds ?(search_iterations = 40) ?batch
       let p_hat = Array.map Estimator.estimate estimators in
       (* ε := max(ε₀, ε_ψ(p̂)) with ψ = φ or ¬φ as evaluated at p̂; the
          truth-directed ε computation covers both cases. *)
-      let eps_phi = Epsilon.epsilon ~search_iterations phi p_hat in
+      let eps_phi = epsilon p_hat in
       let eps = Float.max eps0 eps_phi in
       if combined_error ~independent estimators ~eps <= delta then
         finish ~independent
@@ -171,11 +172,12 @@ let decide_values ?(eps0 = 0.05) ?max_rounds ?(search_iterations = 40)
       ~eps:eps0 ~eps_phi:Linear_eps.eps_max ~rounds:0 ~hit_round_limit:false
   end
   else begin
+    let epsilon = Epsilon.prepare ~search_iterations phi in
     let rec loop rounds =
       Array.iter (fun v -> Approximable.refine rng v) values;
       let rounds = rounds + 1 in
       let p_hat = Array.map Approximable.estimate values in
-      let eps_phi = Epsilon.epsilon ~search_iterations phi p_hat in
+      let eps_phi = epsilon p_hat in
       let eps = Float.max eps0 eps_phi in
       if combined ~eps <= delta then
         finish

@@ -7,9 +7,14 @@ type t = {
   weights : float array;  (* p_f per clause *)
   total : float;  (* M *)
   dist : Rng.Alias.dist option;  (* clause sampler; None when F = ∅ *)
-  vars : int array;  (* union of clause variables *)
+  vars : int array;  (* union of clause variables, ascending *)
   var_alias : Rng.Alias.dist array;  (* per vars slot; shared via the W cache *)
-  slot_of_var : (int, int) Hashtbl.t;  (* var id -> index into a sample *)
+  (* Clause i's literals are positions lit_start.(i) .. lit_start.(i+1) - 1
+     of lit_slot/lit_val: the index into [vars] of each bound variable, in
+     ascending order, and the value it is bound to. *)
+  lit_start : int array;
+  lit_slot : int array;
+  lit_val : int array;
 }
 
 let prepare w clause_list =
@@ -24,13 +29,30 @@ let prepare w clause_list =
   (* Forcing the W-table alias cache here keeps the sampling phase read-only,
      so prepared DNFs can be drawn from concurrently by several domains. *)
   let var_alias = Array.map (Wtable.alias w) vars in
-  let slot_of_var = Hashtbl.create (Array.length vars) in
-  Array.iteri (fun i v -> Hashtbl.replace slot_of_var v i) vars;
-  let dist =
-    if Array.length clauses = 0 then None
-    else Some (Rng.Alias.of_weights weights)
-  in
-  { w; clauses; weights; total; dist; vars; var_alias; slot_of_var }
+  let n = Array.length clauses in
+  let lit_start = Array.make (n + 1) 0 in
+  Array.iteri
+    (fun i f -> lit_start.(i + 1) <- lit_start.(i) + Assignment.cardinal f)
+    clauses;
+  let lit_slot = Array.make lit_start.(n) 0 in
+  let lit_val = Array.make lit_start.(n) 0 in
+  Array.iteri
+    (fun i f ->
+      (* Bindings and vars are both sorted by variable id, so one forward
+         scan of vars finds every slot. *)
+      let slot = ref 0 in
+      List.iteri
+        (fun k (v, x) ->
+          while vars.(!slot) <> v do
+            incr slot
+          done;
+          lit_slot.(lit_start.(i) + k) <- !slot;
+          lit_val.(lit_start.(i) + k) <- x)
+        (Assignment.bindings f))
+    clauses;
+  let dist = if n = 0 then None else Some (Rng.Alias.of_weights weights) in
+  { w; clauses; weights; total; dist; vars; var_alias; lit_start; lit_slot;
+    lit_val }
 
 let wtable t = t.w
 let clause_count t = Array.length t.clauses
@@ -40,29 +62,37 @@ let is_trivially_true t = Array.exists Assignment.is_empty t.clauses
 let variables t = Array.to_list t.vars
 let clauses t = Array.to_list t.clauses
 
+(* Does f* (one value per slot) extend the literals p .. stop - 1? *)
+let rec extends t total p stop =
+  p >= stop
+  || (total.(t.lit_slot.(p)) = t.lit_val.(p) && extends t total (p + 1) stop)
+
+(* Is none of clauses j .. i - 1 consistent with f*? *)
+let rec smallest t total i j =
+  j >= i
+  || (not (extends t total t.lit_start.(j) t.lit_start.(j + 1)))
+     && smallest t total i (j + 1)
+
 let sample_estimator rng t =
   match t.dist with
   | None -> invalid_arg "Dnf.sample_estimator: empty DNF"
   | Some dist ->
       (* Step 1: clause index proportional to p_f (alias method, O(1)). *)
       let i = Rng.Alias.sample rng dist in
-      let f = t.clauses.(i) in
-      (* Step 2: extend to a total assignment over the DNF's variables,
-         sampling unassigned ones from their W alias tables. *)
-      let total = Array.make (Array.length t.vars) 0 in
-      Array.iteri
-        (fun slot v ->
-          match Assignment.value f v with
-          | Some x -> total.(slot) <- x
-          | None -> total.(slot) <- Rng.Alias.sample rng t.var_alias.(slot))
-        t.vars;
-      let lookup v = total.(Hashtbl.find t.slot_of_var v) in
+      (* Step 2: extend f to a total assignment f* over the DNF's variables,
+         drawing each slot f leaves unbound from its W alias table in
+         ascending slot order. *)
+      let n = Array.length t.vars in
+      let total = Array.make n 0 in
+      let p = ref t.lit_start.(i) and stop = t.lit_start.(i + 1) in
+      for slot = 0 to n - 1 do
+        if !p < stop && t.lit_slot.(!p) = slot then begin
+          total.(slot) <- t.lit_val.(!p);
+          incr p
+        end
+        else total.(slot) <- Rng.Alias.sample rng t.var_alias.(slot)
+      done;
       (* Step 3: 1 iff f is the smallest-index clause consistent with f*. *)
-      let rec smallest j =
-        if j >= i then true
-        else if Assignment.extended_by lookup t.clauses.(j) then false
-        else smallest (j + 1)
-      in
-      if smallest 0 then 1 else 0
+      if smallest t total i 0 then 1 else 0
 
 let exact t = Lineage.exact t.w (Array.to_list t.clauses)

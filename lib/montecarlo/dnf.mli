@@ -38,6 +38,11 @@ val sample_estimator : Rng.t -> t -> int
     [p_f], extend it to a total assignment [f*] by sampling the unassigned
     variables from W, and return 1 iff [f] is the smallest-index clause
     consistent with [f*].  The result is an unbiased estimator of [p/M].
+
+    Draw order, which fixes every sampled bit for a seed: one alias draw
+    for the clause, then one W-alias draw for each DNF variable [f] leaves
+    unbound, in ascending variable id; the consistency check draws nothing.
+    The prepared DNF is only read, so several domains may sample it at once.
     @raise Invalid_argument on a trivially false DNF. *)
 
 val exact : t -> Rational.t

@@ -335,6 +335,92 @@ let test_fig3_two_values_ratio () =
 (* Proposition 6.6 bounds                                              *)
 (* ------------------------------------------------------------------ *)
 
+
+(* σ̂ decisions pinned bit for bit: Figure 3 over seeded random DNFs for
+   linear, non-linear, Eq and Neq atoms under mixed-truth And/Or/Not, with
+   and without max_rounds, a trial budget and the independent bound.  The
+   digest covers each decision's value, rounds, estimator calls, flags and
+   the float bits of its estimates and error bound; it moves only when a
+   change alters sampled bits or ε on purpose. *)
+let sigma_predicates =
+  let x = Apred.var and c = Apred.const in
+  [|
+    Apred.ge (x 0) (c 0.5);
+    Apred.lt (Apred.Sub (Apred.Mul (c 2., x 0), x 1)) (c 0.3);
+    Apred.le (Apred.Add (x 0, Apred.Div (x 1, c 2.))) (c 0.9);
+    Apred.gt (Apred.Neg (x 1)) (c (-0.4));
+    Apred.ge (Apred.Mul (x 0, x 1)) (c 0.2);
+    Apred.gt (Apred.Div (x 0, x 1)) (c 1.5);
+    Apred.eq (x 0) (x 1);
+    Apred.Cmp (Apred.Neq, x 0, c 0.5);
+    Apred.conj (Apred.ge (x 0) (c 0.3)) (Apred.le (x 1) (c 0.2));
+    Apred.disj
+      (Apred.neg (Apred.lt (x 0) (c 0.6)))
+      (Apred.gt (Apred.Mul (x 0, x 1)) (c 0.5));
+    Apred.neg
+      (Apred.conj
+         (Apred.disj (Apred.ge (x 0) (x 1)) (Apred.eq (x 1) (c 0.5)))
+         (Apred.lt (Apred.Add (x 0, x 1)) (c 1.2)));
+    Apred.conj Apred.True (Apred.disj (Apred.ge (x 1) (c 0.7)) Apred.False);
+  |]
+
+let sigma_decisions_digest () =
+  let buf = Buffer.create 4096 in
+  let record (d : Predicate_approx.decision) =
+    Printf.bprintf buf "%b %d %d %b %b %h" d.value d.rounds d.estimator_calls
+      d.hit_round_limit d.used_floor d.error_bound;
+    Array.iter (Printf.bprintf buf " %h") d.estimates;
+    Buffer.add_char buf '\n'
+  in
+  let k = Array.length sigma_predicates in
+  for case = 0 to (4 * k) - 1 do
+    let phi = sigma_predicates.(case mod k) in
+    let rng = Rng.create ~seed:(7000 + case) in
+    let w = Wtable.create () in
+    let estimators () =
+      Array.init 2 (fun _ ->
+          Estimator.create
+            (Dnf.prepare w
+               (Pqdb_workload.Gen.random_dnf rng w ~vars:4 ~clauses:3 ~clause_len:2)))
+    in
+    let max_rounds, budget, independent =
+      match case / k with
+      | 0 -> (None, None, false)
+      | 1 -> (Some 2, None, true)
+      | 2 -> (None, Some (Budget.create ~max_trials:300 ()), false)
+      | _ -> (Some 40, Some (Budget.create ~max_trials:2000 ()), true)
+    in
+    let eps0 = if case mod 2 = 0 then 0.05 else 0.1 in
+    record
+      (Predicate_approx.decide ?budget ?max_rounds ~independent ~eps0 ~rng
+         ~delta:0.1 phi (estimators ()));
+    if case mod 4 = 0 then
+      record
+        (Predicate_approx.decide_values ?max_rounds ~independent ~eps0 ~rng
+           ~delta:0.1 phi
+           (Array.map Pqdb.Approximable.of_karp_luby (estimators ())));
+    if case mod 6 = 0 then
+      record
+        (Predicate_approx.decide_naive ~eps0 ~rng ~delta:0.1 phi
+           (estimators ()))
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_sigma_decisions_pinned () =
+  check Alcotest.string "decision digest"
+    "dc6cda1311c8ad7b67577498e8e56c61" (sigma_decisions_digest ());
+  let w = Wtable.create () in
+  let phi =
+    Apred.ge (Apred.Mul (Apred.var 0, Apred.var 0)) (Apred.const 0.25)
+  in
+  check bool_c "repeated-variable non-linear atom raises Unsupported" true
+    (try
+       ignore
+         (Predicate_approx.decide ~rng:(Rng.create ~seed:1) ~delta:0.1 phi
+            [| bernoulli_estimator w 0.7 |]);
+       false
+     with Epsilon.Unsupported _ -> true)
+
 let test_error_bound_shapes () =
   let b l = Error_bound.proposition_6_6 ~k:2 ~d:2 ~n:10 ~eps0:0.1 ~rounds:l in
   (* Pick budgets large enough that the bound is below its cap of 1. *)
@@ -741,6 +827,8 @@ let () =
           Alcotest.test_case "round limit" `Quick test_fig3_round_limit;
           Alcotest.test_case "two-value ratio predicate" `Slow
             test_fig3_two_values_ratio;
+          Alcotest.test_case "decisions pinned bit for bit" `Quick
+            test_sigma_decisions_pinned;
         ] );
       ( "more behaviours",
         [

@@ -199,6 +199,119 @@ let test_dnf_variable_dedup () =
   in
   check int_c "one variable across clauses" 1 (List.length (Dnf.variables dnf))
 
+(* Definition 4.1 transcribed over a variable -> slot hash table and
+   [Assignment] lookups: the oracle the flat kernel must match draw for
+   draw. *)
+module Oracle = struct
+  type t = {
+    clauses : Assignment.t array;
+    dist : Rng.Alias.dist;
+    vars : int array;
+    var_alias : Rng.Alias.dist array;
+    slot_of_var : (int, int) Hashtbl.t;
+  }
+
+  let prepare w clause_list =
+    let clauses = Array.of_list clause_list in
+    let weights = Array.map (Assignment.weight_float w) clauses in
+    let vars =
+      Array.of_list
+        (List.sort_uniq compare (List.concat_map Assignment.vars clause_list))
+    in
+    let slot_of_var = Hashtbl.create (Array.length vars) in
+    Array.iteri (fun i v -> Hashtbl.replace slot_of_var v i) vars;
+    {
+      clauses;
+      dist = Rng.Alias.of_weights weights;
+      vars;
+      var_alias = Array.map (Wtable.alias w) vars;
+      slot_of_var;
+    }
+
+  let sample rng t =
+    let i = Rng.Alias.sample rng t.dist in
+    let f = t.clauses.(i) in
+    let total = Array.make (Array.length t.vars) 0 in
+    Array.iteri
+      (fun slot v ->
+        match Assignment.value f v with
+        | Some x -> total.(slot) <- x
+        | None -> total.(slot) <- Rng.Alias.sample rng t.var_alias.(slot))
+      t.vars;
+    let lookup v = total.(Hashtbl.find t.slot_of_var v) in
+    let rec smallest j =
+      if j >= i then true
+      else if Assignment.extended_by lookup t.clauses.(j) then false
+      else smallest (j + 1)
+    in
+    if smallest 0 then 1 else 0
+end
+
+(* One generated DNF of a given shape (case mod 6): general, a single
+   clause, duplicate clauses, an empty clause among others, clauses over
+   pairwise disjoint variables, and long clauses.  Variables have 2-4
+   values, and unused variables are interleaved so ids are not
+   contiguous. *)
+let kernel_case rng case =
+  let w = Wtable.create () in
+  let nvars = 1 + Rng.int rng 7 in
+  let ids =
+    Array.init nvars (fun _ ->
+        if Rng.bool rng then ignore (Wtable.add_var w [ Q.half; Q.half ]);
+        let nums = List.init (2 + Rng.int rng 3) (fun _ -> 1 + Rng.int rng 9) in
+        let den = List.fold_left ( + ) 0 nums in
+        Wtable.add_var w (List.map (fun n -> Q.of_ints n den) nums))
+  in
+  let clause_over vars len =
+    let chosen = ref [] in
+    for _ = 1 to len do
+      let v = vars.(Rng.int rng (Array.length vars)) in
+      if not (List.mem_assoc v !chosen) then
+        chosen := (v, Rng.int rng (Wtable.domain_size w v)) :: !chosen
+    done;
+    Assignment.of_list !chosen
+  in
+  let random_clauses ~len =
+    List.init (2 + Rng.int rng 6) (fun _ -> clause_over ids (1 + Rng.int rng len))
+  in
+  let clauses =
+    match case mod 6 with
+    | 0 -> random_clauses ~len:3
+    | 1 -> [ clause_over ids (1 + Rng.int rng 3) ]
+    | 2 ->
+        let cs = random_clauses ~len:3 in
+        cs @ List.filteri (fun i _ -> i mod 2 = 0) cs
+    | 3 ->
+        let cs = random_clauses ~len:3 in
+        let at = Rng.int rng (List.length cs + 1) in
+        List.filteri (fun i _ -> i < at) cs
+        @ (Assignment.empty :: List.filteri (fun i _ -> i >= at) cs)
+    | 4 ->
+        List.init nvars (fun i ->
+            Assignment.singleton ids.(i) (Rng.int rng (Wtable.domain_size w ids.(i))))
+    | _ -> random_clauses ~len:nvars
+  in
+  (w, clauses)
+
+let test_kernel_matches_oracle () =
+  let gen = Rng.create ~seed:415 in
+  for case = 0 to 299 do
+    let w, clauses = kernel_case gen case in
+    let dnf = Dnf.prepare w clauses and oracle = Oracle.prepare w clauses in
+    let seed = Rng.int gen 1_000_000 in
+    let r_kernel = Rng.create ~seed and r_oracle = Rng.create ~seed in
+    let kernel = List.init 200 (fun _ -> Dnf.sample_estimator r_kernel dnf) in
+    let expected = List.init 200 (fun _ -> Oracle.sample r_oracle oracle) in
+    check (Alcotest.list int_c)
+      (Printf.sprintf "case %d: trial sequence" case)
+      expected kernel;
+    (* The same draws consumed: the streams continue identically. *)
+    let next r = List.init 4 (fun _ -> Rng.int r (1 lsl 30 - 1)) in
+    check (Alcotest.list int_c)
+      (Printf.sprintf "case %d: RNG state after the trials" case)
+      (next r_oracle) (next r_kernel)
+  done
+
 let test_single_clause_estimator_is_exact () =
   (* With one clause, the estimator always fires, so p-hat = M = p_f
      exactly after any number of trials. *)
@@ -740,6 +853,8 @@ let () =
           Alcotest.test_case "sampling empty DNF" `Quick
             test_sample_empty_dnf_raises;
           Alcotest.test_case "variable dedup" `Quick test_dnf_variable_dedup;
+          Alcotest.test_case "kernel matches Definition 4.1 oracle" `Quick
+            test_kernel_matches_oracle;
           Alcotest.test_case "single clause is exact" `Quick
             test_single_clause_estimator_is_exact;
           Alcotest.test_case "disjoint clauses" `Quick
