@@ -33,17 +33,7 @@ let unconditioned_pass w sets cache seed =
   done
 
 let conditioned_pass w sets compiled cache seed =
-  let n = Array.length sets in
-  let rngs = Rng.split_n (Rng.create ~seed) (n + 1) in
-  let den =
-    Condition.solve_denominator ~cache rngs.(n) w compiled ~eps ~delta
-  in
-  Array.iteri
-    (fun i clauses ->
-      ignore
-        (Condition.solve_clauses ~cache rngs.(i) w compiled den clauses ~eps
-           ~delta))
-    sets
+  ignore (Condition.solve_batch ~cache ~seed w compiled sets ~eps ~delta)
 
 let run ~quick =
   Report.section "E18"

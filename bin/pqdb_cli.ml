@@ -1,9 +1,19 @@
 (* pqdb — command-line front end.
 
    Subcommands:
-     run    evaluate a UA query/program over CSV-loaded base tables
-     demo   run a built-in scenario (coin | cleaning | sensors)
-     parse  parse a query and print the algebra tree
+     run                 evaluate a UA query/program over CSV or stored tables
+     topk                rank a query's answers, return the k most probable
+     explain             evaluate exactly and print each answer's provenance
+     parse               parse a query and print the algebra tree
+     demo                run a built-in scenario (coin | cleaning | sensors)
+     repl                interactive session: load tables, define views, query
+     batch               streaming sharded confidence over raw lineage
+     worker              shard worker behind batch --workers/--connect
+     gen                 generate a synthetic uncertain database
+     convert             convert between text and binary (.udbb) databases
+     serve               resident daemon answering conf over a socket
+     query               send one request to a serve daemon
+     checkpoint compact  rewrite a crash-recovery journal
 
    Examples:
      pqdb run --table Coins=coins.csv \
@@ -17,8 +27,34 @@ open Pqdb_urel
 module Ua = Pqdb_ast.Ua
 module Qparser = Pqdb_lang.Qparser
 module Rng = Pqdb_numeric.Rng
+module Budget = Pqdb_montecarlo.Budget
 module Cset = Pqdb_conditioning.Constraint_set
 module Condition = Pqdb_conditioning.Condition
+module Pqdb_error = Pqdb_runtime.Pqdb_error
+
+(* The one exception-to-exit-code mapping.  Every subcommand body runs
+   inside it: a typed failure becomes one line on stderr and exit 1, never
+   cmdliner's "internal error" (exit 125). *)
+let guard ?(prefix = "error") body =
+  try body () with
+  | Failure msg | Invalid_argument msg | Sys_error msg ->
+      Format.eprintf "%s: %s@." prefix msg;
+      1
+  | Pqdb_error.Error e ->
+      Format.eprintf "%s: %s@." prefix (Pqdb_error.to_string e);
+      1
+  | Qparser.Error (msg, off) ->
+      Format.eprintf "parse error at offset %d: %s@." off msg;
+      1
+  | Pqdb_lang.Lexer.Error (msg, off) ->
+      Format.eprintf "lex error at offset %d: %s@." off msg;
+      1
+  | Pqdb.Eval_exact.Unsupported msg ->
+      Format.eprintf "unsupported: %s@." msg;
+      1
+  | Unix.Unix_error (err, fn, arg) ->
+      Format.eprintf "%s: %s: %s %s@." prefix fn (Unix.error_message err) arg;
+      1
 
 let load_tables ?db specs =
   let udb =
@@ -48,12 +84,40 @@ let read_query query query_file =
   | Some _, Some _ -> failwith "give either a query or --query-file, not both"
   | None, None -> failwith "no query given (positional argument or --query-file)"
 
+let final_query = function
+  | Some q -> q
+  | None -> failwith "the program has no final query expression"
+
 (* A command's conditioning context: repeatable --assert flags (each one
    constraint in the ASSERT grammar) plus any assert/condition statements in
    the program text, validated into one set — the conjunction. *)
 let constraint_set_of ~asserts ~stmts =
   List.fold_left Cset.add Cset.empty
     (stmts @ List.map Qparser.parse_constraint asserts)
+
+(* The program loader of run and topk: tables, then the program's final
+   query and its constraint set. *)
+let load_program ?db tables ~asserts query query_file =
+  let udb = load_tables ?db tables in
+  let prog = Qparser.parse_program_full (read_query query query_file) in
+  ( udb,
+    final_query prog.Qparser.query,
+    constraint_set_of ~asserts ~stmts:prog.Qparser.constraints )
+
+(* The lineage of every possible tuple of a stored relation, in tuple
+   order. *)
+let relation_sets udb name =
+  match Udb.find udb name with
+  | u -> Array.of_list (List.map snd (Urelation.clauses_by_tuple u))
+  | exception Not_found ->
+      failwith
+        (Printf.sprintf "unknown relation %S (database has: %s)" name
+           (String.concat ", " (Udb.names udb)))
+
+let stored_inputs path name =
+  let udb = Udb_io.load path in
+  let sets = relation_sets udb name in
+  (Udb.wtable udb, sets)
 
 (* Boundary validation: turn bad parameters into friendly messages before
    they reach the engine as cryptic Invalid_argument/assert failures. *)
@@ -143,6 +207,32 @@ let apply_faultpoints specs =
         (String.split_on_char ',' spec))
     specs
 
+(* The engine options run, topk, batch and worker share.  [engine_term]
+   yields a thunk that validates them, arms the fault points and checks
+   PQDB_POOL_WORKERS; commands force it inside [guard], so a bad value is
+   an ordinary exit-1 error. *)
+type engine = {
+  seed : int;
+  delta : float;
+  fuel : int option;
+  budget : Budget.t option;  (** from --deadline / --max-trials *)
+  faultpoints : string list;
+}
+
+let make_engine seed delta fuel deadline max_trials faultpoints () =
+  check_unit_interval "delta" delta;
+  check_nonneg_int "compile-fuel" fuel;
+  check_positive_float "deadline" deadline;
+  check_positive_int "max-trials" max_trials;
+  check_pool_workers_env ();
+  apply_faultpoints faultpoints;
+  let budget =
+    match (deadline, max_trials) with
+    | None, None -> None
+    | _ -> Some (Budget.create ?deadline_s:deadline ?max_trials ())
+  in
+  { seed; delta; fuel; budget; faultpoints }
+
 (* Streaming options for the shard engine, shared by run and batch.  The
    resume journal doubles as the checkpoint path; naming both only works
    when they agree. *)
@@ -183,21 +273,12 @@ let report_rss () =
         (String.split_on_char '\n' contents)
   | exception _ -> ()
 
-let make_budget ~deadline ~max_trials =
-  check_positive_float "deadline" deadline;
-  check_positive_int "max-trials" max_trials;
-  match (deadline, max_trials) with
-  | None, None -> None
-  | _ ->
-      Some
-        (Pqdb_montecarlo.Budget.create ?deadline_s:deadline ?max_trials ())
-
 let report_budget ?(ppf = Format.std_formatter) = function
   | None -> ()
   | Some b ->
       Format.fprintf ppf "-- budget: %d trials spent%s@."
-        (Pqdb_montecarlo.Budget.spent b)
-        (if Pqdb_montecarlo.Budget.exhausted b then
+        (Budget.spent b)
+        (if Budget.exhausted b then
            ", exhausted (result degraded but sound)"
          else "")
 
@@ -206,121 +287,82 @@ let print_result_urel u =
     Format.printf "%a@." Relation.pp (Urelation.to_relation u)
   else Format.printf "%a@." Urelation.pp u
 
-let run_cmd db tables query_file approx optimize delta eps0 deadline
-    max_trials seed shard_size checkpoint resume retries faultpoints asserts
-    query =
-  try
-    check_unit_interval "delta" delta;
-    check_unit_interval "eps0" eps0;
-    check_pool_workers_env ();
-    apply_faultpoints faultpoints;
-    let stream = make_stream ~shard_size ~checkpoint ~resume ~retries in
-    if stream <> None && not approx then
+let run_cmd engine db tables query_file approx optimize eps0 shard_size
+    checkpoint resume retries asserts query () =
+  let { seed; delta; budget; _ } = engine () in
+  check_unit_interval "eps0" eps0;
+  let stream = make_stream ~shard_size ~checkpoint ~resume ~retries in
+  if stream <> None && not approx then
+    failwith
+      "--shard-size/--checkpoint/--resume/--retries only apply to \
+       --approx runs";
+  let udb, q, cset = load_program ?db tables ~asserts query query_file in
+  let q = if optimize then Pqdb.Optimizer.optimize_for udb q else q in
+  if not (Cset.is_empty cset) then begin
+    (* Conditioned mode: the answer is Pr(t ∈ q | constraints) per
+       possible tuple — exact where the lineage admits it, else anytime
+       brackets sound for the ratio (Condition).  Sharded streaming does
+       not compose with the shared renormalizing denominator. *)
+    if stream <> None then
       failwith
-        "--shard-size/--checkpoint/--resume/--retries only apply to \
-         --approx runs";
-    let budget = make_budget ~deadline ~max_trials in
-    let udb = load_tables ?db tables in
-    let text = read_query query query_file in
-    let prog = Qparser.parse_program_full text in
-    let q =
-      match prog.Qparser.query with
-      | Some q -> q
-      | None -> failwith "the program has no final query expression"
-    in
-    let cset =
-      constraint_set_of ~asserts ~stmts:prog.Qparser.constraints
-    in
-    let q = if optimize then Pqdb.Optimizer.optimize_for udb q else q in
-    if not (Cset.is_empty cset) then begin
-      (* Conditioned mode: the answer is Pr(t ∈ q | constraints) per
-         possible tuple — exact where the lineage admits it, else anytime
-         brackets sound for the ratio (Condition).  Sharded streaming does
-         not compose with the shared renormalizing denominator. *)
-      if stream <> None then
-        failwith
-          "--assert conditioning does not compose with \
-           --shard-size/--checkpoint/--resume/--retries";
-      let compiled = Condition.compile udb cset in
-      Format.printf "-- conditioned on: %a@." Cset.pp cset;
-      if approx then begin
-        let estimates =
-          Condition.approx_confidences ?budget ~seed ~eps:eps0 ~delta udb
-            compiled q
-        in
-        List.iter
-          (fun (t, e) ->
-            Format.printf "%a  ~%.6f in [%.6f, %.6f]%s@." Tuple.pp t
-              e.Condition.value e.Condition.lo e.Condition.hi
-              (if e.Condition.exact then " (exact)"
-               else Printf.sprintf " (%d trials)" e.Condition.trials))
-          estimates;
-        report_budget budget
-      end
-      else
-        List.iter
-          (fun (t, p) ->
-            Format.printf "%a  %a@." Tuple.pp t Pqdb_numeric.Rational.pp p)
-          (Condition.exact_confidences udb compiled q)
-    end
-    else if approx then begin
-      let rng = Rng.create ~seed in
-      let result, stats, rounds =
-        Pqdb.Eval_approx.eval_with_guarantee ?budget ?stream ~eps0 ~rng ~delta
-          udb q
+        "--assert conditioning does not compose with \
+         --shard-size/--checkpoint/--resume/--retries";
+    let compiled = Condition.compile udb cset in
+    Format.printf "-- conditioned on: %a@." Cset.pp cset;
+    if approx then begin
+      let estimates =
+        Condition.approx_confidences ?budget ~seed ~eps:eps0 ~delta udb
+          compiled q
       in
-      print_result_urel result.Pqdb.Eval_approx.urel;
-      Format.printf "-- per-tuple error bounds (target %.4g):@." delta;
       List.iter
-        (fun (t, e) -> Format.printf "--   %a: <= %.6f@." Tuple.pp t e)
-        result.Pqdb.Eval_approx.errors;
-      if result.Pqdb.Eval_approx.suspects <> [] then begin
-        Format.printf "-- singularity suspects:@.";
-        List.iter
-          (fun t -> Format.printf "--   %a@." Tuple.pp t)
-          result.Pqdb.Eval_approx.suspects
-      end;
-      Format.printf
-        "-- %d sigma-hat decisions, %d estimator calls, round budget %d@."
-        stats.Pqdb.Eval_approx.decisions
-        stats.Pqdb.Eval_approx.estimator_calls rounds;
+        (fun (t, e) ->
+          Format.printf "%a  ~%.6f in [%.6f, %.6f]%s@." Tuple.pp t
+            e.Condition.value e.Condition.lo e.Condition.hi
+            (if e.Condition.exact then " (exact)"
+             else Printf.sprintf " (%d trials)" e.Condition.trials))
+        estimates;
       report_budget budget
     end
-    else print_result_urel (Pqdb.Eval_exact.eval udb q);
-    0
-  with
-  | Failure msg | Invalid_argument msg | Sys_error msg ->
-      Format.eprintf "error: %s@." msg;
-      1
-  | Pqdb_runtime.Pqdb_error.Error e ->
-      Format.eprintf "error: %s@." (Pqdb_runtime.Pqdb_error.to_string e);
-      1
-  | Qparser.Error (msg, off) ->
-      Format.eprintf "parse error at offset %d: %s@." off msg;
-      1
-  | Pqdb_lang.Lexer.Error (msg, off) ->
-      Format.eprintf "lex error at offset %d: %s@." off msg;
-      1
-  | Pqdb.Eval_exact.Unsupported msg ->
-      Format.eprintf "unsupported: %s@." msg;
-      1
+    else
+      List.iter
+        (fun (t, p) ->
+          Format.printf "%a  %a@." Tuple.pp t Pqdb_numeric.Rational.pp p)
+        (Condition.exact_confidences udb compiled q)
+  end
+  else if approx then begin
+    let rng = Rng.create ~seed in
+    let result, stats, rounds =
+      Pqdb.Eval_approx.eval_with_guarantee ?budget ?stream ~eps0 ~rng ~delta
+        udb q
+    in
+    print_result_urel result.Pqdb.Eval_approx.urel;
+    Format.printf "-- per-tuple error bounds (target %.4g):@." delta;
+    List.iter
+      (fun (t, e) -> Format.printf "--   %a: <= %.6f@." Tuple.pp t e)
+      result.Pqdb.Eval_approx.errors;
+    if result.Pqdb.Eval_approx.suspects <> [] then begin
+      Format.printf "-- singularity suspects:@.";
+      List.iter
+        (fun t -> Format.printf "--   %a@." Tuple.pp t)
+        result.Pqdb.Eval_approx.suspects
+    end;
+    Format.printf
+      "-- %d sigma-hat decisions, %d estimator calls, round budget %d@."
+      stats.Pqdb.Eval_approx.decisions
+      stats.Pqdb.Eval_approx.estimator_calls rounds;
+    report_budget budget
+  end
+  else print_result_urel (Pqdb.Eval_exact.eval udb q);
+  0
 
-let parse_cmd query =
-  try
-    let q = Qparser.parse_query query in
-    Format.printf "%a@." Ua.pp q;
-    Format.printf "positive: %b, sigma-hat depth: %d, size: %d@."
-      (Ua.is_positive q) (Ua.nesting_depth q) (Ua.size q);
-    0
-  with
-  | Qparser.Error (msg, off) ->
-      Format.eprintf "parse error at offset %d: %s@." off msg;
-      1
-  | Pqdb_lang.Lexer.Error (msg, off) ->
-      Format.eprintf "lex error at offset %d: %s@." off msg;
-      1
+let parse_cmd query () =
+  let q = Qparser.parse_query query in
+  Format.printf "%a@." Ua.pp q;
+  Format.printf "positive: %b, sigma-hat depth: %d, size: %d@."
+    (Ua.is_positive q) (Ua.nesting_depth q) (Ua.size q);
+  0
 
-let demo_cmd which seed =
+let demo_cmd which seed () =
   let rng = Rng.create ~seed in
   match which with
   | "coin" ->
@@ -351,108 +393,68 @@ let demo_cmd which seed =
       Format.eprintf "unknown demo %S (coin | cleaning | sensors)@." other;
       1
 
-let explain_cmd db tables query_file query =
-  try
-    let udb = load_tables ?db tables in
-    let text = read_query query query_file in
-    let _views, final = Qparser.parse_program text in
-    let q =
-      match final with
-      | Some q -> q
-      | None -> failwith "the program has no final query expression"
-    in
-    let prov = Pqdb.Provenance.compute udb q in
-    let result = Pqdb.Provenance.result prov in
-    print_result_urel result;
+(* The result and the leaves each result tuple depends on; [explain] adds
+   a header and the count of maximal sigma-hat subexpressions. *)
+let print_provenance ?(summary = false) prov =
+  let result = Pqdb.Provenance.result prov in
+  print_result_urel result;
+  if summary then
     Format.printf "-- provenance (leaves each result tuple depends on):@.";
-    List.iter
-      (fun t ->
-        Format.printf "--   %a <- %a@." Tuple.pp t
-          (Format.pp_print_list
-             ~pp_sep:(fun f () -> Format.pp_print_string f ", ")
-             Pqdb.Provenance.pp_leaf)
-          (Pqdb.Provenance.leaves prov t))
-      (Pqdb_urel.Urelation.possible_tuples result);
-    if Pqdb.Provenance.sigma_hat_count prov > 0 then
-      Format.printf "-- %d maximal sigma-hat subexpression(s)@."
-        (Pqdb.Provenance.sigma_hat_count prov);
-    0
-  with
-  | Failure msg | Invalid_argument msg | Sys_error msg ->
-      Format.eprintf "error: %s@." msg;
-      1
-  | Pqdb_runtime.Pqdb_error.Error e ->
-      Format.eprintf "error: %s@." (Pqdb_runtime.Pqdb_error.to_string e);
-      1
-  | Qparser.Error (msg, off) ->
-      Format.eprintf "parse error at offset %d: %s@." off msg;
-      1
-  | Pqdb.Eval_exact.Unsupported msg ->
-      Format.eprintf "unsupported: %s@." msg;
-      1
+  List.iter
+    (fun t ->
+      Format.printf "--   %a <- %a@." Tuple.pp t
+        (Format.pp_print_list
+           ~pp_sep:(fun f () -> Format.pp_print_string f ", ")
+           Pqdb.Provenance.pp_leaf)
+        (Pqdb.Provenance.leaves prov t))
+    (Urelation.possible_tuples result);
+  if summary && Pqdb.Provenance.sigma_hat_count prov > 0 then
+    Format.printf "-- %d maximal sigma-hat subexpression(s)@."
+      (Pqdb.Provenance.sigma_hat_count prov)
 
-let topk_cmd db tables query_file k delta compile_fuel deadline max_trials
-    seed faultpoints asserts query =
-  try
-    check_unit_interval "delta" delta;
-    if k <= 0 then
-      failwith (Printf.sprintf "--k must be a positive integer, got %d" k);
-    check_nonneg_int "compile-fuel" compile_fuel;
-    check_pool_workers_env ();
-    apply_faultpoints faultpoints;
-    let budget = make_budget ~deadline ~max_trials in
-    let udb = load_tables ?db tables in
-    let text = read_query query query_file in
-    let prog = Qparser.parse_program_full text in
-    let q =
-      match prog.Qparser.query with
-      | Some q -> q
-      | None -> failwith "the program has no final query expression"
+(* explain takes no assert statements: parse_program refuses them rather
+   than explaining an unconditioned answer. *)
+let explain_cmd db tables query_file query () =
+  let udb = load_tables ?db tables in
+  let _views, final = Qparser.parse_program (read_query query query_file) in
+  print_provenance ~summary:true
+    (Pqdb.Provenance.compute udb (final_query final));
+  0
+
+let topk_cmd engine db tables query_file k asserts query () =
+  let { seed; delta; fuel; budget; _ } = engine () in
+  if k <= 0 then
+    failwith (Printf.sprintf "--k must be a positive integer, got %d" k);
+  let udb, q, cset = load_program ?db tables ~asserts query query_file in
+  if not (Cset.is_empty cset) then begin
+    (* Ranking by conditioned probability: the FD that deduplicates a
+       dirty table can reorder the top-k (a tuple sharing its key loses
+       mass to the renormalization). *)
+    let compiled = Condition.compile udb cset in
+    Format.printf "-- conditioned on: %a@." Cset.pp cset;
+    let ranked =
+      Condition.topk ?budget ?fuel ~seed ~delta ~k udb compiled q
     in
-    let cset =
-      constraint_set_of ~asserts ~stmts:prog.Qparser.constraints
+    List.iteri
+      (fun i (t, e) ->
+        Format.printf "%d. %a  (~%.4f in [%.4f, %.4f])@." (i + 1) Tuple.pp
+          t e.Condition.value e.Condition.lo e.Condition.hi)
+      ranked
+  end
+  else begin
+    let rng = Rng.create ~seed in
+    let r =
+      Pqdb.Topk.query ?budget ?compile_fuel:fuel ~rng ~delta ~k udb q
     in
-    if not (Cset.is_empty cset) then begin
-      (* Ranking by conditioned probability: the FD that deduplicates a
-         dirty table can reorder the top-k (a tuple sharing its key loses
-         mass to the renormalization). *)
-      let compiled = Condition.compile udb cset in
-      Format.printf "-- conditioned on: %a@." Cset.pp cset;
-      let ranked =
-        Condition.topk ?budget ?fuel:compile_fuel ~seed ~delta ~k udb
-          compiled q
-      in
-      List.iteri
-        (fun i (t, e) ->
-          Format.printf "%d. %a  (~%.4f in [%.4f, %.4f])@." (i + 1) Tuple.pp
-            t e.Condition.value e.Condition.lo e.Condition.hi)
-        ranked
-    end
-    else begin
-      let rng = Rng.create ~seed in
-      let r = Pqdb.Topk.query ?budget ?compile_fuel ~rng ~delta ~k udb q in
-      List.iteri
-        (fun i (t, p) ->
-          Format.printf "%d. %a  (~%.4f)@." (i + 1) Tuple.pp t p)
-        r.Pqdb.Topk.ranked;
-      Format.printf "-- certified: %b, %d estimator calls, %d rounds@."
-        r.Pqdb.Topk.certified r.Pqdb.Topk.estimator_calls r.Pqdb.Topk.rounds
-    end;
-    report_budget budget;
-    0
-  with
-  | Failure msg | Invalid_argument msg | Sys_error msg ->
-      Format.eprintf "error: %s@." msg;
-      1
-  | Pqdb_runtime.Pqdb_error.Error e ->
-      Format.eprintf "error: %s@." (Pqdb_runtime.Pqdb_error.to_string e);
-      1
-  | Qparser.Error (msg, off) ->
-      Format.eprintf "parse error at offset %d: %s@." off msg;
-      1
-  | Pqdb.Eval_exact.Unsupported msg ->
-      Format.eprintf "unsupported: %s@." msg;
-      1
+    List.iteri
+      (fun i (t, p) ->
+        Format.printf "%d. %a  (~%.4f)@." (i + 1) Tuple.pp t p)
+      r.Pqdb.Topk.ranked;
+    Format.printf "-- certified: %b, %d estimator calls, %d rounds@."
+      r.Pqdb.Topk.certified r.Pqdb.Topk.estimator_calls r.Pqdb.Topk.rounds
+  end;
+  report_budget budget;
+  0
 
 (* --- batch ------------------------------------------------------------ *)
 
@@ -484,13 +486,7 @@ let batch_inputs ~db ~relation ~gen ~gen_seed =
               [ Assignment.singleton v 1 ])
       in
       (w, sets)
-  | None, Some path, Some name ->
-      let udb = Udb_io.load path in
-      let u = Udb.find udb name in
-      let sets =
-        Array.of_list (List.map snd (Urelation.clauses_by_tuple u))
-      in
-      (Udb.wtable udb, sets)
+  | None, Some path, Some name -> stored_inputs path name
   | _ ->
       failwith
         "give either --gen N (synthetic lineage) or --db PATH --relation NAME"
@@ -536,8 +532,8 @@ let report_stream_summary ~tuples (summary : Pqdb_montecarlo.Confidence.stream_s
    or the sampling — the handshake (meta payload + RNG probe) re-checks
    that nothing drifted in flight.  Floats go through "%.17g" so they
    re-parse to the same bits. *)
-let worker_argv ~gen ~gen_seed ~eps ~delta ~seed ~compile_fuel
-    ~shard_cost ~heartbeat_interval ~faultpoints =
+let worker_argv (e : engine) ~gen ~gen_seed ~eps ~shard_cost
+    ~heartbeat_interval =
   Array.of_list
     (List.concat
        [
@@ -550,14 +546,14 @@ let worker_argv ~gen ~gen_seed ~eps ~delta ~seed ~compile_fuel
          | Some n -> [ "--gen"; string_of_int n; "--gen-seed"; string_of_int gen_seed ]
          | None -> []);
          [ "--eps"; Printf.sprintf "%.17g" eps ];
-         [ "--delta"; Printf.sprintf "%.17g" delta ];
-         [ "--seed"; string_of_int seed ];
-         (match compile_fuel with
+         [ "--delta"; Printf.sprintf "%.17g" e.delta ];
+         [ "--seed"; string_of_int e.seed ];
+         (match e.fuel with
          | Some f -> [ "--compile-fuel"; string_of_int f ]
          | None -> []);
          [ "--shard-size"; string_of_int shard_cost ];
          [ "--heartbeat-interval"; Printf.sprintf "%.17g" heartbeat_interval ];
-         List.concat_map (fun s -> [ "--faultpoints"; s ]) faultpoints;
+         List.concat_map (fun s -> [ "--faultpoints"; s ]) e.faultpoints;
        ])
 
 (* Remote endpoints: "HOST:PORT", or a bare "PORT" meaning loopback.  The
@@ -601,96 +597,79 @@ let check_liveness_cadence ~heartbeat_interval ~lease_ttl ~io_timeout_s =
            lease_ttl t)
   | _ -> ()
 
-let batch_cmd db relation gen gen_seed eps delta seed compile_fuel shard_size
-    checkpoint resume retries deadline max_trials workers connect lease_ttl
-    heartbeat_interval reconnects io_timeout_s asserts faultpoints =
-  try
-    check_unit_interval "eps" eps;
-    check_unit_interval "delta" delta;
-    check_nonneg_int "compile-fuel" compile_fuel;
-    check_nonneg_int "workers" (Some workers);
-    check_nonneg_int "reconnects" reconnects;
-    check_positive_float "io-timeout" io_timeout_s;
-    check_liveness_cadence ~heartbeat_interval ~lease_ttl ~io_timeout_s;
-    check_pool_workers_env ();
-    apply_faultpoints faultpoints;
-    let endpoints = List.map (parse_endpoint ~flag:"connect") connect in
-    let workers =
-      match endpoints with
-      | [] -> workers
-      | eps ->
-          let n = List.length eps in
-          if workers <> 0 && workers <> n then
-            failwith
-              (Printf.sprintf
-                 "--workers %d disagrees with %d --connect endpoints; the \
-                  fleet size is the endpoint count, drop --workers"
-                 workers n);
-          n
-    in
-    let options = make_stream ~shard_size ~checkpoint ~resume ~retries in
-    let budget = make_budget ~deadline ~max_trials in
-    if asserts <> [] then begin
-      (* Conditioned batch: same one-line-per-tuple "%h" output contract,
-         with every confidence renormalized by the shared Pr(constraints)
-         denominator.  The denominator couples all tuples, so the sharded /
-         checkpointed / distributed machinery (whose unit is an independent
-         shard) does not compose — refuse loudly rather than emit bytes
-         that silently mean something else. *)
-      if workers <> 0 || endpoints <> [] then
-        failwith "--assert does not compose with --workers/--connect";
-      if options <> None then
+
+(* Conditioned batch: same one-line-per-tuple "%h" output contract, with
+   every confidence renormalized by the shared Pr(constraints) denominator. *)
+let batch_conditioned (e : engine) ~db ~relation ~gen ~eps ~asserts =
+  let db_path, name =
+    match (gen, db, relation) with
+    | None, Some p, Some r -> (p, r)
+    | Some _, _, _ ->
         failwith
-          "--assert does not compose with \
-           --shard-size/--checkpoint/--resume/--retries";
-      let db_path, name =
-        match (gen, db, relation) with
-        | None, Some p, Some r -> (p, r)
-        | Some _, _, _ ->
-            failwith
-              "--assert needs stored tables (--db/--relation); constraints \
-               cannot reference --gen synthetic lineage"
-        | _ -> failwith "give --db PATH --relation NAME with --assert"
-      in
-      let udb = Udb_io.load db_path in
-      let u =
-        match Udb.find udb name with
-        | u -> u
-        | exception Not_found ->
-            failwith
-              (Printf.sprintf "unknown relation %S (database has: %s)" name
-                 (String.concat ", " (Udb.names udb)))
-      in
-      let cset = constraint_set_of ~asserts ~stmts:[] in
-      let compiled = Condition.compile udb cset in
-      let w = Udb.wtable udb in
-      let sets =
-        Array.of_list (List.map snd (Urelation.clauses_by_tuple u))
-      in
-      let n = Array.length sets in
-      let rngs = Rng.split_n (Rng.create ~seed) (n + 1) in
-      let den =
-        Condition.solve_denominator ?budget ?fuel:compile_fuel rngs.(n) w
-          compiled ~eps ~delta
-      in
-      for i = 0 to n - 1 do
-        let e =
-          Condition.solve_clauses ?budget ?fuel:compile_fuel rngs.(i) w
-            compiled den sets.(i) ~eps ~delta
-        in
-        Printf.printf "%d %h %h %h %d\n" i e.Condition.value e.Condition.lo
-          e.Condition.hi e.Condition.trials
-      done;
-      flush stdout;
-      let iv = Condition.denominator_interval den in
-      Format.eprintf
-        "-- %d tuples conditioned on %a: Pr(c) in [%h, %h], %d denominator \
-         trials@."
-        n Cset.pp cset iv.Pqdb_numeric.Interval.lo
-        iv.Pqdb_numeric.Interval.hi
-        (Condition.denominator_trials den)
-    end
-    else begin
+          "--assert needs stored tables (--db/--relation); constraints \
+           cannot reference --gen synthetic lineage"
+    | _ -> failwith "give --db PATH --relation NAME with --assert"
+  in
+  let udb = Udb_io.load db_path in
+  let sets = relation_sets udb name in
+  let cset = constraint_set_of ~asserts ~stmts:[] in
+  let compiled = Condition.compile udb cset in
+  let den, estimates =
+    Condition.solve_batch ?budget:e.budget ?fuel:e.fuel ~seed:e.seed
+      (Udb.wtable udb) compiled sets ~eps ~delta:e.delta
+  in
+  Array.iteri
+    (fun i est ->
+      Printf.printf "%d %h %h %h %d\n" i est.Condition.value est.Condition.lo
+        est.Condition.hi est.Condition.trials)
+    estimates;
+  flush stdout;
+  let iv = Condition.denominator_interval den in
+  Format.eprintf
+    "-- %d tuples conditioned on %a: Pr(c) in [%h, %h], %d denominator \
+     trials@."
+    (Array.length sets) Cset.pp cset iv.Pqdb_numeric.Interval.lo
+    iv.Pqdb_numeric.Interval.hi
+    (Condition.denominator_trials den)
+
+let batch_cmd engine db relation gen gen_seed eps shard_size checkpoint
+    resume retries workers connect lease_ttl heartbeat_interval reconnects
+    io_timeout_s asserts () =
+  let ({ seed; delta; fuel = compile_fuel; budget; _ } as e) = engine () in
+  check_unit_interval "eps" eps;
+  check_nonneg_int "workers" (Some workers);
+  check_nonneg_int "reconnects" reconnects;
+  check_positive_float "io-timeout" io_timeout_s;
+  check_liveness_cadence ~heartbeat_interval ~lease_ttl ~io_timeout_s;
+  let endpoints = List.map (parse_endpoint ~flag:"connect") connect in
+  let workers =
+    match endpoints with
+    | [] -> workers
+    | eps ->
+        let n = List.length eps in
+        if workers <> 0 && workers <> n then
+          failwith
+            (Printf.sprintf
+               "--workers %d disagrees with %d --connect endpoints; the \
+                fleet size is the endpoint count, drop --workers"
+               workers n);
+        n
+  in
+  let options = make_stream ~shard_size ~checkpoint ~resume ~retries in
+  if asserts <> [] then begin
+    (* The denominator couples all tuples, so the sharded / checkpointed /
+       distributed machinery (whose unit is an independent shard) does not
+       compose — refuse loudly rather than emit bytes that silently mean
+       something else. *)
+    if workers <> 0 || endpoints <> [] then
+      failwith "--assert does not compose with --workers/--connect";
+    if options <> None then
+      failwith
+        "--assert does not compose with \
+         --shard-size/--checkpoint/--resume/--retries";
+    batch_conditioned e ~db ~relation ~gen ~eps ~asserts
+  end
+  else begin
     let w, sets = batch_inputs ~db ~relation ~gen ~gen_seed in
     let rng = Rng.create ~seed in
     let module C = Pqdb_montecarlo.Confidence in
@@ -705,9 +684,8 @@ let batch_cmd db relation gen gen_seed eps delta seed compile_fuel shard_size
       let module D = Pqdb_distrib.Coordinator in
       let opts = Option.value options ~default:C.default_stream_options in
       let argv =
-        worker_argv ~gen ~gen_seed ~eps ~delta ~seed
-          ~compile_fuel ~shard_cost:opts.C.shard_cost ~heartbeat_interval
-          ~faultpoints
+        worker_argv e ~gen ~gen_seed ~eps ~shard_cost:opts.C.shard_cost
+          ~heartbeat_interval
       in
       let source =
         match (db, relation) with
@@ -749,104 +727,73 @@ let batch_cmd db relation gen gen_seed eps delta seed compile_fuel shard_size
               dropped
         | None -> "")
     end
-    end;
-    report_budget ~ppf:Format.err_formatter budget;
-    report_rss ();
-    0
-  with
-  | Failure msg | Invalid_argument msg | Sys_error msg ->
-      Format.eprintf "error: %s@." msg;
-      1
-  | Pqdb_runtime.Pqdb_error.Error e ->
-      Format.eprintf "error: %s@." (Pqdb_runtime.Pqdb_error.to_string e);
-      1
-  | Qparser.Error (msg, off) ->
-      Format.eprintf "parse error at offset %d: %s@." off msg;
-      1
-  | Pqdb_lang.Lexer.Error (msg, off) ->
-      Format.eprintf "lex error at offset %d: %s@." off msg;
-      1
+  end;
+  report_budget ~ppf:Format.err_formatter budget;
+  report_rss ();
+  0
 
 (* --- worker ----------------------------------------------------------- *)
 
-let worker_cmd db relation gen gen_seed eps delta seed compile_fuel
-    shard_size listen heartbeat_interval sessions faultpoints =
-  try
-    check_unit_interval "eps" eps;
-    check_unit_interval "delta" delta;
-    check_nonneg_int "compile-fuel" compile_fuel;
-    check_positive_int "shard-size" shard_size;
-    check_positive_float "heartbeat-interval" (Some heartbeat_interval);
-    check_positive_int "sessions" sessions;
-    check_pool_workers_env ();
-    apply_faultpoints faultpoints;
-    match listen with
-    | Some endpoint ->
-        (* Remote listener: serve coordinator dials on a TCP socket.  The
-           data source is resolved lazily from each session's greeting
-           Hello (and cached), unless local data arguments pin it; run
-           parameters stay operator-provided — the handshake refuses a
-           coordinator they drifted from. *)
-        let host, port = parse_endpoint ~flag:"listen" endpoint in
-        let resolve src =
-          match (gen, db, relation, src) with
-          | None, None, None, Some (d, r) ->
-              batch_inputs ~db:(Some d) ~relation:(Some r) ~gen:None ~gen_seed
-          | None, None, None, None ->
-              failwith
-                "coordinator greeting names no data source; give --gen N or \
-                 --db/--relation"
-          | _ -> batch_inputs ~db ~relation ~gen ~gen_seed
-        in
-        Pqdb_distrib.Worker.listen ?compile_fuel ?shard_cost:shard_size
-          ~heartbeat_s:heartbeat_interval ?max_sessions:sessions
-          ~ready:(fun p ->
-            Printf.printf "pqdb-worker listening on tcp:%s:%d\n%!" host p)
-          ~make_rng:(fun () -> Rng.create ~seed)
-          ~resolve ~host ~port ~eps ~delta ();
-        0
-    | None ->
-        let w, sets =
-          match (gen, db, relation) with
-          | None, None, None -> (
-              (* Bare worker: the coordinator's greeting Hello (the first
-                 frame on stdin) names the stored data source, so the path
-                 is stated once — on the coordinator's command line —
-                 instead of being duplicated into every worker's argv or
-                 regenerated from a seed.  Worker.serve ignores any later
-                 greeting replays.  Read off the fd, not the channel:
-                 Worker.serve reads orders with fd-level deadlines and
-                 channel read-ahead would steal bytes from it. *)
-              match
-                Pqdb_distrib.Protocol.read_fd_frame ~timeout_s:30. Unix.stdin
-              with
-              | Some (Pqdb_distrib.Protocol.Hello { source = Some (d, r); _ })
-                ->
-                  batch_inputs ~db:(Some d) ~relation:(Some r) ~gen:None
-                    ~gen_seed
-              | Some (Pqdb_distrib.Protocol.Hello { source = None; _ }) ->
-                  failwith
-                    "coordinator greeting names no data source; give --gen N \
-                     or --db/--relation"
-              | Some _ | None ->
-                  failwith "expected a coordinator greeting on stdin")
-          | _ -> batch_inputs ~db ~relation ~gen ~gen_seed
-        in
-        let rng = Rng.create ~seed in
-        (* stdout belongs to the protocol: everything human goes to
-           stderr. *)
-        Pqdb_distrib.Worker.serve ?compile_fuel ?shard_cost:shard_size
-          ~heartbeat_s:heartbeat_interval rng w sets ~eps ~delta ~input:stdin
-          ~output:stdout;
-        0
-  with
-  | Failure msg | Invalid_argument msg | Sys_error msg ->
-      Format.eprintf "worker error: %s@." msg;
-      1
-  | Pqdb_runtime.Pqdb_error.Error e ->
-      Format.eprintf "worker error: %s@."
-        (Pqdb_runtime.Pqdb_error.to_string e);
-      1
+let worker_cmd engine db relation gen gen_seed eps shard_size listen
+    heartbeat_interval sessions () =
+  let { seed; delta; fuel = compile_fuel; _ } = engine () in
+  check_unit_interval "eps" eps;
+  check_positive_int "shard-size" shard_size;
+  check_positive_float "heartbeat-interval" (Some heartbeat_interval);
+  check_positive_int "sessions" sessions;
+  (* Local data arguments pin the source; without them it is the one the
+     coordinator's greeting Hello names. *)
+  let resolve src =
+    match (gen, db, relation, src) with
+    | None, None, None, Some (d, r) -> stored_inputs d r
+    | None, None, None, None ->
+        failwith
+          "coordinator greeting names no data source; give --gen N or \
+           --db/--relation"
+    | _ -> batch_inputs ~db ~relation ~gen ~gen_seed
+  in
+  match listen with
+  | Some endpoint ->
+      (* Remote listener: serve coordinator dials on a TCP socket.  The
+         data source is resolved lazily from each session's greeting
+         Hello (and cached), unless local data arguments pin it; run
+         parameters stay operator-provided — the handshake refuses a
+         coordinator they drifted from. *)
+      let host, port = parse_endpoint ~flag:"listen" endpoint in
+      Pqdb_distrib.Worker.listen ?compile_fuel ?shard_cost:shard_size
+        ~heartbeat_s:heartbeat_interval ?max_sessions:sessions
+        ~ready:(fun p ->
+          Printf.printf "pqdb-worker listening on tcp:%s:%d\n%!" host p)
+        ~make_rng:(fun () -> Rng.create ~seed)
+        ~resolve ~host ~port ~eps ~delta ();
+      0
+  | None ->
+      let source =
+        if gen <> None || db <> None || relation <> None then None
+        else
+          (* Bare worker: the coordinator's greeting Hello (the first
+             frame on stdin) names the stored data source, so the path
+             is stated once — on the coordinator's command line —
+             instead of being duplicated into every worker's argv or
+             regenerated from a seed.  Worker.serve ignores any later
+             greeting replays.  Read off the fd, not the channel:
+             Worker.serve reads orders with fd-level deadlines and
+             channel read-ahead would steal bytes from it. *)
+          match
+            Pqdb_distrib.Protocol.read_fd_frame ~timeout_s:30. Unix.stdin
+          with
+          | Some (Pqdb_distrib.Protocol.Hello { source; _ }) -> source
+          | Some _ | None ->
+              failwith "expected a coordinator greeting on stdin"
+      in
+      let w, sets = resolve source in
+      let rng = Rng.create ~seed in
+      (* stdout belongs to the protocol: everything human goes to
+         stderr. *)
+      Pqdb_distrib.Worker.serve ?compile_fuel ?shard_cost:shard_size
+        ~heartbeat_s:heartbeat_interval rng w sets ~eps ~delta ~input:stdin
+        ~output:stdout;
+      0
 
 (* --- convert / gen ---------------------------------------------------- *)
 
@@ -865,63 +812,47 @@ let canonical_image udb =
       Pqdb_urel.Udb_binary.save tmp udb;
       In_channel.with_open_bin tmp In_channel.input_all)
 
-let convert_cmd verify src dst =
-  try
-    let udb = Udb_io.load src in
-    Udb_io.save dst udb;
-    if verify then begin
-      let a = canonical_image (Udb_io.load src) in
-      let b = canonical_image (Udb_io.load dst) in
-      if not (String.equal a b) then
-        failwith
-          (Printf.sprintf
-             "round-trip verification failed: %s and %s decode to different \
-              databases"
-             src dst);
-      Format.eprintf "-- verified: %s and %s are canonically identical@." src
-        dst
-    end;
-    Format.printf "converted %s -> %s@." src dst;
-    0
-  with
-  | Failure msg | Invalid_argument msg | Sys_error msg ->
-      Format.eprintf "error: %s@." msg;
-      1
-  | Pqdb_runtime.Pqdb_error.Error e ->
-      Format.eprintf "error: %s@." (Pqdb_runtime.Pqdb_error.to_string e);
-      1
-
-let gen_db_cmd tuples clauses gen_seed dirty max_dups dest =
-  try
-    check_positive_int "tuples" (Some tuples);
-    check_positive_int "clauses" (Some clauses);
-    check_nonneg_int "gen-seed" (Some gen_seed);
-    check_nonneg_int "dirty" (Some dirty);
-    check_positive_int "max-dups" (Some max_dups);
-    let dir = Filename.dirname dest in
-    if not (Sys.file_exists dir) then
+let convert_cmd verify src dst () =
+  let udb = Udb_io.load src in
+  Udb_io.save dst udb;
+  if verify then begin
+    let a = canonical_image (Udb_io.load src) in
+    let b = canonical_image (Udb_io.load dst) in
+    if not (String.equal a b) then
       failwith
         (Printf.sprintf
-           "destination directory %S does not exist (create it first)" dir);
-    let rng = Rng.create ~seed:gen_seed in
-    let udb = Pqdb_workload.Gen.uncertain_db rng ~tuples ~clauses in
-    if dirty > 0 then
-      Pqdb_workload.Gen.add_dirty_people rng udb ~entities:dirty ~max_dups;
-    Udb_io.save dest udb;
-    Format.printf "wrote %s: %d tuples in relation events%s@." dest tuples
-      (if dirty > 0 then
-         Printf.sprintf
-           ", plus %d entities (up to %d duplicates each) in relation people"
-           dirty max_dups
-       else "");
-    0
-  with
-  | Failure msg | Invalid_argument msg | Sys_error msg ->
-      Format.eprintf "error: %s@." msg;
-      1
-  | Pqdb_runtime.Pqdb_error.Error e ->
-      Format.eprintf "error: %s@." (Pqdb_runtime.Pqdb_error.to_string e);
-      1
+           "round-trip verification failed: %s and %s decode to different \
+            databases"
+           src dst);
+    Format.eprintf "-- verified: %s and %s are canonically identical@." src
+      dst
+  end;
+  Format.printf "converted %s -> %s@." src dst;
+  0
+
+let gen_db_cmd tuples clauses gen_seed dirty max_dups dest () =
+  check_positive_int "tuples" (Some tuples);
+  check_positive_int "clauses" (Some clauses);
+  check_nonneg_int "gen-seed" (Some gen_seed);
+  check_nonneg_int "dirty" (Some dirty);
+  check_positive_int "max-dups" (Some max_dups);
+  let dir = Filename.dirname dest in
+  if not (Sys.file_exists dir) then
+    failwith
+      (Printf.sprintf
+         "destination directory %S does not exist (create it first)" dir);
+  let rng = Rng.create ~seed:gen_seed in
+  let udb = Pqdb_workload.Gen.uncertain_db rng ~tuples ~clauses in
+  if dirty > 0 then
+    Pqdb_workload.Gen.add_dirty_people rng udb ~entities:dirty ~max_dups;
+  Udb_io.save dest udb;
+  Format.printf "wrote %s: %d tuples in relation events%s@." dest tuples
+    (if dirty > 0 then
+       Printf.sprintf
+         ", plus %d entities (up to %d duplicates each) in relation people"
+         dirty max_dups
+     else "");
+  0
 
 (* --- serve / query ---------------------------------------------------- *)
 
@@ -964,161 +895,126 @@ let listen_of ~socket ~port =
       Server.Tcp p
 
 let serve_cmd db socket port cache_entries session_trials session_deadline_s
-    io_timeout_s idle_timeout_s max_sessions watchdog_s faultpoints =
+    io_timeout_s idle_timeout_s max_sessions watchdog_s faultpoints () =
   let module Server = Pqdb_serve.Server in
-  try
-    apply_faultpoints faultpoints;
-    check_positive_int "cache-entries" (Some cache_entries);
-    check_positive_int "session-trials" session_trials;
-    check_positive_float "session-deadline" session_deadline_s;
-    check_positive_float "io-timeout" io_timeout_s;
-    check_positive_float "idle-timeout" idle_timeout_s;
-    check_positive_int "max-sessions" max_sessions;
-    check_positive_float "watchdog" watchdog_s;
-    if not (Sys.file_exists db) then
-      failwith (Printf.sprintf "database %S does not exist" db);
-    let listen = listen_of ~socket ~port in
-    let config =
-      {
-        Server.db_path = db;
-        listen;
-        cache_entries;
-        session_trials;
-        session_deadline_s;
-        io_timeout_s;
-        idle_timeout_s;
-        max_sessions;
-        watchdog_s;
-      }
-    in
-    let server = Server.create config in
-    let stats =
-      Server.run server ~ready:(fun () ->
-          (* The readiness line scripts wait for before connecting. *)
-          Format.printf "pqdb-serve listening on %s@." (Server.pp_listen listen))
-    in
-    let c = stats.Server.cache in
-    Format.eprintf
-      "-- served %d sessions, %d queries (%d errors, %d dropped, %d shed, \
-       %d reaped)@."
-      stats.Server.sessions stats.Server.queries stats.Server.errors
-      stats.Server.dropped stats.Server.shed stats.Server.reaped;
-    Format.eprintf "-- cache: %d hits, %d misses, %d evictions, %d entries \
-                    resident (cap %d)@."
-      c.Pqdb_montecarlo.Memo.hits c.Pqdb_montecarlo.Memo.misses
-      c.Pqdb_montecarlo.Memo.evictions c.Pqdb_montecarlo.Memo.entries
+  apply_faultpoints faultpoints;
+  check_positive_int "cache-entries" (Some cache_entries);
+  check_positive_int "session-trials" session_trials;
+  check_positive_float "session-deadline" session_deadline_s;
+  check_positive_float "io-timeout" io_timeout_s;
+  check_positive_float "idle-timeout" idle_timeout_s;
+  check_positive_int "max-sessions" max_sessions;
+  check_positive_float "watchdog" watchdog_s;
+  if not (Sys.file_exists db) then
+    failwith (Printf.sprintf "database %S does not exist" db);
+  let listen = listen_of ~socket ~port in
+  let config =
+    {
+      Server.db_path = db;
+      listen;
       cache_entries;
-    0
-  with
-  | Failure msg | Invalid_argument msg | Sys_error msg ->
-      Format.eprintf "error: %s@." msg;
-      1
-  | Pqdb_runtime.Pqdb_error.Error e ->
-      Format.eprintf "error: %s@." (Pqdb_runtime.Pqdb_error.to_string e);
-      1
-  | Unix.Unix_error (err, fn, arg) ->
-      Format.eprintf "error: %s: %s %s@." fn (Unix.error_message err) arg;
-      1
+      session_trials;
+      session_deadline_s;
+      io_timeout_s;
+      idle_timeout_s;
+      max_sessions;
+      watchdog_s;
+    }
+  in
+  let server = Server.create config in
+  let stats =
+    Server.run server ~ready:(fun () ->
+        (* The readiness line scripts wait for before connecting. *)
+        Format.printf "pqdb-serve listening on %s@." (Server.pp_listen listen))
+  in
+  let c = stats.Server.cache in
+  Format.eprintf
+    "-- served %d sessions, %d queries (%d errors, %d dropped, %d shed, \
+     %d reaped)@."
+    stats.Server.sessions stats.Server.queries stats.Server.errors
+    stats.Server.dropped stats.Server.shed stats.Server.reaped;
+  Format.eprintf "-- cache: %d hits, %d misses, %d evictions, %d entries \
+                  resident (cap %d)@."
+    c.Pqdb_montecarlo.Memo.hits c.Pqdb_montecarlo.Memo.misses
+    c.Pqdb_montecarlo.Memo.evictions c.Pqdb_montecarlo.Memo.entries
+    cache_entries;
+  0
 
-let query_cmd socket port retries retry_delay_s timeout_s asserts spec_words =
+let query_cmd socket port retries retry_delay_s timeout_s asserts spec_words
+    () =
   let module Client = Pqdb_serve.Client in
-  try
-    check_nonneg_int "retries" (Some retries);
-    check_positive_float "retry-delay" retry_delay_s;
-    check_positive_float "timeout" timeout_s;
-    let listen = listen_of ~socket ~port in
-    let spec = String.concat " " spec_words in
-    if String.trim spec = "" then
-      failwith
-        "no request given; try e.g.: pqdb query --socket S conf events";
-    (* Constraint state is per serve session: each --assert is sent as its
-       own request on the same connection, before the query, so a conf
-       reply is conditioned on their conjunction.  Parsed locally first —
-       a typo fails here, without a round trip. *)
-    List.iter (fun a -> ignore (Qparser.parse_constraint a)) asserts;
-    (* --timeout T budgets the query end to end: conf requests carry
-       [deadline=T] to the server, whose anytime engine answers by the
-       cutoff with the sound brackets reached so far (the degraded answer),
-       while the client arms a slightly larger socket deadline that turns a
-       genuinely wedged daemon into a typed Timeout instead of a hang. *)
-    let spec, io_timeout_s =
-      match timeout_s with
-      | None -> (spec, None)
-      | Some t ->
-          let spec =
-            let has_deadline =
-              List.exists
-                (fun w -> String.length w >= 9 && String.sub w 0 9 = "deadline=")
-                (String.split_on_char ' ' spec)
-            in
-            if
-              String.length spec >= 5
-              && String.sub spec 0 5 = "conf "
-              && not has_deadline
-            then Printf.sprintf "%s deadline=%g" spec t
-            else spec
+  check_nonneg_int "retries" (Some retries);
+  check_positive_float "retry-delay" retry_delay_s;
+  check_positive_float "timeout" timeout_s;
+  let listen = listen_of ~socket ~port in
+  let spec = String.concat " " spec_words in
+  if String.trim spec = "" then
+    failwith
+      "no request given; try e.g.: pqdb query --socket S conf events";
+  (* Constraint state is per serve session: each --assert is sent as its
+     own request on the same connection, before the query, so a conf
+     reply is conditioned on their conjunction.  Parsed locally first —
+     a typo fails here, without a round trip. *)
+  List.iter (fun a -> ignore (Qparser.parse_constraint a)) asserts;
+  (* --timeout T budgets the query end to end: conf requests carry
+     [deadline=T] to the server, whose anytime engine answers by the
+     cutoff with the sound brackets reached so far (the degraded answer),
+     while the client arms a slightly larger socket deadline that turns a
+     genuinely wedged daemon into a typed Timeout instead of a hang. *)
+  let spec, io_timeout_s =
+    match timeout_s with
+    | None -> (spec, None)
+    | Some t ->
+        let spec =
+          let has_deadline =
+            List.exists
+              (fun w -> String.length w >= 9 && String.sub w 0 9 = "deadline=")
+              (String.split_on_char ' ' spec)
           in
-          (spec, Some ((t *. 1.5) +. 1.0))
-    in
-    let c =
-      Client.connect ~retries
-        ?retry_delay_s
-        ?io_timeout_s listen
-    in
-    let ok, body =
-      Fun.protect
-        ~finally:(fun () -> Client.close c)
-        (fun () ->
-          let rec with_asserts = function
-            | [] -> Client.query c spec
-            | a :: rest -> (
-                match Client.query c ("assert " ^ a) with
-                | true, _ -> with_asserts rest
-                | (false, _) as err -> err)
-          in
-          with_asserts asserts)
-    in
-    if ok then begin
-      print_string body;
-      flush stdout;
-      0
-    end
-    else begin
-      Format.eprintf "error: %s@." body;
-      1
-    end
-  with
-  | Failure msg | Invalid_argument msg | Sys_error msg ->
-      Format.eprintf "error: %s@." msg;
-      1
-  | Pqdb_runtime.Pqdb_error.Error e ->
-      Format.eprintf "error: %s@." (Pqdb_runtime.Pqdb_error.to_string e);
-      1
-  | Unix.Unix_error (err, fn, arg) ->
-      Format.eprintf "error: %s: %s %s@." fn (Unix.error_message err) arg;
-      1
-  | Qparser.Error (msg, off) ->
-      Format.eprintf "parse error at offset %d: %s@." off msg;
-      1
-  | Pqdb_lang.Lexer.Error (msg, off) ->
-      Format.eprintf "lex error at offset %d: %s@." off msg;
-      1
+          if
+            String.length spec >= 5
+            && String.sub spec 0 5 = "conf "
+            && not has_deadline
+          then Printf.sprintf "%s deadline=%g" spec t
+          else spec
+        in
+        (spec, Some ((t *. 1.5) +. 1.0))
+  in
+  let c =
+    Client.connect ~retries
+      ?retry_delay_s
+      ?io_timeout_s listen
+  in
+  let ok, body =
+    Fun.protect
+      ~finally:(fun () -> Client.close c)
+      (fun () ->
+        let rec with_asserts = function
+          | [] -> Client.query c spec
+          | a :: rest -> (
+              match Client.query c ("assert " ^ a) with
+              | true, _ -> with_asserts rest
+              | (false, _) as err -> err)
+        in
+        with_asserts asserts)
+  in
+  if ok then begin
+    print_string body;
+    flush stdout;
+    0
+  end
+  else begin
+    Format.eprintf "error: %s@." body;
+    1
+  end
 
 (* --- checkpoint ------------------------------------------------------- *)
 
-let compact_cmd path =
-  try
-    let kept, dropped = Pqdb_montecarlo.Shard.compact_journal path in
-    Format.printf "compacted %s: %d records kept, %d dropped@." path kept
-      dropped;
-    0
-  with
-  | Failure msg | Invalid_argument msg | Sys_error msg ->
-      Format.eprintf "error: %s@." msg;
-      1
-  | Pqdb_runtime.Pqdb_error.Error e ->
-      Format.eprintf "error: %s@." (Pqdb_runtime.Pqdb_error.to_string e);
-      1
+let compact_cmd path () =
+  let kept, dropped = Pqdb_montecarlo.Shard.compact_journal path in
+  Format.printf "compacted %s: %d records kept, %d dropped@." path kept
+    dropped;
+  0
 
 (* --- repl ------------------------------------------------------------- *)
 
@@ -1138,7 +1034,7 @@ statements (terminated by ';'):
   let NAME = QUERY;     define a view
   QUERY;                evaluate and print|}
 
-let repl_cmd seed =
+let repl_cmd seed () =
   let udb = Udb.create () in
   let views = ref [] in
   let approx = ref false in
@@ -1155,6 +1051,11 @@ let repl_cmd seed =
            !views)
     in
     defs ^ text
+  in
+  let strip_semi text =
+    if String.length text > 0 && text.[String.length text - 1] = ';' then
+      String.sub text 0 (String.length text - 1)
+    else text
   in
   let evaluate text =
     match Qparser.parse_program (substitute text) with
@@ -1192,12 +1093,8 @@ let repl_cmd seed =
             | Some i ->
                 let name = String.trim (String.sub t 4 (i - 4)) in
                 let body =
-                  String.trim (String.sub t (i + 1) (String.length t - i - 1))
-                in
-                let body =
-                  if String.length body > 0 && body.[String.length body - 1] = ';'
-                  then String.sub body 0 (String.length body - 1)
-                  else body
+                  strip_semi
+                    (String.trim (String.sub t (i + 1) (String.length t - i - 1)))
                 in
                 views := (name, body) :: List.remove_assoc name !views;
                 Format.printf "view %s defined@." name
@@ -1205,6 +1102,14 @@ let repl_cmd seed =
           end
       | _, Some _ -> evaluate text
     end
+  in
+  (* \explain and \plan take the rest of the line as a query. *)
+  let with_query rest f =
+    match
+      Qparser.parse_program (substitute (strip_semi (String.concat " " rest)))
+    with
+    | _, Some q -> f q
+    | _, None -> Format.printf "no query@."
   in
   let handle_command line =
     match String.split_on_char ' ' (String.trim line) with
@@ -1246,8 +1151,8 @@ let repl_cmd seed =
             Format.printf "opened %s@." dir
         | exception Sys_error msg -> Format.printf "cannot open: %s@." msg
         | exception Invalid_argument msg -> Format.printf "bad db: %s@." msg
-        | exception Pqdb_runtime.Pqdb_error.Error e ->
-            Format.printf "bad db: %s@." (Pqdb_runtime.Pqdb_error.to_string e)
+        | exception Pqdb_error.Error e ->
+            Format.printf "bad db: %s@." (Pqdb_error.to_string e)
       end
     | [ "\\save"; dir ] -> begin
         match Udb_io.save dir udb with
@@ -1264,51 +1169,26 @@ let repl_cmd seed =
         | exception Invalid_argument msg -> Format.printf "bad csv: %s@." msg
       end
     | [ "\\explain" ] -> Format.printf "usage: \\explain QUERY;@."
-    | "\\explain" :: rest -> begin
-        let text = String.concat " " rest in
-        let text =
-          if String.length text > 0 && text.[String.length text - 1] = ';'
-          then String.sub text 0 (String.length text - 1)
-          else text
-        in
-        match Qparser.parse_program (substitute text) with
-        | _, Some q -> begin
-            match Pqdb.Provenance.compute (Udb.copy udb) q with
-            | prov ->
-                let result = Pqdb.Provenance.result prov in
-                print_result_urel result;
-                List.iter
-                  (fun t ->
-                    Format.printf "--   %a <- %a@." Tuple.pp t
-                      (Format.pp_print_list
-                         ~pp_sep:(fun f () -> Format.pp_print_string f ", ")
-                         Pqdb.Provenance.pp_leaf)
-                      (Pqdb.Provenance.leaves prov t))
-                  (Pqdb_urel.Urelation.possible_tuples result)
-            | exception Pqdb.Eval_exact.Unsupported msg ->
-                Format.printf "unsupported: %s@." msg
-          end
-        | _, None -> Format.printf "no query@."
-        | exception Qparser.Error (msg, off) ->
-            Format.printf "parse error at %d: %s@." off msg
-      end
+    | "\\explain" :: rest ->
+        with_query rest (fun q ->
+            print_provenance (Pqdb.Provenance.compute (Udb.copy udb) q))
     | [ "\\plan" ] -> Format.printf "usage: \\plan QUERY;@."
-    | "\\plan" :: rest -> begin
-        let text = String.concat " " rest in
-        let text =
-          if String.length text > 0 && text.[String.length text - 1] = ';'
-          then String.sub text 0 (String.length text - 1)
-          else text
-        in
-        match Qparser.parse_program (substitute text) with
-        | _, Some q ->
+    | "\\plan" :: rest ->
+        with_query rest (fun q ->
             let optimized = Pqdb.Optimizer.optimize_for udb q in
-            Format.printf "%s@." (Pqdb_lang.Pretty.query_to_string optimized)
-        | _, None -> Format.printf "no query@."
-        | exception Qparser.Error (msg, off) ->
-            Format.printf "parse error at %d: %s@." off msg
-      end
+            Format.printf "%s@." (Pqdb_lang.Pretty.query_to_string optimized))
     | _ -> Format.printf "unknown command; \\help for help@."
+  in
+  (* A bad command or statement is reported and the session goes on. *)
+  let report f =
+    try f () with
+    | Qparser.Error (msg, off) -> Format.printf "parse error at %d: %s@." off msg
+    | Pqdb_lang.Lexer.Error (msg, off) ->
+        Format.printf "lex error at %d: %s@." off msg
+    | Pqdb.Eval_exact.Unsupported msg -> Format.printf "unsupported: %s@." msg
+    | Invalid_argument msg | Failure msg -> Format.printf "error: %s@." msg
+    | Pqdb_error.Error e ->
+        Format.printf "error: %s@." (Pqdb_error.to_string e)
   in
   (try
      while true do
@@ -1319,25 +1199,14 @@ let repl_cmd seed =
        | Some line ->
            if Buffer.length buffer = 0 && String.length (String.trim line) > 0
               && (String.trim line).[0] = '\\'
-           then handle_command line
+           then report (fun () -> handle_command line)
            else begin
              Buffer.add_string buffer line;
              Buffer.add_char buffer '\n';
              if String.contains line ';' then begin
                let text = Buffer.contents buffer in
                Buffer.clear buffer;
-               try handle_statement text with
-               | Qparser.Error (msg, off) ->
-                   Format.printf "parse error at %d: %s@." off msg
-               | Pqdb_lang.Lexer.Error (msg, off) ->
-                   Format.printf "lex error at %d: %s@." off msg
-               | Pqdb.Eval_exact.Unsupported msg ->
-                   Format.printf "unsupported: %s@." msg
-               | Invalid_argument msg | Failure msg ->
-                   Format.printf "error: %s@." msg
-               | Pqdb_runtime.Pqdb_error.Error e ->
-                   Format.printf "error: %s@."
-                     (Pqdb_runtime.Pqdb_error.to_string e)
+               report (fun () -> handle_statement text)
              end
            end
      done
@@ -1347,6 +1216,9 @@ let repl_cmd seed =
 (* --- cmdliner wiring -------------------------------------------------- *)
 
 open Cmdliner
+
+(* Every subcommand body runs inside [guard]. *)
+let guarded ?prefix info term = Cmd.v info Term.(const (guard ?prefix) $ term)
 
 let db_arg =
   Arg.(
@@ -1416,6 +1288,15 @@ let max_trials_arg =
           "Anytime mode: cap the total number of Monte Carlo estimator \
            trials across the whole run.")
 
+let compile_fuel_arg =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "compile-fuel" ] ~docv:"FUEL"
+        ~doc:
+          "Lineage-compilation fuel per candidate (0 disables compilation \
+           and recovers pure-sampling multisimulation).")
+
 let seed_arg =
   Arg.(
     value & opt int 42
@@ -1435,9 +1316,20 @@ let faultpoints_arg =
           "Arm fault-injection sites for robustness drills (comma-separated, \
            repeatable), like the PQDB_FAULTPOINTS environment variable.  \
            Each entry names a known site, optionally with a shot count and \
-           a behavior: $(b,\\@raise) (default), $(b,\\@delay:MS), \
-           $(b,\\@stall) (block until disarmed, capped), or $(b,\\@torn) \
+           a behavior: $(b,@raise) (default), $(b,@delay:MS), \
+           $(b,@stall) (block until disarmed, capped), or $(b,@torn) \
            (truncated write).")
+
+(* run has no --compile-fuel and worker no --deadline/--max-trials; a knob
+   a command lacks stays unset. *)
+let engine_term ?(fuel = true) ?(budget = true) () =
+  let unset = Term.const None in
+  Term.(
+    const make_engine $ seed_arg $ delta_arg
+    $ (if fuel then compile_fuel_arg else unset)
+    $ (if budget then deadline_arg else unset)
+    $ (if budget then max_trials_arg else unset)
+    $ faultpoints_arg)
 
 let shard_size_arg =
   Arg.(
@@ -1492,10 +1384,9 @@ let asserts_arg =
 
 let run_term =
   Term.(
-    const run_cmd $ db_arg $ tables_arg $ query_file_arg $ approx_arg
-    $ optimize_arg $ delta_arg $ eps0_arg $ deadline_arg $ max_trials_arg
-    $ seed_arg $ shard_size_arg $ checkpoint_arg $ resume_arg $ retries_arg
-    $ faultpoints_arg $ asserts_arg $ query_arg)
+    const run_cmd $ engine_term ~fuel:false () $ db_arg $ tables_arg
+    $ query_file_arg $ approx_arg $ optimize_arg $ eps0_arg $ shard_size_arg
+    $ checkpoint_arg $ resume_arg $ retries_arg $ asserts_arg $ query_arg)
 
 let run_cmd_info =
   Cmd.info "run" ~doc:"Evaluate a UA query over CSV base tables."
@@ -1526,20 +1417,10 @@ let k_arg =
     value & opt int 3
     & info [ "k" ] ~docv:"K" ~doc:"How many tuples to return (default 3).")
 
-let compile_fuel_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "compile-fuel" ] ~docv:"FUEL"
-        ~doc:
-          "Lineage-compilation fuel per candidate (0 disables compilation \
-           and recovers pure-sampling multisimulation).")
-
 let topk_term =
   Term.(
-    const topk_cmd $ db_arg $ tables_arg $ query_file_arg $ k_arg $ delta_arg
-    $ compile_fuel_arg $ deadline_arg $ max_trials_arg $ seed_arg
-    $ faultpoints_arg $ asserts_arg $ query_arg)
+    const topk_cmd $ engine_term () $ db_arg $ tables_arg $ query_file_arg
+    $ k_arg $ asserts_arg $ query_arg)
 
 let topk_cmd_info =
   Cmd.info "topk"
@@ -1644,10 +1525,9 @@ let reconnects_arg =
 
 let batch_term =
   Term.(
-    const batch_cmd $ db_arg $ relation_arg $ gen_arg $ gen_seed_arg $ eps_arg
-    $ delta_arg $ seed_arg $ compile_fuel_arg $ shard_size_arg
-    $ checkpoint_arg $ resume_arg $ retries_arg $ deadline_arg
-    $ max_trials_arg $ workers_arg $ connect_arg $ lease_ttl_arg
+    const batch_cmd $ engine_term () $ db_arg $ relation_arg $ gen_arg
+    $ gen_seed_arg $ eps_arg $ shard_size_arg $ checkpoint_arg $ resume_arg
+    $ retries_arg $ workers_arg $ connect_arg $ lease_ttl_arg
     $ heartbeat_interval_arg $ reconnects_arg
     $ Arg.(
         value
@@ -1659,7 +1539,7 @@ let batch_term =
                lost and its shard reassigned, instead of hanging the run.  \
                Pick it above the worker heartbeat interval and the lease \
                TTL.  Default: block.")
-    $ asserts_arg $ faultpoints_arg)
+    $ asserts_arg)
 
 let batch_cmd_info =
   Cmd.info "batch"
@@ -1672,8 +1552,8 @@ let batch_cmd_info =
 
 let worker_term =
   Term.(
-    const worker_cmd $ db_arg $ relation_arg $ gen_arg $ gen_seed_arg
-    $ eps_arg $ delta_arg $ seed_arg $ compile_fuel_arg $ shard_size_arg
+    const worker_cmd $ engine_term ~budget:false () $ db_arg $ relation_arg
+    $ gen_arg $ gen_seed_arg $ eps_arg $ shard_size_arg
     $ Arg.(
         value
         & opt (some string) None
@@ -1692,8 +1572,7 @@ let worker_term =
         & info [ "sessions" ] ~docv:"N"
             ~doc:
               "With $(b,--listen): exit after serving N coordinator \
-               sessions.  Default: serve forever.")
-    $ faultpoints_arg)
+               sessions.  Default: serve forever."))
 
 let worker_cmd_info =
   Cmd.info "worker"
@@ -1927,7 +1806,7 @@ let checkpoint_group =
     (Cmd.info "checkpoint"
        ~doc:"Maintain crash-recovery journals written by $(b,--checkpoint).")
     [
-      Cmd.v
+      guarded
         (Cmd.info "compact"
            ~doc:
              "Rewrite a journal keeping only the latest record per shard \
@@ -1949,18 +1828,18 @@ let main =
          "Probabilistic database with approximate predicates and expressive \
           queries (Koch, PODS 2008).")
     [
-      Cmd.v run_cmd_info run_term;
-      Cmd.v parse_cmd_info parse_term;
-      Cmd.v demo_cmd_info demo_term;
-      Cmd.v repl_cmd_info repl_term;
-      Cmd.v explain_cmd_info explain_term;
-      Cmd.v topk_cmd_info topk_term;
-      Cmd.v batch_cmd_info batch_term;
-      Cmd.v worker_cmd_info worker_term;
-      Cmd.v convert_cmd_info convert_term;
-      Cmd.v gen_db_cmd_info gen_db_term;
-      Cmd.v serve_cmd_info serve_term;
-      Cmd.v query_cmd_info query_term;
+      guarded run_cmd_info run_term;
+      guarded parse_cmd_info parse_term;
+      guarded demo_cmd_info demo_term;
+      guarded repl_cmd_info repl_term;
+      guarded explain_cmd_info explain_term;
+      guarded topk_cmd_info topk_term;
+      guarded batch_cmd_info batch_term;
+      guarded ~prefix:"worker error" worker_cmd_info worker_term;
+      guarded convert_cmd_info convert_term;
+      guarded gen_db_cmd_info gen_db_term;
+      guarded serve_cmd_info serve_term;
+      guarded query_cmd_info query_term;
       checkpoint_group;
     ]
 

@@ -231,23 +231,30 @@ let solve_clauses ?budget ?fuel ?cache rng w c den clauses ~eps ~delta =
     exact = den.d_exact && trials = 0;
   }
 
+(* Lane n is the denominator's; lanes 0..n-1 are per-tuple.  Splitting
+   from one seed keeps the whole conditioned answer a pure function of
+   (lineage, constraint set, seed, eps, delta, fuel). *)
+let solve_batch ?budget ?fuel ?cache ~seed w c sets ~eps ~delta =
+  let n = Array.length sets in
+  let rngs = Rng.split_n (Rng.create ~seed) (n + 1) in
+  let den = solve_denominator ?budget ?fuel ?cache rngs.(n) w c ~eps ~delta in
+  ( den,
+    Array.mapi
+      (fun i clauses ->
+        solve_clauses ?budget ?fuel ?cache rngs.(i) w c den clauses ~eps
+          ~delta)
+      sets )
+
 let approx_confidences ?budget ?fuel ?cache ?(seed = 42) ?(eps = 0.05)
     ?(delta = 0.01) udb c q =
   let u = Pqdb.Eval_exact.eval udb q in
-  let w = Udb.wtable udb in
   let pairs = Urelation.clauses_by_tuple u in
-  let n = List.length pairs in
-  (* Lane n is the denominator's; lanes 0..n-1 are per-tuple.  Splitting
-     from one seed keeps the whole conditioned answer a pure function of
-     (db, query, constraint set, seed, eps, delta, fuel). *)
-  let rngs = Rng.split_n (Rng.create ~seed) (n + 1) in
-  let den = solve_denominator ?budget ?fuel ?cache rngs.(n) w c ~eps ~delta in
-  List.mapi
-    (fun i (t, clauses) ->
-      ( t,
-        solve_clauses ?budget ?fuel ?cache rngs.(i) w c den clauses ~eps
-          ~delta ))
-    pairs
+  let _, estimates =
+    solve_batch ?budget ?fuel ?cache ~seed (Udb.wtable udb) c
+      (Array.of_list (List.map snd pairs))
+      ~eps ~delta
+  in
+  List.mapi (fun i (t, _) -> (t, estimates.(i))) pairs
 
 let topk ?budget ?fuel ?cache ?seed ?eps ?delta ~k udb c q =
   if k < 0 then invalid_arg "Condition.topk: k must be >= 0";

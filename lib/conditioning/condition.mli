@@ -81,40 +81,32 @@ type denominator
 (** A solved [Pr(c)] bracket, certified positive — computed once and shared
     by every tuple of a batch. *)
 
-val solve_denominator :
-  ?budget:Budget.t ->
-  ?fuel:int ->
-  ?cache:Memo.t ->
-  Rng.t ->
-  Wtable.t ->
-  compiled ->
-  eps:float ->
-  delta:float ->
-  denominator
-(** @raise Pqdb_runtime.Pqdb_error.Error ([Unsatisfiable_condition]) when
-    the [Pr(c)] bracket is certified zero or cannot be bounded away from
-    zero. *)
-
 val denominator_interval : denominator -> Interval.t
 val denominator_trials : denominator -> int
 
-val solve_clauses :
+val solve_batch :
   ?budget:Budget.t ->
   ?fuel:int ->
   ?cache:Memo.t ->
-  Rng.t ->
+  seed:int ->
   Wtable.t ->
   compiled ->
-  denominator ->
-  Assignment.t list ->
+  Assignment.t list array ->
   eps:float ->
   delta:float ->
-  estimate
-(** Conditioned confidence of one tuple lineage.  With a [cache], entries
-    are keyed on the tuple's own clauses salted with the constraint-set
-    fingerprint (plus a conjunct tag), so conditioned and unconditioned
-    entries never alias and a warm conditioned reply is byte-identical to
-    its cold run. *)
+  denominator * estimate array
+(** Conditioned confidence of every tuple lineage in [sets]: the shared
+    [Pr(c)] denominator, then one estimate per tuple, in order.  The RNG
+    lanes are split from [seed]: lane [n] (one past the last tuple) feeds
+    the denominator, lane [i] tuple [i], so the answer is a pure function
+    of (lineage, constraint set, seed, eps, delta, fuel).  With a [cache],
+    entries are keyed on each tuple's own clauses salted with the
+    constraint-set fingerprint (plus a conjunct tag), so conditioned and
+    unconditioned entries never alias and a warm conditioned answer is
+    byte-identical to its cold run.
+    @raise Pqdb_runtime.Pqdb_error.Error ([Unsatisfiable_condition]) when
+    the [Pr(c)] bracket is certified zero or cannot be bounded away from
+    zero. *)
 
 val approx_confidences :
   ?budget:Budget.t ->

@@ -147,20 +147,22 @@ let parse_kv ~relation args =
     args;
   (!eps, !delta, !seed, !fuel, !q_deadline, !q_trials)
 
+(* The lineage of every possible tuple of a served relation, in tuple
+   order. *)
+let relation_sets t relation =
+  match Udb.find t.udb relation with
+  | u -> Array.of_list (List.map snd (Urelation.clauses_by_tuple u))
+  | exception Not_found ->
+      fail "unknown relation %S (database has: %s)" relation
+        (String.concat ", " (Udb.names t.udb))
+
 (* The conf body reuses the batch output contract verbatim — one
    "%d %h %h %h %d" line per tuple (index, estimate, lo, hi, trials) — so
    a serve reply is byte-comparable against `pqdb batch` output and against
    itself across warm and cold runs. *)
 let run_conf t ?budget ~relation ~eps ~delta ~seed ~fuel () =
-  let u =
-    match Udb.find t.udb relation with
-    | u -> u
-    | exception Not_found ->
-        fail "unknown relation %S (database has: %s)" relation
-          (String.concat ", " (Udb.names t.udb))
-  in
+  let sets = relation_sets t relation in
   let w = Udb.wtable t.udb in
-  let sets = Array.of_list (List.map snd (Urelation.clauses_by_tuple u)) in
   let n = Array.length sets in
   let rngs = Rng.split_n (Rng.create ~seed) n in
   let buf = Buffer.create (64 * (n + 1)) in
@@ -173,37 +175,24 @@ let run_conf t ?budget ~relation ~eps ~delta ~seed ~fuel () =
   Buffer.contents buf
 
 (* Conditioned variant: same output contract, same [seed]-deterministic RNG
-   discipline (one extra lane, past the per-tuple ones, feeds the shared
-   denominator), with every cache entry salted by the constraint-set
-   fingerprint inside {!Condition.solve_clauses} — a warm conditioned reply
-   is byte-identical to its cold run, and can never be served from an
+   discipline ({!Condition.solve_batch}: one extra lane, past the per-tuple
+   ones, feeds the shared denominator), with every cache entry salted by
+   the constraint-set fingerprint — a warm conditioned reply is
+   byte-identical to its cold run, and can never be served from an
    unconditioned entry (or vice versa). *)
 let run_conf_conditioned t ?budget ~compiled ~relation ~eps ~delta ~seed
     ~fuel () =
-  let u =
-    match Udb.find t.udb relation with
-    | u -> u
-    | exception Not_found ->
-        fail "unknown relation %S (database has: %s)" relation
-          (String.concat ", " (Udb.names t.udb))
+  let sets = relation_sets t relation in
+  let _, estimates =
+    Condition.solve_batch ?budget ?fuel ~cache:t.cache ~seed
+      (Udb.wtable t.udb) compiled sets ~eps ~delta
   in
-  let w = Udb.wtable t.udb in
-  let sets = Array.of_list (List.map snd (Urelation.clauses_by_tuple u)) in
-  let n = Array.length sets in
-  let rngs = Rng.split_n (Rng.create ~seed) (n + 1) in
-  let den =
-    Condition.solve_denominator ?budget ?fuel ~cache:t.cache rngs.(n) w
-      compiled ~eps ~delta
-  in
-  let buf = Buffer.create (64 * (n + 1)) in
-  for i = 0 to n - 1 do
-    let e =
-      Condition.solve_clauses ?budget ?fuel ~cache:t.cache rngs.(i) w
-        compiled den sets.(i) ~eps ~delta
-    in
-    Printf.bprintf buf "%d %h %h %h %d\n" i e.Condition.value e.Condition.lo
-      e.Condition.hi e.Condition.trials
-  done;
+  let buf = Buffer.create (64 * (Array.length sets + 1)) in
+  Array.iteri
+    (fun i e ->
+      Printf.bprintf buf "%d %h %h %h %d\n" i e.Condition.value
+        e.Condition.lo e.Condition.hi e.Condition.trials)
+    estimates;
   Buffer.contents buf
 
 (* The session's compiled constraint lineage, built on first conditioned

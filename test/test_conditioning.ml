@@ -419,7 +419,20 @@ module Server = Pqdb_serve.Server
 
 let temp_counter = ref 0
 
-let with_server f =
+let server_config path =
+  {
+    Server.db_path = path;
+    listen = Server.Tcp 1;
+    cache_entries = 64;
+    session_trials = None;
+    session_deadline_s = None;
+    io_timeout_s = None;
+    idle_timeout_s = None;
+    max_sessions = None;
+    watchdog_s = None;
+  }
+
+let with_saved_db udb f =
   incr temp_counter;
   let path =
     Filename.concat
@@ -427,23 +440,14 @@ let with_server f =
       (Printf.sprintf "pqdb_conditioning_%d_%d.udbb" (Unix.getpid ())
          !temp_counter)
   in
-  Udb_io.save path (dirty_db ());
-  let config =
-    {
-      Server.db_path = path;
-      listen = Server.Tcp 1;
-      cache_entries = 64;
-      session_trials = None;
-      session_deadline_s = None;
-      io_timeout_s = None;
-      idle_timeout_s = None;
-      max_sessions = None;
-      watchdog_s = None;
-    }
-  in
+  Udb_io.save path udb;
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () -> f (Server.create config))
+    (fun () -> f path)
+
+let with_server f =
+  with_saved_db (dirty_db ()) (fun path ->
+      f (Server.create (server_config path)))
 
 let test_serve_conditioned_warm_cold () =
   with_server (fun srv ->
@@ -507,6 +511,56 @@ let test_serve_unsatisfiable_is_typed () =
       | exception Pqdb_error.Error (Pqdb_error.Unsatisfiable_condition _) ->
           ())
 
+(* A session's conditioned conf reply is the batch line format over
+   Condition.solve_batch, byte for byte, for the same seed, eps, delta and
+   fuel — sampled (fuel=0) as well as compiled. *)
+let test_serve_reply_is_solve_batch () =
+  let udb =
+    Pqdb_workload.Gen.dirty_db (Rng.create ~seed:4242) ~entities:6 ~max_dups:3
+  in
+  with_saved_db udb (fun path ->
+      let srv = Server.create (server_config path) in
+      let sess = Server.new_session () in
+      ignore (Server.dispatch srv ~session:sess "assert fd[id -> name](people)");
+      let db = Udb_io.load path in
+      let compiled =
+        Condition.compile db
+          (Cset.of_list
+             [
+               Uconstraint.Fd
+                 { table = "people"; key = [ "id" ]; determined = [ "name" ] };
+             ])
+      in
+      let sets =
+        Array.of_list
+          (List.map snd (Urelation.clauses_by_tuple (Udb.find db "people")))
+      in
+      List.iter
+        (fun (seed, eps, delta, fuel) ->
+          let _, estimates =
+            Condition.solve_batch ?fuel ~seed (Udb.wtable db) compiled sets
+              ~eps ~delta
+          in
+          if fuel = Some 0 then
+            check bool_c "fuel=0 samples" true
+              (Array.exists (fun e -> e.Condition.trials > 0) estimates);
+          let expected = Buffer.create 256 in
+          Array.iteri
+            (fun i e ->
+              Printf.bprintf expected "%d %h %h %h %d\n" i e.Condition.value
+                e.Condition.lo e.Condition.hi e.Condition.trials)
+            estimates;
+          let request =
+            Printf.sprintf "conf people eps=%g delta=%g seed=%d%s" eps delta
+              seed
+              (match fuel with
+              | Some f -> Printf.sprintf " fuel=%d" f
+              | None -> "")
+          in
+          check string_c request (Buffer.contents expected)
+            (Server.dispatch srv ~session:sess request))
+        [ (42, 0.05, 0.01, None); (7, 0.05, 0.05, Some 0) ])
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -567,5 +621,7 @@ let () =
             test_serve_assert_errors;
           Alcotest.test_case "unsatisfiable set is typed" `Quick
             test_serve_unsatisfiable_is_typed;
+          Alcotest.test_case "conditioned reply is solve_batch" `Quick
+            test_serve_reply_is_solve_batch;
         ] );
     ]
