@@ -1,111 +1,74 @@
 open Pqdb_numeric
 open Pqdb_urel
 
-type node =
-  | Const of float
-  | Res of int
-  | Sum of (float * node) array
-  | IndepOr of node array
-
 type t = {
-  root : node;
+  nodes : float Lineage.node array;  (* children before parents; root last *)
   residuals : Dnf.t array;
   res_weights : float array;  (* per residual: Σ path weights, ∂P/∂p̂ᵢ ≤ wᵢ *)
-  fallback : Dnf.t option;
-      (* the whole normalized DNF, prepared, when residuals exist: [solve]
-         reverts to it when the residual budgets are worse than sampling the
-         original problem (Shannon truncation can duplicate clauses across
-         leaves, inflating Σ|Fᵢ| past |F|). *)
+  fallback : (Wtable.t * Assignment.t list) option;
+      (* the whole normalized DNF, unless the root is itself the residual:
+         [solve] prepares and samples it when the residual budgets are worse
+         than sampling the original problem (Shannon truncation can
+         duplicate clauses across leaves, inflating Σ|Fᵢ| past |F|). *)
 }
 
 let default_fuel = 4096
 
+let float_ops w =
+  { Lineage.zero = 0.; one = 1.; add = ( +. ); mul = ( *. );
+    complement = (fun p -> 1. -. p); prob = Wtable.prob_float w }
+
 let compile ?(fuel = default_fuel) w clauses =
-  let residuals = ref [] in
-  let nres = ref 0 in
-  let fuel = ref fuel in
-  let residual cs =
-    let i = !nres in
-    incr nres;
-    residuals := Dnf.prepare w cs :: !residuals;
-    Res i
-  in
-  let normalized = Lineage.normalize clauses in
-  let rec go clauses =
-    match Lineage.normalize clauses with
-    | [] -> Const 0.
-    | [ c ] -> Const (Assignment.weight_float w c)
-    | cs when !fuel <= 0 -> residual cs
-    | cs -> (
-        match Lineage.split cs with
-        | Lineage.Independent comps ->
-            IndepOr (Array.of_list (List.map go comps))
-        | Lineage.Disjoint v ->
-            (* The branches v = x are mutually exclusive and every clause
-               shrinks, so expansion is free (no Shannon fuel) and
-               terminates on binding count alone. *)
-            expand v cs
-        | Lineage.Shannon v ->
-            fuel := !fuel - Wtable.domain_size w v - List.length cs;
-            expand v cs)
-  and expand v cs =
-    let n = Wtable.domain_size w v in
-    Sum
-      (Array.init n (fun x ->
-           (Wtable.prob_float w v x, go (Lineage.condition cs v x))))
-  in
-  let root = go normalized in
-  let residuals = Array.of_list (List.rev !residuals) in
+  let dag = Lineage.decompose ~fuel (float_ops w) w clauses in
+  let nodes = dag.Lineage.nodes in
+  let residuals = Array.map (Dnf.prepare w) dag.Lineage.residuals in
+  (* Path weights in one pass from the root down: a node's weight is final
+     once all its parents, which come later, have pushed theirs. *)
   let res_weights = Array.make (Array.length residuals) 0. in
-  let rec walk pw = function
-    | Const _ -> ()
-    | Res i -> res_weights.(i) <- res_weights.(i) +. pw
-    | Sum branches -> Array.iter (fun (wx, c) -> walk (pw *. wx) c) branches
-    | IndepOr children -> Array.iter (walk pw) children
-  in
-  walk 1. root;
+  let n = Array.length nodes in
+  let pw = Array.make n 0. in
+  pw.(n - 1) <- 1.;
+  for i = n - 1 downto 0 do
+    match nodes.(i) with
+    | Lineage.Const _ -> ()
+    | Res r -> res_weights.(r) <- res_weights.(r) +. pw.(i)
+    | Sum bs -> Array.iter (fun (p, c) -> pw.(c) <- pw.(c) +. (pw.(i) *. p)) bs
+    | IndepOr cs -> Array.iter (fun c -> pw.(c) <- pw.(c) +. pw.(i)) cs
+  done;
   let fallback =
-    if Array.length residuals = 0 then None
-    else if Array.length residuals = 1 && res_weights.(0) = 1. then
-      (* The tree IS one residual (e.g. fuel 0): no separate fallback. *)
-      None
-    else Some (Dnf.prepare w normalized)
+    match nodes.(n - 1) with
+    | Lineage.Const _ | Res _ -> None
+    | Sum _ | IndepOr _ -> Some (w, dag.Lineage.clauses)
   in
-  { root; residuals; res_weights; fallback }
+  { nodes; residuals; res_weights; fallback }
 
 let residuals t = t.residuals
 let residual_count t = Array.length t.residuals
 let residual_weights t = Array.copy t.res_weights
 let is_exact t = residual_count t = 0
 
-let rec eval_node vals = function
-  | Const p -> p
-  | Res i -> vals.(i)
-  | Sum branches ->
-      Array.fold_left
-        (fun acc (w, c) -> acc +. (w *. eval_node vals c))
-        0. branches
-  | IndepOr children ->
-      1.
-      -. Array.fold_left
-           (fun acc c -> acc *. (1. -. eval_node vals c))
-           1. children
+(* One pass over the topologically ordered nodes. *)
+let eval vals nodes =
+  let n = Array.length nodes in
+  let v = Array.make n 0. in
+  for i = 0 to n - 1 do
+    v.(i) <-
+      (match nodes.(i) with
+      | Lineage.Const p -> p
+      | Res r -> vals.(r)
+      | Sum bs -> Array.fold_left (fun acc (w, c) -> acc +. (w *. v.(c))) 0. bs
+      | IndepOr cs ->
+          1. -. Array.fold_left (fun acc c -> acc *. (1. -. v.(c))) 1. cs)
+  done;
+  v.(n - 1)
 
 let value t vals =
   if Array.length vals <> Array.length t.residuals then
     invalid_arg "Compile.value: one estimate per residual expected";
-  eval_node vals t.root
+  eval vals t.nodes
 
-let exact_value t = if is_exact t then Some (eval_node [||] t.root) else None
-
-(* Count nodes for diagnostics/tests. *)
-let size t =
-  let rec go = function
-    | Const _ | Res _ -> 1
-    | Sum bs -> Array.fold_left (fun acc (_, c) -> acc + go c) 1 bs
-    | IndepOr cs -> Array.fold_left (fun acc c -> acc + go c) 1 cs
-  in
-  go t.root
+let exact_value t = if is_exact t then Some (eval [||] t.nodes) else None
+let size t = Array.length t.nodes
 
 type outcome = {
   value : float;
@@ -128,17 +91,17 @@ let residual_ub dnf = Float.min 1. (Dnf.total_weight dnf)
 
 let vacuous_interval t =
   if is_exact t then
-    let v = eval_node [||] t.root in
+    let v = eval [||] t.nodes in
     (v, v)
   else
-    (* The monotone tree at the residual extremes: the lower endpoint is the
+    (* The monotone DAG at the residual extremes: the lower endpoint is the
        exact compiled mass — what the tuple is worth with every residual
        written off — and the upper endpoint charges each residual its full
        a-priori mass min(1, Mᵢ). *)
     let zeros = Array.map (fun _ -> 0.) t.residuals in
     let ubs = Array.map residual_ub t.residuals in
-    ( Float.max 0. (eval_node zeros t.root),
-      Float.min 1. (eval_node ubs t.root) )
+    ( Float.max 0. (eval zeros t.nodes),
+      Float.min 1. (eval ubs t.nodes) )
 
 (* Per-residual sampling results are Karp_luby's partial records: estimate,
    sound interval, relative error certified at the residual's δ share
@@ -184,10 +147,10 @@ let solve_residuals rng t ~eps ~delta =
     (* Exact-mass tightening.  Phase 1: coarse (ε₁ = ½) estimates of every
        residual, spending δ/2r each.  They yield, with probability
        ≥ 1 − δ/2:
-         T_lo = value(p̂/1.5)   ≤ true tuple confidence   (monotone tree)
+         T_lo = value(p̂/1.5)   ≤ true tuple confidence   (monotone DAG)
          S_hi = 1.5·Σ wᵢ·p̂ᵢ    ≥ Σ wᵢ·pᵢ                  (sensitivity)
        Since |Δvalue| ≤ Σ wᵢ·|Δpᵢ| (the path weights bound the partial
-       derivatives of the multilinear tree), sampling every residual at
+       derivatives of the multilinear DAG), sampling every residual at
        relative ε₂ keeps the tuple error ≤ ε₂·Σwᵢpᵢ ≤ ε₂·S_hi.  So
        ε₂ = ε·T_lo/S_hi suffices for a relative-ε answer — the exact mass
        already in T_lo buys a looser, cheaper residual target.  Phase 2
@@ -204,7 +167,7 @@ let solve_residuals rng t ~eps ~delta =
     let p1 =
       Array.map (fun dnf -> sample_residual rng trials dnf ~eps:eps1 ~delta:d) t.residuals
     in
-    let t_lo = eval_node (Array.map (fun rr -> rr.p_lo) p1) t.root in
+    let t_lo = eval (Array.map (fun rr -> rr.p_lo) p1) t.nodes in
     (* Per-residual absolute-error capacity a_i ≥ w_i·p_i (w.h.p.): sampling
        residual i at relative ε_i contributes ≤ a_i·ε_i to the root's
        absolute error.  Failed residuals are excluded (they void the ε
@@ -321,13 +284,13 @@ let bracketed v ~lo ~hi =
   (Float.min hi (Float.max lo v), lo, hi)
 
 (* Assemble the tuple outcome from per-residual results.  The interval
-   always holds with probability ≥ 1 − δ: the monotone tree maps sound
+   always holds with probability ≥ 1 − δ: the monotone DAG maps sound
    per-residual intervals to a sound root interval, and on a complete pass
    the relative-ε claim [v/(1+ε), v/(1−ε)] is intersected in. *)
 let assemble t rrs ~eps ~trials ~complete =
-  let v = eval_node (Array.map (fun rr -> rr.p_estimate) rrs) t.root in
-  let lo = eval_node (Array.map (fun rr -> rr.p_lo) rrs) t.root in
-  let hi = eval_node (Array.map (fun rr -> rr.p_hi) rrs) t.root in
+  let v = eval (Array.map (fun rr -> rr.p_estimate) rrs) t.nodes in
+  let lo = eval (Array.map (fun rr -> rr.p_lo) rrs) t.nodes in
+  let hi = eval (Array.map (fun rr -> rr.p_hi) rrs) t.nodes in
   let lo, hi =
     if complete then
       ( Float.max lo (v /. (1. +. eps)),
@@ -356,13 +319,13 @@ let exact_outcome v =
     achieved_eps = 0.; complete = true }
 
 (* The truncation-guard path samples the whole normalized DNF instead of the
-   residual leaves; the compiled tree still brackets the answer when that
+   residual leaves; the compiled DAG still brackets the answer when that
    sampling fails or runs out of budget. *)
 let fallback_outcome t partial =
-  let tree_lo, tree_hi = vacuous_interval t in
+  let dag_lo, dag_hi = vacuous_interval t in
   let value, lo, hi =
-    bracketed partial.p_estimate ~lo:(Float.max tree_lo partial.p_lo)
-      ~hi:(Float.min tree_hi partial.p_hi)
+    bracketed partial.p_estimate ~lo:(Float.max dag_lo partial.p_lo)
+      ~hi:(Float.min dag_hi partial.p_hi)
   in
   { value;
     trials = partial.p_trials;
@@ -375,7 +338,7 @@ let fallback_outcome t partial =
 let solve ?budget rng t ~eps ~delta =
   if eps <= 0. || delta <= 0. then invalid_arg "Compile.solve";
   let r = Array.length t.residuals in
-  if r = 0 then exact_outcome (eval_node [||] t.root)
+  if r = 0 then exact_outcome (eval [||] t.nodes)
   else begin
     (* Truncation guard: Shannon cut-off can leave residual leaves whose
        combined worst-case budget exceeds just sampling the original DNF
@@ -387,23 +350,21 @@ let solve ?budget rng t ~eps ~delta =
         (fun acc dnf -> Stats.saturating_add acc (cost_cap dnf ~eps ~delta:d))
         0 t.residuals
     in
-    let plain_cap =
-      match t.fallback with
-      | Some dnf -> cost_cap dnf ~eps ~delta
-      | None -> max_int
-    in
-    if plain_cap < compiled_cap then begin
-      let dnf = Option.get t.fallback in
-      match adaptive_partial ?budget rng dnf ~eps ~delta with
-      | partial -> fallback_outcome t partial
-      | exception _ ->
-          (* Sampling the fallback died outright: all that remains sound is
-             the compiled bracket. *)
-          let lo, hi = vacuous_interval t in
-          { value = lo; trials = 0; residual_mass = 0.; lo; hi;
-            achieved_eps = (hi -. lo) /. 2.; complete = false }
-    end
-    else
+    (* The fallback DNF has two or more clauses, none of them empty, so its
+       cap is the plain Chernoff count; it is prepared only when taken. *)
+    match t.fallback with
+    | Some (w, clauses)
+      when Stats.karp_luby_trials ~clauses:(List.length clauses) ~eps ~delta
+           < compiled_cap -> (
+        match adaptive_partial ?budget rng (Dnf.prepare w clauses) ~eps ~delta with
+        | partial -> fallback_outcome t partial
+        | exception _ ->
+            (* Sampling the fallback died outright: all that remains sound
+               is the compiled bracket. *)
+            let lo, hi = vacuous_interval t in
+            { value = lo; trials = 0; residual_mass = 0.; lo; hi;
+              achieved_eps = (hi -. lo) /. 2.; complete = false })
+    | _ ->
       let rrs, trials, complete =
         match budget with
         | None -> solve_residuals rng t ~eps ~delta

@@ -5,16 +5,19 @@
     databases"): after normalization ({!Lineage.normalize}) a tuple's DNF
     usually splits into variable-disjoint independent components, each of
     which factors further through disjoint (mutually exclusive) expansions.
-    [compile] applies those rewrites as {!Lineage.split} decides them —
+    [compile] applies those rewrites through {!Lineage.decompose} —
     independent-OR, disjoint-OR on a variable bound in every clause, and
     {e bounded} Shannon expansion on the most-shared variable — solving
     everything it can in closed form and leaving only the irreducible
     residues as prepared {!Dnf} leaves for the adaptive Karp-Luby sampler.
-    {!Lineage.exact} walks the same policy in rationals with no fuel bound.
+    The result is a decision DAG, not a tree: a sub-DNF reached along
+    several paths is compiled once and shared (a decision-DNNF in the sense
+    of Amarilli et al.).  {!Lineage.exact} evaluates the same DAG in
+    rationals with no fuel bound.
 
     {2 Error propagation}
 
-    The compiled tree combines children only through
+    The compiled DAG combines children only through
     [Σ wᵢ·pᵢ (Σ wᵢ ≤ 1, wᵢ ≥ 0)] and [1 − Π(1 − pᵢ)].  Both preserve
     relative error: if every residual estimate satisfies
     [p̂ᵢ ∈ [(1−ε)pᵢ, (1+ε)pᵢ]], the root value is within relative [ε] of the
@@ -24,7 +27,19 @@
     [f(ε) ≤ (1+ε)f(0)]; the lower side follows from the chord through
     [f(−1) = 0].)  Hence {!solve} estimates each residual at relative [ε]
     with failure budget [δ/r] and the union bound gives an overall (ε, δ)
-    guarantee — the exact probability mass never spends a trial. *)
+    guarantee — the exact probability mass never spends a trial.
+
+    {e Shared leaves.}  A residual reached along several paths is one
+    estimate [p̂ᵢ] used at every occurrence, so the argument above applies
+    to the DAG unfolded into its tree, with equal estimates at the copies of
+    a leaf.  The root stays multilinear in the {e distinct} residuals: a
+    residual's clause set mentions variables, and the children of an
+    [IndepOr] mention disjoint variables, so no residual occurs under two
+    children of one [IndepOr] and no product ever multiplies [p̂ᵢ] by
+    itself.  Its partial derivative is therefore the sum over the residual's
+    root paths of the path's [Sum] weights times the other [IndepOr]
+    factors [(1 − pⱼ) ≤ 1], so [|∂P/∂p̂ᵢ| ≤ wᵢ], the summed path weight
+    {!residual_weights} reports. *)
 
 open Pqdb_numeric
 open Pqdb_urel
@@ -34,15 +49,17 @@ type t
 val default_fuel : int
 
 val compile : ?fuel:int -> Wtable.t -> Assignment.t list -> t
-(** Normalize and decompose the DNF.  [fuel] (default {!default_fuel})
-    bounds the Shannon-expansion work: each pivot charges its domain size
-    plus the clause count, and once exhausted the remaining clause set
-    becomes a residual leaf.  [fuel = 0] disables compilation beyond
-    normalization, trivial cases and single clauses — the pure-FPRAS
-    baseline.  Independent-component splits and disjoint-OR expansions are
-    free (they are linear-time and always shrink the problem).
-    Deterministic: the tree and residual numbering are a pure function of
-    (W table, clause list, fuel). *)
+(** Normalize and decompose the DNF ({!Lineage.decompose} over floats).
+    [fuel] (default {!default_fuel}) bounds the {e distinct} Shannon
+    expansions: each pivot charges its domain size plus the clause count,
+    a sub-DNF compiled earlier in the same call is reused at no charge, and
+    once the fuel is spent every sub-DNF not compiled yet becomes a residual
+    leaf.  [fuel = 0] disables compilation beyond normalization, trivial
+    cases and single clauses — the pure-FPRAS baseline.
+    Independent-component splits and disjoint-OR expansions are free (they
+    are linear-time and always shrink the problem).  Deterministic: the DAG
+    and residual numbering are a pure function of (W table, clause set,
+    fuel); the order and duplicates of the clause list do not matter. *)
 
 val is_exact : t -> bool
 val exact_value : t -> float option
@@ -55,18 +72,20 @@ val residuals : t -> Dnf.t array
 val residual_count : t -> int
 
 val residual_weights : t -> float array
-(** Per residual: the summed path weight from the root, an upper bound on
-    [∂P/∂p̂ᵢ] — how much of the final value the residual can account for. *)
+(** Per residual: the path weight from the root summed over all of the
+    residual's root paths, an upper bound on [∂P/∂p̂ᵢ] — how much of the
+    final value the residual can account for. *)
 
 val value : t -> float array -> float
-(** Evaluate the tree given one probability estimate per residual (pass
+(** Evaluate the DAG given one probability estimate per residual (pass
     [[||]] when [is_exact]).  Monotone in every estimate, so plugging in
     per-residual interval endpoints yields sound interval endpoints for the
-    tuple confidence (top-k uses this).
+    tuple confidence (top-k uses this).  One pass over the nodes.
     @raise Invalid_argument on an estimate-count mismatch. *)
 
 val size : t -> int
-(** Node count (diagnostics). *)
+(** Distinct DAG nodes (diagnostics): a shared sub-DNF counts once, and a
+    DNF that compiles exactly is one constant node. *)
 
 type outcome = {
   value : float;
@@ -81,7 +100,7 @@ type outcome = {
   hi : float;
       (** a sound probability interval for the tuple confidence, holding
           with probability ≥ 1 − δ: per-residual certified intervals pushed
-          through the monotone tree, intersected with the relative-ε bracket
+          through the monotone DAG, intersected with the relative-ε bracket
           when [complete], and cut to [[0, 1]].  Degenerates to a point
           when exact; never wider than the a-priori {!vacuous_interval}. *)
   achieved_eps : float;
@@ -98,13 +117,13 @@ type outcome = {
 
 val vacuous_interval : t -> float * float
 (** The a-priori bracket on the tuple confidence, free of any sampling:
-    the monotone tree evaluated with every residual at 0 (the exact
+    the monotone DAG evaluated with every residual at 0 (the exact
     compiled mass — a hard floor) and at its full mass [min(1, Mᵢ)].  A
     point when [is_exact]. *)
 
 val solve : ?budget:Budget.t -> Rng.t -> t -> eps:float -> delta:float -> outcome
 (** Estimate every residual with {!Karp_luby.adaptive_partial} and evaluate
-    the tree; by the error propagation above the result is an (ε, δ) relative
+    the DAG; by the error propagation above the result is an (ε, δ) relative
     approximation of the tuple confidence.  Residuals are sampled in order
     from the given RNG, so the outcome is deterministic per RNG state.
 
@@ -114,9 +133,9 @@ val solve : ?budget:Budget.t -> Rng.t -> t -> eps:float -> delta:float -> outcom
     {ul
     {- {e Exact-mass tightening with weight-aware budgets} (for [ε < ½]): a
        coarse ε₁ = ½ pass over the residuals yields a certified lower bound
-       [T_lo] on the tuple confidence (evaluate the monotone tree at
+       [T_lo] on the tuple confidence (evaluate the monotone DAG at
        [p̂ᵢ/(1+ε₁)]) and per-residual error capacities
-       [aᵢ = (1+ε₁)·wᵢ·p̂ᵢ ≥ wᵢpᵢ].  Since the tree is multilinear with
+       [aᵢ = (1+ε₁)·wᵢ·p̂ᵢ ≥ wᵢpᵢ].  Since the DAG is multilinear with
        [|∂P/∂p̂ᵢ| ≤ wᵢ], any per-residual targets with [Σ aᵢ·εᵢ ≤ ε·T_lo]
        land the root within relative [ε] — closed-form mass directly
        relaxes (quadratically cheapens) the residual budgets.  Under that
@@ -133,7 +152,9 @@ val solve : ?budget:Budget.t -> Rng.t -> t -> eps:float -> delta:float -> outcom
        expensive than the original DNF.  [solve] compares worst-case
        Chernoff caps and falls back to one adaptive pass over the whole
        normalized DNF when that is cheaper — compilation never costs more
-       than a bounded overhead relative to pure FPRAS.}}
+       than a bounded overhead relative to pure FPRAS.  The guard applies
+       whenever the root is not itself the residual; the whole DNF is
+       prepared for sampling only when the guard takes it.}}
 
     {e Degradation}: estimator failures are contained per residual — a
     residual whose sampling raises keeps its vacuous interval and the tuple

@@ -1,8 +1,9 @@
 (** The one lineage decomposer, in the spirit of Koch & Olteanu's ws-tree
-    decompositions: normalization plus the policy that decides how a clause
-    set splits.  Two consumers recurse on it — {!exact} over rationals (the
-    exact [conf] of Theorem 3.4) and {!Compile.compile} over floats with
-    bounded Shannon fuel (the approximate path of Section 4).
+    decompositions: normalization plus one cached walk that compiles a DNF
+    into a decision DAG.  Two consumers evaluate that DAG — {!exact} over
+    rationals with no fuel bound (the exact [conf] of Theorem 3.4) and
+    {!Compile.compile} over floats with bounded Shannon fuel (the
+    approximate path of Section 4).
 
     A DNF here is a list of {!Pqdb_urel.Assignment} clauses over the
     independent W-table variables; its probability is the weight of the union
@@ -14,39 +15,77 @@ val normalize : Assignment.t list -> Assignment.t list
 (** Deduplicate (structural equality), collapse to [[Assignment.empty]] when
     some clause is empty (trivially true), and drop subsumed clauses: [b] is
     redundant when some other clause [a] has [Assignment.subsumes a b].
-    Subsumption is skipped above an internal size cap (quadratic pass); the
-    result is then still equivalent, just possibly redundant. *)
+    The output is sorted by [Assignment.compare], so it is canonical: two
+    lists with the same clause set normalize to the same list.  Subsumption
+    is skipped above an internal size cap (quadratic pass); the result is
+    then still equivalent, just possibly redundant. *)
 
-type step =
-  | Independent of Assignment.t list list
-      (** Two or more variable-connected components (union-find over the
-          clauses' variables, in first-occurrence order).  They mention
-          pairwise-disjoint variable sets, so they are independent events:
-          [P(⋁ components) = 1 − Π (1 − Pᵢ)]. *)
-  | Disjoint of Wtable.var
-      (** A variable bound in {e every} clause (smallest id when several).
-          Expanding on it is free — each branch strictly shrinks all
-          surviving clauses — and the branches are mutually disjoint
-          events. *)
-  | Shannon of Wtable.var
-      (** The variable occurring in the most clauses (smallest id on ties):
-          the DPLL-style pivot of a Shannon step, [P = Σₓ P(v = x)·P(F | v = x)]. *)
+(** {2 The decision DAG} *)
 
-val split : Assignment.t list -> step
-(** The one decomposition policy, tried in the order listed: independent
-    components, then a free disjoint expansion, then a Shannon step.
-    Callers normalize first and answer the empty and single-clause sets
-    themselves — the compiler charges its fuel between those two stages.
-    A pure function of the clause set, so compilation is deterministic.
-    @raise Invalid_argument when no clause binds a variable. *)
+type 'a node =
+  | Const of 'a  (** a closed-form probability *)
+  | Res of int  (** residual [i], left for the sampler *)
+  | Sum of ('a * int) array
+      (** [Σ P(v = x)·child]: the branches of an expansion on one variable,
+          [x] ascending.  The branches are mutually exclusive events. *)
+  | IndepOr of int array
+      (** [1 − Π (1 − child)]: variable-disjoint, hence independent,
+          components. *)
+(** Children are indices of earlier nodes. *)
 
-val condition : Assignment.t list -> Wtable.var -> int -> Assignment.t list
-(** [condition cs v x]: the residual DNF under [v = x] — clauses demanding
-    another value drop, the binding on [v] is removed from the rest. *)
+type 'a arith = {
+  zero : 'a;
+  one : 'a;
+  add : 'a -> 'a -> 'a;
+  mul : 'a -> 'a -> 'a;
+  complement : 'a -> 'a;  (** [1 − p] *)
+  prob : Wtable.var -> int -> 'a;  (** [P(v = x)] *)
+}
+(** The number type a DAG is built over. *)
+
+type 'a dag = {
+  nodes : 'a node array;
+      (** topologically ordered — every child before its parents — and
+          holding only nodes reachable from the root, which is the last
+          one.  A node reached along several paths is stored once. *)
+  residuals : Assignment.t list array;
+      (** per {!Res} index: its normalized clause set, in the order the walk
+          first reached it *)
+  clauses : Assignment.t list;  (** the normalized DNF ({!normalize}) *)
+}
+
+val decompose : ?fuel:int -> 'a arith -> Wtable.t -> Assignment.t list -> 'a dag
+(** Normalize the DNF and decompose it by one policy, tried in order at
+    every clause set of two or more clauses:
+    {ol
+    {- two or more variable-connected components (union-find over the
+       clauses, in first-occurrence order) become an {!IndepOr};}
+    {- a variable bound in every clause (smallest W id) is expanded into a
+       {!Sum} for free — each branch strictly shrinks every surviving
+       clause;}
+    {- otherwise the variable in the most clauses (smallest W id on ties)
+       is the pivot of a Shannon {!Sum}, [P = Σₓ P(v = x)·P(F | v = x)],
+       which charges its domain size plus the clause count to [fuel].}}
+    Once [fuel] (default unbounded) is spent, a set not decomposed yet
+    becomes a {!Res}.  The empty set is [Const zero] and a single clause
+    the product of its bindings' probabilities.
+
+    Every normalized set is cached for the duration of the call, so a set
+    reached along several paths is decomposed once and shares its node; a
+    cache hit costs no fuel, so [fuel] bounds the number of {e distinct}
+    Shannon expansions.  A {!Sum} or {!IndepOr} whose children are all
+    constants folds into one {!Const}, computed in the order an evaluation
+    of the unfolded node uses.  A DNF that normalizes to at most one clause
+    returns before any table is built.
+
+    Deterministic: the DAG is a pure function of (W table, clause set,
+    fuel) — the order and duplicates of the input list do not matter.
+    @raise Invalid_argument when a clause binds a negative value or a
+    variable id too large to pack beside the DNF's values. *)
 
 val exact : Wtable.t -> Assignment.t list -> Pqdb_numeric.Rational.t
-(** Exact confidence (the #P-hard operation of Theorem 3.4): normalize,
-    then recurse on {!split} with rational arithmetic and no fuel bound.
-    Still exponential in the worst case, as it must be, but independent
-    components and free disjoint expansions keep structured lineage
-    polynomial.  {!Compile.compile} walks the same policy over floats. *)
+(** Exact confidence (the #P-hard operation of Theorem 3.4): {!decompose}
+    over rationals with no fuel bound, which folds the whole DAG into one
+    constant.  Still exponential in the worst case, as it must be, but
+    independent components, free disjoint expansions and shared sub-DNFs
+    keep structured lineage polynomial. *)

@@ -66,8 +66,8 @@ let raw_key ~fuel ~salt w clauses =
     (List.sort_uniq String.compare
        (List.map Udb_io.condition_to_string clauses))
 
-(* Lineage.normalize sorts its output (sort_uniq by Assignment.compare), so
-   rendering in list order is already canonical. *)
+(* Lineage.normalize returns its clauses deduplicated and sorted by
+   Assignment.compare, so rendering in list order is already canonical. *)
 let canonical_key ~fuel ~salt w clauses =
   key_of ~level:'c' ~fuel ~salt w
     (List.map Udb_io.condition_to_string (Lineage.normalize clauses))

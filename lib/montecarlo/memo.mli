@@ -44,9 +44,9 @@
 
     {2 Bit-identity}
 
-    A hit returns the {e same} tree a cold {!Compile.compile} of the same
-    clause set would build ({!Lineage.normalize} sorts clauses, so
-    compilation is order-insensitive to begin with); solving it against the
+    A hit returns the {e same} DAG a cold {!Compile.compile} of the same
+    clause set would build (compilation normalizes first, so it is a
+    function of the clause set, not of the list); solving it against the
     same RNG state yields bit-identical ["%h"] outputs.  The serve CI job
     [cmp]s warm against cold stdout to hold this line.
 

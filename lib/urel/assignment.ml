@@ -97,7 +97,7 @@ let subsumes a b =
   in
   la <= lb && go 0 0
 
-let iter_vars f a = Array.iter (fun (v, _) -> f v) a
+let fold f init a = Array.fold_left (fun acc (v, x) -> f acc v x) init a
 
 let weight w a =
   Array.fold_left
@@ -109,7 +109,24 @@ let weight_float w a =
     (fun acc (v, x) -> acc *. Wtable.prob_float w v x)
     1. a
 
-let compare (a : t) (b : t) = Stdlib.compare a b
+(* Stdlib.compare's order on these arrays — shorter first, then
+   lexicographic on (var, value) — without the polymorphic walk. *)
+let compare (a : t) (b : t) =
+  let n = Array.length a in
+  let c = Int.compare n (Array.length b) in
+  if c <> 0 then c
+  else
+    let rec go i =
+      if i = n then 0
+      else
+        let va, xa = a.(i) and vb, xb = b.(i) in
+        let c = Int.compare va vb in
+        if c <> 0 then c
+        else
+          let c = Int.compare xa xb in
+          if c <> 0 then c else go (i + 1)
+    in
+    go 0
 let equal (a : t) (b : t) = a = b
 let hash (a : t) = Hashtbl.hash a
 

@@ -45,14 +45,17 @@ val subsumes : t -> t -> bool
     [ω(b) ⊆ ω(a)].  As DNF clauses, [b] is then redundant next to [a].
     O(|a| + |b|) on the sorted binding arrays. *)
 
-val iter_vars : (Wtable.var -> unit) -> t -> unit
-(** Iterate over the domain without building a list — the lineage
-    partitioner's hot loop. *)
+val fold : ('a -> Wtable.var -> int -> 'a) -> 'a -> t -> 'a
+(** Fold over the bindings in ascending variable order without building a
+    list — how the lineage compiler flattens clauses. *)
 
 val weight : Wtable.t -> t -> Rational.t
 val weight_float : Wtable.t -> t -> float
 
 val compare : t -> t -> int
+(** Fewer bindings first, then lexicographic on the sorted (variable,
+    value) bindings. *)
+
 val equal : t -> t -> bool
 val hash : t -> int
 val pp : Format.formatter -> t -> unit

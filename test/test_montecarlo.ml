@@ -619,6 +619,249 @@ let prop_weight_aware_budgets_sound =
       in
       bracketed && relative_ok && interval_sane)
 
+(* The truncation guard's fallback is withheld only when the root IS the
+   residual.  Here the root is IndepOr [Const c; Res 0]: the first
+   component {x=1,y=1} ∨ {x=0,z=1} ∨ {y=1,z=1} spends the single unit of
+   fuel on a Shannon step on x and folds to a constant, the second (an
+   8-cycle) is reached with no fuel left.  The residual's path weight is
+   exactly 1, which an "r = 1 and weight 1" test mistakes for a bare
+   residual.  At δ = ½ sampling the whole 11-clause DNF is cheaper than the
+   8-clause residual at δ/2, so solve must take the fallback — whose
+   outcome rests entirely on sampling (residual_mass = value), where the
+   residual path would report only the residual's share. *)
+let test_fallback_past_constant_sibling () =
+  let w = Wtable.create () in
+  let bern () = Wtable.add_var w [ Q.of_ints 2 5; Q.of_ints 3 5 ] in
+  let x = bern () and y = bern () and z = bern () in
+  let ring = Array.init 8 (fun _ -> bern ()) in
+  let clauses =
+    [
+      Assignment.of_list [ (x, 1); (y, 1) ];
+      Assignment.of_list [ (x, 0); (z, 1) ];
+      Assignment.of_list [ (y, 1); (z, 1) ];
+    ]
+    @ List.init 8 (fun i ->
+          Assignment.of_list [ (ring.(i), 1); (ring.((i + 1) mod 8), 1) ])
+  in
+  let c = Compile.compile ~fuel:1 w clauses in
+  check int_c "one residual" 1 (Compile.residual_count c);
+  check (Alcotest.float 0.) "its path weight is exactly 1" 1.
+    (Compile.residual_weights c).(0);
+  let eps = 0.1 and delta = 0.5 in
+  check bool_c "the whole DNF is the cheaper problem" true
+    (Stats.karp_luby_trials ~clauses:11 ~eps ~delta
+    < Stats.karp_luby_trials ~clauses:8 ~eps ~delta:(delta /. 2.));
+  let o = Compile.solve (Rng.create ~seed:3) c ~eps ~delta in
+  let expect = Q.to_float (Lineage.exact w clauses) in
+  check (Alcotest.float 0.) "fallback taken: the value rests on sampling"
+    o.Compile.value o.Compile.residual_mass;
+  check bool_c "bracket holds the exact value" true
+    (o.Compile.lo <= expect && expect <= o.Compile.hi)
+
+let shuffle rng l =
+  let a = Array.of_list l in
+  for i = Array.length a - 1 downto 1 do
+    let j = Rng.int rng (i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done;
+  Array.to_list a
+
+(* Compilation is a function of the clause set: a shuffled list with
+   duplicated clauses compiles to the same DAG, bit for bit, so solving it
+   from the same RNG state spends the same trials on the same answer. *)
+let test_compile_is_a_set_function () =
+  for seed = 1 to 30 do
+    let rng = Rng.create ~seed in
+    let w = Wtable.create () in
+    let clauses = Gen.random_dnf rng w ~vars:20 ~clauses:20 ~clause_len:3 in
+    let variant =
+      shuffle rng (clauses @ List.filteri (fun i _ -> i mod 3 = 0) clauses)
+    in
+    let fuel = [| Some 8; Some 64; None |].(seed mod 3) in
+    let a = Compile.compile ?fuel w clauses
+    and b = Compile.compile ?fuel w variant in
+    let what = Printf.sprintf "seed %d" seed in
+    check int_c (what ^ ": size") (Compile.size a) (Compile.size b);
+    check int_c (what ^ ": residuals") (Compile.residual_count a)
+      (Compile.residual_count b);
+    let solve c =
+      let o = Compile.solve (Rng.create ~seed:(seed + 100)) c ~eps:0.1 ~delta:0.05 in
+      Printf.sprintf "%h %h %h %d" o.Compile.value o.Compile.lo o.Compile.hi
+        o.Compile.trials
+    in
+    check Alcotest.string (what ^ ": outcome bits") (solve a) (solve b)
+  done
+
+(* A chain of overlapping 2-clause blocks, [x_i = x_{i+1}] for i < n: the
+   decomposition reaches the same sub-DNFs along many paths.  Counting the
+   expanded decision tree — a [decompose] over (probability, tree nodes)
+   pairs, where a cache hit brings its whole subtree's count — shows it
+   growing exponentially, while fuel n² (which bounds distinct Shannon
+   expansions) already compiles the DNF exactly and a quarter of that
+   leaves a DAG of at most 2n distinct nodes. *)
+let test_shared_chain_dag_is_polynomial () =
+  let counting w =
+    let pair f (p, a) (q, b) = (f p q, a +. b) in
+    { Lineage.zero = (0., 1.); one = (1., 1.); add = pair ( +. );
+      mul = pair ( *. );
+      complement = (fun (p, n) -> (1. -. p, n));
+      prob = (fun v x -> (Wtable.prob_float w v x, 0.)) }
+  in
+  List.iter
+    (fun n ->
+      let w = Wtable.create () in
+      let xs =
+        Array.init (n + 1) (fun i ->
+            Wtable.add_var w [ Q.of_ints ((i mod 3) + 1) 5; Q.of_ints (4 - (i mod 3)) 5 ])
+      in
+      let clauses =
+        List.concat
+          (List.init n (fun i ->
+               List.map
+                 (fun b -> Assignment.of_list [ (xs.(i), b); (xs.(i + 1), b) ])
+                 [ 0; 1 ]))
+      in
+      let expect = Q.to_float (Lineage.exact w clauses) in
+      let close what got =
+        if Float.abs (got -. expect) > 1e-12 *. expect then
+          Alcotest.failf "n = %d, %s: %h, exact %h" n what got expect
+      in
+      let tree =
+        match (Lineage.decompose (counting w) w clauses).Lineage.nodes with
+        | [| Lineage.Const (p, nodes) |] ->
+            close "counting walk" p;
+            nodes
+        | _ -> Alcotest.fail "unbounded decomposition left a residual"
+      in
+      if tree < Float.pow 2. (float_of_int n /. 4.) then
+        Alcotest.failf "n = %d: expanded tree of %.0f nodes is not exponential" n tree;
+      let c = Compile.compile ~fuel:(n * n) w clauses in
+      (match Compile.exact_value c with
+      | Some p -> close "fuel n²" p
+      | None -> Alcotest.failf "n = %d: fuel n² did not compile exactly" n);
+      let c = Compile.compile ~fuel:(n * n / 4) w clauses in
+      if Compile.size c > 2 * n then
+        Alcotest.failf "n = %d: %d DAG nodes at fuel n²/4" n (Compile.size c);
+      close "fuel n²/4 at exact residuals"
+        (Compile.value c
+           (Array.map (fun r -> Q.to_float (Dnf.exact r)) (Compile.residuals c))))
+    [ 16; 32; 64; 128 ]
+
+(* P(X ≥ k) for X ~ Binomial(n, p), summed from k up. *)
+let binomial_upper_tail ~n ~p k =
+  let log_choose = ref 0. and tail = ref 0. in
+  for i = 0 to n do
+    if i > 0 then
+      log_choose :=
+        !log_choose +. log (float_of_int (n - i + 1)) -. log (float_of_int i);
+    if i >= k then
+      tail :=
+        !tail
+        +. exp
+             (!log_choose +. (float_of_int i *. log p)
+             +. (float_of_int (n - i) *. log (1. -. p)))
+  done;
+  Float.min 1. !tail
+
+(* Does some residual of the DAG [Compile.compile ~fuel] builds lie on two
+   or more root paths? *)
+let shares_a_residual ~fuel w clauses =
+  let ops =
+    { Lineage.zero = 0.; one = 1.; add = ( +. ); mul = ( *. );
+      complement = (fun p -> 1. -. p); prob = Wtable.prob_float w }
+  in
+  let nodes = (Lineage.decompose ~fuel ops w clauses).Lineage.nodes in
+  let n = Array.length nodes in
+  let paths = Array.make n 0 in
+  paths.(n - 1) <- 1;
+  let shared = ref false in
+  for i = n - 1 downto 0 do
+    match nodes.(i) with
+    | Lineage.Sum bs -> Array.iter (fun (_, c) -> paths.(c) <- paths.(c) + paths.(i)) bs
+    | IndepOr cs -> Array.iter (fun c -> paths.(c) <- paths.(c) + paths.(i)) cs
+    | Res _ -> if paths.(i) >= 2 then shared := true
+    | Const _ -> ()
+  done;
+  !shared
+
+(* Case [seed] of the shared-residual family: 14 clauses over 14
+   three-valued variables, every literal binding value 2, so the branches
+   v = 0 and v = 1 of any expansion are the same sub-DNF and residuals are
+   shared — at fuels {0, 4, 16, 64} and ε ∈ {0.05, 0.1, 0.3}. *)
+let shared_residual_case seed =
+  let rng = Rng.create ~seed:(seed + 7000) in
+  let w = Wtable.create () in
+  let xs =
+    Array.init 14 (fun _ ->
+        let a = 1 + Rng.int rng 4 and b = 1 + Rng.int rng 4 in
+        Wtable.add_var w [ Q.of_ints a 10; Q.of_ints b 10; Q.of_ints (10 - a - b) 10 ])
+  in
+  let clauses =
+    List.init 14 (fun _ ->
+        let a = Rng.int rng 14 in
+        let b = (a + 1 + Rng.int rng 13) mod 14 in
+        Assignment.of_list [ (xs.(a), 2); (xs.(b), 2) ])
+  in
+  (w, clauses, [| 0; 4; 16; 64 |].(seed mod 4), [| 0.05; 0.1; 0.3 |].(seed / 4 mod 3))
+
+(* The (ε, δ) contract of Compile.solve over shared residuals, checked as a
+   miss rate over 480 fixed seeds of the family above.  A case misses when
+   [lo, hi] excludes the exact value or a complete outcome leaves relative
+   ε.  Each case misses with probability at most δ, so the count must be
+   plausible under Binomial(480, δ): an upper tail below 1e-6 fails. *)
+let test_solve_miss_rate_with_shared_residuals () =
+  let cases = 480 and delta = 0.05 in
+  let misses = ref 0 and shared = ref 0 in
+  for seed = 1 to cases do
+    let w, clauses, fuel, eps = shared_residual_case seed in
+    if shares_a_residual ~fuel w clauses then incr shared;
+    let o =
+      Compile.solve (Rng.create ~seed) (Compile.compile ~fuel w clauses) ~eps
+        ~delta
+    in
+    let expect = Q.to_float (Lineage.exact w clauses) in
+    let bracketed =
+      o.Compile.lo -. 1e-9 <= expect && expect <= o.Compile.hi +. 1e-9
+    in
+    let relative =
+      (not o.Compile.complete)
+      || Float.abs (o.Compile.value -. expect) <= (eps *. expect) +. 1e-9
+    in
+    if not (bracketed && relative) then incr misses
+  done;
+  if 4 * !shared < cases then
+    Alcotest.failf "only %d of %d cases share a residual" !shared cases;
+  let tail = binomial_upper_tail ~n:cases ~p:delta !misses in
+  if tail < 1e-6 then
+    Alcotest.failf "%d misses in %d cases: P(X >= %d | δ = %g) = %g" !misses
+      cases !misses delta tail
+
+(* The weight-aware budgets rest on |∂P/∂p̂ᵢ| ≤ wᵢ with wᵢ summed over the
+   residual's paths.  The DAG is multilinear, so a finite difference at the
+   exact residual probabilities is its slope: it must stay under the
+   reported weight, and the DAG there must evaluate to the exact value. *)
+let test_residual_weights_bound_slopes () =
+  for seed = 1 to 480 do
+    let w, clauses, fuel, _ = shared_residual_case seed in
+    let c = Compile.compile ~fuel w clauses in
+    let p = Array.map (fun r -> Q.to_float (Dnf.exact r)) (Compile.residuals c) in
+    let v = Compile.value c p in
+    let expect = Q.to_float (Lineage.exact w clauses) in
+    if Float.abs (v -. expect) > 1e-12 then
+      Alcotest.failf "seed %d: DAG at exact residuals %h, exact %h" seed v expect;
+    Array.iteri
+      (fun i wi ->
+        let q = Array.copy p in
+        q.(i) <- p.(i) +. 1e-3;
+        let slope = (Compile.value c q -. v) /. 1e-3 in
+        if slope > wi +. 1e-9 then
+          Alcotest.failf "seed %d residual %d: slope %g above path weight %g"
+            seed i slope wi)
+      (Compile.residual_weights c)
+  done
+
 (* Every reported estimate lies in its own reported bracket, and the
    bracket in [0, 1]: across many seeds, fuels (0 = pure FPRAS, small ones
    leaving several residuals or triggering the truncation-guard fallback,
@@ -897,6 +1140,16 @@ let () =
           qcheck prop_weight_aware_budgets_sound;
           Alcotest.test_case "estimates inside their own bracket" `Quick
             test_estimates_inside_own_bracket;
+          Alcotest.test_case "fallback past a constant sibling" `Quick
+            test_fallback_past_constant_sibling;
+          Alcotest.test_case "a function of the clause set" `Quick
+            test_compile_is_a_set_function;
+          Alcotest.test_case "shared chain: exponential tree, small DAG" `Quick
+            test_shared_chain_dag_is_polynomial;
+          Alcotest.test_case "miss rate under delta, shared residuals" `Quick
+            test_solve_miss_rate_with_shared_residuals;
+          Alcotest.test_case "path weights bound the slopes" `Quick
+            test_residual_weights_bound_slopes;
         ] );
       ( "adaptive stopping",
         [
