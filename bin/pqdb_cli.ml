@@ -49,7 +49,7 @@ let guard ?(prefix = "error") body =
   | Pqdb_lang.Lexer.Error (msg, off) ->
       Format.eprintf "lex error at offset %d: %s@." off msg;
       1
-  | Pqdb.Eval_exact.Unsupported msg ->
+  | Pqdb.Eval_exact.Unsupported msg | Pqdb.Epsilon.Unsupported msg ->
       Format.eprintf "unsupported: %s@." msg;
       1
   | Unix.Unix_error (err, fn, arg) ->
@@ -1185,7 +1185,8 @@ let repl_cmd seed () =
     | Qparser.Error (msg, off) -> Format.printf "parse error at %d: %s@." off msg
     | Pqdb_lang.Lexer.Error (msg, off) ->
         Format.printf "lex error at %d: %s@." off msg
-    | Pqdb.Eval_exact.Unsupported msg -> Format.printf "unsupported: %s@." msg
+    | Pqdb.Eval_exact.Unsupported msg | Pqdb.Epsilon.Unsupported msg ->
+        Format.printf "unsupported: %s@." msg
     | Invalid_argument msg | Failure msg -> Format.printf "error: %s@." msg
     | Pqdb_error.Error e ->
         Format.printf "error: %s@." (Pqdb_error.to_string e)

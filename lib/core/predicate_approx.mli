@@ -29,6 +29,41 @@ type decision = {
           used by query evaluation *)
 }
 
+val decide_values :
+  ?budget:Pqdb_montecarlo.Budget.t ->
+  ?eps0:float ->
+  ?max_rounds:int ->
+  ?search_iterations:int ->
+  ?batch:int ->
+  ?independent:bool ->
+  rng:Rng.t ->
+  delta:float ->
+  Pqdb_ast.Apred.t ->
+  Approximable.t array ->
+  decision
+(** Run Figure 3 over abstract {!Approximable} values — the generalization
+    the end of Section 5 claims ("…may conceivably extend to areas such as
+    online aggregation"): any (ε, δ)-refinable value can feed the
+    predicate, e.g. sampled aggregates alongside tuple confidences.  This
+    is the only Figure-3 loop; {!decide} runs it over Karp-Luby estimators.
+
+    [eps0] defaults to 0.05; [max_rounds] (default: no limit) caps the
+    outer loop for use by the Theorem 6.7 doubling driver, reporting the
+    error bound achieved so far.  [batch] overrides the per-round
+    refinement ({!Approximable.refine_by} that many steps instead of
+    {!Approximable.refine}: the paper batches [|Fᵢ|] calls per value per
+    round; experiment E14 ablates this).  [independent] (default false,
+    matching Figure 3's [Σᵢ δᵢ(ε)]) switches the combined bound to the
+    tighter [1 − Πᵢ(1 − δᵢ(ε))] that Lemma 5.1's remark justifies for
+    independent runs.  The values keep their accumulated refinement, so
+    successive calls refine rather than restart.  [budget] (default: none)
+    makes the decision anytime: every round charges the shared
+    {!Pqdb_montecarlo.Budget} with its refinement steps and, once it is
+    exhausted, the decision is made with the steps accumulated so far and
+    flagged [hit_round_limit = true], so callers treat it as a suspect.
+    @raise Invalid_argument when [delta <= 0], [eps0] is outside (0, 1),
+    or the predicate mentions more variables than there are values. *)
+
 val decide :
   ?budget:Pqdb_montecarlo.Budget.t ->
   ?eps0:float ->
@@ -41,36 +76,10 @@ val decide :
   Pqdb_ast.Apred.t ->
   Estimator.t array ->
   decision
-(** Run Figure 3.  [eps0] defaults to 0.05; [max_rounds] (default: no limit)
-    caps the outer loop for use by the Theorem 6.7 doubling driver, reporting
-    the error bound achieved so far.  [batch] overrides the per-round
-    estimator-call count (the paper batches [|Fᵢ|] calls per value per round;
-    experiment E14 ablates this).  [independent] (default false, matching
-    Figure 3's [Σᵢ δᵢ(ε)]) switches the combined bound to the tighter
-    [1 − Πᵢ(1 − δᵢ(ε))] that Lemma 5.1's remark justifies for independent
-    Karp-Luby runs.  The estimators keep their accumulated
-    trials, so successive calls refine rather than restart.  [budget]
-    (default: none) makes the decision anytime: every round charges the
-    shared {!Pqdb_montecarlo.Budget} and, once it is exhausted, the decision
-    is made with the trials accumulated so far and flagged
-    [hit_round_limit = true], so callers treat it as a suspect.
-    @raise Invalid_argument when [delta <= 0], [eps0 <= 0], or the predicate
-    mentions more variables than there are estimators. *)
-
-val decide_values :
-  ?eps0:float ->
-  ?max_rounds:int ->
-  ?search_iterations:int ->
-  ?independent:bool ->
-  rng:Rng.t ->
-  delta:float ->
-  Pqdb_ast.Apred.t ->
-  Approximable.t array ->
-  decision
-(** Figure 3 over abstract {!Approximable} values — the generalization the
-    end of Section 5 claims ("…may conceivably extend to areas such as
-    online aggregation"): any (ε, δ)-refinable value can feed the predicate,
-    e.g. sampled aggregates alongside tuple confidences. *)
+(** Figure 3 itself: {!decide_values} over
+    [Array.map Approximable.of_karp_luby estimators], one round being
+    [|Fᵢ|] Karp-Luby estimator calls per value.  The estimators keep their
+    accumulated trials. *)
 
 val decide_naive :
   ?eps0:float ->

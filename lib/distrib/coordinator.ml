@@ -1,4 +1,3 @@
-open Pqdb_numeric
 module Shard = Pqdb_montecarlo.Shard
 module Confidence = Pqdb_montecarlo.Confidence
 module Budget = Pqdb_montecarlo.Budget
@@ -78,23 +77,13 @@ let thread_transport ?io_timeout_s serve =
   in
   fd_transport ?io_timeout_s ~close ~in_fd:from_w_r ~out_fd:to_w_w ()
 
-let resolve_host host =
-  try Unix.inet_addr_of_string host
-  with Failure _ -> (
-    match Unix.gethostbyname host with
-    | { Unix.h_addr_list = [||]; _ } ->
-        invalid_arg (Printf.sprintf "tcp_transport: no address for %S" host)
-    | h -> h.Unix.h_addr_list.(0)
-    | exception Not_found ->
-        invalid_arg (Printf.sprintf "tcp_transport: unknown host %S" host))
-
 (* Remote worker over TCP.  I/O goes through the {!Protocol} TCP fault
    wrappers so the network failure modes (drop, half-open stall, duplicate
    delivery) are injectable; [close] shuts the socket down first so a
    reader thread blocked in [recv] wakes with EOF instead of leaking. *)
 let tcp_transport ?io_timeout_s ?(retries = 0) ?(retry_delay_s = 0.2)
     ?(max_delay_s = 2.0) ~host ~port () =
-  let addr = Unix.ADDR_INET (resolve_host host, port) in
+  let addr = Unix.ADDR_INET (Dial.resolve_host host, port) in
   let fd = Dial.connect ~retries ~retry_delay_s ~max_delay_s addr in
   (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
   {
@@ -149,14 +138,7 @@ let run ?budget ?nworkers ?compile_fuel
     ?(options = Confidence.default_stream_options) ?(lease_ttl_s = 30.)
     ?(max_reconnects = 0) ?(reconnect_delay_s = 0.25) ?source ~workers:nw
     ~spawn rng w clause_sets ~eps ~delta ~emit =
-  if eps <= 0. || delta <= 0. then invalid_arg "Coordinator.run";
   if nw < 1 then invalid_arg "Coordinator.run: workers must be >= 1";
-  if options.Confidence.shard_cost < 1 then
-    invalid_arg "Coordinator.run: shard_cost must be >= 1";
-  if options.retries < 0 then
-    invalid_arg "Coordinator.run: retries must be >= 0";
-  if options.resume && options.checkpoint = None then
-    invalid_arg "Coordinator.run: resume requires a checkpoint journal";
   if lease_ttl_s <= 0. then
     invalid_arg "Coordinator.run: lease_ttl_s must be positive";
   if max_reconnects < 0 then
@@ -165,25 +147,14 @@ let run ?budget ?nworkers ?compile_fuel
     invalid_arg "Coordinator.run: reconnect_delay_s must be positive";
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ | Sys_error _ -> ());
-  let n = Array.length clause_sets in
-  let plan =
-    Shard.plan ~eps ~delta ~max_cost:options.shard_cost clause_sets
+  let run =
+    Confidence.open_run ?nworkers ?compile_fuel ~options rng w clause_sets ~eps
+      ~delta
   in
+  let plan = Confidence.plan run and resumed = Confidence.resumed run in
+  let meta = Confidence.meta run and probe = Confidence.probe run in
+  let fp i = Confidence.fingerprint run plan.(i) in
   let nshards = Array.length plan in
-  let probe = Worker.probe_of rng in
-  let lanes = if n = 0 then [||] else Rng.split_n rng n in
-  let meta =
-    Shard.meta_payload ~n ~eps ~delta ~fuel:compile_fuel
-      ~shard_cost:options.shard_cost
-  in
-  let journal, resumed =
-    match options.checkpoint with
-    | None -> (Shard.null_journal (), Hashtbl.create 1)
-    | Some path ->
-        Shard.open_journal ~retries:options.retries ~resume:options.resume
-          ~meta ~plan ~clause_sets path
-  in
-  let fps = Array.map (fun sh -> Shard.fingerprint clause_sets sh) plan in
   (* Every resolved shard lands here (resumed, worker, fallback or
      quarantined); emission walks the plan in order over it. *)
   let results : (int, Shard.outcome) Hashtbl.t = Hashtbl.create (max 1 nshards) in
@@ -224,17 +195,16 @@ let run ?budget ?nworkers ?compile_fuel
         in
         (trials, Budget.remaining_deadline b)
   in
-  (* Pending queue: LPT — deal the heaviest shards first so the tail of the
-     run is small shards that balance across workers. *)
-  let pending =
-    ref
-      (List.sort
-         (fun a b ->
-           match compare plan.(b).Shard.cost plan.(a).Shard.cost with
-           | 0 -> compare a b
-           | c -> c)
-         todo)
+  (* Pending queue: LPT — deal the heaviest shards first (lowest index on
+     ties) so the tail of the run is small shards that balance across
+     workers. *)
+  let lpt =
+    List.sort (fun a b ->
+        match compare plan.(b).Shard.cost plan.(a).Shard.cost with
+        | 0 -> compare a b
+        | c -> c)
   in
+  let pending = ref (lpt todo) in
   let failures : (int, int list) Hashtbl.t = Hashtbl.create 8 in
   let workers_lost = ref 0 in
   let reassigned = ref 0 in
@@ -242,7 +212,6 @@ let run ?budget ?nworkers ?compile_fuel
   let leases_expired = ref 0 in
   let late_drops = ref 0 in
   let fallback_shards = ref 0 in
-  let quarantined = ref [] in
   (* Lease epochs: a global counter stamps every order; [current_epoch]
      remembers the latest epoch issued per shard so ingestion can tell a
      late-but-genuine delivery (epoch ≤ current, first-wins) from
@@ -323,13 +292,7 @@ let run ?budget ?nworkers ?compile_fuel
     (* Reassigned shards go back in cost order; a fresh attempt re-copies
        the shard's lane slice, so whoever picks it up reproduces the
        original stream bit for bit. *)
-    pending :=
-      List.sort
-        (fun a b ->
-          match compare plan.(b).Shard.cost plan.(a).Shard.cost with
-          | 0 -> compare a b
-          | c -> c)
-        (i :: !pending)
+    pending := lpt (i :: !pending)
   in
   let reap wk =
     match wk.tr.pid with
@@ -376,25 +339,11 @@ let run ?budget ?nworkers ?compile_fuel
     | None -> ());
     bury ?reconnect wk
   in
-  let quarantine i err =
-    let e =
-      Pqdb_error.Error
-        (Pqdb_error.Task_failure { index = i; inner = Failure err })
-    in
-    let o =
-      Confidence.apriori_outcome ?compile_fuel w clause_sets plan.(i)
-        ~fp:fps.(i) ~error:e
-    in
-    quarantined := (i, Option.get o.Shard.quarantined) :: !quarantined;
-    Hashtbl.replace results i o
-  in
   let record_outcome (o : Shard.outcome) =
     (match budget with
     | Some b -> Budget.spend b (sum_trials o.trials)
     | None -> ());
-    (match o.quarantined with
-    | Some _ -> ()
-    | None -> Shard.journal_append journal (Shard.to_payload o));
+    Confidence.journal_outcome run o;
     Hashtbl.replace results o.shard.Shard.index o
   in
   let shard_failed wid i detail =
@@ -404,7 +353,11 @@ let run ?budget ?nworkers ?compile_fuel
        retries over distinct workers whenever the fleet allows it. *)
     let attempts = wid :: Option.value ~default:[] (Hashtbl.find_opt failures i) in
     Hashtbl.replace failures i attempts;
-    if List.length attempts > options.retries then quarantine i detail
+    if List.length attempts > options.retries then
+      (* A remote failure arrives as a string only. *)
+      record_outcome
+        (Confidence.apriori_outcome run plan.(i) ~fp:(fp i)
+           ~error:(Failure detail))
     else requeue i
   in
   (* Idempotent ingestion: the (index, epoch) stamp decides.  An epoch never
@@ -423,7 +376,7 @@ let run ?budget ?nworkers ?compile_fuel
           ~record:index payload
       with
       | o
-        when o.Shard.shard = plan.(index) && String.equal o.Shard.fp fps.(index)
+        when o.Shard.shard = plan.(index) && String.equal o.Shard.fp (fp index)
              && o.Shard.quarantined = None ->
           record_outcome o;
           (* A late resolution may race its own reassignment: drop the
@@ -501,43 +454,12 @@ let run ?budget ?nworkers ?compile_fuel
     Hashtbl.replace current_epoch i epoch;
     match
       wk.tr.send
-        (Protocol.Order { index = i; epoch; fp = fps.(i); trials; deadline_s })
+        (Protocol.Order { index = i; epoch; fp = fp i; trials; deadline_s })
     with
     | () -> wk.state <- Busy { shard = i; epoch }
     | exception _ ->
         requeue i;
         bury wk
-  in
-  (* In-process fallback: with every worker gone the coordinator degrades
-     to the sequential stream's own retry/quarantine loop over whatever is
-     left — same solve, same slices, same outcomes. *)
-  let solve_local i =
-    let sh = plan.(i) in
-    let budget_for_attempt () =
-      let trials, deadline_s = slice_of i in
-      Worker.budget_of_slice ~trials ~deadline_s
-    in
-    let rec go attempt =
-      match
-        Confidence.solve_shard ?budget:(budget_for_attempt ()) ?nworkers
-          ?compile_fuel ~lanes w clause_sets sh ~fp:fps.(i) ~eps ~delta
-      with
-      | o -> record_outcome o
-      | exception e ->
-          if attempt >= options.retries then
-            let detail =
-              match e with
-              | Pqdb_error.Error t -> Pqdb_error.to_string t
-              | e -> Printexc.to_string e
-            in
-            quarantine i detail
-          else begin
-            Unix.sleepf (Shard.backoff_s ~attempt:(attempt + 1));
-            go (attempt + 1)
-          end
-    in
-    incr fallback_shards;
-    go 0
   in
   let cursor = ref 0 in
   let emit_ready () =
@@ -546,7 +468,7 @@ let run ?budget ?nworkers ?compile_fuel
       &&
       match Hashtbl.find_opt results !cursor with
       | Some o ->
-          emit o;
+          Confidence.emit_outcome run ~emit o;
           incr cursor;
           true
       | None -> false
@@ -625,15 +547,22 @@ let run ?budget ?nworkers ?compile_fuel
                assign wk i)
          idle;
        if active () = [] && !redials = [] then
-         (* No dealable worker and no redial pending: finish in-process.
-            Shards still marked in-flight were requeued by [bury] or
-            suspension; a partitioned worker that might heal later must
-            not delay termination (its late outcomes are dedup'd). *)
+         (* No dealable worker and no redial pending: finish in-process,
+            through the stream's own retry/quarantine loop — same solve,
+            same slices, same outcomes.  Shards still marked in-flight were
+            requeued by [bury] or suspension; a partitioned worker that
+            might heal later must not delay termination (its late outcomes
+            are dedup'd). *)
          while unresolved () do
            match !pending with
            | i :: rest ->
                pending := rest;
-               solve_local i;
+               incr fallback_shards;
+               record_outcome
+                 (Confidence.solve_with_retries run plan.(i) ~fp:(fp i)
+                    ~budget:(fun () ->
+                      let trials, deadline_s = slice_of i in
+                      Worker.budget_of_slice ~trials ~deadline_s));
                emit_ready ()
            | [] -> assert false
          done
@@ -647,7 +576,7 @@ let run ?budget ?nworkers ?compile_fuel
      emit_ready ()
    with e ->
      List.iter (fun wk -> kill ~reconnect:false wk) (live ());
-     Shard.close_journal journal;
+     ignore (Confidence.close_run run);
      raise e);
   List.iter
     (fun wk ->
@@ -660,34 +589,16 @@ let run ?budget ?nworkers ?compile_fuel
       wk.tr.close ();
       reap wk)
     (live ());
-  Shard.close_journal journal;
-  let quarantined =
-    List.sort (fun (a, _) (b, _) -> compare a b) !quarantined
-  in
-  let stream_trials = ref 0 in
-  let all_complete = ref true in
-  Hashtbl.iter
-    (fun _ (o : Shard.outcome) ->
-      stream_trials := !stream_trials + sum_trials o.trials;
-      if not o.complete then all_complete := false)
-    results;
+  let stream = Confidence.close_run run in
   let compacted =
     match options.checkpoint with
     | Some path
-      when quarantined = [] && Shard.journal_ok journal && nshards > 0 -> (
+      when stream.quarantined = [] && stream.journal_ok && nshards > 0 -> (
         try Some (Shard.compact_journal path) with _ -> None)
     | _ -> None
   in
   {
-    stream =
-      {
-        Confidence.shards = nshards;
-        resumed_shards = Hashtbl.length resumed;
-        quarantined;
-        stream_trials = !stream_trials;
-        stream_complete = !all_complete && quarantined = [];
-        journal_ok = Shard.journal_ok journal;
-      };
+    stream;
     workers_spawned;
     workers_lost = !workers_lost;
     reassigned = !reassigned;

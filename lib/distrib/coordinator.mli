@@ -1,10 +1,12 @@
 (** Distributed shard execution: a coordinator dealing the shard plan to
     worker processes over the checkpoint journal.
 
-    The coordinator computes the same plan, per-tuple RNG lanes and journal
-    state as {!Pqdb_montecarlo.Confidence.run_stream}, but instead of
-    solving shards inline it deals them to [workers] spawned over
-    {!transport}s, heaviest-first (LPT), and reconciles the answers:
+    The coordinator opens the same run as
+    {!Pqdb_montecarlo.Confidence.run_stream}
+    ({!Pqdb_montecarlo.Confidence.open_run}: plan, per-tuple RNG lanes,
+    probe, meta and journal state), but instead of solving shards inline it
+    deals them to [workers] spawned over {!transport}s, heaviest-first
+    (LPT), and reconciles the answers:
 
     {ul
     {- {e Bit-identity}: workers recompute lanes from the same seed and copy
@@ -17,12 +19,18 @@
     {- {e Fault tolerance}: worker death (EOF, I/O error, heartbeat
        timeout) requeues its in-flight shard for the survivors; a shard
        whose attempts exceed the retry budget (spread over distinct workers
-       when the fleet allows) is quarantined with sound a-priori brackets,
-       exactly like the sequential stream.  With every worker gone the
-       coordinator finishes in-process — distribution can only add
-       capacity, never lose results.}
+       when the fleet allows) is quarantined with sound a-priori brackets
+       and a [Task_failure] carrying the worker's failure text.  With every
+       worker gone the coordinator finishes in-process through the stream's
+       own retry/quarantine loop
+       ({!Pqdb_montecarlo.Confidence.solve_with_retries}, with the shard's
+       static slice as each attempt's budget), so a shard quarantined there
+       carries the same typed error as in [run_stream] — distribution can
+       only add capacity, never lose results.}
     {- {e Journal compatibility}: completed shards are appended to the same
-       {!Pqdb_runtime.Checkpoint} journal with the same records, so a run
+       {!Pqdb_runtime.Checkpoint} journal with the same records, and the
+       summary is built by the same
+       {!Pqdb_montecarlo.Confidence.close_run}, so a run
        may be interrupted under one worker count and resumed under another
        (including one, i.e. plain [run_stream]) bit-identically.  On clean
        completion the journal is compacted in place
@@ -170,7 +178,8 @@ val run :
     replayed from the journal without being dealt.  Exceptions from
     [emit] are not contained (workers are killed, the journal closed, and
     the exception re-raised).
-    @raise Invalid_argument on bad (ε, δ), [workers < 1], bad [options],
+    @raise Invalid_argument on bad (ε, δ) or [options] (as
+    {!Pqdb_montecarlo.Confidence.open_run}), [workers < 1],
     a non-positive [lease_ttl_s]/[reconnect_delay_s] or negative
     [max_reconnects].
     @raise Pqdb_runtime.Pqdb_error.Error on a corrupt or mismatched resume

@@ -2,7 +2,8 @@
    serve-layer Client, the coordinator's TCP worker transport, and the
    coordinator's redial loop all back off through this one module, so a
    fleet of reconnecting peers shares one (salted) jitter law instead of
-   each layer growing its own. *)
+   each layer growing its own.  Host names resolve here too, for dialers
+   and the worker's listener alike. *)
 
 (* On Unix an abstract [Unix.file_descr] is the integer fd; the standard
    trick recovers it so a connection attempt can salt its jitter.  Only
@@ -33,6 +34,17 @@ let retriable = function
   | Unix.ETIMEDOUT | Unix.EHOSTUNREACH | Unix.ENETUNREACH | Unix.EINTR ->
       true
   | _ -> false
+
+(* A dotted address as is, otherwise the host's first DNS address. *)
+let resolve_host host =
+  try Unix.inet_addr_of_string host
+  with Failure _ -> (
+    match Unix.gethostbyname host with
+    | { Unix.h_addr_list = [||]; _ } ->
+        invalid_arg (Printf.sprintf "no address for host %S" host)
+    | h -> h.Unix.h_addr_list.(0)
+    | exception Not_found ->
+        invalid_arg (Printf.sprintf "unknown host %S" host))
 
 (* Dial [addr], retrying refused/absent/unreachable peers with capped
    jittered backoff.  Returns the connected descriptor (close-on-exec). *)

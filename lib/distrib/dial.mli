@@ -21,6 +21,11 @@ val connection_salt : Unix.file_descr -> int
     spread — distinct processes, and distinct sockets within one process,
     land on distinct points of the jitter sequence. *)
 
+val resolve_host : string -> Unix.inet_addr
+(** [host] as a numeric address, or else its first DNS address — the one
+    resolver behind {!Coordinator.tcp_transport} and {!Worker.listen}.
+    @raise Invalid_argument on an unknown host or one with no address. *)
+
 val connect :
   ?retries:int -> ?retry_delay_s:float -> ?max_delay_s:float ->
   Unix.sockaddr -> Unix.file_descr

@@ -1,10 +1,7 @@
-open Pqdb_numeric
 module Shard = Pqdb_montecarlo.Shard
 module Confidence = Pqdb_montecarlo.Confidence
 module Budget = Pqdb_montecarlo.Budget
 module Pqdb_error = Pqdb_runtime.Pqdb_error
-
-let probe_of rng = Printf.sprintf "%h" (Rng.float (Rng.copy rng) 1.)
 
 (* The budget a worker reconstructs from an order's slice.  [Some 0] trials
    (or a spent deadline) means the coordinator's governor is already
@@ -37,22 +34,19 @@ let serve_session ?compile_fuel ?nworkers
     ?(shard_cost = Confidence.default_stream_options.shard_cost)
     ?(heartbeat_s = 0.25) ?(frame_timeout_s = 30.) ?(tcp = false) rng w
     clause_sets ~eps ~delta ~in_fd ~out_fd () =
-  if eps <= 0. || delta <= 0. then invalid_arg "Worker.serve: eps/delta";
-  if shard_cost < 1 then invalid_arg "Worker.serve: shard_cost must be >= 1";
   if heartbeat_s <= 0. then
     invalid_arg "Worker.serve: heartbeat_s must be positive";
   if frame_timeout_s <= 0. then
     invalid_arg "Worker.serve: frame_timeout_s must be positive";
   ignore_sigpipe ();
-  let n = Array.length clause_sets in
-  let plan = Shard.plan ~eps ~delta ~max_cost:shard_cost clause_sets in
-  (* The probe is drawn from a copy BEFORE the lanes split, mirroring the
-     coordinator, so both sides advance their parent RNG identically. *)
-  let probe = probe_of rng in
-  let lanes = if n = 0 then [||] else Rng.split_n rng n in
-  let meta =
-    Shard.meta_payload ~n ~eps ~delta ~fuel:compile_fuel ~shard_cost
+  (* The same run the coordinator opened, rebuilt from this worker's own
+     inputs: its meta and probe go out in the Hello for literal comparison. *)
+  let run =
+    Confidence.open_run ?nworkers ?compile_fuel
+      ~options:{ Confidence.default_stream_options with shard_cost }
+      rng w clause_sets ~eps ~delta
   in
+  let plan = Confidence.plan run in
   let wlock = Mutex.create () in
   let send msg =
     Mutex.protect wlock (fun () ->
@@ -64,7 +58,13 @@ let serve_session ?compile_fuel ?nworkers
      heartbeat that cannot renew the lease in time is indistinguishable
      from a partition on the other side. *)
   let hb_delay = Atomic.make heartbeat_s in
-  send (Protocol.Hello { meta; probe; source = None });
+  send
+    (Protocol.Hello
+       {
+         meta = Confidence.meta run;
+         probe = Confidence.probe run;
+         source = None;
+       });
   (* Liveness ticks keep flowing while a long solve runs, so the
      coordinator can tell "slow" from "gone".  A failed tick means the
      coordinator hung up; the main loop will see EOF and exit. *)
@@ -91,7 +91,7 @@ let serve_session ?compile_fuel ?nworkers
             Protocol.Failed { index; epoch; detail = "unknown shard index" }
           else
             let sh = plan.(index) in
-            let own_fp = Shard.fingerprint clause_sets sh in
+            let own_fp = Confidence.fingerprint run sh in
             if not (String.equal own_fp fp) then
               Protocol.Failed
                 {
@@ -105,8 +105,7 @@ let serve_session ?compile_fuel ?nworkers
             else
               let budget = budget_of_slice ~trials ~deadline_s in
               match
-                Confidence.solve_shard ?budget ?nworkers ?compile_fuel ~lanes
-                  w clause_sets sh ~fp ~eps ~delta
+                Confidence.solve_shard ?budget run sh ~fp
               with
               | o ->
                   Protocol.Outcome
@@ -181,19 +180,7 @@ let listen ?compile_fuel ?nworkers ?shard_cost ?heartbeat_s ?frame_timeout_s
     ?(backlog = 16) ?max_sessions ?(ready = fun _ -> ()) ~make_rng ~resolve
     ~host ~port ~eps ~delta () =
   ignore_sigpipe ();
-  let addr =
-    let ip =
-      try Unix.inet_addr_of_string host
-      with Failure _ -> (
-        match Unix.gethostbyname host with
-        | { Unix.h_addr_list = [||]; _ } ->
-            invalid_arg (Printf.sprintf "Worker.listen: no address for %S" host)
-        | h -> h.Unix.h_addr_list.(0)
-        | exception Not_found ->
-            invalid_arg (Printf.sprintf "Worker.listen: unknown host %S" host))
-    in
-    Unix.ADDR_INET (ip, port)
-  in
+  let addr = Unix.ADDR_INET (Dial.resolve_host host, port) in
   let lfd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   let cleanup () = try Unix.close lfd with Unix.Unix_error _ -> () in
   (try

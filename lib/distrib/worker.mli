@@ -2,27 +2,23 @@
 
     A worker is handed the {e same} inputs as the coordinator — batch seed,
     W table, clause sets, (ε, δ), compilation fuel, shard ceiling — and
-    reconstructs the shard plan and the whole-batch per-tuple RNG lanes
-    locally.  Orders then only carry a shard index, a data fingerprint and a
-    budget slice; by the {!Pqdb_montecarlo.Confidence.solve_shard} contract
-    the outcome a worker sends back is bit-identical to the one the
-    in-process stream would have computed for that shard, which is what lets
-    the coordinator mix workers, retries and in-process fallback freely.
+    opens the same run locally ({!Pqdb_montecarlo.Confidence.open_run}:
+    shard plan, whole-batch per-tuple RNG lanes, meta, probe).  Orders then
+    only carry a shard index, a data fingerprint and a budget slice; by the
+    {!Pqdb_montecarlo.Confidence.solve_shard} contract the outcome a worker
+    sends back is bit-identical to the one the in-process stream would have
+    computed for that shard, which is what lets the coordinator mix
+    workers, retries and in-process fallback freely.  A worker makes one
+    attempt per order; retrying and quarantining are the coordinator's.
 
     Parameter or seed drift is caught twice: the [Hello] handshake carries
-    the run's {!Pqdb_montecarlo.Shard.meta_payload} and an RNG probe for the
-    coordinator to compare literally, and each order's fingerprint is
-    re-derived from the worker's own data before solving (mismatch answers
-    [Failed], never a wrong shard). *)
+    the run's meta payload and RNG probe for the coordinator to compare
+    literally, and each order's fingerprint is re-derived from the worker's
+    own data before solving (mismatch answers [Failed], never a wrong
+    shard). *)
 
 open Pqdb_numeric
 open Pqdb_urel
-
-val probe_of : Rng.t -> string
-(** The handshake RNG probe: a ["%h"] draw from a {e copy} of the batch
-    seed, so computing it does not advance the caller's generator.  The
-    coordinator and every worker derive it from their own seed; literal
-    equality certifies the seeds (and thus all per-tuple lanes) agree. *)
 
 val budget_of_slice :
   trials:int option -> deadline_s:float option ->
@@ -32,8 +28,9 @@ val budget_of_slice :
     otherwise.  A zero-trial or spent-deadline slice yields a born-cancelled
     budget — the solve degrades to sound brackets immediately, like a dead
     {!Pqdb_montecarlo.Budget.split} child.  The coordinator's in-process
-    fallback uses the same mapping so a shard's slice means the same thing
-    wherever it runs. *)
+    fallback gives the same mapping to
+    {!Pqdb_montecarlo.Confidence.solve_with_retries} as its per-attempt
+    budget, so a shard's slice means the same thing wherever it runs. *)
 
 val serve_session :
   ?compile_fuel:int -> ?nworkers:int -> ?shard_cost:int ->
@@ -60,7 +57,8 @@ val serve_session :
     frame mid-write cannot leave the worker wedged-but-heartbeating.
     [tcp] (default false) routes all I/O through the {!Protocol} TCP fault
     wrappers and bounds sends by [frame_timeout_s] too.
-    @raise Invalid_argument on bad (ε, δ), [shard_cost], [heartbeat_s] or
+    @raise Invalid_argument on bad (ε, δ) or [shard_cost] (as
+    {!Pqdb_montecarlo.Confidence.open_run}), [heartbeat_s] or
     [frame_timeout_s].  I/O errors on a dead peer propagate. *)
 
 val serve :
@@ -96,5 +94,5 @@ val listen :
     listener to [accept]: surviving to serve the next dial is the
     worker-side half of reconnect-resume.  [max_sessions] bounds the
     number of sessions served (default unbounded), for tests and drains.
-    @raise Invalid_argument on bad parameters or an unresolvable [host];
-    bind errors propagate. *)
+    @raise Invalid_argument on bad parameters or an unresolvable [host]
+    ({!Dial.resolve_host}); bind errors propagate. *)

@@ -49,6 +49,24 @@ let cost_bound batch i ~eps ~delta =
     0
     (Compile.residuals batch.comps.(i))
 
+(* A tuple's a-priori compiled answer, written into slot [i]: the exact
+   value as a point, or else the compiled bracket, with its lower end as the
+   estimate and its absolute half-width as the achieved error — the
+   certificate actually held, never the requested ε.  [true] when exact. *)
+let fill_apriori comp ~out ~intervals ~achieved i =
+  match Compile.exact_value comp with
+  | Some p ->
+      out.(i) <- p;
+      intervals.(i) <- (p, p);
+      achieved.(i) <- 0.;
+      true
+  | None ->
+      let lo, hi = Compile.vacuous_interval comp in
+      out.(i) <- lo;
+      intervals.(i) <- (lo, hi);
+      achieved.(i) <- (hi -. lo) /. 2.;
+      false
+
 type core = {
   c_out : float array;
   c_trials : int array;
@@ -84,22 +102,12 @@ let run_core ?budget ?nworkers lanes batch ~eps ~delta =
        here and farm only the ones with residual sampling work, longest
        worst-case budget first.  Live tuples are pre-filled with their
        a-priori compiled bracket so that a tuple whose task never runs (or
-       dies) still reports a sound interval instead of garbage; its
-       achieved_eps is the bracket's absolute half-width — the certificate
-       actually held — never the requested ε. *)
+       dies) still reports a sound interval instead of garbage. *)
     let live = ref [] in
     Array.iteri
       (fun i comp ->
-        match Compile.exact_value comp with
-        | Some p ->
-            out.(i) <- p;
-            intervals.(i) <- (p, p)
-        | None ->
-            let lo, hi = Compile.vacuous_interval comp in
-            out.(i) <- lo;
-            intervals.(i) <- (lo, hi);
-            achieved.(i) <- (hi -. lo) /. 2.;
-            live := i :: !live)
+        if not (fill_apriori comp ~out ~intervals ~achieved i) then
+          live := i :: !live)
       batch.comps;
     let live =
       Array.of_list
@@ -189,28 +197,87 @@ type stream_summary = {
 
 let sum_trials a = Array.fold_left ( + ) 0 a
 
+type run = {
+  w : Wtable.t;
+  clause_sets : Assignment.t list array;
+  eps : float;
+  delta : float;
+  compile_fuel : int option;
+  nworkers : int option;
+  options : stream_options;
+  plan : Shard.t array;
+  lanes : Rng.t array;
+  probe : string;
+  meta : string;
+  journal : Shard.journal;
+  resumed : (int, Shard.outcome) Hashtbl.t;
+  fps : string Lazy.t array;
+  (* What has been emitted so far, in plan order: the only input of the
+     run's summary, whoever (stream or coordinator) resolved the shards. *)
+  mutable emitted_trials : int;
+  mutable all_complete : bool;
+  mutable resumed_count : int;
+  mutable quarantines : (int * Pqdb_error.t) list;  (* newest first *)
+}
+
+let open_run ?nworkers ?compile_fuel ?(options = default_stream_options) rng w
+    clause_sets ~eps ~delta =
+  if eps <= 0. || delta <= 0. then
+    invalid_arg "Confidence.open_run: eps and delta must be positive";
+  if options.shard_cost < 1 then
+    invalid_arg "Confidence.open_run: shard_cost must be >= 1";
+  if options.retries < 0 then
+    invalid_arg "Confidence.open_run: retries must be >= 0";
+  if options.resume && options.checkpoint = None then
+    invalid_arg "Confidence.open_run: resume requires a checkpoint journal";
+  let n = Array.length clause_sets in
+  let plan = Shard.plan ~eps ~delta ~max_cost:options.shard_cost clause_sets in
+  (* The handshake probe is drawn from a copy BEFORE the lanes split, so
+     opening a run advances the parent RNG identically everywhere. *)
+  let probe = Printf.sprintf "%h" (Rng.float (Rng.copy rng) 1.) in
+  (* Per-tuple lanes are split over the WHOLE batch up front; shards consume
+     their tuples' lanes only.  Combined with the run_core contract this
+     makes the stream bit-identical to the materialized run — and to any
+     interrupted-and-resumed or distributed replay of itself. *)
+  let lanes = if n = 0 then [||] else Rng.split_n rng n in
+  let meta =
+    Shard.meta_payload ~n ~eps ~delta ~fuel:compile_fuel
+      ~shard_cost:options.shard_cost
+  in
+  let journal, resumed =
+    match options.checkpoint with
+    | None -> (Shard.null_journal (), Hashtbl.create 1)
+    | Some path ->
+        Shard.open_journal ~retries:options.retries ~resume:options.resume
+          ~meta ~plan ~clause_sets path
+  in
+  let fps =
+    Array.map (fun sh -> lazy (Shard.fingerprint clause_sets sh)) plan
+  in
+  { w; clause_sets; eps; delta; compile_fuel; nworkers; options; plan; lanes;
+    probe; meta; journal; resumed; fps; emitted_trials = 0;
+    all_complete = true; resumed_count = 0; quarantines = [] }
+
+let plan run = run.plan
+let probe run = run.probe
+let meta run = run.meta
+let resumed run = run.resumed
+let fingerprint run (sh : Shard.t) = Lazy.force run.fps.(sh.index)
+
 (* Sound per-tuple outcome for a shard whose computation cannot be trusted
    (kept failing, or failed on enough distinct workers): a-priori compiled
-   brackets, zero trials, and the failure typed.  Shared by the in-process
-   quarantine path and the distributed coordinator. *)
-let apriori_outcome ?compile_fuel w clause_sets (sh : Shard.t) ~fp ~error =
+   brackets, zero trials, and the failure typed. *)
+let apriori_outcome run (sh : Shard.t) ~fp ~error =
   let count = sh.count in
   let estimates = Array.make count 0. in
   let intervals = Array.make count (0., 1.) in
   let achieved = Array.make count 0.5 in
   for j = 0 to count - 1 do
-    match Compile.compile ?fuel:compile_fuel w clause_sets.(sh.first + j) with
-    | comp -> (
-        match Compile.exact_value comp with
-        | Some p ->
-            estimates.(j) <- p;
-            intervals.(j) <- (p, p);
-            achieved.(j) <- 0.
-        | None ->
-            let lo, hi = Compile.vacuous_interval comp in
-            estimates.(j) <- lo;
-            intervals.(j) <- (lo, hi);
-            achieved.(j) <- (hi -. lo) /. 2.)
+    match
+      Compile.compile ?fuel:run.compile_fuel run.w
+        run.clause_sets.(sh.first + j)
+    with
+    | comp -> ignore (fill_apriori comp ~out:estimates ~intervals ~achieved j)
     | exception _ -> () (* keep the vacuous [0, 1] default *)
   done;
   let err =
@@ -238,14 +305,19 @@ let apriori_outcome ?compile_fuel w clause_sets (sh : Shard.t) ~fp ~error =
    the run_core contract the outcome is bit-identical no matter where or in
    what order shards run.  Fires the "shard.run" fault point; failures
    propagate for the caller's retry/quarantine policy. *)
-let solve_shard ?budget ?nworkers ?compile_fuel ~lanes w clause_sets
-    (sh : Shard.t) ~fp ~eps ~delta =
+let solve_shard ?budget run (sh : Shard.t) ~fp =
   Faultpoint.fire "shard.run";
   let batch =
-    prepare ?compile_fuel w (Array.sub clause_sets sh.first sh.count)
+    prepare ?compile_fuel:run.compile_fuel run.w
+      (Array.sub run.clause_sets sh.first sh.count)
   in
-  let sub_lanes = Array.init sh.count (fun j -> Rng.copy lanes.(sh.first + j)) in
-  let c = run_core ?budget ?nworkers sub_lanes batch ~eps ~delta in
+  let sub_lanes =
+    Array.init sh.count (fun j -> Rng.copy run.lanes.(sh.first + j))
+  in
+  let c =
+    run_core ?budget ?nworkers:run.nworkers sub_lanes batch ~eps:run.eps
+      ~delta:run.delta
+  in
   {
     Shard.shard = sh;
     fp;
@@ -259,117 +331,101 @@ let solve_shard ?budget ?nworkers ?compile_fuel ~lanes w clause_sets
     quarantined = None;
   }
 
-let run_stream ?budget ?nworkers ?compile_fuel
-    ?(options = default_stream_options) rng w clause_sets ~eps ~delta ~emit =
-  if eps <= 0. || delta <= 0. then invalid_arg "Confidence.run_stream";
-  if options.shard_cost < 1 then
-    invalid_arg "Confidence.run_stream: shard_cost must be >= 1";
-  if options.retries < 0 then
-    invalid_arg "Confidence.run_stream: retries must be >= 0";
-  if options.resume && options.checkpoint = None then
-    invalid_arg "Confidence.run_stream: resume requires a checkpoint journal";
-  let n = Array.length clause_sets in
-  let shards = Shard.plan ~eps ~delta ~max_cost:options.shard_cost clause_sets in
-  (* Per-tuple lanes are split over the WHOLE batch up front; shards consume
-     their tuples' lanes only.  Combined with the run_core contract this
-     makes the stream bit-identical to the materialized run — and to any
-     interrupted-and-resumed replay of itself. *)
-  let lanes = if n = 0 then [||] else Rng.split_n rng n in
-  let meta =
-    Shard.meta_payload ~n ~eps ~delta ~fuel:compile_fuel
-      ~shard_cost:options.shard_cost
+let solve_with_retries run ~budget (sh : Shard.t) ~fp =
+  let rec go attempt =
+    match solve_shard ?budget:(budget ()) run sh ~fp with
+    | o -> o
+    | exception e ->
+        if attempt >= run.options.retries then
+          apriori_outcome run sh ~fp ~error:e
+        else begin
+          Unix.sleepf (Shard.backoff_s ~attempt:(attempt + 1));
+          go (attempt + 1)
+        end
   in
-  let journal, resumed =
-    match options.checkpoint with
-    | None -> (Shard.null_journal (), Hashtbl.create 1)
-    | Some path ->
-        Shard.open_journal ~retries:options.retries ~resume:options.resume
-          ~meta ~plan:shards ~clause_sets path
+  go 0
+
+let journal_outcome run (o : Shard.outcome) =
+  if o.quarantined = None && (not o.resumed) && Shard.journal_live run.journal
+  then Shard.journal_append run.journal (Shard.to_payload o)
+
+let emit_outcome run ~emit (o : Shard.outcome) =
+  run.emitted_trials <- run.emitted_trials + sum_trials o.trials;
+  if not o.complete then run.all_complete <- false;
+  if o.resumed then run.resumed_count <- run.resumed_count + 1;
+  (match o.quarantined with
+  | Some err -> run.quarantines <- (o.shard.index, err) :: run.quarantines
+  | None -> ());
+  emit o
+
+let close_run run =
+  Shard.close_journal run.journal;
+  {
+    shards = Array.length run.plan;
+    resumed_shards = run.resumed_count;
+    quarantined = List.rev run.quarantines;
+    stream_trials = run.emitted_trials;
+    stream_complete = run.all_complete && run.quarantines = [];
+    journal_ok = Shard.journal_ok run.journal;
+  }
+
+let run_stream ?budget ?nworkers ?compile_fuel ?options rng w clause_sets
+    ~eps ~delta ~emit =
+  let run =
+    open_run ?nworkers ?compile_fuel ?options rng w clause_sets ~eps ~delta
   in
-  let total_cost =
-    Array.fold_left (fun a s -> Stats.saturating_add a s.Shard.cost) 0 shards
+  (* Budget-aware scheduling: each shard gets its proportional share of
+     what is left, by a-priori cost — the tail degrades evenly instead of
+     starving, and the closing shard takes the whole remainder so no
+     allowance is lost to rounding.  A limitless (cancel-only) budget is
+     shared as is, so cancellation takes effect mid-shard. *)
+  let split_from =
+    match budget with
+    | Some b when not (Budget.limitless b) -> Some b
+    | _ -> None
   in
-  let remaining_cost = ref total_cost in
-  let stream_trials = ref 0 in
-  let quarantined = ref [] in
-  let resumed_count = ref 0 in
-  let all_complete = ref true in
-  let run_shard (sh : Shard.t) =
-    (* The fingerprint only travels in journal records. *)
-    let fp =
-      if Shard.journal_live journal then Shard.fingerprint clause_sets sh
-      else ""
-    in
-    let attempt_once () =
-      let sub_budget, charge_parent =
-        match budget with
-        | None -> (None, fun _ -> ())
-        | Some b ->
-            if Budget.limitless b then (Some b, fun _ -> ())
-            else
-              (* Budget-aware scheduling: this shard's proportional share of
-                 what is left, by a-priori cost — the tail degrades evenly
-                 instead of starving, and the closing shard takes the whole
-                 remainder so no allowance is lost to rounding. *)
-              ( Some
-                  (Budget.split b ~cost:sh.cost
-                     ~remaining_cost:(max 1 !remaining_cost)),
-                fun used -> Budget.spend b used )
-      in
-      let o =
-        solve_shard ?budget:sub_budget ?nworkers ?compile_fuel ~lanes w
-          clause_sets sh ~fp ~eps ~delta
-      in
-      charge_parent (sum_trials o.Shard.trials);
-      o
-    in
-    let rec go attempt =
-      match attempt_once () with
-      | o -> o
-      | exception e ->
-          if attempt >= options.retries then
-            apriori_outcome ?compile_fuel w clause_sets sh ~fp ~error:e
-          else begin
-            Unix.sleepf (Shard.backoff_s ~attempt:(attempt + 1));
-            go (attempt + 1)
-          end
-    in
-    go 0
+  let remaining_cost =
+    ref
+      (Array.fold_left
+         (fun a s -> Stats.saturating_add a s.Shard.cost)
+         0 run.plan)
   in
   Array.iter
     (fun (sh : Shard.t) ->
       let outcome =
-        match Hashtbl.find_opt resumed sh.index with
+        match Hashtbl.find_opt run.resumed sh.index with
         | Some o ->
-            incr resumed_count;
             (* Charge the governor with the journaled spend so later shards
                see the same remaining allowance as in the uninterrupted
                run. *)
-            (match budget with
-            | Some b -> Budget.spend b (sum_trials o.Shard.trials)
-            | None -> ());
+            Option.iter
+              (fun b -> Budget.spend b (sum_trials o.Shard.trials))
+              budget;
             o
-        | None -> run_shard sh
+        | None ->
+            (* The fingerprint only travels in journal records. *)
+            let fp =
+              if Shard.journal_live run.journal then fingerprint run sh else ""
+            in
+            let shard_budget () =
+              match split_from with
+              | Some b ->
+                  Some
+                    (Budget.split b ~cost:sh.cost
+                       ~remaining_cost:(max 1 !remaining_cost))
+              | None -> budget
+            in
+            let o = solve_with_retries run ~budget:shard_budget sh ~fp in
+            Option.iter
+              (fun b -> Budget.spend b (sum_trials o.Shard.trials))
+              split_from;
+            journal_outcome run o;
+            o
       in
       remaining_cost := !remaining_cost - sh.cost;
-      stream_trials := !stream_trials + sum_trials outcome.Shard.trials;
-      if not outcome.Shard.complete then all_complete := false;
-      (match outcome.Shard.quarantined with
-      | Some err -> quarantined := (sh.index, err) :: !quarantined
-      | None ->
-          if (not outcome.Shard.resumed) && Shard.journal_live journal then
-            Shard.journal_append journal (Shard.to_payload outcome));
-      emit outcome)
-    shards;
-  Shard.close_journal journal;
-  {
-    shards = Array.length shards;
-    resumed_shards = !resumed_count;
-    quarantined = List.rev !quarantined;
-    stream_trials = !stream_trials;
-    stream_complete = !all_complete && !quarantined = [];
-    journal_ok = Shard.journal_ok journal;
-  }
+      emit_outcome run ~emit outcome)
+    run.plan;
+  close_run run
 
 let run_stream_with_stats ?budget ?nworkers ?compile_fuel ?options rng w
     clause_sets ~eps ~delta =

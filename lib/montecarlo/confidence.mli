@@ -124,38 +124,98 @@ type stream_summary = {
           incomplete. *)
 }
 
-val solve_shard :
-  ?budget:Budget.t -> ?nworkers:int -> ?compile_fuel:int ->
-  lanes:Rng.t array -> Wtable.t -> Assignment.t list array -> Shard.t ->
-  fp:string -> eps:float -> delta:float -> Shard.outcome
-(** One attempt at one shard over the whole-batch RNG lanes ([lanes] must be
-    the [Rng.split_n] of the batch seed over {e all} tuples; the shard's
-    slice is copied fresh internally).  This is the unit of work the stream
-    loop, a retry, and a {!Pqdb_distrib.Worker} all execute: by the
-    per-tuple-lane contract the outcome is bit-identical no matter which
-    process runs it, in what order, or after how many failed attempts.
-    [budget], if given, is the shard's already-sliced child budget — the
-    caller charges its parent afterwards.  Fires the ["shard.run"] fault
-    point; failures propagate for the caller's retry/quarantine policy. *)
+(** {1 One batch run}
 
-val apriori_outcome :
-  ?compile_fuel:int -> Wtable.t -> Assignment.t list array -> Shard.t ->
-  fp:string -> error:exn -> Shard.outcome
+    What a batch run is, for {!run_stream}, the distributed coordinator and
+    every worker alike: {!open_run} opens it, {!solve_with_retries} is the
+    only retry/quarantine loop (a worker makes single {!solve_shard}
+    attempts and the coordinator retries), and {!emit_outcome} and
+    {!close_run} build the one {!stream_summary}. *)
+
+type run
+(** One opened batch: its inputs, plan, lanes, probe, meta, journal and the
+    running summary of what has been emitted. *)
+
+val open_run :
+  ?nworkers:int -> ?compile_fuel:int -> ?options:stream_options -> Rng.t ->
+  Wtable.t -> Assignment.t list array -> eps:float -> delta:float -> run
+(** Open a batch run: validate (ε, δ) and [options], plan the shards, draw
+    the probe, split the lanes (none for an empty batch), build the meta
+    payload and, with [options.checkpoint], open (or resume) the journal.
+    The parent RNG advances by exactly one {!Pqdb_numeric.Rng.split_n}.
+    @raise Invalid_argument on bad (ε, δ), options, or [resume] without a
+    [checkpoint] path.
+    @raise Pqdb_runtime.Pqdb_error.Error ([Malformed_input]) when resuming
+    from a corrupt or mismatched journal ({!Shard.open_journal}). *)
+
+val plan : run -> Shard.t array
+(** {!Shard.plan} under [options.shard_cost]. *)
+
+val probe : run -> string
+(** The handshake RNG probe: a ["%h"] draw from a {e copy} of the batch
+    seed, taken before the lane split.  Literal equality between two runs
+    certifies that their seeds, hence all their lanes, agree. *)
+
+val meta : run -> string
+(** {!Shard.meta_payload}: the journal's first record and the handshake's
+    parameter check. *)
+
+val resumed : run -> (int, Shard.outcome) Hashtbl.t
+(** Validated journal records keyed by shard index; empty unless
+    [options.resume]. *)
+
+val fingerprint : run -> Shard.t -> string
+(** The shard's {!Shard.fingerprint}, hashed on first use and cached. *)
+
+val solve_shard :
+  ?budget:Budget.t -> run -> Shard.t -> fp:string -> Shard.outcome
+(** One attempt at one shard, from fresh copies of its tuples' lanes.  By
+    the per-tuple-lane contract the outcome is bit-identical no matter
+    which process runs it, in what order, or after how many failed
+    attempts.  [budget], if given, is the attempt's own budget — the caller
+    charges any parent afterwards.  [fp] is stored in the outcome.  Fires
+    the ["shard.run"] fault point; failures propagate. *)
+
+val apriori_outcome : run -> Shard.t -> fp:string -> error:exn -> Shard.outcome
 (** The sound give-up outcome for a shard whose computation cannot be
     trusted: per-tuple a-priori compiled brackets (exact where compilation
     resolves the tuple, vacuous [0, 1] where even compiling fails), zero
-    trials, [complete = false], and [error] typed into [quarantined].
-    Deterministic, so the in-process stream and the distributed coordinator
-    emit identical records for a shard quarantined anywhere. *)
+    trials, [complete = false], and [error] typed into [quarantined]
+    ([Pqdb_error.Error t] gives [t]; any other exception is wrapped in
+    [Task_failure]). *)
+
+val solve_with_retries :
+  run -> budget:(unit -> Budget.t option) -> Shard.t -> fp:string ->
+  Shard.outcome
+(** The retry/quarantine loop: up to [1 + options.retries] {!solve_shard}
+    attempts, each under a fresh [budget ()], with the deterministic
+    {!Shard.backoff_s} between them; a shard still failing is quarantined
+    through {!apriori_outcome} with the last exception. *)
+
+val journal_outcome : run -> Shard.outcome -> unit
+(** Append a freshly computed, non-quarantined outcome to the run's
+    journal (a no-op when the journal is not live). *)
+
+val emit_outcome : run -> emit:(Shard.outcome -> unit) -> Shard.outcome -> unit
+(** Count the outcome into the run's summary, then pass it to [emit].
+    Call once per shard, in plan order. *)
+
+val close_run : run -> stream_summary
+(** Close the journal and summarize what was emitted: trials (journaled
+    spend included), resumed shards, quarantines in plan order, and the
+    journal's state.  Also the way to close the journal of a run cut short
+    by an exception. *)
 
 val run_stream :
   ?budget:Budget.t -> ?nworkers:int -> ?compile_fuel:int ->
   ?options:stream_options -> Rng.t -> Wtable.t -> Assignment.t list array ->
   eps:float -> delta:float -> emit:(Shard.outcome -> unit) -> stream_summary
 (** Stream the batch shard by shard, calling [emit] once per shard in plan
-    order.  Each shard is compiled, solved on its tuples' RNG lanes (fresh
-    lane copies per attempt, so retries replay the fault-free stream),
-    journaled, then released before the next shard starts.
+    order: {!open_run}, then per shard either its resumed record or
+    {!solve_with_retries} (fresh lane copies per attempt, so retries replay
+    the fault-free stream) and {!journal_outcome}, then {!emit_outcome};
+    {!close_run} gives the summary.  Each shard is released before the next
+    one starts.
 
     With a [budget], each shard receives the fraction of the {e remaining}
     allowance proportional to its a-priori cost ({!Budget.split}) — the

@@ -219,40 +219,51 @@ let close_journal j =
       j.jw <- None;
       Checkpoint.close wtr
 
-let validate_records ~source ~plan ~clause_sets records =
-  let resumed : (int, outcome) Hashtbl.t = Hashtbl.create 16 in
+(* The one duplicate policy for journal records, shared by resume and
+   compaction so a compacted journal resumes exactly like the original:
+   identical duplicates (a crash between fsync and the caller's
+   bookkeeping can legitimately replay a shard) resolve first-wins;
+   conflicting ones are corruption.  [first] sees each shard's first
+   record; the result maps every shard index to its payload. *)
+let dedup_records ~source ~first records =
+  let seen : (int, string) Hashtbl.t = Hashtbl.create 16 in
   List.iteri
     (fun k payload ->
       let record = k + 1 in
       let o = of_payload ~source ~record payload in
       let idx = o.shard.index in
-      match Hashtbl.find_opt resumed idx with
+      match Hashtbl.find_opt seen idx with
       | Some prev ->
-          (* Identical duplicates (a crash between fsync and the caller's
-             bookkeeping can legitimately replay a shard) resolve
-             first-wins; conflicting ones are corruption. *)
-          if not (String.equal (to_payload prev) payload) then
+          if not (String.equal prev payload) then
             Pqdb_error.malformed ~source
               (Printf.sprintf "record %d: conflicting duplicate of shard %d"
                  record idx)
       | None ->
-          if idx < 0 || idx >= Array.length plan then
-            Pqdb_error.malformed ~source
-              (Printf.sprintf "record %d: unknown shard %d" record idx);
-          let expected = plan.(idx) in
-          if expected.first <> o.shard.first || expected.count <> o.shard.count
-          then
-            Pqdb_error.malformed ~source
-              (Printf.sprintf
-                 "record %d: shard %d geometry does not match the plan" record
-                 idx);
-          if not (String.equal (fingerprint clause_sets expected) o.fp) then
-            Pqdb_error.malformed ~source
-              (Printf.sprintf
-                 "record %d: shard %d fingerprint does not match the data"
-                 record idx);
-          Hashtbl.add resumed idx o)
+          first ~record o;
+          Hashtbl.add seen idx payload)
     records;
+  seen
+
+let validate_records ~source ~plan ~clause_sets records =
+  let resumed : (int, outcome) Hashtbl.t = Hashtbl.create 16 in
+  let check ~record o =
+    let idx = o.shard.index in
+    if idx < 0 || idx >= Array.length plan then
+      Pqdb_error.malformed ~source
+        (Printf.sprintf "record %d: unknown shard %d" record idx);
+    let expected = plan.(idx) in
+    if expected.first <> o.shard.first || expected.count <> o.shard.count then
+      Pqdb_error.malformed ~source
+        (Printf.sprintf "record %d: shard %d geometry does not match the plan"
+           record idx);
+    if not (String.equal (fingerprint clause_sets expected) o.fp) then
+      Pqdb_error.malformed ~source
+        (Printf.sprintf
+           "record %d: shard %d fingerprint does not match the data" record
+           idx);
+    Hashtbl.add resumed idx o
+  in
+  ignore (dedup_records ~source ~first:check records);
   resumed
 
 let open_journal ?(retries = 2) ~resume ~meta ~plan ~clause_sets path =
@@ -282,23 +293,9 @@ let compact_journal path =
       Pqdb_error.malformed ~source:path
         "cannot compact an empty or missing journal"
   | meta :: records ->
-      (* Latest-per-shard with the same duplicate policy as resume:
-         identical duplicates collapse, conflicting ones are corruption —
-         a compacted journal must resume exactly like the original. *)
-      let tbl : (int, string) Hashtbl.t = Hashtbl.create 16 in
-      List.iteri
-        (fun k payload ->
-          let record = k + 1 in
-          let o = of_payload ~source:path ~record payload in
-          let idx = o.shard.index in
-          match Hashtbl.find_opt tbl idx with
-          | Some prev ->
-              if not (String.equal prev payload) then
-                Pqdb_error.malformed ~source:path
-                  (Printf.sprintf
-                     "record %d: conflicting duplicate of shard %d" record idx)
-          | None -> Hashtbl.replace tbl idx payload)
-        records;
+      let tbl =
+        dedup_records ~source:path ~first:(fun ~record:_ _ -> ()) records
+      in
       let idxs = List.sort compare (Hashtbl.fold (fun i _ a -> i :: a) tbl []) in
       let tmp = path ^ ".compact" in
       let wtr, _ = Checkpoint.open_writer tmp in

@@ -649,6 +649,60 @@ let test_drifted_worker_refused () =
      = summary.Coordinator.stream.Confidence.shards);
   check_same "fallback bits" (est, lo, hi, tr) ref_arrays
 
+(* The in-process fallback retries and quarantines through the stream's
+   own loop: a shard that keeps failing there is quarantined with the same
+   typed error the stream reports, not a stringified task failure. *)
+let test_fallback_quarantines_like_stream () =
+  clear_all ();
+  let w, sets = fixture () in
+  let n = Array.length sets in
+  let shard_cost = shard_cost_for ~eps ~delta sets ~target:3 in
+  let retries = 1 in
+  let opts = options ~retries shard_cost in
+  (* LPT deals the heaviest shard first, lowest index on ties: with costs
+     non-increasing along the plan the fallback meets the shards in the
+     stream's order, so the same shards meet the poison. *)
+  let plan = Shard.plan ~eps ~delta ~max_cost:shard_cost sets in
+  check bool_c "several shards" true (Array.length plan >= 3);
+  check bool_c "fallback order is plan order" true
+    (Array.for_all
+       (fun (sh : Shard.t) ->
+         sh.index = 0 || sh.cost <= plan.(sh.index - 1).Shard.cost)
+       plan);
+  (* Per run: enough shots to exhaust the 1 + retries attempts of the
+     first two shards. *)
+  let poison () = FP.arm ~count:(2 * (retries + 1)) "shard.run" in
+  poison ();
+  let _, _, stream = reference ~opts w sets in
+  poison ();
+  let emit, _, _, _, _, _ = collector n in
+  let summary =
+    Coordinator.run ~options:opts ~workers:1
+      ~spawn:(fun _ ->
+        Coordinator.thread_transport (fun ~input ~output ->
+            Worker.serve ~shard_cost ~heartbeat_s:0.05
+              (Rng.create ~seed:(seed + 1))
+              w sets ~eps ~delta ~input ~output))
+      (Rng.create ~seed) w sets ~eps ~delta ~emit
+  in
+  clear_all ();
+  check bool_c "all shards fell back in-process" true
+    (summary.Coordinator.fallback_shards
+     = summary.Coordinator.stream.Confidence.shards);
+  check bool_c "the stream quarantined shards 0 and 1 as Injected" true
+    (match stream.Confidence.quarantined with
+    | [ (0, E.Injected "shard.run"); (1, E.Injected "shard.run") ] -> true
+    | _ -> false);
+  let show q = List.map (fun (i, e) -> (i, E.to_string e)) q in
+  check
+    Alcotest.(list (pair int string))
+    "fallback quarantine = stream quarantine"
+    (show stream.Confidence.quarantined)
+    (show summary.Coordinator.stream.Confidence.quarantined);
+  check bool_c "same typed errors" true
+    (summary.Coordinator.stream.Confidence.quarantined
+     = stream.Confidence.quarantined)
+
 (* ------------------------------------------------------------------ *)
 (* Static budget slices: deterministic across worker counts.           *)
 
@@ -747,6 +801,8 @@ let () =
             test_quarantine_and_self_heal;
           Alcotest.test_case "drifted worker refused at handshake" `Quick
             test_drifted_worker_refused;
+          Alcotest.test_case "fallback quarantines like the stream" `Quick
+            test_fallback_quarantines_like_stream;
         ] );
       ( "resume",
         [

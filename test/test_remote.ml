@@ -342,17 +342,17 @@ let test_lease_expiry_late_duplicate () =
   check bool_c "enough shards for three workers" true
     (ref_summary.Confidence.shards >= 3);
   (* Mirror the coordinator's handshake and solve exactly, like a real
-     worker would: probe from a copy, then the lane split. *)
-  let mirror = Rng.create ~seed in
-  let probe = Worker.probe_of mirror in
-  let lanes = Rng.split_n mirror n in
+     worker would: open the same run from the same seed. *)
+  let mirror =
+    Confidence.open_run ~options:opts (Rng.create ~seed) w sets ~eps ~delta
+  in
+  let probe = Confidence.probe mirror in
   let plan = Shard.plan ~eps ~delta ~max_cost:shard_cost sets in
   let meta = Shard.meta_payload ~n ~eps ~delta ~fuel:None ~shard_cost in
   let solve_payload i =
     let sh = plan.(i) in
     let fp = Shard.fingerprint sets sh in
-    Shard.to_payload
-      (Confidence.solve_shard ~lanes w sets sh ~fp ~eps ~delta)
+    Shard.to_payload (Confidence.solve_shard mirror sh ~fp)
   in
   let hello = Protocol.Hello { meta; probe; source = None } in
   (* Worker A: handshakes, takes one order, then goes silent (no
