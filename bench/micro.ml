@@ -248,9 +248,7 @@ let stopping_inputs () =
   in
   (w, sets)
 
-(* A 2k-tuple batch of small DNFs: each compiles to a closed form, so the
-   engine's resident state is dominated by the compiled trees and sampling
-   tables — exactly the footprint streaming is supposed to bound. *)
+(* A 2k-tuple batch of small DNFs: each compiles to a closed form. *)
 let stream_inputs () =
   let rng = Rng.create ~seed:211 in
   let w = Wtable.create () in
@@ -259,6 +257,23 @@ let stream_inputs () =
         Gen.random_dnf rng w ~vars:8 ~clauses:6 ~clause_len:3)
   in
   (w, sets)
+
+(* 120 random 30-variable, 30-clause DNFs that run out of the default
+   compilation fuel: each keeps residual sub-DNFs and their sampling tables,
+   so the engine's resident state is dominated by per-tuple compiled state —
+   exactly the footprint streaming is supposed to bound. *)
+let ceiling_inputs () =
+  let rng = Rng.create ~seed:212 in
+  let w = Wtable.create () in
+  let sets = ref [] and n = ref 0 in
+  while !n < 120 do
+    let cs = Gen.random_dnf rng w ~vars:30 ~clauses:30 ~clause_len:3 in
+    if not (Compile.is_exact (Compile.compile w cs)) then begin
+      sets := cs :: !sets;
+      incr n
+    end
+  done;
+  (w, Array.of_list (List.rev !sets))
 
 type bench_entry = {
   be_name : string;
@@ -538,17 +553,18 @@ let confidence_engine () =
     @ deadline_rows);
   (* 2e. Streaming shard engine (E6c).  Two claims: resident memory is
      bounded by the shard ceiling rather than the batch (the materialized
-     path keeps all 2000 compiled trees and sampling tables live at once,
-     the stream one shard's worth), and resuming a checkpointed run that
-     lost its final shard replays the journal instead of recomputing. *)
+     path keeps all 120 compiled DAGs, residuals and sampling tables live at
+     once, the stream one shard's worth), and resuming a checkpointed run
+     that lost its final shard replays the journal instead of recomputing. *)
   let ws2, stream_sets = stream_inputs () in
+  let wc, ceiling_sets = ceiling_inputs () in
   let seps2 = 0.25 and sdelta2 = 0.1 in
   let live_now () =
     Gc.full_major ();
     (Gc.stat ()).Gc.live_words
   in
   let base_live = live_now () in
-  let mat_batch = ref (Some (Mc_confidence.prepare ws2 stream_sets)) in
+  let mat_batch = ref (Some (Mc_confidence.prepare wc ceiling_sets)) in
   let mat_peak = live_now () - base_live in
   let mat_time =
     Report.time_median (fun () ->
@@ -557,7 +573,7 @@ let confidence_engine () =
              ~eps:seps2 ~delta:sdelta2))
   in
   mat_batch := None;
-  record ~peak_words:mat_peak "batch-materialized-2k" mat_time mat_time;
+  record ~peak_words:mat_peak "batch-materialized-heavy" mat_time mat_time;
   (* One shard per tuple (the singleton rule): the per-shard ceiling is a
      single compiled tree, the strictest possible memory bound. *)
   let stream_opts =
@@ -567,18 +583,18 @@ let confidence_engine () =
   let stream_peak = ref 0 in
   let emitted = ref 0 in
   ignore
-    (Mc_confidence.run_stream ~options:stream_opts (Rng.create ~seed:5) ws2
-       stream_sets ~eps:seps2 ~delta:sdelta2 ~emit:(fun _ ->
+    (Mc_confidence.run_stream ~options:stream_opts (Rng.create ~seed:5) wc
+       ceiling_sets ~eps:seps2 ~delta:sdelta2 ~emit:(fun _ ->
          incr emitted;
-         if !emitted land 127 = 0 then
+         if !emitted land 7 = 0 then
            stream_peak := max !stream_peak (live_now () - stream_base)));
   let stream_time =
     Report.time_median (fun () ->
         ignore
           (Mc_confidence.run_stream_with_stats ~options:stream_opts
-             (Rng.create ~seed:5) ws2 stream_sets ~eps:seps2 ~delta:sdelta2))
+             (Rng.create ~seed:5) wc ceiling_sets ~eps:seps2 ~delta:sdelta2))
   in
-  record ~peak_words:!stream_peak "stream-2k-shards" stream_time mat_time;
+  record ~peak_words:!stream_peak "stream-heavy-shards" stream_time mat_time;
   (* Resume: journal a full streaming run, drop its final shard record (the
      most a SIGKILL can lose), resume — completed shards replay from the
      journal, only the lost one is recomputed. *)
@@ -627,10 +643,10 @@ let confidence_engine () =
   Sys.remove journal;
   record "resume-after-kill" resume_time cold_time;
   Report.table
-    ~header:[ "streaming (2k tuples)"; "median"; "peak live words"; "vs" ]
+    ~header:[ "streaming"; "median"; "peak live words"; "vs" ]
     [
       [
-        "materialized run";
+        "materialized run, 120 fuel-exhausting 30x30 DNFs";
         Report.fmt_seconds mat_time;
         Report.fmt_int mat_peak;
         "1.00x";

@@ -4,20 +4,31 @@ open Pqdb_urel
    [(var lsl bits) lor value], with [bits] wide enough for every value the
    DNF binds.  Ascending packed order is ascending (var, value) order, so
    "shorter first, then lexicographic" ([compare_clause]) is exactly the
-   order [Assignment.compare] gives the same clauses. *)
+   order [Assignment.compare] gives the same clauses.
+
+   The kernel below runs once per DAG node, so it is written with loops
+   over arrays and per-builder scratch: no closure or list is allocated per
+   clause or literal. *)
 
 let compare_clause (a : int array) (b : int array) =
   let n = Array.length a in
   let c = Int.compare n (Array.length b) in
   if c <> 0 then c
-  else
-    let rec go i =
-      if i = n then 0
-      else
-        let c = Int.compare a.(i) b.(i) in
-        if c <> 0 then c else go (i + 1)
-    in
-    go 0
+  else begin
+    let i = ref 0 in
+    while !i < n && a.(!i) = b.(!i) do
+      incr i
+    done;
+    if !i = n then 0 else Int.compare a.(!i) b.(!i)
+  end
+
+(* One bit per literal: [a ⊆ b] implies [flat_mask a ⊆ flat_mask b]. *)
+let flat_mask (c : int array) =
+  let m = ref 0 in
+  for t = 0 to Array.length c - 1 do
+    m := !m lor (1 lsl (c.(t) mod 63))
+  done;
+  !m
 
 (* Quadratic-pass guard: subsumption is O(n² · clause length); above this
    size we keep possibly-redundant clauses rather than stall compilation. *)
@@ -61,16 +72,19 @@ struct
         let n = !k in
         if n > subsumption_cap then Array.sub cs 0 n
         else begin
-          let masks = Array.init n (fun t -> C.mask cs.(t)) in
+          let masks = Array.make n 0 in
           let k = ref 0 in
           for j = 0 to n - 1 do
-            let c = cs.(j) and mj = masks.(j) in
-            let rec subsumed i =
-              i < !k
-              && ((masks.(i) land lnot mj = 0 && C.subset cs.(i) c)
-                 || subsumed (i + 1))
-            in
-            if not (subsumed 0) then begin
+            let c = cs.(j) in
+            let mj = C.mask c in
+            let i = ref 0 in
+            while
+              !i < !k
+              && not (masks.(!i) land lnot mj = 0 && C.subset cs.(!i) c)
+            do
+              incr i
+            done;
+            if !i = !k then begin
               cs.(!k) <- c;
               masks.(!k) <- mj;
               incr k
@@ -91,16 +105,19 @@ module Flat = Canonical (struct
   (* A merge walk over the sorted literals: O(|a| + |b|). *)
   let subset (a : int array) (b : int array) =
     let la = Array.length a and lb = Array.length b in
-    let rec go i j =
-      i = la
-      || lb - j >= la - i
-         &&
-         let x = a.(i) and y = b.(j) in
-         if x = y then go (i + 1) (j + 1) else x > y && go i (j + 1)
-    in
-    go 0 0
+    let i = ref 0 and j = ref 0 in
+    while !i < la && lb - !j >= la - !i do
+      let x = a.(!i) and y = b.(!j) in
+      if x = y then begin
+        incr i;
+        incr j
+      end
+      else if x > y then incr j
+      else j := lb + 1
+    done;
+    !i = la
 
-  let mask c = Array.fold_left (fun m lit -> m lor (1 lsl (lit mod 63))) 0 c
+  let mask = flat_mask
 end)
 
 module Clauses = Canonical (struct
@@ -114,6 +131,176 @@ end)
 let normalize = function
   | ([] | [ _ ]) as clauses -> clauses
   | clauses -> Array.to_list (Clauses.normalize (Array.of_list clauses))
+
+(* Position of the literal on local variable [v] in clause [c], or -1. *)
+let find_var bits (c : int array) v =
+  let lo = ref 0 and hi = ref (Array.length c) and at = ref (-1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    let u = c.(mid) lsr bits in
+    if u = v then begin
+      at := mid;
+      lo := !hi
+    end
+    else if u < v then lo := mid + 1
+    else hi := mid
+  done;
+  !at
+
+(* [c] without its literal at position [j]. *)
+let without (c : int array) j =
+  let n = Array.length c in
+  let d = Array.make (n - 1) 0 in
+  for t = 0 to j - 1 do
+    d.(t) <- c.(t)
+  done;
+  for t = j + 1 to n - 1 do
+    d.(t - 1) <- c.(t)
+  done;
+  d
+
+(* [set | v = x]: clauses binding [v] to another value drop, the literal
+   [v = x] leaves the rest.  Unnormalized. *)
+let condition bits set v x =
+  let out = Array.make (Array.length set) [||] in
+  let k = ref 0 in
+  for i = 0 to Array.length set - 1 do
+    let c = set.(i) in
+    let j = find_var bits c v in
+    if j < 0 then begin
+      out.(!k) <- c;
+      incr k
+    end
+    else if c.(j) land ((1 lsl bits) - 1) = x then begin
+      out.(!k) <- without c j;
+      incr k
+    end
+  done;
+  Array.sub out 0 !k
+
+(* [pos] tags of the clauses [condition_minimal] keeps whole or drops. *)
+let untouched = -1
+let dropped = -2
+
+let mask_without (c : int array) j =
+  let m = ref 0 in
+  for t = 0 to Array.length c - 1 do
+    if t <> j then m := !m lor (1 lsl (c.(t) mod 63))
+  done;
+  !m
+
+(* [without a skip ⊆ b], without building [without a skip]. *)
+let subset_without (a : int array) skip (b : int array) =
+  let la = Array.length a and lb = Array.length b in
+  let i = ref 0 and j = ref 0 and ok = ref true in
+  while !ok && !i < la do
+    if !i = skip then incr i
+    else if !j = lb then ok := false
+    else
+      let x = a.(!i) and y = b.(!j) in
+      if x = y then begin
+        incr i;
+        incr j
+      end
+      else if x > y then incr j
+      else ok := false
+  done;
+  !ok
+
+let rec next_shrunk pos m i =
+  if i < m && pos.(i) < 0 then next_shrunk pos m (i + 1) else i
+
+let rec next_untouched pos m i =
+  if i < m && pos.(i) <> untouched then next_untouched pos m (i + 1) else i
+
+(* Incremental conditioning of a minimal set.  For [set] minimal (sorted,
+   deduplicated, no clause subsuming another), split it into the untouched
+   clauses U (not binding [v]) and the shrunk ones T = {t − (v = x)}:
+   - T is sorted, duplicate-free and minimal: removing the same literal
+     from every parent keeps their order, and t₁ − L ⊆ t₂ − L would give
+     t₁ ⊆ t₂;
+   - no u ∈ U equals or subsumes a t − L, else u ⊆ t;
+   - a single-literal parent [v = x] shrinks to the empty clause, and then
+     nothing else binds [v = x] (it would be subsumed) and the result is
+     [[|[||]|]].
+   So [normalize (set | v = x)] is U minus the clauses some shorter t − L
+   subsumes, merged with T — the same array [Flat.normalize (condition …)]
+   returns, without sorting or a quadratic pass over the whole set.
+   [pos] and [masks] are per-clause scratch of at least [Array.length set]
+   cells: [pos.(i)] is the position of [v = x] in a shrunk clause, or
+   [untouched]/[dropped]; [masks.(i)] the shrunk clause's literal mask. *)
+let condition_minimal bits pos masks set v x =
+  let m = Array.length set in
+  let shrunk = ref 0 and kept = ref 0 and unit = ref false in
+  for i = 0 to m - 1 do
+    let c = set.(i) in
+    let j = find_var bits c v in
+    if j < 0 then begin
+      pos.(i) <- untouched;
+      incr kept
+    end
+    else if c.(j) land ((1 lsl bits) - 1) = x then begin
+      pos.(i) <- j;
+      masks.(i) <- mask_without c j;
+      incr shrunk;
+      if Array.length c = 1 then unit := true
+    end
+    else pos.(i) <- dropped
+  done;
+  if !unit then [| [||] |]
+  else begin
+    (* Only a shrunk clause shorter than [u], i.e. with a parent no longer
+       than [u], can subsume it; the set is sorted shortest first. *)
+    if !shrunk > 0 then
+      for i = 0 to m - 1 do
+        if pos.(i) = untouched then begin
+          let u = set.(i) in
+          let lu = Array.length u and mu = flat_mask u in
+          let j = ref 0 in
+          while !j < m && Array.length set.(!j) <= lu do
+            let p = pos.(!j) in
+            if
+              p >= 0
+              && masks.(!j) land lnot mu = 0
+              && subset_without set.(!j) p u
+            then begin
+              pos.(i) <- dropped;
+              decr kept;
+              j := m
+            end
+            else incr j
+          done
+        end
+      done;
+    let n = !shrunk + !kept in
+    let out = Array.make n [||] in
+    let s = ref (next_shrunk pos m 0) and u = ref (next_untouched pos m 0) in
+    let t = ref (if !s < m then without set.(!s) pos.(!s) else [||]) in
+    for o = 0 to n - 1 do
+      if !u = m || (!s < m && compare_clause !t set.(!u) < 0) then begin
+        out.(o) <- !t;
+        s := next_shrunk pos m (!s + 1);
+        if !s < m then t := without set.(!s) pos.(!s)
+      end
+      else begin
+        out.(o) <- set.(!u);
+        u := next_untouched pos m (!u + 1)
+      end
+    done;
+    out
+  end
+
+(* [set | v = x], normalized, for a normalized [set]: a set within the cap
+   is minimal and conditions incrementally; a larger one is conditioned and
+   normalized from scratch. *)
+let conditioned bits pos masks set v x =
+  if Array.length set <= subsumption_cap then
+    condition_minimal bits pos masks set v x
+  else Flat.normalize (condition bits set v x)
+
+let condition_flat ~bits set v x =
+  let m = Array.length set in
+  conditioned bits (Array.make m 0) (Array.make m 0) set v x
 
 type 'a node =
   | Const of 'a
@@ -142,15 +329,26 @@ type 'a dag = {
 module Sets = Hashtbl.Make (struct
   type t = int array array
 
-  let equal a b =
-    Array.length a = Array.length b
-    && Array.for_all2 (fun x y -> compare_clause x y = 0) a b
+  let equal (a : t) (b : t) =
+    let n = Array.length a in
+    n = Array.length b
+    &&
+    let i = ref 0 in
+    while !i < n && compare_clause a.(!i) b.(!i) = 0 do
+      incr i
+    done;
+    !i = n
 
-  let hash s =
-    Array.fold_left
-      (fun h c ->
-        Array.fold_left (fun h lit -> (h * 31) + lit) ((h * 17) + Array.length c) c)
-      0 s
+  let hash (s : t) =
+    let h = ref 0 in
+    for i = 0 to Array.length s - 1 do
+      let c = s.(i) in
+      h := (!h * 17) + Array.length c;
+      for t = 0 to Array.length c - 1 do
+        h := (!h * 31) + c.(t)
+      done
+    done;
+    !h
 end)
 
 (* What a sub-DNF compiled to.  A constant stays out of the node array
@@ -166,6 +364,14 @@ type 'a builder = {
   bits : int;
   counts : int array;  (* per local variable; all 0 between splits *)
   owner : int array;  (* per local variable; all -1 between splits *)
+  (* Per-clause scratch, as long as the root: no set below it is larger.
+     Each is live only inside one [split] or [conditioned] call, never
+     across the recursion. *)
+  parent : int array;  (* union-find *)
+  comp : int array;  (* component id per clause *)
+  slot : int array;  (* component id per root, then sizes and cursors *)
+  pos : int array;  (* conditioning: see [condition_minimal] *)
+  masks : int array;
   mutable fuel : int;
   mutable nodes : 'a node array;  (* children before parents *)
   mutable count : int;
@@ -188,132 +394,132 @@ let value_of b lit = lit land ((1 lsl b.bits) - 1)
 
 (* A clause's weight, multiplied out in ascending variable order — the
    order [Assignment.weight] and [Assignment.weight_float] use. *)
-let leaf b c =
-  Array.fold_left
-    (fun acc lit ->
-      b.ops.mul acc (b.ops.prob b.vars.(lit lsr b.bits) (value_of b lit)))
-    b.ops.one c
-
-(* Position of the literal on local variable [v] in clause [c], or -1. *)
-let find_var bits c v =
-  let rec go lo hi =
-    if lo >= hi then -1
-    else
-      let mid = (lo + hi) lsr 1 in
-      let u = c.(mid) lsr bits in
-      if u = v then mid else if u < v then go (mid + 1) hi else go lo mid
-  in
-  go 0 (Array.length c)
-
-(* [set | v = x]: clauses binding [v] to another value drop, the literal
-   [v = x] leaves the rest.  Unnormalized. *)
-let condition b set v x =
-  let out = Array.make (Array.length set) [||] in
-  let k = ref 0 in
-  Array.iter
-    (fun c ->
-      let i = find_var b.bits c v in
-      if i < 0 then begin
-        out.(!k) <- c;
-        incr k
-      end
-      else if value_of b c.(i) = x then begin
-        let n = Array.length c in
-        let d = Array.make (n - 1) 0 in
-        Array.blit c 0 d 0 i;
-        Array.blit c (i + 1) d i (n - 1 - i);
-        out.(!k) <- d;
-        incr k
-      end)
-    set;
-  Array.sub out 0 !k
+let leaf b (c : int array) =
+  let acc = ref b.ops.one in
+  for t = 0 to Array.length c - 1 do
+    let lit = c.(t) in
+    acc :=
+      b.ops.mul !acc (b.ops.prob b.vars.(lit lsr b.bits) (value_of b lit))
+  done;
+  !acc
 
 type split =
   | Components of int array array array
   | Disjoint of int
   | Shannon of int
 
+let rec find parent i =
+  let p = parent.(i) in
+  if p = i then i
+  else begin
+    parent.(i) <- parent.(p);
+    find parent parent.(i)
+  end
+
+(* Fills [b.comp] with component ids in first-occurrence order; returns how
+   many components there are. *)
+let components_of b set =
+  let m = Array.length set and bits = b.bits in
+  let parent = b.parent and owner = b.owner in
+  for i = 0 to m - 1 do
+    parent.(i) <- i
+  done;
+  for i = 0 to m - 1 do
+    let c = set.(i) in
+    for t = 0 to Array.length c - 1 do
+      let v = c.(t) lsr bits in
+      let o = owner.(v) in
+      if o < 0 then owner.(v) <- i
+      else
+        let ri = find parent i and ro = find parent o in
+        if ri <> ro then parent.(ri) <- ro
+    done
+  done;
+  let comp = b.comp and slot = b.slot in
+  Array.fill slot 0 m (-1);
+  let n = ref 0 in
+  for i = 0 to m - 1 do
+    let r = find parent i in
+    if slot.(r) < 0 then begin
+      slot.(r) <- !n;
+      incr n
+    end;
+    comp.(i) <- slot.(r)
+  done;
+  !n
+
+(* The [n] components [components_of] numbered, each in set order. *)
+let gather b set n =
+  let m = Array.length set and comp = b.comp and size = b.slot in
+  Array.fill size 0 n 0;
+  for i = 0 to m - 1 do
+    size.(comp.(i)) <- size.(comp.(i)) + 1
+  done;
+  let comps = Array.make n [||] in
+  for k = 0 to n - 1 do
+    comps.(k) <- Array.make size.(k) [||];
+    size.(k) <- 0
+  done;
+  for i = 0 to m - 1 do
+    let k = comp.(i) in
+    comps.(k).(size.(k)) <- set.(i);
+    size.(k) <- size.(k) + 1
+  done;
+  comps
+
 (* The one decomposition policy on a normalized set of two or more clauses,
    tried in order: variable-connected components (union-find over clauses,
    in first-occurrence order), a variable bound in every clause (smallest
    id), the variable in the most clauses (smallest id on ties).  Local ids
-   follow W-variable order, so "smallest" means the same as on W ids.  One
-   pass fills the counts and the union-find; a second resets both
-   per-variable arrays. *)
-let split b set =
-  let m = Array.length set and bits = b.bits in
-  let parent = Array.init m Fun.id in
-  let rec find i =
-    let p = parent.(i) in
-    if p = i then i
-    else begin
-      parent.(i) <- parent.(p);
-      find parent.(i)
-    end
-  in
-  Array.iteri
-    (fun i c ->
-      Array.iter
-        (fun lit ->
-          let v = lit lsr bits in
-          b.counts.(v) <- b.counts.(v) + 1;
-          let o = b.owner.(v) in
-          if o < 0 then b.owner.(v) <- i
-          else
-            let ri = find i and ro = find o in
-            if ri <> ro then parent.(ri) <- ro)
-        c)
-    set;
-  let comp_of_root = Array.make m (-1) in
-  let comp = Array.make m 0 in
-  let ncomp = ref 0 in
+   follow W-variable order, so "smallest" means the same as on W ids.  A
+   set known to be [connected] (a component a split found) skips the
+   union-find.  A last pass resets both per-variable arrays. *)
+let split b ~connected set =
+  let m = Array.length set and bits = b.bits and counts = b.counts in
   for i = 0 to m - 1 do
-    let r = find i in
-    if comp_of_root.(r) < 0 then begin
-      comp_of_root.(r) <- !ncomp;
-      incr ncomp
-    end;
-    comp.(i) <- comp_of_root.(r)
+    let c = set.(i) in
+    for t = 0 to Array.length c - 1 do
+      let v = c.(t) lsr bits in
+      counts.(v) <- counts.(v) + 1
+    done
   done;
+  let n = if connected then 1 else components_of b set in
   let decision =
-    if !ncomp > 1 then begin
-      let comps = Array.make !ncomp [] in
-      for i = m - 1 downto 0 do
-        comps.(comp.(i)) <- set.(i) :: comps.(comp.(i))
-      done;
-      Components (Array.map Array.of_list comps)
-    end
-    else
+    if n > 1 then Components (gather b set n)
+    else begin
       (* A variable bound in every clause is bound in the first one, whose
          literals ascend by variable. *)
       let c0 = set.(0) in
-      let rec universal t =
-        if t = Array.length c0 then None
-        else
-          let v = c0.(t) lsr bits in
-          if b.counts.(v) = m then Some v else universal (t + 1)
-      in
-      match universal 0 with
-      | Some v -> Disjoint v
-      | None ->
-          let best = ref (-1) and most = ref 0 in
-          Array.iter
-            (Array.iter (fun lit ->
-                 let v = lit lsr bits in
-                 let c = b.counts.(v) in
-                 if c > !most || (c = !most && v < !best) then begin
-                   best := v;
-                   most := c
-                 end))
-            set;
-          Shannon !best
+      let t = ref 0 in
+      while !t < Array.length c0 && counts.(c0.(!t) lsr bits) <> m do
+        incr t
+      done;
+      if !t < Array.length c0 then Disjoint (c0.(!t) lsr bits)
+      else begin
+        let best = ref (-1) and most = ref 0 in
+        for i = 0 to m - 1 do
+          let c = set.(i) in
+          for t = 0 to Array.length c - 1 do
+            let v = c.(t) lsr bits in
+            let k = counts.(v) in
+            if k > !most || (k = !most && v < !best) then begin
+              best := v;
+              most := k
+            end
+          done
+        done;
+        Shannon !best
+      end
+    end
   in
-  Array.iter
-    (Array.iter (fun lit ->
-         let v = lit lsr bits in
-         b.counts.(v) <- 0;
-         b.owner.(v) <- -1))
-    set;
+  for i = 0 to m - 1 do
+    let c = set.(i) in
+    for t = 0 to Array.length c - 1 do
+      let v = c.(t) lsr bits in
+      counts.(v) <- 0;
+      b.owner.(v) <- -1
+    done
+  done;
   decision
 
 let known p = Known { p; at = -1 }
@@ -324,32 +530,52 @@ let node b = function
       if k.at < 0 then k.at <- push b (Const k.p);
       k.at
 
-let is_known = function Known _ -> true | Node _ -> false
+let rec all_known (subs : _ sub array) i =
+  i = Array.length subs
+  || (match subs.(i) with Known _ -> all_known subs (i + 1) | Node _ -> false)
+
 let value = function Known k -> k.p | Node _ -> invalid_arg "Lineage.value"
 
 (* Children that are all constants fold into one constant, combined in the
    order an evaluation of the unfolded node would use, so the folded value
    is the same bits. *)
-let sum b branches =
-  if Array.for_all (fun (_, c) -> is_known c) branches then
-    known
-      (Array.fold_left
-         (fun acc (p, c) -> b.ops.add acc (b.ops.mul p (value c)))
-         b.ops.zero branches)
-  else Node (push b (Sum (Array.map (fun (p, c) -> (p, node b c)) branches)))
+let sum b wv subs =
+  let d = Array.length subs in
+  if all_known subs 0 then begin
+    let acc = ref b.ops.zero in
+    for x = 0 to d - 1 do
+      acc := b.ops.add !acc (b.ops.mul (b.ops.prob wv x) (value subs.(x)))
+    done;
+    known !acc
+  end
+  else begin
+    let branches = Array.make d (b.ops.zero, 0) in
+    for x = 0 to d - 1 do
+      branches.(x) <- (b.ops.prob wv x, node b subs.(x))
+    done;
+    Node (push b (Sum branches))
+  end
 
-let indep_or b children =
-  if Array.for_all is_known children then
-    known
-      (b.ops.complement
-         (Array.fold_left
-            (fun acc c -> b.ops.mul acc (b.ops.complement (value c)))
-            b.ops.one children))
-  else Node (push b (IndepOr (Array.map (node b) children)))
+let indep_or b subs =
+  let n = Array.length subs in
+  if all_known subs 0 then begin
+    let acc = ref b.ops.one in
+    for k = 0 to n - 1 do
+      acc := b.ops.mul !acc (b.ops.complement (value subs.(k)))
+    done;
+    known (b.ops.complement !acc)
+  end
+  else begin
+    let ids = Array.make n 0 in
+    for k = 0 to n - 1 do
+      ids.(k) <- node b subs.(k)
+    done;
+    Node (push b (IndepOr ids))
+  end
 
 (* A normalized set; sets of two or more clauses go through the cache,
    where a hit costs no fuel. *)
-let rec child b set =
+let rec child b ~connected set =
   match Array.length set with
   | 0 -> known b.ops.zero
   | 1 -> known (leaf b set.(0))
@@ -362,27 +588,39 @@ let rec child b set =
             b.cache <- Some t;
             t
       in
-      match Sets.find_opt cache set with
-      | Some sub -> sub
-      | None ->
-          let sub = expand b set in
+      match Sets.find cache set with
+      | sub -> sub
+      | exception Not_found ->
+          let sub = expand b ~connected set in
           Sets.add cache set sub;
           sub)
 
-and expand b set =
+and expand b ~connected set =
   if b.fuel <= 0 then begin
     b.residuals <- set :: b.residuals;
     b.nres <- b.nres + 1;
     Node (push b (Res (b.nres - 1)))
   end
   else
-    match split b set with
+    match split b ~connected set with
     | Components comps ->
-        (* A component of a normalized set is normalized, unless the set was
-           too large for the subsumption pass. *)
+        (* A component is connected, and normalized when the set is: a
+           part of a minimal set is minimal.  A component of a set too
+           large for the subsumption pass is normalized here, and is only
+           known to be connected when that dropped no clause (a dropped
+           clause may have been its only link). *)
         let big = Array.length set > subsumption_cap in
-        indep_or b
-          (Array.map (fun c -> child b (if big then Flat.normalize c else c)) comps)
+        let n = Array.length comps in
+        let subs = Array.make n (Node 0) in
+        for k = 0 to n - 1 do
+          let c = comps.(k) in
+          subs.(k) <-
+            (if big then
+               let c' = Flat.normalize c in
+               child b ~connected:(Array.length c' = Array.length c) c'
+             else child b ~connected:true c)
+        done;
+        indep_or b subs
     | Disjoint v ->
         (* The branches v = x are mutually exclusive and every clause
            shrinks, so expansion is free and terminates on binding count. *)
@@ -394,10 +632,13 @@ and expand b set =
 
 and branch b set v =
   let wv = b.vars.(v) in
-  sum b
-    (Array.init (Wtable.domain_size b.w wv) (fun x ->
-         (b.ops.prob wv x, child b (Flat.normalize (condition b set v x)))))
-
+  let d = Wtable.domain_size b.w wv in
+  let subs = Array.make d (Node 0) in
+  for x = 0 to d - 1 do
+    subs.(x) <-
+      child b ~connected:false (conditioned b.bits b.pos b.masks set v x)
+  done;
+  sum b wv subs
 (* The flat image of a normalized DNF: dense local variable ids in
    ascending W order (found by binary search), each clause a sorted array of
    literals [(local lsl bits) lor value]. *)
@@ -460,11 +701,16 @@ let decompose ?(fuel = max_int) ops w clauses =
   | [| c |] -> constant normalized (weight c)
   | _ -> (
       let vars, bits, root = flatten kept in
-      let nv = Array.length vars in
+      let nv = Array.length vars and m = Array.length root in
       let b =
         { ops; w; vars; bits;
           counts = Array.make nv 0;
           owner = Array.make nv (-1);
+          parent = Array.make m 0;
+          comp = Array.make m 0;
+          slot = Array.make m 0;
+          pos = Array.make m 0;
+          masks = Array.make m 0;
           fuel;
           nodes = Array.make 8 (Const ops.zero);
           count = 0;
@@ -473,7 +719,7 @@ let decompose ?(fuel = max_int) ops w clauses =
           nres = 0 }
       in
       (* The root is never looked up: no set recurs below itself. *)
-      match expand b root with
+      match expand b ~connected:false root with
       | Known { p; _ } -> constant normalized p
       | Node _ ->
           let to_clause c =

@@ -17,7 +17,7 @@ val normalize : Assignment.t list -> Assignment.t list
     redundant when some other clause [a] has [Assignment.subsumes a b].
     The output is sorted by [Assignment.compare], so it is canonical: two
     lists with the same clause set normalize to the same list.  Subsumption
-    is skipped above an internal size cap (quadratic pass); the result is
+    is skipped above a size cap of 512 clauses (quadratic pass); the result is
     then still equivalent, just possibly redundant. *)
 
 (** {2 The decision DAG} *)
@@ -78,6 +78,25 @@ val decompose : ?fuel:int -> 'a arith -> Wtable.t -> Assignment.t list -> 'a dag
     of the unfolded node uses.  A DNF that normalizes to at most one clause
     returns before any table is built.
 
+    The walk keeps every clause set normalized, and {e every set of at most
+    the subsumption cap (512 clauses) is minimal}: sorted, deduplicated,
+    no clause subsuming another.  The root is normalized, a part of a
+    minimal set is minimal, and each branch below is normalized again.
+    Two shortcuts rest on that invariant and change no output:
+    {ul
+    {- conditioning a minimal set on [v = x] needs no sort and no
+       quadratic pass.  The shrunk clauses [t − (v = x)] keep their
+       parents' order and stay minimal among themselves, and no clause
+       that does not bind [v] can equal or subsume one of them (it would
+       have subsumed the parent).  So the result is the untouched clauses
+       minus those a shrunk clause subsumes, merged with the shrunk ones
+       (see {!condition_flat});}
+    {- a component a split found is connected, so its own split only
+       counts variables; union-find runs once per set.  The exception is a
+       component of a set above the cap: it is normalized before it is
+       expanded, and if that dropped a clause — possibly its only link —
+       it is split in full.}}
+
     Deterministic: the DAG is a pure function of (W table, clause set,
     fuel) — the order and duplicates of the input list do not matter.
     @raise Invalid_argument when a clause binds a negative value or a
@@ -89,3 +108,15 @@ val exact : Wtable.t -> Assignment.t list -> Pqdb_numeric.Rational.t
     constant.  Still exponential in the worst case, as it must be, but
     independent components, free disjoint expansions and shared sub-DNFs
     keep structured lineage polynomial. *)
+
+(** {2 The conditioning kernel} *)
+
+val condition_flat : bits:int -> int array array -> int -> int -> int array array
+(** [condition_flat ~bits set v x] is [set | v = x], normalized, for a
+    normalized [set] of flat clauses — sorted arrays of packed literals
+    [(v lsl bits) lor x] — in the order {!decompose} keeps them (shorter
+    first, then lexicographic).  This is the step every expansion of
+    {!decompose} takes: incremental within the subsumption cap, where
+    [set] is minimal, and a from-scratch normalization of the conditioned
+    clauses above it.  Exposed so tests can check it against a
+    from-scratch normalization everywhere. *)

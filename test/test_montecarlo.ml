@@ -749,6 +749,248 @@ let test_shared_chain_dag_is_polynomial () =
            (Array.map (fun r -> Q.to_float (Dnf.exact r)) (Compile.residuals c))))
     [ 16; 32; 64; 128 ]
 
+(* ------------------------------------------------------------------ *)
+(* The decomposer kernel                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The oracle for conditioning: [set | v = x] built clause by clause, then
+   normalized from scratch (sorted, deduplicated, subsumed clauses
+   dropped).  Flat clauses are sorted arrays of packed literals
+   [(v lsl bits) lor x]; polymorphic [compare] on int arrays is "shorter
+   first, then lexicographic", the decomposer's clause order. *)
+let normal_form_oracle clauses =
+  let subset a b = Array.for_all (fun lit -> Array.mem lit b) a in
+  let sorted = List.sort_uniq compare clauses in
+  if List.mem [||] sorted then [| [||] |]
+  else
+    Array.of_list
+      (List.filter
+         (fun c -> not (List.exists (fun d -> d <> c && subset d c) sorted))
+         sorted)
+
+let condition_oracle ~bits set v x =
+  normal_form_oracle
+    (List.filter_map
+       (fun c ->
+         match List.partition (fun lit -> lit lsr bits = v) (Array.to_list c) with
+         | [], _ -> Some c
+         | [ lit ], rest when lit land ((1 lsl bits) - 1) = x ->
+             Some (Array.of_list rest)
+         | _ -> None)
+       (Array.to_list set))
+
+(* A random minimal flat set over up to five variables of 2–4 values each
+   (values packed in 2 bits), and a binding [v = x] to condition it on.
+   Biased towards the cases the incremental conditioning has to get right:
+   a unit clause [v = x] (the result is [[|[||]|]]) and a clause
+   [v = x] ∪ d for d a proper part of another clause (its shrunk form
+   subsumes that untouched clause).  Two shrunk clauses never coincide: in
+   a minimal set t₁ − (v = x) = t₂ − (v = x) forces t₁ = t₂. *)
+let minimal_flat_case seed =
+  let rng = Rng.create ~seed in
+  let bits = 2 in
+  let nv = 1 + Rng.int rng 5 in
+  let dom = Array.init nv (fun _ -> 2 + Rng.int rng 3) in
+  let v = Rng.int rng nv in
+  let x = Rng.int rng dom.(v) in
+  let pack u y = (u lsl bits) lor y in
+  let clause () =
+    let len = 1 + Rng.int rng (min 4 nv) in
+    let vs = ref [] in
+    while List.length !vs < len do
+      let u = Rng.int rng nv in
+      if not (List.mem u !vs) then vs := u :: !vs
+    done;
+    let lits = List.map (fun u -> pack u (Rng.int rng dom.(u))) !vs in
+    Array.of_list (List.sort compare lits)
+  in
+  let raw = List.init (1 + Rng.int rng 9) (fun _ -> clause ()) in
+  let with_v d =
+    Array.of_list
+      (List.sort compare (pack v x :: List.filter (fun lit -> lit lsr bits <> v) d))
+  in
+  let extra =
+    List.concat
+      [
+        (if Rng.int rng 4 = 0 then [ [| pack v x |] ] else []);
+        (match raw with
+        | c :: _ when Array.length c >= 2 && Rng.bool rng ->
+            [ with_v (Array.to_list (Array.sub c 1 (Array.length c - 1))) ]
+        | _ -> []);
+      ]
+  in
+  (bits, normal_form_oracle (raw @ extra), v, x)
+
+let check_condition_case seed =
+  let bits, set, v, x = minimal_flat_case seed in
+  let got = Lineage.condition_flat ~bits set v x in
+  if got <> condition_oracle ~bits set v x then
+    Alcotest.failf "seed %d: [set | %d = %d] differs from the from-scratch normal form"
+      seed v x;
+  (set, v, got)
+
+let prop_condition_matches_oracle =
+  QCheck.Test.make ~name:"conditioning a minimal set = normalize from scratch"
+    ~count:500 (QCheck.int_range 0 1_000_000) (fun seed ->
+      ignore (check_condition_case seed);
+      true)
+
+(* The same check over fixed seeds, counting that each case of the
+   conditioning lemma occurs: the empty-clause collapse, an untouched clause
+   dropped by a shrunk one, and a 3- or 4-valued pivot. *)
+let test_condition_lemma_cases () =
+  let emptied = ref 0 and dropped = ref 0 and wide = ref 0 in
+  for seed = 0 to 1999 do
+    let set, v, got = check_condition_case seed in
+    let binds_v c = Array.exists (fun lit -> lit lsr 2 = v) c in
+    if got = [| [||] |] then begin
+      if set <> [| [||] |] then incr emptied
+    end
+    else if Array.exists (fun c -> not (binds_v c || Array.mem c got)) set then
+      incr dropped;
+    if Array.exists (Array.exists (fun lit -> lit lsr 2 = v && lit land 3 >= 2)) set
+    then incr wide
+  done;
+  if !emptied = 0 || !dropped = 0 || !wide = 0 then
+    Alcotest.failf "cases not covered: emptied %d, dropped %d, wide %d" !emptied
+      !dropped !wide
+
+(* Above the subsumption cap the root is only sorted and deduplicated, so a
+   component may hold a redundant clause that is its only link: here
+   {a = 1, b = 1} joins {a = 1} and {b = 1} beside 520 independent unit
+   clauses.  Normalizing the component drops the link, and the two clauses
+   left must be split again as independent components, not Shannon-expanded.
+   Over an arithmetic that counts additions, a DAG without [Sum] folds to a
+   constant that used none. *)
+let test_renormalized_component_is_split () =
+  let w = Wtable.create () in
+  let half () = Wtable.add_var w [ Q.of_ints 1 2; Q.of_ints 1 2 ] in
+  let a = half () and b = half () in
+  let zs = List.init 520 (fun _ -> half ()) in
+  let clauses =
+    Assignment.of_list [ (a, 1); (b, 1) ]
+    :: Assignment.singleton a 1 :: Assignment.singleton b 1
+    :: List.map (fun z -> Assignment.singleton z 1) zs
+  in
+  let counting =
+    let pair f (p, m) (q, n) = (f p q, m + n) in
+    { Lineage.zero = (0., 0); one = (1., 0);
+      add = (fun (p, m) (q, n) -> (p +. q, m + n + 1));
+      mul = pair ( *. );
+      complement = (fun (p, n) -> (1. -. p, n));
+      prob = (fun v x -> (Wtable.prob_float w v x, 0)) }
+  in
+  (match (Lineage.decompose counting w clauses).Lineage.nodes with
+  | [| Lineage.Const (_, adds) |] ->
+      check int_c "no Shannon sum in the folded DAG" 0 adds
+  | _ -> Alcotest.fail "unbounded decomposition left a residual");
+  let expect = Lineage.exact w clauses in
+  check bool_c "exact = 1 − 2⁻⁵²²" true
+    (Q.equal expect (Q.sub Q.one (Q.pow (Q.of_ints 1 2) 522)));
+  match Compile.exact_value (Compile.compile w clauses) with
+  | Some p -> check (Alcotest.float 0.) "compiled = exact" (Q.to_float expect) p
+  | None -> Alcotest.fail "default fuel left a residual"
+
+(* The pinned compile set: 30 batch-shaped 30-variable, 30-clause random
+   DNFs (several of them exhaust the default fuel), the per-tag lineage of
+   [project[tag](events)] over a generated uncertain db, and four DNFs over
+   3- and 4-valued variables. *)
+let pinned_lineages () =
+  let rng = Rng.create ~seed:19 in
+  let w = Wtable.create () in
+  let batch =
+    List.init 30 (fun _ -> Gen.random_dnf rng w ~vars:30 ~clauses:30 ~clause_len:3)
+  in
+  let udb = Gen.uncertain_db (Rng.create ~seed:23) ~tuples:90 ~clauses:3 in
+  let events = Pqdb_urel.Udb.find udb "events" in
+  let by_tag =
+    List.map
+      (fun tag ->
+        List.filter_map
+          (fun (cond, t) ->
+            if Pqdb_relational.(Tuple.get t 1 = Value.Str tag) then Some cond
+            else None)
+          (Urelation.rows events))
+      [ "alpha"; "beta"; "gamma"; "delta" ]
+  in
+  let wide =
+    List.init 4 (fun k ->
+        let xs =
+          Array.init 12 (fun i ->
+              let d = 3 + ((i + k) mod 2) in
+              Wtable.add_var w
+                (List.init d (fun j -> Q.of_ints (j + 1) (d * (d + 1) / 2))))
+        in
+        List.init 24 (fun _ ->
+            let a = Rng.int rng 12 and b = Rng.int rng 12 in
+            let bind v = (xs.(v), Rng.int rng (Wtable.domain_size w xs.(v))) in
+            Assignment.of_list (if a = b then [ bind a ] else [ bind a; bind b ])))
+  in
+  [ (w, batch @ wide); (Udb.wtable udb, by_tag) ]
+
+(* Digest of what [Compile.compile] builds at default fuel: the float DAG
+   (constants as [%h]), every residual's clauses and the residual weights. *)
+let compiled_digest () =
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun (w, lineages) ->
+      let ops =
+        { Lineage.zero = 0.; one = 1.; add = ( +. ); mul = ( *. );
+          complement = (fun p -> 1. -. p); prob = Wtable.prob_float w }
+      in
+      List.iter
+        (fun clauses ->
+          let dag = Lineage.decompose ~fuel:Compile.default_fuel ops w clauses in
+          Array.iter
+            (function
+              | Lineage.Const p -> Printf.bprintf b "C%h;" p
+              | Res r -> Printf.bprintf b "R%d;" r
+              | Sum bs -> Array.iter (fun (p, c) -> Printf.bprintf b "S%h:%d," p c) bs
+              | IndepOr cs -> Array.iter (fun c -> Printf.bprintf b "I%d," c) cs)
+            dag.Lineage.nodes;
+          Array.iter
+            (fun set ->
+              List.iter
+                (fun c ->
+                  Assignment.fold (fun () v x -> Printf.bprintf b "%d=%d," v x) () c;
+                  Buffer.add_char b '|')
+                set;
+              Buffer.add_char b '/')
+            dag.Lineage.residuals;
+          Array.iter (Printf.bprintf b "W%h;")
+            (Compile.residual_weights (Compile.compile w clauses));
+          Buffer.add_char b '\n')
+        lineages)
+    (pinned_lineages ());
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_compiled_output_pinned () =
+  check Alcotest.string "compiled DAGs, residuals and weights"
+    "37bc6dbe558981f010a1c584297176fe" (compiled_digest ())
+
+(* Minor words [Compile.compile] allocates over the pinned set, measured on
+   a second pass so one-time allocations (sampling tables) are not counted.
+   Deterministic for a given build. *)
+let compile_minor_words () =
+  let sets = pinned_lineages () in
+  let run () =
+    List.iter (fun (w, ls) -> List.iter (fun cs -> ignore (Compile.compile w cs)) ls) sets
+  in
+  run ();
+  let before = Gc.minor_words () in
+  run ();
+  Gc.minor_words () -. before
+
+(* Before the allocation-light kernel, compiling the pinned set allocated
+   7 989 503 minor words; a kernel that allocates closures or fresh scratch
+   per clause again would pass the digest but fail this bound. *)
+let test_compile_allocation_guard () =
+  let parent = 7_989_503. in
+  let words = compile_minor_words () in
+  if words > parent /. 2. then
+    Alcotest.failf "compiling the pinned set allocated %.0f minor words (bound %.0f)"
+      words (parent /. 2.)
+
 (* P(X ≥ k) for X ~ Binomial(n, p), summed from k up. *)
 let binomial_upper_tail ~n ~p k =
   let log_choose = ref 0. and tail = ref 0. in
@@ -1150,6 +1392,18 @@ let () =
             test_solve_miss_rate_with_shared_residuals;
           Alcotest.test_case "path weights bound the slopes" `Quick
             test_residual_weights_bound_slopes;
+        ] );
+      ( "decomposer kernel",
+        [
+          qcheck prop_condition_matches_oracle;
+          Alcotest.test_case "conditioning lemma cases" `Quick
+            test_condition_lemma_cases;
+          Alcotest.test_case "renormalized component is split again" `Quick
+            test_renormalized_component_is_split;
+          Alcotest.test_case "compiled output pinned" `Quick
+            test_compiled_output_pinned;
+          Alcotest.test_case "compile allocation guard" `Quick
+            test_compile_allocation_guard;
         ] );
       ( "adaptive stopping",
         [
