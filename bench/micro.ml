@@ -783,6 +783,17 @@ let confidence_engine () =
     failwith "cache-cold-vs-warm: warm output is not byte-identical to cold";
   let warm_time = Report.time_median (fun () -> ignore (cache_pass warm_memo)) in
   let memo_stats = Memo.stats warm_memo in
+  (* The lookup alone on a warm cache: normalize, encode the key, probe. *)
+  let hit_pass () =
+    Array.iter (fun set -> ignore (Memo.find_or_compile warm_memo cache_w set)) cache_sets
+  in
+  let hits = float_of_int (Array.length cache_sets) in
+  let hit_time = Report.time_median ~repeat:51 hit_pass /. hits in
+  let hit_words =
+    let before = Gc.minor_words () in
+    hit_pass ();
+    (Gc.minor_words () -. before) /. hits
+  in
   record "cache-cold-vs-warm" warm_time cold_time;
   Report.table
     ~header:
@@ -795,7 +806,9 @@ let confidence_engine () =
         Printf.sprintf "%.2fx" (cold_time /. warm_time);
         (if identical then "yes" else "NO");
       ];
+      [ "one hit (lookup only)"; Report.fmt_seconds hit_time; "-"; "-" ];
     ];
+  Report.note "a hit allocates %.0f minor words" hit_words;
   Report.note "cache counters: %d hits, %d misses, %d evictions"
     memo_stats.Memo.hits memo_stats.Memo.misses memo_stats.Memo.evictions;
   (* Journal compaction: a journal that survived one full re-append

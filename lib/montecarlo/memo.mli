@@ -11,19 +11,15 @@
     {2 Canonicalization}
 
     Two clause lists that denote the same DNF must hit the same entry.  The
-    cache fingerprints at two levels:
+    cache has one key per lookup, hit or miss: {!Lineage.normalize}'s
+    output (duplicates and subsumed clauses dropped, sorted) encoded as a
+    compact binary string — LEB128 varints for each clause's binding count
+    and (variable, value) pairs.  Permuted, duplicated and
+    subsumption-equivalent clause lists meet at one key, and the encoding
+    is injective: it decodes to exactly one input, so distinct inputs never
+    share an entry.
 
-    {ul
-    {- a {e raw} key — the clause conditions rendered canonically
-       ({!Pqdb_urel.Udb_io.condition_to_string}), sorted and deduplicated.
-       Permutations and duplicate clauses collapse here for the cost of one
-       sort, and a repeated query skips normalization {e entirely};}
-    {- a {e canonical} key — the same rendering of
-       {!Lineage.normalize}'s output (subsumed clauses dropped).  Clause
-       sets equivalent only up to subsumption meet at this key; their raw
-       keys are then aliased to it, so each variant pays normalization once.}}
-
-    Both keys embed the W table's identity and generation
+    The key embeds the W table's identity and generation
     ({!Pqdb_urel.Wtable.uid} / {!Pqdb_urel.Wtable.generation}) and the
     compilation fuel: any table edit, or a different fuel, changes every
     key, so a stale tree can never be served.
@@ -34,11 +30,10 @@
     depends on more than the tuple's own clauses — the conjoined lineage
     under the active constraints.  The optional [salt] (the canonical
     constraint-set fingerprint, {!Pqdb_ast.Uconstraint.set_fingerprint},
-    possibly suffixed by which conjunct is cached) is folded into {e both}
-    keys, length-prefixed so salt content cannot forge another key: entries
-    with different salts never alias, an unconditioned hit can never answer
-    a conditioned query, and an empty salt leaves the key byte-identical to
-    the pre-conditioning format.  [build] then supplies the salted tree (a
+    possibly suffixed by which conjunct is cached) is folded into the
+    key, length-prefixed so salt content cannot forge another key: entries
+    with different salts never alias, and an unconditioned hit can never
+    answer a conditioned query.  [build] then supplies the salted tree (a
     pure function of the clauses and the salt's context); without it the
     plain {!Compile.compile} of the clauses is cached.
 
@@ -61,19 +56,18 @@ type t
 
 val create : ?entries:int -> unit -> t
 (** An empty cache holding at most [entries] compiled trees (least
-    recently used evicted first).  Alias keys are bounded separately (a few
-    per entry on average) and flushed wholesale if they outgrow that bound.
+    recently used evicted first).
     @raise Invalid_argument when [entries < 1]. *)
 
 val capacity : t -> int
 
 val fingerprint :
   ?fuel:int -> ?salt:string -> Wtable.t -> Assignment.t list -> string
-(** The canonical key: W-table uid + generation, fuel, the salt (when
-    nonempty), and the normalized clause set in canonical syntax.  Equal for
-    permuted, duplicated or subsumption-equivalent clause lists; different
-    after any W-table edit, under a different fuel, or under a different
-    salt. *)
+(** The cache key: W-table uid + generation, fuel, the salt, and the
+    normalized clause set, in a binary, injective encoding.  Equal exactly
+    when those inputs are equal: so equal for permuted, duplicated or
+    subsumption-equivalent clause lists, and different after any W-table
+    edit, under a different fuel, or under a different salt. *)
 
 val find_or_compile :
   t ->
@@ -84,13 +78,12 @@ val find_or_compile :
   Assignment.t list ->
   Compile.t
 (** The cached {!Compile.compile} (or, when [build] is given, the cached
-    [build ()] — see {e Salted entries} above).  A raw-key hit skips
-    normalization and compilation; a canonical-key hit skips compilation; a
-    miss compiles, inserts, and evicts the least recently used entry beyond
-    capacity. *)
+    [build ()] — see {e Salted entries} above).  Every lookup normalizes
+    and encodes the key; a hit skips compilation; a miss compiles, inserts,
+    and evicts the least recently used entry beyond capacity. *)
 
 type stats = {
-  hits : int;  (** raw- or canonical-key hits: compilation skipped *)
+  hits : int;  (** key hits: compilation skipped *)
   misses : int;  (** cold compiles *)
   evictions : int;  (** entries dropped by the LRU bound *)
   entries : int;  (** compiled trees currently held *)
@@ -99,4 +92,4 @@ type stats = {
 val stats : t -> stats
 
 val clear : t -> unit
-(** Drop every entry and alias (counters keep accumulating). *)
+(** Drop every entry (counters keep accumulating). *)

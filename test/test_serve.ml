@@ -148,6 +148,86 @@ let test_fingerprint_sensitivity () =
   check bool_c "distinct tables, distinct keys" false
     (String.equal (Memo.fingerprint w2 clause) (Memo.fingerprint w3 clause))
 
+(* Key injectivity: two fingerprints are equal exactly when their
+   (uid, generation, fuel, salt, normalized clause list) are.  Variables
+   and values sit at or above 128, so every clause field takes a
+   multi-byte varint; salts include single length-prefix-like bytes and,
+   as a forging attempt, slices of the other input's own key. *)
+let pick rng a = a.(Rng.int rng (Array.length a))
+
+let wide_clause rng =
+  let vars = [| 128; 129; 200; 16_383; 16_384 |]
+  and values = [| 128; 255; 16_384 |] in
+  let rec bind acc k =
+    if k = 0 then acc
+    else
+      let v = pick rng vars in
+      bind (if List.mem_assoc v acc then acc else (v, pick rng values) :: acc) (k - 1)
+  in
+  Assignment.of_list (bind [] (1 + Rng.int rng 3))
+
+let wide_set rng = List.init (Rng.int rng 4) (fun _ -> wide_clause rng)
+
+let fingerprint_injective =
+  let tables =
+    let edited = Wtable.create () in
+    for _ = 1 to 200 do
+      ignore (Wtable.add_var edited [ Q.of_ints 1 2; Q.of_ints 1 2 ])
+    done;
+    [| Wtable.create (); Wtable.create (); edited |]
+  in
+  let fuels = [| 0; 1; 127; 128; 300; Compile.default_fuel |] in
+  let salts = [| ""; "\000"; "\001"; "\128"; "\128\001"; "c1" |] in
+  QCheck.Test.make ~name:"fingerprint: injective binary key" ~count:500
+    (QCheck.int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create ~seed in
+      let observe (w, fuel, salt, clauses) =
+        ( (Wtable.uid w, Wtable.generation w, fuel, salt, Lineage.normalize clauses),
+          Memo.fingerprint ~fuel ~salt w clauses )
+      in
+      let ((w, fuel, salt, clauses) as a) =
+        (pick rng tables, pick rng fuels, pick rng salts, wide_set rng)
+      in
+      let inputs_a, key_a = observe a in
+      let b =
+        match Rng.int rng 8 with
+        | 0 -> (w, fuel, salt, shuffle rng (clauses @ clauses))
+        | 1 -> (pick rng tables, pick rng fuels, pick rng salts, wide_set rng)
+        | 2 -> (
+            match clauses with
+            | [] -> (w, fuel, salt, [ wide_clause rng ])
+            | _ :: rest -> (w, fuel, salt, wide_clause rng :: rest))
+        | 3 -> (w, pick rng fuels, salt, clauses)
+        | 4 ->
+            (* regroup: every binding of A as a clause of its own *)
+            ( w, fuel, salt,
+              List.concat_map
+                (fun c ->
+                  List.map
+                    (fun (v, x) -> Assignment.singleton v x)
+                    (Assignment.bindings c))
+                clauses )
+        | 5 -> (w, fuel, pick rng salts, clauses)
+        | 6 ->
+            (* forge: the salt carries a tail of A's own key bytes *)
+            let k = Rng.int rng (String.length key_a + 1) in
+            ( w, fuel,
+              salt ^ String.sub key_a k (String.length key_a - k),
+              pick rng [| []; clauses |] )
+        | _ ->
+            (* a later generation of the same table *)
+            ignore (Wtable.add_var w [ Q.of_ints 1 2; Q.of_ints 1 2 ]);
+            (w, fuel, salt, clauses)
+      in
+      let (ub, gb, fb, sb, nb), key_b = observe b in
+      let ua, ga, fa, sa, na = inputs_a in
+      let same_inputs =
+        ua = ub && ga = gb && fa = fb && String.equal sa sb
+        && List.equal Assignment.equal na nb
+      in
+      Bool.equal same_inputs (String.equal key_a key_b))
+
 (* ------------------------------------------------------------------ *)
 (* Cache behavior: hits, equivalence classes, LRU bound.               *)
 
@@ -211,6 +291,86 @@ let test_lru_bound_and_counters () =
   check int_c "evicted entry misses again" (s.Memo.misses + 1) s3.Memo.misses;
   Memo.clear memo;
   check int_c "clear empties the cache" 0 (Memo.stats memo).Memo.entries
+
+(* A fixed-seed sequence of 2 000 lookups into a 16-entry cache: Zipf(1.1)
+   over 48 distinct sets (3x the capacity), each spelled as given,
+   permuted, with a duplicated clause or with a subsumed clause added, and
+   one lookup in five salted.  Its final counters are pinned to what the
+   two-level text-key cache counted on the same sequence: a cache that
+   keys differently would still pass the tests above but change these,
+   and perfbench's serve replay checks the daemon's counters against its
+   own. *)
+let test_counters_pinned () =
+  clear_all ();
+  let rng = Rng.create ~seed:2024 in
+  let w = Wtable.create () in
+  let sets =
+    Array.init 48 (fun _ -> Gen.random_dnf rng w ~vars:8 ~clauses:6 ~clause_len:3)
+  in
+  let vars = Wtable.vars w in
+  let subsumed set =
+    match set with
+    | [] -> set
+    | c :: _ -> (
+        match List.find_opt (fun v -> Assignment.value c v = None) vars with
+        | None -> set
+        | Some free -> (
+            match Assignment.union c (Assignment.singleton free 0) with
+            | None -> set
+            | Some s -> s :: set))
+  in
+  let cumulative =
+    let acc = ref 0. in
+    Array.init (Array.length sets) (fun k ->
+        acc := !acc +. (1. /. (float_of_int (k + 1) ** 1.1));
+        !acc)
+  in
+  let zipf () =
+    let u = Rng.float rng cumulative.(Array.length cumulative - 1) in
+    let k = ref 0 in
+    while cumulative.(!k) < u do incr k done;
+    !k
+  in
+  let memo = Memo.create ~entries:16 () in
+  for _ = 1 to 2_000 do
+    let set = sets.(zipf ()) in
+    let spelling =
+      match Rng.int rng 4 with
+      | 0 -> set
+      | 1 -> shuffle rng set
+      | 2 -> (match set with [] -> set | c :: _ -> shuffle rng (c :: set))
+      | _ -> subsumed set
+    in
+    let salt = if Rng.int rng 5 = 0 then Some "c1" else None in
+    ignore (Memo.find_or_compile memo ?salt w spelling)
+  done;
+  let s = Memo.stats memo in
+  check (Alcotest.list int_c) "hits, misses, evictions, entries"
+    [ 1119; 881; 865; 16 ]
+    [ s.Memo.hits; s.Memo.misses; s.Memo.evictions; s.Memo.entries ]
+
+(* Minor words per hit on 48 cached 12-var/12-clause DNFs, bench/micro's
+   cache_sets shape.  The two-level text-key cache allocated 2 610 per hit,
+   most of it printing each clause; the bound is half that. *)
+let test_hit_allocation_guard () =
+  clear_all ();
+  let rng = Rng.create ~seed:313 in
+  let w = Wtable.create () in
+  let sets =
+    Array.init 48 (fun _ -> Gen.random_dnf rng w ~vars:12 ~clauses:12 ~clause_len:3)
+  in
+  let memo = Memo.create ~entries:64 () in
+  let pass () = Array.iter (fun set -> ignore (Memo.find_or_compile memo w set)) sets in
+  pass ();
+  let hits = (Memo.stats memo).Memo.hits in
+  let before = Gc.minor_words () in
+  pass ();
+  let per_hit = (Gc.minor_words () -. before) /. 48. in
+  check int_c "the second pass only hits" (hits + 48) (Memo.stats memo).Memo.hits;
+  let text_keys = 2_610. in
+  if per_hit > text_keys /. 2. then
+    Alcotest.failf "a hit allocated %.0f minor words (bound %.0f)" per_hit
+      (text_keys /. 2.)
 
 (* ------------------------------------------------------------------ *)
 (* The server proper, in-process (no socket): dispatch + fixture db.   *)
@@ -456,6 +616,7 @@ let () =
           QCheck_alcotest.to_alcotest fingerprint_permutation_invariant;
           QCheck_alcotest.to_alcotest fingerprint_subsumption_invariant;
           Alcotest.test_case "sensitivity" `Quick test_fingerprint_sensitivity;
+          QCheck_alcotest.to_alcotest fingerprint_injective;
         ] );
       ( "cache",
         [
@@ -463,6 +624,9 @@ let () =
           Alcotest.test_case "identical tree" `Quick test_cache_identical_tree;
           Alcotest.test_case "lru bound + counters" `Quick
             test_lru_bound_and_counters;
+          Alcotest.test_case "counters pinned" `Quick test_counters_pinned;
+          Alcotest.test_case "hit allocation guard" `Quick
+            test_hit_allocation_guard;
         ] );
       ( "server",
         [
