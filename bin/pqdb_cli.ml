@@ -104,19 +104,9 @@ let load_program ?db tables ~asserts query query_file =
     final_query prog.Qparser.query,
     constraint_set_of ~asserts ~stmts:prog.Qparser.constraints )
 
-(* The lineage of every possible tuple of a stored relation, in tuple
-   order. *)
-let relation_sets udb name =
-  match Udb.find udb name with
-  | u -> Array.of_list (List.map snd (Urelation.clauses_by_tuple u))
-  | exception Not_found ->
-      failwith
-        (Printf.sprintf "unknown relation %S (database has: %s)" name
-           (String.concat ", " (Udb.names udb)))
-
 let stored_inputs path name =
   let udb = Udb_io.load path in
-  let sets = relation_sets udb name in
+  let sets = Udb.relation_sets udb name in
   (Udb.wtable udb, sets)
 
 (* Boundary validation: turn bad parameters into friendly messages before
@@ -611,7 +601,7 @@ let batch_conditioned (e : engine) ~db ~relation ~gen ~eps ~asserts =
     | _ -> failwith "give --db PATH --relation NAME with --assert"
   in
   let udb = Udb_io.load db_path in
-  let sets = relation_sets udb name in
+  let sets = Udb.relation_sets udb name in
   let cset = constraint_set_of ~asserts ~stmts:[] in
   let compiled = Condition.compile udb cset in
   let den, estimates =

@@ -33,15 +33,12 @@ type result = {
   unreliable : bool;
 }
 
-(* Internal annotated relation: per-data-tuple error bound and suspect set. *)
-type ann = {
-  au : Urelation.t;
-  mu : float TMap.t;
-  susp : TSet.t;
-  unrel : bool;
-}
+(* Internal annotation: per-data-tuple error bound and suspect set. *)
+type ann = { mu : float TMap.t; susp : TSet.t; unrel : bool }
 
-let mu_of ann t = Option.value ~default:0. (TMap.find_opt t ann.mu)
+let mu_of (a : ann Eval_exact.node) t =
+  Option.value ~default:0. (TMap.find_opt t a.ann.mu)
+
 let cap x = Float.min 0.5 x
 
 let add_mu map t v =
@@ -51,7 +48,7 @@ let add_mu map t v =
       (function None -> Some (cap v) | Some old -> Some (cap (old +. v)))
       map
 
-let reliable au = { au; mu = TMap.empty; susp = TSet.empty; unrel = false }
+let reliable = { mu = TMap.empty; susp = TSet.empty; unrel = false }
 
 let max_error r =
   List.fold_left (fun acc (_, e) -> Float.max acc e) 0. r.errors
@@ -64,13 +61,16 @@ let error_of r t =
 (* Projection positions of [attrs] within [schema]. *)
 let positions schema attrs = List.map (Schema.index schema) attrs
 
-let project_mu ~out_of ann =
-  (* out_of : input tuple -> output tuple *)
-  TMap.fold (fun t v acc -> add_mu acc (out_of t) v) ann.mu TMap.empty
+let footnote_3 () =
+  raise
+    (Eval_exact.Unsupported
+       "repair-key above an approximate selection is not supported \
+        (footnote 3)")
 
 let sigma_hat_eval ?budget ~eps0 ~max_rounds ~sigma_delta ~rng ~stats w
-    { Ua.phi; conf_args; input = _ } input_ann =
-  let u = input_ann.au in
+    { Ua.phi; conf_args; input = _ } (input : ann Eval_exact.node) :
+    ann Eval_exact.node =
+  let u = input.urel in
   let schema = Urelation.schema u in
   let branches =
     List.map (fun attrs -> Translate.project_attrs attrs u) conf_args
@@ -121,8 +121,8 @@ let sigma_hat_eval ?budget ~eps0 ~max_rounds ~sigma_delta ~rng ~stats w
           List.iter
             (fun s ->
               if Tuple.equal (Tuple.project s in_pos) key then begin
-                input_contrib := !input_contrib +. mu_of input_ann s;
-                if TSet.mem s input_ann.susp then inherited_suspect := true
+                input_contrib := !input_contrib +. mu_of input s;
+                if TSet.mem s input.ann.susp then inherited_suspect := true
               end)
             input_poss)
         in_positions;
@@ -140,78 +140,9 @@ let sigma_hat_eval ?budget ~eps0 ~max_rounds ~sigma_delta ~rng ~stats w
       end)
     candidates;
   {
-    au = Urelation.make cand_schema !selected;
-    mu = !mu;
-    susp = !susp;
-    unrel = true;
+    urel = Urelation.make cand_schema !selected;
+    ann = { mu = !mu; susp = !susp; unrel = true };
   }
-
-(* Per-output-tuple bounds and suspects of a product or join, recomputed
-   from the possible tuples of both sides (Lemma 6.4(1): sum over
-   provenance). *)
-let provenance_bounds kind a b =
-  let sa = Urelation.schema a.au and sb = Urelation.schema b.au in
-  let shared = Schema.common sa sb in
-  let sa_shared = positions sa shared and sb_shared = positions sb shared in
-  let sb_only =
-    List.filter (fun x -> not (List.mem x shared)) (Schema.attributes sb)
-  in
-  let sb_only_pos = positions sb sb_only in
-  let mu = ref TMap.empty and susp = ref TSet.empty in
-  List.iter
-    (fun ta ->
-      List.iter
-        (fun tb ->
-          let matches =
-            match kind with
-            | `Product -> true
-            | `Join ->
-                Tuple.equal (Tuple.project ta sa_shared)
-                  (Tuple.project tb sb_shared)
-          in
-          if matches then begin
-            let out =
-              match kind with
-              | `Product -> Tuple.concat ta tb
-              | `Join -> Tuple.concat ta (Tuple.project tb sb_only_pos)
-            in
-            let v = mu_of a ta +. mu_of b tb in
-            mu := add_mu !mu out v;
-            if TSet.mem ta a.susp || TSet.mem tb b.susp then
-              susp := TSet.add out !susp
-          end)
-        (Urelation.possible_tuples b.au))
-    (Urelation.possible_tuples a.au);
-  (!mu, !susp)
-
-let conf_row t p value_of = Tuple.concat t (Tuple.of_list [ value_of p ])
-
-let conf_like a confs value_of =
-  if Schema.mem (Urelation.schema a.au) "P" then
-    raise
-      (Eval_exact.Unsupported
-         "conf: the input already has a P column; rename it first");
-  let out_schema =
-    Schema.of_list (Schema.attributes (Urelation.schema a.au) @ [ "P" ])
-  in
-  let rows =
-    List.map
-      (fun (t, p) -> (Assignment.empty, conf_row t p value_of))
-      confs
-  in
-  let mu =
-    List.fold_left
-      (fun acc (t, p) -> add_mu acc (conf_row t p value_of) (mu_of a t))
-      TMap.empty confs
-  in
-  let susp =
-    List.fold_left
-      (fun acc (t, p) ->
-        if TSet.mem t a.susp then TSet.add (conf_row t p value_of) acc
-        else acc)
-      TSet.empty confs
-  in
-  { au = Urelation.make out_schema rows; mu; susp; unrel = a.unrel }
 
 (* Each ApproxConf occurrence gets its own journal: the first keeps the
    caller's path untouched (the common single-aconf query), later ones get a
@@ -231,213 +162,153 @@ let stream_options_for stream aconf_ord =
       in
       Some { o with checkpoint }
 
-(* Structurally identical subexpressions denote the same relation: memoize
-   so shared repair-keys create one set of variables and shared sigma-hats
-   decide once. *)
-let rec eval_ann ?budget ?stream ~aconf_ord ~cache ~eps0 ~max_rounds
-    ~sigma_delta ~rng ~stats udb (q : Ua.t) : ann =
-  let key = Format.asprintf "%a" Ua.pp q in
-  match Hashtbl.find_opt cache key with
-  | Some a -> a
-  | None ->
-      let a =
-        eval_ann_raw ?budget ?stream ~aconf_ord ~cache ~eps0 ~max_rounds
-          ~sigma_delta ~rng ~stats udb q
-      in
-      Hashtbl.replace cache key a;
-      a
-
-and eval_ann_raw ?budget ?stream ~aconf_ord ~cache ~eps0 ~max_rounds
-    ~sigma_delta ~rng ~stats udb (q : Ua.t) : ann =
-  let recur q =
-    eval_ann ?budget ?stream ~aconf_ord ~cache ~eps0 ~max_rounds ~sigma_delta
-      ~rng ~stats udb q
+let aconf_eval ?budget ?stream ~aconf_ord ~rng ~stats w { Ua.eps; delta }
+    (a : ann Eval_exact.node) : ann Eval_exact.node =
+  (* Streaming compiled batch: tuples are sharded by a-priori cost and
+     compiled/solved shard-at-a-time (bounded resident memory, optional
+     crash-recovery journal); tuples that decompose fully are answered
+     exactly and only the residues are sampled, adaptively, over the
+     domain pool.  Without a budget this is bit-identical to the old
+     materialized run; with one, the remaining allowance is split
+     across shards proportionally to their cost. *)
+  let groups = Urelation.clauses_by_tuple a.urel in
+  let estimates, cstats, _summary =
+    Pqdb_montecarlo.Confidence.run_stream_with_stats ?budget
+      ?options:(stream_options_for stream aconf_ord) rng w
+      (Array.of_list (List.map snd groups))
+      ~eps ~delta
   in
-  let w = Udb.wtable udb in
+  stats.estimator_calls <-
+    stats.estimator_calls
+    + Array.fold_left ( + ) 0 cstats.Pqdb_montecarlo.Confidence.trials_used;
+  let values =
+    List.mapi (fun i (t, _) -> (t, Value.Float estimates.(i))) groups
+  in
+  let achieved = cstats.Pqdb_montecarlo.Confidence.achieved_eps in
+  let complete = cstats.Pqdb_montecarlo.Confidence.complete in
+  let mu, susp, _ =
+    List.fold_left
+      (fun (mu, susp, i) (t, p) ->
+        let row = Tuple.concat t (Tuple.of_list [ p ]) in
+        (* The reported P is outside the ε-relative interval with
+           probability at most δ on top of the input's membership error. *)
+        let v = mu_of a t in
+        let mu =
+          TMap.add row (if v > 0. then cap (cap v +. delta) else delta) mu
+        in
+        (* Tuples the governor (or a contained failure) kept from reaching
+           the requested ε are singularity-style suspects: their P value
+           only carries the wider achieved bound (Section 6: unreliability
+           is reported as added uncertainty, not as a crash). *)
+        let suspect =
+          TSet.mem t a.ann.susp || ((not complete) && achieved.(i) > eps)
+        in
+        (mu, (if suspect then TSet.add row susp else susp), i + 1))
+      (TMap.empty, TSet.empty, 0)
+      values
+  in
+  { urel = Eval_exact.with_p a.urel values; ann = { mu; susp; unrel = true } }
+
+(* Per-operator bookkeeping of Lemma 6.4(1): a result tuple's bound is the
+   sum over its provenance, and it is suspect when a provenance tuple is. *)
+let unary q (a : ann Eval_exact.node) =
   match q with
-  | Ua.Table _ | Ua.Lit _ -> reliable (Eval_exact.eval udb q)
-  | Ua.Select (p, q) ->
-      let a = recur q in
-      { a with au = Translate.select p a.au }
-  | Ua.Project (cols, q) ->
-      let a = recur q in
-      let in_schema = Urelation.schema a.au in
+  | Ua.RepairKey _ when a.ann.unrel -> footnote_3 ()
+  | Ua.Project (cols, _) ->
+      let in_schema = Urelation.schema a.urel in
       let exprs = List.map fst cols in
       let out_of t =
         Tuple.of_list (List.map (Expr.eval in_schema t) exprs)
       in
-      let au = Translate.project cols a.au in
-      let susp =
-        TSet.fold
-          (fun t acc -> TSet.add (out_of t) acc)
-          a.susp TSet.empty
-      in
-      { a with au; mu = project_mu ~out_of a; susp }
-  | Ua.Rename (m, q) ->
-      let a = recur q in
-      { a with au = Translate.rename m a.au }
-  | Ua.Product (l, r) -> binary ~recur `Product l r
-  | Ua.Join (l, r) -> binary ~recur `Join l r
-  | Ua.Union (l, r) ->
-      let a = recur l and b = recur r in
-      {
-        au = Translate.union a.au b.au;
-        mu = TMap.fold (fun t v acc -> add_mu acc t v) b.mu a.mu;
-        susp = TSet.union a.susp b.susp;
-        unrel = a.unrel || b.unrel;
-      }
-  | Ua.Diff (l, r) -> begin
-      let a = recur l and b = recur r in
-      match Translate.diff_complete a.au b.au with
-      | au ->
-          {
-            au;
-            mu = TMap.fold (fun t v acc -> add_mu acc t v) b.mu a.mu;
-            susp = TSet.union a.susp b.susp;
-            unrel = a.unrel || b.unrel;
-          }
-      | exception Invalid_argument _ ->
-          raise
-            (Eval_exact.Unsupported
-               "difference is only supported on complete relations (use -c)")
-    end
-  | Ua.Conf q ->
-      let a = recur q in
-      let confs = Eval_exact.all_confidences w a.au in
-      conf_like a confs (fun p -> Value.Rat p)
-  | Ua.ApproxConf ({ eps; delta }, q) ->
-      let a = recur q in
-      (* Streaming compiled batch: tuples are sharded by a-priori cost and
-         compiled/solved shard-at-a-time (bounded resident memory, optional
-         crash-recovery journal); tuples that decompose fully are answered
-         exactly and only the residues are sampled, adaptively, over the
-         domain pool.  Without a budget this is bit-identical to the old
-         materialized run; with one, the remaining allowance is split
-         across shards proportionally to their cost. *)
-      let groups = Urelation.clauses_by_tuple a.au in
-      let estimates, cstats, _summary =
-        Pqdb_montecarlo.Confidence.run_stream_with_stats ?budget
-          ?options:(stream_options_for stream aconf_ord) rng w
-          (Array.of_list (List.map snd groups))
-          ~eps ~delta
-      in
-      stats.estimator_calls <-
-        stats.estimator_calls
-        + Array.fold_left ( + ) 0 cstats.Pqdb_montecarlo.Confidence.trials_used;
-      let approx = List.mapi (fun i (t, _) -> (t, estimates.(i))) groups in
-      let ann = conf_like a approx (fun p -> Value.Float p) in
-      (* Tuples the governor (or a contained failure) kept from reaching the
-         requested ε are singularity-style suspects: their P value only
-         carries the wider achieved bound (Section 6: unreliability is
-         reported as added uncertainty, not as a crash). *)
-      let ann =
-        if cstats.Pqdb_montecarlo.Confidence.complete then ann
-        else
-          let achieved = cstats.Pqdb_montecarlo.Confidence.achieved_eps in
-          let susp =
+      fun _ ->
+        {
+          a.ann with
+          mu =
+            TMap.fold
+              (fun t v acc -> add_mu acc (out_of t) v)
+              a.ann.mu TMap.empty;
+          susp = TSet.map out_of a.ann.susp;
+        }
+  | Ua.Conf _ ->
+      (* Each output row is an input tuple plus its P. *)
+      let data = List.init (Schema.arity (Urelation.schema a.urel)) Fun.id in
+      fun urel ->
+        let rows =
+          List.map
+            (fun row -> (Tuple.project row data, row))
+            (Urelation.possible_tuples urel)
+        in
+        {
+          a.ann with
+          mu =
             List.fold_left
-              (fun acc (i, (t, _)) ->
-                if achieved.(i) > eps then
-                  TSet.add
-                    (conf_row t estimates.(i) (fun p -> Value.Float p))
-                    acc
-                else acc)
-              ann.susp
-              (List.mapi (fun i g -> (i, g)) groups)
-          in
-          { ann with susp }
-      in
-      (* The reported P is outside the ε-relative interval with probability
-         at most δ on top of the input's membership error. *)
-      let mu =
-        TMap.fold
-          (fun t v acc -> TMap.add t (cap (v +. delta)) acc)
-          ann.mu TMap.empty
-      in
-      let mu =
-        List.fold_left
-          (fun acc (t, p) ->
-            let row = conf_row t p (fun p -> Value.Float p) in
-            if TMap.mem row acc then acc else TMap.add row delta acc)
-          mu approx
-      in
-      { ann with mu; unrel = true }
-  | Ua.RepairKey { key; weight; query } -> begin
-      let a = recur query in
-      if a.unrel then
-        raise
-          (Eval_exact.Unsupported
-             "repair-key above an approximate selection is not supported \
-              (footnote 3)");
-      match Translate.repair_key w ~key ~weight a.au with
-      | au -> { a with au }
-      | exception Invalid_argument msg -> raise (Eval_exact.Unsupported msg)
-    end
-  | Ua.Poss q ->
-      let a = recur q in
-      { a with au = Urelation.of_relation (Translate.poss a.au) }
-  | Ua.Cert q ->
-      let a = recur q in
-      let certain =
-        List.filter_map
-          (fun (t, p) ->
-            if Rational.equal p Rational.one then Some t else None)
-          (Eval_exact.all_confidences w a.au)
-      in
-      {
-        a with
-        au =
-          Urelation.of_relation
-            (Relation.of_list (Urelation.schema a.au) certain);
-      }
-  | Ua.ApproxSelect sh ->
-      let input_ann = recur sh.input in
-      sigma_hat_eval ?budget ~eps0 ~max_rounds ~sigma_delta ~rng ~stats w sh
-        input_ann
+              (fun acc (t, row) -> add_mu acc row (mu_of a t))
+              TMap.empty rows;
+          susp =
+            List.fold_left
+              (fun acc (t, row) ->
+                if TSet.mem t a.ann.susp then TSet.add row acc else acc)
+              TSet.empty rows;
+        }
+  | _ -> fun _ -> a.ann
 
-and binary ~recur kind l r =
-  let a = recur l and b = recur r in
-  let au =
-    match kind with
-    | `Product -> Translate.product a.au b.au
-    | `Join -> Translate.join a.au b.au
+let binary q (a : ann Eval_exact.node) (b : ann Eval_exact.node) _urel =
+  let unrel = a.ann.unrel || b.ann.unrel in
+  let carries (x : ann Eval_exact.node) =
+    not (TMap.is_empty x.ann.mu && TSet.is_empty x.ann.susp)
   in
-  let carries x = not (TMap.is_empty x.mu && TSet.is_empty x.susp) in
-  let mu, susp =
-    if carries a || carries b then provenance_bounds kind a b
-    else
+  match q with
+  | (Ua.Product _ | Ua.Join _) when not (carries a || carries b) ->
       (* Every provenance bound is 0 and nothing is suspect, so the sum is
          empty: skip its |a|×|b| scan. *)
-      (TMap.empty, TSet.empty)
-  in
-  { au; mu; susp; unrel = a.unrel || b.unrel }
+      { reliable with unrel }
+  | Ua.Product _ | Ua.Join _ ->
+      let join = match q with Ua.Join _ -> true | _ -> false in
+      let mu, susp =
+        Eval_exact.fold_pairs ~join a.urel b.urel
+          (fun ta tb out (mu, susp) ->
+            ( add_mu mu out (mu_of a ta +. mu_of b tb),
+              if TSet.mem ta a.ann.susp || TSet.mem tb b.ann.susp then
+                TSet.add out susp
+              else susp ))
+          (TMap.empty, TSet.empty)
+      in
+      { mu; susp; unrel }
+  | _ ->
+      {
+        mu = TMap.fold (fun t v acc -> add_mu acc t v) b.ann.mu a.ann.mu;
+        susp = TSet.union a.ann.susp b.ann.susp;
+        unrel;
+      }
 
 let fresh_stats () = { decisions = 0; estimator_calls = 0; round_limit_hits = 0 }
 
-let result_of_ann a =
-  let poss = Urelation.possible_tuples a.au in
-  {
-    urel = a.au;
-    errors = List.map (fun t -> (t, mu_of a t)) poss;
-    suspects = TSet.elements a.susp;
-    unreliable = a.unrel;
-  }
-
 let eval ?budget ?stream ?(eps0 = 0.05) ?max_rounds ?(sigma_delta = 0.05) ~rng
     udb q =
-  if Ua.has_sigma_hat_below_repair_key q then
-    raise
-      (Eval_exact.Unsupported
-         "repair-key above an approximate selection is not supported \
-          (footnote 3)");
+  if Ua.has_sigma_hat_below_repair_key q then footnote_3 ();
   let stats = fresh_stats () in
-  let cache = Hashtbl.create 64 in
   let aconf_ord = ref 0 in
-  let a =
-    eval_ann ?budget ?stream ~aconf_ord ~cache ~eps0 ~max_rounds ~sigma_delta
-      ~rng ~stats udb q
+  let w = Udb.wtable udb in
+  let rules =
+    {
+      Eval_exact.leaf = (fun _ _ -> reliable);
+      unary;
+      binary;
+      aconf = Some (aconf_eval ?budget ?stream ~aconf_ord ~rng ~stats w);
+      sigma_hat =
+        Some
+          (sigma_hat_eval ?budget ~eps0 ~max_rounds ~sigma_delta ~rng ~stats w);
+    }
   in
-  (result_of_ann a, stats)
+  let a = Eval_exact.walk rules udb q in
+  ( {
+      urel = a.urel;
+      errors =
+        List.map (fun t -> (t, mu_of a t)) (Urelation.possible_tuples a.urel);
+      suspects = TSet.elements a.ann.susp;
+      unreliable = a.ann.unrel;
+    },
+    stats )
 
 (* Active-domain size: distinct values across the base relations. *)
 let active_domain_size udb =

@@ -13,7 +13,12 @@
 
     Tuples whose σ̂ decision hit the round budget before reaching its target
     are flagged as {e singularity suspects} — they are exactly the tuples
-    Theorem 6.7 cannot (and provably need not) guarantee. *)
+    Theorem 6.7 cannot (and provably need not) guarantee.
+
+    The pass is {!Eval_exact.walk} with μ/suspect annotations, overriding
+    only the U-relations of [conf_{ε,δ}] (Karp-Luby batch) and σ̂
+    (Figure 3); every other operator's relation, and its W variables, are
+    exactly {!Eval_exact.eval}'s. *)
 
 open Pqdb_numeric
 open Pqdb_relational

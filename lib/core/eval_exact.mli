@@ -1,4 +1,5 @@
-(** Exact UA evaluation over U-relational databases.
+(** Exact UA evaluation over U-relational databases, and the one memoized
+    query walker behind every U-relational evaluator.
 
     Positive operations use the parsimonious translation
     ({!Pqdb_urel.Translate}, Proposition 3.3); [conf] uses the exact lineage
@@ -6,15 +7,21 @@
     Theorem 3.4);
     [repair-key] extends the shared W table; σ̂ and [conf_{ε,δ}] are
     interpreted exactly (σ̂ via its defining composite).  The result is a
-    U-relation over the database's W table. *)
+    U-relation over the database's W table.
+
+    {!walk} is that evaluation with hooks: {!Eval_approx} and {!Provenance}
+    are the same walk with their own per-tuple annotations, so all three
+    evaluators see the same relations, the same memo and the same W-variable
+    numbering. *)
 
 open Pqdb_numeric
 open Pqdb_relational
 open Pqdb_urel
 
 exception Unsupported of string
-(** Raised on general difference over uncertain arguments (only [−c] is in
-    the fragment) and on repair-key over non-complete inputs. *)
+(** Raised on unknown tables, on general difference over uncertain
+    arguments (only [−c] is in the fragment), on [conf] over an input that
+    already has a [P] column, and on repair-key over non-complete inputs. *)
 
 val eval : Udb.t -> Pqdb_ast.Ua.t -> Urelation.t
 (** Note: mutates the database's W table when the query contains
@@ -29,9 +36,65 @@ val all_confidences :
   Wtable.t -> Urelation.t -> (Tuple.t * Rational.t) list
 (** [conf(R)] as data: each possible tuple of the U-relation with its exact
     confidence, in {!Pqdb_urel.Urelation.clauses_by_tuple} order.  The one
-    exact path behind [conf], [cert], {!confidences} and the approximate
-    evaluator's exact operators. *)
+    exact path behind [conf], [cert] and {!confidences}. *)
 
 val confidences : Udb.t -> Pqdb_ast.Ua.t -> (Tuple.t * Rational.t) list
 (** Exact confidence of every possible result tuple ([conf] applied on
     top). *)
+
+(** {1 The walker} *)
+
+type 'a node = { urel : Urelation.t; ann : 'a }
+(** A subquery's U-relation and the caller's annotation of it. *)
+
+type 'a rules = {
+  leaf : Pqdb_ast.Ua.t -> Urelation.t -> 'a;
+      (** annotation of a [Table] or [Lit] node *)
+  unary : Pqdb_ast.Ua.t -> 'a node -> Urelation.t -> 'a;
+      (** annotation of a one-operand node from its operand and its own
+          U-relation.  [unary q a] is applied before the operator runs, so
+          a rule that raises there refuses the node before its relation is
+          built (and before repair-key adds variables).  σ̂ without an
+          override comes here too, with its defining composite as the
+          operand *)
+  binary : Pqdb_ast.Ua.t -> 'a node -> 'a node -> Urelation.t -> 'a;
+      (** annotation of a product, join, union or difference *)
+  aconf : (Pqdb_ast.Ua.approx_params -> 'a node -> 'a node) option;
+      (** replaces the exact [conf] of a [conf_{ε,δ}] node, given its walked
+          operand (already checked to have no [P] column) *)
+  sigma_hat : (Pqdb_ast.Ua.sigma_hat -> 'a node -> 'a node) option;
+      (** replaces the exact composite of a σ̂ node, given its walked
+          input *)
+}
+(** What a caller may change: the per-tuple annotation of every node, and
+    the U-relation of [conf_{ε,δ}] and σ̂ only.  Every other U-relation,
+    and the unknown-table, difference and [P]-column errors, come from the
+    walker. *)
+
+val walk : 'a rules -> Udb.t -> Pqdb_ast.Ua.t -> 'a node
+(** One evaluation with one memo: structurally identical subqueries (equal
+    printed forms) are walked once and denote one node, so shared
+    repair-keys create one set of W variables and the rules run once per
+    distinct subquery.  Operands are walked left to right — a binary node's
+    left operand, including every repair-key below it, before its right —
+    and each node's rule runs after its operands'.  Without a [sigma_hat]
+    override a σ̂ node is its fully desugared composite
+    ({!Pqdb_ast.Ua.desugar_sigma_hat}), walked in the same memo, so the
+    [unary] rule sees only σ̂ nodes no other σ̂ contains.  [eval] is [walk]
+    with unit annotations.  Mutates the W table like {!eval}. *)
+
+val fold_pairs :
+  join:bool ->
+  Urelation.t ->
+  Urelation.t ->
+  (Tuple.t -> Tuple.t -> Tuple.t -> 'b -> 'b) ->
+  'b ->
+  'b
+(** [fold_pairs ~join a b f acc] folds [f ta tb out] over the pairs of
+    possible tuples of [a] (outer) and [b] (inner) that a product
+    ([join = false]) or natural join combines into the data tuple [out] —
+    the |a|×|b| provenance sum of Lemma 6.4(1). *)
+
+val with_p : Urelation.t -> (Tuple.t * Value.t) list -> Urelation.t
+(** [conf]'s output shape: the input's data columns plus [P], one certain
+    row per (tuple, P value). *)

@@ -33,177 +33,65 @@ module TM = Map.Make (struct
   let compare = Tuple.compare
 end)
 
-type node = { urel : Urelation.t; prov : LS.t TM.t }
+type t = { root : LS.t TM.t Eval_exact.node; sigma_hats : int }
 
-type t = { root : node; sigma_hats : int }
-
-let prov_of node tuple =
-  Option.value ~default:LS.empty (TM.find_opt tuple node.prov)
+let prov_of (node : LS.t TM.t Eval_exact.node) tuple =
+  Option.value ~default:LS.empty (TM.find_opt tuple node.ann)
 
 let add_prov map tuple set =
   TM.update tuple
     (function None -> Some set | Some old -> Some (LS.union old set))
     map
 
-(* Provenance of a binary combination recomputed from possible tuples. *)
-let combine_binary kind a b urel =
-  let sa = Urelation.schema a.urel and sb = Urelation.schema b.urel in
-  let shared = Schema.common sa sb in
-  let sa_shared = List.map (Schema.index sa) shared in
-  let sb_shared = List.map (Schema.index sb) shared in
-  let sb_only =
-    List.filter (fun x -> not (List.mem x shared)) (Schema.attributes sb)
-  in
-  let sb_only_pos = List.map (Schema.index sb) sb_only in
-  let prov = ref TM.empty in
-  List.iter
-    (fun ta ->
-      List.iter
-        (fun tb ->
-          let matches =
-            match kind with
-            | `Product -> true
-            | `Join ->
-                Tuple.equal (Tuple.project ta sa_shared)
-                  (Tuple.project tb sb_shared)
-          in
-          if matches then begin
-            let out =
-              match kind with
-              | `Product -> Tuple.concat ta tb
-              | `Join -> Tuple.concat ta (Tuple.project tb sb_only_pos)
-            in
-            prov :=
-              add_prov !prov out (LS.union (prov_of a ta) (prov_of b tb))
-          end)
-        (Urelation.possible_tuples b.urel))
-    (Urelation.possible_tuples a.urel);
-  { urel; prov = !prov }
+let each_tuple urel f =
+  List.fold_left f TM.empty (Urelation.possible_tuples urel)
 
 let compute udb query =
   let counter = ref 0 in
-  let cache : (string, node) Hashtbl.t = Hashtbl.create 64 in
-  let rec go q =
-    let key = Format.asprintf "%a" Ua.pp q in
-    match Hashtbl.find_opt cache key with
-    | Some node -> node
-    | None ->
-        let node = go_raw q in
-        Hashtbl.replace cache key node;
-        node
-  and go_raw q =
+  let leaves urel leaf =
+    each_tuple urel (fun acc t -> add_prov acc t (LS.singleton (leaf t)))
+  in
+  let leaf q urel =
     match q with
-    | Ua.Table name ->
-        let urel = Eval_exact.eval udb q in
-        let prov =
-          List.fold_left
-            (fun acc t -> add_prov acc t (LS.singleton (Base (name, t))))
-            TM.empty
-            (Urelation.possible_tuples urel)
-        in
-        { urel; prov }
-    | Ua.Lit _ -> { urel = Eval_exact.eval udb q; prov = TM.empty }
-    | Ua.Select (p, inner) ->
-        let a = go inner in
-        { a with urel = Translate.select p a.urel }
-    | Ua.Rename (m, inner) ->
-        let a = go inner in
-        { a with urel = Translate.rename m a.urel }
-    | Ua.Project (cols, inner) ->
-        let a = go inner in
+    | Ua.Table name -> leaves urel (fun t -> Base (name, t))
+    | _ -> TM.empty
+  in
+  let unary q a urel =
+    match q with
+    | Ua.Select _ | Ua.Rename _ -> a.Eval_exact.ann
+    | Ua.Project (cols, _) ->
         let in_schema = Urelation.schema a.urel in
         let exprs = List.map fst cols in
-        let urel = Translate.project cols a.urel in
-        let prov =
-          List.fold_left
-            (fun acc t ->
-              let out =
-                Tuple.of_list (List.map (Expr.eval in_schema t) exprs)
-              in
-              add_prov acc out (prov_of a t))
-            TM.empty
-            (Urelation.possible_tuples a.urel)
-        in
-        { urel; prov }
-    | Ua.Product (l, r) ->
-        let a = go l and b = go r in
-        combine_binary `Product a b (Translate.product a.urel b.urel)
-    | Ua.Join (l, r) ->
-        let a = go l and b = go r in
-        combine_binary `Join a b (Translate.join a.urel b.urel)
-    | Ua.Union (l, r) ->
-        let a = go l and b = go r in
-        let urel = Translate.union a.urel b.urel in
-        let prov =
-          TM.fold (fun t s acc -> add_prov acc t s) b.prov a.prov
-        in
-        { urel; prov }
-    | Ua.Diff (l, r) ->
-        let a = go l and b = go r in
-        let urel =
-          match Translate.diff_complete a.urel b.urel with
-          | u -> u
-          | exception Invalid_argument _ ->
-              raise
-                (Eval_exact.Unsupported
-                   "difference is only supported on complete relations")
-        in
-        let prov =
-          TM.fold (fun t s acc -> add_prov acc t s) b.prov a.prov
-        in
-        { urel; prov }
-    | Ua.Conf _ | Ua.ApproxConf _ | Ua.Poss _ | Ua.Cert _ ->
-        let inner =
-          match q with
-          | Ua.Conf i | Ua.ApproxConf (_, i) | Ua.Poss i | Ua.Cert i -> i
-          | _ -> assert false
-        in
-        let a = go inner in
-        let urel = Eval_exact.eval udb q in
-        let in_arity = Schema.arity (Urelation.schema a.urel) in
-        let prov =
-          List.fold_left
-            (fun acc out ->
-              (* The data part of the output row (drops the P column when
-                 present). *)
-              let data =
-                Tuple.project out (List.init in_arity Fun.id)
-              in
-              add_prov acc out (prov_of a data))
-            TM.empty
-            (Urelation.possible_tuples urel)
-        in
-        { urel; prov }
-    | Ua.RepairKey _ ->
-        let urel = Eval_exact.eval udb q in
-        (* repair-key requires a complete input whose tuples pass through
-           unchanged; provenance maps by tuple identity. *)
-        let inner =
-          match q with Ua.RepairKey { query; _ } -> query | _ -> assert false
-        in
-        let a = go inner in
-        let prov =
-          List.fold_left
-            (fun acc t -> add_prov acc t (prov_of a t))
-            TM.empty
-            (Urelation.possible_tuples urel)
-        in
-        { urel; prov }
+        each_tuple a.urel (fun acc t ->
+            let out = Tuple.of_list (List.map (Expr.eval in_schema t) exprs) in
+            add_prov acc out (prov_of a t))
     | Ua.ApproxSelect _ ->
         (* Maximal sigma-hat subexpressions are provenance leaves. *)
         let id = !counter in
         incr counter;
-        let urel = Eval_exact.eval udb q in
-        let prov =
-          List.fold_left
-            (fun acc t ->
-              add_prov acc t (LS.singleton (Sigma_hat (id, t))))
-            TM.empty
-            (Urelation.possible_tuples urel)
-        in
-        { urel; prov }
+        leaves urel (fun t -> Sigma_hat (id, t))
+    | _ ->
+        (* conf, poss, cert and repair-key: an output row's data part (the
+           row without a P column) is an input row. *)
+        let data = List.init (Schema.arity (Urelation.schema a.urel)) Fun.id in
+        each_tuple urel (fun acc out ->
+            add_prov acc out (prov_of a (Tuple.project out data)))
   in
-  let root = go query in
+  let binary q a b _urel =
+    match q with
+    | Ua.Product _ | Ua.Join _ ->
+        let join = match q with Ua.Join _ -> true | _ -> false in
+        Eval_exact.fold_pairs ~join a.Eval_exact.urel b.Eval_exact.urel
+          (fun ta tb out acc ->
+            add_prov acc out (LS.union (prov_of a ta) (prov_of b tb)))
+          TM.empty
+    | _ -> TM.fold (fun t s acc -> add_prov acc t s) b.ann a.ann
+  in
+  let root =
+    Eval_exact.walk
+      { leaf; unary; binary; aconf = None; sigma_hat = None }
+      udb query
+  in
   { root; sigma_hats = !counter }
 
 let result t = t.root.urel

@@ -29,12 +29,15 @@ val leaf_compare : leaf -> leaf -> int
 type t
 
 val compute : Udb.t -> Pqdb_ast.Ua.t -> t
-(** Exact evaluation with provenance recording.  Mutates the W table like
+(** Exact evaluation with provenance recording: {!Eval_exact.walk} with
+    leaf-set annotations, so every subquery (a σ̂'s defining composite
+    included) is evaluated once.  Mutates the W table exactly like
     {!Eval_exact.eval}.
     @raise Eval_exact.Unsupported as the exact evaluator. *)
 
 val result : t -> Urelation.t
-(** The query result (identical to {!Eval_exact.eval}). *)
+(** The query result — identical to {!Eval_exact.eval}, conditions and W
+    variables included: both leave the same W table behind. *)
 
 val leaves : t -> Tuple.t -> leaf list
 (** Sorted leaf dependencies of a result data tuple (empty for unknown

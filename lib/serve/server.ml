@@ -147,21 +147,12 @@ let parse_kv ~relation args =
     args;
   (!eps, !delta, !seed, !fuel, !q_deadline, !q_trials)
 
-(* The lineage of every possible tuple of a served relation, in tuple
-   order. *)
-let relation_sets t relation =
-  match Udb.find t.udb relation with
-  | u -> Array.of_list (List.map snd (Urelation.clauses_by_tuple u))
-  | exception Not_found ->
-      fail "unknown relation %S (database has: %s)" relation
-        (String.concat ", " (Udb.names t.udb))
-
 (* The conf body reuses the batch output contract verbatim — one
    "%d %h %h %h %d" line per tuple (index, estimate, lo, hi, trials) — so
    a serve reply is byte-comparable against `pqdb batch` output and against
    itself across warm and cold runs. *)
 let run_conf t ?budget ~relation ~eps ~delta ~seed ~fuel () =
-  let sets = relation_sets t relation in
+  let sets = Udb.relation_sets t.udb relation in
   let w = Udb.wtable t.udb in
   let n = Array.length sets in
   let rngs = Rng.split_n (Rng.create ~seed) n in
@@ -182,7 +173,7 @@ let run_conf t ?budget ~relation ~eps ~delta ~seed ~fuel () =
    unconditioned entry (or vice versa). *)
 let run_conf_conditioned t ?budget ~compiled ~relation ~eps ~delta ~seed
     ~fuel () =
-  let sets = relation_sets t relation in
+  let sets = Udb.relation_sets t.udb relation in
   let _, estimates =
     Condition.solve_batch ?budget ?fuel ~cache:t.cache ~seed
       (Udb.wtable t.udb) compiled sets ~eps ~delta

@@ -39,6 +39,14 @@ let find t name =
 
 let mem t name = List.mem_assoc name t.rels
 let names t = List.map fst t.rels
+
+let relation_sets t name =
+  match find t name with
+  | u -> Array.of_list (List.map snd (Urelation.clauses_by_tuple u))
+  | exception Not_found ->
+      failwith
+        (Printf.sprintf "unknown relation %S (database has: %s)" name
+           (String.concat ", " (names t)))
 let is_complete t name = List.mem name t.complete
 let is_decoded t name =
   match List.assoc_opt name t.rels with

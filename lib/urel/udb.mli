@@ -33,6 +33,14 @@ val find : t -> string -> Urelation.t
 
 val mem : t -> string -> bool
 val names : t -> string list
+
+val relation_sets : t -> string -> Assignment.t list array
+(** The lineage of every possible tuple of a stored relation, in
+    {!Urelation.clauses_by_tuple} order — the input of a batch or served
+    [conf] over that relation.
+    @raise Failure ["unknown relation \"NAME\" (database has: ...)"] on
+    unknown names. *)
+
 val is_complete : t -> string -> bool
 
 val is_decoded : t -> string -> bool

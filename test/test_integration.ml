@@ -149,6 +149,83 @@ let test_decode_agreement () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* Three evaluators, one walk: same relation, same W table             *)
+(* ------------------------------------------------------------------ *)
+
+(* Eval_exact, Provenance and Eval_approx (on a query with no approximate
+   operator) must build the same U-relation, conditions and variable
+   numbering included, and leave the same number of W variables. *)
+let evaluators_agree label tables q =
+  let fresh () =
+    let udb = Udb.create () in
+    List.iter (fun (name, rel) -> Udb.add_complete udb name rel) tables;
+    udb
+  in
+  let run f =
+    let udb = fresh () in
+    let u = f udb in
+    (Format.asprintf "%a" Urelation.pp u, Wtable.var_count (Udb.wtable udb))
+  in
+  let exact = run (fun udb -> Pqdb.Eval_exact.eval udb q) in
+  let prov =
+    run (fun udb -> Pqdb.Provenance.result (Pqdb.Provenance.compute udb q))
+  in
+  let approx =
+    run (fun udb ->
+        (fst (Pqdb.Eval_approx.eval ~rng:(Rng.create ~seed:1) udb q))
+          .Pqdb.Eval_approx.urel)
+  in
+  let pair = Alcotest.(pair string int) in
+  let name = Format.asprintf "%s: %a" label Ua.pp q in
+  check pair (name ^ " (provenance)") exact prov;
+  check pair (name ^ " (approximate)") exact approx
+
+let test_three_evaluators_agree () =
+  for seed = 1 to 40 do
+    let rng = Rng.create ~seed in
+    let r = base_r rng and s = base_s rng in
+    let q, _ = random_query rng (1 + Rng.int rng 2) in
+    evaluators_agree (Printf.sprintf "seed %d" seed) [ ("R", r); ("S", s) ] q
+  done;
+  for seed = 1 to 20 do
+    let rng = Rng.create ~seed:(1000 + seed) in
+    let r = base_r rng and s = base_s rng in
+    let inner, attrs = random_query rng 1 in
+    let q =
+      Ua.select
+        Predicate.(Expr.attr "P" > Expr.const (V.of_ints 1 4))
+        (Ua.conf (Ua.project [ List.hd attrs ] inner))
+    in
+    evaluators_agree
+      (Printf.sprintf "conf-inside seed %d" seed)
+      [ ("R", r); ("S", s) ]
+      q
+  done;
+  (* Both operands of a union create variables: numbering follows the
+     query text, left operand first. *)
+  let r =
+    Relation.of_rows [ "A"; "B"; "W" ]
+      [
+        [ V.Int 1; V.Str "x"; V.Int 2 ];
+        [ V.Int 1; V.Str "y"; V.Int 1 ];
+        [ V.Int 2; V.Str "x"; V.Int 1 ];
+        [ V.Int 2; V.Str "z"; V.Int 3 ];
+        [ V.Int 3; V.Str "y"; V.Int 1 ];
+      ]
+  and s =
+    Relation.of_rows [ "A"; "B"; "W" ]
+      [ [ V.Int 1; V.Str "x"; V.Int 2 ]; [ V.Int 1; V.Str "y"; V.Int 1 ] ]
+  in
+  let parse = Pqdb_lang.Qparser.parse_query in
+  evaluators_agree "fixed" [ ("R", r); ("S", s) ]
+    (parse
+       "project[B](repairkey[A @ W](R)) union project[B](repairkey[A @ W](S))");
+  (* A repair-key over conf: the inner repair-key's variables are created
+     once, not once per evaluator pass. *)
+  evaluators_agree "fixed" [ ("R", r) ]
+    (parse "repairkey[A @ P](conf(repairkey[A @ W](R)))")
+
+(* ------------------------------------------------------------------ *)
 (* Approximate evaluation agrees with exact away from thresholds       *)
 (* ------------------------------------------------------------------ *)
 
@@ -324,6 +401,8 @@ let () =
           Alcotest.test_case "compositional conf" `Quick
             test_random_query_agreement_with_conf_inside;
           Alcotest.test_case "decoded world sets" `Quick test_decode_agreement;
+          Alcotest.test_case "three evaluators, one walk" `Quick
+            test_three_evaluators_agree;
           Alcotest.test_case "approx vs exact sigma-hat" `Slow
             test_approx_matches_exact_cleaning;
           Alcotest.test_case "approx vs exact (tuple-independent)" `Slow
