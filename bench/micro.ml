@@ -811,6 +811,72 @@ let confidence_engine () =
   Report.note "a hit allocates %.0f minor words" hit_words;
   Report.note "cache counters: %d hits, %d misses, %d evictions"
     memo_stats.Memo.hits memo_stats.Memo.misses memo_stats.Memo.evictions;
+  (* A warm serve request, split into its three in-process stages: the
+     daemon's dispatch of [conf r] (128 memo hits and solves over the
+     relation's cached groups and clause codes), the encoding of the reply
+     frame, and the client's decode of it back through a pipe. *)
+  let warm_db = Filename.temp_file "pqdb_bench_warm" ".udbb" in
+  (let rng = Rng.create ~seed:128 in
+   let udb = Udb.create () in
+   let w = Udb.wtable udb in
+   let rows =
+     List.concat
+       (List.init 128 (fun i ->
+            let t = Tuple.of_list [ Pqdb_relational.Value.Int i ] in
+            List.map
+              (fun c -> (c, t))
+              (Gen.random_dnf rng w ~vars:12 ~clauses:12 ~clause_len:3)))
+   in
+   Udb.add_urelation udb "r" (Urelation.make (Schema.of_list [ "id" ]) rows);
+   Udb_io.save warm_db udb);
+  let warm_srv =
+    Pqdb_serve.Server.create
+      {
+        Pqdb_serve.Server.db_path = warm_db;
+        listen = Pqdb_serve.Server.Tcp 1;
+        cache_entries = Memo.default_entries;
+        session_trials = None;
+        session_deadline_s = None;
+        io_timeout_s = None;
+        idle_timeout_s = None;
+        max_sessions = None;
+        watchdog_s = None;
+      }
+  in
+  Sys.remove warm_db;
+  let dispatch () = Pqdb_serve.Server.dispatch warm_srv "conf r" in
+  let body = dispatch () in
+  let reply = Distrib.Protocol.Reply { id = 1; ok = true; body } in
+  let frame = Distrib.Protocol.encode reply in
+  let decode () =
+    let r, w = Unix.pipe ~cloexec:true () in
+    Fun.protect
+      ~finally:(fun () ->
+        Unix.close r;
+        Unix.close w)
+      (fun () ->
+        ignore (Unix.write_substring w frame 0 (String.length frame));
+        Distrib.Protocol.read_fd r)
+  in
+  if decode () <> Some reply then
+    failwith "warm-conf: the decoded reply differs from the encoded one";
+  let stage f =
+    let seconds = Report.time_median ~repeat:51 (fun () -> ignore (f ())) in
+    let before = Gc.minor_words () in
+    ignore (f ());
+    (seconds, Gc.minor_words () -. before)
+  in
+  let row name (seconds, words) =
+    [ name; Report.fmt_seconds seconds; Printf.sprintf "%.0f" words ]
+  in
+  Report.table
+    ~header:[ "warm conf, 128 tuples of 12x12 DNF"; "median"; "minor words" ]
+    [
+      row "dispatch" (stage dispatch);
+      row "encode" (stage (fun () -> Distrib.Protocol.encode reply));
+      row "decode" (stage decode);
+    ];
+  Report.note "reply frame %d bytes" (String.length frame);
   (* Journal compaction: a journal that survived one full re-append
      generation (every shard record bloated by an identical duplicate — the
      worst case the latest-per-shard policy reclaims), compacted in place.

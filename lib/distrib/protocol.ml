@@ -37,39 +37,68 @@ let escape s =
 (* Source fields (a database path + relation name) sit in the middle of the
    hello payload, so they are percent-encoded: '%', space and newline are
    the only bytes that could confuse the space-separated payload or the
-   line framing.  "-" marks an absent field ("%2d" is a literal dash). *)
+   line framing.  "-" marks an absent field ("%2d" is a literal dash).
+   One counting pass; only when some byte needs escaping, one fill pass
+   into bytes of the exact final size. *)
 let pct_encode s =
-  if s = "" || s = "-" then (if s = "" then "%00" else "%2d")
-  else if
-    String.for_all (fun c -> c <> '%' && c <> ' ' && c <> '\n') s
-  then s
-  else
-    String.concat ""
-      (List.map
-         (fun c ->
-           match c with
-           | '%' -> "%25"
-           | ' ' -> "%20"
-           | '\n' -> "%0a"
-           | c -> String.make 1 c)
-         (List.init (String.length s) (String.get s)))
+  if s = "" then "%00"
+  else if s = "-" then "%2d"
+  else begin
+    let n = String.length s in
+    let escapes = ref 0 in
+    for i = 0 to n - 1 do
+      match String.unsafe_get s i with
+      | '%' | ' ' | '\n' -> incr escapes
+      | _ -> ()
+    done;
+    if !escapes = 0 then s
+    else begin
+      let b = Bytes.create (n + (2 * !escapes)) in
+      let j = ref 0 in
+      let put3 e =
+        Bytes.blit_string e 0 b !j 3;
+        j := !j + 3
+      in
+      for i = 0 to n - 1 do
+        match String.unsafe_get s i with
+        | '%' -> put3 "%25"
+        | ' ' -> put3 "%20"
+        | '\n' -> put3 "%0a"
+        | c ->
+            Bytes.unsafe_set b !j c;
+            incr j
+      done;
+      Bytes.unsafe_to_string b
+    end
+  end
 
+let hex_digit = function
+  | '0' .. '9' as c -> Char.code c - Char.code '0'
+  | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+  | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+  | _ -> -1
+
+(* One pass: every '%' must be followed by exactly two hex digits. *)
 let pct_decode ~badf s =
   if s = "%00" then ""
   else if not (String.contains s '%') then s
   else begin
-    let b = Buffer.create (String.length s) in
+    let n = String.length s in
+    let b = Buffer.create n in
     let i = ref 0 in
-    while !i < String.length s do
-      (if s.[!i] <> '%' then Buffer.add_char b s.[!i]
-       else if !i + 2 >= String.length s then badf "truncated %-escape"
-       else begin
-         (match int_of_string_opt ("0x" ^ String.sub s (!i + 1) 2) with
-         | Some code -> Buffer.add_char b (Char.chr (code land 0xFF))
-         | None -> badf (Printf.sprintf "bad %%-escape in %S" s));
-         i := !i + 2
-       end);
-      incr i
+    while !i < n do
+      let c = String.unsafe_get s !i in
+      if c <> '%' then begin
+        Buffer.add_char b c;
+        incr i
+      end
+      else if !i + 2 >= n then badf "truncated %-escape"
+      else begin
+        let hi = hex_digit s.[!i + 1] and lo = hex_digit s.[!i + 2] in
+        if hi < 0 || lo < 0 then badf (Printf.sprintf "bad %%-escape in %S" s);
+        Buffer.add_char b (Char.unsafe_chr ((hi lsl 4) lor lo));
+        i := !i + 3
+      end
     done;
     Buffer.contents b
   end
@@ -334,19 +363,18 @@ let read_exact ~site ~timeout_s ~deadline fd buf off len =
   go off len
 
 let write_all ~site ~timeout_s ~deadline fd s =
-  let buf = Bytes.of_string s in
   let rec go off len =
     if len > 0 then begin
       (try wait_io ~site ~deadline ~for_read:false fd
        with Pqdb_error.Error (Pqdb_error.Timeout _) ->
          timeout_err ~site timeout_s);
-      match Unix.write fd buf off len with
+      match Unix.write_substring fd s off len with
       | n -> go (off + n) (len - n)
       | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _) ->
           go off len
     end
   in
-  go 0 (Bytes.length buf)
+  go 0 (String.length s)
 
 let write_fd ?timeout_s fd msg =
   let site = "distrib.send" in

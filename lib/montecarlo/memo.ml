@@ -40,21 +40,13 @@ let rec add_varint b n =
     add_varint b (n lsr 7)
   end
 
-(* Key bytes: W-table uid, generation, fuel, salt length, the salt, then
-   for each clause of Lineage.normalize's output (deduplicated, subsumption
-   dropped, sorted by Assignment.compare) its binding count and its
-   (var, value) pairs in variable order.  Every field is self-delimiting,
-   so a key decodes to exactly one input: keys are equal exactly when the
-   inputs are, and no salt content can forge another key's clauses.  The
-   salt is the active constraint-set fingerprint under conditioning; an
-   empty one is just a zero length. *)
-let key ~fuel ~salt w clauses =
+(* Clause code: for each clause of Lineage.normalize's output
+   (deduplicated, subsumption dropped, sorted by Assignment.compare) its
+   binding count and its (var, value) pairs in variable order.  A pure
+   function of the clause set, so a caller that asks about the same set
+   again can keep its code and skip the normalization. *)
+let code clauses =
   let b = Buffer.create 128 in
-  add_varint b (Wtable.uid w);
-  add_varint b (Wtable.generation w);
-  add_varint b fuel;
-  add_varint b (String.length salt);
-  Buffer.add_string b salt;
   List.iter
     (fun c ->
       add_varint b (Assignment.cardinal c);
@@ -62,11 +54,27 @@ let key ~fuel ~salt w clauses =
     (Lineage.normalize clauses);
   Buffer.contents b
 
+(* Key bytes: a header of W-table uid, generation, fuel, salt length and
+   the salt, then the clause code.  Every field is self-delimiting, so a
+   key decodes to exactly one input: keys are equal exactly when the
+   inputs are, and no salt content can forge another key's clauses.  The
+   salt is the active constraint-set fingerprint under conditioning; an
+   empty one is just a zero length. *)
+let key ~fuel ~salt w code =
+  let b = Buffer.create (32 + String.length salt + String.length code) in
+  add_varint b (Wtable.uid w);
+  add_varint b (Wtable.generation w);
+  add_varint b fuel;
+  add_varint b (String.length salt);
+  Buffer.add_string b salt;
+  Buffer.add_string b code;
+  Buffer.contents b
+
 let fuel_of = function Some f -> f | None -> Compile.default_fuel
 let salt_of = function Some s -> s | None -> ""
 
 let fingerprint ?fuel ?salt w clauses =
-  key ~fuel:(fuel_of fuel) ~salt:(salt_of salt) w clauses
+  key ~fuel:(fuel_of fuel) ~salt:(salt_of salt) w (code clauses)
 
 let with_lock t f =
   Mutex.lock t.lock;
@@ -94,10 +102,11 @@ let evict_lru t =
       Hashtbl.remove t.nodes node.key;
       t.evictions <- t.evictions + 1
 
-let find_or_compile t ?fuel ?salt ?build w clauses =
+let find_or_compile t ?fuel ?salt ?code:c ?build w clauses =
   let fuel = fuel_of fuel in
   (* Normalize and encode outside the lock: neither needs cache state. *)
-  let key = key ~fuel ~salt:(salt_of salt) w clauses in
+  let c = match c with Some c -> c | None -> code clauses in
+  let key = key ~fuel ~salt:(salt_of salt) w c in
   let cached =
     with_lock t (fun () ->
         match Hashtbl.find_opt t.nodes key with

@@ -19,6 +19,13 @@
     is injective: it decodes to exactly one input, so distinct inputs never
     share an entry.
 
+    The normalized-and-encoded clause set is the {e clause code}
+    ({!code}); a key is a short header — W-table uid and generation, fuel,
+    salt — followed by that code.  The code depends on the clause set
+    alone, so a caller asking about the same sets repeatedly (the serve
+    daemon, per stored relation) can compute the codes once and pass each
+    one as [?code], leaving a probe to build the header and look up.
+
     The key embeds the W table's identity and generation
     ({!Pqdb_urel.Wtable.uid} / {!Pqdb_urel.Wtable.generation}) and the
     compilation fuel: any table edit, or a different fuel, changes every
@@ -69,18 +76,27 @@ val fingerprint :
     subsumption-equivalent clause lists, and different after any W-table
     edit, under a different fuel, or under a different salt. *)
 
+val code : Assignment.t list -> string
+(** The clause code: {!Lineage.normalize}'s output in the binary, injective
+    encoding that a key ends with.  A pure function of the clause set
+    (equal for permuted, duplicated or subsumption-equivalent lists). *)
+
 val find_or_compile :
   t ->
   ?fuel:int ->
   ?salt:string ->
+  ?code:string ->
   ?build:(unit -> Compile.t) ->
   Wtable.t ->
   Assignment.t list ->
   Compile.t
 (** The cached {!Compile.compile} (or, when [build] is given, the cached
-    [build ()] — see {e Salted entries} above).  Every lookup normalizes
-    and encodes the key; a hit skips compilation; a miss compiles, inserts,
-    and evicts the least recently used entry beyond capacity. *)
+    [build ()] — see {e Salted entries} above).  Every lookup builds its
+    key from the header and the clause code — [code], when given, must be
+    [Memo.code clauses] and saves the normalization and encoding; otherwise
+    the lookup computes it.  A hit skips compilation; a miss compiles,
+    inserts, and evicts the least recently used entry beyond capacity.
+    Either way the LRU is touched and the hit or miss is counted. *)
 
 type stats = {
   hits : int;  (** key hits: compilation skipped *)

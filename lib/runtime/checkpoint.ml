@@ -1,31 +1,25 @@
 let magic = "pqdb-checkpoint/v1"
 
 (* IEEE 802.3 CRC-32, table-driven; hand-rolled so the runtime library keeps
-   its no-dependency footprint. *)
+   its no-dependency footprint.  The register is an unboxed [int] holding
+   32 bits, so the per-byte loop allocates nothing. *)
 let crc_table =
   lazy
     (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
+         let c = ref n in
          for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
+           c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
          done;
          !c))
 
 let crc32 s =
   let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFFl in
-  String.iter
-    (fun ch ->
-      let idx =
-        Int32.to_int
-          (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xFFl)
-      in
-      c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8))
-    s;
-  Int32.logxor !c 0xFFFFFFFFl
+  let c = ref 0xFFFFFFFF in
+  for i = 0 to String.length s - 1 do
+    let byte = Char.code (String.unsafe_get s i) in
+    c := Array.unsafe_get table ((!c lxor byte) land 0xFF) lxor (!c lsr 8)
+  done;
+  Int32.of_int (!c lxor 0xFFFFFFFF)
 
 let crc32_hex s = Printf.sprintf "%08lx" (crc32 s)
 

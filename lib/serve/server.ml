@@ -45,10 +45,20 @@ type slot = {
   mutable wedged : bool;
 }
 
+(* A stored relation's lineage grouped by tuple, and each set's
+   {!Memo.code}, valid while the W table keeps this uid and generation. *)
+type groups = {
+  uid : int;
+  generation : int;
+  sets : Assignment.t list array;
+  codes : string array;
+}
+
 type t = {
   config : config;
   udb : Udb.t;
   cache : Memo.t;
+  groups : (string, groups) Hashtbl.t;  (* relation -> groups; engine lock *)
   (* Query execution is serialized: the W-table alias cache fills lazily
      during DNF preparation and is not safe under concurrent writers, and
      the target container is single-core anyway.  Sessions stay concurrent
@@ -147,18 +157,34 @@ let parse_kv ~relation args =
     args;
   (!eps, !delta, !seed, !fuel, !q_deadline, !q_trials)
 
+(* The relation's groups, regrouped and re-encoded only when the W table's
+   uid or generation moved since they were built.  Must run under the
+   engine lock, which guards [t.groups]. *)
+let relation_groups t relation =
+  let w = Udb.wtable t.udb in
+  let uid = Wtable.uid w and generation = Wtable.generation w in
+  match Hashtbl.find_opt t.groups relation with
+  | Some g when g.uid = uid && g.generation = generation -> g
+  | _ ->
+      let sets = Udb.relation_sets t.udb relation in
+      let g = { uid; generation; sets; codes = Array.map Memo.code sets } in
+      Hashtbl.replace t.groups relation g;
+      g
+
 (* The conf body reuses the batch output contract verbatim — one
    "%d %h %h %h %d" line per tuple (index, estimate, lo, hi, trials) — so
    a serve reply is byte-comparable against `pqdb batch` output and against
    itself across warm and cold runs. *)
 let run_conf t ?budget ~relation ~eps ~delta ~seed ~fuel () =
-  let sets = Udb.relation_sets t.udb relation in
+  let { sets; codes; _ } = relation_groups t relation in
   let w = Udb.wtable t.udb in
   let n = Array.length sets in
   let rngs = Rng.split_n (Rng.create ~seed) n in
   let buf = Buffer.create (64 * (n + 1)) in
   for i = 0 to n - 1 do
-    let tree = Memo.find_or_compile t.cache ?fuel w sets.(i) in
+    let tree =
+      Memo.find_or_compile t.cache ?fuel ~code:codes.(i) w sets.(i)
+    in
     let o = Compile.solve ?budget rngs.(i) tree ~eps ~delta in
     Printf.bprintf buf "%d %h %h %h %d\n" i o.Compile.value o.Compile.lo
       o.Compile.hi o.Compile.trials
@@ -173,7 +199,7 @@ let run_conf t ?budget ~relation ~eps ~delta ~seed ~fuel () =
    unconditioned entry (or vice versa). *)
 let run_conf_conditioned t ?budget ~compiled ~relation ~eps ~delta ~seed
     ~fuel () =
-  let sets = Udb.relation_sets t.udb relation in
+  let { sets; _ } = relation_groups t relation in
   let _, estimates =
     Condition.solve_batch ?budget ?fuel ~cache:t.cache ~seed
       (Udb.wtable t.udb) compiled sets ~eps ~delta
@@ -497,6 +523,7 @@ let create config =
     config;
     udb;
     cache = Memo.create ~entries:config.cache_entries ();
+    groups = Hashtbl.create 8;
     engine = Mutex.create ();
     state = Mutex.create ();
     sessions = 0;

@@ -203,6 +203,41 @@ let test_env_smoke () =
 (* ------------------------------------------------------------------ *)
 (* 1. Checkpoint journal plumbing. *)
 
+(* CRC-32 against the textbook definition: reflected polynomial
+   0xEDB88320, register preset and final xor 0xFFFFFFFF, one bit at a
+   time with no table. *)
+let crc32_bitwise s =
+  let c = ref 0xFFFFFFFFl in
+  String.iter
+    (fun ch ->
+      c := Int32.logxor !c (Int32.of_int (Char.code ch));
+      for _ = 0 to 7 do
+        c :=
+          if Int32.logand !c 1l <> 0l then
+            Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+          else Int32.shift_right_logical !c 1
+      done)
+    s;
+  Int32.logxor !c 0xFFFFFFFFl
+
+let test_crc32_known_answer () =
+  check Alcotest.int32 "crc32 \"123456789\"" 0xCBF43926l
+    (Checkpoint.crc32 "123456789");
+  check Alcotest.string "crc32_hex \"123456789\"" "cbf43926"
+    (Checkpoint.crc32_hex "123456789");
+  check Alcotest.int32 "crc32 of the empty string" 0l (Checkpoint.crc32 "")
+
+let crc32_matches_bitwise =
+  QCheck.Test.make ~name:"crc32 agrees with a bit-by-bit reference"
+    ~count:500
+    QCheck.(
+      make ~print:(Printf.sprintf "%S")
+        Gen.(
+          string_size
+            ~gen:(map Char.chr (int_range 0 255))
+            (oneof [ return 0; int_range 0 8; int_range 0 2000 ])))
+    (fun s -> Int32.equal (Checkpoint.crc32 s) (crc32_bitwise s))
+
 let test_journal_framing () =
   clear_all ();
   with_temp_dir (fun dir ->
@@ -1020,6 +1055,9 @@ let () =
         ] );
       ( "journal",
         [
+          Alcotest.test_case "crc32 known answer" `Quick
+            test_crc32_known_answer;
+          qcheck crc32_matches_bitwise;
           Alcotest.test_case "framing round-trip" `Quick test_journal_framing;
           Alcotest.test_case "torn tail tolerated" `Quick test_torn_tail;
           Alcotest.test_case "mid-file corruption typed" `Quick

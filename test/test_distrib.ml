@@ -359,7 +359,83 @@ let test_pct_encoding_edges () =
       { meta = "m"; probe = "0x1p-1"; source = Some ("/tmp/a b/c%d.udbb", "-") }
   in
   check bool_c "hello source round-trips" true
-    (decode_all (Protocol.encode h) = [ h ])
+    (decode_all (Protocol.encode h) = [ h ]);
+  (* An escape is exactly two hex digits: anything else is a typed
+     Malformed_input, never a guessed byte.  The frames carry a valid CRC so
+     only the escape itself is at fault. *)
+  let framed payload =
+    Printf.sprintf "f %08x %s %s\n" (String.length payload)
+      (Pqdb_runtime.Checkpoint.crc32_hex payload)
+      payload
+  in
+  check bool_c "well-formed hand-made frame decodes" true
+    (decode_all (framed "reply 4 err a%41%4a%4Fb")
+    = [ Protocol.Reply { id = 4; ok = false; body = "aAJOb" } ]);
+  List.iter
+    (fun payload ->
+      match decode_all (framed payload) with
+      | _ -> Alcotest.failf "%S decoded" payload
+      | exception E.Error (E.Malformed_input _) -> ())
+    [ "reply 4 err a%1_b"; "reply 4 err %g0"; "query 3 a% 1";
+      "query 3 a%_1"; "query 3 a%+1"; "query 3 %%41"; "reply 4 ok x%4";
+      "reply 4 ok x%"; "hello 0x1p-1 %1_ r meta" ]
+
+(* The bytes on the wire, pinned: an encoder change that moves a single
+   byte of these frames breaks every peer built before it. *)
+let test_wire_bytes_pinned () =
+  clear_all ();
+  let md5 m = Digest.to_hex (Digest.string (Protocol.encode m)) in
+  List.iter
+    (fun (name, m, digest) -> check Alcotest.string name digest (md5 m))
+    [
+      ( "multi-line reply",
+        Protocol.Reply
+          {
+            id = 17;
+            ok = true;
+            body = "0 0x1.8p-1 0x1p-1 0x1p+0 0\n1 100% done  twice\n\n";
+          },
+        "ca48ae4459ba94200586a60bce6f7547" );
+      ( "query",
+        Protocol.Query { id = 3; spec = "conf events eps=0.1 seed=7" },
+        "a01058b835faa762cafdfb38e4f2f605" );
+      ( "sourced hello",
+        Protocol.Hello
+          {
+            meta = "pqdb-serve db=/tmp/a b.udbb";
+            probe = "serve/1";
+            source = Some ("/tmp/db dir/my%db.udbb", "events");
+          },
+        "f4191755e80d8fd457ecabee57133811" );
+      ( "dash body",
+        Protocol.Reply { id = 0; ok = false; body = "-" },
+        "276d4980d55b0c3a31019ef2d9a55e73" );
+      ( "empty body",
+        Protocol.Reply { id = 1; ok = true; body = "" },
+        "3ff48e0a50e5fd4a1328a7e9cc9e41d8" );
+      ( "dash spec",
+        Protocol.Query { id = 2; spec = "-" },
+        "0cd1b8b37f7f6cdbeb88ca9d41905304" );
+    ]
+
+(* Free text of any byte value survives Reply.body and Query.spec: the
+   generator above only draws printable ASCII. *)
+let any_bytes_roundtrip =
+  QCheck.Test.make ~name:"bodies of all 256 byte values round-trip"
+    ~count:300
+    QCheck.(
+      make ~print:(Printf.sprintf "%S")
+        Gen.(
+          string_size
+            ~gen:(map Char.chr (int_range 0 255))
+            (int_range 0 300)))
+    (fun s ->
+      clear_all ();
+      let msgs =
+        [ Protocol.Reply { id = 9; ok = true; body = s };
+          Protocol.Query { id = 8; spec = s } ]
+      in
+      decode_all (String.concat "" (List.map Protocol.encode msgs)) = msgs)
 
 (* Each behavioral send mode, observed on the wire through a real pipe:
    torn leaves a typed-malformed half frame, delay leaves a whole (late)
@@ -785,6 +861,9 @@ let () =
             test_protocol_corruption;
           Alcotest.test_case "percent-encoding edge cases" `Quick
             test_pct_encoding_edges;
+          Alcotest.test_case "wire bytes pinned" `Quick
+            test_wire_bytes_pinned;
+          qcheck any_bytes_roundtrip;
           Alcotest.test_case "behavioral send modes on the wire" `Quick
             test_behavioral_send_modes;
         ] );

@@ -464,6 +464,159 @@ let test_budget_admission () =
           check bool_c "refusal names the budget" true (contains msg "budget"))
 
 (* ------------------------------------------------------------------ *)
+(* Warm requests: a reply costs its probes and its solve.              *)
+
+(* Relations of [tuples] tuples, each tuple's lineage a random DNF over
+   fresh variables, saved to a temporary database. *)
+let with_dnf_db ~seed relations f =
+  let rng = Rng.create ~seed in
+  let udb = Udb.create () in
+  let w = Udb.wtable udb in
+  List.iter
+    (fun (name, tuples, vars, clauses) ->
+      let rows =
+        List.concat
+          (List.init tuples (fun i ->
+               let t = Pqdb_relational.(Tuple.of_list [ Value.Int i ]) in
+               List.map
+                 (fun c -> (c, t))
+                 (Gen.random_dnf rng w ~vars ~clauses ~clause_len:3)))
+      in
+      Udb.add_urelation udb name
+        (Urelation.make (Pqdb_relational.Schema.of_list [ "id" ]) rows))
+    relations;
+  let path = temp_path ".udbb" in
+  Udb_io.save path udb;
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () -> f path)
+
+(* One warm [conf] over 128 tuples of 12x12 DNFs, every probe a hit, and
+   the encoding of its reply frame: together they allocated 140 223 +
+   98 186 minor words when every request regrouped the relation,
+   re-normalized each key and escaped the body byte by byte.  Bound them
+   at half of that. *)
+let test_warm_request_allocation_guard () =
+  clear_all ();
+  with_dnf_db ~seed:128 [ ("r", 128, 12, 12) ] (fun db ->
+      let srv =
+        Server.create (config ~cache_entries:256 ~db_path:db (Server.Tcp 1))
+      in
+      ignore (Server.dispatch srv "conf r");
+      let before = (Server.stats srv).Server.cache in
+      let w0 = Gc.minor_words () in
+      let body = Server.dispatch srv "conf r" in
+      let w1 = Gc.minor_words () in
+      let frame =
+        Pqdb_distrib.Protocol.encode
+          (Pqdb_distrib.Protocol.Reply { id = 1; ok = true; body })
+      in
+      let w2 = Gc.minor_words () in
+      let after = (Server.stats srv).Server.cache in
+      check int_c "every probe hit" (before.Memo.hits + 128) after.Memo.hits;
+      check int_c "no probe missed" before.Memo.misses after.Memo.misses;
+      check bool_c "the reply frame is non-trivial" true
+        (String.length frame > String.length body);
+      let bound = (140_223. +. 98_186.) /. 2. in
+      if w2 -. w0 > bound then
+        Alcotest.failf
+          "warm dispatch %.0f + encode %.0f minor words (bound %.0f)"
+          (w1 -. w0) (w2 -. w1) bound)
+
+(* What [conf <relation>] must answer, computed without a server or a
+   cache: the stored relation grouped by tuple, each set compiled cold and
+   solved on its own lane, or the conditioned batch over the same sets. *)
+let expected_reply db ?cset ~relation ~seed ?fuel () =
+  let udb = Udb_io.load db in
+  let w = Udb.wtable udb in
+  let sets = Udb.relation_sets udb relation in
+  let buf = Buffer.create 4096 in
+  (match cset with
+  | None ->
+      let rngs = Rng.split_n (Rng.create ~seed) (Array.length sets) in
+      Array.iteri
+        (fun i cs ->
+          let o =
+            Compile.solve rngs.(i) (Compile.compile ?fuel w cs) ~eps:0.05
+              ~delta:0.01
+          in
+          Printf.bprintf buf "%d %h %h %h %d\n" i o.Compile.value o.Compile.lo
+            o.Compile.hi o.Compile.trials)
+        sets
+  | Some cset ->
+      let module C = Pqdb_conditioning.Condition in
+      let _, estimates =
+        C.solve_batch ?fuel ~seed w (C.compile udb cset) sets ~eps:0.05
+          ~delta:0.01
+      in
+      Array.iteri
+        (fun i e ->
+          Printf.bprintf buf "%d %h %h %h %d\n" i e.C.value e.C.lo e.C.hi
+            e.C.trials)
+        estimates);
+  Buffer.contents buf
+
+(* Interleaved requests over several relations, with seed and fuel
+   variants and a conditioned session, through an 8-entry cache that
+   evicts on nearly every probe: every reply equals the one computed
+   without the server. *)
+let test_interleaved_replies_match_reference () =
+  clear_all ();
+  with_dnf_db ~seed:77
+    [ ("a", 16, 8, 6); ("b", 12, 10, 8); ("c", 20, 6, 4); ("g", 2, 3, 2) ]
+    (fun db ->
+      let srv =
+        Server.create (config ~cache_entries:8 ~db_path:db (Server.Tcp 1))
+      in
+      let sess = Server.new_session () in
+      let guard = "(g)" in
+      check string_c "assert acked" "asserted; 1 active\n"
+        (Server.dispatch srv ~session:sess ("assert " ^ guard));
+      let cset =
+        Pqdb_conditioning.Constraint_set.(
+          add empty (Pqdb_lang.Qparser.parse_constraint guard))
+      in
+      let references = Hashtbl.create 16 in
+      let reference ~conditioned relation seed fuel =
+        let k = (conditioned, relation, seed, fuel) in
+        match Hashtbl.find_opt references k with
+        | Some r -> r
+        | None ->
+            let r =
+              expected_reply db
+                ?cset:(if conditioned then Some cset else None)
+                ~relation ~seed ?fuel ()
+            in
+            Hashtbl.replace references k r;
+            r
+      in
+      let rng = Rng.create ~seed:5 in
+      for _ = 1 to 40 do
+        let relation = pick rng [| "a"; "b"; "c"; "a"; "c" |] in
+        let seed = pick rng [| 42; 42; 7 |] in
+        let fuel = pick rng [| None; None; Some 0; Some 3 |] in
+        let conditioned = Rng.int rng 5 = 0 in
+        let request =
+          Printf.sprintf "conf %s%s%s" relation
+            (if seed = 42 then "" else Printf.sprintf " seed=%d" seed)
+            (match fuel with
+            | Some f -> Printf.sprintf " fuel=%d" f
+            | None -> "")
+        in
+        let reply =
+          if conditioned then Server.dispatch srv ~session:sess request
+          else Server.dispatch srv request
+        in
+        check string_c
+          (Printf.sprintf "%s%s" request
+             (if conditioned then " (conditioned)" else ""))
+          (reference ~conditioned relation seed fuel)
+          reply
+      done;
+      check bool_c "the small cache evicted" true
+        ((Server.stats srv).Server.cache.Memo.evictions > 0))
+
+(* ------------------------------------------------------------------ *)
 (* Socket round trip: daemon thread, client queries, clean shutdown.   *)
 
 let test_socket_round_trip () =
@@ -635,6 +788,10 @@ let () =
           Alcotest.test_case "stats + friendly errors" `Quick
             test_dispatch_stats_and_errors;
           Alcotest.test_case "budget admission" `Quick test_budget_admission;
+          Alcotest.test_case "warm request allocation guard" `Quick
+            test_warm_request_allocation_guard;
+          Alcotest.test_case "interleaved replies match the reference" `Quick
+            test_interleaved_replies_match_reference;
         ] );
       ( "socket",
         [
