@@ -11,7 +11,7 @@ module Ua = Pqdb_ast.Ua
 module Scenarios = Pqdb_workload.Scenarios
 module Gen = Pqdb_workload.Gen
 module Dnf = Pqdb_montecarlo.Dnf
-module Karp_luby = Pqdb_montecarlo.Karp_luby
+module Estimator = Pqdb_montecarlo.Estimator
 module Lineage = Pqdb_montecarlo.Lineage
 
 (* ------------------------------------------------------------------ *)
@@ -120,6 +120,12 @@ let e2_positive_ra_scaling ~quick =
 (* E3: Theorem 3.4 — exact confidence is exponential, the FPRAS is not *)
 (* ------------------------------------------------------------------ *)
 
+(* [trials] Karp-Luby estimator calls, averaged (Proposition 4.2). *)
+let karp_luby rng dnf ~trials =
+  let est = Estimator.create dnf in
+  Estimator.batch rng est trials;
+  Estimator.estimate est
+
 let e3_exact_vs_fpras ~quick =
   Report.section "E3"
     "Theorem 3.4 vs Proposition 4.2: exact confidence blows up, Karp-Luby \
@@ -148,10 +154,12 @@ let e3_exact_vs_fpras ~quick =
         in
         let exact = Q.to_float !exact in
         let kl = ref 0. in
-        let trials = Karp_luby.trials_for dnf ~eps:0.1 ~delta:0.05 in
+        let trials =
+          Stats.karp_luby_trials ~clauses:(Dnf.clause_count dnf) ~eps:0.1
+            ~delta:0.05
+        in
         let kl_time =
-          Report.time_median ~repeat:1 (fun () ->
-              kl := Karp_luby.run rng dnf ~trials)
+          Report.time_median ~repeat:1 (fun () -> kl := karp_luby rng dnf ~trials)
         in
         let rel_err =
           if exact > 0. then Float.abs (!kl -. exact) /. exact else 0.
@@ -208,7 +216,7 @@ let e4_fpras_convergence ~quick =
         let errors = ref [] in
         let failures = Stats.tally () in
         for _ = 1 to runs do
-          let p_hat = Karp_luby.run rng dnf ~trials:m in
+          let p_hat = karp_luby rng dnf ~trials:m in
           let rel = Float.abs (p_hat -. exact) /. exact in
           errors := rel :: !errors;
           Stats.record failures (rel < eps)

@@ -11,6 +11,7 @@ module Scenarios = Pqdb_workload.Scenarios
 module Apred = Pqdb_ast.Apred
 module Dnf = Pqdb_montecarlo.Dnf
 module Karp_luby = Pqdb_montecarlo.Karp_luby
+module Estimator = Pqdb_montecarlo.Estimator
 module Mc_confidence = Pqdb_montecarlo.Confidence
 module Distrib = Pqdb_distrib
 module Budget = Pqdb_montecarlo.Budget
@@ -19,6 +20,31 @@ module Compile = Pqdb_montecarlo.Compile
 module Lineage = Pqdb_montecarlo.Lineage
 module Schema = Pqdb_relational.Schema
 module Tuple = Pqdb_relational.Tuple
+
+(* [trials] Karp-Luby estimator calls, averaged (Proposition 4.2). *)
+let karp_luby rng dnf ~trials =
+  let est = Estimator.create dnf in
+  Estimator.batch rng est trials;
+  Estimator.estimate est
+
+(* The Chernoff trial count of the fixed-budget FPRAS; 0 for degenerate
+   DNFs, which need no sampling. *)
+let chernoff_trials dnf ~eps ~delta =
+  Estimator.trials_to_reach (Estimator.create dnf) ~eps ~delta
+
+(* The fixed-budget FPRAS of Proposition 4.2, the per-tuple baseline. *)
+let fpras rng dnf ~eps ~delta =
+  karp_luby rng dnf ~trials:(chernoff_trials dnf ~eps ~delta)
+
+(* The whole batch as one shard: one pool run under one governor, every
+   compiled DAG resident at once. *)
+let batch_run ?budget ?nworkers rng w clause_sets ~eps ~delta =
+  let options = { Mc_confidence.default_stream_options with shard_cost = max_int } in
+  let estimates, stats, _ =
+    Mc_confidence.run_stream_with_stats ?budget ?nworkers ~options rng w
+      clause_sets ~eps ~delta
+  in
+  (estimates, stats)
 
 let test_exact_confidence () =
   let rng = Rng.create ~seed:201 in
@@ -33,7 +59,7 @@ let test_karp_luby () =
   let clauses = Gen.random_dnf rng w ~vars:12 ~clauses:12 ~clause_len:3 in
   let dnf = Dnf.prepare w clauses in
   Test.make ~name:"confidence/karp-luby-1k-trials"
-    (Staged.stage (fun () -> ignore (Karp_luby.run rng dnf ~trials:1000)))
+    (Staged.stage (fun () -> ignore (karp_luby rng dnf ~trials:1000)))
 
 let join_inputs () =
   let rng = Rng.create ~seed:203 in
@@ -69,13 +95,10 @@ let batch_inputs () =
 
 let test_batch_confidence () =
   let w, clause_sets = batch_inputs () in
-  let batch = Mc_confidence.prepare w clause_sets in
   let rng = Rng.create ~seed:208 in
   Test.make ~name:"confidence/batch-500-tuples"
     (Staged.stage (fun () ->
-         ignore
-           (Mc_confidence.run_with_stats ~nworkers:2 rng batch ~eps:0.3
-              ~delta:0.2)))
+         ignore (batch_run ~nworkers:2 rng w clause_sets ~eps:0.3 ~delta:0.2)))
 
 let test_thm52 () =
   let rng = Rng.create ~seed:204 in
@@ -296,10 +319,6 @@ type bench_entry = {
          overload burst, for the serve-under-faults entry *)
 }
 
-(* The fixed-budget FPRAS of Proposition 4.2, the per-tuple baseline. *)
-let fpras rng dnf ~eps ~delta =
-  Karp_luby.run rng dnf ~trials:(Karp_luby.trials_for dnf ~eps ~delta)
-
 let confidence_engine () =
   Report.section "CONF-ENGINE"
     "Confidence-engine wall clock: compiled lineage, adaptive stopping, \
@@ -328,7 +347,7 @@ let confidence_engine () =
   let trials = 200_000 in
   let serial =
     Report.time_median (fun () ->
-        ignore (Karp_luby.run (Rng.create ~seed:1) dnf ~trials))
+        ignore (karp_luby (Rng.create ~seed:1) dnf ~trials))
   in
   record "karp-luby-serial-200k" serial serial;
   Report.table
@@ -348,17 +367,14 @@ let confidence_engine () =
   let fixed_trials =
     Array.fold_left
       (fun acc clauses ->
-        acc + Karp_luby.trials_for (Dnf.prepare w clauses) ~eps ~delta)
+        acc + chernoff_trials (Dnf.prepare w clauses) ~eps ~delta)
       0 clause_sets
   in
   record ~trials:fixed_trials "per-tuple-fpras-500" per_tuple per_tuple;
-  let batch = Mc_confidence.prepare w clause_sets in
-  let _, batch_stats =
-    Mc_confidence.run_with_stats (Rng.create ~seed:2) batch ~eps ~delta
-  in
+  let _, batch_stats = batch_run (Rng.create ~seed:2) w clause_sets ~eps ~delta in
   let batched =
     Report.time_median (fun () ->
-        ignore (Mc_confidence.run_with_stats (Rng.create ~seed:2) batch ~eps ~delta))
+        ignore (batch_run (Rng.create ~seed:2) w clause_sets ~eps ~delta))
   in
   record
     ~trials:
@@ -391,17 +407,14 @@ let confidence_engine () =
   let mixed_fixed_trials =
     Array.fold_left
       (fun acc clauses ->
-        acc + Karp_luby.trials_for (Dnf.prepare wm clauses) ~eps ~delta)
+        acc + chernoff_trials (Dnf.prepare wm clauses) ~eps ~delta)
       0 mixed_sets
   in
   record ~trials:mixed_fixed_trials "fpras-mixed-500" mixed_fpras mixed_fpras;
-  let mixed_batch = Mc_confidence.prepare wm mixed_sets in
-  let _, mixed_stats =
-    Mc_confidence.run_with_stats (Rng.create ~seed:3) mixed_batch ~eps ~delta
-  in
+  let _, mixed_stats = batch_run (Rng.create ~seed:3) wm mixed_sets ~eps ~delta in
   let mixed_compiled =
     Report.time_median (fun () ->
-        ignore (Mc_confidence.run_with_stats (Rng.create ~seed:3) mixed_batch ~eps ~delta))
+        ignore (batch_run (Rng.create ~seed:3) wm mixed_sets ~eps ~delta))
   in
   let mixed_trials =
     Array.fold_left ( + ) 0 mixed_stats.Mc_confidence.trials_used
@@ -435,7 +448,7 @@ let confidence_engine () =
   let seps = 0.1 and sdelta = 0.05 in
   let fixed_stop_trials =
     Array.fold_left
-      (fun acc dnf -> acc + Karp_luby.trials_for dnf ~eps:seps ~delta:sdelta)
+      (fun acc dnf -> acc + chernoff_trials dnf ~eps:seps ~delta:sdelta)
       0 stop_dnfs
   in
   let fixed_stop =
@@ -493,37 +506,42 @@ let confidence_engine () =
   let governed =
     Report.time_median (fun () ->
         ignore
-          (Mc_confidence.run_with_stats ~budget:(generous ()) (Rng.create ~seed:3)
-             mixed_batch ~eps ~delta))
+          (batch_run ~budget:(generous ()) (Rng.create ~seed:3) wm mixed_sets
+             ~eps ~delta))
   in
   let _, gov_stats =
-    Mc_confidence.run_with_stats ~budget:(generous ()) (Rng.create ~seed:3)
-      mixed_batch ~eps ~delta
+    batch_run ~budget:(generous ()) (Rng.create ~seed:3) wm mixed_sets ~eps
+      ~delta
   in
   let gov_trials =
     Array.fold_left ( + ) 0 gov_stats.Mc_confidence.trials_used
   in
   record ~trials:gov_trials ~width:(mean_width gov_stats)
     "anytime-generous-budget" governed mixed_compiled;
+  (* The run compiles every tuple under the deadline before it samples,
+     so each row's deadline is the batch's compile time plus [d]. *)
+  let compile_s =
+    Report.time_median (fun () ->
+        Array.iter (fun cs -> ignore (Compile.compile wm cs)) mixed_sets)
+  in
   let deadline_row d =
+    let budget () = Budget.create ~deadline_s:(compile_s +. d) () in
     let seconds =
       Report.time_median (fun () ->
           ignore
-            (Mc_confidence.run_with_stats
-               ~budget:(Budget.create ~deadline_s:d ())
-               (Rng.create ~seed:3) mixed_batch ~eps ~delta))
+            (batch_run ~budget:(budget ()) (Rng.create ~seed:3) wm mixed_sets
+               ~eps ~delta))
     in
     let _, st =
-      Mc_confidence.run_with_stats
-        ~budget:(Budget.create ~deadline_s:d ())
-        (Rng.create ~seed:3) mixed_batch ~eps ~delta
+      batch_run ~budget:(budget ()) (Rng.create ~seed:3) wm mixed_sets ~eps
+        ~delta
     in
     let trials = Array.fold_left ( + ) 0 st.Mc_confidence.trials_used in
     record ~trials ~width:(mean_width st)
       (Printf.sprintf "anytime-deadline-%.0fms" (d *. 1000.))
       seconds mixed_compiled;
     [
-      Printf.sprintf "deadline %.0fms" (d *. 1000.);
+      Printf.sprintf "deadline compile+%.0fms" (d *. 1000.);
       Report.fmt_seconds seconds;
       Report.fmt_int trials;
       Printf.sprintf "%.4f" (mean_width st);
@@ -552,8 +570,8 @@ let confidence_engine () =
      ]
     @ deadline_rows);
   (* 2e. Streaming shard engine (E6c).  Two claims: resident memory is
-     bounded by the shard ceiling rather than the batch (the materialized
-     path keeps all 120 compiled DAGs, residuals and sampling tables live at
+     bounded by the shard ceiling rather than the batch (the one-shard
+     run keeps all 120 compiled DAGs, residuals and sampling tables live at
      once, the stream one shard's worth), and resuming a checkpointed run
      that lost its final shard replays the journal instead of recomputing. *)
   let ws2, stream_sets = stream_inputs () in
@@ -564,15 +582,16 @@ let confidence_engine () =
     (Gc.stat ()).Gc.live_words
   in
   let base_live = live_now () in
-  let mat_batch = ref (Some (Mc_confidence.prepare wc ceiling_sets)) in
+  (* What the one-shard run holds at once: every tuple's compiled DAG. *)
+  let mat_dags = Array.map (Compile.compile wc) ceiling_sets in
   let mat_peak = live_now () - base_live in
+  ignore (Sys.opaque_identity mat_dags);
   let mat_time =
     Report.time_median (fun () ->
         ignore
-          (Mc_confidence.run_with_stats (Rng.create ~seed:5) (Option.get !mat_batch)
-             ~eps:seps2 ~delta:sdelta2))
+          (batch_run (Rng.create ~seed:5) wc ceiling_sets ~eps:seps2
+             ~delta:sdelta2))
   in
-  mat_batch := None;
   record ~peak_words:mat_peak "batch-materialized-heavy" mat_time mat_time;
   (* One shard per tuple (the singleton rule): the per-shard ceiling is a
      single compiled tree, the strictest possible memory bound. *)

@@ -168,9 +168,9 @@ let aconf_eval ?budget ?stream ~aconf_ord ~rng ~stats w { Ua.eps; delta }
      compiled/solved shard-at-a-time (bounded resident memory, optional
      crash-recovery journal); tuples that decompose fully are answered
      exactly and only the residues are sampled, adaptively, over the
-     domain pool.  Without a budget this is bit-identical to the old
-     materialized run; with one, the remaining allowance is split
-     across shards proportionally to their cost. *)
+     domain pool.  Without a budget the estimates do not depend on the
+     shard geometry; with one, the remaining allowance is split across
+     shards proportionally to their cost. *)
   let groups = Urelation.clauses_by_tuple a.urel in
   let estimates, cstats, _summary =
     Pqdb_montecarlo.Confidence.run_stream_with_stats ?budget

@@ -227,8 +227,7 @@ let query ?budget ?eps0 ?max_rounds ?compile_fuel ~rng ~delta ~k udb q =
   let u = Eval_exact.eval udb q in
   let w = Udb.wtable udb in
   let candidates =
-    List.map
-      (fun t -> (t, Dnf.prepare w (Urelation.clauses_for u t)))
-      (Urelation.possible_tuples u)
+    List.map (fun (t, clauses) -> (t, Dnf.prepare w clauses))
+      (Urelation.clauses_by_tuple u)
   in
   run ?budget ?eps0 ?max_rounds ?compile_fuel ~rng ~delta ~k candidates

@@ -12,15 +12,6 @@ type transport = {
   close : unit -> unit;
 }
 
-let channel_transport ?pid ~close input output =
-  {
-    send = (fun m -> Protocol.write output m);
-    recv = (fun () -> Protocol.read input);
-    pid;
-    remote = false;
-    close;
-  }
-
 (* Coordinator-side transports speak frames directly over the pipe fds
    ({!Protocol.read_fd}/{!Protocol.write_fd}) so [io_timeout_s] can bound
    every send and recv with [select] — a worker that wedges mid-frame (or a

@@ -65,12 +65,15 @@ type transport = {
   close : unit -> unit;  (** idempotent; must release both directions *)
 }
 
-val channel_transport :
-  ?pid:int -> close:(unit -> unit) -> in_channel -> out_channel -> transport
-(** Wrap an already-connected channel pair (orders out on the second,
-    outcomes in on the first) — the building block behind the two
-    constructors below, exposed for tests and embeddings that manage their
-    own processes (e.g. a fork without exec). *)
+val fd_transport :
+  ?io_timeout_s:float -> ?pid:int -> close:(unit -> unit) ->
+  in_fd:Unix.file_descr -> out_fd:Unix.file_descr -> unit -> transport
+(** Wrap an already-connected descriptor pair: orders are written to
+    [out_fd] ({!Protocol.write_fd}) and outcomes read from [in_fd]
+    ({!Protocol.read_fd}), each bounded by [io_timeout_s] when given.  The
+    building block behind the two constructors below, exposed for tests
+    and embeddings that manage their own processes (e.g. a fork without
+    exec). *)
 
 val process_transport : ?io_timeout_s:float -> string array -> transport
 (** Spawn [argv] ([argv.(0)] is the executable) with the order channel on

@@ -274,39 +274,6 @@ let send_fault emit =
 
 let torn_prefix frame = String.sub frame 0 (max 1 (String.length frame / 2))
 
-let write oc msg =
-  let frame = encode msg in
-  send_fault (fun () ->
-      output_string oc (torn_prefix frame);
-      flush oc);
-  output_string oc frame;
-  flush oc
-
-let read ic =
-  Faultpoint.fire "distrib.recv";
-  (* Clean EOF only at a frame boundary: reading even one byte of a header
-     commits us to a whole frame. *)
-  match input_char ic with
-  | exception End_of_file -> None
-  | c0 ->
-      let rest =
-        match really_input_string ic (header_len - 1) with
-        | r -> r
-        | exception End_of_file -> bad "truncated frame header"
-      in
-      let header = String.make 1 c0 ^ rest in
-      let len = decode_header_len header in
-      let payload =
-        match really_input_string ic len with
-        | p -> p
-        | exception End_of_file -> bad "truncated frame payload"
-      in
-      (match input_char ic with
-      | '\n' -> ()
-      | _ -> bad "frame missing terminator"
-      | exception End_of_file -> bad "truncated frame terminator");
-      Some (decode_frame ~header ~payload)
-
 (* Raw-fd transport with select-based deadlines.
 
    Buffered channels make deadlines unreliable (bytes can sit in the

@@ -78,34 +78,28 @@ type msg =
           the wire, so the bytes survive the single-line framing. *)
 
 val encode : msg -> string
-(** The exact framed bytes {!write} emits (terminating newline included). *)
-
-val write : out_channel -> msg -> unit
-(** Frame, write and flush one message.  Fires ["distrib.send"] first.
-    Write errors (e.g. [EPIPE] from a dead peer) propagate to the caller. *)
-
-val read : in_channel -> msg option
-(** Read one framed message; [None] on a clean EOF at a frame boundary.
-    Fires ["distrib.recv"] first.
-    @raise Pqdb_runtime.Pqdb_error.Error ([Malformed_input], source
-    ["distrib-protocol"]) on a torn or corrupt frame: partial header or
-    payload, bad length, CRC mismatch, unknown tag, or field syntax. *)
+(** The exact framed bytes {!write_fd} emits (terminating newline
+    included). *)
 
 val write_fd : ?timeout_s:float -> Unix.file_descr -> msg -> unit
-(** {!write} directly over a file descriptor (no channel buffering), with
-    an optional whole-frame deadline enforced by [select] — works on pipes,
-    which ignore [SO_SNDTIMEO]/[SO_RCVTIMEO].  Fires ["distrib.send"]; the
-    [torn] mode emits half the frame and raises [Injected].
+(** Frame and write one message directly over a file descriptor (no
+    channel buffering), with an optional whole-frame deadline enforced by
+    [select] — works on pipes, which ignore [SO_SNDTIMEO]/[SO_RCVTIMEO].
+    Fires ["distrib.send"]; the [torn] mode emits half the frame and raises
+    [Injected].  Write errors (e.g. [EPIPE] from a dead peer) propagate.
     @raise Pqdb_runtime.Pqdb_error.Error [(Timeout _)] when the deadline
     passes before the frame is fully written (site ["distrib.send"]). *)
 
 val read_fd : ?timeout_s:float -> Unix.file_descr -> msg option
-(** {!read} directly over a file descriptor, with an optional whole-frame
-    deadline.  [None] on a clean EOF before the first header byte; EOF or
-    deadline expiry mid-frame raise.  Fires ["distrib.recv"] first.
+(** Read one framed message directly off a file descriptor, with an
+    optional whole-frame deadline.  [None] on a clean EOF before the first
+    header byte; EOF or deadline expiry mid-frame raise.  Fires
+    ["distrib.recv"] first.
     @raise Pqdb_runtime.Pqdb_error.Error [(Timeout _)] (site
-    ["distrib.recv"]) when the deadline passes, or [(Malformed_input _)] on
-    a torn or corrupt frame. *)
+    ["distrib.recv"]) when the deadline passes, or [(Malformed_input _)]
+    (source ["distrib-protocol"]) on a torn or corrupt frame: partial
+    header or payload, bad length, CRC mismatch, unknown tag, or field
+    syntax. *)
 
 val read_fd_frame : ?timeout_s:float -> Unix.file_descr -> msg option
 (** {!read_fd} with frame-boundary patience: the wait for the first header

@@ -3,7 +3,7 @@
     A budget carries up to three cooperative limits — a wall-clock deadline,
     a total estimator-trial budget, and a cancellation flag — and is
     threaded through the sampling layers ({!Karp_luby}, {!Compile.solve},
-    {!Confidence.run_with_stats}, top-k, predicate decisions).  Layers poll
+    {!Confidence.run_stream}, top-k, predicate decisions).  Layers poll
     {!exhausted} inside their sampling loops and, on exhaustion, {e degrade
     instead of failing}: they stop sampling and report what the trials spent
     so far certify (a wider interval / a larger achieved ε), in the spirit

@@ -3,10 +3,7 @@ open Pqdb_urel
 module Faultpoint = Pqdb_runtime.Faultpoint
 module Pqdb_error = Pqdb_runtime.Pqdb_error
 
-type batch = {
-  clause_sets : Assignment.t list array;
-  comps : Compile.t array;
-}
+type batch = Assignment.t list array
 
 type stats = {
   trials_used : int array;
@@ -16,13 +13,7 @@ type stats = {
   complete : bool;
 }
 
-let prepare ?compile_fuel w clause_sets =
-  (* Serial phase: compilation prepares every residual DNF's sampling tables
-     and forces the shared per-variable alias cache in the W table, so the
-     parallel phase below is read-only on all shared structures. *)
-  { clause_sets; comps = Array.map (Compile.compile ?fuel:compile_fuel w) clause_sets }
-
-let size batch = Array.length batch.comps
+let prepare ?compile_fuel:_ _w clause_sets = clause_sets
 
 let total_trials batch ~eps ~delta =
   (* The historical cost model: the fixed Chernoff budget the pure FPRAS
@@ -35,11 +26,11 @@ let total_trials batch ~eps ~delta =
       | cs ->
           Stats.saturating_add acc
             (Stats.karp_luby_trials ~clauses:(List.length cs) ~eps ~delta))
-    0 batch.clause_sets
+    0 batch
 
-(* Cap on what the adaptive sampler can spend on tuple [i] — used only to
-   order the farmed work longest-first so stragglers start early. *)
-let cost_bound batch i ~eps ~delta =
+(* Cap on what the adaptive sampler can spend on a compiled tuple — used
+   only to order the farmed work longest-first so stragglers start early. *)
+let cost_bound comp ~eps ~delta =
   Array.fold_left
     (fun acc dnf ->
       if Dnf.is_trivially_false dnf || Dnf.is_trivially_true dnf then acc
@@ -47,7 +38,7 @@ let cost_bound batch i ~eps ~delta =
         Stats.saturating_add acc
           (Stats.karp_luby_trials ~clauses:(Dnf.clause_count dnf) ~eps ~delta))
     0
-    (Compile.residuals batch.comps.(i))
+    (Compile.residuals comp)
 
 (* A tuple's a-priori compiled answer, written into slot [i]: the exact
    value as a point, or else the compiled bracket, with its lower end as the
@@ -67,112 +58,11 @@ let fill_apriori comp ~out ~intervals ~achieved i =
       achieved.(i) <- (hi -. lo) /. 2.;
       false
 
-type core = {
-  c_out : float array;
-  c_trials : int array;
-  c_masses : float array;
-  c_intervals : (float * float) array;
-  c_achieved : float array;
-  c_complete : bool;
-}
-
-(* The solve phase over pre-split per-tuple RNG lanes.  Tuple [i] consumes
-   only [lanes.(i)], so any partition of a batch into sub-batches run
-   through this (with the matching lane slices) produces bit-identical
-   per-tuple results — the property the streaming/resume layer rests on. *)
-let run_core ?budget ?nworkers lanes batch ~eps ~delta =
-  let nworkers =
-    match nworkers with Some n -> n | None -> Pool.default_workers ()
-  in
-  if nworkers <= 0 then
-    invalid_arg "Confidence.run: nworkers must be positive";
-  let n = size batch in
-  if Array.length lanes <> n then
-    invalid_arg "Confidence.run: one RNG lane per tuple";
-  let out = Array.make n 0. in
-  let trials_used = Array.make n 0 in
-  let masses = Array.make n 0. in
-  let intervals = Array.make n (0., 0.) in
-  let achieved = Array.make n 0. in
-  (* Flipped (from any domain) the moment a tuple misses its (ε, δ)
-     contract or a task/pool failure is contained. *)
-  let all_complete = Atomic.make true in
-  if n > 0 then begin
-    (* Tuples the compiler resolved in closed form cost nothing — fill them
-       here and farm only the ones with residual sampling work, longest
-       worst-case budget first.  Live tuples are pre-filled with their
-       a-priori compiled bracket so that a tuple whose task never runs (or
-       dies) still reports a sound interval instead of garbage. *)
-    let live = ref [] in
-    Array.iteri
-      (fun i comp ->
-        if not (fill_apriori comp ~out ~intervals ~achieved i) then
-          live := i :: !live)
-      batch.comps;
-    let live =
-      Array.of_list
-        (List.stable_sort
-           (fun i j ->
-             compare (cost_bound batch j ~eps ~delta)
-               (cost_bound batch i ~eps ~delta))
-           (List.rev !live))
-    in
-    let ntasks = Array.length live in
-    if ntasks > 0 then begin
-      let task k =
-        let i = live.(k) in
-        match Compile.solve ?budget lanes.(i) batch.comps.(i) ~eps ~delta with
-        | o ->
-            out.(i) <- o.Compile.value;
-            trials_used.(i) <- o.Compile.trials;
-            masses.(i) <- o.Compile.residual_mass;
-            intervals.(i) <- (o.Compile.lo, o.Compile.hi);
-            achieved.(i) <- o.Compile.achieved_eps;
-            if not o.Compile.complete then Atomic.set all_complete false
-        | exception _ ->
-            (* Keep the pre-filled bracket; the batch must survive any
-               single tuple. *)
-            Atomic.set all_complete false
-      in
-      (* A pool-level failure (a task the pool itself could not run, a
-         spawn problem surfacing late) degrades the whole batch to its
-         pre-filled brackets rather than crashing it. *)
-      match Pool.run (Pool.create (min nworkers ntasks)) ~ntasks task with
-      | () -> ()
-      | exception _ -> Atomic.set all_complete false
-    end
-  end;
-  {
-    c_out = out;
-    c_trials = trials_used;
-    c_masses = masses;
-    c_intervals = intervals;
-    c_achieved = achieved;
-    c_complete = Atomic.get all_complete;
-  }
-
 let exact_fraction_of ~out ~masses =
   let total_value = Array.fold_left ( +. ) 0. out in
   let sampled_mass = Array.fold_left ( +. ) 0. masses in
   if total_value <= 0. then 1.
   else Float.max 0. (1. -. (sampled_mass /. total_value))
-
-let run_with_stats ?budget ?nworkers rng batch ~eps ~delta =
-  if eps <= 0. || delta <= 0. then invalid_arg "Confidence.run";
-  let n = size batch in
-  (* One child stream and one output slot per tuple: the estimates are
-     bit-deterministic for a fixed parent RNG state, independent of the
-     pool size and of which domain runs which tuple. *)
-  let lanes = if n = 0 then [||] else Rng.split_n rng n in
-  let c = run_core ?budget ?nworkers lanes batch ~eps ~delta in
-  ( c.c_out,
-    {
-      trials_used = c.c_trials;
-      exact_fraction = exact_fraction_of ~out:c.c_out ~masses:c.c_masses;
-      intervals = c.c_intervals;
-      achieved_eps = c.c_achieved;
-      complete = c.c_complete;
-    } )
 
 (* --- streaming / checkpointed execution --------------------------------- *)
 
@@ -203,7 +93,7 @@ type run = {
   eps : float;
   delta : float;
   compile_fuel : int option;
-  nworkers : int option;
+  nworkers : int;
   options : stream_options;
   plan : Shard.t array;
   lanes : Rng.t array;
@@ -230,14 +120,17 @@ let open_run ?nworkers ?compile_fuel ?(options = default_stream_options) rng w
     invalid_arg "Confidence.open_run: retries must be >= 0";
   if options.resume && options.checkpoint = None then
     invalid_arg "Confidence.open_run: resume requires a checkpoint journal";
+  let nworkers = Option.value nworkers ~default:(Pool.default_workers ()) in
+  if nworkers <= 0 then
+    invalid_arg "Confidence.open_run: nworkers must be positive";
   let n = Array.length clause_sets in
   let plan = Shard.plan ~eps ~delta ~max_cost:options.shard_cost clause_sets in
   (* The handshake probe is drawn from a copy BEFORE the lanes split, so
      opening a run advances the parent RNG identically everywhere. *)
   let probe = Printf.sprintf "%h" (Rng.float (Rng.copy rng) 1.) in
   (* Per-tuple lanes are split over the WHOLE batch up front; shards consume
-     their tuples' lanes only.  Combined with the run_core contract this
-     makes the stream bit-identical to the materialized run — and to any
+     their tuples' lanes only.  Combined with the lane contract of
+     [solve_shard] this makes the stream bit-identical to any
      interrupted-and-resumed or distributed replay of itself. *)
   let lanes = if n = 0 then [||] else Rng.split_n rng n in
   let meta =
@@ -299,34 +192,81 @@ let apriori_outcome run (sh : Shard.t) ~fp ~error =
   }
 
 (* One attempt at one shard over the whole-batch lanes — the unit of work a
-   stream iteration, a retry, or a remote worker executes.  Copies the
-   shard's lane slice fresh, so every attempt (on any process) replays
-   exactly the stream a fault-free first attempt would have consumed; by
-   the run_core contract the outcome is bit-identical no matter where or in
-   what order shards run.  Fires the "shard.run" fault point; failures
-   propagate for the caller's retry/quarantine policy. *)
+   stream iteration, a retry, or a remote worker executes.  Tuple [i]
+   consumes only a fresh copy of [lanes.(i)], so every attempt (on any
+   process) replays exactly the stream a fault-free first attempt would have
+   consumed, and any partition of the batch into shards gives bit-identical
+   per-tuple results — the lane contract the streaming, resume and
+   distributed layers rest on.  Fires the "shard.run" fault point; failures
+   propagate for the caller's retry/quarantine policy, but a single tuple or
+   pool failure is contained and degrades only to the a-priori brackets. *)
 let solve_shard ?budget run (sh : Shard.t) ~fp =
   Faultpoint.fire "shard.run";
-  let batch =
-    prepare ?compile_fuel:run.compile_fuel run.w
-      (Array.sub run.clause_sets sh.first sh.count)
+  let n = sh.count in
+  let comps =
+    Array.init n (fun j ->
+        Compile.compile ?fuel:run.compile_fuel run.w run.clause_sets.(sh.first + j))
   in
-  let sub_lanes =
-    Array.init sh.count (fun j -> Rng.copy run.lanes.(sh.first + j))
+  let lanes = Array.init n (fun j -> Rng.copy run.lanes.(sh.first + j)) in
+  let out = Array.make n 0. in
+  let trials = Array.make n 0 in
+  let masses = Array.make n 0. in
+  let intervals = Array.make n (0., 0.) in
+  let achieved = Array.make n 0. in
+  (* Flipped (from any domain) the moment a tuple misses its (ε, δ)
+     contract or a task/pool failure is contained. *)
+  let all_complete = Atomic.make true in
+  (* Tuples the compiler resolved in closed form cost nothing — fill them
+     here and farm only the ones with residual sampling work, longest
+     worst-case budget first.  Live tuples are pre-filled with their
+     a-priori compiled bracket so that a tuple whose task never runs (or
+     dies) still reports a sound interval instead of garbage. *)
+  let live = ref [] in
+  Array.iteri
+    (fun j comp ->
+      if not (fill_apriori comp ~out ~intervals ~achieved j) then
+        live := j :: !live)
+    comps;
+  let cost j = cost_bound comps.(j) ~eps:run.eps ~delta:run.delta in
+  let live =
+    Array.of_list
+      (List.stable_sort (fun i j -> compare (cost j) (cost i)) (List.rev !live))
   in
-  let c =
-    run_core ?budget ?nworkers:run.nworkers sub_lanes batch ~eps:run.eps
-      ~delta:run.delta
-  in
+  let ntasks = Array.length live in
+  if ntasks > 0 then begin
+    let task k =
+      let j = live.(k) in
+      match
+        Compile.solve ?budget lanes.(j) comps.(j) ~eps:run.eps ~delta:run.delta
+      with
+      | o ->
+          out.(j) <- o.Compile.value;
+          trials.(j) <- o.Compile.trials;
+          masses.(j) <- o.Compile.residual_mass;
+          intervals.(j) <- (o.Compile.lo, o.Compile.hi);
+          achieved.(j) <- o.Compile.achieved_eps;
+          if not o.Compile.complete then Atomic.set all_complete false
+      | exception _ ->
+          (* Keep the pre-filled bracket; the batch must survive any single
+             tuple. *)
+          Atomic.set all_complete false
+    in
+    (* A pool-level failure (a task the pool itself could not run, a spawn
+       problem surfacing late) degrades the whole shard to its pre-filled
+       brackets rather than crashing it. *)
+    match Pool.run (Pool.create (min run.nworkers ntasks)) ~ntasks task with
+    | () -> ()
+    | exception _ -> Atomic.set all_complete false
+  end;
   {
     Shard.shard = sh;
     fp;
-    estimates = c.c_out;
-    intervals = c.c_intervals;
-    trials = c.c_trials;
-    achieved = c.c_achieved;
-    masses = c.c_masses;
-    complete = c.c_complete;
+    estimates = out;
+    intervals;
+    trials;
+    achieved;
+    masses;
+    complete = Atomic.get all_complete;
     resumed = false;
     quarantined = None;
   }

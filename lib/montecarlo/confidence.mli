@@ -46,38 +46,14 @@ type stats = {
 }
 
 val prepare : ?compile_fuel:int -> Wtable.t -> Assignment.t list array -> batch
-(** Serial preparation: compiles each clause set ({!Compile.compile}, fuel
-    default {!Compile.default_fuel}; [~compile_fuel:0] recovers the pure
-    per-tuple FPRAS baseline) and forces the shared W-table alias cache,
-    leaving the sampling phase read-only. *)
-
-val size : batch -> int
+(** The batch's clause sets, for {!total_trials}.  Nothing is compiled
+    here, so neither [compile_fuel] nor the W table changes the result;
+    the batch runs compile each shard's tuples themselves. *)
 
 val total_trials : batch -> eps:float -> delta:float -> int
 (** Σ per-tuple fixed Chernoff budgets — what the {e uncompiled} FPRAS would
     pay.  The compiled run typically spends far less; compare against
     {!stats.trials_used}. *)
-
-val run_with_stats :
-  ?budget:Budget.t -> ?nworkers:int -> Rng.t -> batch ->
-  eps:float -> delta:float -> float array * stats
-(** Per-tuple (ε, δ) estimates, in the order of the prepared clause sets,
-    with the per-tuple trial spend, the batch exact fraction, and the
-    soundness brackets.  [nworkers] defaults to {!Pool.default_workers}.
-
-    With a [budget], all tuples charge the shared governor and the call is
-    {e anytime}: on exhaustion the remaining sampling is cut short and
-    every tuple still reports a sound interval — the partial-trial bracket
-    for tuples cut mid-flight, the a-priori compiled bracket for tuples
-    never reached — with [stats.complete = false].  Without a budget the
-    estimates are bit-identical to previous releases.
-
-    The call never throws because of a single tuple: per-tuple failures
-    (including injected ones) are contained and degrade that tuple to its
-    sound bracket; pool-level failures degrade the whole batch to the
-    pre-filled brackets.
-    @raise Invalid_argument when [eps <= 0], [delta <= 0] or
-    [nworkers <= 0]. *)
 
 (** {1 Streaming, checkpointed execution}
 
@@ -85,9 +61,10 @@ val run_with_stats :
     one shard's compiled trees and samplers are resident at a time, so
     memory is bounded by the shard cost ceiling rather than the batch, and
     results are pushed to [emit] incrementally.  Per-tuple RNG lanes are
-    split over the whole batch up front, so without a budget the stream is
-    {e bit-identical} to {!run_with_stats} — and, through the journal, to
-    any interrupted-and-resumed replay of itself. *)
+    split over the whole batch up front, so without a budget the estimates
+    do not depend on the shard geometry, the pool size or the process that
+    runs a shard — and, through the journal, match any
+    interrupted-and-resumed replay of the stream. *)
 
 type stream_options = {
   shard_cost : int;
@@ -143,8 +120,9 @@ val open_run :
     the probe, split the lanes (none for an empty batch), build the meta
     payload and, with [options.checkpoint], open (or resume) the journal.
     The parent RNG advances by exactly one {!Pqdb_numeric.Rng.split_n}.
-    @raise Invalid_argument on bad (ε, δ), options, or [resume] without a
-    [checkpoint] path.
+    [nworkers] (pool size per shard) defaults to {!Pool.default_workers}.
+    @raise Invalid_argument on bad (ε, δ), options, [nworkers <= 0], or
+    [resume] without a [checkpoint] path.
     @raise Pqdb_runtime.Pqdb_error.Error ([Malformed_input]) when resuming
     from a corrupt or mismatched journal ({!Shard.open_journal}). *)
 
@@ -240,7 +218,15 @@ val run_stream_with_stats :
   ?budget:Budget.t -> ?nworkers:int -> ?compile_fuel:int ->
   ?options:stream_options -> Rng.t -> Wtable.t -> Assignment.t list array ->
   eps:float -> delta:float -> float array * stats * stream_summary
-(** {!run_stream} collected into the {!run_with_stats} shape (plus the
-    stream summary), for callers that want checkpointing/containment but a
-    materialized result.  Without a budget the arrays are bit-identical to
-    {!run_with_stats} on the same inputs. *)
+(** {!run_stream} collected into per-tuple arrays in clause-set order, with
+    the per-tuple trial spend, the batch exact fraction, the soundness
+    brackets and the stream summary.  With [options.shard_cost = max_int]
+    the batch is one shard: one pool run under one governor.
+
+    With a [budget] the call is {e anytime}: on exhaustion the remaining
+    sampling is cut short and every tuple still reports a sound interval —
+    the partial-trial bracket for tuples cut mid-flight, the a-priori
+    compiled bracket for tuples never reached — with
+    [stats.complete = false].  A single tuple's or the pool's failure is
+    contained the same way; {!run_stream} describes shard-level
+    containment. *)

@@ -1,98 +1,5 @@
 open Pqdb_numeric
 
-let run rng dnf ~trials =
-  if Dnf.is_trivially_false dnf then 0.
-  else if Dnf.is_trivially_true dnf then 1.
-  else begin
-    if trials <= 0 then invalid_arg "Karp_luby.run: trials must be positive";
-    let x = ref 0 in
-    for _ = 1 to trials do
-      x := !x + Dnf.sample_estimator rng dnf
-    done;
-    float_of_int !x *. Dnf.total_weight dnf /. float_of_int trials
-  end
-
-let trials_for dnf ~eps ~delta =
-  if Dnf.is_trivially_false dnf || Dnf.is_trivially_true dnf then 0
-  else
-    Stats.karp_luby_trials ~clauses:(Dnf.clause_count dnf) ~eps ~delta
-
-(* ------------------------------------------------------------------ *)
-(* Adaptive stopping (Dagum–Karp–Luby–Ross)                            *)
-(* ------------------------------------------------------------------ *)
-
-(* DKLR stopping rule on the 0/1 Karp-Luby estimator: run until the success
-   count reaches Υ₁ = 1 + (1+ε)·4λ·ln(2/δ)/ε² (λ = e − 2) and estimate
-   μ̂ = Υ₁/N, so the trial count adapts to the true mean μ = p/M instead of
-   its worst case 1/|F|.  The [cap] keeps the loop bounded: if it is reached
-   first, the plain sample mean at that fixed Chernoff budget is returned,
-   which satisfies the same (ε, δ) bound by construction. *)
-let stopping_rule rng dnf ~eps ~delta ~cap =
-  let lambda = Float.exp 1. -. 2. in
-  let ups = 4. *. lambda *. log (2. /. delta) /. (eps *. eps) in
-  let ups1 = 1. +. ((1. +. eps) *. ups) in
-  let target = Stats.count_of_float ups1 in
-  let s = ref 0 and n = ref 0 in
-  while !s < target && !n < cap do
-    s := !s + Dnf.sample_estimator rng dnf;
-    incr n
-  done;
-  let m = Dnf.total_weight dnf in
-  let estimate =
-    if !s >= target then ups1 /. float_of_int !n *. m
-    else if !n = 0 then 0.
-    else float_of_int !s *. m /. float_of_int !n
-  in
-  (estimate, !n)
-
-(* The unbudgeted schedule behind [adaptive_partial], which validates
-   (ε, δ): (estimate, trials), with 0 trials exactly when the answer is
-   exact. *)
-let adaptive rng dnf ~eps ~delta =
-  if Dnf.is_trivially_false dnf then (0., 0)
-  else if Dnf.is_trivially_true dnf then (1., 0)
-  else if Dnf.clause_count dnf = 1 then
-    (* The estimator always fires: p = M exactly, no trials needed. *)
-    (Dnf.total_weight dnf, 0)
-  else begin
-    Pqdb_runtime.Faultpoint.fire "karp_luby.estimator";
-    let clauses = Dnf.clause_count dnf in
-    if eps >= 0.5 then
-      (* Coarse targets: a single stopping-rule phase already beats the
-         fixed budget and meets (ε, δ) on both exit paths. *)
-      stopping_rule rng dnf ~eps ~delta
-        ~cap:(Stats.karp_luby_trials ~clauses ~eps ~delta)
-    else begin
-      (* AA-style two-phase schedule.  Phase 1: a rough estimate at ε₁ = ½,
-         spending δ/2.  Phase 2: a fresh Chernoff batch sized from the
-         phase-1 lower bound on μ (floored at the unconditional 1/|F|),
-         spending the remaining δ/2.  Union bound: the final estimate is
-         within relative ε with probability ≥ 1 − δ. *)
-      let eps1 = 0.5 and d2 = delta /. 2. in
-      let p1, n1 =
-        stopping_rule rng dnf ~eps:eps1 ~delta:d2
-          ~cap:(Stats.karp_luby_trials ~clauses ~eps:eps1 ~delta:d2)
-      in
-      let m = Dnf.total_weight dnf in
-      let mu_lo =
-        Float.max (p1 /. m /. (1. +. eps1)) (1. /. float_of_int clauses)
-      in
-      let n2 =
-        max 1
-          (Stats.count_of_float (3. *. log (4. /. delta) /. (eps *. eps *. mu_lo)))
-      in
-      let s = ref 0 in
-      for _ = 1 to n2 do
-        s := !s + Dnf.sample_estimator rng dnf
-      done;
-      (float_of_int !s *. m /. float_of_int n2, Stats.saturating_add n1 n2)
-    end
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Budget-governed estimation with partial-trial bounds                *)
-(* ------------------------------------------------------------------ *)
-
 type partial = {
   p_estimate : float;
   p_lo : float;
@@ -102,8 +9,7 @@ type partial = {
   p_complete : bool;
 }
 
-let point p n =
-  { p_estimate = p; p_lo = p; p_hi = p; p_trials = n; p_eps = 0.; p_complete = true }
+let point p = { p_estimate = p; p_lo = p; p_hi = p; p_trials = 0; p_eps = 0.; p_complete = true }
 
 (* [p̂] certified at relative error [eps] with confidence δ — the standard
    multiplicative inversion p ∈ [p̂/(1+ε), p̂/(1−ε)], clamped to [0, ub]. *)
@@ -112,81 +18,110 @@ let certified ~ub ~eps p n =
   let hi = if eps >= 1. then ub else Float.min ub (p /. (1. -. eps)) in
   { p_estimate = p; p_lo = lo; p_hi = hi; p_trials = n; p_eps = eps; p_complete = true }
 
+(* With few trials the raw estimate (s/n)·M can overshoot its own certified
+   interval (even 1); clamp it in — projecting onto the interval never
+   increases the error.  Only budgeted calls clamp, which keeps the
+   unbudgeted estimates bit-compatible. *)
+let clamp p =
+  let lo = Float.min p.p_lo p.p_hi in
+  { p with p_lo = lo; p_estimate = Float.min p.p_hi (Float.max lo p.p_estimate) }
+
+type stop = Target | Cap | Cut
+
+(* The DKLR stopping rule (Dagum–Karp–Luby–Ross) on the 0/1 Karp–Luby
+   estimator: run until the success count reaches Υ₁ = 1 + (1+ε)·4λ·ln(2/δ)/ε²
+   (λ = e − 2) and estimate μ̂ = Υ₁/N, so the trial count adapts to the true
+   mean μ = p/M instead of its worst case 1/|F|.  [cap] keeps the loop
+   bounded: if it is reached first, the plain sample mean at that fixed
+   Chernoff budget satisfies the same (ε, δ) bound by construction.  A
+   [budget] is polled before and charged after every trial; when it cuts the
+   loop the estimate is the plain mean of the trials spent.
+   Returns (how it stopped, estimate, trials). *)
+let stopping_rule ?budget rng dnf ~eps ~delta ~cap =
+  let lambda = Float.exp 1. -. 2. in
+  let ups = 4. *. lambda *. log (2. /. delta) /. (eps *. eps) in
+  let ups1 = 1. +. ((1. +. eps) *. ups) in
+  let target = Stats.count_of_float ups1 in
+  let s = ref 0 and n = ref 0 and cut = ref false in
+  while (not !cut) && !s < target && !n < cap do
+    match budget with
+    | Some b when Budget.exhausted b -> cut := true
+    | _ ->
+        s := !s + Dnf.sample_estimator rng dnf;
+        incr n;
+        Option.iter (fun b -> Budget.spend b 1) budget
+  done;
+  let m = Dnf.total_weight dnf in
+  if !s >= target then (Target, ups1 /. float_of_int !n *. m, !n)
+  else
+    ( (if !cut then Cut else Cap),
+      (if !n = 0 then 0. else float_of_int !s *. m /. float_of_int !n),
+      !n )
+
 let adaptive_partial ?budget rng dnf ~eps ~delta =
   if eps <= 0. || delta <= 0. then invalid_arg "Karp_luby.adaptive_partial";
-  match budget with
-  | None ->
-      (* No governor: the adaptive schedule, dressed as a complete
-         partial. *)
-      let p, n = adaptive rng dnf ~eps ~delta in
-      if n = 0 then point p n
-      else certified ~ub:(Float.min 1. (Dnf.total_weight dnf)) ~eps p n
-  | Some b ->
-      if Dnf.is_trivially_false dnf then point 0. 0
-      else if Dnf.is_trivially_true dnf then point 1. 0
-      else if Dnf.clause_count dnf = 1 then point (Dnf.total_weight dnf) 0
-      else begin
-        Pqdb_runtime.Faultpoint.fire "karp_luby.estimator";
-        (* With few trials the raw estimate (s/n)·M can overshoot its own
-           certified interval (even 1); clamp it in — projecting onto the
-           interval never increases the error.  (The no-budget branch above
-           keeps the raw estimate for bit-compatibility.) *)
-        let clamp p =
-          let lo = Float.min p.p_lo p.p_hi in
-          { p with
-            p_lo = lo;
-            p_estimate = Float.min p.p_hi (Float.max lo p.p_estimate) }
+  if Dnf.is_trivially_false dnf then point 0.
+  else if Dnf.is_trivially_true dnf then point 1.
+  else if Dnf.clause_count dnf = 1 then
+    (* The estimator always fires: p = M exactly, no trials needed. *)
+    point (Dnf.total_weight dnf)
+  else begin
+    Pqdb_runtime.Faultpoint.fire "karp_luby.estimator";
+    let clauses = Dnf.clause_count dnf in
+    let m = Dnf.total_weight dnf in
+    let ub = Float.min 1. m in
+    let cap ~eps ~delta = Stats.karp_luby_trials ~clauses ~eps ~delta in
+    match budget with
+    | Some _ -> (
+        (* One DKLR phase at (ε, δ), charging the governor per trial. *)
+        match stopping_rule ?budget rng dnf ~eps ~delta ~cap:(cap ~eps ~delta) with
+        | (Target | Cap), p, n -> clamp (certified ~ub ~eps p n)
+        | Cut, _, 0 ->
+            (* Not one trial fit in the budget: the only sound claim is the
+               a-priori interval [0, min(1, M)]. *)
+            { p_estimate = 0.; p_lo = 0.; p_hi = ub; p_trials = 0;
+              p_eps = Float.infinity; p_complete = false }
+        | Cut, p, n ->
+            (* Partial trials: invert the Chernoff tail to the relative
+               error the [n] trials actually certify at this δ,
+               ε′ = √(3·|F|·ln(2/δ)/n). *)
+            let eps' =
+              sqrt (3. *. float_of_int clauses *. log (2. /. delta) /. float_of_int n)
+            in
+            if eps' >= 1. then
+              clamp
+                { p_estimate = p; p_lo = 0.; p_hi = ub; p_trials = n;
+                  p_eps = eps'; p_complete = false }
+            else
+              clamp
+                { (certified ~ub ~eps:eps' p n) with p_complete = eps' <= eps })
+    | None when eps >= 0.5 ->
+        (* Coarse targets: a single stopping-rule phase already beats the
+           fixed budget and meets (ε, δ) on both exit paths. *)
+        let _, p, n = stopping_rule rng dnf ~eps ~delta ~cap:(cap ~eps ~delta) in
+        certified ~ub ~eps p n
+    | None ->
+        (* AA-style two-phase schedule.  Phase 1: a rough estimate at ε₁ = ½,
+           spending δ/2.  Phase 2: a fresh Chernoff batch sized from the
+           phase-1 lower bound on μ (floored at the unconditional 1/|F|),
+           spending the remaining δ/2.  Union bound: the final estimate is
+           within relative ε with probability ≥ 1 − δ. *)
+        let eps1 = 0.5 and d2 = delta /. 2. in
+        let _, p1, n1 =
+          stopping_rule rng dnf ~eps:eps1 ~delta:d2 ~cap:(cap ~eps:eps1 ~delta:d2)
         in
-        let clauses = Dnf.clause_count dnf in
-        let cap = Stats.karp_luby_trials ~clauses ~eps ~delta in
-        (* Single DKLR phase at (ε, δ), polling the budget per trial. *)
-        let lambda = Float.exp 1. -. 2. in
-        let ups = 4. *. lambda *. log (2. /. delta) /. (eps *. eps) in
-        let ups1 = 1. +. ((1. +. eps) *. ups) in
-        let target = Stats.count_of_float ups1 in
-        let s = ref 0 and n = ref 0 in
-        let out_of_budget = ref false in
-        while (not !out_of_budget) && !s < target && !n < cap do
-          if Budget.exhausted b then out_of_budget := true
-          else begin
-            s := !s + Dnf.sample_estimator rng dnf;
-            incr n;
-            Budget.spend b 1
-          end
+        let mu_lo =
+          Float.max (p1 /. m /. (1. +. eps1)) (1. /. float_of_int clauses)
+        in
+        let n2 =
+          max 1
+            (Stats.count_of_float (3. *. log (4. /. delta) /. (eps *. eps *. mu_lo)))
+        in
+        let s = ref 0 in
+        for _ = 1 to n2 do
+          s := !s + Dnf.sample_estimator rng dnf
         done;
-        let m = Dnf.total_weight dnf in
-        let ub = Float.min 1. m in
-        if !s >= target then
-          clamp (certified ~ub ~eps (ups1 /. float_of_int !n *. m) !n)
-        else if not !out_of_budget then
-          (* Chernoff cap reached: the plain mean at the fixed budget meets
-             (ε, δ) by construction. *)
-          clamp
-            (certified ~ub ~eps (float_of_int !s *. m /. float_of_int !n) !n)
-        else if !n = 0 then
-          (* Not one trial fit in the budget: the only sound claim is the
-             a-priori interval [0, min(1, M)]. *)
-          { p_estimate = 0.; p_lo = 0.; p_hi = ub; p_trials = 0;
-            p_eps = Float.infinity; p_complete = false }
-        else begin
-          (* Partial trials: invert the Chernoff tail to the relative error
-             the [n] trials actually certify at this δ,
-             ε′ = √(3·|F|·ln(2/δ)/n). *)
-          let n = !n in
-          let p = float_of_int !s *. m /. float_of_int n in
-          let eps' =
-            sqrt (3. *. float_of_int clauses *. log (2. /. delta)
-                  /. float_of_int n)
-          in
-          if eps' >= 1. then
-            clamp
-              { p_estimate = p; p_lo = 0.; p_hi = ub; p_trials = n;
-                p_eps = eps'; p_complete = false }
-          else
-            clamp
-              { p_estimate = p;
-                p_lo = Float.max 0. (p /. (1. +. eps'));
-                p_hi = Float.min ub (p /. (1. -. eps'));
-                p_trials = n; p_eps = eps'; p_complete = eps' <= eps }
-        end
-      end
+        certified ~ub ~eps
+          (float_of_int !s *. m /. float_of_int n2)
+          (Stats.saturating_add n1 n2)
+  end

@@ -3,20 +3,12 @@
 
     Running the estimator [m] times and averaging gives
     [p̂ = X·M/m] with [Pr(|p̂ − p| ≥ ε·p) ≤ 2·exp(−m·ε²/(3·|F|))]; choosing
-    [m = ⌈3·|F|·ln(2/δ)/ε²⌉] yields an (ε, δ) guarantee. *)
+    [m = ⌈3·|F|·ln(2/δ)/ε²⌉] ({!Stats.karp_luby_trials}) yields an (ε, δ)
+    guarantee.  That fixed-budget run is {!Estimator.batch} followed by
+    {!Estimator.estimate}; this module is the adaptive, budget-aware
+    sampler every production path calls. *)
 
 open Pqdb_numeric
-
-val run : Rng.t -> Dnf.t -> trials:int -> float
-(** [p̂] after exactly [trials] estimator calls.  Degenerate DNFs (no clauses
-    / empty clause) return 0 or 1 without sampling. *)
-
-val trials_for : Dnf.t -> eps:float -> delta:float -> int
-(** The Chernoff [m] for an (ε, δ) guarantee (0 for degenerate DNFs,
-    saturated at [max_int]): [run ~trials:(trials_for dnf ~eps ~delta)] is
-    the fixed-budget FPRAS of Proposition 4.2.
-    @raise Invalid_argument when [eps <= 0] or [delta <= 0] on a
-    non-degenerate DNF. *)
 
 (** {1 Adaptive stopping (Dagum–Karp–Luby–Ross)}
 

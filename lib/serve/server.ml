@@ -36,9 +36,10 @@ type stats = {
   cache : Memo.stats;
 }
 
-(* One live session, as the watchdog sees it.  [busy_since = 0.] means the
-   session is between requests; a positive value is the wall-clock start of
-   the request it is executing. *)
+(* One live session, as the watchdog and [run]'s shutdown grace see it.
+   [busy_since = 0.] means the session is between requests; a positive
+   value is the wall-clock start of the request it is executing, until its
+   reply is written. *)
 type slot = {
   sfd : Unix.file_descr;
   mutable busy_since : float;
@@ -403,9 +404,9 @@ let session t sid fd =
                     in
                     Protocol.Reply { id; ok = false; body = detail }
               in
-              slot.busy_since <- 0.;
               if not slot.wedged then begin
                 Protocol.write_fd ?timeout_s:io fd reply;
+                slot.busy_since <- 0.;
                 loop ()
               end
           | Some
@@ -568,6 +569,11 @@ let watchdog t w =
          done)
        ())
 
+(* How long [run] waits, once the accept loop has stopped, for sessions
+   still mid-request — the one answering "shutdown" among them — to write
+   their replies before it returns and the daemon may exit. *)
+let shutdown_grace_s = 5.
+
 let run ?(ready = fun () -> ()) t =
   (* A peer that hangs up mid-reply must surface as EPIPE in its session
      thread, not kill the daemon. *)
@@ -623,6 +629,17 @@ let run ?(ready = fun () -> ()) t =
           (try Unix.unlink path with Unix.Unix_error _ -> ())
       | Tcp _ -> ())
     accept_loop;
+  let deadline = Unix.gettimeofday () +. shutdown_grace_s in
+  (* A session the watchdog reaped never writes its reply: not worth a wait. *)
+  let busy () =
+    with_lock t.state (fun () ->
+        Hashtbl.fold
+          (fun _ slot acc -> acc || (slot.busy_since > 0. && not slot.wedged))
+          t.slots false)
+  in
+  while busy () && Unix.gettimeofday () < deadline do
+    Thread.delay 0.005
+  done;
   stats t
 
 let serve ?ready config = run ?ready (create config)

@@ -122,8 +122,11 @@ val create : config -> t
 
 val run : ?ready:(unit -> unit) -> t -> stats
 (** Bind, call [ready] (e.g. print a readiness line), and serve until a
-    [shutdown] request.  Returns the final counters.  The listening socket
-    (and a Unix socket path) are cleaned up on exit. *)
+    [shutdown] request.  Once the accept loop stops, waits up to 5 s for
+    sessions still mid-request (and not reaped by the watchdog) to write
+    their replies — the [shutdown] reply included — then returns the final
+    counters.  The listening
+    socket (and a Unix socket path) are cleaned up on exit. *)
 
 val serve : ?ready:(unit -> unit) -> config -> stats
 (** [create] + [run]. *)

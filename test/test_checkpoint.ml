@@ -176,10 +176,30 @@ let run_stream ?budget ?compile_fuel ~options w clause_sets =
   in
   ((out, stats), summary)
 
-let run_materialized ?budget ?compile_fuel w clause_sets =
-  let rng = Rng.create ~seed:99 in
-  let batch = Confidence.prepare ?compile_fuel w clause_sets in
-  Confidence.run_with_stats ?budget rng batch ~eps ~delta
+(* The lane contract itself, materialized: one [Rng.split_n] child of the
+   seed per tuple, and each tuple compiled and solved on its own lane. *)
+let run_materialized ?compile_fuel w clause_sets =
+  let n = Array.length clause_sets in
+  let lanes = Rng.split_n (Rng.create ~seed:99) n in
+  let os =
+    Array.init n (fun i ->
+        Compile.solve lanes.(i)
+          (Compile.compile ?fuel:compile_fuel w clause_sets.(i))
+          ~eps ~delta)
+  in
+  let out = Array.map (fun o -> o.Compile.value) os in
+  let sum f = Array.fold_left (fun acc o -> acc +. f o) 0. os in
+  let total = sum (fun o -> o.Compile.value) in
+  ( out,
+    {
+      Confidence.trials_used = Array.map (fun o -> o.Compile.trials) os;
+      exact_fraction =
+        (if total <= 0. then 1.
+         else Float.max 0. (1. -. (sum (fun o -> o.Compile.residual_mass) /. total)));
+      intervals = Array.map (fun o -> (o.Compile.lo, o.Compile.hi)) os;
+      achieved_eps = Array.map (fun o -> o.Compile.achieved_eps) os;
+      complete = Array.for_all (fun o -> o.Compile.complete) os;
+    } )
 
 (* ------------------------------------------------------------------ *)
 (* 0. Environment smoke: whatever site CI armed, a checkpointed stream
@@ -776,9 +796,9 @@ let hard_fixture () =
   let rng = Rng.create ~seed:777 in
   let w = Wtable.create () in
   let sets =
-    (* Three hogs and seven small tuples: the materialized engine farms
-       work longest-first, so a binding governor is drained by the hogs
-       before the small tuples ever run. *)
+    (* Three hogs and seven small tuples: a one-shard run farms work
+       longest-first, so a binding governor is drained by the hogs before
+       the small tuples ever run. *)
     List.init 10 (fun i ->
         if i < 3 then Gen.random_dnf rng w ~vars:10 ~clauses:40 ~clause_len:3
         else Gen.random_dnf rng w ~vars:10 ~clauses:4 ~clause_len:3)
@@ -801,11 +821,12 @@ let test_budget_split_spreads_tail () =
   check bool_c "fixture has sampling work" true (sampled_count >= 5);
   let actual = Array.fold_left ( + ) 0 free.Confidence.trials_used in
   let allowance = max 1 (actual / 10) in
-  (* FCFS: the materialized run drains the governor longest-first and
-     starves whole tuples outright. *)
-  let _, (fcfs : Confidence.stats) =
-    run_materialized ~compile_fuel:0
+  (* FCFS: the whole batch as one shard drains the governor longest-first
+     and starves whole tuples outright. *)
+  let (_, (fcfs : Confidence.stats)), _ =
+    run_stream ~compile_fuel:0
       ~budget:(Budget.create ~max_trials:allowance ())
+      ~options:(stream_opts ~shard_cost:max_int ())
       w clause_sets
   in
   let starved =

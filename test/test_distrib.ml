@@ -193,14 +193,12 @@ let fork_spawn ?(worker_seed = seed) ~shard_cost w sets pids _id =
   | pid ->
       Unix.close to_w_r;
       Unix.close from_w_w;
-      let input = Unix.in_channel_of_descr from_w_r in
-      let output = Unix.out_channel_of_descr to_w_w in
       pids := pid :: !pids;
-      Coordinator.channel_transport ~pid
+      Coordinator.fd_transport ~pid
         ~close:(fun () ->
-          (try close_out output with _ -> ());
-          try close_in input with _ -> ())
-        input output
+          (try Unix.close to_w_w with _ -> ());
+          try Unix.close from_w_r with _ -> ())
+        ~in_fd:from_w_r ~out_fd:to_w_w ()
 
 (* ------------------------------------------------------------------ *)
 (* Smoke: whatever the environment armed, every shard is emitted with   *)
@@ -284,12 +282,12 @@ let decode_all bytes =
       let oc = open_out_bin path in
       output_string oc bytes;
       close_out oc;
-      let ic = open_in_bin path in
+      let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
       Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
+        ~finally:(fun () -> Unix.close fd)
         (fun () ->
           let rec go acc =
-            match Protocol.read ic with
+            match Protocol.read_fd fd with
             | Some m -> go (m :: acc)
             | None -> List.rev acc
           in
@@ -577,10 +575,9 @@ let test_kill_worker_mid_run () =
             Unix.close to_w_r;
             Unix.close from_w_w;
             if id = 0 then victim := Some pid;
-            Coordinator.channel_transport ~pid
+            Coordinator.fd_transport ~pid
               ~close:(fun () -> ())
-              (Unix.in_channel_of_descr from_w_r)
-              (Unix.out_channel_of_descr to_w_w))
+              ~in_fd:from_w_r ~out_fd:to_w_w ())
       (Rng.create ~seed) w sets ~eps ~delta
       ~emit:(fun o ->
         kill_victim ();

@@ -49,6 +49,15 @@ let exact_probs w clause_sets =
     (fun clauses -> Q.to_float (Pqdb_montecarlo.Lineage.exact w clauses))
     clause_sets
 
+(* The whole batch as one shard: one pool run under one governor. *)
+let batch_run ?budget ?compile_fuel rng w clause_sets ~eps ~delta =
+  let options = { Confidence.default_stream_options with shard_cost = max_int } in
+  let estimates, stats, _ =
+    Confidence.run_stream_with_stats ?budget ?compile_fuel ~options rng w
+      clause_sets ~eps ~delta
+  in
+  (estimates, stats)
+
 let assert_sound name w clause_sets (stats : Confidence.stats) =
   Array.iteri
     (fun i p ->
@@ -109,9 +118,9 @@ let test_env_smoke () =
      intervals, and a load must either succeed or fail with the typed
      error — never a crash or a stuck pool. *)
   let w, clause_sets = batch_fixture () in
-  let batch = Confidence.prepare ~compile_fuel:0 w clause_sets in
   let _, stats =
-    Confidence.run_with_stats (Rng.create ~seed:23) batch ~eps:0.1 ~delta:0.1
+    batch_run ~compile_fuel:0 (Rng.create ~seed:23) w clause_sets ~eps:0.1
+      ~delta:0.1
   in
   assert_sound "env smoke" w clause_sets stats;
   with_temp_dir (fun dir ->
@@ -272,9 +281,8 @@ let test_estimator_fault_contained () =
   FP.arm "karp_luby.estimator";
   Fun.protect ~finally:clear_all (fun () ->
       let w, clause_sets = batch_fixture () in
-      let batch = Confidence.prepare ~compile_fuel:0 w clause_sets in
       let estimates, stats =
-        Confidence.run_with_stats (Rng.create ~seed:29) batch ~eps:0.1
+        batch_run ~compile_fuel:0 (Rng.create ~seed:29) w clause_sets ~eps:0.1
           ~delta:0.1
       in
       (* Sampling tuples degrade to their a-priori brackets; the batch
@@ -286,9 +294,9 @@ let test_estimator_fault_contained () =
         estimates.(3));
   (* Disarmed: same batch completes again. *)
   let w, clause_sets = batch_fixture () in
-  let batch = Confidence.prepare ~compile_fuel:0 w clause_sets in
   let _, stats =
-    Confidence.run_with_stats (Rng.create ~seed:29) batch ~eps:0.1 ~delta:0.1
+    batch_run ~compile_fuel:0 (Rng.create ~seed:29) w clause_sets ~eps:0.1
+      ~delta:0.1
   in
   check bool_c "recovers once disarmed" true stats.Confidence.complete
 
@@ -297,10 +305,9 @@ let test_estimator_fault_under_budget () =
   FP.arm "karp_luby.estimator";
   Fun.protect ~finally:clear_all (fun () ->
       let w, clause_sets = batch_fixture () in
-      let batch = Confidence.prepare ~compile_fuel:0 w clause_sets in
       let b = Budget.create ~max_trials:1000 () in
       let _, stats =
-        Confidence.run_with_stats ~budget:b (Rng.create ~seed:31) batch
+        batch_run ~compile_fuel:0 ~budget:b (Rng.create ~seed:31) w clause_sets
           ~eps:0.1 ~delta:0.1
       in
       check bool_c "budget path degrades too" false stats.Confidence.complete;
@@ -333,9 +340,8 @@ let test_pool_task_fault () =
   FP.arm "pool.task";
   Fun.protect ~finally:clear_all (fun () ->
       let w, clause_sets = batch_fixture () in
-      let batch = Confidence.prepare ~compile_fuel:0 w clause_sets in
       let _, stats =
-        Confidence.run_with_stats (Rng.create ~seed:37) batch ~eps:0.1
+        batch_run ~compile_fuel:0 (Rng.create ~seed:37) w clause_sets ~eps:0.1
           ~delta:0.1
       in
       check bool_c "batch degraded" false stats.Confidence.complete;
@@ -363,9 +369,8 @@ let test_pool_spawn_fault_degrades_inline () =
       check bool_c "tasks ran inline" true (Array.for_all Fun.id ok);
       (* And a whole batch still computes correct estimates. *)
       let w, clause_sets = batch_fixture () in
-      let batch = Confidence.prepare ~compile_fuel:0 w clause_sets in
       let _, stats =
-        Confidence.run_with_stats (Rng.create ~seed:41) batch ~eps:0.1
+        batch_run ~compile_fuel:0 (Rng.create ~seed:41) w clause_sets ~eps:0.1
           ~delta:0.1
       in
       check bool_c "batch completes inline" true stats.Confidence.complete;

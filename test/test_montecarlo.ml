@@ -32,9 +32,22 @@ let fixture () =
   in
   (w, clauses)
 
-(* The fixed-budget FPRAS of Proposition 4.2. *)
+(* The fixed-budget FPRAS of Proposition 4.2: the Chernoff count of
+   estimator calls, averaged. *)
 let fpras rng dnf ~eps ~delta =
-  Karp_luby.run rng dnf ~trials:(Karp_luby.trials_for dnf ~eps ~delta)
+  let est = Estimator.create dnf in
+  Estimator.batch rng est
+    (Stats.karp_luby_trials ~clauses:(Dnf.clause_count dnf) ~eps ~delta);
+  Estimator.estimate est
+
+(* The whole batch as one shard: one pool run under one governor. *)
+let batch_run ?nworkers ?compile_fuel rng w clause_sets ~eps ~delta =
+  let options = { Confidence.default_stream_options with shard_cost = max_int } in
+  let estimates, stats, _ =
+    Confidence.run_stream_with_stats ?nworkers ?compile_fuel ~options rng w
+      clause_sets ~eps ~delta
+  in
+  (estimates, stats)
 
 (* The unbudgeted adaptive schedule as (estimate, trials). *)
 let adaptive rng dnf ~eps ~delta =
@@ -104,7 +117,9 @@ let test_fpras_guarantee () =
 let test_trials_formula () =
   let w, clauses = fixture () in
   let dnf = Dnf.prepare w clauses in
-  let m = Karp_luby.trials_for dnf ~eps:0.1 ~delta:0.05 in
+  let m =
+    Stats.karp_luby_trials ~clauses:(Dnf.clause_count dnf) ~eps:0.1 ~delta:0.05
+  in
   (* m = ceil(3 * 3 * ln(40) / 0.01) = ceil(900 * 3.68888) = 3320 *)
   check int_c "m formula" 3320 m
 
@@ -118,7 +133,8 @@ let test_degenerate_dnfs () =
   check bool_c "empty clause is true" true (Dnf.is_trivially_true certain);
   check (Alcotest.float 0.) "p = 1" 1.
     (fpras rng certain ~eps:0.1 ~delta:0.1);
-  check int_c "no trials needed" 0 (Karp_luby.trials_for certain ~eps:0.1 ~delta:0.1)
+  check int_c "no trials needed" 0
+    (Estimator.trials_to_reach (Estimator.create certain) ~eps:0.1 ~delta:0.1)
 
 let test_estimator_state () =
   let w, clauses = fixture () in
@@ -174,14 +190,6 @@ let prop_fpras_tracks_exact =
 (* ------------------------------------------------------------------ *)
 (* More estimator / DNF behaviours                                     *)
 (* ------------------------------------------------------------------ *)
-
-let test_run_invalid_trials () =
-  let w, clauses = fixture () in
-  let dnf = Dnf.prepare w clauses in
-  let rng = Rng.create ~seed:2 in
-  Alcotest.check_raises "zero trials"
-    (Invalid_argument "Karp_luby.run: trials must be positive") (fun () ->
-      ignore (Karp_luby.run rng dnf ~trials:0))
 
 let test_sample_empty_dnf_raises () =
   let w = Wtable.create () in
@@ -318,9 +326,10 @@ let test_single_clause_estimator_is_exact () =
   let w = Wtable.create () in
   let x = Wtable.add_var w [ Q.of_ints 3 10; Q.of_ints 7 10 ] in
   let dnf = Dnf.prepare w [ Assignment.singleton x 1 ] in
-  let rng = Rng.create ~seed:3 in
+  let est = Estimator.create dnf in
+  Estimator.batch (Rng.create ~seed:3) est 5;
   check (Alcotest.float 1e-12) "exact after 5 trials" 0.7
-    (Karp_luby.run rng dnf ~trials:5)
+    (Estimator.estimate est)
 
 let test_disjoint_clauses_value () =
   (* Disjoint-variable clauses: p = 1 - (1-p1)(1-p2). *)
@@ -403,11 +412,10 @@ let test_batch_deterministic_across_pool_sizes () =
   (* The batch engine's stronger contract: estimates depend on the parent
      RNG state only — not on the pool size, not on scheduling. *)
   let w, clause_sets = batch_fixture () in
-  let batch = Confidence.prepare w clause_sets in
   let run nworkers =
     fst
-      (Confidence.run_with_stats ~nworkers (Rng.create ~seed:61) batch
-         ~eps:0.1 ~delta:0.1)
+      (batch_run ~nworkers (Rng.create ~seed:61) w clause_sets ~eps:0.1
+         ~delta:0.1)
   in
   let reference = run 1 in
   List.iter
@@ -430,9 +438,8 @@ let test_batch_matches_exact () =
   in
   let estimates =
     fst
-      (Confidence.run_with_stats ~nworkers:2 (Rng.create ~seed:71)
-         (Confidence.prepare w clause_sets)
-         ~eps:0.05 ~delta:0.05)
+      (batch_run ~nworkers:2 (Rng.create ~seed:71) w clause_sets ~eps:0.05
+         ~delta:0.05)
   in
   check int_c "one estimate per clause set" (Array.length clause_sets)
     (Array.length estimates);
@@ -449,28 +456,25 @@ let test_batch_matches_exact () =
 let test_batch_trials_accounting () =
   let w, clause_sets = batch_fixture () in
   let batch = Confidence.prepare w clause_sets in
-  check int_c "batch size" 4 (Confidence.size batch);
   let expected =
     Array.fold_left
       (fun acc clauses ->
         acc
-        + Karp_luby.trials_for (Dnf.prepare w clauses) ~eps:0.1 ~delta:0.1)
+        + Estimator.trials_to_reach
+            (Estimator.create (Dnf.prepare w clauses))
+            ~eps:0.1 ~delta:0.1)
       0 clause_sets
   in
   check int_c "total_trials sums per-tuple budgets" expected
     (Confidence.total_trials batch ~eps:0.1 ~delta:0.1);
-  Alcotest.check_raises "bad eps" (Invalid_argument "Confidence.run")
+  Alcotest.check_raises "bad eps"
+    (Invalid_argument "Confidence.open_run: eps and delta must be positive")
     (fun () ->
-      ignore
-        (Confidence.run_with_stats (Rng.create ~seed:1) batch ~eps:0.
-           ~delta:0.1));
+      ignore (batch_run (Rng.create ~seed:1) w clause_sets ~eps:0. ~delta:0.1));
   check int_c "empty batch"
     0
     (Array.length
-       (fst
-          (Confidence.run_with_stats (Rng.create ~seed:1)
-             (Confidence.prepare w [||])
-             ~eps:0.1 ~delta:0.1)))
+       (fst (batch_run (Rng.create ~seed:1) w [||] ~eps:0.1 ~delta:0.1)))
 
 (* ------------------------------------------------------------------ *)
 (* Lineage compilation                                                  *)
@@ -1200,7 +1204,7 @@ let test_adaptive_guarantee_and_savings () =
   let w, clauses = fixture () in
   let dnf = Dnf.prepare w clauses in
   let eps = 0.1 and delta = 0.05 in
-  let fixed = Karp_luby.trials_for dnf ~eps ~delta in
+  let fixed = Stats.karp_luby_trials ~clauses:(Dnf.clause_count dnf) ~eps ~delta in
   let runs = 200 in
   let failures = ref 0 and total_trials = ref 0 in
   for seed = 1 to runs do
@@ -1224,6 +1228,97 @@ let test_adaptive_deterministic () =
   let a = adaptive (Rng.create ~seed:77) dnf ~eps:0.2 ~delta:0.1 in
   let b = adaptive (Rng.create ~seed:77) dnf ~eps:0.2 ~delta:0.1 in
   check (Alcotest.pair (Alcotest.float 0.) int_c) "same seed, same outcome" a b
+
+(* Digest of what the sampler returns, every float as [%h]:
+   [Karp_luby.adaptive_partial] on 42 generated DNFs (every shape of
+   [kernel_case]) with no budget, trial caps of 1, 20, 500 and 1e8, and a
+   cancelled budget; [Compile.solve] at fuel 0 and the default with and
+   without a cap; and [Confidence.run_stream_with_stats] over the same sets
+   on one worker (a shared trial cap is raced by parallel tuples).
+   ε covers both sides of the ½ cut-off between the one- and two-phase
+   schedules.  A change to any draw, stopping decision or interval changes
+   it. *)
+let sampled_digest () =
+  let b = Buffer.create 65536 in
+  let epss = [ 0.05; 0.2; 0.5; 0.7; 1.5 ] and delta = 0.1 in
+  let budgets () =
+    let cancelled = Budget.create () in
+    Budget.cancel cancelled;
+    None
+    :: Some cancelled
+    :: List.map
+         (fun max_trials -> Some (Budget.create ~max_trials ()))
+         [ 1; 20; 500; 100_000_000 ]
+  in
+  let gen = Rng.create ~seed:4242 in
+  let cases = List.init 42 (kernel_case gen) in
+  List.iteri
+    (fun case (w, clauses) ->
+      let dnf = Dnf.prepare w clauses in
+      List.iteri
+        (fun k eps ->
+          List.iteri
+            (fun j budget ->
+              let p =
+                Karp_luby.adaptive_partial ?budget
+                  (Rng.create ~seed:((1000 * case) + (10 * k) + j))
+                  dnf ~eps ~delta
+              in
+              Printf.bprintf b "P%h %h %h %d %h %b;" p.Karp_luby.p_estimate
+                p.p_lo p.p_hi p.p_trials p.p_eps p.p_complete)
+            (budgets ()))
+        epss;
+      Buffer.add_char b '\n')
+    cases;
+  let w = Wtable.create () in
+  let sets =
+    Array.init 8 (fun i ->
+        Gen.random_dnf gen w ~vars:(10 + (2 * i)) ~clauses:(6 + i) ~clause_len:3)
+  in
+  List.iter
+    (fun fuel ->
+      Array.iteri
+        (fun i clauses ->
+          let c = Compile.compile ?fuel w clauses in
+          List.iteri
+            (fun k eps ->
+              List.iteri
+                (fun j budget ->
+                  let o =
+                    Compile.solve ?budget
+                      (Rng.create ~seed:((1000 * i) + (10 * k) + j))
+                      c ~eps ~delta
+                  in
+                  Printf.bprintf b "S%h %h %h %d %h %h %b;" o.Compile.value
+                    o.lo o.hi o.trials o.residual_mass o.achieved_eps
+                    o.complete)
+                (budgets ()))
+            epss;
+          Buffer.add_char b '\n')
+        sets;
+      List.iter
+        (fun eps ->
+          List.iter
+            (fun budget ->
+              let est, st, _ =
+                Confidence.run_stream_with_stats ?budget ~nworkers:1
+                  ?compile_fuel:fuel (Rng.create ~seed:17) w sets ~eps ~delta
+              in
+              Array.iteri
+                (fun i v ->
+                  let lo, hi = st.Confidence.intervals.(i) in
+                  Printf.bprintf b "B%h %h %h %d %h;" v lo hi
+                    st.trials_used.(i) st.achieved_eps.(i))
+                est;
+              Printf.bprintf b "%h %b\n" st.exact_fraction st.complete)
+            (budgets ()))
+        epss)
+    [ Some 0; None ];
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_sampled_output_pinned () =
+  check Alcotest.string "adaptive_partial, Compile.solve and run_stream bits"
+    "e17afd30ca0af980dbf610966f143df7" (sampled_digest ())
 
 (* ------------------------------------------------------------------ *)
 (* Resident pool                                                        *)
@@ -1268,10 +1363,9 @@ let test_batch_compiled_deterministic_across_pool_sizes () =
      compilation disabled every tuple samples, and the estimates still
      depend only on the parent RNG state — not on the pool size. *)
   let w, clause_sets = batch_fixture () in
-  let batch = Confidence.prepare ~compile_fuel:0 w clause_sets in
   let run nworkers =
     fst
-      (Confidence.run_with_stats ~nworkers (Rng.create ~seed:83) batch
+      (batch_run ~nworkers ~compile_fuel:0 (Rng.create ~seed:83) w clause_sets
          ~eps:0.1 ~delta:0.1)
   in
   let reference = run 1 in
@@ -1289,9 +1383,8 @@ let test_batch_compiled_deterministic_across_pool_sizes () =
 let test_batch_stats () =
   let w, clause_sets = batch_fixture () in
   (* Default fuel: everything in the fixture compiles exactly. *)
-  let batch = Confidence.prepare w clause_sets in
   let estimates, stats =
-    Confidence.run_with_stats (Rng.create ~seed:29) batch ~eps:0.1 ~delta:0.1
+    batch_run (Rng.create ~seed:29) w clause_sets ~eps:0.1 ~delta:0.1
   in
   check (Alcotest.float 1e-9) "fully exact" 1.
     stats.Confidence.exact_fraction;
@@ -1299,9 +1392,9 @@ let test_batch_stats () =
     (Array.for_all (fun n -> n = 0) stats.Confidence.trials_used);
   check (Alcotest.float 1e-9) "tuple 0 exact" 0.88 estimates.(0);
   (* fuel 0: the multi-clause tuple samples, the trivial ones stay free. *)
-  let batch0 = Confidence.prepare ~compile_fuel:0 w clause_sets in
   let _, stats0 =
-    Confidence.run_with_stats (Rng.create ~seed:29) batch0 ~eps:0.1 ~delta:0.1
+    batch_run ~compile_fuel:0 (Rng.create ~seed:29) w clause_sets ~eps:0.1
+      ~delta:0.1
   in
   check bool_c "multi-clause tuple sampled" true
     (stats0.Confidence.trials_used.(0) > 0);
@@ -1333,8 +1426,6 @@ let () =
         ] );
       ( "more behaviours",
         [
-          Alcotest.test_case "invalid trial count" `Quick
-            test_run_invalid_trials;
           Alcotest.test_case "sampling empty DNF" `Quick
             test_sample_empty_dnf_raises;
           Alcotest.test_case "variable dedup" `Quick test_dnf_variable_dedup;
@@ -1411,6 +1502,8 @@ let () =
           Alcotest.test_case "(eps,delta) guarantee and savings" `Slow
             test_adaptive_guarantee_and_savings;
           Alcotest.test_case "deterministic" `Quick test_adaptive_deterministic;
+          Alcotest.test_case "sampled output pinned" `Quick
+            test_sampled_output_pinned;
         ] );
       ( "pool",
         [

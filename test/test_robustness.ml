@@ -37,6 +37,15 @@ let batch_fixture () =
   in
   (w, clause_sets)
 
+(* The whole batch as one shard: one pool run under one governor. *)
+let batch_run ?budget ?compile_fuel rng w clause_sets ~eps ~delta =
+  let options = { Confidence.default_stream_options with shard_cost = max_int } in
+  let estimates, stats, _ =
+    Confidence.run_stream_with_stats ?budget ?compile_fuel ~options rng w
+      clause_sets ~eps ~delta
+  in
+  (estimates, stats)
+
 let exact_probs w clause_sets =
   Array.map
     (fun clauses -> Q.to_float (Pqdb_montecarlo.Lineage.exact w clauses))
@@ -211,9 +220,9 @@ let test_tiny_eps_saturates_trial_counts () =
 let test_batch_no_budget_complete () =
   let w, clause_sets = batch_fixture () in
   let exact = exact_probs w clause_sets in
-  let batch = Confidence.prepare ~compile_fuel:0 w clause_sets in
   let _, stats =
-    Confidence.run_with_stats (Rng.create ~seed:5) batch ~eps:0.1 ~delta:0.05
+    batch_run ~compile_fuel:0 (Rng.create ~seed:5) w clause_sets ~eps:0.1
+      ~delta:0.05
   in
   check bool_c "no budget: complete" true stats.Confidence.complete;
   assert_sound_intervals "no budget" exact stats;
@@ -228,10 +237,9 @@ let test_batch_trial_cap_sound () =
     (fun seed ->
       List.iter
         (fun cap ->
-          let batch = Confidence.prepare ~compile_fuel:0 w clause_sets in
           let b = Budget.create ~max_trials:cap () in
           let estimates, stats =
-            Confidence.run_with_stats ~budget:b (Rng.create ~seed) batch
+            batch_run ~compile_fuel:0 ~budget:b (Rng.create ~seed) w clause_sets
               ~eps:0.05 ~delta:0.05
           in
           assert_sound_intervals
@@ -259,12 +267,11 @@ let test_batch_trial_cap_sound () =
 let test_batch_cancelled_budget_degrades () =
   let w, clause_sets = batch_fixture () in
   let exact = exact_probs w clause_sets in
-  let batch = Confidence.prepare ~compile_fuel:0 w clause_sets in
   let b = Budget.create () in
   Budget.cancel b;
   let _, stats =
-    Confidence.run_with_stats ~budget:b (Rng.create ~seed:11) batch ~eps:0.05
-      ~delta:0.05
+    batch_run ~compile_fuel:0 ~budget:b (Rng.create ~seed:11) w clause_sets
+      ~eps:0.05 ~delta:0.05
   in
   check bool_c "cancelled: incomplete" false stats.Confidence.complete;
   assert_sound_intervals "cancelled" exact stats;
@@ -289,12 +296,11 @@ let test_deadline_bounds_wallclock () =
   in
   let clause_sets = [| clauses |] in
   let exact = exact_probs w clause_sets in
-  let batch = Confidence.prepare ~compile_fuel:0 w clause_sets in
   let deadline = 0.2 in
   let b = Budget.create ~deadline_s:deadline () in
   let t0 = Unix.gettimeofday () in
   let _, stats =
-    Confidence.run_with_stats ~budget:b (Rng.create ~seed:13) batch
+    batch_run ~compile_fuel:0 ~budget:b (Rng.create ~seed:13) w clause_sets
       ~eps:0.001 ~delta:0.01
   in
   let elapsed = Unix.gettimeofday () -. t0 in
@@ -311,10 +317,9 @@ let test_generous_budget_stays_complete () =
   (* A budget large enough to finish must not change completeness. *)
   let w, clause_sets = batch_fixture () in
   let exact = exact_probs w clause_sets in
-  let batch = Confidence.prepare ~compile_fuel:0 w clause_sets in
   let b = Budget.create ~max_trials:10_000_000 () in
   let _, stats =
-    Confidence.run_with_stats ~budget:b (Rng.create ~seed:17) batch ~eps:0.1
+    batch_run ~compile_fuel:0 ~budget:b (Rng.create ~seed:17) w clause_sets ~eps:0.1
       ~delta:0.1
   in
   check bool_c "generous budget: complete" true stats.Confidence.complete;
@@ -331,20 +336,17 @@ let test_exact_batches_skip_pool () =
   Fun.protect ~finally:FP.reset (fun () ->
       let w = Wtable.create () in
       (* Empty batch. *)
-      let batch = Confidence.prepare w [||] in
       let estimates, stats =
-        Confidence.run_with_stats (Rng.create ~seed:1) batch ~eps:0.1
-          ~delta:0.1
+        batch_run (Rng.create ~seed:1) w [||] ~eps:0.1 ~delta:0.1
       in
       check int_c "empty batch: no estimates" 0 (Array.length estimates);
       check (Alcotest.float 0.) "empty batch: exact fraction" 1.
         stats.Confidence.exact_fraction;
       check bool_c "empty batch: complete" true stats.Confidence.complete;
       (* All-false and certain lineages: fully exact, no sampling tasks. *)
-      let batch = Confidence.prepare w [| []; [ Assignment.empty ] |] in
       let estimates, stats =
-        Confidence.run_with_stats (Rng.create ~seed:1) batch ~eps:0.1
-          ~delta:0.1
+        batch_run (Rng.create ~seed:1) w [| []; [ Assignment.empty ] |]
+          ~eps:0.1 ~delta:0.1
       in
       check (Alcotest.float 0.) "impossible tuple" 0. estimates.(0);
       check (Alcotest.float 0.) "certain tuple" 1. estimates.(1);

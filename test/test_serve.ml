@@ -15,6 +15,7 @@ open Pqdb_urel
 open Pqdb_montecarlo
 open Pqdb_serve
 module FP = Pqdb_runtime.Faultpoint
+module Protocol = Pqdb_distrib.Protocol
 module E = Pqdb_runtime.Pqdb_error
 module Gen = Pqdb_workload.Gen
 module Q = Rational
@@ -656,6 +657,47 @@ let test_socket_round_trip () =
             (s.Server.cache.Memo.hits > 0));
       check bool_c "socket path cleaned up" false (Sys.file_exists sock))
 
+(* "shutdown" stops the accept loop before its session writes the reply,
+   and [pqdb serve] exits as soon as [Server.run] returns.  Two delayed
+   sends force the losing interleaving: the client's query and then the
+   daemon's reply each sleep 0.3 s.  [run] must not return before the
+   reply is on the client's socket. *)
+let test_shutdown_reply_before_run_returns () =
+  clear_all ();
+  with_fixture_db (fun db ->
+      let sock = temp_path ".sock" in
+      let listen = Server.Unix_socket sock in
+      let srv = Server.create (config ~db_path:db listen) in
+      let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      let reply_ready_at_return = ref None in
+      let daemon =
+        Thread.create
+          (fun () ->
+            ignore (Server.run srv);
+            let readable, _, _ = Unix.select [ fd ] [] [] 0. in
+            reply_ready_at_return := Some (readable <> []))
+          ()
+      in
+      let c = Client.connect ~retries:50 listen in
+      Client.close c;
+      Unix.connect fd (Unix.ADDR_UNIX sock);
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          (match Protocol.read_fd ~timeout_s:5. fd with
+          | Some (Protocol.Hello _) -> ()
+          | _ -> Alcotest.fail "no greeting");
+          FP.arm ~count:2 ~mode:(FP.Delay 0.3) "distrib.send";
+          Protocol.write_fd fd (Protocol.Query { id = 1; spec = "shutdown" });
+          Thread.join daemon;
+          clear_all ();
+          check (Alcotest.option bool_c) "reply written before run returned"
+            (Some true) !reply_ready_at_return;
+          match Protocol.read_fd ~timeout_s:5. fd with
+          | Some (Protocol.Reply { id = 1; ok = true; body }) ->
+              check string_c "shutdown reply" "shutting down\n" body
+          | _ -> Alcotest.fail "shutdown reply lost"))
+
 let test_accept_fault_containment () =
   clear_all ();
   with_fixture_db (fun db ->
@@ -796,6 +838,8 @@ let () =
       ( "socket",
         [
           Alcotest.test_case "round trip" `Quick test_socket_round_trip;
+          Alcotest.test_case "shutdown reply before run returns" `Quick
+            test_shutdown_reply_before_run_returns;
           Alcotest.test_case "accept fault containment" `Quick
             test_accept_fault_containment;
           Alcotest.test_case "stale socket reclaimed" `Quick
