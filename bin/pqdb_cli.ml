@@ -488,12 +488,13 @@ let batch_inputs ~db ~relation ~gen ~gen_seed =
    test. *)
 let emit_batch_outcome (o : Pqdb_montecarlo.Shard.outcome) =
   let module S = Pqdb_montecarlo.Shard in
+  let buf = Buffer.create 256 in
   Array.iteri
     (fun j est ->
       let lo, hi = o.S.intervals.(j) in
-      Printf.printf "%d %h %h %h %d\n" (o.S.shard.S.first + j) est lo hi
-        o.S.trials.(j))
+      S.add_batch_line buf (o.S.shard.S.first + j) est lo hi o.S.trials.(j))
     o.S.estimates;
+  Buffer.output_buffer stdout buf;
   flush stdout
 
 let report_stream_summary ~tuples (summary : Pqdb_montecarlo.Confidence.stream_summary) =
@@ -608,11 +609,13 @@ let batch_conditioned (e : engine) ~db ~relation ~gen ~eps ~asserts =
     Condition.solve_batch ?budget:e.budget ?fuel:e.fuel ~seed:e.seed
       (Udb.wtable udb) compiled sets ~eps ~delta:e.delta
   in
+  let buf = Buffer.create 256 in
   Array.iteri
     (fun i est ->
-      Printf.printf "%d %h %h %h %d\n" i est.Condition.value est.Condition.lo
-        est.Condition.hi est.Condition.trials)
+      Pqdb_montecarlo.Shard.add_batch_line buf i est.Condition.value
+        est.Condition.lo est.Condition.hi est.Condition.trials)
     estimates;
+  Buffer.output_buffer stdout buf;
   flush stdout;
   let iv = Condition.denominator_interval den in
   Format.eprintf
@@ -1252,7 +1255,11 @@ let delta_arg =
   Arg.(
     value & opt float 0.05
     & info [ "delta" ] ~docv:"DELTA"
-        ~doc:"Target error bound for approximate evaluation.")
+        ~doc:
+          "Target error bound for approximate evaluation.  A sampled \
+           Karp-Luby confidence interval is proven to hold with probability \
+           at least 1-2*DELTA: its stopping rule and its trial cap may \
+           each fail with probability DELTA.")
 
 let eps0_arg =
   Arg.(

@@ -126,9 +126,10 @@ let sample_residual ?budget rng trials dnf ~eps ~delta =
 
 (* One pass per residual at (eps, δ/r): by the error propagation lemma and
    the union bound it certifies the root at relative [eps] when every
-   residual meets its own contract.  With a budget every pass charges the
-   shared governor. *)
-let single_pass ?budget rng t ~eps ~delta =
+   residual meets its own contract.  A budget only cuts passes short:
+   every pass charges the shared governor.  Returns (per-residual results,
+   trials, complete). *)
+let solve_residuals ?budget rng t ~eps ~delta =
   let d = delta /. float_of_int (Array.length t.residuals) in
   let trials = ref 0 in
   let rrs =
@@ -137,141 +138,6 @@ let single_pass ?budget rng t ~eps ~delta =
       t.residuals
   in
   (rrs, !trials, Array.for_all (fun rr -> rr.p_complete) rrs)
-
-(* Returns (per-residual results, trials, complete): [complete] means the
-   pass certifies the root at relative [eps] (error propagation lemma +
-   union bound, or the exact-mass tightening argument below). *)
-let solve_residuals rng t ~eps ~delta =
-  if eps >= 0.5 then single_pass rng t ~eps ~delta
-  else begin
-    (* Exact-mass tightening.  Phase 1: coarse (ε₁ = ½) estimates of every
-       residual, spending δ/2r each.  They yield, with probability
-       ≥ 1 − δ/2:
-         T_lo = value(p̂/1.5)   ≤ true tuple confidence   (monotone DAG)
-         S_hi = 1.5·Σ wᵢ·p̂ᵢ    ≥ Σ wᵢ·pᵢ                  (sensitivity)
-       Since |Δvalue| ≤ Σ wᵢ·|Δpᵢ| (the path weights bound the partial
-       derivatives of the multilinear DAG), sampling every residual at
-       relative ε₂ keeps the tuple error ≤ ε₂·Σwᵢpᵢ ≤ ε₂·S_hi.  So
-       ε₂ = ε·T_lo/S_hi suffices for a relative-ε answer — the exact mass
-       already in T_lo buys a looser, cheaper residual target.  Phase 2
-       re-samples at (max ε ε₂, δ/2r); if ε₂ ≥ ½ the phase-1 estimates
-       are already good enough and phase 2 is skipped.  A residual that
-       failed in phase 1 contributes 0 to both bounds and is not
-       re-sampled; one that fails in phase 2 keeps its (coarser) phase-1
-       certificate.  Either failure voids the root's ε contract
-       ([complete = false]) but never its interval. *)
-    let r = Array.length t.residuals in
-    let trials = ref 0 in
-    let eps1 = 0.5 in
-    let d = delta /. 2. /. float_of_int r in
-    let p1 =
-      Array.map (fun dnf -> sample_residual rng trials dnf ~eps:eps1 ~delta:d) t.residuals
-    in
-    let t_lo = eval (Array.map (fun rr -> rr.p_lo) p1) t.nodes in
-    (* Per-residual absolute-error capacity a_i ≥ w_i·p_i (w.h.p.): sampling
-       residual i at relative ε_i contributes ≤ a_i·ε_i to the root's
-       absolute error.  Failed residuals are excluded (they void the ε
-       contract anyway and are not re-sampled). *)
-    let a =
-      Array.mapi
-        (fun i rr ->
-          if rr.p_complete then (1. +. eps1) *. t.res_weights.(i) *. rr.p_estimate
-          else 0.)
-        p1
-    in
-    let s_hi = Array.fold_left ( +. ) 0. a in
-    let e_total = eps *. t_lo in
-    if s_hi <= 0. || e_total >= eps1 *. s_hi then
-      (* Even a uniform ε₁ target fits inside ε·T_lo (or nothing was
-         sampled): the coarse pass already certifies the root at ε. *)
-      (p1, !trials, Array.for_all (fun rr -> rr.p_complete) p1)
-    else begin
-      (* Weight-aware targets.  Σ a_i·ε_i ≤ E = ε·T_lo keeps the root
-         within relative ε (absolute error ≤ Σ w_i·p_i·ε_i ≤ Σ a_i·ε_i ≤
-         ε·T_lo ≤ ε·v).  Under that constraint the trial spend Σ K_i/ε_i²
-         (K_i = clause count, the Chernoff cost scale) is minimized by
-         ε_i ∝ (K_i/a_i)^⅓ — cheap-but-heavy residuals get tight targets,
-         expensive-but-light ones looser — instead of the uniform
-         ε₂ = E/Σa_i split.  Targets are clamped to [ε, ε₁]: at ε₁ the
-         phase-1 certificate already suffices (no re-sample); a target
-         floored up to ε still charges a_i·ε against E (water-filling
-         redistributes the rest), and when even the all-ε floor overruns E
-         the allocation falls back to uniform ε — sound by the error
-         propagation lemma alone, exactly the pre-weighted behaviour. *)
-      let targets = Array.make r eps1 in
-      if e_total <= eps *. s_hi then
-        Array.iteri
-          (fun i rr -> if rr.p_complete then targets.(i) <- eps)
-          p1
-      else begin
-        let shape =
-          Array.mapi
-            (fun i rr ->
-              if (not rr.p_complete) || a.(i) <= 0. then 0.
-              else
-                Float.pow
-                  (float_of_int (Dnf.clause_count t.residuals.(i)) /. a.(i))
-                  (1. /. 3.))
-            p1
-        in
-        let floored = Array.make r false in
-        let rec fill () =
-          let e_free = ref e_total and denom = ref 0. in
-          Array.iteri
-            (fun i rr ->
-              if rr.p_complete && a.(i) > 0. then
-                if floored.(i) then e_free := !e_free -. (a.(i) *. eps)
-                else denom := !denom +. (a.(i) *. shape.(i)))
-            p1;
-          if !denom > 0. then
-            if !e_free <= 0. then
-              (* infeasible: floor everything — the ε fallback below *)
-              Array.iteri
-                (fun i rr ->
-                  if rr.p_complete && a.(i) > 0. then floored.(i) <- true)
-                p1
-            else begin
-              let c = !e_free /. !denom in
-              let changed = ref false in
-              Array.iteri
-                (fun i rr ->
-                  if rr.p_complete && a.(i) > 0. && not floored.(i) then begin
-                    let e_i = c *. shape.(i) in
-                    if e_i < eps then begin
-                      floored.(i) <- true;
-                      changed := true
-                    end
-                    else targets.(i) <- Float.min eps1 e_i
-                  end)
-                p1;
-              if !changed then fill ()
-            end
-        in
-        fill ();
-        Array.iteri (fun i f -> if f then targets.(i) <- eps) floored
-      end;
-      let rrs =
-        Array.mapi
-          (fun i rr1 ->
-            if not rr1.p_complete then rr1
-            else if targets.(i) >= eps1 then rr1
-            else
-              let rr2 =
-                sample_residual rng trials t.residuals.(i) ~eps:targets.(i)
-                  ~delta:d
-              in
-              if rr2.p_complete then rr2 else rr1)
-          p1
-      in
-      let complete = ref true in
-      Array.iteri
-        (fun i rr ->
-          if not (rr.p_complete && rr.p_eps <= targets.(i)) then
-            complete := false)
-        rrs;
-      (rrs, !trials, !complete)
-    end
-  end
 
 (* A sampled estimate and the bracket it reports: the bracket is cut to
    [0, 1] and the estimate clamped into it.  The estimate of a sum of
@@ -284,7 +150,7 @@ let bracketed v ~lo ~hi =
   (Float.min hi (Float.max lo v), lo, hi)
 
 (* Assemble the tuple outcome from per-residual results.  The interval
-   always holds with probability ≥ 1 − δ: the monotone DAG maps sound
+   holds whenever every residual's does: the monotone DAG maps sound
    per-residual intervals to a sound root interval, and on a complete pass
    the relative-ε claim [v/(1+ε), v/(1−ε)] is intersected in. *)
 let assemble t rrs ~eps ~trials ~complete =
@@ -343,7 +209,9 @@ let solve ?budget rng t ~eps ~delta =
     (* Truncation guard: Shannon cut-off can leave residual leaves whose
        combined worst-case budget exceeds just sampling the original DNF
        (clauses get duplicated across branches).  Compare the caps and take
-       whichever problem is cheaper — compilation must pay for itself. *)
+       whichever problem is cheaper — compilation must pay for itself.  The
+       residuals are priced at δ/2r, above the δ/r their pass spends, which
+       leans toward the fallback. *)
     let compiled_cap =
       let d = delta /. 2. /. float_of_int r in
       Array.fold_left
@@ -365,13 +233,6 @@ let solve ?budget rng t ~eps ~delta =
             { value = lo; trials = 0; residual_mass = 0.; lo; hi;
               achieved_eps = (hi -. lo) /. 2.; complete = false })
     | _ ->
-      let rrs, trials, complete =
-        match budget with
-        | None -> solve_residuals rng t ~eps ~delta
-        | Some _ ->
-            (* Budget-governed: residuals past the deadline come back with
-               whatever interval their trials certify. *)
-            single_pass ?budget rng t ~eps ~delta
-      in
-      assemble t rrs ~eps ~trials ~complete
+        let rrs, trials, complete = solve_residuals ?budget rng t ~eps ~delta in
+        assemble t rrs ~eps ~trials ~complete
   end

@@ -26,8 +26,9 @@
     [f'(0) = Σᵢ pᵢ·Π_{j≠i}(1−pⱼ) ≤ 1 − Π(1−pᵢ) = f(0)], so
     [f(ε) ≤ (1+ε)f(0)]; the lower side follows from the chord through
     [f(−1) = 0].)  Hence {!solve} estimates each residual at relative [ε]
-    with failure budget [δ/r] and the union bound gives an overall (ε, δ)
-    guarantee — the exact probability mass never spends a trial.
+    with failure budget [δ/r] and the union bound carries each residual's
+    guarantee to the root (2δ as proven, since each residual's is 2δ/r;
+    see {!Karp_luby}) — the exact probability mass never spends a trial.
 
     {e Shared leaves.}  A residual reached along several paths is one
     estimate [p̂ᵢ] used at every occurrence, so the argument above applies
@@ -98,11 +99,14 @@ type outcome = {
           [1 − residual_mass/value] is the per-tuple exact fraction. *)
   lo : float;
   hi : float;
-      (** a sound probability interval for the tuple confidence, holding
-          with probability ≥ 1 − δ: per-residual certified intervals pushed
-          through the monotone DAG, intersected with the relative-ε bracket
-          when [complete], and cut to [[0, 1]].  Degenerates to a point
-          when exact; never wider than the a-priori {!vacuous_interval}. *)
+      (** a sound probability interval for the tuple confidence: per-residual
+          certified intervals pushed through the monotone DAG, intersected
+          with the relative-ε bracket when [complete], and cut to [[0, 1]].
+          It holds with probability ≥ 1 − 2δ as proven: in every sampling
+          pass the stopping rule and its Chernoff cap may each fail with
+          the pass's δ share (the tier-1 miss-rate test measures about δ).  Degenerates to
+          a point when exact; never wider than the a-priori
+          {!vacuous_interval}. *)
   achieved_eps : float;
       (** the relative error actually certified at confidence δ: the
           requested ε when [complete], the worst residual's partial-trial
@@ -122,46 +126,29 @@ val vacuous_interval : t -> float * float
     point when [is_exact]. *)
 
 val solve : ?budget:Budget.t -> Rng.t -> t -> eps:float -> delta:float -> outcome
-(** Estimate every residual with {!Karp_luby.adaptive_partial} and evaluate
-    the DAG; by the error propagation above the result is an (ε, δ) relative
-    approximation of the tuple confidence.  Residuals are sampled in order
-    from the given RNG, so the outcome is deterministic per RNG state.
+(** Estimate every residual with {!Karp_luby.adaptive_partial} at
+    (ε, δ/r) in one pass and evaluate the DAG; by the error propagation
+    above and the union bound the result is within relative ε of the tuple
+    confidence with probability ≥ 1 − 2δ as proven (the factor 2 is the
+    union bound over each pass's stopping rule and its Chernoff cap; see
+    {!Karp_luby}).  Residuals are sampled in order from the given RNG, so
+    the outcome is deterministic per RNG state.
 
-    Two refinements make the residual phase pay only for what sampling must
-    actually decide:
-
-    {ul
-    {- {e Exact-mass tightening with weight-aware budgets} (for [ε < ½]): a
-       coarse ε₁ = ½ pass over the residuals yields a certified lower bound
-       [T_lo] on the tuple confidence (evaluate the monotone DAG at
-       [p̂ᵢ/(1+ε₁)]) and per-residual error capacities
-       [aᵢ = (1+ε₁)·wᵢ·p̂ᵢ ≥ wᵢpᵢ].  Since the DAG is multilinear with
-       [|∂P/∂p̂ᵢ| ≤ wᵢ], any per-residual targets with [Σ aᵢ·εᵢ ≤ ε·T_lo]
-       land the root within relative [ε] — closed-form mass directly
-       relaxes (quadratically cheapens) the residual budgets.  Under that
-       constraint the re-sampling spend [Σ Kᵢ/εᵢ²] ([Kᵢ] the clause count)
-       is minimized by [εᵢ ∝ (Kᵢ/aᵢ)^⅓] (water-filling, clamped to
-       [[ε, ε₁]]): heavy-but-cheap residuals get tight targets,
-       light-but-expensive ones looser, instead of one uniform
-       [ε₂ = ε·T_lo/S_hi] for all.  A residual whose target reaches ε₁
-       keeps its coarse certificate and is not re-sampled; when even the
-       all-ε floor overruns [ε·T_lo] every target falls back to [ε], the
-       plain union-bound regime.}
-    {- {e Truncation guard}: bounded Shannon expansion duplicates clauses
-       across branches, so the residual leaves can be collectively more
-       expensive than the original DNF.  [solve] compares worst-case
-       Chernoff caps and falls back to one adaptive pass over the whole
-       normalized DNF when that is cheaper — compilation never costs more
-       than a bounded overhead relative to pure FPRAS.  The guard applies
-       whenever the root is not itself the residual; the whole DNF is
-       prepared for sampling only when the guard takes it.}}
+    {e Truncation guard}: bounded Shannon expansion duplicates clauses
+    across branches, so the residual leaves can be collectively more
+    expensive than the original DNF.  [solve] compares worst-case Chernoff
+    caps and falls back to one adaptive pass over the whole normalized DNF
+    when that is cheaper — compilation never costs more than a bounded
+    overhead relative to pure FPRAS.  The guard applies whenever the root
+    is not itself the residual; the whole DNF is prepared for sampling only
+    when the guard takes it.
 
     {e Degradation}: estimator failures are contained per residual — a
     residual whose sampling raises keeps its vacuous interval and the tuple
     still comes back with a sound (wider) [lo, hi] and [complete = false].
-    With a [budget], every residual pass charges the shared governor
-    ({!Karp_luby.adaptive_partial}) and stops at exhaustion, reporting the
-    interval its partial trials certify.  Without a budget the call consumes
-    the RNG exactly as before and returns [complete = true] with
-    [achieved_eps = eps].
+    A [budget] never changes the schedule, only cuts it: every residual
+    pass charges the shared governor ({!Karp_luby.adaptive_partial}) and
+    stops at exhaustion, reporting the interval its partial trials
+    certify.  So a budget that never binds changes no bit, and without one
+    the call returns [complete = true] with [achieved_eps = eps].
     @raise Invalid_argument when [eps <= 0] or [delta <= 0]. *)

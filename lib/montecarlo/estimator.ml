@@ -56,10 +56,8 @@ let eps_bound t ~delta =
       if Dnf.clause_count t.dnf = 1 then 0.
       else if t.trials = 0 then 1.
       else
-        (* Invert δ = 2·exp(−m·ε²/(3|F|)): the ε certified by m trials. *)
-        sqrt
-          (3. *. float_of_int (Dnf.clause_count t.dnf) *. log (2. /. delta)
-          /. float_of_int t.trials)
+        Stats.karp_luby_eps ~trials:t.trials
+          ~clauses:(Dnf.clause_count t.dnf) ~delta
 
 let interval t ~delta =
   match t.degenerate with

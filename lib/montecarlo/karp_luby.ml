@@ -20,8 +20,7 @@ let certified ~ub ~eps p n =
 
 (* With few trials the raw estimate (s/n)·M can overshoot its own certified
    interval (even 1); clamp it in — projecting onto the interval never
-   increases the error.  Only budgeted calls clamp, which keeps the
-   unbudgeted estimates bit-compatible. *)
+   increases the error. *)
 let clamp p =
   let lo = Float.min p.p_lo p.p_hi in
   { p with p_lo = lo; p_estimate = Float.min p.p_hi (Float.max lo p.p_estimate) }
@@ -32,10 +31,10 @@ type stop = Target | Cap | Cut
    estimator: run until the success count reaches Υ₁ = 1 + (1+ε)·4λ·ln(2/δ)/ε²
    (λ = e − 2) and estimate μ̂ = Υ₁/N, so the trial count adapts to the true
    mean μ = p/M instead of its worst case 1/|F|.  [cap] keeps the loop
-   bounded: if it is reached first, the plain sample mean at that fixed
-   Chernoff budget satisfies the same (ε, δ) bound by construction.  A
-   [budget] is polled before and charged after every trial; when it cuts the
-   loop the estimate is the plain mean of the trials spent.
+   bounded: if it is reached first, the answer is the plain sample mean at
+   that fixed Chernoff budget.  A [budget] is polled before and charged
+   after every trial; when it cuts the loop the estimate is the plain mean
+   of the trials spent.
    Returns (how it stopped, estimate, trials). *)
 let stopping_rule ?budget rng dnf ~eps ~delta ~cap =
   let lambda = Float.exp 1. -. 2. in
@@ -68,60 +67,22 @@ let adaptive_partial ?budget rng dnf ~eps ~delta =
   else begin
     Pqdb_runtime.Faultpoint.fire "karp_luby.estimator";
     let clauses = Dnf.clause_count dnf in
-    let m = Dnf.total_weight dnf in
-    let ub = Float.min 1. m in
-    let cap ~eps ~delta = Stats.karp_luby_trials ~clauses ~eps ~delta in
-    match budget with
-    | Some _ -> (
-        (* One DKLR phase at (ε, δ), charging the governor per trial. *)
-        match stopping_rule ?budget rng dnf ~eps ~delta ~cap:(cap ~eps ~delta) with
-        | (Target | Cap), p, n -> clamp (certified ~ub ~eps p n)
-        | Cut, _, 0 ->
-            (* Not one trial fit in the budget: the only sound claim is the
-               a-priori interval [0, min(1, M)]. *)
-            { p_estimate = 0.; p_lo = 0.; p_hi = ub; p_trials = 0;
-              p_eps = Float.infinity; p_complete = false }
-        | Cut, p, n ->
-            (* Partial trials: invert the Chernoff tail to the relative
-               error the [n] trials actually certify at this δ,
-               ε′ = √(3·|F|·ln(2/δ)/n). *)
-            let eps' =
-              sqrt (3. *. float_of_int clauses *. log (2. /. delta) /. float_of_int n)
-            in
-            if eps' >= 1. then
-              clamp
-                { p_estimate = p; p_lo = 0.; p_hi = ub; p_trials = n;
-                  p_eps = eps'; p_complete = false }
-            else
-              clamp
-                { (certified ~ub ~eps:eps' p n) with p_complete = eps' <= eps })
-    | None when eps >= 0.5 ->
-        (* Coarse targets: a single stopping-rule phase already beats the
-           fixed budget and meets (ε, δ) on both exit paths. *)
-        let _, p, n = stopping_rule rng dnf ~eps ~delta ~cap:(cap ~eps ~delta) in
-        certified ~ub ~eps p n
-    | None ->
-        (* AA-style two-phase schedule.  Phase 1: a rough estimate at ε₁ = ½,
-           spending δ/2.  Phase 2: a fresh Chernoff batch sized from the
-           phase-1 lower bound on μ (floored at the unconditional 1/|F|),
-           spending the remaining δ/2.  Union bound: the final estimate is
-           within relative ε with probability ≥ 1 − δ. *)
-        let eps1 = 0.5 and d2 = delta /. 2. in
-        let _, p1, n1 =
-          stopping_rule rng dnf ~eps:eps1 ~delta:d2 ~cap:(cap ~eps:eps1 ~delta:d2)
-        in
-        let mu_lo =
-          Float.max (p1 /. m /. (1. +. eps1)) (1. /. float_of_int clauses)
-        in
-        let n2 =
-          max 1
-            (Stats.count_of_float (3. *. log (4. /. delta) /. (eps *. eps *. mu_lo)))
-        in
-        let s = ref 0 in
-        for _ = 1 to n2 do
-          s := !s + Dnf.sample_estimator rng dnf
-        done;
-        certified ~ub ~eps
-          (float_of_int !s *. m /. float_of_int n2)
-          (Stats.saturating_add n1 n2)
+    let ub = Float.min 1. (Dnf.total_weight dnf) in
+    let cap = Stats.karp_luby_trials ~clauses ~eps ~delta in
+    clamp
+      (match stopping_rule ?budget rng dnf ~eps ~delta ~cap with
+      | (Target | Cap), p, n -> certified ~ub ~eps p n
+      | Cut, _, 0 ->
+          (* Not one trial fit in the budget: the only sound claim is the
+             a-priori interval [0, min(1, M)]. *)
+          { p_estimate = 0.; p_lo = 0.; p_hi = ub; p_trials = 0;
+            p_eps = Float.infinity; p_complete = false }
+      | Cut, p, n ->
+          (* Partial trials: the relative error the [n] trials actually
+             certify at this δ. *)
+          let eps' = Stats.karp_luby_eps ~trials:n ~clauses ~delta in
+          if eps' >= 1. then
+            { p_estimate = p; p_lo = 0.; p_hi = ub; p_trials = n;
+              p_eps = eps'; p_complete = false }
+          else { (certified ~ub ~eps:eps' p n) with p_complete = eps' <= eps })
   end

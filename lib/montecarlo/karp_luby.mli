@@ -19,22 +19,24 @@ open Pqdb_numeric
     win is a factor of [|F|·μ], which on real lineage (few deeply
     overlapping clauses) is most of the budget.
 
-    Without a budget, {!adaptive_partial} answers with [p̂] such that
-    [Pr(|p̂ − p| ≥ ε·p) ≤ δ].  For [ε ≥ ½] one stopping-rule phase runs;
-    below that, a two-phase AA-style schedule: a rough stopping-rule
-    estimate at ε₁ = ½ (δ/2), then a fresh Chernoff batch sized by the
-    estimated mean (δ/2).  Every phase is capped at its fixed-budget
-    equivalent, so the trial count never exceeds roughly the non-adaptive
-    cost and the guarantee holds on the capped path too.  Deterministic
-    given the RNG state.  Trial counts saturate at [max_int], so at tiny ε
-    an unbudgeted call is honest but unbounded. *)
+    {!adaptive_partial} runs one stopping-rule pass at (ε, δ) and answers
+    with [p̂] within relative ε of [p].  The pass is capped at the fixed
+    Chernoff count, so it never costs more than the non-adaptive run; at
+    the cap the answer is the plain sample mean.  The stopping rule alone
+    fails with probability ≤ δ, and so does the capped mean alone, so the
+    proven bound is [Pr(|p̂ − p| ≥ ε·p) ≤ 2δ]; the tier-1 miss-rate test
+    measures about δ, the capped branch included (ROADMAP item B).
+    Deterministic given the RNG state.  Trial counts saturate at
+    [max_int], so at tiny ε an unbudgeted call is honest but unbounded. *)
 
 (** {1 Budget-governed estimation}
 
-    When a {!Budget} is supplied, sampling stops the moment the governor is
-    exhausted and the result reports what the trials spent so far certify:
-    a sound probability interval [[p_lo, p_hi]] and the achieved relative
-    error [p_eps] at the requested confidence δ. *)
+    A {!Budget} never changes the schedule; it only stops it early.  The
+    pass polls the governor before every trial, so a budget that never
+    binds changes no bit of the result.  When it does cut the pass, the
+    result reports what the trials spent so far certify: a sound
+    probability interval [[p_lo, p_hi]] and the achieved relative error
+    [p_eps] at the requested confidence δ. *)
 
 type partial = {
   p_estimate : float;  (** point estimate (0 when no trial ran) *)
@@ -50,11 +52,11 @@ type partial = {
 
 val adaptive_partial :
   ?budget:Budget.t -> Rng.t -> Dnf.t -> eps:float -> delta:float -> partial
-(** Without a budget this runs the adaptive schedule above and always
-    returns [p_complete = true].  With a budget it runs a single DKLR
-    stopping-rule phase at (ε, δ), charging one trial at a time and polling
-    {!Budget.exhausted}; on exhaustion the partial-trial
-    Chernoff inversion above yields the interval (vacuous [0, min(1, M)]
-    when nothing can be said).  Degenerate and single-clause DNFs are
-    answered exactly with a point interval and 0 trials either way.
+(** One DKLR stopping-rule pass at (ε, δ), charging [budget] one trial at
+    a time and polling {!Budget.exhausted}.  A pass that reaches its target
+    or its cap returns [p_complete = true]; one the budget cuts returns the
+    partial-trial Chernoff inversion above (vacuous [0, min(1, M)] when
+    nothing can be said).  The estimate is clamped into its interval on
+    every path.  Degenerate and single-clause DNFs are answered exactly
+    with a point interval and 0 trials.
     @raise Invalid_argument when [eps <= 0] or [delta <= 0]. *)

@@ -68,6 +68,9 @@ type outcome = {
 
 (* --- serialization ------------------------------------------------------ *)
 
+let add_batch_line buf i est lo hi trials =
+  Printf.bprintf buf "%d %h %h %h %d\n" i est lo hi trials
+
 let floats_csv a =
   String.concat "," (List.map (Printf.sprintf "%h") (Array.to_list a))
 

@@ -64,6 +64,13 @@ type outcome = {
           and [err] is the last failure, typed. *)
 }
 
+val add_batch_line : Buffer.t -> int -> float -> float -> float -> int -> unit
+(** [add_batch_line buf i est lo hi trials] writes one line of the batch
+    output contract, ["%d %h %h %h %d\n"]: tuple index, estimate, bracket
+    and trials, every float bit-exact.  [pqdb batch], its conditioned
+    variant and the serve [conf] reply all print through it, which keeps
+    their bytes comparable. *)
+
 val to_payload : outcome -> string
 (** Newline-free journal payload.  Quarantined outcomes must not be
     journaled (resume should retry them); this raises [Invalid_argument] on

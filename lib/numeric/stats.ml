@@ -40,6 +40,9 @@ let min_max xs =
 let karp_luby_delta ~trials ~clauses ~eps =
   2. *. exp (-.(float_of_int trials *. eps *. eps) /. (3. *. float_of_int clauses))
 
+let karp_luby_eps ~trials ~clauses ~delta =
+  sqrt (3. *. float_of_int clauses *. log (2. /. delta) /. float_of_int trials)
+
 (* [int_of_float] is unspecified past [max_int]: at tiny ε the Chernoff
    count would wrap (to 0 on amd64) and read as "no trials needed". *)
 let count_of_float x =

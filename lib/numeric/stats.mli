@@ -26,6 +26,10 @@ val karp_luby_delta : trials:int -> clauses:int -> eps:float -> float
 (** [δ(ε) = 2·exp(−m·ε²/(3·|F|))] — the error-probability bound after
     [trials] estimator calls on a DNF with [clauses] disjuncts (Section 4). *)
 
+val karp_luby_eps : trials:int -> clauses:int -> delta:float -> float
+(** [ε(δ) = √(3·|F|·ln(2/δ)/m)] — the inverse of {!karp_luby_delta}: the
+    relative error [trials] estimator calls certify at confidence δ. *)
+
 val karp_luby_trials : clauses:int -> eps:float -> delta:float -> int
 (** [m = ⌈3·|F|·ln(2/δ)/ε²⌉] — trials for an (ε,δ) guarantee (Section 4),
     saturated at [max_int]. *)

@@ -173,7 +173,7 @@ let relation_groups t relation =
       g
 
 (* The conf body reuses the batch output contract verbatim — one
-   "%d %h %h %h %d" line per tuple (index, estimate, lo, hi, trials) — so
+   {!Shard.add_batch_line} per tuple (index, estimate, lo, hi, trials) — so
    a serve reply is byte-comparable against `pqdb batch` output and against
    itself across warm and cold runs. *)
 let run_conf t ?budget ~relation ~eps ~delta ~seed ~fuel () =
@@ -187,8 +187,8 @@ let run_conf t ?budget ~relation ~eps ~delta ~seed ~fuel () =
       Memo.find_or_compile t.cache ?fuel ~code:codes.(i) w sets.(i)
     in
     let o = Compile.solve ?budget rngs.(i) tree ~eps ~delta in
-    Printf.bprintf buf "%d %h %h %h %d\n" i o.Compile.value o.Compile.lo
-      o.Compile.hi o.Compile.trials
+    Shard.add_batch_line buf i o.Compile.value o.Compile.lo o.Compile.hi
+      o.Compile.trials
   done;
   Buffer.contents buf
 
@@ -208,8 +208,8 @@ let run_conf_conditioned t ?budget ~compiled ~relation ~eps ~delta ~seed
   let buf = Buffer.create (64 * (Array.length sets + 1)) in
   Array.iteri
     (fun i e ->
-      Printf.bprintf buf "%d %h %h %h %d\n" i e.Condition.value
-        e.Condition.lo e.Condition.hi e.Condition.trials)
+      Shard.add_batch_line buf i e.Condition.value e.Condition.lo
+        e.Condition.hi e.Condition.trials)
     estimates;
   Buffer.contents buf
 

@@ -592,11 +592,11 @@ let prop_compile_residual_path_tracks_exact =
       Float.abs (o.Compile.value -. expect) <= (0.2 *. expect) +. 1e-9)
 
 let prop_weight_aware_budgets_sound =
-  (* The weight-aware residual targets (εᵢ ∝ (Kᵢ/aᵢ)^⅓ under
-     Σ aᵢεᵢ ≤ ε·T_lo) must never cost soundness: across random DNFs and
-     fuels — including fuel levels that leave several residuals with very
-     different path weights — the certified interval brackets the exact
-     probability and a complete outcome keeps the relative-ε contract.
+  (* Splitting δ over the residuals must never cost soundness: across
+     random DNFs and fuels — including fuel levels that leave several
+     residuals with very different path weights — the certified interval
+     brackets the exact probability and a complete outcome keeps the
+     relative-ε contract.
      Fixed seeds keep the run deterministic; per-case failure probability
      is δ = 0.01, so a failure here is a 3-sigma-equivalent event. *)
   QCheck.Test.make ~name:"weight-aware residual budgets stay sound" ~count:60
@@ -1052,39 +1052,163 @@ let shared_residual_case seed =
   in
   (w, clauses, [| 0; 4; 16; 64 |].(seed mod 4), [| 0.05; 0.1; 0.3 |].(seed / 4 mod 3))
 
-(* The (ε, δ) contract of Compile.solve over shared residuals, checked as a
-   miss rate over 480 fixed seeds of the family above.  A case misses when
-   [lo, hi] excludes the exact value or a complete outcome leaves relative
-   ε.  Each case misses with probability at most δ, so the count must be
-   plausible under Binomial(480, δ): an upper tail below 1e-6 fails. *)
-let test_solve_miss_rate_with_shared_residuals () =
-  let cases = 480 and delta = 0.05 in
-  let misses = ref 0 and shared = ref 0 in
-  for seed = 1 to cases do
-    let w, clauses, fuel, eps = shared_residual_case seed in
-    if shares_a_residual ~fuel w clauses then incr shared;
-    let o =
-      Compile.solve (Rng.create ~seed) (Compile.compile ~fuel w clauses) ~eps
-        ~delta
-    in
-    let expect = Q.to_float (Lineage.exact w clauses) in
-    let bracketed =
-      o.Compile.lo -. 1e-9 <= expect && expect <= o.Compile.hi +. 1e-9
-    in
-    let relative =
-      (not o.Compile.complete)
-      || Float.abs (o.Compile.value -. expect) <= (eps *. expect) +. 1e-9
-    in
-    if not (bracketed && relative) then incr misses
-  done;
-  if 4 * !shared < cases then
-    Alcotest.failf "only %d of %d cases share a residual" !shared cases;
-  let tail = binomial_upper_tail ~n:cases ~p:delta !misses in
-  if tail < 1e-6 then
-    Alcotest.failf "%d misses in %d cases: P(X >= %d | δ = %g) = %g" !misses
-      cases !misses delta tail
+(* The family member where the Chernoff cap binds: 8 clauses x=1 ∧ yᵢ=1
+   with P(x) = ½ and P(yᵢ) = 99/100, at fuel 0 (one residual) and ε = 0.3.
+   Its mean μ = p/M ≈ 0.126 is so low that the stopping rule's success
+   target costs more trials than the fixed Chernoff count, so the cap ends
+   nearly every run. *)
+let cap_binding_case () =
+  let w = Wtable.create () in
+  let x = Wtable.add_var w [ Q.of_ints 1 2; Q.of_ints 1 2 ] in
+  let clauses =
+    List.init 8 (fun _ ->
+        let y = Wtable.add_var w [ Q.of_ints 1 100; Q.of_ints 99 100 ] in
+        Assignment.of_list [ (x, 1); (y, 1) ])
+  in
+  (w, clauses, 0, 0.3)
 
-(* The weight-aware budgets rest on |∂P/∂p̂ᵢ| ≤ wᵢ with wᵢ summed over the
+(* The (ε, δ) contract of Compile.solve, checked as a miss rate over 480
+   fixed seeds of the shared-residual family and 480 runs of the
+   cap-binding member.  Every case also reruns under a trial budget of half
+   what its unbudgeted run spent, which cuts it.  A run misses when
+   [lo, hi] excludes the exact value or a complete outcome leaves relative
+   ε.  Each of the four groups (family or cap member, unbudgeted or cut)
+   keeps its own count, which must be plausible under Binomial(480, δ): an
+   upper tail below 1e-6 fails.  The proven bound per run is only 2δ (the
+   stopping rule and its cap may each fail with δ); the cap-binding member
+   measures that branch against δ. *)
+let test_solve_miss_rate_with_shared_residuals () =
+  let seeds = 480 and delta = 0.05 in
+  let shared = ref 0 and capped = ref 0 in
+  (* misses of the shared family and the cap member, unbudgeted and cut *)
+  let family = ref 0 and family_cut = ref 0 in
+  let cap_member = ref 0 and cap_member_cut = ref 0 in
+  let check_case ~seed ~misses ~cut_misses (w, clauses, fuel, eps) =
+    let c = Compile.compile ~fuel w clauses in
+    let expect = Q.to_float (Lineage.exact w clauses) in
+    let run ?budget ~misses seed =
+      let o = Compile.solve ?budget (Rng.create ~seed) c ~eps ~delta in
+      let bracketed =
+        o.Compile.lo -. 1e-9 <= expect && expect <= o.Compile.hi +. 1e-9
+      in
+      let relative =
+        (not o.Compile.complete)
+        || Float.abs (o.Compile.value -. expect) <= (eps *. expect) +. 1e-9
+      in
+      if not (bracketed && relative) then incr misses;
+      o
+    in
+    let o = run ~misses seed in
+    ignore
+      (run ~misses:cut_misses
+         ~budget:(Budget.create ~max_trials:(max 1 (o.Compile.trials / 2)) ())
+         (seed + 100_000));
+    o
+  in
+  let cap =
+    let _, clauses, _, eps = cap_binding_case () in
+    Stats.karp_luby_trials ~clauses:(List.length clauses) ~eps ~delta
+  in
+  for seed = 1 to seeds do
+    let ((w, clauses, fuel, _) as case) = shared_residual_case seed in
+    if shares_a_residual ~fuel w clauses then incr shared;
+    ignore (check_case ~seed ~misses:family ~cut_misses:family_cut case);
+    let o =
+      check_case ~seed:(seed + 200_000) ~misses:cap_member
+        ~cut_misses:cap_member_cut (cap_binding_case ())
+    in
+    if o.Compile.trials = cap then incr capped
+  done;
+  if 4 * !shared < seeds then
+    Alcotest.failf "only %d of %d cases share a residual" !shared seeds;
+  if 2 * !capped < seeds then
+    Alcotest.failf "the cap ended only %d of %d cap-binding runs" !capped seeds;
+  List.iter
+    (fun (what, misses) ->
+      let tail = binomial_upper_tail ~n:seeds ~p:delta misses in
+      if tail < 1e-6 then
+        Alcotest.failf "%s: %d misses in %d runs: P(X >= %d | δ = %g) = %g"
+          what misses seeds misses delta tail)
+    [ ("shared residuals", !family);
+      ("shared residuals, budget cut", !family_cut);
+      ("cap binds", !cap_member);
+      ("cap binds, budget cut", !cap_member_cut) ]
+
+(* Does [Compile.solve] sample [c]'s residuals, two or more of them,
+   rather than the whole DNF?  Mirrors its truncation guard: residuals
+   priced at δ/2r against the whole normalized DNF at δ. *)
+let samples_several_residuals c clauses ~eps ~delta =
+  let rs = Compile.residuals c in
+  let r = Array.length rs in
+  r >= 2
+  &&
+  let d = delta /. 2. /. float_of_int r in
+  let compiled =
+    Array.fold_left
+      (fun acc dnf ->
+        let k = Dnf.clause_count dnf in
+        if k < 2 then acc else acc + Stats.karp_luby_trials ~clauses:k ~eps ~delta:d)
+      0 rs
+  in
+  Stats.karp_luby_trials ~clauses:(List.length (Lineage.normalize clauses)) ~eps
+    ~delta
+  >= compiled
+
+(* Case [seed] of a family that samples several residuals in one pass:
+   20–40 single-literal clauses over fresh variables (an independent part
+   that compiles exactly) or'ed with 2–4 independent rings of 4–7 clauses
+   yᵢ=1 ∧ yᵢ₊₁=1, at fuel 1 (one Shannon step, in the first ring; every
+   other ring is left as one residual) and ε ∈ {0.05, 0.3, 0.7}.
+   The exact part keeps the residuals cheaper than the whole DNF, so the
+   truncation guard keeps them. *)
+let several_residuals_case seed =
+  let rng = Rng.create ~seed:(seed + 9000) in
+  let w = Wtable.create () in
+  let var () =
+    let a = 1 + Rng.int rng 8 in
+    Wtable.add_var w [ Q.of_ints a 10; Q.of_ints (10 - a) 10 ]
+  in
+  let singles =
+    List.init (20 + Rng.int rng 21) (fun _ -> Assignment.singleton (var ()) 1)
+  in
+  let ring () =
+    let ys = Array.init (4 + Rng.int rng 4) (fun _ -> var ()) in
+    let n = Array.length ys in
+    List.init n (fun i -> Assignment.of_list [ (ys.(i), 1); (ys.((i + 1) mod n), 1) ])
+  in
+  let rings = List.concat (List.init (2 + Rng.int rng 3) (fun _ -> ring ())) in
+  (w, singles @ rings, [| 0.05; 0.3; 0.7 |].(seed mod 3))
+
+(* A budget only stops the sampler early, so one that never binds changes
+   no bit, here on DAGs that sample several residuals in one pass (the
+   batch-level check is in test_serve). *)
+let test_non_binding_budget_on_several_residuals () =
+  let delta = 0.05 and several = ref 0 in
+  let show o =
+    Printf.sprintf "%h %h %h %d %h %h %b" o.Compile.value o.lo o.hi o.trials
+      o.residual_mass o.achieved_eps o.complete
+  in
+  for seed = 1 to 48 do
+    let w, clauses, eps = several_residuals_case seed in
+    let c = Compile.compile ~fuel:1 w clauses in
+    if samples_several_residuals c clauses ~eps ~delta then incr several;
+    let solve budget =
+      show (Compile.solve ?budget (Rng.create ~seed) c ~eps ~delta)
+    in
+    let plain = solve None in
+    check Alcotest.string
+      (Printf.sprintf "seed %d, trial budget" seed)
+      plain
+      (solve (Some (Budget.create ~max_trials:1_000_000_000 ())));
+    check Alcotest.string
+      (Printf.sprintf "seed %d, deadline" seed)
+      plain
+      (solve (Some (Budget.create ~deadline_s:3600. ())))
+  done;
+  if !several < 48 then
+    Alcotest.failf "only %d of 48 cases sample several residuals" !several
+
+(* [residual_weights] promises |∂P/∂p̂ᵢ| ≤ wᵢ with wᵢ summed over the
    residual's paths.  The DAG is multilinear, so a finite difference at the
    exact residual probabilities is its slope: it must stay under the
    reported weight, and the DAG there must evaluate to the exact value. *)
@@ -1111,9 +1235,9 @@ let test_residual_weights_bound_slopes () =
 (* Every reported estimate lies in its own reported bracket, and the
    bracket in [0, 1]: across many seeds, fuels (0 = pure FPRAS, small ones
    leaving several residuals or triggering the truncation-guard fallback,
-   the default), ε on both sides of the coarse ½ cut-off, and trial
-   budgets that stop sampling part-way — through Compile.solve directly and
-   through the streaming batch engine. *)
+   the default), ε on both sides of ½, and trial budgets that stop
+   sampling part-way — through Compile.solve directly and through the
+   streaming batch engine. *)
 let test_estimates_inside_own_bracket () =
   let inside what (v, lo, hi) =
     if not (0. <= lo && lo <= v && v <= hi && hi <= 1.) then
@@ -1235,9 +1359,8 @@ let test_adaptive_deterministic () =
    cancelled budget; [Compile.solve] at fuel 0 and the default with and
    without a cap; and [Confidence.run_stream_with_stats] over the same sets
    on one worker (a shared trial cap is raced by parallel tuples).
-   ε covers both sides of the ½ cut-off between the one- and two-phase
-   schedules.  A change to any draw, stopping decision or interval changes
-   it. *)
+   ε covers both sides of ½.  A change to any draw, stopping decision or
+   interval changes it. *)
 let sampled_digest () =
   let b = Buffer.create 65536 in
   let epss = [ 0.05; 0.2; 0.5; 0.7; 1.5 ] and delta = 0.1 in
@@ -1318,7 +1441,7 @@ let sampled_digest () =
 
 let test_sampled_output_pinned () =
   check Alcotest.string "adaptive_partial, Compile.solve and run_stream bits"
-    "e17afd30ca0af980dbf610966f143df7" (sampled_digest ())
+    "5ecb70b78046a5e72baa76883bfe97c2" (sampled_digest ())
 
 (* ------------------------------------------------------------------ *)
 (* Resident pool                                                        *)
@@ -1483,6 +1606,8 @@ let () =
             test_solve_miss_rate_with_shared_residuals;
           Alcotest.test_case "path weights bound the slopes" `Quick
             test_residual_weights_bound_slopes;
+          Alcotest.test_case "a budget that never binds changes no bit" `Quick
+            test_non_binding_budget_on_several_residuals;
         ] );
       ( "decomposer kernel",
         [

@@ -113,13 +113,19 @@ let test_budget_deadline_sticky () =
 let test_adaptive_partial_no_budget_bit_identical () =
   let w, clause_sets = batch_fixture () in
   let dnf = Dnf.prepare w clause_sets.(0) in
-  (* The DKLR schedule's output for this seed, pinned when [adaptive_partial]
-     delegated to a separately exported [adaptive]: the no-budget path must
-     keep consuming the RNG exactly as before. *)
-  let reference = 0x1.c47c7db787107p-1 and trials = 2430 in
+  (* The one DKLR stopping-rule pass at (ε, δ), pinned for this seed: the
+     no-budget path must keep consuming the RNG exactly as before, and a
+     budget that never binds must not change a bit of the record. *)
+  let reference = 0x1.c47f77aff7449p-1 and trials = 1244 in
   let p =
     Karp_luby.adaptive_partial (Rng.create ~seed:7) dnf ~eps:0.1 ~delta:0.1
   in
+  let generous =
+    Karp_luby.adaptive_partial
+      ~budget:(Budget.create ~max_trials:1_000_000_000 ())
+      (Rng.create ~seed:7) dnf ~eps:0.1 ~delta:0.1
+  in
+  check bool_c "a generous budget returns the same record" true (generous = p);
   check (Alcotest.float 0.) "same estimate" reference p.Karp_luby.p_estimate;
   check int_c "same trial count" trials p.Karp_luby.p_trials;
   check bool_c "complete" true p.Karp_luby.p_complete;

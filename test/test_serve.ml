@@ -557,6 +557,87 @@ let expected_reply db ?cset ~relation ~seed ?fuel () =
         estimates);
   Buffer.contents buf
 
+(* A budget only stops the sampler early; one that never binds changes no
+   bit.  Checked at fuel 0 and the default fuel, ε on both sides of ½, for
+   Compile.solve, the batch stream and an in-process conf request. *)
+let test_non_binding_budget_changes_no_bit () =
+  clear_all ();
+  with_dnf_db ~seed:24 [ ("r", 6, 30, 30) ] (fun db ->
+      let udb = Udb_io.load db in
+      let w = Udb.wtable udb in
+      let sets = Udb.relation_sets udb "r" in
+      let srv = Server.create (config ~db_path:db (Server.Tcp 1)) in
+      (* At the default fuel some tuple must still sample, or the default
+         fuel would compare exact answers only. *)
+      check bool_c "default fuel leaves a tuple to sample" true
+        (Array.exists (fun cs -> not (Compile.is_exact (Compile.compile w cs))) sets);
+      let generous =
+        [ ("trials", fun () -> Budget.create ~max_trials:1_000_000_000 ());
+          ("deadline", fun () -> Budget.create ~deadline_s:3600. ()) ]
+      in
+      List.iter
+        (fun fuel ->
+          List.iter
+            (fun eps ->
+              let solve budget =
+                let b = Buffer.create 256 in
+                Array.iteri
+                  (fun i cs ->
+                    let o =
+                      Compile.solve ?budget (Rng.create ~seed:i)
+                        (Compile.compile ?fuel w cs) ~eps ~delta:0.05
+                    in
+                    Printf.bprintf b "%h %h %h %d %h %h %b\n" o.Compile.value
+                      o.lo o.hi o.trials o.residual_mass o.achieved_eps
+                      o.complete)
+                  sets;
+                Buffer.contents b
+              in
+              let stream budget =
+                let est, st, _ =
+                  Confidence.run_stream_with_stats ?budget ~nworkers:1
+                    ?compile_fuel:fuel (Rng.create ~seed:17) w sets ~eps
+                    ~delta:0.05
+                in
+                let b = Buffer.create 256 in
+                Array.iteri
+                  (fun i v ->
+                    let lo, hi = st.Confidence.intervals.(i) in
+                    Printf.bprintf b "%h %h %h %d %h\n" v lo hi
+                      st.trials_used.(i) st.achieved_eps.(i))
+                  est;
+                Printf.bprintf b "%h %b" st.exact_fraction st.complete;
+                Buffer.contents b
+              in
+              let request extra =
+                Printf.sprintf "conf r eps=%g%s%s" eps
+                  (match fuel with Some f -> Printf.sprintf " fuel=%d" f | None -> "")
+                  extra
+              in
+              let label what how =
+                Printf.sprintf "%s, fuel %s, eps %g, %s budget" what
+                  (match fuel with Some f -> string_of_int f | None -> "default")
+                  eps how
+              in
+              let unbudgeted = (solve None, stream None) in
+              List.iter
+                (fun (how, budget) ->
+                  check string_c (label "Compile.solve" how) (fst unbudgeted)
+                    (solve (Some (budget ())));
+                  check string_c (label "run_stream_with_stats" how)
+                    (snd unbudgeted)
+                    (stream (Some (budget ()))))
+                generous;
+              let reply = Server.dispatch srv (request "") in
+              check string_c (label "conf" "trials=")
+                reply
+                (Server.dispatch srv (request " trials=1000000000"));
+              check string_c (label "conf" "deadline=")
+                reply
+                (Server.dispatch srv (request " deadline=3600")))
+            [ 0.05; 0.3; 0.7 ])
+        [ Some 0; None ])
+
 (* Interleaved requests over several relations, with seed and fuel
    variants and a conditioned session, through an 8-entry cache that
    evicts on nearly every probe: every reply equals the one computed
@@ -834,6 +915,8 @@ let () =
             test_warm_request_allocation_guard;
           Alcotest.test_case "interleaved replies match the reference" `Quick
             test_interleaved_replies_match_reference;
+          Alcotest.test_case "a budget that never binds changes no bit" `Quick
+            test_non_binding_budget_changes_no_bit;
         ] );
       ( "socket",
         [
