@@ -121,8 +121,8 @@ let part_salt base suffix = if base = "" then "" else base ^ suffix
    [clauses] — the conditioned paths key on the tuple's own lineage and
    salt with the constraint-set fingerprint plus a conjunct tag, so the
    cached tree is the conjoined compile while lookups stay as cheap as the
-   unconditioned ones. *)
-let solve_part ?budget ?fuel ?cache ?(salt = "") ?key rng w clauses ~eps
+   unconditioned ones.  [lane] is asked for only when the tree samples. *)
+let solve_part ?budget ?fuel ?cache ?(salt = "") ?key lane w clauses ~eps
     ~delta =
   match clauses with
   | [] -> zero_part
@@ -136,7 +136,7 @@ let solve_part ?budget ?fuel ?cache ?(salt = "") ?key rng w clauses ~eps
               (Option.value key ~default:clauses)
         | None -> Compile.compile ?fuel w clauses
       in
-      let o = Compile.solve ?budget rng tree ~eps ~delta in
+      let o = Compile.solve_lane ?budget lane tree ~eps ~delta in
       {
         p_value = o.Compile.value;
         p_lo = o.Compile.lo;
@@ -149,20 +149,23 @@ let part_interval p = Interval.make p.p_lo p.p_hi
 (* Pr(ψ ∧ c) as a sound bracket: the difference of the two conjunct
    brackets, clamped to [0, 1] (the true difference is a probability).
    Each conjunct gets δ/4 so the four solves behind one conditioned answer
-   (two numerator, two denominator) union-bound to the requested δ. *)
-let solve_joint ?budget ?fuel ?cache ~salt ~key rng w c clauses ~eps ~delta =
-  let rngs = Rng.split_n rng 2 in
+   (two numerator, two denominator) union-bound to the requested δ.  The
+   conjuncts sample from the two lanes [Rng.split_n] would split from
+   [lane]; [lane] and the pair are built only once a conjunct samples. *)
+let solve_joint ?budget ?fuel ?cache ~salt ~key lane w c clauses ~eps ~delta =
+  let pair = lazy (Rng.lanes (lane ()) 2) in
+  let half k () = Rng.lane (Lazy.force pair) k in
   let pe = conjoin clauses c.positive in
   let with_e =
     solve_part ?budget ?fuel ?cache ~salt:(part_salt salt "#e") ?key
-      rngs.(0) w pe ~eps ~delta:(delta /. 4.)
+      (half 0) w pe ~eps ~delta:(delta /. 4.)
   in
   let with_ev =
     match c.violation with
     | [] -> zero_part
     | v ->
         solve_part ?budget ?fuel ?cache ~salt:(part_salt salt "#ev") ?key
-          rngs.(1) w (conjoin pe v) ~eps ~delta:(delta /. 4.)
+          (half 1) w (conjoin pe v) ~eps ~delta:(delta /. 4.)
   in
   let iv =
     Interval.clamp ~lo:0. ~hi:1.
@@ -185,11 +188,11 @@ type denominator = {
 let denominator_interval d = Interval.make d.d_lo d.d_hi
 let denominator_trials d = d.d_trials
 
-let solve_denominator ?budget ?fuel ?cache rng w c ~eps ~delta =
+let solve_denominator ?budget ?fuel ?cache lane w c ~eps ~delta =
   let salt = Constraint_set.fingerprint c.set in
   let value, iv, trials =
     solve_joint ?budget ?fuel ?cache ~salt:(part_salt salt "#c")
-      ~key:(Some [ Assignment.empty ]) rng w c [ Assignment.empty ] ~eps
+      ~key:(Some [ Assignment.empty ]) lane w c [ Assignment.empty ] ~eps
       ~delta
   in
   let detail reason =
@@ -212,11 +215,11 @@ let solve_denominator ?budget ?fuel ?cache rng w c ~eps ~delta =
       d_exact = trials = 0;
     }
 
-let solve_clauses ?budget ?fuel ?cache rng w c den clauses ~eps ~delta =
+let solve_clauses ?budget ?fuel ?cache lane w c den clauses ~eps ~delta =
   let salt = Constraint_set.fingerprint c.set in
   let value, num, trials =
     solve_joint ?budget ?fuel ?cache ~salt:(part_salt salt "#q")
-      ~key:(Some clauses) rng w c clauses ~eps ~delta
+      ~key:(Some clauses) lane w c clauses ~eps ~delta
   in
   let iv =
     Interval.clamp ~lo:0. ~hi:1.
@@ -231,17 +234,19 @@ let solve_clauses ?budget ?fuel ?cache rng w c den clauses ~eps ~delta =
     exact = den.d_exact && trials = 0;
   }
 
-(* Lane n is the denominator's; lanes 0..n-1 are per-tuple.  Splitting
-   from one seed keeps the whole conditioned answer a pure function of
-   (lineage, constraint set, seed, eps, delta, fuel). *)
+(* Lane n is the denominator's; lanes 0..n-1 are per-tuple.  Drawing
+   them from one seed keeps the whole conditioned answer a pure function of
+   (lineage, constraint set, seed, eps, delta, fuel); each lane is built
+   only when its tuple samples. *)
 let solve_batch ?budget ?fuel ?cache ~seed w c sets ~eps ~delta =
   let n = Array.length sets in
-  let rngs = Rng.split_n (Rng.create ~seed) (n + 1) in
-  let den = solve_denominator ?budget ?fuel ?cache rngs.(n) w c ~eps ~delta in
+  let lanes = lazy (Rng.lanes (Rng.create ~seed) (n + 1)) in
+  let lane i () = Rng.lane (Lazy.force lanes) i in
+  let den = solve_denominator ?budget ?fuel ?cache (lane n) w c ~eps ~delta in
   ( den,
     Array.mapi
       (fun i clauses ->
-        solve_clauses ?budget ?fuel ?cache rngs.(i) w c den clauses ~eps
+        solve_clauses ?budget ?fuel ?cache (lane i) w c den clauses ~eps
           ~delta)
       sets )
 

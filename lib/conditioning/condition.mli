@@ -97,9 +97,11 @@ val solve_batch :
   denominator * estimate array
 (** Conditioned confidence of every tuple lineage in [sets]: the shared
     [Pr(c)] denominator, then one estimate per tuple, in order.  The RNG
-    lanes are split from [seed]: lane [n] (one past the last tuple) feeds
-    the denominator, lane [i] tuple [i], so the answer is a pure function
-    of (lineage, constraint set, seed, eps, delta, fuel).  With a [cache],
+    lanes are drawn from [seed] ({!Pqdb_numeric.Rng.lanes} over [n + 1]):
+    lane [n] (one past the last tuple) feeds the denominator, lane [i]
+    tuple [i], so the answer is a pure function of (lineage, constraint
+    set, seed, eps, delta, fuel).  A lane is built only when its tuple
+    samples; an exactly compiled tuple builds none.  With a [cache],
     entries are keyed on each tuple's own clauses salted with the
     constraint-set fingerprint (plus a conjunct tag), so conditioned and
     unconditioned entries never alias and a warm conditioned answer is

@@ -38,38 +38,51 @@ let escape s =
    hello payload, so they are percent-encoded: '%', space and newline are
    the only bytes that could confuse the space-separated payload or the
    line framing.  "-" marks an absent field ("%2d" is a literal dash).
-   One counting pass; only when some byte needs escaping, one fill pass
-   into bytes of the exact final size. *)
-let pct_encode s =
-  if s = "" then "%00"
-  else if s = "-" then "%2d"
+   One counting pass gives the encoded length; one fill pass writes the
+   encoding straight into its destination, a plain blit when no byte needs
+   escaping. *)
+let pct_length s =
+  if s = "" || s = "-" then 3
   else begin
-    let n = String.length s in
     let escapes = ref 0 in
-    for i = 0 to n - 1 do
+    for i = 0 to String.length s - 1 do
       match String.unsafe_get s i with
       | '%' | ' ' | '\n' -> incr escapes
       | _ -> ()
     done;
-    if !escapes = 0 then s
-    else begin
-      let b = Bytes.create (n + (2 * !escapes)) in
-      let j = ref 0 in
-      let put3 e =
-        Bytes.blit_string e 0 b !j 3;
-        j := !j + 3
-      in
-      for i = 0 to n - 1 do
-        match String.unsafe_get s i with
-        | '%' -> put3 "%25"
-        | ' ' -> put3 "%20"
-        | '\n' -> put3 "%0a"
-        | c ->
-            Bytes.unsafe_set b !j c;
-            incr j
-      done;
-      Bytes.unsafe_to_string b
-    end
+    String.length s + (2 * !escapes)
+  end
+
+(* Write the [enc_len]-byte encoding of [s] ({!pct_length}) at [off]. *)
+let pct_blit s ~enc_len b off =
+  let n = String.length s in
+  if s = "" then Bytes.blit_string "%00" 0 b off 3
+  else if s = "-" then Bytes.blit_string "%2d" 0 b off 3
+  else if enc_len = n then Bytes.blit_string s 0 b off n
+  else begin
+    let j = ref off in
+    let put3 e =
+      Bytes.blit_string e 0 b !j 3;
+      j := !j + 3
+    in
+    for i = 0 to n - 1 do
+      match String.unsafe_get s i with
+      | '%' -> put3 "%25"
+      | ' ' -> put3 "%20"
+      | '\n' -> put3 "%0a"
+      | c ->
+          Bytes.unsafe_set b !j c;
+          incr j
+    done
+  end
+
+let pct_encode s =
+  let enc_len = pct_length s in
+  if enc_len = String.length s then s
+  else begin
+    let b = Bytes.create enc_len in
+    pct_blit s ~enc_len b 0;
+    Bytes.unsafe_to_string b
   end
 
 let hex_digit = function
@@ -78,58 +91,78 @@ let hex_digit = function
   | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
   | _ -> -1
 
-(* One pass: every '%' must be followed by exactly two hex digits. *)
-let pct_decode ~badf s =
-  if s = "%00" then ""
-  else if not (String.contains s '%') then s
+(* Decode [s.[pos .. stop-1]]: every '%' must be followed by exactly two
+   hex digits.  One validating pass counts the escapes, so the fill pass
+   writes into bytes of the exact size. *)
+let pct_decode_sub ~badf s pos stop =
+  let n = stop - pos in
+  let escape_at i =
+    if i + 2 >= stop then badf "truncated %-escape";
+    let hi = hex_digit s.[i + 1] and lo = hex_digit s.[i + 2] in
+    if hi < 0 || lo < 0 then
+      badf (Printf.sprintf "bad %%-escape in %S" (String.sub s pos n));
+    Char.unsafe_chr ((hi lsl 4) lor lo)
+  in
+  let escapes = ref 0 in
+  let i = ref pos in
+  while !i < stop do
+    if String.unsafe_get s !i = '%' then begin
+      ignore (escape_at !i);
+      incr escapes;
+      i := !i + 3
+    end
+    else incr i
+  done;
+  if n = 3 && s.[pos] = '%' && s.[pos + 1] = '0' && s.[pos + 2] = '0' then ""
+  else if !escapes = 0 then String.sub s pos n
   else begin
-    let n = String.length s in
-    let b = Buffer.create n in
-    let i = ref 0 in
-    while !i < n do
+    let b = Bytes.create (n - (2 * !escapes)) in
+    let i = ref pos in
+    for j = 0 to Bytes.length b - 1 do
       let c = String.unsafe_get s !i in
-      if c <> '%' then begin
-        Buffer.add_char b c;
-        incr i
-      end
-      else if !i + 2 >= n then badf "truncated %-escape"
-      else begin
-        let hi = hex_digit s.[!i + 1] and lo = hex_digit s.[!i + 2] in
-        if hi < 0 || lo < 0 then badf (Printf.sprintf "bad %%-escape in %S" s);
-        Buffer.add_char b (Char.unsafe_chr ((hi lsl 4) lor lo));
+      if c = '%' then begin
+        Bytes.unsafe_set b j (escape_at !i);
         i := !i + 3
       end
+      else begin
+        Bytes.unsafe_set b j c;
+        incr i
+      end
     done;
-    Buffer.contents b
+    Bytes.unsafe_to_string b
   end
+
+let pct_decode ~badf s = pct_decode_sub ~badf s 0 (String.length s)
 
 let source_fields = function
   | None -> "- -"
   | Some (db, rel) ->
       Printf.sprintf "%s %s" (pct_encode db) (pct_encode rel)
 
-let payload_of = function
+(* A payload is a plain head and, for the serve frames, a free-text tail
+   that travels percent-encoded: spec and body are free text (the body
+   typically multi-line), so the payload stays a single space-separated
+   line and decodes byte-exactly. *)
+let payload_parts = function
   | Hello { meta; probe; source } ->
-      Printf.sprintf "hello %s %s %s" probe (source_fields source) meta
+      (Printf.sprintf "hello %s %s %s" probe (source_fields source) meta, None)
   | Order { index; epoch; fp; trials; deadline_s } ->
-      Printf.sprintf "order %d %d %s %s %s" index epoch fp
-        (match trials with None -> "-" | Some t -> string_of_int t)
-        (match deadline_s with None -> "-" | Some d -> Printf.sprintf "%h" d)
+      ( Printf.sprintf "order %d %d %s %s %s" index epoch fp
+          (match trials with None -> "-" | Some t -> string_of_int t)
+          (match deadline_s with
+          | None -> "-"
+          | Some d -> Pqdb_numeric.Hexfmt.to_string d),
+        None )
   | Outcome { index; epoch; payload } ->
-      Printf.sprintf "outcome %d %d %s" index epoch payload
+      (Printf.sprintf "outcome %d %d %s" index epoch payload, None)
   | Failed { index; epoch; detail } ->
-      Printf.sprintf "failed %d %d %s" index epoch (escape detail)
-  | Lease { ttl_s } -> Printf.sprintf "lease %h" ttl_s
-  | Heartbeat -> "hb"
-  | Shutdown -> "bye"
-  (* Serve-layer frames.  Spec and body are free text (the body typically
-     multi-line), so both travel percent-encoded: the payload stays a
-     single space-separated line and decodes byte-exactly. *)
-  | Query { id; spec } -> Printf.sprintf "query %d %s" id (pct_encode spec)
+      (Printf.sprintf "failed %d %d %s" index epoch (escape detail), None)
+  | Lease { ttl_s } -> ("lease " ^ Pqdb_numeric.Hexfmt.to_string ttl_s, None)
+  | Heartbeat -> ("hb", None)
+  | Shutdown -> ("bye", None)
+  | Query { id; spec } -> (Printf.sprintf "query %d " id, Some spec)
   | Reply { id; ok; body } ->
-      Printf.sprintf "reply %d %s %s" id
-        (if ok then "ok" else "err")
-        (pct_encode body)
+      (Printf.sprintf "reply %d %s " id (if ok then "ok" else "err"), Some body)
 
 let bad detail = Pqdb_error.malformed ~source:"distrib-protocol" detail
 
@@ -148,10 +181,25 @@ let epoch_field what s =
   if e < 0 then bad (Printf.sprintf "%s epoch must be non-negative" what);
   e
 
-let msg_of_payload payload =
-  let tag, rest = split_first payload in
-  match tag with
+(* The end of the space-separated field that starts at [pos]. *)
+let field_end s pos len =
+  let i = ref pos in
+  while !i < len && String.unsafe_get s !i <> ' ' do
+    incr i
+  done;
+  !i
+
+(* Parse the first [len] bytes of [s] (a frame buffer: the terminator
+   follows).  Tag, id and status are read by index, and a serve frame's
+   free-text tail is unescaped from its offset in one exact-size copy; the
+   other frames split a copy of the text after the tag. *)
+let msg_of_payload s len =
+  let tag_end = field_end s 0 len in
+  let after = min len (tag_end + 1) in
+  let rest = lazy (String.sub s after (len - after)) in
+  match String.sub s 0 tag_end with
   | "hello" ->
+      let rest = Lazy.force rest in
       let probe, rest = split_first rest in
       let db, rest = split_first rest in
       let rel, meta = split_first rest in
@@ -165,6 +213,7 @@ let msg_of_payload payload =
       in
       Hello { meta; probe; source }
   | "order" -> (
+      let rest = Lazy.force rest in
       match String.split_on_char ' ' rest with
       | [ index; epoch; fp; trials; deadline ] ->
           let trials =
@@ -190,7 +239,7 @@ let msg_of_payload payload =
             }
       | _ -> bad (Printf.sprintf "order frame has wrong arity: %S" rest))
   | "outcome" ->
-      let index, rest = split_first rest in
+      let index, rest = split_first (Lazy.force rest) in
       let epoch, payload = split_first rest in
       Outcome
         {
@@ -199,7 +248,7 @@ let msg_of_payload payload =
           payload;
         }
   | "failed" ->
-      let index, rest = split_first rest in
+      let index, rest = split_first (Lazy.force rest) in
       let epoch, detail = split_first rest in
       Failed
         {
@@ -208,57 +257,97 @@ let msg_of_payload payload =
           detail;
         }
   | "lease" -> (
+      let rest = Lazy.force rest in
       match float_of_string_opt rest with
       | Some t when t > 0. && Float.is_finite t -> Lease { ttl_s = t }
       | _ -> bad (Printf.sprintf "lease ttl %S is not a positive float" rest))
   | "hb" -> Heartbeat
   | "bye" -> Shutdown
   | "query" ->
-      let id, spec = split_first rest in
-      if spec = "" then bad "query frame missing spec";
-      Query { id = int_field "query id" id; spec = pct_decode ~badf:bad spec }
+      let id_end = field_end s after len in
+      let spec = id_end + 1 in
+      if spec >= len then bad "query frame missing spec";
+      Query
+        {
+          id = int_field "query id" (String.sub s after (id_end - after));
+          spec = pct_decode_sub ~badf:bad s spec len;
+        }
   | "reply" -> (
-      let id, rest = split_first rest in
-      let status, body = split_first rest in
-      match status with
-      | "ok" | "err" ->
-          if body = "" then bad "reply frame missing body";
+      let id_end = field_end s after len in
+      let st = min len (id_end + 1) in
+      let st_end = field_end s st len in
+      match String.sub s st (st_end - st) with
+      | ("ok" | "err") as status ->
+          let body = st_end + 1 in
+          if body >= len then bad "reply frame missing body";
           Reply
             {
-              id = int_field "reply id" id;
+              id = int_field "reply id" (String.sub s after (id_end - after));
               ok = status = "ok";
-              body = pct_decode ~badf:bad body;
+              body = pct_decode_sub ~badf:bad s body len;
             }
-      | s -> bad (Printf.sprintf "reply status must be ok|err, got %S" s))
-  | _ -> bad (Printf.sprintf "unknown frame tag %S" tag)
+      | st -> bad (Printf.sprintf "reply status must be ok|err, got %S" st))
+  | tag -> bad (Printf.sprintf "unknown frame tag %S" tag)
 
 (* Frame: "f <8-hex payload length> <8-hex CRC-32 of payload> <payload>\n".
    Fixed-width header so the reader can consume it with exact-length reads
    and tell a clean EOF (nothing after a frame boundary) from a torn one. *)
 
-let encode msg =
-  let payload = payload_of msg in
-  Printf.sprintf "f %08x %s %s\n" (String.length payload)
-    (Checkpoint.crc32_hex payload) payload
-
 let header_len = 20 (* "f " + 8 hex + " " + 8 hex + " " *)
 
-let decode_frame ~header ~payload =
+(* Digit [k] (0 = most significant) of [v] as eight lower-case hex digits,
+   the way the header prints the length and the CRC. *)
+let hex8_digit v k = "0123456789abcdef".[(v lsr (28 - (4 * k))) land 0xF]
+
+let put_hex8 b off v =
+  for k = 0 to 7 do
+    Bytes.set b (off + k) (hex8_digit v k)
+  done
+
+(* One exact-size buffer: the payload is written (its free-text tail
+   escaped in place) behind room for the header, then the header's length
+   and CRC go in front of it. *)
+let encode msg =
+  let head, tail = payload_parts msg in
+  let hlen = String.length head in
+  let tlen = match tail with None -> 0 | Some t -> pct_length t in
+  let len = hlen + tlen in
+  if len > 0xFFFF_FFFF then invalid_arg "Protocol.encode: payload over 4 GiB";
+  let b = Bytes.create (header_len + len + 1) in
+  Bytes.blit_string head 0 b header_len hlen;
+  Option.iter (fun t -> pct_blit t ~enc_len:tlen b (header_len + hlen)) tail;
+  Bytes.set b (header_len + len) '\n';
+  Bytes.blit_string "f " 0 b 0 2;
+  put_hex8 b 2 len;
+  Bytes.set b 10 ' ';
+  put_hex8 b 11 (Checkpoint.crc32_bytes b header_len len);
+  Bytes.set b 19 ' ';
+  Bytes.unsafe_to_string b
+
+(* [payload] holds the payload's [len] bytes, then the terminator. *)
+let decode_frame ~header ~payload ~len =
   if String.length header <> header_len
      || header.[0] <> 'f' || header.[1] <> ' '
      || header.[10] <> ' ' || header.[19] <> ' '
   then bad "corrupt frame header";
-  let crc = String.sub header 11 8 in
-  if not (String.equal crc (Checkpoint.crc32_hex payload)) then
-    bad "frame CRC mismatch";
-  msg_of_payload payload
+  let crc = Checkpoint.crc32_bytes (Bytes.unsafe_of_string payload) 0 len in
+  for k = 0 to 7 do
+    if header.[11 + k] <> hex8_digit crc k then
+      bad "frame CRC mismatch"
+  done;
+  msg_of_payload payload len
 
+(* Exactly eight hex digits: [int_of_string] would also take '_'. *)
 let decode_header_len header =
   if String.length header <> header_len || header.[0] <> 'f' || header.[1] <> ' '
   then bad "corrupt frame header";
-  match int_of_string_opt ("0x" ^ String.sub header 2 8) with
-  | Some n when n >= 0 -> n
-  | _ -> bad "corrupt frame length"
+  let n = ref 0 in
+  for k = 2 to 9 do
+    let d = hex_digit header.[k] in
+    if d < 0 then bad "corrupt frame length";
+    n := (!n lsl 4) lor d
+  done;
+  !n
 
 (* Behavioral send faults.  [Torn] is implemented here — the peer sees a
    truncated frame (which its reader surfaces as the usual typed
@@ -360,7 +449,8 @@ let read_fd_rest ~site ~timeout_s ~deadline fd header =
   (try read_exact ~site ~timeout_s ~deadline fd payload 0 (len + 1)
    with End_of_file -> bad "truncated frame payload");
   if Bytes.get payload len <> '\n' then bad "frame missing terminator";
-  Some (decode_frame ~header ~payload:(Bytes.sub_string payload 0 len))
+  (* Read-only from here on. *)
+  Some (decode_frame ~header ~payload:(Bytes.unsafe_to_string payload) ~len)
 
 let read_fd ?timeout_s fd =
   let site = "distrib.recv" in

@@ -201,11 +201,12 @@ let fallback_outcome t partial =
     achieved_eps = partial.p_eps;
     complete = partial.p_complete }
 
-let solve ?budget rng t ~eps ~delta =
+let solve_lane ?budget lane t ~eps ~delta =
   if eps <= 0. || delta <= 0. then invalid_arg "Compile.solve";
   let r = Array.length t.residuals in
   if r = 0 then exact_outcome (eval [||] t.nodes)
   else begin
+    let rng = lane () in
     (* Truncation guard: Shannon cut-off can leave residual leaves whose
        combined worst-case budget exceeds just sampling the original DNF
        (clauses get duplicated across branches).  Compare the caps and take
@@ -236,3 +237,6 @@ let solve ?budget rng t ~eps ~delta =
         let rrs, trials, complete = solve_residuals ?budget rng t ~eps ~delta in
         assemble t rrs ~eps ~trials ~complete
   end
+
+let solve ?budget rng t ~eps ~delta =
+  solve_lane ?budget (fun () -> rng) t ~eps ~delta

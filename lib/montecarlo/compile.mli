@@ -152,3 +152,12 @@ val solve : ?budget:Budget.t -> Rng.t -> t -> eps:float -> delta:float -> outcom
     certify.  So a budget that never binds changes no bit, and without one
     the call returns [complete = true] with [achieved_eps = eps].
     @raise Invalid_argument when [eps <= 0] or [delta <= 0]. *)
+
+val solve_lane :
+  ?budget:Budget.t -> (unit -> Rng.t) -> t -> eps:float -> delta:float ->
+  outcome
+(** {!solve} with its generator asked for only when the DAG samples, that
+    is when it has residuals: an exact DAG never calls [lane].  A batch
+    whose tuples own one {!Rng.lane} each builds it here and nowhere else,
+    so its tuples that compile exactly pay for no generator, and the
+    outcome is bit-identical to {!solve} on the materialized lane. *)

@@ -96,7 +96,7 @@ type run = {
   nworkers : int;
   options : stream_options;
   plan : Shard.t array;
-  lanes : Rng.t array;
+  lanes : Rng.lanes option;  (* None for an empty batch *)
   probe : string;
   meta : string;
   journal : Shard.journal;
@@ -125,14 +125,14 @@ let open_run ?nworkers ?compile_fuel ?(options = default_stream_options) rng w
     invalid_arg "Confidence.open_run: nworkers must be positive";
   let n = Array.length clause_sets in
   let plan = Shard.plan ~eps ~delta ~max_cost:options.shard_cost clause_sets in
-  (* The handshake probe is drawn from a copy BEFORE the lanes split, so
-     opening a run advances the parent RNG identically everywhere. *)
-  let probe = Printf.sprintf "%h" (Rng.float (Rng.copy rng) 1.) in
-  (* Per-tuple lanes are split over the WHOLE batch up front; shards consume
-     their tuples' lanes only.  Combined with the lane contract of
+  (* The handshake probe is drawn from a copy BEFORE the lanes are drawn,
+     so opening a run advances the parent RNG identically everywhere. *)
+  let probe = Hexfmt.to_string (Rng.float (Rng.copy rng) 1.) in
+  (* Per-tuple lanes are drawn over the WHOLE batch up front; shards build
+     their sampling tuples' lanes only.  Combined with the lane contract of
      [solve_shard] this makes the stream bit-identical to any
      interrupted-and-resumed or distributed replay of itself. *)
-  let lanes = if n = 0 then [||] else Rng.split_n rng n in
+  let lanes = if n = 0 then None else Some (Rng.lanes rng n) in
   let meta =
     Shard.meta_payload ~n ~eps ~delta ~fuel:compile_fuel
       ~shard_cost:options.shard_cost
@@ -193,13 +193,14 @@ let apriori_outcome run (sh : Shard.t) ~fp ~error =
 
 (* One attempt at one shard over the whole-batch lanes — the unit of work a
    stream iteration, a retry, or a remote worker executes.  Tuple [i]
-   consumes only a fresh copy of [lanes.(i)], so every attempt (on any
-   process) replays exactly the stream a fault-free first attempt would have
-   consumed, and any partition of the batch into shards gives bit-identical
-   per-tuple results — the lane contract the streaming, resume and
-   distributed layers rest on.  Fires the "shard.run" fault point; failures
-   propagate for the caller's retry/quarantine policy, but a single tuple or
-   pool failure is contained and degrades only to the a-priori brackets. *)
+   consumes only lane [i], built fresh when the tuple samples, so every
+   attempt (on any process) replays exactly the stream a fault-free first
+   attempt would have consumed, and any partition of the batch into shards
+   gives bit-identical per-tuple results — the lane contract the streaming,
+   resume and distributed layers rest on.  Fires the "shard.run" fault
+   point; failures propagate for the caller's retry/quarantine policy, but
+   a single tuple or pool failure is contained and degrades only to the
+   a-priori brackets. *)
 let solve_shard ?budget run (sh : Shard.t) ~fp =
   Faultpoint.fire "shard.run";
   let n = sh.count in
@@ -207,7 +208,6 @@ let solve_shard ?budget run (sh : Shard.t) ~fp =
     Array.init n (fun j ->
         Compile.compile ?fuel:run.compile_fuel run.w run.clause_sets.(sh.first + j))
   in
-  let lanes = Array.init n (fun j -> Rng.copy run.lanes.(sh.first + j)) in
   let out = Array.make n 0. in
   let trials = Array.make n 0 in
   let masses = Array.make n 0. in
@@ -237,7 +237,9 @@ let solve_shard ?budget run (sh : Shard.t) ~fp =
     let task k =
       let j = live.(k) in
       match
-        Compile.solve ?budget lanes.(j) comps.(j) ~eps:run.eps ~delta:run.delta
+        Compile.solve ?budget
+          (Rng.lane (Option.get run.lanes) (sh.first + j))
+          comps.(j) ~eps:run.eps ~delta:run.delta
       with
       | o ->
           out.(j) <- o.Compile.value;

@@ -5,10 +5,11 @@
     residues are farmed to the adaptive Karp-Luby sampler over the domain
     pool.  Exact confidence lives in {!Lineage.exact}.
 
-    Determinism contract: every tuple gets its own
-    {!Pqdb_numeric.Rng.split_n} child stream and its own output slot, and
-    runs its residual budgets serially on one domain.  For a fixed parent
-    RNG state (and fixed compilation fuel) the estimates are therefore
+    Determinism contract: every tuple gets its own lane
+    ({!Pqdb_numeric.Rng.lane}, the stream {!Pqdb_numeric.Rng.split_n} would
+    give it, built only when the tuple samples) and its own output slot,
+    and runs its residual budgets serially on one domain.  For a fixed
+    parent RNG state (and fixed compilation fuel) the estimates are therefore
     bit-identical across runs {e and across pool sizes}; parallelism is
     across tuples only. *)
 
@@ -61,7 +62,7 @@ val total_trials : batch -> eps:float -> delta:float -> int
     one shard's compiled trees and samplers are resident at a time, so
     memory is bounded by the shard cost ceiling rather than the batch, and
     results are pushed to [emit] incrementally.  Per-tuple RNG lanes are
-    split over the whole batch up front, so without a budget the estimates
+    drawn over the whole batch up front, so without a budget the estimates
     do not depend on the shard geometry, the pool size or the process that
     runs a shard — and, through the journal, match any
     interrupted-and-resumed replay of the stream. *)
@@ -117,9 +118,10 @@ val open_run :
   ?nworkers:int -> ?compile_fuel:int -> ?options:stream_options -> Rng.t ->
   Wtable.t -> Assignment.t list array -> eps:float -> delta:float -> run
 (** Open a batch run: validate (ε, δ) and [options], plan the shards, draw
-    the probe, split the lanes (none for an empty batch), build the meta
+    the probe, draw the lanes (none for an empty batch), build the meta
     payload and, with [options.checkpoint], open (or resume) the journal.
-    The parent RNG advances by exactly one {!Pqdb_numeric.Rng.split_n}.
+    The parent RNG advances by exactly one {!Pqdb_numeric.Rng.split_n}'s
+    draws ({!Pqdb_numeric.Rng.lanes}); no lane is built here.
     [nworkers] (pool size per shard) defaults to {!Pool.default_workers}.
     @raise Invalid_argument on bad (ε, δ), options, [nworkers <= 0], or
     [resume] without a [checkpoint] path.
@@ -131,8 +133,8 @@ val plan : run -> Shard.t array
 
 val probe : run -> string
 (** The handshake RNG probe: a ["%h"] draw from a {e copy} of the batch
-    seed, taken before the lane split.  Literal equality between two runs
-    certifies that their seeds, hence all their lanes, agree. *)
+    seed, taken before the lanes are drawn.  Literal equality between two
+    runs certifies that their seeds, hence all their lanes, agree. *)
 
 val meta : run -> string
 (** {!Shard.meta_payload}: the journal's first record and the handshake's
@@ -147,9 +149,10 @@ val fingerprint : run -> Shard.t -> string
 
 val solve_shard :
   ?budget:Budget.t -> run -> Shard.t -> fp:string -> Shard.outcome
-(** One attempt at one shard, from fresh copies of its tuples' lanes.  By
-    the per-tuple-lane contract the outcome is bit-identical no matter
-    which process runs it, in what order, or after how many failed
+(** One attempt at one shard.  Each tuple that samples builds its lane
+    afresh ({!Pqdb_numeric.Rng.lane}); a tuple that compiles exactly builds
+    none.  By the per-tuple-lane contract the outcome is bit-identical no
+    matter which process runs it, in what order, or after how many failed
     attempts.  [budget], if given, is the attempt's own budget — the caller
     charges any parent afterwards.  [fp] is stored in the outcome.  Fires
     the ["shard.run"] fault point; failures propagate. *)
@@ -190,7 +193,7 @@ val run_stream :
   eps:float -> delta:float -> emit:(Shard.outcome -> unit) -> stream_summary
 (** Stream the batch shard by shard, calling [emit] once per shard in plan
     order: {!open_run}, then per shard either its resumed record or
-    {!solve_with_retries} (fresh lane copies per attempt, so retries replay
+    {!solve_with_retries} (lanes built afresh per attempt, so retries replay
     the fault-free stream) and {!journal_outcome}, then {!emit_outcome};
     {!close_run} gives the summary.  Each shard is released before the next
     one starts.

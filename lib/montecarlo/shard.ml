@@ -69,12 +69,28 @@ type outcome = {
 (* --- serialization ------------------------------------------------------ *)
 
 let add_batch_line buf i est lo hi trials =
-  Printf.bprintf buf "%d %h %h %h %d\n" i est lo hi trials
+  Hexfmt.add_int buf i;
+  Buffer.add_char buf ' ';
+  Hexfmt.add_float buf est;
+  Buffer.add_char buf ' ';
+  Hexfmt.add_float buf lo;
+  Buffer.add_char buf ' ';
+  Hexfmt.add_float buf hi;
+  Buffer.add_char buf ' ';
+  Hexfmt.add_int buf trials;
+  Buffer.add_char buf '\n'
 
-let floats_csv a =
-  String.concat "," (List.map (Printf.sprintf "%h") (Array.to_list a))
+let csv add a =
+  let buf = Buffer.create (24 * Array.length a) in
+  Array.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_char buf ',';
+      add buf x)
+    a;
+  Buffer.contents buf
 
-let ints_csv a = String.concat "," (List.map string_of_int (Array.to_list a))
+let floats_csv = csv Hexfmt.add_float
+let ints_csv = csv Hexfmt.add_int
 
 let to_payload o =
   if o.quarantined <> None then
@@ -171,7 +187,8 @@ let of_payload ?(resumed = true) ~source ~record s =
   }
 
 let meta_payload ~n ~eps ~delta ~fuel ~shard_cost =
-  Printf.sprintf "meta n=%d eps=%h delta=%h fuel=%s shard_cost=%d" n eps delta
+  Printf.sprintf "meta n=%d eps=%s delta=%s fuel=%s shard_cost=%d" n
+    (Hexfmt.to_string eps) (Hexfmt.to_string delta)
     (match fuel with None -> "default" | Some f -> string_of_int f)
     shard_cost
 

@@ -3,10 +3,24 @@ type t = Random.State.t
 let create ~seed = Random.State.make [| seed; 0x9e3779b9; seed lxor 0x5deece66d |]
 let split t = Random.State.make [| Random.State.bits t; Random.State.bits t |]
 
+type lanes = { a : int; b : int; count : int }
+
+let draw_lanes t count =
+  let a = Random.State.bits t and b = Random.State.bits t in
+  { a; b; count }
+
+let lanes t n =
+  if n <= 0 then invalid_arg "Rng.lanes: n must be positive";
+  draw_lanes t n
+
+let lane l i =
+  if i < 0 || i >= l.count then invalid_arg "Rng.lane: index out of range";
+  Random.State.make [| l.a; l.b; i; 0x9e3779b9 |]
+
 let split_n t n =
   if n <= 0 then invalid_arg "Rng.split_n: n must be positive";
-  let a = Random.State.bits t and b = Random.State.bits t in
-  Array.init n (fun i -> Random.State.make [| a; b; i; 0x9e3779b9 |])
+  let l = draw_lanes t n in
+  Array.init n (lane l)
 let copy = Random.State.copy
 let int t bound = Random.State.int t bound
 let float t bound = Random.State.float t bound

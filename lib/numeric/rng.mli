@@ -20,6 +20,28 @@ val split_n : t -> int -> t array
     bit-deterministic for a fixed (seed, worker count).
     @raise Invalid_argument when [n <= 0]. *)
 
+(** {1 Lanes on demand}
+
+    The lanes a {!split_n} would return, built one at a time.  Drawing
+    [lanes t n] advances the parent exactly as [split_n t n] does (two
+    [bits] draws), and [lane l i] is a generator whose stream equals
+    [(split_n t n).(i)] from the same parent state.  A batch whose tuples
+    mostly resolve without sampling draws its lanes once and builds only
+    the lanes of the tuples that sample: the answer is the same, bit for
+    bit, and every lane built is fresh, so it needs no {!copy}. *)
+
+type lanes
+
+val lanes : t -> int -> lanes
+(** [lanes t n] fixes [n] lanes from the parent's current state, advancing
+    it by the two draws {!split_n} makes.
+    @raise Invalid_argument when [n <= 0]. *)
+
+val lane : lanes -> int -> t
+(** [lane l i] builds lane [i] afresh: each call returns a new generator at
+    the start of the lane's stream.
+    @raise Invalid_argument unless [0 <= i < n]. *)
+
 val copy : t -> t
 val int : t -> int -> int
 (** Uniform on [\[0, bound)]. *)

@@ -1,25 +1,59 @@
 let magic = "pqdb-checkpoint/v1"
 
-(* IEEE 802.3 CRC-32, table-driven; hand-rolled so the runtime library keeps
-   its no-dependency footprint.  The register is an unboxed [int] holding
-   32 bits, so the per-byte loop allocates nothing. *)
-let crc_table =
+(* IEEE 802.3 CRC-32, slicing-by-4; hand-rolled so the runtime library
+   keeps its no-dependency footprint.  [t0] is the bytewise table; [tk.(n)]
+   is the register contribution of byte [n] followed by [k] zero bytes, so
+   four bytes read as one little-endian word fold into the register with
+   four lookups.  The register is an unboxed [int] holding 32 bits, so the
+   loop allocates nothing. *)
+type crc_tables = {
+  t0 : int array;
+  t1 : int array;
+  t2 : int array;
+  t3 : int array;
+}
+
+let crc_tables =
   lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+    (let t0 =
+       Array.init 256 (fun n ->
+           let c = ref n in
+           for _ = 0 to 7 do
+             c :=
+               if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1)
+               else !c lsr 1
+           done;
+           !c)
+     in
+     let next t = Array.map (fun c -> t0.(c land 0xFF) lxor (c lsr 8)) t in
+     let t1 = next t0 in
+     let t2 = next t1 in
+     { t0; t1; t2; t3 = next t2 })
+
+let crc32_bytes b pos len =
+  if pos < 0 || len < 0 || pos > Bytes.length b - len then
+    invalid_arg "Checkpoint.crc32_bytes";
+  let { t0; t1; t2; t3 } = Lazy.force crc_tables in
+  let c = ref 0xFFFFFFFF in
+  let i = ref pos in
+  let words_end = pos + (len land lnot 3) in
+  while !i < words_end do
+    let x = !c lxor (Int32.to_int (Bytes.get_int32_le b !i) land 0xFFFFFFFF) in
+    c :=
+      Array.unsafe_get t3 (x land 0xFF)
+      lxor Array.unsafe_get t2 ((x lsr 8) land 0xFF)
+      lxor Array.unsafe_get t1 ((x lsr 16) land 0xFF)
+      lxor Array.unsafe_get t0 (x lsr 24);
+    i := !i + 4
+  done;
+  for j = words_end to pos + len - 1 do
+    let byte = Char.code (Bytes.unsafe_get b j) in
+    c := Array.unsafe_get t0 ((!c lxor byte) land 0xFF) lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFFFFFF
 
 let crc32 s =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFF in
-  for i = 0 to String.length s - 1 do
-    let byte = Char.code (String.unsafe_get s i) in
-    c := Array.unsafe_get table ((!c lxor byte) land 0xFF) lxor (!c lsr 8)
-  done;
-  Int32.of_int (!c lxor 0xFFFFFFFF)
+  Int32.of_int (crc32_bytes (Bytes.unsafe_of_string s) 0 (String.length s))
 
 let crc32_hex s = Printf.sprintf "%08lx" (crc32 s)
 

@@ -28,6 +28,12 @@ val crc32 : string -> int32
 (** IEEE CRC-32 of a string — the checksum used by the journal frames, the
     distrib protocol and the binary storage segments. *)
 
+val crc32_bytes : Bytes.t -> int -> int -> int
+(** [crc32_bytes b pos len] is {!crc32} of [len] bytes of [b] from [pos],
+    as an [int] in [\[0, 2{^32})] — how a wire frame checksums its payload
+    in place, without copying it out.
+    @raise Invalid_argument when the range is outside [b]. *)
+
 val crc32_hex : string -> string
 (** Lower-case 8-hex-digit rendering of {!crc32} (exposed so tests can
     craft corrupt and conflicting journals, and callers can fingerprint

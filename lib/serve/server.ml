@@ -175,18 +175,21 @@ let relation_groups t relation =
 (* The conf body reuses the batch output contract verbatim — one
    {!Shard.add_batch_line} per tuple (index, estimate, lo, hi, trials) — so
    a serve reply is byte-comparable against `pqdb batch` output and against
-   itself across warm and cold runs. *)
+   itself across warm and cold runs.  Tuple [i] samples from lane [i] of
+   [seed], the lane [Rng.split_n] would give it; the lanes are drawn, and
+   lane [i] built, only once some tuple's tree samples. *)
 let run_conf t ?budget ~relation ~eps ~delta ~seed ~fuel () =
   let { sets; codes; _ } = relation_groups t relation in
   let w = Udb.wtable t.udb in
   let n = Array.length sets in
-  let rngs = Rng.split_n (Rng.create ~seed) n in
+  let lanes = lazy (Rng.lanes (Rng.create ~seed) n) in
   let buf = Buffer.create (64 * (n + 1)) in
   for i = 0 to n - 1 do
     let tree =
       Memo.find_or_compile t.cache ?fuel ~code:codes.(i) w sets.(i)
     in
-    let o = Compile.solve ?budget rngs.(i) tree ~eps ~delta in
+    let lane () = Rng.lane (Lazy.force lanes) i in
+    let o = Compile.solve_lane ?budget lane tree ~eps ~delta in
     Shard.add_batch_line buf i o.Compile.value o.Compile.lo o.Compile.hi
       o.Compile.trials
   done;

@@ -258,6 +258,55 @@ let crc32_matches_bitwise =
             (oneof [ return 0; int_range 0 8; int_range 0 2000 ])))
     (fun s -> Int32.equal (Checkpoint.crc32 s) (crc32_bitwise s))
 
+(* The bytewise table CRC-32 the slicing-by-4 loop replaced. *)
+let crc32_bytewise =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  fun s ->
+    let c = ref 0xFFFFFFFF in
+    String.iter
+      (fun ch -> c := table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8))
+      s;
+    Int32.of_int (!c lxor 0xFFFFFFFF)
+
+(* Every length from 0 to 64 covers each word/tail split of the four-byte
+   loop; [crc32_bytes] at every alignment and 1 MB cover the rest. *)
+let test_crc32_matches_bytewise () =
+  let rng = Random.State.make [| 2024 |] in
+  let random_string n =
+    String.init n (fun _ -> Char.chr (Random.State.int rng 256))
+  in
+  for n = 0 to 64 do
+    for _ = 1 to 8 do
+      let s = random_string n in
+      check Alcotest.int32
+        (Printf.sprintf "length %d" n)
+        (crc32_bytewise s) (Checkpoint.crc32 s);
+      for pos = 0 to min 3 n do
+        let len = n - pos in
+        check Alcotest.int
+          (Printf.sprintf "length %d from %d" len pos)
+          (Int32.to_int (crc32_bytewise (String.sub s pos len)) land 0xFFFFFFFF)
+          (Checkpoint.crc32_bytes (Bytes.of_string s) pos len)
+      done
+    done
+  done;
+  let mb = random_string (1 lsl 20) in
+  check Alcotest.int32 "1 MB" (crc32_bytewise mb) (Checkpoint.crc32 mb);
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "range %d+%d of 4" pos len)
+        (Invalid_argument "Checkpoint.crc32_bytes") (fun () ->
+          ignore (Checkpoint.crc32_bytes (Bytes.make 4 'x') pos len)))
+    [ (-1, 2); (0, 5); (3, 2); (2, -1) ]
+
 let test_journal_framing () =
   clear_all ();
   with_temp_dir (fun dir ->
@@ -1079,6 +1128,8 @@ let () =
           Alcotest.test_case "crc32 known answer" `Quick
             test_crc32_known_answer;
           qcheck crc32_matches_bitwise;
+          Alcotest.test_case "crc32 matches the bytewise table" `Quick
+            test_crc32_matches_bytewise;
           Alcotest.test_case "framing round-trip" `Quick test_journal_framing;
           Alcotest.test_case "torn tail tolerated" `Quick test_torn_tail;
           Alcotest.test_case "mid-file corruption typed" `Quick

@@ -435,6 +435,130 @@ let any_bytes_roundtrip =
       in
       decode_all (String.concat "" (List.map Protocol.encode msgs)) = msgs)
 
+(* The frame encoder as it was before frames were built in one buffer, kept
+   as the reference the wire must not drift from: payload text through
+   Printf (floats as "%h"), free text percent-encoded byte by byte, and a
+   bytewise table CRC-32. *)
+module Reference_encoder = struct
+  let crc_table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+
+  let crc32 s =
+    let c = ref 0xFFFFFFFF in
+    String.iter
+      (fun ch ->
+        c := crc_table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8))
+      s;
+    !c lxor 0xFFFFFFFF
+
+  let pct_encode s =
+    if s = "" then "%00"
+    else if s = "-" then "%2d"
+    else
+      String.concat ""
+        (List.map
+           (function
+             | '%' -> "%25" | ' ' -> "%20" | '\n' -> "%0a"
+             | c -> String.make 1 c)
+           (List.of_seq (String.to_seq s)))
+
+  let escape s = String.concat "\\n" (String.split_on_char '\n' s)
+
+  let payload = function
+    | Protocol.Hello { meta; probe; source } ->
+        Printf.sprintf "hello %s %s %s" probe
+          (match source with
+          | None -> "- -"
+          | Some (db, rel) ->
+              Printf.sprintf "%s %s" (pct_encode db) (pct_encode rel))
+          meta
+    | Protocol.Order { index; epoch; fp; trials; deadline_s } ->
+        Printf.sprintf "order %d %d %s %s %s" index epoch fp
+          (match trials with None -> "-" | Some t -> string_of_int t)
+          (match deadline_s with
+          | None -> "-"
+          | Some d -> Printf.sprintf "%h" d)
+    | Protocol.Outcome { index; epoch; payload } ->
+        Printf.sprintf "outcome %d %d %s" index epoch payload
+    | Protocol.Failed { index; epoch; detail } ->
+        Printf.sprintf "failed %d %d %s" index epoch (escape detail)
+    | Protocol.Lease { ttl_s } -> Printf.sprintf "lease %h" ttl_s
+    | Protocol.Heartbeat -> "hb"
+    | Protocol.Shutdown -> "bye"
+    | Protocol.Query { id; spec } ->
+        Printf.sprintf "query %d %s" id (pct_encode spec)
+    | Protocol.Reply { id; ok; body } ->
+        Printf.sprintf "reply %d %s %s" id
+          (if ok then "ok" else "err")
+          (pct_encode body)
+
+  let encode msg =
+    let p = payload msg in
+    Printf.sprintf "f %08x %08x %s\n" (String.length p) (crc32 p) p
+end
+
+let encoder_matches_reference =
+  QCheck.Test.make ~name:"encode = the reference encoder, and decodes back"
+    ~count:500
+    QCheck.(
+      pair (int_range 0 1_000_000)
+        (make ~print:(Printf.sprintf "%S")
+           Gen.(
+             oneof
+               [ return ""; return "-";
+                 string_size
+                   ~gen:(map Char.chr (int_range 0 255))
+                   (int_range 0 400) ])))
+    (fun (seed, s) ->
+      clear_all ();
+      let msgs =
+        [ msg_of_seed seed;
+          Protocol.Reply { id = seed; ok = seed mod 2 = 0; body = s };
+          Protocol.Query { id = seed; spec = s };
+          Protocol.Failed { index = 1; epoch = 2; detail = s };
+          Protocol.Lease { ttl_s = Int64.float_of_bits (Int64.of_int seed) +. 1. };
+          Protocol.Order
+            { index = seed; epoch = 0; fp = "00c0ffee"; trials = None;
+              deadline_s = Some (float_of_int seed /. 7.) } ]
+      in
+      List.for_all
+        (fun m ->
+          let frame = Protocol.encode m in
+          String.equal frame (Reference_encoder.encode m)
+          && (match m with
+             (* A failure detail's newlines are escaped one way only. *)
+             | Protocol.Failed _ -> true
+             | m -> decode_all frame = [ m ]))
+        msgs)
+
+(* The length field is exactly eight hex digits.  [int_of_string] also
+   reads '_' as a digit separator, which let "0000_00a" pass for 10. *)
+let test_length_field_strict () =
+  clear_all ();
+  let payload = "query 1 ab" in
+  let frame len =
+    Printf.sprintf "f %s %08x %s\n" len (Reference_encoder.crc32 payload)
+      payload
+  in
+  check bool_c "a well-formed length decodes" true
+    (decode_all (frame "0000000a")
+    = [ Protocol.Query { id = 1; spec = "ab" } ]);
+  check bool_c "upper-case hex digits decode" true
+    (decode_all (frame "0000000A")
+    = [ Protocol.Query { id = 1; spec = "ab" } ]);
+  List.iter
+    (fun len ->
+      match decode_all (frame len) with
+      | _ -> Alcotest.failf "length field %S decoded" len
+      | exception E.Error (E.Malformed_input _) -> ())
+    [ "0000_00a"; "_000000a"; "+000000a"; "-000000a"; "0x00000a"; " 000000a";
+      "000000a " ]
+
 (* Each behavioral send mode, observed on the wire through a real pipe:
    torn leaves a typed-malformed half frame, delay leaves a whole (late)
    frame, stall blocks until the registry releases it.  The reader side of
@@ -863,6 +987,9 @@ let () =
           qcheck any_bytes_roundtrip;
           Alcotest.test_case "behavioral send modes on the wire" `Quick
             test_behavioral_send_modes;
+          qcheck encoder_matches_reference;
+          Alcotest.test_case "length field is eight hex digits" `Quick
+            test_length_field_strict;
         ] );
       ( "identity",
         [

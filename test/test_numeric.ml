@@ -566,6 +566,109 @@ let test_theorem_6_7_monotonicity () =
   check bool_c "anti-monotone in eps0" true
     (Stats.theorem_6_7_rounds ~eps0:0.2 ~delta:0.05 ~k:2 ~d:2 ~n:10 < base)
 
+(* ------------------------------------------------------------------ *)
+(* RNG lanes on demand                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* A lane built on demand streams what the materialized [split_n] child
+   streams, in any build order, and drawing the lanes advances the parent
+   exactly as [split_n] does. *)
+let test_rng_lanes_match_split_n () =
+  let draw rng = List.init 20 (fun _ -> Rng.int rng 1_000_000) in
+  List.iter
+    (fun (seed, n) ->
+      let p1 = Rng.create ~seed and p2 = Rng.create ~seed in
+      let l = Rng.lanes p1 n and children = Rng.split_n p2 n in
+      List.iter
+        (fun i ->
+          check (Alcotest.list int_c)
+            (Printf.sprintf "seed %d: lane %d of %d" seed i n)
+            (draw children.(i)) (draw (Rng.lane l i)))
+        (List.rev (List.init n Fun.id));
+      check (Alcotest.list int_c)
+        (Printf.sprintf "seed %d, %d lanes: parents end alike" seed n)
+        (draw p2) (draw p1);
+      check (Alcotest.list int_c) "a lane is built fresh every time"
+        (draw (Rng.lane l 0)) (draw (Rng.lane l 0)))
+    [ (1, 1); (42, 3); (7, 128) ];
+  Alcotest.check_raises "n = 0"
+    (Invalid_argument "Rng.lanes: n must be positive") (fun () ->
+      ignore (Rng.lanes (Rng.create ~seed:1) 0));
+  let l = Rng.lanes (Rng.create ~seed:1) 2 in
+  List.iter
+    (fun i ->
+      Alcotest.check_raises (Printf.sprintf "lane %d of 2" i)
+        (Invalid_argument "Rng.lane: index out of range") (fun () ->
+          ignore (Rng.lane l i)))
+    [ -1; 2 ]
+
+(* ------------------------------------------------------------------ *)
+(* The %h / %d writer                                                  *)
+(* ------------------------------------------------------------------ *)
+
+let hexfmt x =
+  let b = Buffer.create 24 in
+  Hexfmt.add_float b x;
+  Buffer.contents b
+
+let hexfmt_int n =
+  let b = Buffer.create 24 in
+  Hexfmt.add_int b n;
+  Buffer.contents b
+
+let prop_hexfmt_bit_patterns =
+  QCheck.Test.make ~name:"%h writer = Printf over int64 bit patterns"
+    ~count:20_000 QCheck.int64 (fun bits ->
+      let x = Int64.float_of_bits bits in
+      String.equal (hexfmt x) (Printf.sprintf "%h" x))
+
+let prop_hexfmt_uniforms =
+  QCheck.Test.make ~name:"%h writer = Printf over uniforms on [0, 1]"
+    ~count:20_000 (QCheck.float_bound_inclusive 1.) (fun x ->
+      String.equal (hexfmt x) (Printf.sprintf "%h" x)
+      && String.equal (Hexfmt.to_string x) (Printf.sprintf "%h" x))
+
+let prop_hexfmt_ints =
+  QCheck.Test.make ~name:"%d writer = string_of_int" ~count:20_000 QCheck.int
+    (fun n -> String.equal (hexfmt_int n) (string_of_int n))
+
+let test_hexfmt_fixed () =
+  let floats =
+    [ 0.; -0.; infinity; neg_infinity; nan; -.nan;
+      Int64.float_of_bits 0x7FF0_0000_0000_0001L;
+      Int64.float_of_bits 0x7FF8_0000_DEAD_BEEFL;
+      Int64.float_of_bits 0xFFF4_0000_0000_0000L;
+      Int64.float_of_bits 1L; Int64.float_of_bits 0x000F_FFFF_FFFF_FFFFL;
+      -.Int64.float_of_bits 1L; Float.min_float; -.Float.min_float;
+      Float.max_float; -.Float.max_float; 0.5; Float.pred 0.5;
+      Float.succ 0.5; 1.; Float.pred 1.; Float.succ 1.; 3.; 1e300; 1e-300;
+      0.1; -2.5 ]
+  in
+  List.iter
+    (fun x ->
+      let want = Printf.sprintf "%h" x in
+      check string_c want want (hexfmt x))
+    floats;
+  check string_c "smallest subnormal" "0x0.0000000000001p-1022"
+    (hexfmt (Int64.float_of_bits 1L));
+  check string_c "negative zero" "-0x0p+0" (hexfmt (-0.));
+  List.iter
+    (fun n -> check string_c (string_of_int n) (string_of_int n) (hexfmt_int n))
+    [ 0; 1; -1; 9; 10; -10; 99; 100; max_int; min_int; max_int - 1;
+      min_int + 1 ]
+
+let prop_add_batch_line =
+  QCheck.Test.make ~name:"add_batch_line = Printf \"%d %h %h %h %d\\n\""
+    ~count:5_000
+    QCheck.(
+      pair (pair int int64) (pair (pair int64 (float_bound_inclusive 1.)) int))
+    (fun ((i, est), ((lo, hi), trials)) ->
+      let est = Int64.float_of_bits est and lo = Int64.float_of_bits lo in
+      let b = Buffer.create 64 in
+      Pqdb_montecarlo.Shard.add_batch_line b i est lo hi trials;
+      String.equal (Buffer.contents b)
+        (Printf.sprintf "%d %h %h %h %d\n" i est lo hi trials))
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 let () =
@@ -626,6 +729,16 @@ let () =
           Alcotest.test_case "alias singleton" `Quick test_rng_alias_singleton;
           Alcotest.test_case "split_n deterministic" `Quick
             test_rng_split_n_deterministic;
+          Alcotest.test_case "lanes on demand match split_n" `Quick
+            test_rng_lanes_match_split_n;
+        ] );
+      ( "hexfmt",
+        [
+          Alcotest.test_case "fixed values" `Quick test_hexfmt_fixed;
+          qcheck prop_hexfmt_bit_patterns;
+          qcheck prop_hexfmt_uniforms;
+          qcheck prop_hexfmt_ints;
+          qcheck prop_add_batch_line;
         ] );
       ( "edge cases",
         [

@@ -698,6 +698,187 @@ let test_interleaved_replies_match_reference () =
       check bool_c "the small cache evicted" true
         ((Server.stats srv).Server.cache.Memo.evictions > 0))
 
+(* Which path [Compile.solve] takes on a tuple, re-derived from the
+   compiled DAG: no residuals (exact), the truncation guard's whole-DNF
+   fallback, or one pass per residual.  Mirrors the guard in compile.ml,
+   so that the fixture below provably covers all three. *)
+let solve_path w ?fuel cs ~eps ~delta =
+  let t = Compile.compile ?fuel w cs in
+  let r = Compile.residual_count t in
+  if r = 0 then `Exact
+  else if Compile.size t = 1 then `Residual
+  else
+    let d = delta /. 2. /. float_of_int r in
+    let cap =
+      Array.fold_left
+        (fun acc dnf ->
+          if Dnf.is_trivially_false dnf || Dnf.is_trivially_true dnf
+             || Dnf.clause_count dnf = 1
+          then acc
+          else
+            Stats.saturating_add acc
+              (Stats.karp_luby_trials ~clauses:(Dnf.clause_count dnf) ~eps
+                 ~delta:d))
+        0 (Compile.residuals t)
+    in
+    let whole = List.length (Lineage.normalize cs) in
+    if Stats.karp_luby_trials ~clauses:whole ~eps ~delta < cap then `Fallback
+    else `Residual
+
+(* The conditioned reply under Holds constraints only, materialized:
+   [split_n] lanes over n + 1 (the last for Pr(c)), each split in two for
+   the conjuncts, every conjunct compiled cold and solved at δ/4, then the
+   difference and ratio brackets of Condition. *)
+let materialized_conditioned_reply udb cset ~relation ~seed ?fuel ~eps
+    ~delta () =
+  let module C = Pqdb_conditioning.Condition in
+  let w = Udb.wtable udb in
+  let sets = Udb.relation_sets udb relation in
+  let positive =
+    List.fold_left
+      (fun acc item ->
+        match item with
+        | Pqdb_ast.Uconstraint.Holds q ->
+            let u = Pqdb.Eval_exact.eval udb (Pqdb_ast.Ua.project [] q) in
+            C.conjoin acc
+              (Urelation.clauses_for u (Pqdb_relational.Tuple.of_list []))
+        | _ -> Alcotest.fail "materialized reference: Holds constraints only")
+      [ Assignment.empty ]
+      (Pqdb_conditioning.Constraint_set.items cset)
+  in
+  let joint lane clauses =
+    let halves = Rng.split_n lane 2 in
+    let pe = C.conjoin clauses positive in
+    let o =
+      Compile.solve halves.(0) (Compile.compile ?fuel w pe) ~eps
+        ~delta:(delta /. 4.)
+    in
+    let iv =
+      Interval.clamp ~lo:0. ~hi:1.
+        (Interval.difference
+           (Interval.make o.Compile.lo o.Compile.hi)
+           (Interval.make 0. 0.))
+    in
+    ( Float.max iv.Interval.lo (Float.min iv.Interval.hi o.Compile.value),
+      iv,
+      o.Compile.trials )
+  in
+  let n = Array.length sets in
+  let lanes = Rng.split_n (Rng.create ~seed) (n + 1) in
+  let dv, den, _ = joint lanes.(n) [ Assignment.empty ] in
+  let buf = Buffer.create 4096 in
+  Array.iteri
+    (fun i cs ->
+      let v, num, trials = joint lanes.(i) cs in
+      let iv = Interval.clamp ~lo:0. ~hi:1. (Interval.ratio ~num ~den) in
+      let est =
+        Float.max iv.Interval.lo (Float.min iv.Interval.hi (v /. dv))
+      in
+      Printf.bprintf buf "%d %h %h %h %d\n" i est iv.Interval.lo
+        iv.Interval.hi trials)
+    sets;
+  Buffer.contents buf
+
+(* Lanes on demand and the direct %h writer print what the materialized
+   lanes and Printf print, on a relation whose reply mixes exactly compiled,
+   residual-sampled and fallback-sampled tuples, with and without an
+   asserted constraint. *)
+let test_mixed_relation_matches_materialized_reference () =
+  clear_all ();
+  let rng = Rng.create ~seed:31 in
+  let udb = Udb.create () in
+  let w = Udb.wtable udb in
+  (* Each tuple's lineage is one or more random DNFs over fresh variables,
+     so separate DNFs are independent components.  At fuel 2 a single
+     clause, or a small DNF beside single clauses, compiles exactly; a hard
+     DNF alone is expanded once into residuals whose summed cost trips the
+     truncation guard; and a hard DNF beside enough exactly solved single
+     clauses keeps its residual pass. *)
+  let singles k = List.init k (fun _ -> (1, 1)) in
+  let shapes =
+    [ [ (3, 1) ]; [ (8, 6) ]; (8, 6) :: singles 6; [ (1, 1) ];
+      (12, 12) :: singles 20; (5, 4) :: singles 8; [ (12, 12) ];
+      (8, 6) :: singles 12 ]
+  in
+  let tuple i = Pqdb_relational.(Tuple.of_list [ Value.Int i ]) in
+  let rows =
+    List.concat
+      (List.mapi
+         (fun i parts ->
+           List.concat_map
+             (fun (vars, clauses) ->
+               List.map
+                 (fun c -> (c, tuple i))
+                 (Gen.random_dnf rng w ~vars ~clauses ~clause_len:3))
+             parts)
+         shapes)
+  in
+  let schema = Pqdb_relational.Schema.of_list [ "id" ] in
+  Udb.add_urelation udb "m" (Urelation.make schema rows);
+  (* The constraint relation is one clause, so Pr(c) and the
+     single-clause tuples stay exact under [assert (g)]. *)
+  Udb.add_urelation udb "g"
+    (Urelation.make schema
+       (List.map
+          (fun c -> (c, tuple 0))
+          (Gen.random_dnf rng w ~vars:2 ~clauses:1 ~clause_len:2)));
+  Udb.add_urelation udb "e" (Urelation.make schema []);
+  let db = temp_path ".udbb" in
+  Udb_io.save db udb;
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists db then Sys.remove db)
+    (fun () ->
+      let udb = Udb_io.load db in
+      let w = Udb.wtable udb in
+      let sets = Udb.relation_sets udb "m" in
+      let fuel = 2 and eps = 0.05 and delta = 0.01 in
+      let paths =
+        Array.map (fun cs -> solve_path w ~fuel cs ~eps ~delta) sets
+      in
+      List.iter
+        (fun (name, p) ->
+          check bool_c ("the reply has a tuple that is " ^ name) true
+            (Array.exists (( = ) p) paths))
+        [ ("exact", `Exact); ("residual-sampled", `Residual);
+          ("fallback-sampled", `Fallback) ];
+      let srv = Server.create (config ~db_path:db (Server.Tcp 1)) in
+      let request = Printf.sprintf "conf m fuel=%d" fuel in
+      let reference = expected_reply db ~relation:"m" ~seed:42 ~fuel () in
+      check string_c "unconditioned reply, cold" reference
+        (Server.dispatch srv request);
+      check string_c "unconditioned reply, warm" reference
+        (Server.dispatch srv request);
+      (* No tuple samples, so no lane is drawn: an empty relation answers
+         an empty body instead of failing to split zero lanes. *)
+      check string_c "an empty relation answers an empty body" ""
+        (Server.dispatch srv "conf e");
+      let sess = Server.new_session () in
+      ignore (Server.dispatch srv ~session:sess "assert (g)");
+      let cset =
+        Pqdb_conditioning.Constraint_set.(
+          add empty (Pqdb_lang.Qparser.parse_constraint "(g)"))
+      in
+      let conditioned =
+        materialized_conditioned_reply udb cset ~relation:"m" ~seed:42 ~fuel
+          ~eps ~delta ()
+      in
+      let trials body =
+        List.filter_map
+          (fun line ->
+            match String.split_on_char ' ' line with
+            | [ _; _; _; _; t ] -> Some (int_of_string t)
+            | _ -> None)
+          (String.split_on_char '\n' body)
+      in
+      check bool_c "some conditioned tuple samples" true
+        (List.exists (fun t -> t > 0) (trials conditioned));
+      check bool_c "some conditioned tuple is exact" true
+        (List.exists (fun t -> t = 0) (trials conditioned));
+      check string_c "conditioned reply, cold" conditioned
+        (Server.dispatch srv ~session:sess request);
+      check string_c "conditioned reply, warm" conditioned
+        (Server.dispatch srv ~session:sess request))
+
 (* ------------------------------------------------------------------ *)
 (* Socket round trip: daemon thread, client queries, clean shutdown.   *)
 
@@ -915,6 +1096,8 @@ let () =
             test_warm_request_allocation_guard;
           Alcotest.test_case "interleaved replies match the reference" `Quick
             test_interleaved_replies_match_reference;
+          Alcotest.test_case "mixed relation matches the materialized reference"
+            `Quick test_mixed_relation_matches_materialized_reference;
           Alcotest.test_case "a budget that never binds changes no bit" `Quick
             test_non_binding_budget_changes_no_bit;
         ] );
