@@ -206,7 +206,40 @@ let e15_rational_vs_float ~quick =
         Printf.sprintf "%.0f" (words /. per);
         Printf.sprintf "%d of %d" exact (Array.length dnfs);
       ];
-    ]
+    ];
+  (* The zero-trial certificate on the same shape: of the DNFs the default
+     fuel leaves inexact, how many the compiled bracket alone proves at
+     each ε (δ = 0.05), and what sampling the rest costs. *)
+  let rng = Rng.create ~seed:152 in
+  let inexact =
+    List.filter
+      (fun c -> not (Compile.is_exact c))
+      (List.init (if quick then 240 else 960) (fun _ ->
+           Compile.compile w
+             (Gen.random_dnf rng w ~vars:30 ~clauses:30 ~clause_len:3)))
+  in
+  Report.table
+    ~header:[ "eps"; "inexact DNFs"; "certified, 0 trials"; "trials"; "solve ms" ]
+    (List.map
+       (fun eps ->
+         let certified = ref 0 and trials = ref 0 in
+         let t =
+           Report.time_median ~repeat:1 (fun () ->
+               List.iteri
+                 (fun i c ->
+                   let o = Compile.solve (Rng.create ~seed:i) c ~eps ~delta:0.05 in
+                   if o.Compile.trials = 0 then incr certified;
+                   trials := !trials + o.Compile.trials)
+                 inexact)
+         in
+         [
+           Report.fmt_float eps;
+           Report.fmt_int (List.length inexact);
+           Report.fmt_int !certified;
+           Report.fmt_int !trials;
+           Printf.sprintf "%.1f" (t *. 1e3);
+         ])
+       [ 0.05; 0.1; 0.2 ])
 
 (* ------------------------------------------------------------------ *)
 (* E16: attribute-level uncertainty via vertical decomposition          *)

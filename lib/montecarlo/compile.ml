@@ -10,6 +10,10 @@ type t = {
          [solve] prepares and samples it when the residual budgets are worse
          than sampling the original problem (Shannon truncation can
          duplicate clauses across leaves, inflating Σ|Fᵢ| past |F|). *)
+  nvars : int;  (* ≥ the normalized DNF's variable count; 0 when exact *)
+  widen : float;
+      (* the rounding lemma's bound on |float DAG − exact DAG|; 0 when exact,
+         infinity past the lemma's range *)
 }
 
 let default_fuel = 4096
@@ -40,7 +44,26 @@ let compile ?(fuel = default_fuel) w clauses =
     | Lineage.Const _ | Res _ -> None
     | Sum _ | IndepOr _ -> Some (w, dag.Lineage.clauses)
   in
-  { nodes; residuals; res_weights; fallback }
+  let nvars, widen =
+    if residuals = [||] then (0, 0.)
+    else begin
+      (* The literal count bounds V from above, and the bound only grows
+         with V, so no variable set is built. *)
+      let v = ref 0 and d = ref 1 in
+      let visit () x _ =
+        incr v;
+        d := max !d (Wtable.domain_size w x)
+      in
+      List.iter (Assignment.fold visit ()) dag.Lineage.clauses;
+      let k = !d + 4 and v = !v in
+      (* w = (2D + 8)·u·(2V − 1) with u = 2⁻⁵³, exact as a float while
+         k·(2V − 1) ≤ 2³² — the lemma's range (w ≤ 2⁻²⁰). *)
+      ( v,
+        if (2 * v) - 1 > (1 lsl 32) / k then Float.infinity
+        else float_of_int (k * ((2 * v) - 1)) *. 0x1p-52 )
+    end
+  in
+  { nodes; residuals; res_weights; fallback; nvars; widen }
 
 let residuals t = t.residuals
 let residual_count t = Array.length t.residuals
@@ -87,7 +110,14 @@ let cost_cap dnf ~eps ~delta =
   else if Dnf.clause_count dnf = 1 then 0
   else Stats.karp_luby_trials ~clauses:(Dnf.clause_count dnf) ~eps ~delta
 
-let residual_ub dnf = Float.min 1. (Dnf.total_weight dnf)
+(* A float at least the residual's probability: min(1, M̂ᵢ) raised past
+   the rounding of M̂ᵢ, a sum of m clause weights of at most V factors each
+   (see the rounding lemma in compile.mli). *)
+let residual_ub t dnf =
+  let m = Dnf.total_weight dnf in
+  let k = (5 * t.nvars) + Dnf.clause_count dnf in
+  if m >= 1. || k > 1 lsl 31 then 1.
+  else Float.min 1. (Float.succ (m +. (float_of_int k *. 0x1p-51)))
 
 let vacuous_interval t =
   if is_exact t then
@@ -97,11 +127,13 @@ let vacuous_interval t =
     (* The monotone DAG at the residual extremes: the lower endpoint is the
        exact compiled mass — what the tuple is worth with every residual
        written off — and the upper endpoint charges each residual its full
-       a-priori mass min(1, Mᵢ). *)
+       a-priori mass min(1, Mᵢ).  Both are then moved outward past the
+       rounding lemma's bound, each subtraction and addition itself rounded
+       outward by one ulp. *)
     let zeros = Array.map (fun _ -> 0.) t.residuals in
-    let ubs = Array.map residual_ub t.residuals in
-    ( Float.max 0. (eval zeros t.nodes),
-      Float.min 1. (eval ubs t.nodes) )
+    let ubs = Array.map (residual_ub t) t.residuals in
+    ( Float.max 0. (Float.pred (eval zeros t.nodes -. t.widen)),
+      Float.min 1. (Float.succ (eval ubs t.nodes +. t.widen)) )
 
 (* Per-residual sampling results are Karp_luby's partial records: estimate,
    sound interval, relative error certified at the residual's δ share
@@ -110,19 +142,19 @@ open Karp_luby
 
 (* A residual whose sampling died: its a-priori interval [0, min(1, Mᵢ)]
    and no certified error. *)
-let vacuous_partial dnf =
-  { p_estimate = 0.; p_lo = 0.; p_hi = residual_ub dnf; p_trials = 0;
+let vacuous_partial t dnf =
+  { p_estimate = 0.; p_lo = 0.; p_hi = residual_ub t dnf; p_trials = 0;
     p_eps = Float.infinity; p_complete = false }
 
 (* One contained adaptive pass over a residual.  Any estimator failure
    (injected or real) degrades that residual to its vacuous interval instead
    of aborting the tuple. *)
-let sample_residual ?budget rng trials dnf ~eps ~delta =
+let sample_residual ?budget rng t trials dnf ~eps ~delta =
   match adaptive_partial ?budget rng dnf ~eps ~delta with
   | p ->
       trials := !trials + p.p_trials;
       p
-  | exception _ -> vacuous_partial dnf
+  | exception _ -> vacuous_partial t dnf
 
 (* One pass per residual at (eps, δ/r): by the error propagation lemma and
    the union bound it certifies the root at relative [eps] when every
@@ -134,7 +166,7 @@ let solve_residuals ?budget rng t ~eps ~delta =
   let trials = ref 0 in
   let rrs =
     Array.map
-      (fun dnf -> sample_residual ?budget rng trials dnf ~eps ~delta:d)
+      (fun dnf -> sample_residual ?budget rng t trials dnf ~eps ~delta:d)
       t.residuals
   in
   (rrs, !trials, Array.for_all (fun rr -> rr.p_complete) rrs)
@@ -185,10 +217,9 @@ let exact_outcome v =
     achieved_eps = 0.; complete = true }
 
 (* The truncation-guard path samples the whole normalized DNF instead of the
-   residual leaves; the compiled DAG still brackets the answer when that
-   sampling fails or runs out of budget. *)
-let fallback_outcome t partial =
-  let dag_lo, dag_hi = vacuous_interval t in
+   residual leaves; the compiled bracket [dag_lo, dag_hi] still bounds the
+   answer when that sampling fails or runs out of budget. *)
+let fallback_outcome ~dag_lo ~dag_hi partial =
   let value, lo, hi =
     bracketed partial.p_estimate ~lo:(Float.max dag_lo partial.p_lo)
       ~hi:(Float.min dag_hi partial.p_hi)
@@ -201,42 +232,66 @@ let fallback_outcome t partial =
     achieved_eps = partial.p_eps;
     complete = partial.p_complete }
 
+(* The zero-trial certificate: the harmonic mean h = 2·lo·hi/(lo + hi) is
+   within relative a = (hi − lo)/(hi + lo) of every point of [lo, hi].  In
+   floats, h̃ = lo·(2·hi/(lo + hi)) takes three roundings of normal numbers
+   (lo is normal and the ratio lies in [1, 2]), so it is within 3.01u of h
+   and within a + 6.02u of every point; ã is within 3.01u of a.  [achieved]
+   adds 2⁻⁴⁹ = 16u, at least 14.9u after its own rounding, so it bounds the
+   estimate's true relative error.  Clamping into [lo, hi] only moves the
+   estimate toward every point of the bracket. *)
+let certified ~dag_lo:lo ~dag_hi:hi ~eps =
+  if lo < Float.min_float then None
+  else
+    let achieved = ((hi -. lo) /. (hi +. lo)) +. 0x1p-49 in
+    if achieved > eps then None
+    else
+      let value = Float.min hi (Float.max lo (lo *. (2. *. hi /. (lo +. hi)))) in
+      Some
+        { value; trials = 0; residual_mass = value -. lo; lo; hi;
+          achieved_eps = achieved; complete = true }
+
+(* Sampling, once the bracket [dag_lo, dag_hi] has not certified ε. *)
+let sampled ?budget rng t ~dag_lo ~dag_hi ~eps ~delta =
+  let r = Array.length t.residuals in
+  (* Truncation guard: Shannon cut-off can leave residual leaves whose
+     combined worst-case budget exceeds just sampling the original DNF
+     (clauses get duplicated across branches).  Compare the caps and take
+     whichever problem is cheaper — compilation must pay for itself.  The
+     residuals are priced at δ/2r, above the δ/r their pass spends, which
+     leans toward the fallback. *)
+  let compiled_cap =
+    let d = delta /. 2. /. float_of_int r in
+    Array.fold_left
+      (fun acc dnf -> Stats.saturating_add acc (cost_cap dnf ~eps ~delta:d))
+      0 t.residuals
+  in
+  (* The fallback DNF has two or more clauses, none of them empty, so its
+     cap is the plain Chernoff count; it is prepared only when taken. *)
+  match t.fallback with
+  | Some (w, clauses)
+    when Stats.karp_luby_trials ~clauses:(List.length clauses) ~eps ~delta
+         < compiled_cap -> (
+      match adaptive_partial ?budget rng (Dnf.prepare w clauses) ~eps ~delta with
+      | partial -> fallback_outcome ~dag_lo ~dag_hi partial
+      | exception _ ->
+          (* Sampling the fallback died outright: all that remains sound
+             is the compiled bracket. *)
+          { value = dag_lo; trials = 0; residual_mass = 0.; lo = dag_lo;
+            hi = dag_hi; achieved_eps = (dag_hi -. dag_lo) /. 2.;
+            complete = false })
+  | _ ->
+      let rrs, trials, complete = solve_residuals ?budget rng t ~eps ~delta in
+      assemble t rrs ~eps ~trials ~complete
+
 let solve_lane ?budget lane t ~eps ~delta =
   if eps <= 0. || delta <= 0. then invalid_arg "Compile.solve";
-  let r = Array.length t.residuals in
-  if r = 0 then exact_outcome (eval [||] t.nodes)
-  else begin
-    let rng = lane () in
-    (* Truncation guard: Shannon cut-off can leave residual leaves whose
-       combined worst-case budget exceeds just sampling the original DNF
-       (clauses get duplicated across branches).  Compare the caps and take
-       whichever problem is cheaper — compilation must pay for itself.  The
-       residuals are priced at δ/2r, above the δ/r their pass spends, which
-       leans toward the fallback. *)
-    let compiled_cap =
-      let d = delta /. 2. /. float_of_int r in
-      Array.fold_left
-        (fun acc dnf -> Stats.saturating_add acc (cost_cap dnf ~eps ~delta:d))
-        0 t.residuals
-    in
-    (* The fallback DNF has two or more clauses, none of them empty, so its
-       cap is the plain Chernoff count; it is prepared only when taken. *)
-    match t.fallback with
-    | Some (w, clauses)
-      when Stats.karp_luby_trials ~clauses:(List.length clauses) ~eps ~delta
-           < compiled_cap -> (
-        match adaptive_partial ?budget rng (Dnf.prepare w clauses) ~eps ~delta with
-        | partial -> fallback_outcome t partial
-        | exception _ ->
-            (* Sampling the fallback died outright: all that remains sound
-               is the compiled bracket. *)
-            let lo, hi = vacuous_interval t in
-            { value = lo; trials = 0; residual_mass = 0.; lo; hi;
-              achieved_eps = (hi -. lo) /. 2.; complete = false })
-    | _ ->
-        let rrs, trials, complete = solve_residuals ?budget rng t ~eps ~delta in
-        assemble t rrs ~eps ~trials ~complete
-  end
+  if is_exact t then exact_outcome (eval [||] t.nodes)
+  else
+    let dag_lo, dag_hi = vacuous_interval t in
+    match certified ~dag_lo ~dag_hi ~eps with
+    | Some o -> o
+    | None -> sampled ?budget (lane ()) t ~dag_lo ~dag_hi ~eps ~delta
 
 let solve ?budget rng t ~eps ~delta =
   solve_lane ?budget (fun () -> rng) t ~eps ~delta

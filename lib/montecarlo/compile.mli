@@ -40,7 +40,57 @@
     itself.  Its partial derivative is therefore the sum over the residual's
     root paths of the path's [Sum] weights times the other [IndepOr]
     factors [(1 − pⱼ) ≤ 1], so [|∂P/∂p̂ᵢ| ≤ wᵢ], the summed path weight
-    {!residual_weights} reports. *)
+    {!residual_weights} reports.
+
+    {2 Rounding}
+
+    The DAG is float arithmetic: {!Lineage.decompose} folds every subtree
+    it resolves into a [Const] in floats, and {!value} evaluates the rest.
+    {e Lemma.}  Let [u = 2⁻⁵³], [V] at least the number of variables of
+    the normalized DNF ({!compile} takes its literal count), [D ≥ 1] the
+    largest of their domain sizes and
+    [w = (2D + 8)·u·(2V − 1)].  If [w ≤ 2⁻²⁰], then for any float inputs
+    [rᵢ ∈ [0, 1]] at the residuals the float value of the DAG is within
+    [w] of the exact real value of the same DAG over the exact W
+    probabilities at the same inputs.
+
+    {e Proof sketch.}  Model every float operation as
+    [fl(x∘y) = (x∘y)(1 + θ) + η] with [|θ| ≤ u] and [|η| ≤ 2⁻¹⁰⁷⁴], and
+    every converted W probability as [p̂ = p(1 + θ) + η] with [|θ| ≤ 4u]
+    ([Rational.to_float] is one correctly rounded division, or a truncated
+    64-bit quotient converted in at most three roundings).  Induct on the
+    variable count [V'] of the clause set a node decomposes, with the bound
+    [e(V') = (2D + 8)·u·(2V' − 1)] and [e(0) = 0] (the only sets without
+    variables are [∅] and [{∅}], the exact constants 0 and 1).  Every
+    computed value is [≥ 0], and by induction [≤ 1 + e(V) ≤ 1 + 2⁻²⁰], so
+    every complement [1 − P̂] lies in [[−2⁻²⁰, 1]].
+    {ul
+    {- A clause of [k ≤ V'] literals is [2k − 1] rounded factors (the
+       first product is by 1, exact): error [≤ (5k − 1)·u·(1 + 2⁻²⁰) ≤
+       e(V')].}
+    {- A [Sum] over the [d ≤ D] values of a pivot has branches over at
+       most [V' − 1] variables.  Since [Σₓ pₓ = 1] the branch errors
+       carry through as at most [e(V' − 1)]; the conversions, the [d]
+       products and the [d − 1] additions add at most
+       [(d + 4)·u·(1 + 2⁻¹⁸)], below [e(V') − e(V' − 1)], which is
+       [(2D + 8)u] at [V' = 1] and twice that above.}
+    {- An [IndepOr] over [n ≥ 2] components of [V₁ + … + Vₙ ≤ V']
+       variables, each [Vₖ ≥ 1]: the complements have magnitude at most 1,
+       so the product telescopes to [Σₖ |q̂ₖ − qₖ| ≤ Σₖ (e(Vₖ) + u)], and
+       the [n − 1] rounded products (the first is by 1) and the final
+       complement add at most [n·u·(1 + 2⁻²⁰)].  The total is at most
+       [(2D + 8)u(2V' − n) + 2n·u·(1 + 2⁻²⁰) ≤ e(V')], as
+       [(2D + 8)(n − 1) ≥ 10(n − 1) ≥ 5n].}
+    {- A residual's input is exact, error [0].}}
+    The [η] terms, a few per operation, stay below [u·2⁻¹⁰⁰⁰] each and
+    vanish in the slack of every step.  A shared node has one value, so
+    the bound on the unfolded tree holds for the DAG.  The same model
+    bounds a residual's a-priori mass [M̂ᵢ] ({!Dnf.total_weight}: [m]
+    clause weights of at most [V] factors, summed): if [M̂ᵢ < 1] and
+    [(5V + m)·2⁻⁵¹ ≤ 2⁻²⁰], the exact [Mᵢ] is at most
+    [M̂ᵢ + (5V + m)·2⁻⁵¹].  {!vacuous_interval} widens by both bounds,
+    rounding each widening outward by one ulp, and falls back to [[0, 1]]
+    past the lemma's range. *)
 
 open Pqdb_numeric
 open Pqdb_urel
@@ -90,13 +140,17 @@ val size : t -> int
 
 type outcome = {
   value : float;
-      (** the (ε, δ) estimate — exact when [trials = 0]; always inside
+      (** the (ε, δ) estimate — exact when the DAG is, within relative ε
+          for certain when the bracket certifies it; always inside
           [[lo, hi]] *)
-  trials : int;  (** estimator calls spent on residuals *)
+  trials : int;
+      (** estimator calls spent on residuals; [0] when exact or certified *)
   residual_mass : float;
       (** Σ path-weight·p̂ over residuals, clamped to [value]: the share of
           the reported probability that rests on sampling.  [0] when exact;
-          [1 − residual_mass/value] is the per-tuple exact fraction. *)
+          [value − lo] when certified, the share the compiled floor does not
+          cover; [1 − residual_mass/value] is the per-tuple exact
+          fraction. *)
   lo : float;
   hi : float;
       (** a sound probability interval for the tuple confidence: per-residual
@@ -111,22 +165,36 @@ type outcome = {
       (** the relative error actually certified at confidence δ: the
           requested ε when [complete], the worst residual's partial-trial
           ε′ otherwise ([infinity] when some residual is vacuous, [0] when
-          exact).  When sampling never ran at all — fallback sampling died,
+          exact).  When certified, it is [(hi − lo)/(hi + lo) + 2⁻⁴⁹ ≤ ε]:
+          the estimate's relative error bound with certainty, the [2⁻⁴⁹]
+          covering the float rounding of the estimate and of the ratio.  When sampling never ran at all — fallback sampling died,
           budget exhausted before the first trial — this is instead the
           {e absolute} half-width of the a-priori {!vacuous_interval}, the
           honest certificate actually held, rather than a claim about a
           relative contract that was never attempted. *)
-  complete : bool;  (** the requested (ε, δ) contract was met *)
+  complete : bool;
+      (** the requested (ε, δ) contract was met — with certainty, not only
+          with probability 1 − 2δ, when certified *)
 }
 
 val vacuous_interval : t -> float * float
 (** The a-priori bracket on the tuple confidence, free of any sampling:
     the monotone DAG evaluated with every residual at 0 (the exact
-    compiled mass — a hard floor) and at its full mass [min(1, Mᵢ)].  A
-    point when [is_exact]. *)
+    compiled mass — a hard floor) and at its full mass [min(1, Mᵢ)], then
+    widened outward by the rounding lemma above, so it holds for the exact
+    (rational) confidence, cut to [[0, 1]].  A point when [is_exact]. *)
 
 val solve : ?budget:Budget.t -> Rng.t -> t -> eps:float -> delta:float -> outcome
-(** Estimate every residual with {!Karp_luby.adaptive_partial} at
+(** {e Certificate}: when the {!vacuous_interval} [[lo, hi]] has [lo > 0]
+    (a normal float) and [(hi − lo)/(hi + lo) + 2⁻⁴⁹ ≤ ε] (so [hi·(1 − ε) ≤ lo·(1 + ε)]),
+    the answer needs no sampling.  The estimate is the harmonic mean
+    [2·lo·hi/(lo + hi)], clamped into [[lo, hi]], which is within relative
+    [(hi − lo)/(hi + lo)] of every point of the bracket; the outcome has
+    [trials = 0], [complete = true] and the bracket as [lo, hi].  No
+    budget is charged or consulted and no generator is asked for, so the
+    certificate holds with certainty, under any budget.
+
+    Otherwise estimate every residual with {!Karp_luby.adaptive_partial} at
     (ε, δ/r) in one pass and evaluate the DAG; by the error propagation
     above and the union bound the result is within relative ε of the tuple
     confidence with probability ≥ 1 − 2δ as proven (the factor 2 is the
@@ -157,7 +225,8 @@ val solve_lane :
   ?budget:Budget.t -> (unit -> Rng.t) -> t -> eps:float -> delta:float ->
   outcome
 (** {!solve} with its generator asked for only when the DAG samples, that
-    is when it has residuals: an exact DAG never calls [lane].  A batch
+    is when it has residuals and its bracket does not certify ε: an exact
+    or certified DAG never calls [lane].  A batch
     whose tuples own one {!Rng.lane} each builds it here and nowhere else,
     so its tuples that compile exactly pay for no generator, and the
     outcome is bit-identical to {!solve} on the materialized lane. *)

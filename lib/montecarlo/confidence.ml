@@ -227,18 +227,20 @@ let solve_shard ?budget run (sh : Shard.t) ~fp =
       if not (fill_apriori comp ~out ~intervals ~achieved j) then
         live := j :: !live)
     comps;
-  let cost j = cost_bound comps.(j) ~eps:run.eps ~delta:run.delta in
   let live =
-    Array.of_list
-      (List.stable_sort (fun i j -> compare (cost j) (cost i)) (List.rev !live))
+    List.rev_map
+      (fun j -> (cost_bound comps.(j) ~eps:run.eps ~delta:run.delta, j))
+      !live
+    |> List.stable_sort (fun (ci, _) (cj, _) -> Int.compare cj ci)
+    |> List.map snd |> Array.of_list
   in
   let ntasks = Array.length live in
   if ntasks > 0 then begin
     let task k =
       let j = live.(k) in
       match
-        Compile.solve ?budget
-          (Rng.lane (Option.get run.lanes) (sh.first + j))
+        Compile.solve_lane ?budget
+          (fun () -> Rng.lane (Option.get run.lanes) (sh.first + j))
           comps.(j) ~eps:run.eps ~delta:run.delta
       with
       | o ->

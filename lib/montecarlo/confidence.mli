@@ -35,7 +35,9 @@ type stats = {
   achieved_eps : float array;
       (** Per tuple, the error actually certified: the requested relative ε
           on a complete run, the partial-trial relative ε′ under a budget,
-          [0] for exact tuples.  For tuples where only the a-priori compiled
+          [0] for exact tuples, and the bracket's own relative error bound
+          (at most ε) for tuples its compiled bracket certifies with no
+          trials.  For tuples where only the a-priori compiled
           bracket holds — quarantined, unreached, or sampling died — this is
           the bracket's {e absolute half-width}, the certificate actually in
           hand, so the stats line never over-claims precision (it is never
@@ -150,8 +152,9 @@ val fingerprint : run -> Shard.t -> string
 val solve_shard :
   ?budget:Budget.t -> run -> Shard.t -> fp:string -> Shard.outcome
 (** One attempt at one shard.  Each tuple that samples builds its lane
-    afresh ({!Pqdb_numeric.Rng.lane}); a tuple that compiles exactly builds
-    none.  By the per-tuple-lane contract the outcome is bit-identical no
+    afresh ({!Pqdb_numeric.Rng.lane}); a tuple that compiles exactly, or
+    whose compiled bracket already certifies ε ({!Compile.solve_lane}),
+    builds none.  By the per-tuple-lane contract the outcome is bit-identical no
     matter which process runs it, in what order, or after how many failed
     attempts.  [budget], if given, is the attempt's own budget — the caller
     charges any parent afterwards.  [fp] is stored in the outcome.  Fires

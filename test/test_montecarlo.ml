@@ -662,6 +662,151 @@ let test_fallback_past_constant_sibling () =
   check bool_c "bracket holds the exact value" true
     (o.Compile.lo <= expect && expect <= o.Compile.hi)
 
+(* Random DNFs over variables of 2-4 values with uneven rational weights —
+   the multi-valued counterpart of [Gen.random_dnf]. *)
+let multi_dnf rng w ~vars ~clauses =
+  let ids =
+    Array.init vars (fun _ ->
+        let nums = List.init (2 + Rng.int rng 3) (fun _ -> 1 + Rng.int rng 9) in
+        let den = List.fold_left ( + ) 0 nums in
+        Wtable.add_var w (List.map (fun n -> Q.of_ints n den) nums))
+  in
+  List.init clauses (fun _ ->
+      let chosen = ref [] in
+      for _ = 1 to 1 + Rng.int rng 3 do
+        let v = ids.(Rng.int rng vars) in
+        if not (List.mem_assoc v !chosen) then
+          chosen := (v, Rng.int rng (Wtable.domain_size w v)) :: !chosen
+      done;
+      Assignment.of_list !chosen)
+
+(* The rounding lemma of compile.mli, restated: (D + 4)·(2V − 1)·2⁻⁵² over
+   the normalized DNF's V variables of at most D values. *)
+let rounding_bound w clauses =
+  let vars =
+    List.sort_uniq Int.compare
+      (List.concat_map Assignment.vars (Lineage.normalize clauses))
+  in
+  let d = List.fold_left (fun m v -> max m (Wtable.domain_size w v)) 1 vars in
+  let k = (d + 4) * ((2 * List.length vars) - 1) in
+  Q.(of_int k * of_float 0x1p-52)
+
+(* On DAGs that compile exactly the float value is nothing but the
+   decomposer's constant folding, so it must lie within the lemma's bound
+   of the rational truth. *)
+let test_rounding_lemma_on_exact_dags () =
+  let gen = Rng.create ~seed:2608 in
+  let checked = ref 0 in
+  for case = 0 to 59 do
+    let w = Wtable.create () in
+    let clauses =
+      if case mod 2 = 0 then Gen.random_dnf gen w ~vars:14 ~clauses:14 ~clause_len:3
+      else multi_dnf gen w ~vars:10 ~clauses:14
+    in
+    match Compile.exact_value (Compile.compile ~fuel:max_int w clauses) with
+    | Some p when List.length (Lineage.normalize clauses) > 1 ->
+        incr checked;
+        let err = Q.(abs (of_float p - Lineage.exact w clauses)) in
+        check bool_c
+          (Printf.sprintf "case %d: float error %g within the lemma's %g" case
+             (Q.to_float err) (Q.to_float (rounding_bound w clauses)))
+          true
+          Q.(err <= rounding_bound w clauses)
+    | _ -> ()
+  done;
+  check bool_c "most cases are multi-clause" true (!checked >= 50)
+
+(* Pairwise-disjoint clauses — each binds [x] to its own value — so the
+   DNF's probability is exactly the clause-weight sum M: at fuel 0 the
+   root is the residual, and the bracket's upper end min(1, M̂) is tight
+   up to the rounding of M̂. *)
+let disjoint_dnf rng w =
+  let d = 3 + Rng.int rng 6 in
+  let x =
+    Wtable.add_var w (List.init d (fun i -> Q.of_ints ((2 * i) + 1) (d * d)))
+  in
+  let ys = Array.init 6 (fun _ -> Wtable.add_var w [ Q.of_ints 3 7; Q.of_ints 4 7 ]) in
+  List.init (d - 1) (fun i ->
+      Assignment.of_list
+        ((x, i)
+        :: List.filter_map
+             (fun y -> if Rng.bool rng then Some (y, Rng.int rng 2) else None)
+             (Array.to_list ys)))
+
+exception Lane_forced
+
+(* The zero-trial certificate, checked against the rational truth.  At low
+   fuel every inexact DAG's bracket must contain [Lineage.exact] (also
+   where its upper end is tight, see [disjoint_dnf]); a tuple
+   whose bracket proves ε (recomputed here from the bracket) must answer
+   without asking for its lane, with 0 trials, [complete], an estimate
+   within relative ε of the truth, and the same answer under an exhausted
+   budget; any other tuple must ask for its lane. *)
+let test_bracket_certificate () =
+  let certified = ref 0 and sampled = ref 0 in
+  List.iter
+    (fun seed ->
+      let rng = Rng.create ~seed in
+      for case = 0 to 11 do
+        let w = Wtable.create () in
+        let clauses, fuel =
+          match case mod 4 with
+          | 2 -> (multi_dnf rng w ~vars:12 ~clauses:16, 8)
+          | 3 -> (disjoint_dnf rng w, 0)
+          | _ -> (Gen.random_dnf rng w ~vars:16 ~clauses:16 ~clause_len:3, 8)
+        in
+        let c = Compile.compile ~fuel w clauses in
+        if not (Compile.is_exact c) then begin
+          let what = Printf.sprintf "seed %d case %d" seed case in
+          let exact = Lineage.exact w clauses in
+          let lo, hi = Compile.vacuous_interval c in
+          check bool_c (what ^ ": the widened bracket holds the truth") true
+            Q.(of_float lo <= exact && exact <= of_float hi);
+          List.iter
+            (fun eps ->
+              let what = Printf.sprintf "%s eps %g" what eps in
+              let proves =
+                lo > 0. && ((hi -. lo) /. (hi +. lo)) +. 0x1p-49 <= eps
+              in
+              let exhausted = Budget.create ~max_trials:1 () in
+              Budget.spend exhausted 1;
+              match
+                ( Compile.solve_lane (fun () -> raise Lane_forced) c ~eps
+                    ~delta:0.05,
+                  Compile.solve_lane ~budget:exhausted
+                    (fun () -> raise Lane_forced)
+                    c ~eps ~delta:0.05 )
+              with
+              | o, o' ->
+                  incr certified;
+                  check bool_c (what ^ ": the bracket proves eps") true proves;
+                  check int_c (what ^ ": no trials") 0 o.Compile.trials;
+                  check bool_c (what ^ ": complete") true o.Compile.complete;
+                  check bool_c (what ^ ": the bracket is reported") true
+                    (o.Compile.lo = lo && o.Compile.hi = hi);
+                  check bool_c (what ^ ": achieved eps at most eps") true
+                    (o.Compile.achieved_eps <= eps);
+                  check bool_c (what ^ ": within relative eps of the truth")
+                    true
+                    Q.(
+                      abs (of_float o.Compile.value - exact)
+                      <= of_float eps * exact);
+                  check bool_c (what ^ ": an exhausted budget changes nothing")
+                    true (o = o')
+              | exception Lane_forced ->
+                  incr sampled;
+                  check bool_c (what ^ ": the bracket does not prove eps") false
+                    proves)
+            [ 0.05; 0.1; 0.2 ]
+        end
+      done)
+    [ 1; 2; 3; 4; 5; 6 ];
+  check bool_c
+    (Printf.sprintf "both paths exercised (%d certified, %d sampled)"
+       !certified !sampled)
+    true
+    (!certified >= 10 && !sampled >= 10)
+
 let shuffle rng l =
   let a = Array.of_list l in
   for i = Array.length a - 1 downto 1 do
@@ -1596,6 +1741,10 @@ let () =
           qcheck prop_weight_aware_budgets_sound;
           Alcotest.test_case "estimates inside their own bracket" `Quick
             test_estimates_inside_own_bracket;
+          Alcotest.test_case "rounding lemma on exact DAGs" `Quick
+            test_rounding_lemma_on_exact_dags;
+          Alcotest.test_case "zero-trial bracket certificate" `Quick
+            test_bracket_certificate;
           Alcotest.test_case "fallback past a constant sibling" `Quick
             test_fallback_past_constant_sibling;
           Alcotest.test_case "a function of the clause set" `Quick

@@ -233,7 +233,19 @@ let test_tcp_identity () =
             Coordinator.run ~options:opts ~workers ~spawn:(dial ports)
               (Rng.create ~seed) w sets ~eps ~delta ~emit
           in
-          let name = Printf.sprintf "%d tcp workers" workers in
+          (* Every message names the fleet and the run's counters, so a
+             failure says which assertion broke and what the run saw. *)
+          let name =
+            Printf.sprintf
+              "%d tcp workers (spawned %d, lost %d, reassigned %d, \
+               reconnects %d, leases expired %d, late drops %d, fallback \
+               shards %d, complete %b)"
+              workers summary.Coordinator.workers_spawned
+              summary.workers_lost summary.reassigned summary.reconnects
+              summary.leases_expired summary.late_drops
+              summary.fallback_shards
+              summary.stream.Confidence.stream_complete
+          in
           check int_c (name ^ ": spawned") workers
             summary.Coordinator.workers_spawned;
           check int_c (name ^ ": none lost") 0
