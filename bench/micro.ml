@@ -136,6 +136,20 @@ let test_repair_key () =
          let w = Wtable.create () in
          ignore (Translate.repair_key w ~key:[ "A" ] ~weight:"W" u)))
 
+(* One Theorem 6.7 attempt's isolation: a 500-variable W table, half of
+   its samplers built, copied. *)
+let test_udb_copy () =
+  let rng = Rng.create ~seed:213 in
+  let udb = Udb.create () in
+  let w = Udb.wtable udb in
+  for v = 0 to 499 do
+    let num = 1 + Rng.int rng 9 in
+    let x = Wtable.add_var w [ Q.of_ints (10 - num) 10; Q.of_ints num 10 ] in
+    if v mod 2 = 0 then ignore (Wtable.alias w x)
+  done;
+  Test.make ~name:"udb/copy-500v"
+    (Staged.stage (fun () -> ignore (Udb.copy udb)))
+
 let test_optimizer () =
   let q =
     Pqdb_lang.Qparser.parse_query
@@ -170,6 +184,7 @@ let run () =
         test_corner_search ();
         test_coin_posterior ();
         test_repair_key ();
+        test_udb_copy ();
         test_optimizer ();
         test_topk ();
       ]

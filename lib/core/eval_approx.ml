@@ -85,24 +85,52 @@ let sigma_hat_eval ?budget ~eps0 ~max_rounds ~sigma_delta ~rng ~stats w
   let arg_positions =
     List.map (fun attrs -> positions cand_schema attrs) conf_args
   in
+  let lookup index key =
+    Option.value ~default:[] (Tuple.Table.find_opt index key)
+  in
+  (* One hash pass: key → the values of [xs] with that key, each group in
+     the reverse of its order in [xs]. *)
+  let group key value xs =
+    let index = Tuple.Table.create 64 in
+    List.iter
+      (fun x ->
+        let k = key x in
+        Tuple.Table.replace index k (value x :: lookup index k))
+      xs;
+    index
+  in
+  (* Per conf argument, the branch's clauses by key.  Rows ascend, so each
+     group is in descending row order — exactly [Urelation.clauses_for]'s
+     order, which fixes [Dnf.prepare]'s clause order and with it every
+     sampled bit. *)
+  let clause_index =
+    List.map (fun branch -> group snd fst (Urelation.rows branch)) branches
+  in
   (* Error contribution of the input per candidate: for each conf argument,
-     the summed μ of input tuples projecting onto the candidate's key. *)
-  let input_poss = Urelation.possible_tuples u in
-  let in_positions = List.map (fun attrs -> positions schema attrs) conf_args in
+     the summed μ of input tuples projecting onto the candidate's key.  Each
+     group keeps [possible_tuples] order, so the sums add in the order a
+     scan would. *)
+  let input_index =
+    let rev_poss = List.rev (Urelation.possible_tuples u) in
+    List.map
+      (fun attrs ->
+        let in_pos = positions schema attrs in
+        group (fun s -> Tuple.project s in_pos) Fun.id rev_poss)
+      conf_args
+  in
   let selected = ref [] in
   let mu = ref TMap.empty in
   let susp = ref TSet.empty in
   Relation.iter
     (fun cand ->
+      let keys = List.map (Tuple.project cand) arg_positions in
       let estimators =
         Array.of_list
           (List.map2
-             (fun branch pos ->
-               let key = Tuple.project cand pos in
-               let clauses = Urelation.clauses_for branch key in
+             (fun index key ->
                Pqdb_montecarlo.Estimator.create
-                 (Pqdb_montecarlo.Dnf.prepare w clauses))
-             branches arg_positions)
+                 (Pqdb_montecarlo.Dnf.prepare w (lookup index key)))
+             clause_index keys)
       in
       let decision =
         Predicate_approx.decide ?budget ~eps0 ?max_rounds ~rng
@@ -115,17 +143,14 @@ let sigma_hat_eval ?budget ~eps0 ~max_rounds ~sigma_delta ~rng ~stats w
       (* Lemma 6.4(2): decision error + input membership errors. *)
       let input_contrib = ref 0. in
       let inherited_suspect = ref false in
-      List.iteri
-        (fun i in_pos ->
-          let key = Tuple.project cand (List.nth arg_positions i) in
+      List.iter2
+        (fun index key ->
           List.iter
             (fun s ->
-              if Tuple.equal (Tuple.project s in_pos) key then begin
-                input_contrib := !input_contrib +. mu_of input s;
-                if TSet.mem s input.ann.susp then inherited_suspect := true
-              end)
-            input_poss)
-        in_positions;
+              input_contrib := !input_contrib +. mu_of input s;
+              if TSet.mem s input.ann.susp then inherited_suspect := true)
+            (lookup index key))
+        input_index keys;
       let err = cap (decision.error_bound +. !input_contrib) in
       let suspect =
         decision.hit_round_limit || decision.used_floor || !inherited_suspect

@@ -54,17 +54,10 @@ let is_decoded t name =
   | None -> raise Not_found
 
 let copy t =
-  (* The W table is rebuilt variable by variable; U-relations are
-     immutable, and undecoded thunks are shared (forcing is idempotent). *)
-  let w = Wtable.create () in
-  List.iter
-    (fun v ->
-      let dist =
-        List.init (Wtable.domain_size t.w v) (fun x -> Wtable.prob t.w v x)
-      in
-      ignore (Wtable.add_var ~name:(Wtable.name t.w v) w dist))
-    (Wtable.vars t.w);
-  { w; rels = t.rels; complete = t.complete }
+  (* Only the W table is mutable: Wtable.copy shares its already-checked
+     entries and built samplers.  U-relations are immutable, and undecoded
+     thunks are shared (forcing is idempotent). *)
+  { w = Wtable.copy t.w; rels = t.rels; complete = t.complete }
 
 let pp fmt t =
   Format.pp_open_vbox fmt 0;

@@ -51,6 +51,8 @@ val is_decoded : t -> string -> bool
 
 val copy : t -> t
 (** Deep enough a copy that evaluating queries (which mutates the W table)
-    does not affect the original. *)
+    does not affect the original: the W table is a {!Wtable.copy} (no
+    re-validation, built alias samplers kept), relations and undecoded
+    thunks are shared.  Theorem 6.7 doubling takes one per attempt. *)
 
 val pp : Format.formatter -> t -> unit

@@ -19,8 +19,8 @@ type t = {
 
 (* Process-unique instance ids: two W tables never share a uid, so a cache
    key built from (uid, gen) can never confuse tables — even a copy gets a
-   fresh identity (its variables are re-created, so sharing compiled trees
-   across the copy would be incidental, not guaranteed). *)
+   fresh identity (the two diverge on their next add_var, and a key must not
+   outlive that). *)
 let next_uid = Atomic.make 0
 
 let create () =
@@ -63,6 +63,27 @@ let add_var ?name t dist =
   t.count <- id + 1;
   t.gen <- t.gen + 1;
   id
+
+(* The entries were checked when they were added and nothing mutates their
+   distributions, so a copy shares them: fresh records (the alias cache is
+   per table) holding the same arrays and any sampler already built — a
+   sampler is a deterministic function of [dist_float], immutable once
+   built. *)
+let copy t =
+  {
+    entries =
+      Array.init t.count (fun v ->
+          let e = t.entries.(v) in
+          {
+            var_name = e.var_name;
+            dist = e.dist;
+            dist_float = e.dist_float;
+            alias = e.alias;
+          });
+    count = t.count;
+    uid = Atomic.fetch_and_add next_uid 1;
+    gen = t.gen;
+  }
 
 let uid t = t.uid
 let generation t = t.gen

@@ -22,14 +22,25 @@ val add_var : ?name:string -> t -> Rational.t list -> var
     probabilities are in (0, 1] and sum to 1, with at least one
     alternative. *)
 
+val copy : t -> t
+(** An independent table holding the same variables: same ids, names,
+    rational and float distributions, a fresh {!uid} and the same
+    {!generation}.  Nothing is re-validated — every entry was checked by
+    {!add_var} when it entered the source — so a copy costs a few words per
+    variable.  Alias samplers the source has already built are carried
+    over (they are deterministic in the distribution, so draws are
+    unchanged); a sampler built later, and every {!add_var}, touches only
+    the table it is made on. *)
+
 val uid : t -> int
 (** Process-unique instance id (two tables never share one, copies
     included).  Together with {!generation} it identifies "this table in
     this state" — the W-table component of a compiled-lineage cache key. *)
 
 val generation : t -> int
-(** Monotone edit counter: bumped by every {!add_var}.  A cache entry keyed
-    on [(uid, generation)] is invalidated by any table edit. *)
+(** Monotone edit counter: bumped by every {!add_var}, kept by {!copy}.
+    A cache entry keyed on [(uid, generation)] is invalidated by any table
+    edit; a copy's fresh uid keeps it from matching the source's keys. *)
 
 val var_count : t -> int
 val vars : t -> var list
@@ -45,7 +56,8 @@ val prob_float : t -> var -> int -> float
 val alias : t -> var -> Rng.Alias.dist
 (** The variable's Walker alias sampler (O(1) per draw), built on first use
     and cached on the entry, so every DNF prepared against this W table
-    shares one table per variable.  The cache is filled during (serial) DNF
+    shares one table per variable; a {!copy} starts with the samplers built
+    so far.  The cache is filled during (serial) DNF
     preparation; domains in the parallel Karp-Luby phase only read it. *)
 
 val world_count : t -> int

@@ -257,6 +257,57 @@ let test_doubling_driver () =
       (2. /. 3., 0.9, 0.05, 7, 31);
     ]
 
+(* eval_with_guarantee evaluates every attempt on a Udb.copy: repair-key's
+   fresh variables stay in the copy, and a copy made after the caller's
+   table has built alias samplers draws exactly what a fresh table draws. *)
+let test_doubling_isolated () =
+  let same tag (r, (st : Approx.stats), l) (r', (st' : Approx.stats), l') =
+    check rel_testable (tag ^ ": rows")
+      (Urelation.to_relation r.Approx.urel)
+      (Urelation.to_relation r'.Approx.urel);
+    check bool_c (tag ^ ": errors") true (r.errors = r'.errors);
+    check bool_c (tag ^ ": suspects") true (r.suspects = r'.suspects);
+    check int_c (tag ^ ": rounds") l l';
+    check int_c (tag ^ ": decisions") st.decisions st'.decisions;
+    check int_c (tag ^ ": estimator calls") st.estimator_calls
+      st'.estimator_calls;
+    check int_c (tag ^ ": round-limit hits") st.round_limit_hits
+      st'.round_limit_hits
+  in
+  let run ?(seed = 27) udb q =
+    Approx.eval_with_guarantee ~eps0:0.05 ~rng:(Rng.create ~seed) ~delta:0.1
+      udb q
+  in
+  let udb = coin_udb () in
+  let w = Udb.wtable udb in
+  let count = Wtable.var_count w and gen = Wtable.generation w in
+  let q = sigma_hat_query 0.5 in
+  let first = run udb q in
+  let _, stats, _ = first in
+  check bool_c "the coin query needed doubling" true
+    (stats.Approx.round_limit_hits >= 1);
+  check int_c "caller's variables untouched" count (Wtable.var_count w);
+  check int_c "caller's generation untouched" gen (Wtable.generation w);
+  same "coin, same seed" first (run udb q);
+  same "coin, fresh database" first (run (coin_udb ()) q);
+  (* σ̂ over a base uncertain relation samples the caller's own variables:
+     a direct pass builds their samplers on the caller's table, and the
+     attempts' copies then start with them. *)
+  let events () =
+    Pqdb_workload.Gen.uncertain_db (Rng.create ~seed:5) ~tuples:12 ~clauses:3
+  in
+  let q =
+    Pqdb_lang.Qparser.parse_query "aselect[$1 >= 0.5 | conf[id]](events)"
+  in
+  let fresh = run (events ()) q in
+  let udb = events () in
+  ignore (Approx.eval ~rng:(Rng.create ~seed:1) udb q);
+  let w = Udb.wtable udb in
+  let count = Wtable.var_count w and gen = Wtable.generation w in
+  same "events, samplers already built" fresh (run udb q);
+  check int_c "events: caller's variables untouched" count (Wtable.var_count w);
+  check int_c "events: caller's generation untouched" gen (Wtable.generation w)
+
 let test_near_singularity_suspect () =
   (* Threshold ~exactly at the posterior 2/3: that tuple's decision sits on
      the boundary, so with a tight budget it gets flagged as a suspect. *)
@@ -612,6 +663,8 @@ let () =
             test_near_singularity_suspect;
           Alcotest.test_case "footnote 3 rejected" `Quick
             test_footnote_3_rejected;
+          Alcotest.test_case "doubling attempts leave the caller's W alone"
+            `Quick test_doubling_isolated;
         ] );
       ( "error propagation",
         [

@@ -368,9 +368,10 @@ let test_lease_expiry_late_duplicate () =
   in
   let hello = Protocol.Hello { meta; probe; source = None } in
   (* Worker A: handshakes, takes one order, then goes silent (no
-     heartbeats) so its lease expires; when B has answered the reassigned
-     shard, A delivers its own (correct, but superseded-epoch) outcome —
-     whichever of the two the drain meets second is the late duplicate. *)
+     heartbeats) so its lease expires; when another worker has answered the
+     reassigned shard, A delivers its own (correct, but superseded-epoch)
+     outcome — whichever of the two the drain meets second is the late
+     duplicate. *)
   let a_out : Protocol.msg option Chan.t = Chan.create () in
   let a_order = ref None in
   let a_fired = ref false in
@@ -389,35 +390,75 @@ let test_lease_expiry_late_duplicate () =
       close = (fun () -> Chan.push a_out None);
     }
   in
-  (* Worker C: handshakes, takes one order, heartbeats forever without
-     answering — keeping the run open — until released. *)
-  let c_order = ref None in
   let c_released = ref false in
+  (* B's and C's reader threads share the trigger and C's held order. *)
+  let lock = Mutex.create () in
+  (* The moment an outcome for A's shard under a fresh epoch reaches the
+     coordinator: A's stale delivery, and shortly after, C's release. *)
+  let answered index epoch =
+    let fire =
+      Mutex.protect lock (fun () ->
+          match !a_order with
+          | Some (ai, ae) when index = ai && epoch <> ae && not !a_fired ->
+              a_fired := true;
+              Some (ai, ae)
+          | _ -> None)
+    in
+    match fire with
+    | Some (ai, ae) ->
+        Chan.push a_out
+          (Some (Protocol.Outcome { index = ai; epoch = ae; payload = solve_payload ai }));
+        Chan.push a_out (Some Protocol.Shutdown);
+        (* Hold C a beat longer so both outcomes for A's shard are
+           drained while the run is still open. *)
+        ignore
+          (Thread.create
+             (fun () ->
+               Thread.delay 0.25;
+               c_released := true)
+             ())
+    | None -> ()
+  in
+  (* Worker C: handshakes, then heartbeats without answering — keeping the
+     run open — until released; from then on it answers the order it
+     holds.  The order it holds is the last one dealt: under load C's own
+     0.3 s lease can lapse, its shard is requeued, its next heartbeat
+     rejoins it and it may be dealt a second order, which then is the one
+     the run waits for.  If that order is A's reassigned shard, C answers
+     it at once: the release waits for exactly that answer. *)
+  let c_order = ref None in
   let c_closed = ref false in
-  let c_state = ref 0 in
+  let c_greeted = ref false in
   let c_send = function
-    | Protocol.Order { index; epoch; _ } when !c_order = None ->
-        c_order := Some (index, epoch)
+    | Protocol.Order { index; epoch; _ } ->
+        Mutex.protect lock (fun () -> c_order := Some (index, epoch))
     | _ -> ()
+  in
+  let is_a_shard i =
+    match !a_order with Some (ai, _) -> i = ai | None -> false
   in
   let c_recv () =
     if !c_closed then None
-    else
-      match !c_state with
-      | 0 ->
-          c_state := 1;
-          Some hello
-      | 1 ->
-          Thread.delay 0.04;
-          if !c_released && !c_order <> None then begin
-            c_state := 2;
-            let i, e = Option.get !c_order in
-            Some (Protocol.Outcome { index = i; epoch = e; payload = solve_payload i })
-          end
-          else Some Protocol.Heartbeat
-      | _ ->
-          Thread.delay 0.04;
-          Some Protocol.Heartbeat
+    else if not !c_greeted then begin
+      c_greeted := true;
+      Some hello
+    end
+    else begin
+      Thread.delay 0.04;
+      let answer =
+        Mutex.protect lock (fun () ->
+            match !c_order with
+            | Some (i, _) as held when !c_released || is_a_shard i ->
+                c_order := None;
+                held
+            | _ -> None)
+      in
+      match answer with
+      | Some (i, e) ->
+          answered i e;
+          Some (Protocol.Outcome { index = i; epoch = e; payload = solve_payload i })
+      | None -> Some Protocol.Heartbeat
+    end
   in
   let c_tr =
     {
@@ -429,9 +470,7 @@ let test_lease_expiry_late_duplicate () =
     }
   in
   (* Worker B: a real serving worker; its coordinator-side recv is tapped
-     to notice the moment B answers A's reassigned shard (same index,
-     fresh epoch) — that instant triggers A's stale delivery, and shortly
-     after, C's release. *)
+     to notice the moment B answers A's reassigned shard. *)
   let make_b () =
     let base =
       Coordinator.thread_transport (fun ~input ~output ->
@@ -443,21 +482,8 @@ let test_lease_expiry_late_duplicate () =
       Coordinator.recv =
         (fun () ->
           let m = base.Coordinator.recv () in
-          (match (m, !a_order) with
-          | Some (Protocol.Outcome { index; epoch; _ }), Some (ai, ae)
-            when index = ai && epoch <> ae && not !a_fired ->
-              a_fired := true;
-              Chan.push a_out
-                (Some (Protocol.Outcome { index = ai; epoch = ae; payload = solve_payload ai }));
-              Chan.push a_out (Some Protocol.Shutdown);
-              (* Hold C a beat longer so both outcomes for A's shard are
-                 drained while the run is still open. *)
-              ignore
-                (Thread.create
-                   (fun () ->
-                     Thread.delay 0.25;
-                     c_released := true)
-                   ())
+          (match m with
+          | Some (Protocol.Outcome { index; epoch; _ }) -> answered index epoch
           | _ -> ());
           m)
     }
