@@ -171,6 +171,47 @@ let test_topk () =
            (Pqdb.Topk.query ~rng ~delta:0.1 ~k:1 udb
               Scenarios.coin_queries.Scenarios.t)))
 
+(* One Figure-3 decision that never meets its bound: a 2-clause value
+   against the threshold at its own confidence, cut at 4096 rounds. *)
+let fig3_rounds = 4096
+
+let test_fig3_decide () =
+  let w = Wtable.create () in
+  let coin () = Wtable.add_var w [ Q.of_ints 1 2; Q.of_ints 1 2 ] in
+  let x = coin () and y = coin () in
+  let dnf = Dnf.prepare w [ Assignment.singleton x 1; Assignment.singleton y 1 ] in
+  let phi = Apred.ge (Apred.var 0) (Apred.const 0.75) in
+  Test.make ~name:"fig3/decide-2clause-4096"
+    (Staged.stage (fun () ->
+         ignore
+           (Pqdb.Predicate_approx.decide ~eps0:0.01 ~max_rounds:fig3_rounds
+              ~rng:(Rng.create ~seed:11) ~delta:0.01 phi
+              [| Estimator.create dnf |])))
+
+(* One DKLR stopping-rule pass on a 30-variable DNF, from a fixed seed so
+   every run spends the same trials. *)
+let stopping_rule_case () =
+  let rng = Rng.create ~seed:214 in
+  let w = Wtable.create () in
+  Dnf.prepare w (Gen.random_dnf rng w ~vars:30 ~clauses:30 ~clause_len:3)
+
+let stopping_rule_pass dnf =
+  Karp_luby.adaptive_partial (Rng.create ~seed:215) dnf ~eps:0.1 ~delta:0.05
+
+let test_stopping_rule () =
+  let dnf = stopping_rule_case () in
+  Test.make ~name:"karp-luby/stopping-rule-30var"
+    (Staged.stage (fun () -> ignore (stopping_rule_pass dnf)))
+
+(* Kernels also reported as a rate: name, units per run, unit. *)
+let rates () =
+  [
+    ("pqdb/fig3/decide-2clause-4096", float_of_int fig3_rounds, "rounds/s");
+    ( "pqdb/karp-luby/stopping-rule-30var",
+      float_of_int (stopping_rule_pass (stopping_rule_case ())).p_trials,
+      "trials/s" );
+  ]
+
 let run () =
   Report.section "MICRO" "Bechamel kernels (ns per run, OLS fit)";
   let tests =
@@ -187,6 +228,8 @@ let run () =
         test_udb_copy ();
         test_optimizer ();
         test_topk ();
+        test_fig3_decide ();
+        test_stopping_rule ();
       ]
   in
   let ols =
@@ -199,6 +242,7 @@ let run () =
   in
   let raw = Benchmark.all cfg instances tests in
   let results = Analyze.all ols Instance.monotonic_clock raw in
+  let rates = rates () in
   let rows = ref [] in
   Hashtbl.iter
     (fun name ols ->
@@ -210,12 +254,19 @@ let run () =
       let r2 =
         match Analyze.OLS.r_square ols with Some r -> r | None -> Float.nan
       in
+      let rate =
+        match List.find_opt (fun (n, _, _) -> n = name) rates with
+        | Some (_, units, unit) ->
+            Printf.sprintf "%.3g %s" (units /. (estimate /. 1e9)) unit
+        | None -> ""
+      in
       rows :=
-        [ name; Report.fmt_seconds (estimate /. 1e9); Printf.sprintf "%.4f" r2 ]
+        [ name; Report.fmt_seconds (estimate /. 1e9); Printf.sprintf "%.4f" r2;
+          rate ]
         :: !rows)
     results;
   Report.table
-    ~header:[ "kernel"; "time/run"; "r^2" ]
+    ~header:[ "kernel"; "time/run"; "r^2"; "rate" ]
     (List.sort compare !rows)
 
 (* ------------------------------------------------------------------ *)

@@ -28,6 +28,7 @@ let of_sampler ?(batch = 16) ~lower_bound ~values () =
     invalid_arg "Approximable.of_sampler: empty population";
   if lower_bound <= 0. then
     invalid_arg "Approximable.of_sampler: lower bound must be positive";
+  if batch < 1 then invalid_arg "Approximable.of_sampler: batch must be positive";
   let lo = Array.fold_left Float.min values.(0) values in
   let hi = Array.fold_left Float.max values.(0) values in
   if hi -. lo <= 0. then Exact lo

@@ -46,4 +46,5 @@ val of_sampler :
     must be a positive lower bound on the true mean (it calibrates the
     relative-error bound); [batch] is the draws per round (default 16).
     @raise Invalid_argument on an empty population, a non-positive lower
-    bound, or a zero-width range (use {!constant}). *)
+    bound, a [batch] below 1 (a round would draw nothing, so Figure 3
+    would never stop), or a zero-width range (use {!constant}). *)

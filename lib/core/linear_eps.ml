@@ -93,14 +93,13 @@ let theorem_5_2 l point =
   else begin
     let disc = Float.max 0. ((beta *. beta) -. (4. *. b *. (alpha -. b))) in
     let root = sqrt disc in
-    let candidates =
-      List.filter
-        (fun e -> e >= 0. && e < 1.)
-        [ (beta -. root) /. (2. *. b); (beta +. root) /. (2. *. b) ]
-    in
-    match candidates with
-    | [] -> eps_max (* feasible on every admissible orthotope *)
-    | roots -> clamp (List.fold_left Float.min 1. roots)
+    let r1 = (beta -. root) /. (2. *. b) and r2 = (beta +. root) /. (2. *. b) in
+    (* The smallest admissible root, folded from 1 in root order. *)
+    match (r1 >= 0. && r1 < 1., r2 >= 0. && r2 < 1.) with
+    | false, false -> eps_max (* feasible on every admissible orthotope *)
+    | true, false -> clamp (Float.min 1. r1)
+    | false, true -> clamp (Float.min 1. r2)
+    | true, true -> clamp (Float.min (Float.min 1. r1) r2)
   end
 
 (* Orient the comparison so that we always hand Theorem 5.2 an inequality
@@ -112,25 +111,26 @@ let prepare_atom ~arity cmp lhs rhs =
   | Some ll, Some lr ->
       let l = map2_linear ( -. ) ll lr in
       let neg_l = scale (-1.) l in
+      (* [theorem_5_2 l] measures l ≥ 0 and [theorem_5_2 neg_l] l ≤ 0; they
+         are called directly so that a call builds no closure. *)
       Some
         (fun point ->
           let v = eval l point in
-          let ge () = theorem_5_2 l point in
-          let le () = theorem_5_2 neg_l point in
           match (cmp, v >= 0.) with
-          | (Apred.Ge | Apred.Gt), true -> ge ()
-          | (Apred.Ge | Apred.Gt), false -> le ()
-          | (Apred.Le | Apred.Lt), true -> le ()
-          | (Apred.Le | Apred.Lt), false -> ge ()
+          | (Apred.Ge | Apred.Gt), true | (Apred.Le | Apred.Lt), false ->
+              theorem_5_2 l point
+          | (Apred.Ge | Apred.Gt), false | (Apred.Le | Apred.Lt), true ->
+              theorem_5_2 neg_l point
           | Apred.Eq, _ ->
               (* Off the hyperplane the atom is false and stays false while
-                 the sign of l is preserved, which is what ge/le measure;
-                 on it both half-space radii are 0. *)
-              if v = 0. then Float.min (ge ()) (le ())
-              else if v > 0. then ge ()
-              else le ()
+                 the sign of l is preserved, which is what the two radii
+                 measure; on it both half-space radii are 0. *)
+              if v = 0. then
+                Float.min (theorem_5_2 l point) (theorem_5_2 neg_l point)
+              else if v > 0. then theorem_5_2 l point
+              else theorem_5_2 neg_l point
           | Apred.Neq, _ ->
               if v = 0. then 0. (* equality holds: a singularity for Neq *)
-              else if v > 0. then ge ()
-              else le ())
+              else if v > 0. then theorem_5_2 l point
+              else theorem_5_2 neg_l point)
   | _ -> None

@@ -62,7 +62,9 @@ val decide_values :
     exhausted, the decision is made with the steps accumulated so far and
     flagged [hit_round_limit = true], so callers treat it as a suspect.
     @raise Invalid_argument when [delta <= 0], [eps0] is outside (0, 1),
-    or the predicate mentions more variables than there are values. *)
+    [batch < 1] (a round would draw nothing, so without [max_rounds] the
+    loop would never stop), or the predicate mentions more variables than
+    there are values. *)
 
 val decide :
   ?budget:Pqdb_montecarlo.Budget.t ->

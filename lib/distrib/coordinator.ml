@@ -91,6 +91,7 @@ let tcp_transport ?io_timeout_s ?(retries = 0) ?(retry_delay_s = 0.2)
 type summary = {
   stream : Confidence.stream_summary;
   workers_spawned : int;
+  spawn_failures : string list;
   workers_lost : int;
   reassigned : int;
   reconnects : int;
@@ -261,11 +262,13 @@ let run ?budget ?nworkers ?compile_fuel
         (try wk.tr.send (Protocol.Hello { meta; probe; source })
          with _ -> ());
         fleet := !fleet @ [ wk ];
-        Some wk
-    | exception _ -> None
+        Ok wk
+    | exception e -> Error (Printexc.to_string e)
   in
-  let workers_spawned =
-    List.length (List.filter_map admit (List.init nw Fun.id))
+  let admitted = List.map admit (List.init nw Fun.id) in
+  let workers_spawned = List.length (List.filter Result.is_ok admitted) in
+  let spawn_failures =
+    List.filter_map (function Error e -> Some e | Ok _ -> None) admitted
   in
   let find_worker key = List.find (fun wk -> wk.key = key) !fleet in
   let live () = List.filter (fun wk -> wk.state <> Dead) !fleet in
@@ -512,8 +515,8 @@ let run ?budget ?nworkers ?compile_fuel
           List.iter
             (fun (id, _) ->
               match admit id with
-              | Some _ -> incr reconnects
-              | None -> schedule_redial id)
+              | Ok _ -> incr reconnects
+              | Error _ -> schedule_redial id)
             due);
        let idle = List.filter (fun wk -> wk.state = Idle) (live ()) in
        List.iter
@@ -591,6 +594,7 @@ let run ?budget ?nworkers ?compile_fuel
   {
     stream;
     workers_spawned;
+    spawn_failures;
     workers_lost = !workers_lost;
     reassigned = !reassigned;
     reconnects = !reconnects;

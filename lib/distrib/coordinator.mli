@@ -114,6 +114,10 @@ type summary = {
   stream : Pqdb_montecarlo.Confidence.stream_summary;
       (** The same accounting the sequential stream reports. *)
   workers_spawned : int;  (** transports successfully opened at start *)
+  spawn_failures : string list;
+      (** the printed exception of each initial admission (spawn, dial or
+          handshake) that failed, in slot order; [[]] when every slot was
+          admitted *)
   workers_lost : int;
       (** connections that died, timed out, were refused at handshake, or
           turned corrupt (a slot lost and redialed counts once per lost

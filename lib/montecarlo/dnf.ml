@@ -63,36 +63,44 @@ let variables t = Array.to_list t.vars
 let clauses t = Array.to_list t.clauses
 
 (* Does f* (one value per slot) extend the literals p .. stop - 1? *)
-let rec extends t total p stop =
+let rec extends t world p stop =
   p >= stop
-  || (total.(t.lit_slot.(p)) = t.lit_val.(p) && extends t total (p + 1) stop)
+  || (world.(t.lit_slot.(p)) = t.lit_val.(p) && extends t world (p + 1) stop)
 
 (* Is none of clauses j .. i - 1 consistent with f*? *)
-let rec smallest t total i j =
+let rec smallest t world i j =
   j >= i
-  || (not (extends t total t.lit_start.(j) t.lit_start.(j + 1)))
-     && smallest t total i (j + 1)
+  || (not (extends t world t.lit_start.(j) t.lit_start.(j + 1)))
+     && smallest t world i (j + 1)
 
-let sample_estimator rng t =
+type world = int array
+
+let scratch t = Array.make (Array.length t.vars) 0
+
+(* The trial kernel: every slot of [world] is written before step 3 reads
+   it, so a scratch world carries nothing from one trial to the next. *)
+let trial rng t world =
   match t.dist with
-  | None -> invalid_arg "Dnf.sample_estimator: empty DNF"
+  | None -> invalid_arg "Dnf.trial: empty DNF"
   | Some dist ->
       (* Step 1: clause index proportional to p_f (alias method, O(1)). *)
       let i = Rng.Alias.sample rng dist in
       (* Step 2: extend f to a total assignment f* over the DNF's variables,
          drawing each slot f leaves unbound from its W alias table in
          ascending slot order. *)
-      let n = Array.length t.vars in
-      let total = Array.make n 0 in
       let p = ref t.lit_start.(i) and stop = t.lit_start.(i + 1) in
-      for slot = 0 to n - 1 do
+      for slot = 0 to Array.length t.vars - 1 do
         if !p < stop && t.lit_slot.(!p) = slot then begin
-          total.(slot) <- t.lit_val.(!p);
+          world.(slot) <- t.lit_val.(!p);
           incr p
         end
-        else total.(slot) <- Rng.Alias.sample rng t.var_alias.(slot)
+        else world.(slot) <- Rng.Alias.sample rng t.var_alias.(slot)
       done;
       (* Step 3: 1 iff f is the smallest-index clause consistent with f*. *)
-      if smallest t total i 0 then 1 else 0
+      if smallest t world i 0 then 1 else 0
+
+let sample_estimator rng t =
+  if Option.is_none t.dist then invalid_arg "Dnf.sample_estimator: empty DNF";
+  trial rng t (scratch t)
 
 let exact t = Lineage.exact t.w (Array.to_list t.clauses)

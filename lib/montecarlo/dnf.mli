@@ -43,6 +43,26 @@ val sample_estimator : Rng.t -> t -> int
     for the clause, then one W-alias draw for each DNF variable [f] leaves
     unbound, in ascending variable id; the consistency check draws nothing.
     The prepared DNF is only read, so several domains may sample it at once.
+    Allocates a fresh scratch world per call; a loop of trials uses
+    {!scratch} and {!trial} instead.
+    @raise Invalid_argument on a trivially false DNF. *)
+
+type world
+(** A scratch total assignment [f*]: one value per DNF variable. *)
+
+val scratch : t -> world
+(** A world for {!trial} on this DNF.  The contract: one world per pass
+    (a batch of trials run by one caller on one domain), allocated before
+    the pass and dropped after it.  A world is mutable scratch, so it is
+    never shared across domains or between passes that may interleave;
+    the prepared DNF itself stays read-only and shareable. *)
+
+val trial : Rng.t -> t -> world -> int
+(** {!sample_estimator} writing [f*] into [world] (which must come from
+    {!scratch} on the same DNF) instead of a fresh array: the same draws in
+    the same order and the same result, with no allocation beyond the RNG
+    draws.  Every slot is overwritten before it is read, so the world
+    carries nothing from one trial to the next.
     @raise Invalid_argument on a trivially false DNF. *)
 
 val exact : t -> Rational.t

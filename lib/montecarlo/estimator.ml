@@ -19,11 +19,14 @@ let dnf t = t.dnf
 let is_degenerate t = t.degenerate <> None
 
 let batch rng t n =
+  if n < 0 then invalid_arg "Estimator.batch: negative trial count";
   match t.degenerate with
   | Some _ -> ()
   | None ->
+      (* One scratch world for the whole pass, not one per trial. *)
+      let world = Dnf.scratch t.dnf in
       for _ = 1 to n do
-        t.successes <- t.successes + Dnf.sample_estimator rng t.dnf
+        t.successes <- t.successes + Dnf.trial rng t.dnf world
       done;
       t.trials <- t.trials + n
 

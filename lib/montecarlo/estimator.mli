@@ -18,7 +18,13 @@ val is_degenerate : t -> bool
 (** Trivially true/false DNFs need no sampling and have error 0. *)
 
 val batch : Rng.t -> t -> int -> unit
-(** Run [n] more estimator calls (no-op on degenerate DNFs). *)
+(** Run [n] more estimator calls (no-op on degenerate DNFs), drawing
+    exactly what [n] calls of {!Dnf.sample_estimator} would.  The pass
+    allocates one {!Dnf.scratch} world and reuses it for all [n] trials;
+    the world lives only for this call, so estimators over the same
+    prepared DNF may run on different domains, while one estimator (it is
+    mutable) belongs to one domain at a time.
+    @raise Invalid_argument when [n < 0]. *)
 
 val step_round : Rng.t -> t -> unit
 (** One Figure-3 round: [|Fᵢ|] estimator calls. *)

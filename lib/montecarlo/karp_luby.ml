@@ -34,7 +34,7 @@ type stop = Target | Cap | Cut
    bounded: if it is reached first, the answer is the plain sample mean at
    that fixed Chernoff budget.  A [budget] is polled before and charged
    after every trial; when it cuts the loop the estimate is the plain mean
-   of the trials spent.
+   of the trials spent.  The pass reuses one scratch world for every trial.
    Returns (how it stopped, estimate, trials). *)
 let stopping_rule ?budget rng dnf ~eps ~delta ~cap =
   let lambda = Float.exp 1. -. 2. in
@@ -42,11 +42,12 @@ let stopping_rule ?budget rng dnf ~eps ~delta ~cap =
   let ups1 = 1. +. ((1. +. eps) *. ups) in
   let target = Stats.count_of_float ups1 in
   let s = ref 0 and n = ref 0 and cut = ref false in
+  let world = Dnf.scratch dnf in
   while (not !cut) && !s < target && !n < cap do
     match budget with
     | Some b when Budget.exhausted b -> cut := true
     | _ ->
-        s := !s + Dnf.sample_estimator rng dnf;
+        s := !s + Dnf.trial rng dnf world;
         incr n;
         Option.iter (fun b -> Budget.spend b 1) budget
   done;

@@ -323,32 +323,39 @@ type 'a dag = {
   clauses : Assignment.t list;
 }
 
-(* The per-compile cache, keyed on normalized flat sets.  A lookup hashes
-   the arrays and [equal] compares them in full, so a hash collision never
-   shares a node. *)
-module Sets = Hashtbl.Make (struct
-  type t = int array array
+(* The per-compile cache, keyed on normalized flat sets with their hash
+   stored beside them: a lookup hashes the set once, a resize re-hashes
+   nothing, and [equal] compares the arrays in full, so a hash collision
+   never shares a node. *)
+let hash_set (s : int array array) =
+  let h = ref 0 in
+  for i = 0 to Array.length s - 1 do
+    let c = s.(i) in
+    h := (!h * 17) + Array.length c;
+    for t = 0 to Array.length c - 1 do
+      h := (!h * 31) + c.(t)
+    done
+  done;
+  !h
 
-  let equal (a : t) (b : t) =
-    let n = Array.length a in
-    n = Array.length b
+type key = { hash : int; set : int array array }
+
+module Sets = Hashtbl.Make (struct
+  type t = key
+
+  let equal a b =
+    a.hash = b.hash
+    &&
+    let n = Array.length a.set in
+    n = Array.length b.set
     &&
     let i = ref 0 in
-    while !i < n && compare_clause a.(!i) b.(!i) = 0 do
+    while !i < n && compare_clause a.set.(!i) b.set.(!i) = 0 do
       incr i
     done;
     !i = n
 
-  let hash (s : t) =
-    let h = ref 0 in
-    for i = 0 to Array.length s - 1 do
-      let c = s.(i) in
-      h := (!h * 17) + Array.length c;
-      for t = 0 to Array.length c - 1 do
-        h := (!h * 31) + c.(t)
-      done
-    done;
-    !h
+  let hash k = k.hash
 end)
 
 (* What a sub-DNF compiled to.  A constant stays out of the node array
@@ -416,11 +423,13 @@ let rec find parent i =
     find parent parent.(i)
   end
 
-(* Fills [b.comp] with component ids in first-occurrence order; returns how
-   many components there are. *)
-let components_of b set =
+(* Counts each variable's clauses into [b.counts] and, in the same pass,
+   unions the clauses that share a variable; then fills [b.comp] with
+   component ids in first-occurrence order and returns how many components
+   there are. *)
+let count_and_components b set =
   let m = Array.length set and bits = b.bits in
-  let parent = b.parent and owner = b.owner in
+  let parent = b.parent and owner = b.owner and counts = b.counts in
   for i = 0 to m - 1 do
     parent.(i) <- i
   done;
@@ -428,6 +437,7 @@ let components_of b set =
     let c = set.(i) in
     for t = 0 to Array.length c - 1 do
       let v = c.(t) lsr bits in
+      counts.(v) <- counts.(v) + 1;
       let o = owner.(v) in
       if o < 0 then owner.(v) <- i
       else
@@ -448,7 +458,17 @@ let components_of b set =
   done;
   !n
 
-(* The [n] components [components_of] numbered, each in set order. *)
+let count b set =
+  let bits = b.bits and counts = b.counts in
+  for i = 0 to Array.length set - 1 do
+    let c = set.(i) in
+    for t = 0 to Array.length c - 1 do
+      let v = c.(t) lsr bits in
+      counts.(v) <- counts.(v) + 1
+    done
+  done
+
+(* The [n] components [count_and_components] numbered, each in set order. *)
 let gather b set n =
   let m = Array.length set and comp = b.comp and size = b.slot in
   Array.fill size 0 n 0;
@@ -472,18 +492,18 @@ let gather b set n =
    in first-occurrence order), a variable bound in every clause (smallest
    id), the variable in the most clauses (smallest id on ties).  Local ids
    follow W-variable order, so "smallest" means the same as on W ids.  A
-   set known to be [connected] (a component a split found) skips the
-   union-find.  A last pass resets both per-variable arrays. *)
+   set known to be [connected] (a component a split found) only counts
+   variables; any other set counts and runs the union-find in one pass.  A
+   last pass resets both per-variable arrays. *)
 let split b ~connected set =
   let m = Array.length set and bits = b.bits and counts = b.counts in
-  for i = 0 to m - 1 do
-    let c = set.(i) in
-    for t = 0 to Array.length c - 1 do
-      let v = c.(t) lsr bits in
-      counts.(v) <- counts.(v) + 1
-    done
-  done;
-  let n = if connected then 1 else components_of b set in
+  let n =
+    if connected then begin
+      count b set;
+      1
+    end
+    else count_and_components b set
+  in
   let decision =
     if n > 1 then Components (gather b set n)
     else begin
@@ -588,11 +608,12 @@ let rec child b ~connected set =
             b.cache <- Some t;
             t
       in
-      match Sets.find cache set with
+      let key = { hash = hash_set set; set } in
+      match Sets.find cache key with
       | sub -> sub
       | exception Not_found ->
           let sub = expand b ~connected set in
-          Sets.add cache set sub;
+          Sets.add cache key sub;
           sub)
 
 and expand b ~connected set =

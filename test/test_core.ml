@@ -779,6 +779,429 @@ let test_recurrence_base_case () =
   check (float_c 0.) "d = 0 has no error" 0.
     (Error_bound.recurrence ~k:3 ~n:10 ~d:0 ~per_level:0.1)
 
+(* ------------------------------------------------------------------ *)
+(* Same bits: the Figure-3 loop against a verbatim reference           *)
+(* ------------------------------------------------------------------ *)
+
+(* The Figure-3 loop and the Karp-Luby trial kernel as they were before a
+   round reused its p̂ buffer and a pass its scratch world: a fresh f* per
+   trial, a fresh p̂ per round, list-based error sums.  Rebuilt over the
+   public accessors, they are the reference the production loop must match
+   draw for draw and float for float. *)
+module Reference = struct
+  type dnf = {
+    total : float;
+    clause_count : int;
+    dist : Rng.Alias.dist option;
+    vars : int array;
+    var_alias : Rng.Alias.dist array;
+    lit_start : int array;
+    lit_slot : int array;
+    lit_val : int array;
+  }
+
+  let prepare w clause_list =
+    let clauses = Array.of_list clause_list in
+    let weights = Array.map (Assignment.weight_float w) clauses in
+    let total = Array.fold_left ( +. ) 0. weights in
+    let vars =
+      Array.of_list
+        (List.sort_uniq compare (List.concat_map Assignment.vars clause_list))
+    in
+    let var_alias = Array.map (Wtable.alias w) vars in
+    let n = Array.length clauses in
+    let lit_start = Array.make (n + 1) 0 in
+    Array.iteri
+      (fun i f -> lit_start.(i + 1) <- lit_start.(i) + Assignment.cardinal f)
+      clauses;
+    let lit_slot = Array.make lit_start.(n) 0 in
+    let lit_val = Array.make lit_start.(n) 0 in
+    Array.iteri
+      (fun i f ->
+        let slot = ref 0 in
+        List.iteri
+          (fun k (v, x) ->
+            while vars.(!slot) <> v do
+              incr slot
+            done;
+            lit_slot.(lit_start.(i) + k) <- !slot;
+            lit_val.(lit_start.(i) + k) <- x)
+          (Assignment.bindings f))
+      clauses;
+    let dist = if n = 0 then None else Some (Rng.Alias.of_weights weights) in
+    { total; clause_count = n; dist; vars; var_alias; lit_start; lit_slot;
+      lit_val }
+
+  let rec extends t total p stop =
+    p >= stop
+    || (total.(t.lit_slot.(p)) = t.lit_val.(p) && extends t total (p + 1) stop)
+
+  let rec smallest t total i j =
+    j >= i
+    || (not (extends t total t.lit_start.(j) t.lit_start.(j + 1)))
+       && smallest t total i (j + 1)
+
+  let sample_estimator rng t =
+    match t.dist with
+    | None -> invalid_arg "Reference.sample_estimator: empty DNF"
+    | Some dist ->
+        let i = Rng.Alias.sample rng dist in
+        let n = Array.length t.vars in
+        let total = Array.make n 0 in
+        let p = ref t.lit_start.(i) and stop = t.lit_start.(i + 1) in
+        for slot = 0 to n - 1 do
+          if !p < stop && t.lit_slot.(!p) = slot then begin
+            total.(slot) <- t.lit_val.(!p);
+            incr p
+          end
+          else total.(slot) <- Rng.Alias.sample rng t.var_alias.(slot)
+        done;
+        if smallest t total i 0 then 1 else 0
+
+  type est = {
+    dnf : dnf;
+    degenerate : float option;
+    mutable successes : int;
+    mutable trials : int;
+  }
+
+  let create clauses dnf =
+    let degenerate =
+      if clauses = [] then Some 0.
+      else if List.exists Assignment.is_empty clauses then Some 1.
+      else None
+    in
+    { dnf; degenerate; successes = 0; trials = 0 }
+
+  let batch rng t n =
+    match t.degenerate with
+    | Some _ -> ()
+    | None ->
+        for _ = 1 to n do
+          t.successes <- t.successes + sample_estimator rng t.dnf
+        done;
+        t.trials <- t.trials + n
+
+  let estimate t =
+    match t.degenerate with
+    | Some v -> v
+    | None ->
+        if t.trials = 0 then 0.
+        else
+          float_of_int t.successes *. t.dnf.total /. float_of_int t.trials
+
+  let delta_bound t ~eps =
+    match t.degenerate with
+    | Some _ -> 0.
+    | None ->
+        if t.trials = 0 then 1.
+        else
+          Stats.karp_luby_delta ~trials:t.trials ~clauses:t.dnf.clause_count
+            ~eps
+
+  let combined_error ~independent values ~eps =
+    if independent then
+      Stats.independent_or_bound
+        (Array.to_list (Array.map (fun v -> delta_bound v ~eps) values))
+    else Array.fold_left (fun acc v -> acc +. delta_bound v ~eps) 0. values
+
+  let total_steps values = Array.fold_left (fun acc v -> acc + v.trials) 0 values
+
+  let finish ~independent ~value ~eps ~eps_phi ~eps0 ~rounds ~hit_round_limit
+      values =
+    {
+      Predicate_approx.value;
+      error_bound = Float.min 0.5 (combined_error ~independent values ~eps);
+      epsilon = eps;
+      rounds;
+      estimator_calls = total_steps values;
+      estimates = Array.map estimate values;
+      hit_round_limit;
+      used_floor = eps_phi < eps0;
+    }
+
+  let decide ?budget ?(eps0 = 0.05) ?max_rounds ?batch:n
+      ?(independent = false) ~rng ~delta phi values =
+    let epsilon = Epsilon.prepare phi in
+    let refine v =
+      match n with
+      | None -> batch rng v (max 1 v.dnf.clause_count)
+      | Some n -> batch rng v n
+    in
+    let out_of_budget () =
+      match budget with Some b -> Budget.exhausted b | None -> false
+    in
+    let rec loop rounds =
+      if out_of_budget () then begin
+        let p_hat = Array.map estimate values in
+        let eps_phi = epsilon p_hat in
+        let eps = Float.max eps0 eps_phi in
+        finish ~independent ~value:(Apred.eval p_hat phi) ~eps ~eps_phi ~eps0
+          ~rounds ~hit_round_limit:true values
+      end
+      else begin
+        let before = total_steps values in
+        Array.iter refine values;
+        (match budget with
+        | Some b -> Budget.spend b (total_steps values - before)
+        | None -> ());
+        let rounds = rounds + 1 in
+        let p_hat = Array.map estimate values in
+        let eps_phi = epsilon p_hat in
+        let eps = Float.max eps0 eps_phi in
+        if combined_error ~independent values ~eps <= delta then
+          finish ~independent ~value:(Apred.eval p_hat phi) ~eps ~eps_phi
+            ~eps0 ~rounds ~hit_round_limit:false values
+        else
+          match max_rounds with
+          | Some limit when rounds >= limit ->
+              finish ~independent ~value:(Apred.eval p_hat phi) ~eps ~eps_phi
+                ~eps0 ~rounds ~hit_round_limit:true values
+          | _ -> loop rounds
+      end
+    in
+    if Array.for_all (fun v -> v.degenerate <> None) values then begin
+      let p_hat = Array.map estimate values in
+      finish ~independent ~value:(Apred.eval p_hat phi) ~eps:eps0
+        ~eps_phi:Linear_eps.eps_max ~eps0 ~rounds:0 ~hit_round_limit:false
+        values
+    end
+    else loop 0
+end
+
+let show_decision (d : Predicate_approx.decision) =
+  Printf.sprintf "%b eps %h bound %h rounds %d calls %d limit %b floor %b [%s]"
+    d.value d.epsilon d.error_bound d.rounds d.estimator_calls
+    d.hit_round_limit d.used_floor
+    (String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") d.estimates)))
+
+(* One generated case: a predicate, two or three seeded lineages (now and
+   then a trivially false or true one; a third value the predicate does not
+   read still enters the error sum, whose order then matters), and every
+   knob of the loop. *)
+let fig3_case_gen =
+  QCheck.Gen.(
+    let lineage =
+      frequency
+        [
+          (8, map3 (fun v c l -> `Random (v, c, l)) (int_range 1 6)
+                (int_range 1 4) (int_range 1 3));
+          (1, return `False);
+          (1, return `True);
+        ]
+    in
+    let knobs =
+      quad (opt ~ratio:0.5 (int_range 1 64))
+        (opt ~ratio:0.5 (int_range 0 3000))
+        (opt ~ratio:0.3 (int_range 1 8))
+        bool
+    in
+    map3
+      (fun (pred, seed, eps0) lineages knobs -> (pred, seed, eps0, lineages, knobs))
+      (triple (int_bound (Array.length sigma_predicates - 1)) (int_bound 100_000)
+         (oneofl [ 0.05; 0.1; 0.2 ]))
+      (triple lineage lineage (opt ~ratio:0.3 lineage)) knobs)
+
+let print_fig3_case (pred, seed, eps0, (_, _, c), (max_rounds, budget, batch, indep)) =
+  let opt = function None -> "-" | Some n -> string_of_int n in
+  Printf.sprintf
+    "pred %d seed %d eps0 %g values %d max_rounds %s budget %s batch %s \
+     independent %b"
+    pred seed eps0 (if c = None then 2 else 3) (opt max_rounds) (opt budget)
+    (opt batch) indep
+
+let prop_fig3_matches_reference =
+  QCheck.Test.make ~count:300
+    ~name:"figure 3 = verbatim reference loop (decisions and next draw)"
+    (QCheck.make ~print:print_fig3_case fig3_case_gen)
+    (fun (pred, seed, eps0, (a, b, c), (max_rounds, trials, batch, independent)) ->
+      let phi = sigma_predicates.(pred) in
+      let w = Wtable.create () in
+      let gen_rng = Rng.create ~seed in
+      let lineage = function
+        | `Random (vars, clauses, clause_len) ->
+            Pqdb_workload.Gen.random_dnf gen_rng w ~vars ~clauses ~clause_len
+        | `False -> []
+        | `True -> [ Assignment.empty ]
+      in
+      let sets =
+        Array.of_list (List.map lineage (a :: b :: Option.to_list c))
+      in
+      let budget () = Option.map (fun n -> Budget.create ~max_trials:n ()) trials in
+      let rng = Rng.create ~seed:(seed + 1) and ref_rng = Rng.create ~seed:(seed + 1) in
+      let d =
+        Predicate_approx.decide ?budget:(budget ()) ?max_rounds ?batch
+          ~independent ~eps0 ~rng ~delta:0.1 phi
+          (Array.map (fun cs -> Estimator.create (Dnf.prepare w cs)) sets)
+      in
+      let r =
+        Reference.decide ?budget:(budget ()) ?max_rounds ?batch ~independent
+          ~eps0 ~rng:ref_rng ~delta:0.1 phi
+          (Array.map (fun cs -> Reference.create cs (Reference.prepare w cs)) sets)
+      in
+      let next = Printf.sprintf "%h" (Rng.float rng 1.)
+      and ref_next = Printf.sprintf "%h" (Rng.float ref_rng 1.) in
+      if show_decision d <> show_decision r || next <> ref_next then
+        QCheck.Test.fail_reportf "decision %s / next %s\nreference %s / next %s"
+          (show_decision d) next (show_decision r) ref_next;
+      true)
+
+(* Theorem 5.2's root choice as a list built and filtered, the form the
+   closed-form test of both roots must reproduce bit for bit. *)
+let reference_theorem_5_2 (l : Linear_eps.linear) point =
+  let clamp eps =
+    if Float.is_nan eps then 0.
+    else if eps < 0. then 0.
+    else if eps > Linear_eps.eps_max then Linear_eps.eps_max
+    else eps
+  in
+  let b = -.l.constant in
+  let alpha = ref 0. and beta = ref 0. in
+  for i = 0 to Array.length l.coeffs - 1 do
+    let t = l.coeffs.(i) *. point.(i) in
+    alpha := !alpha +. t;
+    beta := !beta +. Float.abs t
+  done;
+  let alpha = !alpha and beta = !beta in
+  if beta = 0. then if 0. >= b then Linear_eps.eps_max else 0.
+  else if alpha < b then 0.
+  else if b = 0. then clamp (alpha /. beta)
+  else begin
+    let disc = Float.max 0. ((beta *. beta) -. (4. *. b *. (alpha -. b))) in
+    let root = sqrt disc in
+    let candidates =
+      List.filter
+        (fun e -> e >= 0. && e < 1.)
+        [ (beta -. root) /. (2. *. b); (beta +. root) /. (2. *. b) ]
+    in
+    match candidates with
+    | [] -> Linear_eps.eps_max
+    | roots -> clamp (List.fold_left Float.min 1. roots)
+  end
+
+(* Edge cases: b < 0, b = 0, β = 0 (zero coefficients or a zero point), a
+   root at exactly 0 (α = b), and α = β = 2b(1 − tiny), whose roots are
+   1 − tiny and 1 — the second rounds either side of 1. *)
+let theorem_5_2_edge_cases =
+  let lin coeffs constant = { Linear_eps.coeffs; constant } in
+  [
+    (lin [| 1.; -1. |] 0.3, [| 0.4; 0.2 |]);
+    (lin [| 1.; 2. |] 0., [| 0.4; 0.2 |]);
+    (lin [| 1.; -2. |] 0., [| 0.4; 0.2 |]);
+    (lin [| 0.; 0. |] (-0.5), [| 0.4; 0.2 |]);
+    (lin [| 0.; 0. |] 0.5, [| 0.4; 0.2 |]);
+    (lin [| 1.; 1. |] (-0.5), [| 0.; 0. |]);
+    (lin [| 1. |] (-0.5), [| 0.5 |]);
+    (lin [| 2.; -1. |] (-0.3), [| 0.4; 0.5 |]);
+    (lin [| 1. |] (-0.25), [| 0.5 -. 1e-12 |]);
+    (lin [| 1. |] (-0.25), [| 0.5 -. epsilon_float |]);
+    (lin [| 1.; 1. |] (-0.125), [| 0.125; 0.125 -. 1e-15 |]);
+  ]
+
+let theorem_5_2_gen =
+  QCheck.Gen.(
+    let coeff = oneof [ float_range (-3.) 3.; oneofl [ 0.; 1.; -1.; 0.5 ] ] in
+    let point = oneof [ float_range 0. 1.; oneofl [ 0.; 0.5; 1. ] ] in
+    int_range 1 4 >>= fun k ->
+    map3
+      (fun coeffs point constant -> ({ Linear_eps.coeffs; constant }, point))
+      (array_repeat k coeff) (array_repeat k point)
+      (oneof [ float_range (-2.) 2.; oneofl [ 0.; -0.5; 0.5 ] ]))
+
+let prop_theorem_5_2_matches_reference =
+  QCheck.Test.make ~count:2000 ~name:"theorem 5.2 = list-based reference"
+    (QCheck.make
+       ~print:(fun ((l : Linear_eps.linear), p) ->
+         Printf.sprintf "coeffs [%s] constant %h point [%s]"
+           (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") l.coeffs)))
+           l.constant
+           (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") p))))
+       QCheck.Gen.(oneof [ oneofl theorem_5_2_edge_cases; theorem_5_2_gen ]))
+    (fun (l, p) ->
+      Int64.equal
+        (Int64.bits_of_float (Linear_eps.theorem_5_2 l p))
+        (Int64.bits_of_float (reference_theorem_5_2 l p)))
+
+let test_theorem_5_2_edge_cases_covered () =
+  (* Each edge case reaches the branch it is named for. *)
+  let got = List.map (fun (l, p) -> Linear_eps.theorem_5_2 l p) theorem_5_2_edge_cases in
+  List.iter2
+    (fun (l, p) eps ->
+      check bool_c "same bits as the reference" true
+        (Int64.equal (Int64.bits_of_float eps)
+           (Int64.bits_of_float (reference_theorem_5_2 l p))))
+    theorem_5_2_edge_cases got;
+  check (float_c 0.) "alpha = b: the root is exactly 0" 0.
+    (List.nth got 6);
+  check bool_c "alpha = beta = 2b(1 - tiny): the root just below 1" true
+    (let e = List.nth got 8 in e > 0.99 && e < 1.)
+
+(* Minor words one Figure-3 round allocates: a fixed 2-clause decision that
+   never meets its bound and stops at max_rounds.  A round with a fresh p̂,
+   a fresh f* per trial, a closure and boxed sums for the error bound, and
+   list-built roots in Theorem 5.2 allocated 52 words; the buffered loop
+   with one scratch world per pass allocates 21, of which the RNG draws are
+   most.  The guard is two thirds of the former. *)
+let test_fig3_round_allocation () =
+  let w = Wtable.create () in
+  let coin () = Wtable.add_var w [ Q.of_ints 1 2; Q.of_ints 1 2 ] in
+  let x = coin () and y = coin () in
+  let est =
+    Estimator.create
+      (Dnf.prepare w [ Assignment.singleton x 1; Assignment.singleton y 1 ])
+  in
+  let phi = Apred.ge (Apred.var 0) (Apred.const 0.75) in
+  let rng = Rng.create ~seed:11 in
+  let before = Gc.minor_words () in
+  let d =
+    Predicate_approx.decide ~eps0:0.01 ~max_rounds:4096 ~rng ~delta:0.01 phi
+      [| est |]
+  in
+  let per_round = (Gc.minor_words () -. before) /. float_of_int d.rounds in
+  check Alcotest.int "ran to the round limit" 4096 d.rounds;
+  check bool_c "round limit hit" true d.hit_round_limit;
+  check bool_c
+    (Printf.sprintf "%.1f minor words per round <= 34.7" per_round)
+    true
+    (per_round <= 52.03 *. 2. /. 3.)
+
+exception Timed_out
+
+(* [f ()] under a SIGALRM deadline, so a loop that never returns fails the
+   test instead of hanging the suite. *)
+let with_timeout seconds f =
+  let previous =
+    Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> raise Timed_out))
+  in
+  ignore (Unix.alarm seconds);
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Unix.alarm 0);
+      Sys.set_signal Sys.sigalrm previous)
+    f
+
+let test_decide_rejects_empty_batch () =
+  let phi = Apred.ge (Apred.var 0) (Apred.const 0.5) in
+  List.iter
+    (fun batch ->
+      let w = Wtable.create () in
+      let est = bernoulli_estimator w 0.5 in
+      Alcotest.check_raises
+        (Printf.sprintf "batch %d rejected, not looped on" batch)
+        (Invalid_argument "Predicate_approx: batch must be positive")
+        (fun () ->
+          with_timeout 5 (fun () ->
+              ignore
+                (Predicate_approx.decide ~batch ~rng:(Rng.create ~seed:1)
+                   ~delta:0.1 phi [| est |]))))
+    [ 0; -3 ];
+  Alcotest.check_raises "sampler batch 0 rejected"
+    (Invalid_argument "Approximable.of_sampler: batch must be positive")
+    (fun () ->
+      ignore
+        (Approximable.of_sampler ~batch:0 ~lower_bound:1. ~values:[| 1.; 2. |]
+           ()))
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 let () =
@@ -800,6 +1223,9 @@ let () =
             test_mixed_truth_disjunction_sound;
           qcheck prop_linear_matches_search;
           qcheck prop_orthotope_homogeneous;
+          qcheck prop_theorem_5_2_matches_reference;
+          Alcotest.test_case "root choice edge cases" `Quick
+            test_theorem_5_2_edge_cases_covered;
         ] );
       ( "theorem 5.5",
         [
@@ -829,6 +1255,11 @@ let () =
             test_fig3_two_values_ratio;
           Alcotest.test_case "decisions pinned bit for bit" `Quick
             test_sigma_decisions_pinned;
+          qcheck prop_fig3_matches_reference;
+          Alcotest.test_case "round allocation guard" `Quick
+            test_fig3_round_allocation;
+          Alcotest.test_case "non-positive batch rejected" `Quick
+            test_decide_rejects_empty_batch;
         ] );
       ( "more behaviours",
         [

@@ -155,6 +155,23 @@ let test_estimator_state () =
   check bool_c "target met after top-up" true
     (Estimator.delta_bound est ~eps:0.2 <= 0.05 +. 1e-12)
 
+(* A negative batch is refused before it can lower the trial count: 10
+   trials then [-7] used to leave 3 trials and an estimate above 1. *)
+let test_estimator_negative_batch () =
+  let w, clauses = fixture () in
+  let est = Estimator.create (Dnf.prepare w clauses) in
+  let rng = Rng.create ~seed:5 in
+  Estimator.batch rng est 10;
+  let estimate = Estimator.estimate est in
+  Alcotest.check_raises "negative batch rejected"
+    (Invalid_argument "Estimator.batch: negative trial count") (fun () ->
+      Estimator.batch rng est (-7));
+  check int_c "trial count unchanged" 10 (Estimator.trials est);
+  check (Alcotest.float 0.) "estimate unchanged" estimate
+    (Estimator.estimate est);
+  Estimator.batch rng est 0;
+  check int_c "an empty batch adds nothing" 10 (Estimator.trials est)
+
 let test_estimator_convergence () =
   let w, clauses = fixture () in
   let dnf = Dnf.prepare w clauses in
@@ -308,16 +325,27 @@ let test_kernel_matches_oracle () =
     let dnf = Dnf.prepare w clauses and oracle = Oracle.prepare w clauses in
     let seed = Rng.int gen 1_000_000 in
     let r_kernel = Rng.create ~seed and r_oracle = Rng.create ~seed in
+    let r_pass = Rng.create ~seed in
     let kernel = List.init 200 (fun _ -> Dnf.sample_estimator r_kernel dnf) in
     let expected = List.init 200 (fun _ -> Oracle.sample r_oracle oracle) in
+    (* One scratch world reused by a whole pass, as the estimator loops do. *)
+    let world = Dnf.scratch dnf in
+    let pass = List.init 200 (fun _ -> Dnf.trial r_pass dnf world) in
     check (Alcotest.list int_c)
       (Printf.sprintf "case %d: trial sequence" case)
       expected kernel;
+    check (Alcotest.list int_c)
+      (Printf.sprintf "case %d: trial sequence on one scratch world" case)
+      expected pass;
     (* The same draws consumed: the streams continue identically. *)
     let next r = List.init 4 (fun _ -> Rng.int r (1 lsl 30 - 1)) in
+    let after = next r_oracle in
     check (Alcotest.list int_c)
       (Printf.sprintf "case %d: RNG state after the trials" case)
-      (next r_oracle) (next r_kernel)
+      after (next r_kernel);
+    check (Alcotest.list int_c)
+      (Printf.sprintf "case %d: RNG state after the pass" case)
+      after (next r_pass)
   done
 
 let test_single_clause_estimator_is_exact () =
@@ -1710,6 +1738,8 @@ let () =
       ( "estimator",
         [
           Alcotest.test_case "incremental state" `Quick test_estimator_state;
+          Alcotest.test_case "negative batch rejected" `Quick
+            test_estimator_negative_batch;
           Alcotest.test_case "convergence" `Slow test_estimator_convergence;
         ] );
       ( "batch confidence",

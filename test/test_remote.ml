@@ -237,10 +237,13 @@ let test_tcp_identity () =
              failure says which assertion broke and what the run saw. *)
           let name =
             Printf.sprintf
-              "%d tcp workers (spawned %d, lost %d, reassigned %d, \
-               reconnects %d, leases expired %d, late drops %d, fallback \
-               shards %d, complete %b)"
-              workers summary.Coordinator.workers_spawned
+              "%d tcp workers (ports [%s], spawned %d, spawn failures [%s], \
+               lost %d, reassigned %d, reconnects %d, leases expired %d, \
+               late drops %d, fallback shards %d, complete %b)"
+              workers
+              (String.concat "; " (Array.to_list (Array.map string_of_int ports)))
+              summary.Coordinator.workers_spawned
+              (String.concat "; " summary.spawn_failures)
               summary.workers_lost summary.reassigned summary.reconnects
               summary.leases_expired summary.late_drops
               summary.fallback_shards
