@@ -307,7 +307,7 @@ let nested_loop_join a b =
 
 (* A workload where compilation has to earn its keep: mostly easy lineage
    (singleton clauses, solved in closed form) plus a hard minority of dense
-   random DNFs that exhaust the compilation fuel and fall back to adaptive
+   random DNFs that exhaust the compilation fuel and go to adaptive
    sampling. *)
 let mixed_inputs () =
   let rng = Rng.create ~seed:209 in
@@ -348,9 +348,10 @@ let stream_inputs () =
   (w, sets)
 
 (* 120 random 30-variable, 30-clause DNFs that run out of the default
-   compilation fuel: each keeps residual sub-DNFs and their sampling tables,
-   so the engine's resident state is dominated by per-tuple compiled state —
-   exactly the footprint streaming is supposed to bound. *)
+   compilation fuel: each compiled value keeps its whole normalized DNF for
+   sampling, so the engine's resident state is dominated by per-tuple
+   compiled state — exactly the footprint streaming is supposed to
+   bound. *)
 let ceiling_inputs () =
   let rng = Rng.create ~seed:212 in
   let w = Wtable.create () in
@@ -460,7 +461,8 @@ let confidence_engine () =
   (* 2b. Mixed workload: does compilation pay only for the hard cases?
      Equal (eps, delta) on both sides; the baseline samples every tuple at
      the fixed Chernoff budget, the compiled path solves the easy 90% in
-     closed form and adaptively samples the hard residues. *)
+     closed form and adaptively samples the hard tuples its bracket does
+     not certify. *)
   let wm, mixed_sets = mixed_inputs () in
   let mixed_fpras =
     Report.time_median (fun () ->

@@ -100,7 +100,7 @@ let exact_confidences udb c q =
     (Urelation.clauses_by_tuple u)
 
 (* ------------------------------------------------------------------ *)
-(* Anytime path (compiled lineage + Karp-Luby on the residual).        *)
+(* Anytime path (compiled lineage + one Karp-Luby pass when sampled).  *)
 
 type estimate = {
   value : float;

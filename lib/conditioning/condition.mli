@@ -13,7 +13,7 @@
                  = (Pr(φ∧E) − Pr(φ∧E∧V)) / (Pr(E) − Pr(E∧V)) v}
 
     Each of the four terms is answered exactly where the lineage compiles
-    ({!Pqdb_montecarlo.Compile}) and by Karp–Luby on the residual, yielding
+    ({!Pqdb_montecarlo.Compile}) and otherwise by one Karp–Luby pass, yielding
     sound anytime brackets; the difference and ratio are propagated through
     interval arithmetic ({!Pqdb_numeric.Interval.difference} /
     {!Pqdb_numeric.Interval.ratio}), so the reported [lo, hi] holds with

@@ -15,40 +15,27 @@ type result = {
 
 type candidate = {
   tuple : Tuple.t;
-  comp : Compile.t;
-  ests : Estimator.t array;  (* one incremental sampler per residual *)
+  est : Estimator.t option;
+      (* the one incremental sampler, over the whole normalized DNF; [None]
+         when the lineage compiled exactly *)
   mutable lo : float;
   mutable hi : float;
 }
 
-(* Candidates whose lineage compiled away entirely — or whose residuals are
-   all degenerate/single-clause — are exact: their intervals are points and
-   they must never be refined. *)
-let is_exact_candidate c =
-  Array.for_all
-    (fun est ->
-      Estimator.is_degenerate est || Dnf.clause_count (Estimator.dnf est) = 1)
-    c.ests
-
-(* Plug current point estimates into the compiled tree.  Residual samplers
-   with no trials yet report 0, which is fine: [update_interval] still spans
-   the truth, and [current_value] is only used for ordering. *)
+(* A sampler with no trials yet reports 0, which is fine: [update_interval]
+   still spans the truth, and [current_value] is only used for ordering. *)
 let current_value c =
-  Compile.value c.comp (Array.map Estimator.estimate c.ests)
+  match c.est with None -> c.lo | Some est -> Estimator.estimate est
 
-let eps_at c ~delta_r =
-  Array.fold_left
-    (fun acc est -> Float.max acc (Estimator.eps_bound est ~delta:delta_r))
-    0. c.ests
+let trials c = match c.est with None -> 0 | Some est -> Estimator.trials est
 
-let update_interval ~delta_r c =
-  (* The compiled tree is monotone in every residual estimate, so plugging
-     per-residual interval endpoints in gives sound per-tuple endpoints;
-     each residual bound holds with probability 1 − δ_r, union bound over
-     the r residuals gives 1 − δ_t per tuple. *)
-  let intervals = Array.map (Estimator.interval ~delta:delta_r) c.ests in
-  c.lo <- Float.max 0. (Compile.value c.comp (Array.map fst intervals));
-  c.hi <- Float.min 1. (Compile.value c.comp (Array.map snd intervals))
+let update_interval ~delta_t c =
+  match c.est with
+  | None -> ()
+  | Some est ->
+      let lo, hi = Estimator.interval est ~delta:delta_t in
+      c.lo <- Float.max 0. lo;
+      c.hi <- Float.min 1. hi
 
 let run ?budget ?(eps0 = 0.01) ?max_rounds ?compile_fuel ~rng ~delta ~k
     candidates =
@@ -62,11 +49,7 @@ let run ?budget ?(eps0 = 0.01) ?max_rounds ?compile_fuel ~rng ~delta ~k
              Compile.compile ?fuel:compile_fuel (Dnf.wtable dnf)
                (Dnf.clauses dnf)
            in
-           let lo, hi =
-             match Compile.exact_value comp with
-             | Some p -> (p, p)
-             | None -> Compile.vacuous_interval comp
-           in
+           let lo, hi = Compile.vacuous_interval comp in
            (tuple, comp, lo, hi))
          candidates)
   in
@@ -109,8 +92,8 @@ let run ?budget ?(eps0 = 0.01) ?max_rounds ?compile_fuel ~rng ~delta ~k
          (fun i ->
            if keep.(i) then begin
              let tuple, comp, lo, hi = compiled.(i) in
-             let ests = Array.map Estimator.create (Compile.residuals comp) in
-             Some { tuple; comp; ests; lo; hi }
+             let est = Option.map Estimator.create (Compile.sampled_dnf comp) in
+             Some { tuple; est; lo; hi }
            end
            else None)
          (List.init n Fun.id))
@@ -120,11 +103,9 @@ let run ?budget ?(eps0 = 0.01) ?max_rounds ?compile_fuel ~rng ~delta ~k
      kept pool never shrinks below k. *)
   let n = Array.length cands in
   let rounds = ref 0 in
-  let delta_r c =
-    delta_t /. float_of_int (max 1 (Array.length c.ests))
-  in
+  let total_trials () = Array.fold_left (fun acc c -> acc + trials c) 0 cands in
   let rec loop () =
-    Array.iter (fun c -> update_interval ~delta_r:(delta_r c) c) cands;
+    Array.iter (update_interval ~delta_t) cands;
     (* Order by estimate; the k-th and (k+1)-th define the boundary. *)
     let order = Array.copy cands in
     Array.sort (fun a b -> compare (current_value b) (current_value a)) order;
@@ -149,8 +130,10 @@ let run ?budget ?(eps0 = 0.01) ?max_rounds ?compile_fuel ~rng ~delta ~k
           Array.to_list cands
           |> List.filter (fun c ->
                  contested c
-                 && (not (is_exact_candidate c))
-                 && eps_at c ~delta_r:(delta_r c) > eps0)
+                 &&
+                 match c.est with
+                 | None -> false
+                 | Some est -> Estimator.eps_bound est ~delta:delta_t > eps0)
         in
         let out_of_budget =
           match budget with
@@ -164,35 +147,13 @@ let run ?budget ?(eps0 = 0.01) ?max_rounds ?compile_fuel ~rng ~delta ~k
                explicitly uncertified. *)
             (order, false)
         | _ ->
-            let before =
-              match budget with
-              | None -> 0
-              | Some _ ->
-                  Array.fold_left
-                    (fun acc c ->
-                      Array.fold_left
-                        (fun acc est -> acc + Estimator.trials est)
-                        acc c.ests)
-                    0 cands
-            in
+            let before = total_trials () in
             List.iter
-              (fun c ->
-                Array.iter
-                  (fun est -> Estimator.step_round rng est)
-                  c.ests)
+              (fun c -> Option.iter (Estimator.step_round rng) c.est)
               refinable;
-            (match budget with
-            | None -> ()
-            | Some b ->
-                let after =
-                  Array.fold_left
-                    (fun acc c ->
-                      Array.fold_left
-                        (fun acc est -> acc + Estimator.trials est)
-                        acc c.ests)
-                    0 cands
-                in
-                Pqdb_montecarlo.Budget.spend b (after - before));
+            Option.iter
+              (fun b -> Pqdb_montecarlo.Budget.spend b (total_trials () - before))
+              budget;
             incr rounds;
             (match max_rounds with
             | Some limit when !rounds >= limit -> (order, false)
@@ -201,25 +162,19 @@ let run ?budget ?(eps0 = 0.01) ?max_rounds ?compile_fuel ~rng ~delta ~k
     end
   in
   let order, certified = loop () in
-  let candidate_trials c =
-    Array.fold_left (fun acc est -> acc + Estimator.trials est) 0 c.ests
-  in
-  let calls =
-    Array.fold_left (fun acc c -> acc + candidate_trials c) 0 cands
-  in
   {
     ranked =
       List.map
         (fun c -> (c.tuple, current_value c))
         (Array.to_list (Array.sub order 0 k));
     certified;
-    estimator_calls = calls;
+    estimator_calls = total_trials ();
     rounds = !rounds;
     exact_candidates;
     sampled =
       Array.to_list cands
       |> List.filter_map (fun c ->
-             let t = candidate_trials c in
+             let t = trials c in
              if t > 0 then Some (c.tuple, t) else None);
   }
 

@@ -5,12 +5,12 @@
     generalizes.  This module implements the interval-pruning idea on top of
     the lineage compiler: every candidate's DNF is compiled first
     ({!Pqdb_montecarlo.Compile}), so fully-decomposable tuples enter the race
-    with point intervals and zero sampling cost, and only the irreducible
-    residues carry incremental Karp-Luby samplers.  Per-residual Chernoff
-    intervals are pushed through the (monotone) compiled tree to get each
-    candidate's confidence interval; only candidates whose intervals straddle
-    the k-th boundary are refined further, so clearly-in and clearly-out
-    tuples stop sampling early.
+    with point intervals and zero sampling cost, and every other candidate
+    carries one incremental Karp-Luby sampler over its whole normalized DNF
+    ({!Pqdb_montecarlo.Compile.sampled_dnf}), whose Chernoff interval is the
+    candidate's confidence interval; only candidates whose intervals
+    straddle the k-th boundary are refined further, so clearly-in and
+    clearly-out tuples stop sampling early.
 
     Before any sampler is even allocated, an {e a-priori prescreen} on the
     compiled brackets drops clear losers: with θ the k-th largest compiled
@@ -39,7 +39,7 @@ type result = {
   estimator_calls : int;
   rounds : int;
   exact_candidates : int;
-      (** candidates whose lineage compiled to a closed form (no residuals) *)
+      (** candidates whose lineage compiled to a closed form *)
   sampled : (Tuple.t * int) list;
       (** every candidate that spent estimator calls, with its trial count *)
 }
@@ -58,8 +58,7 @@ val run :
     clause set is compiled with [compile_fuel] (default
     {!Pqdb_montecarlo.Compile.default_fuel}; [~compile_fuel:0] recovers
     pure-sampling multisimulation).  [delta] is split evenly across
-    candidates, then across each candidate's residuals, for the per-tuple
-    interval bounds.  [budget] makes the ranking anytime: refinement rounds
+    candidates for the per-tuple interval bounds.  [budget] makes the ranking anytime: refinement rounds
     charge the shared governor, and on exhaustion the current order is
     returned with [certified = false] (its interval bounds remain sound).
     @raise Invalid_argument when [k <= 0] or there are no candidates. *)

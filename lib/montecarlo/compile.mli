@@ -9,43 +9,36 @@
     independent-OR, disjoint-OR on a variable bound in every clause, and
     {e bounded} Shannon expansion on the most-shared variable — solving
     everything it can in closed form and leaving only the irreducible
-    residues as prepared {!Dnf} leaves for the adaptive Karp-Luby sampler.
+    residues as residual leaves.
     The result is a decision DAG, not a tree: a sub-DNF reached along
     several paths is compiled once and shared (a decision-DNNF in the sense
     of Amarilli et al.).  {!Lineage.exact} evaluates the same DAG in
     rationals with no fuel bound.
 
-    {2 Error propagation}
+    {2 One estimator per compiled value}
 
-    The compiled DAG combines children only through
-    [Σ wᵢ·pᵢ (Σ wᵢ ≤ 1, wᵢ ≥ 0)] and [1 − Π(1 − pᵢ)].  Both preserve
-    relative error: if every residual estimate satisfies
-    [p̂ᵢ ∈ [(1−ε)pᵢ, (1+ε)pᵢ]], the root value is within relative [ε] of the
-    true probability.  (Linear combinations are immediate; for the
-    independent-OR, [f(ε) = 1 − Π(1 − (1+ε)pᵢ)] is concave in [ε] with
-    [f'(0) = Σᵢ pᵢ·Π_{j≠i}(1−pⱼ) ≤ 1 − Π(1−pᵢ) = f(0)], so
-    [f(ε) ≤ (1+ε)f(0)]; the lower side follows from the chord through
-    [f(−1) = 0].)  Hence {!solve} estimates each residual at relative [ε]
-    with failure budget [δ/r] and the union bound carries each residual's
-    guarantee to the root (2δ as proven, since each residual's is 2δ/r;
-    see {!Karp_luby}) — the exact probability mass never spends a trial.
+    A compiled value is answered one way only: exactly, when no residual
+    is left; from the compiled bracket with no trial, when the
+    bracket already proves ε; or else by one {!Karp_luby.adaptive_partial}
+    pass at (ε, δ) over the whole normalized DNF, whose interval is
+    intersected with the bracket.  The residual leaves are never sampled
+    one by one: the DAG pays no trial for the mass it already knows, and
+    sampling the whole DNF keeps the paper's single FPRAS pass
+    (Proposition 4.2) with its one failure budget δ.
 
-    {e Shared leaves.}  A residual reached along several paths is one
-    estimate [p̂ᵢ] used at every occurrence, so the argument above applies
-    to the DAG unfolded into its tree, with equal estimates at the copies of
-    a leaf.  The root stays multilinear in the {e distinct} residuals: a
-    residual's clause set mentions variables, and the children of an
-    [IndepOr] mention disjoint variables, so no residual occurs under two
-    children of one [IndepOr] and no product ever multiplies [p̂ᵢ] by
-    itself.  Its partial derivative is therefore the sum over the residual's
-    root paths of the path's [Sum] weights times the other [IndepOr]
-    factors [(1 − pⱼ) ≤ 1], so [|∂P/∂p̂ᵢ| ≤ wᵢ], the summed path weight
-    {!residual_weights} reports.
+    {e The bracket.}  The DAG combines children only through
+    [Σ wᵢ·pᵢ (Σ wᵢ ≤ 1, wᵢ ≥ 0)] and [1 − Π(1 − pᵢ)], both monotone
+    non-decreasing in every child on [[0, 1]].  So the DAG evaluated with
+    every residual at [0] is at most the tuple confidence, and evaluated
+    with every residual at an upper bound on its probability — its clause
+    mass [min(1, Mᵢ)] — is at least it.  {!vacuous_interval} is that pair,
+    widened for rounding as below.
 
     {2 Rounding}
 
     The DAG is float arithmetic: {!Lineage.decompose} folds every subtree
-    it resolves into a [Const] in floats, and {!value} evaluates the rest.
+    it resolves into a [Const] in floats, and {!compile} evaluates the
+    rest at the residual extremes.
     {e Lemma.}  Let [u = 2⁻⁵³], [V] at least the number of variables of
     the normalized DNF ({!compile} takes its literal count), [D ≥ 1] the
     largest of their domain sizes and
@@ -109,34 +102,28 @@ val compile : ?fuel:int -> Wtable.t -> Assignment.t list -> t
     cases and single clauses — the pure-FPRAS baseline.
     Independent-component splits and disjoint-OR expansions are free (they
     are linear-time and always shrink the problem).  Deterministic: the DAG
-    and residual numbering are a pure function of (W table, clause set,
-    fuel); the order and duplicates of the clause list do not matter. *)
+    and its bracket are a pure function of (W table, clause set, fuel); the
+    order and duplicates of the clause list do not matter.  The DAG itself
+    is not kept: a compiled value holds its size, its bracket and, unless
+    it is exact, the normalized DNF, which is prepared for sampling only
+    when sampled. *)
 
 val is_exact : t -> bool
 val exact_value : t -> float option
 (** [Some p] iff compilation resolved the whole DNF ([is_exact]). *)
 
-val residuals : t -> Dnf.t array
-(** The irreducible clause sets, prepared for sampling, in deterministic
-    order. *)
-
-val residual_count : t -> int
-
-val residual_weights : t -> float array
-(** Per residual: the path weight from the root summed over all of the
-    residual's root paths, an upper bound on [∂P/∂p̂ᵢ] — how much of the
-    final value the residual can account for. *)
-
-val value : t -> float array -> float
-(** Evaluate the DAG given one probability estimate per residual (pass
-    [[||]] when [is_exact]).  Monotone in every estimate, so plugging in
-    per-residual interval endpoints yields sound interval endpoints for the
-    tuple confidence (top-k uses this).  One pass over the nodes.
-    @raise Invalid_argument on an estimate-count mismatch. *)
-
 val size : t -> int
 (** Distinct DAG nodes (diagnostics): a shared sub-DNF counts once, and a
     DNF that compiles exactly is one constant node. *)
+
+val sampled_dnf : t -> Dnf.t option
+(** The one problem a non-exact value samples: its whole normalized DNF,
+    freshly prepared.  [None] when [is_exact]. *)
+
+val cost_cap : t -> eps:float -> delta:float -> int
+(** The most estimator calls {!solve} can spend on the value unbudgeted:
+    the Chernoff cap of its one pass ({!Stats.karp_luby_trials} over the
+    normalized DNF's clauses), [0] when exact. *)
 
 type outcome = {
   value : float;
@@ -144,34 +131,32 @@ type outcome = {
           for certain when the bracket certifies it; always inside
           [[lo, hi]] *)
   trials : int;
-      (** estimator calls spent on residuals; [0] when exact or certified *)
+      (** estimator calls spent sampling; [0] when exact or certified *)
   residual_mass : float;
-      (** Σ path-weight·p̂ over residuals, clamped to [value]: the share of
-          the reported probability that rests on sampling.  [0] when exact;
-          [value − lo] when certified, the share the compiled floor does not
-          cover; [1 − residual_mass/value] is the per-tuple exact
-          fraction. *)
+      (** the share of the reported probability that rests on sampling:
+          [0] when exact, [value − lo] when certified (the share the
+          compiled floor does not cover), [value] when sampled;
+          [1 − residual_mass/value] is the per-tuple exact fraction. *)
   lo : float;
   hi : float;
-      (** a sound probability interval for the tuple confidence: per-residual
-          certified intervals pushed through the monotone DAG, intersected
-          with the relative-ε bracket when [complete], and cut to [[0, 1]].
-          It holds with probability ≥ 1 − 2δ as proven: in every sampling
-          pass the stopping rule and its Chernoff cap may each fail with
-          the pass's δ share (the tier-1 miss-rate test measures about δ).  Degenerates to
-          a point when exact; never wider than the a-priori
-          {!vacuous_interval}. *)
+      (** a sound probability interval for the tuple confidence: the
+          sampling pass's certified interval intersected with the
+          {!vacuous_interval}, cut to [[0, 1]].  It holds with probability
+          ≥ 1 − 2δ as proven: the stopping rule and its Chernoff cap may
+          each fail with probability δ (the tier-1 miss-rate test measures
+          about δ).  Degenerates to a point when exact; never wider than
+          the {!vacuous_interval}. *)
   achieved_eps : float;
       (** the relative error actually certified at confidence δ: the
-          requested ε when [complete], the worst residual's partial-trial
-          ε′ otherwise ([infinity] when some residual is vacuous, [0] when
+          requested ε when [complete], the pass's partial-trial ε′
+          otherwise ([infinity] when its interval is vacuous, [0] when
           exact).  When certified, it is [(hi − lo)/(hi + lo) + 2⁻⁴⁹ ≤ ε]:
           the estimate's relative error bound with certainty, the [2⁻⁴⁹]
-          covering the float rounding of the estimate and of the ratio.  When sampling never ran at all — fallback sampling died,
-          budget exhausted before the first trial — this is instead the
-          {e absolute} half-width of the a-priori {!vacuous_interval}, the
-          honest certificate actually held, rather than a claim about a
-          relative contract that was never attempted. *)
+          covering the float rounding of the estimate and of the ratio.
+          When sampling died outright, this is instead the {e absolute}
+          half-width of the {!vacuous_interval}, the honest certificate
+          actually held, rather than a claim about a relative contract
+          that was never attempted. *)
   complete : bool;
       (** the requested (ε, δ) contract was met — with certainty, not only
           with probability 1 − 2δ, when certified *)
@@ -182,7 +167,8 @@ val vacuous_interval : t -> float * float
     the monotone DAG evaluated with every residual at 0 (the exact
     compiled mass — a hard floor) and at its full mass [min(1, Mᵢ)], then
     widened outward by the rounding lemma above, so it holds for the exact
-    (rational) confidence, cut to [[0, 1]].  A point when [is_exact]. *)
+    (rational) confidence, cut to [[0, 1]].  A point when [is_exact].
+    Computed once, by {!compile}. *)
 
 val solve : ?budget:Budget.t -> Rng.t -> t -> eps:float -> delta:float -> outcome
 (** {e Certificate}: when the {!vacuous_interval} [[lo, hi]] has [lo > 0]
@@ -194,39 +180,26 @@ val solve : ?budget:Budget.t -> Rng.t -> t -> eps:float -> delta:float -> outcom
     budget is charged or consulted and no generator is asked for, so the
     certificate holds with certainty, under any budget.
 
-    Otherwise estimate every residual with {!Karp_luby.adaptive_partial} at
-    (ε, δ/r) in one pass and evaluate the DAG; by the error propagation
-    above and the union bound the result is within relative ε of the tuple
-    confidence with probability ≥ 1 − 2δ as proven (the factor 2 is the
-    union bound over each pass's stopping rule and its Chernoff cap; see
-    {!Karp_luby}).  Residuals are sampled in order from the given RNG, so
-    the outcome is deterministic per RNG state.
+    Otherwise make one {!Karp_luby.adaptive_partial} pass at (ε, δ) over
+    the whole normalized DNF ({!sampled_dnf}): the result is within
+    relative ε of the tuple confidence with probability ≥ 1 − 2δ as
+    proven (see {!Karp_luby}), and deterministic per RNG state.
 
-    {e Truncation guard}: bounded Shannon expansion duplicates clauses
-    across branches, so the residual leaves can be collectively more
-    expensive than the original DNF.  [solve] compares worst-case Chernoff
-    caps and falls back to one adaptive pass over the whole normalized DNF
-    when that is cheaper — compilation never costs more than a bounded
-    overhead relative to pure FPRAS.  The guard applies whenever the root
-    is not itself the residual; the whole DNF is prepared for sampling only
-    when the guard takes it.
-
-    {e Degradation}: estimator failures are contained per residual — a
-    residual whose sampling raises keeps its vacuous interval and the tuple
-    still comes back with a sound (wider) [lo, hi] and [complete = false].
-    A [budget] never changes the schedule, only cuts it: every residual
-    pass charges the shared governor ({!Karp_luby.adaptive_partial}) and
-    stops at exhaustion, reporting the interval its partial trials
-    certify.  So a budget that never binds changes no bit, and without one
-    the call returns [complete = true] with [achieved_eps = eps].
+    {e Degradation}: an estimator failure is contained — the tuple comes
+    back with its {!vacuous_interval}, the floor as its estimate, and
+    [complete = false].  A [budget] never changes the schedule, only cuts
+    it: the pass charges the shared governor and stops at exhaustion,
+    reporting the interval its partial trials certify.  So a budget that
+    never binds changes no bit, and without one the call returns
+    [complete = true] with [achieved_eps = eps].
     @raise Invalid_argument when [eps <= 0] or [delta <= 0]. *)
 
 val solve_lane :
   ?budget:Budget.t -> (unit -> Rng.t) -> t -> eps:float -> delta:float ->
   outcome
-(** {!solve} with its generator asked for only when the DAG samples, that
-    is when it has residuals and its bracket does not certify ε: an exact
-    or certified DAG never calls [lane].  A batch
+(** {!solve} with its generator asked for only when the value samples, that
+    is when it is not exact and its bracket does not certify ε: an exact
+    or certified value never calls [lane].  A batch
     whose tuples own one {!Rng.lane} each builds it here and nowhere else,
     so its tuples that compile exactly pay for no generator, and the
     outcome is bit-identical to {!solve} on the materialized lane. *)

@@ -28,18 +28,6 @@ let total_trials batch ~eps ~delta =
             (Stats.karp_luby_trials ~clauses:(List.length cs) ~eps ~delta))
     0 batch
 
-(* Cap on what the adaptive sampler can spend on a compiled tuple — used
-   only to order the farmed work longest-first so stragglers start early. *)
-let cost_bound comp ~eps ~delta =
-  Array.fold_left
-    (fun acc dnf ->
-      if Dnf.is_trivially_false dnf || Dnf.is_trivially_true dnf then acc
-      else
-        Stats.saturating_add acc
-          (Stats.karp_luby_trials ~clauses:(Dnf.clause_count dnf) ~eps ~delta))
-    0
-    (Compile.residuals comp)
-
 (* A tuple's a-priori compiled answer, written into slot [i]: the exact
    value as a point, or else the compiled bracket, with its lower end as the
    estimate and its absolute half-width as the achieved error — the
@@ -217,8 +205,8 @@ let solve_shard ?budget run (sh : Shard.t) ~fp =
      contract or a task/pool failure is contained. *)
   let all_complete = Atomic.make true in
   (* Tuples the compiler resolved in closed form cost nothing — fill them
-     here and farm only the ones with residual sampling work, longest
-     worst-case budget first.  Live tuples are pre-filled with their
+     here and farm only the ones that may sample, longest worst-case budget
+     first.  Live tuples are pre-filled with their
      a-priori compiled bracket so that a tuple whose task never runs (or
      dies) still reports a sound interval instead of garbage. *)
   let live = ref [] in
@@ -229,7 +217,7 @@ let solve_shard ?budget run (sh : Shard.t) ~fp =
     comps;
   let live =
     List.rev_map
-      (fun j -> (cost_bound comps.(j) ~eps:run.eps ~delta:run.delta, j))
+      (fun j -> (Compile.cost_cap comps.(j) ~eps:run.eps ~delta:run.delta, j))
       !live
     |> List.stable_sort (fun (ci, _) (cj, _) -> Int.compare cj ci)
     |> List.map snd |> Array.of_list

@@ -1,14 +1,14 @@
 (** Batched approximate confidence: the whole-U-relation compiled path.
 
     Every tuple's lineage is compiled first ({!Compile}): tuples that
-    decompose fully are answered exactly for free, and only the irreducible
-    residues are farmed to the adaptive Karp-Luby sampler over the domain
-    pool.  Exact confidence lives in {!Lineage.exact}.
+    decompose fully are answered exactly for free, and only the rest are
+    farmed to {!Compile.solve} over the domain pool.  Exact confidence
+    lives in {!Lineage.exact}.
 
     Determinism contract: every tuple gets its own lane
     ({!Pqdb_numeric.Rng.lane}, the stream {!Pqdb_numeric.Rng.split_n} would
     give it, built only when the tuple samples) and its own output slot,
-    and runs its residual budgets serially on one domain.  For a fixed
+    and runs its one sampling pass on one domain.  For a fixed
     parent RNG state (and fixed compilation fuel) the estimates are therefore
     bit-identical across runs {e and across pool sizes}; parallelism is
     across tuples only. *)

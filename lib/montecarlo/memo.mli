@@ -5,7 +5,7 @@
     its trees are safe to share across queries, sessions and threads: the
     serve daemon keys a bounded LRU on a {e canonical fingerprint} of those
     three inputs and answers repeated or incremental queries straight from
-    {!Compile.solve} / {!Compile.value}, paying compilation once per
+    {!Compile.solve}, paying compilation once per
     distinct lineage.
 
     {2 Canonicalization}

@@ -508,13 +508,37 @@ let test_batch_trials_accounting () =
 (* Lineage compilation                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* The float DAG [Compile.compile ~fuel] builds, for inspection. *)
+let float_dag ~fuel w clauses =
+  Lineage.decompose ~fuel
+    { Lineage.zero = 0.; one = 1.; add = ( +. ); mul = ( *. );
+      complement = (fun p -> 1. -. p); prob = Wtable.prob_float w }
+    w clauses
+
+(* The float DAG evaluated with every residual at its exact probability,
+   in the order [Compile] evaluates it. *)
+let dag_at_exact_residuals w (dag : float Lineage.dag) =
+  let nodes = dag.Lineage.nodes in
+  let v = Array.make (Array.length nodes) 0. in
+  Array.iteri
+    (fun i node ->
+      v.(i) <-
+        (match node with
+        | Lineage.Const p -> p
+        | Res r -> Q.to_float (Lineage.exact w dag.Lineage.residuals.(r))
+        | Sum bs -> Array.fold_left (fun acc (p, c) -> acc +. (p *. v.(c))) 0. bs
+        | IndepOr cs ->
+            1. -. Array.fold_left (fun acc c -> acc *. (1. -. v.(c))) 1. cs))
+    nodes;
+  v.(Array.length nodes - 1)
+
 let test_compile_fixture_exact () =
   (* The three-clause fixture decomposes completely: Shannon on x, then
      trivial branches.  No residuals, exact value 0.88. *)
   let w, clauses = fixture () in
   let c = Compile.compile w clauses in
   check bool_c "exact" true (Compile.is_exact c);
-  check int_c "no residuals" 0 (Compile.residual_count c);
+  check int_c "one constant node" 1 (Compile.size c);
   (match Compile.exact_value c with
   | Some p -> check (Alcotest.float 1e-9) "p = 0.88" 0.88 p
   | None -> Alcotest.fail "expected exact value");
@@ -562,19 +586,20 @@ let test_compile_fuel_zero_is_residual () =
   let w, clauses = fixture () in
   let c = Compile.compile ~fuel:0 w clauses in
   check bool_c "not exact" false (Compile.is_exact c);
-  check int_c "one residual" 1 (Compile.residual_count c);
-  check int_c "residual keeps all clauses" 3
-    (Dnf.clause_count (Compile.residuals c).(0));
-  check (Alcotest.float 1e-9) "residual weight 1" 1.
-    (Compile.residual_weights c).(0);
+  (match float_dag ~fuel:0 w clauses with
+  | { Lineage.nodes = [| Lineage.Res 0 |]; residuals = [| r |]; _ } ->
+      check int_c "residual keeps all clauses" 3 (List.length r)
+  | _ -> Alcotest.fail "expected the root to be the one residual");
+  check int_c "the whole DNF is sampled" 3
+    (Dnf.clause_count (Option.get (Compile.sampled_dnf c)));
   (* Single clauses stay exact even without fuel. *)
   let x = Wtable.add_var w [ Q.half; Q.half ] in
   check bool_c "single clause exact at fuel 0" true
     (Compile.is_exact (Compile.compile ~fuel:0 w [ Assignment.singleton x 1 ]))
 
 let test_compile_solve_accuracy () =
-  (* The compiled+residual path still lands inside the (eps, delta) band on
-     the fixture when compilation is disabled. *)
+  (* The sampling path still lands inside the (eps, delta) band on the
+     fixture when compilation is disabled. *)
   let w, clauses = fixture () in
   let c = Compile.compile ~fuel:0 w clauses in
   let o = Compile.solve (Rng.create ~seed:11) c ~eps:0.05 ~delta:0.01 in
@@ -620,11 +645,10 @@ let prop_compile_residual_path_tracks_exact =
       Float.abs (o.Compile.value -. expect) <= (0.2 *. expect) +. 1e-9)
 
 let prop_weight_aware_budgets_sound =
-  (* Splitting δ over the residuals must never cost soundness: across
-     random DNFs and fuels — including fuel levels that leave several
-     residuals with very different path weights — the certified interval
-     brackets the exact probability and a complete outcome keeps the
-     relative-ε contract.
+  (* Across random DNFs and fuels — including fuel levels that leave
+     several residuals, whose bracket the sampled interval is cut to — the
+     certified interval brackets the exact probability and a complete
+     outcome keeps the relative-ε contract.
      Fixed seeds keep the run deterministic; per-case failure probability
      is δ = 0.01, so a failure here is a 3-sigma-equivalent event. *)
   QCheck.Test.make ~name:"weight-aware residual budgets stay sound" ~count:60
@@ -651,16 +675,13 @@ let prop_weight_aware_budgets_sound =
       in
       bracketed && relative_ok && interval_sane)
 
-(* The truncation guard's fallback is withheld only when the root IS the
-   residual.  Here the root is IndepOr [Const c; Res 0]: the first
+(* A value samples its whole normalized DNF even when the DAG has folded
+   part of it.  Here the root is IndepOr [Const c; Res 0]: the first
    component {x=1,y=1} ∨ {x=0,z=1} ∨ {y=1,z=1} spends the single unit of
    fuel on a Shannon step on x and folds to a constant, the second (an
-   8-cycle) is reached with no fuel left.  The residual's path weight is
-   exactly 1, which an "r = 1 and weight 1" test mistakes for a bare
-   residual.  At δ = ½ sampling the whole 11-clause DNF is cheaper than the
-   8-clause residual at δ/2, so solve must take the fallback — whose
-   outcome rests entirely on sampling (residual_mass = value), where the
-   residual path would report only the residual's share. *)
+   8-cycle) is reached with no fuel left.  [solve] samples all 11 clauses,
+   not the 8-clause residual, so its outcome rests entirely on sampling
+   (residual_mass = value), inside the compiled bracket. *)
 let test_fallback_past_constant_sibling () =
   let w = Wtable.create () in
   let bern () = Wtable.add_var w [ Q.of_ints 2 5; Q.of_ints 3 5 ] in
@@ -675,18 +696,24 @@ let test_fallback_past_constant_sibling () =
     @ List.init 8 (fun i ->
           Assignment.of_list [ (ring.(i), 1); (ring.((i + 1) mod 8), 1) ])
   in
+  (match float_dag ~fuel:1 w clauses with
+  | { Lineage.nodes; residuals = [| r |]; _ } ->
+      check int_c "the residual is the 8-cycle" 8 (List.length r);
+      check bool_c "the root is not the residual" true
+        (nodes.(Array.length nodes - 1) <> Lineage.Res 0)
+  | _ -> Alcotest.fail "expected one residual");
   let c = Compile.compile ~fuel:1 w clauses in
-  check int_c "one residual" 1 (Compile.residual_count c);
-  check (Alcotest.float 0.) "its path weight is exactly 1" 1.
-    (Compile.residual_weights c).(0);
+  check int_c "the whole DNF is sampled" 11
+    (Dnf.clause_count (Option.get (Compile.sampled_dnf c)));
   let eps = 0.1 and delta = 0.5 in
-  check bool_c "the whole DNF is the cheaper problem" true
-    (Stats.karp_luby_trials ~clauses:11 ~eps ~delta
-    < Stats.karp_luby_trials ~clauses:8 ~eps ~delta:(delta /. 2.));
   let o = Compile.solve (Rng.create ~seed:3) c ~eps ~delta in
   let expect = Q.to_float (Lineage.exact w clauses) in
-  check (Alcotest.float 0.) "fallback taken: the value rests on sampling"
+  check bool_c "sampled" true (o.Compile.trials > 0);
+  check (Alcotest.float 0.) "the value rests on sampling"
     o.Compile.value o.Compile.residual_mass;
+  let lo, hi = Compile.vacuous_interval c in
+  check bool_c "inside the compiled bracket" true
+    (lo <= o.Compile.lo && o.Compile.hi <= hi);
   check bool_c "bracket holds the exact value" true
     (o.Compile.lo <= expect && expect <= o.Compile.hi)
 
@@ -861,8 +888,11 @@ let test_compile_is_a_set_function () =
     and b = Compile.compile ?fuel w variant in
     let what = Printf.sprintf "seed %d" seed in
     check int_c (what ^ ": size") (Compile.size a) (Compile.size b);
-    check int_c (what ^ ": residuals") (Compile.residual_count a)
-      (Compile.residual_count b);
+    let bracket c =
+      let lo, hi = Compile.vacuous_interval c in
+      Printf.sprintf "%h %h" lo hi
+    in
+    check Alcotest.string (what ^ ": bracket") (bracket a) (bracket b);
     let solve c =
       let o = Compile.solve (Rng.create ~seed:(seed + 100)) c ~eps:0.1 ~delta:0.05 in
       Printf.sprintf "%h %h %h %d" o.Compile.value o.Compile.lo o.Compile.hi
@@ -922,8 +952,7 @@ let test_shared_chain_dag_is_polynomial () =
       if Compile.size c > 2 * n then
         Alcotest.failf "n = %d: %d DAG nodes at fuel n²/4" n (Compile.size c);
       close "fuel n²/4 at exact residuals"
-        (Compile.value c
-           (Array.map (fun r -> Q.to_float (Dnf.exact r)) (Compile.residuals c))))
+        (dag_at_exact_residuals w (float_dag ~fuel:(n * n / 4) w clauses)))
     [ 16; 32; 64; 128 ]
 
 (* ------------------------------------------------------------------ *)
@@ -1106,7 +1135,7 @@ let pinned_lineages () =
   [ (w, batch @ wide); (Udb.wtable udb, by_tag) ]
 
 (* Digest of what [Compile.compile] builds at default fuel: the float DAG
-   (constants as [%h]), every residual's clauses and the residual weights. *)
+   (constants as [%h]) and every residual's clauses. *)
 let compiled_digest () =
   let b = Buffer.create 65536 in
   List.iter
@@ -1134,16 +1163,14 @@ let compiled_digest () =
                 set;
               Buffer.add_char b '/')
             dag.Lineage.residuals;
-          Array.iter (Printf.bprintf b "W%h;")
-            (Compile.residual_weights (Compile.compile w clauses));
           Buffer.add_char b '\n')
         lineages)
     (pinned_lineages ());
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 let test_compiled_output_pinned () =
-  check Alcotest.string "compiled DAGs, residuals and weights"
-    "37bc6dbe558981f010a1c584297176fe" (compiled_digest ())
+  check Alcotest.string "compiled DAGs and residuals"
+    "ed054606fc1bb5c315e271c86915e3a5" (compiled_digest ())
 
 (* Minor words [Compile.compile] allocates over the pinned set, measured on
    a second pass so one-time allocations (sampling tables) are not counted.
@@ -1307,42 +1334,18 @@ let test_solve_miss_rate_with_shared_residuals () =
       ("cap binds", !cap_member);
       ("cap binds, budget cut", !cap_member_cut) ]
 
-(* Does [Compile.solve] sample [c]'s residuals, two or more of them,
-   rather than the whole DNF?  Mirrors its truncation guard: residuals
-   priced at δ/2r against the whole normalized DNF at δ. *)
-let samples_several_residuals c clauses ~eps ~delta =
-  let rs = Compile.residuals c in
-  let r = Array.length rs in
-  r >= 2
-  &&
-  let d = delta /. 2. /. float_of_int r in
-  let compiled =
-    Array.fold_left
-      (fun acc dnf ->
-        let k = Dnf.clause_count dnf in
-        if k < 2 then acc else acc + Stats.karp_luby_trials ~clauses:k ~eps ~delta:d)
-      0 rs
-  in
-  Stats.karp_luby_trials ~clauses:(List.length (Lineage.normalize clauses)) ~eps
-    ~delta
-  >= compiled
-
-(* Case [seed] of a family that samples several residuals in one pass:
-   20–40 single-literal clauses over fresh variables (an independent part
-   that compiles exactly) or'ed with 2–4 independent rings of 4–7 clauses
-   yᵢ=1 ∧ yᵢ₊₁=1, at fuel 1 (one Shannon step, in the first ring; every
-   other ring is left as one residual) and ε ∈ {0.05, 0.3, 0.7}.
-   The exact part keeps the residuals cheaper than the whole DNF, so the
-   truncation guard keeps them. *)
-let several_residuals_case seed =
+(* Case [seed] of a family whose values sample: 2–4 independent rings of
+   4–7 clauses yᵢ=1 ∧ yᵢ₊₁=1, at fuel 1 (one Shannon step, in the first
+   ring; every other ring is left as one residual) and
+   ε ∈ {0.05, 0.3, 0.7}.  Nothing compiles exactly, so the compiled
+   bracket stays too wide to certify ε and [solve] samples the whole
+   DNF. *)
+let sampling_case seed =
   let rng = Rng.create ~seed:(seed + 9000) in
   let w = Wtable.create () in
   let var () =
     let a = 1 + Rng.int rng 8 in
     Wtable.add_var w [ Q.of_ints a 10; Q.of_ints (10 - a) 10 ]
-  in
-  let singles =
-    List.init (20 + Rng.int rng 21) (fun _ -> Assignment.singleton (var ()) 1)
   in
   let ring () =
     let ys = Array.init (4 + Rng.int rng 4) (fun _ -> var ()) in
@@ -1350,67 +1353,51 @@ let several_residuals_case seed =
     List.init n (fun i -> Assignment.of_list [ (ys.(i), 1); (ys.((i + 1) mod n), 1) ])
   in
   let rings = List.concat (List.init (2 + Rng.int rng 3) (fun _ -> ring ())) in
-  (w, singles @ rings, [| 0.05; 0.3; 0.7 |].(seed mod 3))
+  (w, rings, [| 0.05; 0.3; 0.7 |].(seed mod 3))
 
 (* A budget only stops the sampler early, so one that never binds changes
-   no bit, here on DAGs that sample several residuals in one pass (the
-   batch-level check is in test_serve). *)
-let test_non_binding_budget_on_several_residuals () =
-  let delta = 0.05 and several = ref 0 in
+   no bit, here on values that really sample (the batch-level check is in
+   test_serve). *)
+let test_non_binding_budget_on_sampled_values () =
+  let delta = 0.05 in
   let show o =
     Printf.sprintf "%h %h %h %d %h %h %b" o.Compile.value o.lo o.hi o.trials
       o.residual_mass o.achieved_eps o.complete
   in
   for seed = 1 to 48 do
-    let w, clauses, eps = several_residuals_case seed in
+    let w, clauses, eps = sampling_case seed in
     let c = Compile.compile ~fuel:1 w clauses in
-    if samples_several_residuals c clauses ~eps ~delta then incr several;
-    let solve budget =
-      show (Compile.solve ?budget (Rng.create ~seed) c ~eps ~delta)
-    in
+    let solve budget = Compile.solve ?budget (Rng.create ~seed) c ~eps ~delta in
     let plain = solve None in
+    if plain.Compile.trials = 0 then
+      Alcotest.failf "seed %d: the value did not sample" seed;
     check Alcotest.string
       (Printf.sprintf "seed %d, trial budget" seed)
-      plain
-      (solve (Some (Budget.create ~max_trials:1_000_000_000 ())));
+      (show plain)
+      (show (solve (Some (Budget.create ~max_trials:1_000_000_000 ()))));
     check Alcotest.string
       (Printf.sprintf "seed %d, deadline" seed)
-      plain
-      (solve (Some (Budget.create ~deadline_s:3600. ())))
-  done;
-  if !several < 48 then
-    Alcotest.failf "only %d of 48 cases sample several residuals" !several
+      (show plain)
+      (show (solve (Some (Budget.create ~deadline_s:3600. ()))))
+  done
 
-(* [residual_weights] promises |∂P/∂p̂ᵢ| ≤ wᵢ with wᵢ summed over the
-   residual's paths.  The DAG is multilinear, so a finite difference at the
-   exact residual probabilities is its slope: it must stay under the
-   reported weight, and the DAG there must evaluate to the exact value. *)
-let test_residual_weights_bound_slopes () =
+(* The DAG is exact where its residuals are: at fuels that leave shared
+   residuals, evaluating it with every residual at its exact probability
+   gives the exact confidence. *)
+let test_dag_at_exact_residuals () =
   for seed = 1 to 480 do
     let w, clauses, fuel, _ = shared_residual_case seed in
-    let c = Compile.compile ~fuel w clauses in
-    let p = Array.map (fun r -> Q.to_float (Dnf.exact r)) (Compile.residuals c) in
-    let v = Compile.value c p in
+    let v = dag_at_exact_residuals w (float_dag ~fuel w clauses) in
     let expect = Q.to_float (Lineage.exact w clauses) in
     if Float.abs (v -. expect) > 1e-12 then
-      Alcotest.failf "seed %d: DAG at exact residuals %h, exact %h" seed v expect;
-    Array.iteri
-      (fun i wi ->
-        let q = Array.copy p in
-        q.(i) <- p.(i) +. 1e-3;
-        let slope = (Compile.value c q -. v) /. 1e-3 in
-        if slope > wi +. 1e-9 then
-          Alcotest.failf "seed %d residual %d: slope %g above path weight %g"
-            seed i slope wi)
-      (Compile.residual_weights c)
+      Alcotest.failf "seed %d: DAG at exact residuals %h, exact %h" seed v expect
   done
 
 (* Every reported estimate lies in its own reported bracket, and the
    bracket in [0, 1]: across many seeds, fuels (0 = pure FPRAS, small ones
-   leaving several residuals or triggering the truncation-guard fallback,
-   the default), ε on both sides of ½, and trial budgets that stop
-   sampling part-way — through Compile.solve directly and through the
-   streaming batch engine. *)
+   leaving several residuals, the default), ε on both sides of ½, and
+   trial budgets that stop sampling part-way — through Compile.solve
+   directly and through the streaming batch engine. *)
 let test_estimates_inside_own_bracket () =
   let inside what (v, lo, hi) =
     if not (0. <= lo && lo <= v && v <= hi && hi <= 1.) then
@@ -1655,7 +1642,7 @@ let test_pool_exception_propagates () =
   check bool_c "pool alive after failure" true (Array.for_all Fun.id ok)
 
 let test_batch_compiled_deterministic_across_pool_sizes () =
-  (* The compiled+residual path keeps the batch determinism contract: with
+  (* The compiled sampling path keeps the batch determinism contract: with
      compilation disabled every tuple samples, and the estimates still
      depend only on the parent RNG state — not on the pool size. *)
   let w, clause_sets = batch_fixture () in
@@ -1783,10 +1770,10 @@ let () =
             test_shared_chain_dag_is_polynomial;
           Alcotest.test_case "miss rate under delta, shared residuals" `Quick
             test_solve_miss_rate_with_shared_residuals;
-          Alcotest.test_case "path weights bound the slopes" `Quick
-            test_residual_weights_bound_slopes;
+          Alcotest.test_case "DAG at exact residuals is exact" `Quick
+            test_dag_at_exact_residuals;
           Alcotest.test_case "a budget that never binds changes no bit" `Quick
-            test_non_binding_budget_on_several_residuals;
+            test_non_binding_budget_on_sampled_values;
         ] );
       ( "decomposer kernel",
         [

@@ -698,32 +698,14 @@ let test_interleaved_replies_match_reference () =
       check bool_c "the small cache evicted" true
         ((Server.stats srv).Server.cache.Memo.evictions > 0))
 
-(* Which path [Compile.solve] takes on a tuple, re-derived from the
-   compiled DAG: no residuals (exact), the truncation guard's whole-DNF
-   fallback, or one pass per residual.  Mirrors the guard in compile.ml,
-   so that the fixture below provably covers all three. *)
+(* Which way [Compile.solve] answers a tuple: exactly, from a bracket that
+   certifies ε with no trial, or by a sampling pass. *)
 let solve_path w ?fuel cs ~eps ~delta =
   let t = Compile.compile ?fuel w cs in
-  let r = Compile.residual_count t in
-  if r = 0 then `Exact
-  else if Compile.size t = 1 then `Residual
-  else
-    let d = delta /. 2. /. float_of_int r in
-    let cap =
-      Array.fold_left
-        (fun acc dnf ->
-          if Dnf.is_trivially_false dnf || Dnf.is_trivially_true dnf
-             || Dnf.clause_count dnf = 1
-          then acc
-          else
-            Stats.saturating_add acc
-              (Stats.karp_luby_trials ~clauses:(Dnf.clause_count dnf) ~eps
-                 ~delta:d))
-        0 (Compile.residuals t)
-    in
-    let whole = List.length (Lineage.normalize cs) in
-    if Stats.karp_luby_trials ~clauses:whole ~eps ~delta < cap then `Fallback
-    else `Residual
+  if Compile.is_exact t then `Exact
+  else if (Compile.solve (Rng.create ~seed:1) t ~eps ~delta).Compile.trials > 0
+  then `Sampled
+  else `Certified
 
 (* The conditioned reply under Holds constraints only, materialized:
    [split_n] lanes over n + 1 (the last for Pr(c)), each split in two for
@@ -781,8 +763,8 @@ let materialized_conditioned_reply udb cset ~relation ~seed ?fuel ~eps
 
 (* Lanes on demand and the direct %h writer print what the materialized
    lanes and Printf print, on a relation whose reply mixes exactly compiled,
-   residual-sampled and fallback-sampled tuples, with and without an
-   asserted constraint. *)
+   bracket-certified and sampled tuples, with and without an asserted
+   constraint. *)
 let test_mixed_relation_matches_materialized_reference () =
   clear_all ();
   let rng = Rng.create ~seed:31 in
@@ -791,9 +773,9 @@ let test_mixed_relation_matches_materialized_reference () =
   (* Each tuple's lineage is one or more random DNFs over fresh variables,
      so separate DNFs are independent components.  At fuel 2 a single
      clause, or a small DNF beside single clauses, compiles exactly; a hard
-     DNF alone is expanded once into residuals whose summed cost trips the
-     truncation guard; and a hard DNF beside enough exactly solved single
-     clauses keeps its residual pass. *)
+     DNF alone is expanded once into residuals and sampled whole; and a
+     hard DNF beside enough exactly solved single clauses is certified by
+     its compiled bracket. *)
   let singles k = List.init k (fun _ -> (1, 1)) in
   let shapes =
     [ [ (3, 1) ]; [ (8, 6) ]; (8, 6) :: singles 6; [ (1, 1) ];
@@ -839,8 +821,7 @@ let test_mixed_relation_matches_materialized_reference () =
         (fun (name, p) ->
           check bool_c ("the reply has a tuple that is " ^ name) true
             (Array.exists (( = ) p) paths))
-        [ ("exact", `Exact); ("residual-sampled", `Residual);
-          ("fallback-sampled", `Fallback) ];
+        [ ("exact", `Exact); ("certified", `Certified); ("sampled", `Sampled) ];
       let srv = Server.create (config ~db_path:db (Server.Tcp 1)) in
       let request = Printf.sprintf "conf m fuel=%d" fuel in
       let reference = expected_reply db ~relation:"m" ~seed:42 ~fuel () in

@@ -185,6 +185,54 @@ let test_topk_query_on_coins () =
   | _ -> Alcotest.fail "expected one tuple");
   check bool_c "certified" true r.Topk.certified
 
+(* Races of 6 random DNFs at compile fuel 8, where compilation leaves
+   several residuals: each sampled candidate races on one sampler over its
+   whole DNF, and a certified race must select the exact top 2. *)
+let test_topk_low_fuel_matches_exact () =
+  let certified = ref 0 and several = ref 0 and calls = ref 0 in
+  for race = 1 to 12 do
+    let rng = Rng.create ~seed:race in
+    let w = Wtable.create () in
+    let candidates =
+      List.init 6 (fun i ->
+          let cs = Gen.random_dnf rng w ~vars:10 ~clauses:8 ~clause_len:3 in
+          let residuals =
+            (Lineage.decompose ~fuel:8
+               { Lineage.zero = 0.; one = 1.; add = ( +. ); mul = ( *. );
+                 complement = (fun p -> 1. -. p); prob = Wtable.prob_float w }
+               w cs)
+              .Lineage.residuals
+          in
+          if Array.length residuals >= 2 then incr several;
+          (Tuple.of_list [ V.Int i ], Dnf.prepare w cs))
+    in
+    let r =
+      Topk.run ~eps0:0.05 ~compile_fuel:8 ~rng:(Rng.create ~seed:(race + 100))
+        ~delta:0.05 ~k:2 candidates
+    in
+    calls := !calls + r.Topk.estimator_calls;
+    if r.Topk.certified then begin
+      incr certified;
+      let by_exact =
+        List.map
+          (fun (t, dnf) -> (Q.to_float (Lineage.exact w (Dnf.clauses dnf)), t))
+          candidates
+        |> List.sort (fun a b -> compare b a)
+      in
+      let names ts =
+        List.sort compare (List.map (fun t -> V.to_string (Tuple.get t 0)) ts)
+      in
+      check
+        (Alcotest.list Alcotest.string)
+        (Printf.sprintf "race %d: the exact top 2" race)
+        (names [ snd (List.nth by_exact 0); snd (List.nth by_exact 1) ])
+        (names (List.map fst r.Topk.ranked))
+    end
+  done;
+  check bool_c "some candidates keep several residuals" true (!several > 0);
+  check bool_c "some races sample" true (!calls > 0);
+  check bool_c "some races certify" true (!certified > 0)
+
 let () =
   Alcotest.run "topk"
     [
@@ -209,5 +257,7 @@ let () =
           Alcotest.test_case "validation" `Quick test_topk_validation;
           Alcotest.test_case "query on the coin bag" `Quick
             test_topk_query_on_coins;
+          Alcotest.test_case "low fuel matches the exact top k" `Quick
+            test_topk_low_fuel_matches_exact;
         ] );
     ]
