@@ -203,6 +203,40 @@ let test_stopping_rule () =
   Test.make ~name:"karp-luby/stopping-rule-30var"
     (Staged.stage (fun () -> ignore (stopping_rule_pass dnf)))
 
+(* The batch workload's decomposition: 60 seed-1 30x30 DNFs through
+   [Lineage.decompose] over floats at the default fuel. *)
+let decompose_dnfs = 60
+
+let decompose_case () =
+  let rng = Rng.create ~seed:1 in
+  let w = Wtable.create () in
+  let ops =
+    { Lineage.zero = 0.; one = 1.; add = ( +. ); mul = ( *. );
+      complement = (fun p -> 1. -. p); prob = Wtable.prob_float w }
+  in
+  let dnfs =
+    List.init decompose_dnfs (fun _ ->
+        Gen.random_dnf rng w ~vars:30 ~clauses:30 ~clause_len:3)
+  in
+  fun () ->
+    List.iter
+      (fun cs -> ignore (Lineage.decompose ~fuel:Compile.default_fuel ops w cs))
+      dnfs
+
+let test_decompose () =
+  Test.make ~name:"lineage/decompose-30x30" (Staged.stage (decompose_case ()))
+
+(* Words one pass promotes per DNF, after a warm-up pass, between two full
+   major collections. *)
+let decompose_promoted () =
+  let pass = decompose_case () in
+  pass ();
+  Gc.full_major ();
+  let before = (Gc.quick_stat ()).Gc.promoted_words in
+  pass ();
+  Gc.full_major ();
+  ((Gc.quick_stat ()).Gc.promoted_words -. before) /. float_of_int decompose_dnfs
+
 (* Kernels also reported as a rate: name, units per run, unit. *)
 let rates () =
   [
@@ -210,6 +244,7 @@ let rates () =
     ( "pqdb/karp-luby/stopping-rule-30var",
       float_of_int (stopping_rule_pass (stopping_rule_case ())).p_trials,
       "trials/s" );
+    ("pqdb/lineage/decompose-30x30", float_of_int decompose_dnfs, "DNFs/s");
   ]
 
 let run () =
@@ -230,6 +265,7 @@ let run () =
         test_topk ();
         test_fig3_decide ();
         test_stopping_rule ();
+        test_decompose ();
       ]
   in
   let ols =
@@ -267,7 +303,9 @@ let run () =
     results;
   Report.table
     ~header:[ "kernel"; "time/run"; "r^2"; "rate" ]
-    (List.sort compare !rows)
+    (List.sort compare !rows);
+  Report.note "lineage/decompose-30x30 promotes %.0f words per DNF"
+    (decompose_promoted ())
 
 (* ------------------------------------------------------------------ *)
 (* Confidence-engine wall-clock comparisons + BENCH_confidence.json    *)

@@ -323,10 +323,6 @@ type 'a dag = {
   clauses : Assignment.t list;
 }
 
-(* The per-compile cache, keyed on normalized flat sets with their hash
-   stored beside them: a lookup hashes the set once, a resize re-hashes
-   nothing, and [equal] compares the arrays in full, so a hash collision
-   never shares a node. *)
 let hash_set (s : int array array) =
   let h = ref 0 in
   for i = 0 to Array.length s - 1 do
@@ -338,25 +334,15 @@ let hash_set (s : int array array) =
   done;
   !h
 
-type key = { hash : int; set : int array array }
-
-module Sets = Hashtbl.Make (struct
-  type t = key
-
-  let equal a b =
-    a.hash = b.hash
-    &&
-    let n = Array.length a.set in
-    n = Array.length b.set
-    &&
-    let i = ref 0 in
-    while !i < n && compare_clause a.set.(!i) b.set.(!i) = 0 do
-      incr i
-    done;
-    !i = n
-
-  let hash k = k.hash
-end)
+let same_set (a : int array array) b =
+  let n = Array.length a in
+  n = Array.length b
+  &&
+  let i = ref 0 in
+  while !i < n && compare_clause a.(!i) b.(!i) = 0 do
+    incr i
+  done;
+  !i = n
 
 (* What a sub-DNF compiled to.  A constant stays out of the node array
    until a parent that does not fold needs it as a child ([at] is then its
@@ -364,28 +350,194 @@ end)
    once. *)
 type 'a sub = Known of { p : 'a; mutable at : int } | Node of int
 
+(* The decomposition workspace: the walk's cache and the split and
+   conditioning scratch, taken by one walk at a time and reused by the next
+   walk of the same domain.
+
+   Why not a fresh cache per walk: a batch-shaped DNF caches about a
+   thousand sets, so a fresh table grows its arrays past the minor heap's
+   size limit, and those are allocated in the major heap.  Each set stored
+   into one is a remembered-set entry, and the next minor collection
+   promotes whatever such an entry points to, whether or not the table is
+   still alive: every set and result of every walk since the last minor
+   collection.  The reused table keeps its arrays, and [release] overwrites
+   the walk's entries, so a minor collection finds them empty.
+
+   The cache is a chained hash table over int arrays: entry [k] is the
+   walk's [k]-th cached set, with its hash and its bucket successor, and
+   its result is the walk's own [stash] entry [k].  So the workspace holds
+   no ['a] and one serves every number type, and [release] costs the
+   walk's entries, not the table's capacity. *)
+type workspace = {
+  busy : bool Atomic.t;  (* the domain's workspace is taken *)
+  mutable heads : int array;
+      (* bucket -> its newest entry, or -1; a power of two long, all -1
+         between walks *)
+  mutable next : int array;  (* entry -> the bucket's previous entry, or -1 *)
+  mutable hashes : int array;  (* entry -> [hash_set] of its set *)
+  mutable sets : int array array array;  (* entry -> set; all [||] between walks *)
+  mutable entries : int;  (* 0 between walks *)
+  mutable counts : int array;  (* per local variable; all 0 between splits *)
+  mutable owner : int array;  (* per local variable; all -1 between splits *)
+  (* Per-clause scratch, at least as long as the root: no set below it is
+     larger.  Each is live only inside one [split] or [conditioned] call,
+     never across the recursion. *)
+  mutable parent : int array;  (* union-find *)
+  mutable comp : int array;  (* component id per clause *)
+  mutable slot : int array;  (* component id per root, then sizes and cursors *)
+  mutable pos : int array;  (* conditioning: see [condition_minimal] *)
+  mutable masks : int array;
+}
+
+let fresh_workspace () =
+  { busy = Atomic.make false; heads = Array.make 16 (-1); next = [||];
+    hashes = [||]; sets = [||]; entries = 0; counts = [||]; owner = [||];
+    parent = [||]; comp = [||]; slot = [||]; pos = [||]; masks = [||] }
+
+let workspace = Domain.DLS.new_key fresh_workspace
+
+(* Past these sizes [release] drops the table and the scratch, so one huge
+   walk does not pin them for the domain's life. *)
+let cache_bound = 1 lsl 14
+let scratch_bound = 1 lsl 12
+
+let grown a n fill = if Array.length a >= n then a else Array.make n fill
+
+(* The domain's workspace if no other walk (a systhread of the same domain)
+   holds it, else a fresh one. *)
+let take () =
+  let own = Domain.DLS.get workspace in
+  if Atomic.compare_and_set own.busy false true then own
+  else fresh_workspace ()
+
+(* Scratch for [nv] variables and [m] clauses. *)
+let fit ws ~nv ~m =
+  ws.counts <- grown ws.counts nv 0;
+  ws.owner <- grown ws.owner nv (-1);
+  ws.parent <- grown ws.parent m 0;
+  ws.comp <- grown ws.comp m 0;
+  ws.slot <- grown ws.slot m 0;
+  ws.pos <- grown ws.pos m 0;
+  ws.masks <- grown ws.masks m 0
+
+(* The entry holding [set] (of hash [h]) from entry [e] down its bucket,
+   or -1.  Sets are compared in full, so a hash collision never shares a
+   node. *)
+let rec scan ws h set e =
+  if e < 0 || (ws.hashes.(e) = h && same_set ws.sets.(e) set) then e
+  else scan ws h set ws.next.(e)
+
+let lookup ws h set = scan ws h set ws.heads.(h land (Array.length ws.heads - 1))
+
+let link ws e =
+  let i = ws.hashes.(e) land (Array.length ws.heads - 1) in
+  ws.next.(e) <- ws.heads.(i);
+  ws.heads.(i) <- e
+
+(* Adds [set] as entry [ws.entries], keeping at most two entries per
+   bucket on average.  A replaced [sets] array is emptied, so it leaves no
+   remembered entry behind. *)
+let add ws h set =
+  let e = ws.entries in
+  if e = Array.length ws.next then begin
+    let n = max 32 (2 * e) in
+    let next = Array.make n (-1) and hashes = Array.make n 0 in
+    let sets = Array.make n [||] in
+    Array.blit ws.next 0 next 0 e;
+    Array.blit ws.hashes 0 hashes 0 e;
+    Array.blit ws.sets 0 sets 0 e;
+    Array.fill ws.sets 0 e [||];
+    ws.next <- next;
+    ws.hashes <- hashes;
+    ws.sets <- sets
+  end;
+  ws.hashes.(e) <- h;
+  ws.sets.(e) <- set;
+  ws.entries <- e + 1;
+  if e >= 2 * Array.length ws.heads then begin
+    ws.heads <- Array.make (2 * Array.length ws.heads) (-1);
+    for k = 0 to e do
+      link ws k
+    done
+  end
+  else link ws e
+
+(* Runs however the walk ended, even inside [fit].  The per-variable
+   arrays are restored because an exception can leave a split half
+   done. *)
+let release ws ~nv =
+  let mask = Array.length ws.heads - 1 in
+  for e = 0 to ws.entries - 1 do
+    ws.heads.(ws.hashes.(e) land mask) <- -1
+  done;
+  Array.fill ws.sets 0 ws.entries [||];
+  ws.entries <- 0;
+  if Array.length ws.next > cache_bound then begin
+    ws.heads <- Array.make 16 (-1);
+    ws.next <- [||];
+    ws.hashes <- [||];
+    ws.sets <- [||]
+  end;
+  let nv = min nv (Array.length ws.owner) in
+  Array.fill ws.counts 0 nv 0;
+  Array.fill ws.owner 0 nv (-1);
+  if Array.length ws.counts > scratch_bound then begin
+    ws.counts <- [||];
+    ws.owner <- [||]
+  end;
+  if Array.length ws.parent > scratch_bound then begin
+    ws.parent <- [||];
+    ws.comp <- [||];
+    ws.slot <- [||];
+    ws.pos <- [||];
+    ws.masks <- [||]
+  end;
+  Atomic.set ws.busy false
+
 type 'a builder = {
   ops : 'a arith;
   w : Wtable.t;
   vars : int array;  (* local id -> W variable, ascending *)
   bits : int;
-  counts : int array;  (* per local variable; all 0 between splits *)
-  owner : int array;  (* per local variable; all -1 between splits *)
-  (* Per-clause scratch, as long as the root: no set below it is larger.
-     Each is live only inside one [split] or [conditioned] call, never
-     across the recursion. *)
-  parent : int array;  (* union-find *)
-  comp : int array;  (* component id per clause *)
-  slot : int array;  (* component id per root, then sizes and cursors *)
-  pos : int array;  (* conditioning: see [condition_minimal] *)
+  ws : workspace;  (* the cache *)
+  (* The workspace's scratch (see [workspace]). *)
+  counts : int array;
+  owner : int array;
+  parent : int array;
+  comp : int array;
+  slot : int array;
+  pos : int array;
   masks : int array;
   mutable fuel : int;
   mutable nodes : 'a node array;  (* children before parents *)
   mutable count : int;
-  mutable cache : 'a sub Sets.t option;  (* allocated on the first set to share *)
+  mutable stash : 'a sub array array;  (* cache entry -> its result, in chunks *)
   mutable residuals : int array array list;  (* newest first *)
   mutable nres : int;
 }
+
+(* The stash is chunked so that every array of it stays within
+   [Max_young_wosize]: one larger array would be allocated in the major
+   heap, and every result stored into it promoted. *)
+let chunk = 256
+
+(* Stores [sub] as the result of cache entry [k], the next one. *)
+let stash b k sub =
+  let c = k / chunk and i = k mod chunk in
+  if c = Array.length b.stash then begin
+    let bigger = Array.make (2 * c) [||] in
+    Array.blit b.stash 0 bigger 0 c;
+    b.stash <- bigger
+  end;
+  let a = b.stash.(c) in
+  if i = Array.length a then begin
+    let bigger = Array.make (min chunk (max 8 (2 * i))) sub in
+    Array.blit a 0 bigger 0 i;
+    b.stash.(c) <- bigger
+  end;
+  b.stash.(c).(i) <- sub
+
+let stashed b k = b.stash.(k / chunk).(k mod chunk)
 
 let push b node =
   if b.count = Array.length b.nodes then begin
@@ -600,21 +752,14 @@ let rec child b ~connected set =
   | 0 -> known b.ops.zero
   | 1 -> known (leaf b set.(0))
   | _ -> (
-      let cache =
-        match b.cache with
-        | Some t -> t
-        | None ->
-            let t = Sets.create 16 in
-            b.cache <- Some t;
-            t
-      in
-      let key = { hash = hash_set set; set } in
-      match Sets.find cache key with
-      | sub -> sub
-      | exception Not_found ->
+      let h = hash_set set in
+      match lookup b.ws h set with
+      | -1 ->
           let sub = expand b ~connected set in
-          Sets.add cache key sub;
-          sub)
+          stash b b.ws.entries sub;
+          add b.ws h set;
+          sub
+      | k -> stashed b k)
 
 and expand b ~connected set =
   if b.fuel <= 0 then begin
@@ -723,39 +868,39 @@ let decompose ?(fuel = max_int) ops w clauses =
   | _ -> (
       let vars, bits, root = flatten kept in
       let nv = Array.length vars and m = Array.length root in
-      let b =
-        { ops; w; vars; bits;
-          counts = Array.make nv 0;
-          owner = Array.make nv (-1);
-          parent = Array.make m 0;
-          comp = Array.make m 0;
-          slot = Array.make m 0;
-          pos = Array.make m 0;
-          masks = Array.make m 0;
-          fuel;
-          nodes = Array.make 8 (Const ops.zero);
-          count = 0;
-          cache = None;
-          residuals = [];
-          nres = 0 }
-      in
-      (* The root is never looked up: no set recurs below itself. *)
-      match expand b ~connected:false root with
-      | Known { p; _ } -> constant normalized p
-      | Node _ ->
-          let to_clause c =
-            Assignment.of_list
-              (Array.fold_right
-                 (fun lit acc -> (vars.(lit lsr bits), value_of b lit) :: acc)
-                 c [])
+      let ws = take () in
+      Fun.protect
+        ~finally:(fun () -> release ws ~nv)
+        (fun () ->
+          fit ws ~nv ~m;
+          let b =
+            { ops; w; vars; bits; ws;
+              counts = ws.counts; owner = ws.owner; parent = ws.parent;
+              comp = ws.comp; slot = ws.slot; pos = ws.pos; masks = ws.masks;
+              fuel;
+              nodes = Array.make 8 (Const ops.zero);
+              count = 0;
+              stash = [| [||] |];
+              residuals = [];
+              nres = 0 }
           in
-          { nodes = Array.sub b.nodes 0 b.count;
-            residuals =
-              Array.of_list
-                (List.rev_map
-                   (fun set -> Array.to_list (Array.map to_clause set))
-                   b.residuals);
-            clauses = normalized })
+          (* The root is never looked up: no set recurs below itself. *)
+          match expand b ~connected:false root with
+          | Known { p; _ } -> constant normalized p
+          | Node _ ->
+              let to_clause c =
+                Assignment.of_list
+                  (Array.fold_right
+                     (fun lit acc -> (vars.(lit lsr bits), value_of b lit) :: acc)
+                     c [])
+              in
+              { nodes = Array.sub b.nodes 0 b.count;
+                residuals =
+                  Array.of_list
+                    (List.rev_map
+                       (fun set -> Array.to_list (Array.map to_clause set))
+                       b.residuals);
+                clauses = normalized }))
 
 let exact w clauses =
   let open Pqdb_numeric in

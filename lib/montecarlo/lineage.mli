@@ -76,7 +76,30 @@ val decompose : ?fuel:int -> 'a arith -> Wtable.t -> Assignment.t list -> 'a dag
     Shannon expansions.  A {!Sum} or {!IndepOr} whose children are all
     constants folds into one {!Const}, computed in the order an evaluation
     of the unfolded node uses.  A DNF that normalizes to at most one clause
-    returns before any table is built.
+    returns before it takes a workspace.
+
+    {b Workspace.}  The cache and the split and conditioning scratch live
+    in a workspace that a walk takes for its duration and that the next
+    walk of the same domain reuses.  A walk takes its domain's workspace
+    when no other walk holds it — walks of several systhreads of one domain
+    can overlap — and builds a fresh one otherwise, so calls from any
+    number of domains and threads are safe.  The workspace is released
+    however the walk ends, exception included: the walk's cache entries are
+    overwritten and the per-variable scratch restored, so the next walk
+    starts from nothing and builds the same DAG as a fresh process.  That
+    costs the walk's own entries, not the table's capacity, and a table or
+    scratch array that grew past a size bound is dropped instead, so one
+    huge walk does not pin it.  The cache maps a set to an entry number
+    and the walk keeps each entry's result itself, so one workspace serves
+    every number type.  The reason is the minor GC: a batch-shaped DNF
+    caches about a thousand sets, and a fresh table per walk grows its
+    arrays in the major heap, where every set stored is a remembered-set
+    entry — the next minor collection then promotes every set and result
+    of every walk since the last one, dead or not.  Overwritten on
+    release, the reused arrays hold nothing young when a minor collection
+    reads them.  The node buffer and the results stay per walk: they are
+    typed, and the results are kept in arrays small enough for the minor
+    heap.
 
     The walk keeps every clause set normalized, and {e every set of at most
     the subsumption cap (512 clauses) is minimal}: sorted, deduplicated,

@@ -1135,14 +1135,15 @@ let pinned_lineages () =
   [ (w, batch @ wide); (Udb.wtable udb, by_tag) ]
 
 (* Digest of what [Compile.compile] builds at default fuel: the float DAG
-   (constants as [%h]) and every residual's clauses. *)
-let compiled_digest () =
+   (constants as [%h]) and every residual's clauses.  [prob] wraps each
+   table's [Wtable.prob_float], to run the same walks under a test arith. *)
+let compiled_digest ?(prob = Fun.id) () =
   let b = Buffer.create 65536 in
   List.iter
     (fun (w, lineages) ->
       let ops =
         { Lineage.zero = 0.; one = 1.; add = ( +. ); mul = ( *. );
-          complement = (fun p -> 1. -. p); prob = Wtable.prob_float w }
+          complement = (fun p -> 1. -. p); prob = prob (Wtable.prob_float w) }
       in
       List.iter
         (fun clauses ->
@@ -1168,9 +1169,11 @@ let compiled_digest () =
     (pinned_lineages ());
   Digest.to_hex (Digest.string (Buffer.contents b))
 
+let pinned_digest = "ed054606fc1bb5c315e271c86915e3a5"
+
 let test_compiled_output_pinned () =
-  check Alcotest.string "compiled DAGs and residuals"
-    "ed054606fc1bb5c315e271c86915e3a5" (compiled_digest ())
+  check Alcotest.string "compiled DAGs and residuals" pinned_digest
+    (compiled_digest ())
 
 (* Minor words [Compile.compile] allocates over the pinned set, measured on
    a second pass so one-time allocations (sampling tables) are not counted.
@@ -1194,6 +1197,127 @@ let test_compile_allocation_guard () =
   if words > parent /. 2. then
     Alcotest.failf "compiling the pinned set allocated %.0f minor words (bound %.0f)"
       words (parent /. 2.)
+
+(* Words [Compile.compile] promotes, and words it allocates directly in the
+   major heap, per DNF over a second pass of 60 batch-shaped DNFs, under the
+   default minor heap.  The counters of other domains (the resident pool
+   workers) are sampled at collections, so a full major collection at each
+   end of the pass settles every domain's counters before they are read. *)
+let compile_gc_words () =
+  let rng = Rng.create ~seed:1 in
+  let w = Wtable.create () in
+  let dnfs =
+    List.init 60 (fun _ -> Gen.random_dnf rng w ~vars:30 ~clauses:30 ~clause_len:3)
+  in
+  let run () = List.iter (fun cs -> ignore (Compile.compile w cs)) dnfs in
+  let saved = Gc.get () in
+  Gc.set { saved with Gc.minor_heap_size = 262_144 };
+  Fun.protect ~finally:(fun () -> Gc.set saved) @@ fun () ->
+  run ();
+  Gc.full_major ();
+  let s0 = Gc.quick_stat () in
+  run ();
+  Gc.full_major ();
+  let s1 = Gc.quick_stat () in
+  let promoted = s1.Gc.promoted_words -. s0.Gc.promoted_words in
+  ((s1.Gc.major_words -. s0.Gc.major_words -. promoted) /. 60., promoted /. 60.)
+
+(* A walk's cache grows past the minor heap's size limit.  Allocated fresh
+   per walk, its bucket array lands in the major heap, and the next minor
+   collection promotes every key and value stored into it, dead or not:
+   957 direct major words and about 12 800 promoted words per DNF. *)
+let test_compile_gc_guard () =
+  let direct, promoted = compile_gc_words () in
+  check (Alcotest.float 0.) "direct major words per DNF" 0. direct;
+  if promoted > 4000. then
+    Alcotest.failf "compiling promoted %.0f words per DNF (bound 4000)" promoted
+
+(* Walks that overlap in one domain (systhreads) and across domains: each
+   [prob] call yields, so the two threads of the main domain interleave in
+   mid-walk (counted as [switches]), and one of them must build its own
+   workspace. *)
+let test_concurrent_walks () =
+  let switches = Atomic.make 0 and last = Atomic.make (-1) in
+  let yielding ~count prob v x =
+    (if count then
+       let self = Thread.id (Thread.self ()) in
+       if Atomic.exchange last self <> self then Atomic.incr switches);
+    Thread.yield ();
+    prob v x
+  in
+  let digest ~count () = compiled_digest ~prob:(yielding ~count) () in
+  let domains = List.init 2 (fun _ -> Domain.spawn (digest ~count:false)) in
+  let results = Array.make 2 "" in
+  let threads =
+    List.init 2 (fun i ->
+        Thread.create (fun () -> results.(i) <- digest ~count:true ()) ())
+  in
+  List.iter Thread.join threads;
+  let from_domains = List.map Domain.join domains in
+  List.iteri
+    (fun i d -> check Alcotest.string (Printf.sprintf "thread %d" i) pinned_digest d)
+    (Array.to_list results);
+  List.iteri
+    (fun i d -> check Alcotest.string (Printf.sprintf "domain %d" i) pinned_digest d)
+    from_domains;
+  check bool_c "the walks interleaved" true (Atomic.get switches > 10);
+  check Alcotest.string "sequential" pinned_digest (compiled_digest ())
+
+(* A walk that raises leaves nothing behind: after a [prob] that raises on
+   its k-th call, the next walks build the pinned DAGs, and they take the
+   domain's workspace again (a workspace left taken would make every later
+   walk build a fresh table in the major heap). *)
+let test_raising_walk_leaves_no_state () =
+  let rng = Rng.create ~seed:1 in
+  let w = Wtable.create () in
+  let clauses = Gen.random_dnf rng w ~vars:30 ~clauses:30 ~clause_len:3 in
+  List.iter
+    (fun k ->
+      let calls = ref 0 in
+      let ops =
+        { Lineage.zero = 0.; one = 1.; add = ( +. ); mul = ( *. );
+          complement = (fun p -> 1. -. p);
+          prob =
+            (fun v x ->
+              incr calls;
+              if !calls = k then raise Exit;
+              Wtable.prob_float w v x) }
+      in
+      (match Lineage.decompose ~fuel:Compile.default_fuel ops w clauses with
+      | _ -> Alcotest.failf "call %d did not raise" k
+      | exception Exit -> ());
+      check Alcotest.string
+        (Printf.sprintf "pinned DAGs after a raise at call %d" k)
+        pinned_digest (compiled_digest ()))
+    [ 1; 9; 120; 700 ];
+  check (Alcotest.float 0.) "direct major words per DNF after the raises" 0.
+    (fst (compile_gc_words ()))
+
+(* Walks past the workspace's size bounds: a 40x60 DNF at unbounded fuel
+   caches about 23 000 sets, and 5 000 one-literal clauses need scratch for
+   5 000 clauses and variables.  Release drops what they grew, and the next
+   walks grow it again and build the pinned DAGs. *)
+let test_huge_walks_leave_a_working_workspace () =
+  let rng = Rng.create ~seed:3 in
+  let w = Wtable.create () in
+  let ops =
+    { Lineage.zero = 0.; one = 1.; add = ( +. ); mul = ( *. );
+      complement = (fun p -> 1. -. p); prob = Wtable.prob_float w }
+  in
+  let dense = Gen.random_dnf rng w ~vars:40 ~clauses:60 ~clause_len:3 in
+  (match (Lineage.decompose ops w dense).Lineage.nodes with
+  | [| Lineage.Const _ |] -> ()
+  | _ -> Alcotest.fail "unbounded fuel left a DAG");
+  let wide =
+    List.init 5000 (fun _ ->
+        Assignment.singleton (Wtable.add_var w [ Q.of_ints 9 10; Q.of_ints 1 10 ]) 1)
+  in
+  check (Alcotest.float 1e-9) "5 000 independent clauses" (1. -. (0.9 ** 5000.))
+    (match (Lineage.decompose ops w wide).Lineage.nodes with
+    | [| Lineage.Const p |] -> p
+    | _ -> Alcotest.fail "a wide DNF left a DAG");
+  check Alcotest.string "pinned DAGs after the huge walks" pinned_digest
+    (compiled_digest ())
 
 (* P(X ≥ k) for X ~ Binomial(n, p), summed from k up. *)
 let binomial_upper_tail ~n ~p k =
@@ -1786,6 +1910,12 @@ let () =
             test_compiled_output_pinned;
           Alcotest.test_case "compile allocation guard" `Quick
             test_compile_allocation_guard;
+          Alcotest.test_case "compile GC guard" `Quick test_compile_gc_guard;
+          Alcotest.test_case "concurrent walks" `Quick test_concurrent_walks;
+          Alcotest.test_case "a raising walk leaves no state" `Quick
+            test_raising_walk_leaves_no_state;
+          Alcotest.test_case "huge walks leave a working workspace" `Quick
+            test_huge_walks_leave_a_working_workspace;
         ] );
       ( "adaptive stopping",
         [

@@ -142,9 +142,19 @@ let spawn_listener ?(eps = eps) ?(delta = delta) ?(seed = seed) ~shard_cost w
              Unix.close pw)
            ~make_rng:(fun () -> Rng.create ~seed)
            ~resolve:(fun _ -> (w, sets))
-           ~host:"127.0.0.1" ~port:0 ~eps ~delta ()
-       with _ -> ());
-      Unix._exit 0
+           ~host:"127.0.0.1" ~port:0 ~eps ~delta ();
+         Unix._exit 0
+       with e ->
+         (* Said, not swallowed: a listener that reported its port and then
+            died looks to the coordinator like a refused dial.  Written to
+            the fd, so no stderr buffer copied from the parent is flushed
+            twice. *)
+         let line =
+           Printf.sprintf "listener %d died: %s\n" (Unix.getpid ())
+             (Printexc.to_string e)
+         in
+         ignore (Unix.write_substring Unix.stderr line 0 (String.length line));
+         Unix._exit 2)
   | pid ->
       Unix.close pw;
       let buf = Buffer.create 8 in
@@ -171,6 +181,15 @@ let spawn_listener ?(eps = eps) ?(delta = delta) ?(seed = seed) ~shard_cost w
         | None -> 1
       in
       (pid, port)
+
+(* What [waitpid] says of a listener, without waiting for it. *)
+let listener_status pid =
+  match Unix.waitpid [ Unix.WNOHANG ] pid with
+  | 0, _ -> "running"
+  | _, Unix.WEXITED n -> Printf.sprintf "exited %d" n
+  | _, Unix.WSIGNALED n -> Printf.sprintf "killed by signal %d" n
+  | _, Unix.WSTOPPED n -> Printf.sprintf "stopped by signal %d" n
+  | exception Unix.Unix_error (e, _, _) -> Unix.error_message e
 
 let reap pid =
   (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
@@ -237,11 +256,13 @@ let test_tcp_identity () =
              failure says which assertion broke and what the run saw. *)
           let name =
             Printf.sprintf
-              "%d tcp workers (ports [%s], spawned %d, spawn failures [%s], \
-               lost %d, reassigned %d, reconnects %d, leases expired %d, \
-               late drops %d, fallback shards %d, complete %b)"
+              "%d tcp workers (ports [%s], listeners [%s], spawned %d, spawn \
+               failures [%s], lost %d, reassigned %d, reconnects %d, leases \
+               expired %d, late drops %d, fallback shards %d, complete %b)"
               workers
               (String.concat "; " (Array.to_list (Array.map string_of_int ports)))
+              (String.concat "; "
+                 (List.map (fun (pid, _) -> listener_status pid) listeners))
               summary.Coordinator.workers_spawned
               (String.concat "; " summary.spawn_failures)
               summary.workers_lost summary.reassigned summary.reconnects
@@ -598,33 +619,42 @@ let test_tcp_chaos_soak () =
         healed.Coordinator.stream.Confidence.stream_complete;
       check_same "fault-free rerun" (est, lo, hi, tr) ref_arrays)
 
+(* Each case runs under an alarm, so a hung case fails under its own name
+   instead of leaving the whole binary to an outer timeout.  The name also
+   goes to stderr first, in case the alarm lands on another thread. *)
+let case_deadline_s = 120
+
+let case name f =
+  let expired _ =
+    let msg = Printf.sprintf "%s: still running after %d s" name case_deadline_s in
+    prerr_endline msg;
+    failwith msg
+  in
+  Alcotest.test_case name `Quick (fun () ->
+      let previous = Sys.signal Sys.sigalrm (Sys.Signal_handle expired) in
+      ignore (Unix.alarm case_deadline_s);
+      Fun.protect
+        ~finally:(fun () ->
+          ignore (Unix.alarm 0);
+          Sys.set_signal Sys.sigalrm previous)
+        f)
+
 let () =
   Alcotest.run "remote"
     [
       ( "smoke",
-        [
-          Alcotest.test_case "env-armed TCP coordinator stays sound" `Quick
-            test_env_smoke;
-        ] );
+        [ case "env-armed TCP coordinator stays sound" test_env_smoke ] );
       ( "identity",
-        [
-          Alcotest.test_case "bit-identical for 1/2/4 TCP workers" `Quick
-            test_tcp_identity;
-        ] );
+        [ case "bit-identical for 1/2/4 TCP workers" test_tcp_identity ] );
       ( "faults",
         [
-          Alcotest.test_case
-            "SIGKILLed listener replaced by a fresh dial, bits unchanged"
-            `Quick test_kill_listener_redial;
-          Alcotest.test_case
-            "lease expiry reassigns; the late duplicate is dropped" `Quick
+          case "SIGKILLed listener replaced by a fresh dial, bits unchanged"
+            test_kill_listener_redial;
+          case "lease expiry reassigns; the late duplicate is dropped"
             test_lease_expiry_late_duplicate;
-          Alcotest.test_case "duplicated frames are deduped" `Quick
-            test_duplicate_frames;
+          case "duplicated frames are deduped" test_duplicate_frames;
         ] );
       ( "chaos",
-        [
-          Alcotest.test_case "drop/stall soak, then bit-identical rerun"
-            `Quick test_tcp_chaos_soak;
-        ] );
+        [ case "drop/stall soak, then bit-identical rerun" test_tcp_chaos_soak ]
+      );
     ]
