@@ -369,7 +369,7 @@ let e17_topk ~quick =
           Report.fmt_float
             (float_of_int r.Pqdb.Topk.estimator_calls
             /. float_of_int (max 1 baseline));
-          string_of_bool r.Pqdb.Topk.certified;
+          string_of_bool (Pqdb.Topk.certified r);
         ])
       ns
   in

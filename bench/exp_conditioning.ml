@@ -14,6 +14,7 @@ module Rng = Pqdb_numeric.Rng
 module Gen = Pqdb_workload.Gen
 module Memo = Pqdb_montecarlo.Memo
 module Compile = Pqdb_montecarlo.Compile
+module Guarantee = Pqdb_montecarlo.Guarantee
 module Cset = Pqdb_conditioning.Constraint_set
 module Condition = Pqdb_conditioning.Condition
 module Uconstraint = Pqdb_ast.Uconstraint
@@ -75,7 +76,10 @@ let run ~quick =
       (Ua.table "people")
   in
   let exact_count =
-    List.length (List.filter (fun (_, e) -> e.Condition.exact) estimates)
+    List.length
+      (List.filter
+         (fun (_, e) -> e.Condition.claim = Guarantee.Exact)
+         estimates)
   in
   let trials =
     List.fold_left (fun acc (_, e) -> acc + e.Condition.trials) 0 estimates

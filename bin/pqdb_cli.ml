@@ -28,6 +28,7 @@ module Ua = Pqdb_ast.Ua
 module Qparser = Pqdb_lang.Qparser
 module Rng = Pqdb_numeric.Rng
 module Budget = Pqdb_montecarlo.Budget
+module Guarantee = Pqdb_montecarlo.Guarantee
 module Cset = Pqdb_conditioning.Constraint_set
 module Condition = Pqdb_conditioning.Condition
 module Pqdb_error = Pqdb_runtime.Pqdb_error
@@ -308,7 +309,7 @@ let run_cmd engine db tables query_file approx optimize eps0 shard_size
         (fun (t, e) ->
           Format.printf "%a  ~%.6f in [%.6f, %.6f]%s@." Tuple.pp t
             e.Condition.value e.Condition.lo e.Condition.hi
-            (if e.Condition.exact then " (exact)"
+            (if e.Condition.claim = Guarantee.Exact then " (exact)"
              else Printf.sprintf " (%d trials)" e.Condition.trials))
         estimates;
       report_budget budget
@@ -441,7 +442,7 @@ let topk_cmd engine db tables query_file k asserts query () =
         Format.printf "%d. %a  (~%.4f)@." (i + 1) Tuple.pp t p)
       r.Pqdb.Topk.ranked;
     Format.printf "-- certified: %b, %d estimator calls, %d rounds@."
-      r.Pqdb.Topk.certified r.Pqdb.Topk.estimator_calls r.Pqdb.Topk.rounds
+      (Pqdb.Topk.certified r) r.Pqdb.Topk.estimator_calls r.Pqdb.Topk.rounds
   end;
   report_budget budget;
   0
@@ -617,13 +618,10 @@ let batch_conditioned (e : engine) ~db ~relation ~gen ~eps ~asserts =
     estimates;
   Buffer.output_buffer stdout buf;
   flush stdout;
-  let iv = Condition.denominator_interval den in
   Format.eprintf
     "-- %d tuples conditioned on %a: Pr(c) in [%h, %h], %d denominator \
      trials@."
-    (Array.length sets) Cset.pp cset iv.Pqdb_numeric.Interval.lo
-    iv.Pqdb_numeric.Interval.hi
-    (Condition.denominator_trials den)
+    (Array.length sets) Cset.pp cset den.Condition.lo den.hi den.trials
 
 let batch_cmd engine db relation gen gen_seed eps shard_size checkpoint
     resume retries workers connect lease_ttl heartbeat_interval reconnects

@@ -13,7 +13,6 @@ type compiled = {
 }
 
 let constraints c = c.set
-let is_trivial c = Constraint_set.is_empty c.set
 
 (* DNF conjunction: the clause-set product, dropping inconsistent pairs.
    [Assignment.union] is exactly "both clauses hold in the same world".
@@ -107,12 +106,12 @@ type estimate = {
   lo : float;
   hi : float;
   trials : int;
-  exact : bool;
+  claim : Guarantee.t;
 }
 
-type part = { p_value : float; p_lo : float; p_hi : float; p_trials : int }
-
-let zero_part = { p_value = 0.; p_lo = 0.; p_hi = 0.; p_trials = 0 }
+let zero_part =
+  { Compile.value = 0.; trials = 0; residual_mass = 0.; lo = 0.; hi = 0.;
+    claim = Guarantee.Exact }
 
 let part_salt base suffix = if base = "" then "" else base ^ suffix
 
@@ -136,61 +135,45 @@ let solve_part ?budget ?fuel ?cache ?(salt = "") ?key lane w clauses ~eps
               (Option.value key ~default:clauses)
         | None -> Compile.compile ?fuel w clauses
       in
-      let o = Compile.solve_lane ?budget lane tree ~eps ~delta in
-      {
-        p_value = o.Compile.value;
-        p_lo = o.Compile.lo;
-        p_hi = o.Compile.hi;
-        p_trials = o.Compile.trials;
-      }
-
-let part_interval p = Interval.make p.p_lo p.p_hi
+      Compile.solve_lane ?budget lane tree ~eps ~delta
 
 (* Pr(ψ ∧ c) as a sound bracket: the difference of the two conjunct
    brackets, clamped to [0, 1] (the true difference is a probability).
-   Each conjunct gets δ/4 so the four solves behind one conditioned answer
-   (two numerator, two denominator) union-bound to the requested δ.  The
-   conjuncts sample from the two lanes [Rng.split_n] would split from
+   Each conjunct gets δ/4 of the four solves behind one conditioned answer
+   (two numerator, two denominator); the claims say what each solve spent.
+   The conjuncts sample from the two lanes [Rng.split_n] would split from
    [lane]; [lane] and the pair are built only once a conjunct samples. *)
 let solve_joint ?budget ?fuel ?cache ~salt ~key lane w c clauses ~eps ~delta =
   let pair = lazy (Rng.lanes (lane ()) 2) in
   let half k () = Rng.lane (Lazy.force pair) k in
   let pe = conjoin clauses c.positive in
-  let with_e =
+  let delta = Guarantee.split delta 4 in
+  let e =
     solve_part ?budget ?fuel ?cache ~salt:(part_salt salt "#e") ?key
-      (half 0) w pe ~eps ~delta:(delta /. 4.)
+      (half 0) w pe ~eps ~delta
   in
-  let with_ev =
+  let ev =
     match c.violation with
     | [] -> zero_part
     | v ->
         solve_part ?budget ?fuel ?cache ~salt:(part_salt salt "#ev") ?key
-          (half 1) w (conjoin pe v) ~eps ~delta:(delta /. 4.)
+          (half 1) w (conjoin pe v) ~eps ~delta
   in
-  let iv =
+  let { Interval.lo; hi } =
     Interval.clamp ~lo:0. ~hi:1.
-      (Interval.difference (part_interval with_e) (part_interval with_ev))
+      (Interval.difference
+         (Interval.make e.lo e.hi)
+         (Interval.make ev.lo ev.hi))
   in
-  let value =
-    Float.max iv.Interval.lo
-      (Float.min iv.Interval.hi (with_e.p_value -. with_ev.p_value))
-  in
-  (value, iv, with_e.p_trials + with_ev.p_trials)
-
-type denominator = {
-  d_value : float;
-  d_lo : float;
-  d_hi : float;
-  d_trials : int;
-  d_exact : bool;
-}
-
-let denominator_interval d = Interval.make d.d_lo d.d_hi
-let denominator_trials d = d.d_trials
+  { value = Float.max lo (Float.min hi (e.value -. ev.value));
+    lo;
+    hi;
+    trials = e.trials + ev.trials;
+    claim = Guarantee.difference ~p:e.lo e.claim ~q:ev.hi ev.claim }
 
 let solve_denominator ?budget ?fuel ?cache lane w c ~eps ~delta =
   let salt = Constraint_set.fingerprint c.set in
-  let value, iv, trials =
+  let d =
     solve_joint ?budget ?fuel ?cache ~salt:(part_salt salt "#c")
       ~key:(Some [ Assignment.empty ]) lane w c [ Assignment.empty ] ~eps
       ~delta
@@ -198,41 +181,33 @@ let solve_denominator ?budget ?fuel ?cache lane w c ~eps ~delta =
   let detail reason =
     Printf.sprintf "%s for constraint set {%s}: Pr(c) ∈ [%g, %g]" reason
       (Constraint_set.to_string c.set)
-      iv.Interval.lo iv.Interval.hi
+      d.lo d.hi
   in
-  if iv.Interval.hi <= 0. then
+  if d.hi <= 0. then
     Pqdb_error.unsatisfiable ~context:"Condition.solve_denominator"
       (detail "Pr(c) = 0 (certified)")
-  else if iv.Interval.lo <= 0. then
+  else if d.lo <= 0. then
     Pqdb_error.unsatisfiable ~context:"Condition.solve_denominator"
       (detail "interval straddles zero (cannot certify Pr(c) > 0)")
-  else
-    {
-      d_value = Float.max iv.Interval.lo (Float.min iv.Interval.hi value);
-      d_lo = iv.Interval.lo;
-      d_hi = iv.Interval.hi;
-      d_trials = trials;
-      d_exact = trials = 0;
-    }
+  else d
 
 let solve_clauses ?budget ?fuel ?cache lane w c den clauses ~eps ~delta =
   let salt = Constraint_set.fingerprint c.set in
-  let value, num, trials =
+  let q =
     solve_joint ?budget ?fuel ?cache ~salt:(part_salt salt "#q")
       ~key:(Some clauses) lane w c clauses ~eps ~delta
   in
-  let iv =
+  let { Interval.lo; hi } =
     Interval.clamp ~lo:0. ~hi:1.
-      (Interval.ratio ~num ~den:(denominator_interval den))
+      (Interval.ratio
+         ~num:(Interval.make q.lo q.hi)
+         ~den:(Interval.make den.lo den.hi))
   in
-  let raw = value /. den.d_value in
-  {
-    value = Float.max iv.Interval.lo (Float.min iv.Interval.hi raw);
-    lo = iv.Interval.lo;
-    hi = iv.Interval.hi;
-    trials;
-    exact = den.d_exact && trials = 0;
-  }
+  { value = Float.max lo (Float.min hi (q.value /. den.value));
+    lo;
+    hi;
+    trials = q.trials;
+    claim = Guarantee.ratio q.claim den.claim }
 
 (* Lane n is the denominator's; lanes 0..n-1 are per-tuple.  Drawing
    them from one seed keeps the whole conditioned answer a pure function of

@@ -16,9 +16,13 @@
     ({!Pqdb_montecarlo.Compile}) and otherwise by one Karp–Luby pass, yielding
     sound anytime brackets; the difference and ratio are propagated through
     interval arithmetic ({!Pqdb_numeric.Interval.difference} /
-    {!Pqdb_numeric.Interval.ratio}), so the reported [lo, hi] holds with
-    probability ≥ 1 − δ (δ/4 per solve, union bound over the ≤ 4 solves
-    behind one answer).  A denominator certified zero — or not certifiable
+    {!Pqdb_numeric.Interval.ratio}).  Each solve runs at δ/4
+    ({!Pqdb_montecarlo.Guarantee.split}), and a Karp–Luby pass at δ/4
+    claims 2δ/4, so the reported [lo, hi] holds with probability
+    ≥ 1 − 2δ when all four solves sample (union bound); the estimate's
+    claim composes the four with {!Pqdb_montecarlo.Guarantee.difference}
+    and {!Pqdb_montecarlo.Guarantee.ratio} and states the δ actually
+    spent.  A denominator certified zero — or not certifiable
     above zero — raises the typed
     {!Pqdb_runtime.Pqdb_error.Unsatisfiable_condition}; no NaN or division
     by zero can escape. *)
@@ -39,8 +43,6 @@ val compile : Udb.t -> Constraint_set.t -> compiled
     an [Fd] constraint. *)
 
 val constraints : compiled -> Constraint_set.t
-val is_trivial : compiled -> bool
-(** The empty constraint set: conditioning is the identity. *)
 
 val conjoin : Assignment.t list -> Assignment.t list -> Assignment.t list
 (** DNF conjunction: clause-set product via {!Assignment.union}, dropping
@@ -69,20 +71,18 @@ type estimate = {
   value : float;  (** point estimate, clamped into [\[lo, hi\]] *)
   lo : float;
   hi : float;
-      (** sound bracket for the conditioned confidence, holding with
-          probability ≥ 1 − δ *)
+      (** sound bracket for the conditioned confidence, holding except
+          with the claim's δ (at most 2δ) *)
   trials : int;  (** sampling spent on this tuple's numerator (the shared
                      denominator's spend is reported once, on it) *)
-  exact : bool;  (** no sampling anywhere: numerator and denominator both
-                     compiled exactly *)
+  claim : Guarantee.t;
+      (** the ratio of the numerator's and the denominator's claims, each
+          the difference of its two conjuncts' {!Compile.outcome} claims:
+          [Exact] only when all four compiled exactly, [Certain] when no
+          part sampled but a bracket certified one, [Sampled] as soon as
+          one part sampled, with the summed δ, and [Bracket] when a part
+          kept only its bracket and none sampled *)
 }
-
-type denominator
-(** A solved [Pr(c)] bracket, certified positive — computed once and shared
-    by every tuple of a batch. *)
-
-val denominator_interval : denominator -> Interval.t
-val denominator_trials : denominator -> int
 
 val solve_batch :
   ?budget:Budget.t ->
@@ -94,9 +94,10 @@ val solve_batch :
   Assignment.t list array ->
   eps:float ->
   delta:float ->
-  denominator * estimate array
+  estimate * estimate array
 (** Conditioned confidence of every tuple lineage in [sets]: the shared
-    [Pr(c)] denominator, then one estimate per tuple, in order.  The RNG
+    [Pr(c)] denominator — its bracket certified positive, computed once and
+    shared by every tuple — then one estimate per tuple, in order.  The RNG
     lanes are drawn from [seed] ({!Pqdb_numeric.Rng.lanes} over [n + 1]):
     lane [n] (one past the last tuple) feeds the denominator, lane [i]
     tuple [i], so the answer is a pure function of (lineage, constraint

@@ -18,26 +18,3 @@ let recurrence ~k ~n ~d ~per_level =
 
 let rounds_for_guarantee ~k ~d ~n ~eps0 ~delta =
   Stats.theorem_6_7_rounds ~eps0 ~delta ~k ~d ~n
-
-(* Relative error is NOT preserved by subtraction: p̂ ∈ [(1−εp)p, (1+εp)p]
-   and q̂ ∈ [(1−εq)q, (1+εq)q] only bound p̂ − q̂ within an absolute
-   εp·p + εq·q of p − q, which relative to the difference is
-   (εp·p + εq·q)/(p − q) — arbitrarily worse than max(εp, εq) as q → p.
-   The Theorem 4.4 egd rewriting Pr(φ ∧ ψ) = Pr(φ) − Pr(φ ∧ ¬ψ) must
-   therefore *widen* its reported ε, never copy it. *)
-let difference_eps ~p ~eps_p ~q ~eps_q =
-  if not (p >= 0. && q >= 0. && eps_p >= 0. && eps_q >= 0.) then
-    invalid_arg "Error_bound.difference_eps";
-  let diff = p -. q in
-  if diff <= 0. then Float.infinity
-  else ((eps_p *. p) +. (eps_q *. q)) /. diff
-
-(* A ratio keeps relative form but compounds: the worst quotient of the two
-   brackets is (1+εn)/(1−εd) times the truth, i.e. a relative error of
-   (εn + εd)/(1 − εd) — again strictly wider than max(εn, εd) whenever both
-   are positive. *)
-let ratio_eps ~eps_num ~eps_den =
-  if not (eps_num >= 0. && eps_den >= 0.) then
-    invalid_arg "Error_bound.ratio_eps";
-  if eps_den >= 1. then Float.infinity
-  else (eps_num +. eps_den) /. (1. -. eps_den)

@@ -19,26 +19,3 @@ val rounds_for_guarantee :
   k:int -> d:int -> n:int -> eps0:float -> delta:float -> int
 (** Least [l] making {!proposition_6_6} at most [delta] — the [l₀] of
     Theorem 6.7 (alias of {!Pqdb_numeric.Stats.theorem_6_7_rounds}). *)
-
-(** {1 Composition of relative-error guarantees}
-
-    Used by the conditioning layer: the Theorem 4.4 difference
-    [Pr(φ) − Pr(φ ∧ ¬ψ)] and the renormalization ratio
-    [Pr(q ∧ c) / Pr(c)] each combine two (ε, δ) estimates, and neither
-    preserves the inputs' relative ε — these rules make the honest, widened
-    certificate explicit.  (The failure budgets add: each result holds with
-    probability ≥ 1 − δ_p − δ_q by the union bound.) *)
-
-val difference_eps : p:float -> eps_p:float -> q:float -> eps_q:float -> float
-(** The relative error certified for [p − q] by relative-[eps_p] and
-    relative-[eps_q] estimates of [p ≥ q ≥ 0]:
-    [(εp·p + εq·q)/(p − q)], and [infinity] when [p <= q] (the difference
-    cannot be bounded away from zero).  Strictly wider than
-    [max eps_p eps_q] whenever [q > 0] — copying the input ε would be
-    unsound.  @raise Invalid_argument on negative inputs. *)
-
-val ratio_eps : eps_num:float -> eps_den:float -> float
-(** The relative error certified for a ratio of an [eps_num]- and an
-    [eps_den]-relative estimate: [(εn + εd)/(1 − εd)] ([infinity] when
-    [eps_den >= 1]).  Exceeds [max eps_num eps_den] whenever both are
-    positive.  @raise Invalid_argument on negative inputs. *)

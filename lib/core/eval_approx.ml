@@ -209,8 +209,6 @@ let aconf_eval ?budget ?stream ~aconf_ord ~rng ~stats w { Ua.eps; delta }
   let values =
     List.mapi (fun i (t, _) -> (t, Value.Float estimates.(i))) groups
   in
-  let achieved = cstats.Pqdb_montecarlo.Confidence.achieved_eps in
-  let complete = cstats.Pqdb_montecarlo.Confidence.complete in
   let mu, susp, _ =
     List.fold_left
       (fun (mu, susp, i) (t, p) ->
@@ -226,7 +224,8 @@ let aconf_eval ?budget ?stream ~aconf_ord ~rng ~stats w { Ua.eps; delta }
            only carries the wider achieved bound (Section 6: unreliability
            is reported as added uncertainty, not as a crash). *)
         let suspect =
-          TSet.mem t a.ann.susp || ((not complete) && achieved.(i) > eps)
+          TSet.mem t a.ann.susp
+          || Pqdb_montecarlo.Confidence.misses cstats estimates ~eps i
         in
         (mu, (if suspect then TSet.add row susp else susp), i + 1))
       (TMap.empty, TSet.empty, 0)
@@ -408,6 +407,8 @@ let eval_with_guarantee ?budget ?stream ?(eps0 = 0.05) ?(initial_rounds = 1)
     if max_error r <= delta || budget_exhausted || l >= Lazy.force l_cap then
       (r, total, l)
     else
-      attempt ~first:false (min (Lazy.force l_cap) (2 * l)) (sigma_delta /. 2.)
+      attempt ~first:false
+        (min (Lazy.force l_cap) (2 * l))
+        (Pqdb_montecarlo.Guarantee.split sigma_delta 2)
   in
   attempt ~first:true (max 1 initial_rounds) delta

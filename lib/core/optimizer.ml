@@ -10,72 +10,44 @@ let attrs_of ~lookup q =
 
 let subset xs ys = List.for_all (fun x -> List.mem x ys) xs
 
+(* Rewrite every attribute reference of an expression or a predicate. *)
+let rec map_expr f = function
+  | Expr.Attr a -> f a
+  | Expr.Const _ as e -> e
+  | Expr.Add (x, y) -> Expr.Add (map_expr f x, map_expr f y)
+  | Expr.Sub (x, y) -> Expr.Sub (map_expr f x, map_expr f y)
+  | Expr.Mul (x, y) -> Expr.Mul (map_expr f x, map_expr f y)
+  | Expr.Div (x, y) -> Expr.Div (map_expr f x, map_expr f y)
+  | Expr.Neg x -> Expr.Neg (map_expr f x)
+
+let rec map_pred f = function
+  | Predicate.Cmp (op, x, y) -> Predicate.Cmp (op, map_expr f x, map_expr f y)
+  | Predicate.And (p, q) -> Predicate.And (map_pred f p, map_pred f q)
+  | Predicate.Or (p, q) -> Predicate.Or (map_pred f p, map_pred f q)
+  | Predicate.Not p -> Predicate.Not (map_pred f p)
+  | (Predicate.True | Predicate.False) as p -> p
+
+(* The expression a projection binds to output column [a]. *)
+let bound cols a =
+  match List.find_opt (fun (_, name) -> name = a) cols with
+  | Some (e, _) -> e
+  | None -> Expr.Attr a
+
 (* Substitute projection columns into a predicate: Attr a becomes the
    expression bound to output column a. *)
-let substitute_pred cols pred =
-  let rec sub_expr = function
-    | Expr.Attr a -> begin
-        match List.find_opt (fun (_, name) -> name = a) cols with
-        | Some (e, _) -> e
-        | None -> Expr.Attr a
-      end
-    | Expr.Const _ as e -> e
-    | Expr.Add (x, y) -> Expr.Add (sub_expr x, sub_expr y)
-    | Expr.Sub (x, y) -> Expr.Sub (sub_expr x, sub_expr y)
-    | Expr.Mul (x, y) -> Expr.Mul (sub_expr x, sub_expr y)
-    | Expr.Div (x, y) -> Expr.Div (sub_expr x, sub_expr y)
-    | Expr.Neg x -> Expr.Neg (sub_expr x)
-  in
-  let rec sub = function
-    | Predicate.Cmp (op, x, y) -> Predicate.Cmp (op, sub_expr x, sub_expr y)
-    | Predicate.And (p, q) -> Predicate.And (sub p, sub q)
-    | Predicate.Or (p, q) -> Predicate.Or (sub p, sub q)
-    | Predicate.Not p -> Predicate.Not (sub p)
-    | (Predicate.True | Predicate.False) as p -> p
-  in
-  sub pred
+let substitute_pred cols = map_pred (bound cols)
 
 (* Rename predicate attributes through the *inverse* of a rename mapping
    (the rename maps src -> dst; below the rename the attribute is src). *)
-let unrename_pred mapping pred =
+let unrename_pred mapping =
   let inverse = List.map (fun (src, dst) -> (dst, src)) mapping in
-  let rec sub_expr = function
-    | Expr.Attr a ->
-        Expr.Attr
-          (match List.assoc_opt a inverse with Some src -> src | None -> a)
-    | Expr.Const _ as e -> e
-    | Expr.Add (x, y) -> Expr.Add (sub_expr x, sub_expr y)
-    | Expr.Sub (x, y) -> Expr.Sub (sub_expr x, sub_expr y)
-    | Expr.Mul (x, y) -> Expr.Mul (sub_expr x, sub_expr y)
-    | Expr.Div (x, y) -> Expr.Div (sub_expr x, sub_expr y)
-    | Expr.Neg x -> Expr.Neg (sub_expr x)
-  in
-  let rec sub = function
-    | Predicate.Cmp (op, x, y) -> Predicate.Cmp (op, sub_expr x, sub_expr y)
-    | Predicate.And (p, q) -> Predicate.And (sub p, sub q)
-    | Predicate.Or (p, q) -> Predicate.Or (sub p, sub q)
-    | Predicate.Not p -> Predicate.Not (sub p)
-    | (Predicate.True | Predicate.False) as p -> p
-  in
-  sub pred
+  map_pred (fun a ->
+      Expr.Attr (Option.value (List.assoc_opt a inverse) ~default:a))
 
 (* Substitute inner projection columns into the outer projection's
    expressions (projection fusion). *)
 let fuse_projections outer inner =
-  let rec sub_expr = function
-    | Expr.Attr a -> begin
-        match List.find_opt (fun (_, name) -> name = a) inner with
-        | Some (e, _) -> e
-        | None -> Expr.Attr a
-      end
-    | Expr.Const _ as e -> e
-    | Expr.Add (x, y) -> Expr.Add (sub_expr x, sub_expr y)
-    | Expr.Sub (x, y) -> Expr.Sub (sub_expr x, sub_expr y)
-    | Expr.Mul (x, y) -> Expr.Mul (sub_expr x, sub_expr y)
-    | Expr.Div (x, y) -> Expr.Div (sub_expr x, sub_expr y)
-    | Expr.Neg x -> Expr.Neg (sub_expr x)
-  in
-  List.map (fun (e, name) -> (sub_expr e, name)) outer
+  List.map (fun (e, name) -> (map_expr (bound inner) e, name)) outer
 
 let conjuncts pred =
   let rec go acc = function

@@ -140,7 +140,7 @@ let decide ?budget ?eps0 ?max_rounds ?search_iterations ?batch ?independent
 let decide_naive ?(eps0 = 0.05) ~rng ~delta phi estimators =
   check_args ~delta ~eps0 phi estimators;
   let k = max 1 (Array.length estimators) in
-  let per_value_delta = delta /. float_of_int k in
+  let per_value_delta = Guarantee.split delta k in
   Array.iter
     (fun est ->
       let missing = Estimator.trials_to_reach est ~eps:eps0 ~delta:per_value_delta in

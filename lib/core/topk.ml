@@ -3,15 +3,18 @@ open Pqdb_urel
 module Estimator = Pqdb_montecarlo.Estimator
 module Dnf = Pqdb_montecarlo.Dnf
 module Compile = Pqdb_montecarlo.Compile
+module Guarantee = Pqdb_montecarlo.Guarantee
 
 type result = {
   ranked : (Tuple.t * float) list;
-  certified : bool;
+  claim : Guarantee.t;
   estimator_calls : int;
   rounds : int;
   exact_candidates : int;
   sampled : (Tuple.t * int) list;
 }
+
+let certified r = r.claim <> Guarantee.Bracket
 
 type candidate = {
   tuple : Tuple.t;
@@ -54,7 +57,7 @@ let run ?budget ?(eps0 = 0.01) ?max_rounds ?compile_fuel ~rng ~delta ~k
          candidates)
   in
   let n = Array.length compiled in
-  let delta_t = delta /. float_of_int n in
+  let delta_t = Guarantee.split delta n in
   let k = min k n in
   let exact_candidates =
     Array.fold_left
@@ -162,12 +165,26 @@ let run ?budget ?(eps0 = 0.01) ?max_rounds ?compile_fuel ~rng ~delta ~k
     end
   in
   let order, certified = loop () in
+  (* The certificate rests on every candidate's interval at once: a sampled
+     one holds except with δ/n, a pruned bracket and an exact value
+     always. *)
+  let claim =
+    if not certified then Guarantee.Bracket
+    else
+      Array.fold_left Guarantee.union Guarantee.Exact
+        (Array.mapi
+           (fun i (_, comp, _, _) ->
+             if Compile.is_exact comp then Guarantee.Exact
+             else if keep.(i) then Sampled { eps = 0.; delta = delta_t }
+             else Certain 0.)
+           compiled)
+  in
   {
     ranked =
       List.map
         (fun c -> (c.tuple, current_value c))
         (Array.to_list (Array.sub order 0 k));
-    certified;
+    claim;
     estimator_calls = total_trials ();
     rounds = !rounds;
     exact_candidates;

@@ -32,10 +32,19 @@ open Pqdb_urel
 type result = {
   ranked : (Tuple.t * float) list;
       (** the top-k tuples with their final estimates, best first *)
-  certified : bool;
-      (** true when every selected tuple's lower bound clears every rejected
-          tuple's upper bound (each bound valid with probability
-          [1 − delta/n]) *)
+  claim : Pqdb_montecarlo.Guarantee.t;
+      (** what the ranking claims about the selected set (ε = 0: it is the
+          true top k).  It is certified when every selected tuple's lower
+          bound clears every rejected tuple's upper bound.  Each sampled
+          candidate's interval holds except with [δ/n]
+          ({!Pqdb_montecarlo.Guarantee.split} over the [n] candidates), so
+          a certificate resting on [m] sampled intervals is
+          [Sampled {0; m·δ/n}], their {!Pqdb_montecarlo.Guarantee.union};
+          one resting on exact values only is [Exact], and on pruned
+          compiled brackets as well [Certain 0].  The intervals are
+          re-checked after every round at the same [δ/n], so the δ holds at
+          each look, not across the looks (ROADMAP item B).  [Bracket] when
+          uncertified: the order claims nothing. *)
   estimator_calls : int;
   rounds : int;
   exact_candidates : int;
@@ -43,6 +52,9 @@ type result = {
   sampled : (Tuple.t * int) list;
       (** every candidate that spent estimator calls, with its trial count *)
 }
+
+val certified : result -> bool
+(** The ranking is certified: its claim is not [Bracket]. *)
 
 val run :
   ?budget:Pqdb_montecarlo.Budget.t ->
@@ -58,9 +70,10 @@ val run :
     clause set is compiled with [compile_fuel] (default
     {!Pqdb_montecarlo.Compile.default_fuel}; [~compile_fuel:0] recovers
     pure-sampling multisimulation).  [delta] is split evenly across
-    candidates for the per-tuple interval bounds.  [budget] makes the ranking anytime: refinement rounds
-    charge the shared governor, and on exhaustion the current order is
-    returned with [certified = false] (its interval bounds remain sound).
+    candidates for the per-tuple interval bounds ([claim] above).
+    [budget] makes the ranking anytime: refinement rounds charge the
+    shared governor, and on exhaustion the current order is returned
+    uncertified (its interval bounds remain sound).
     @raise Invalid_argument when [k <= 0] or there are no candidates. *)
 
 val query :

@@ -102,15 +102,14 @@ type outcome = {
   residual_mass : float;
   lo : float;
   hi : float;
-  achieved_eps : float;
-  complete : bool;
+  claim : Guarantee.t;
 }
 
 (* The zero-trial certificate: the harmonic mean h = 2·lo·hi/(lo + hi) is
    within relative a = (hi − lo)/(hi + lo) of every point of [lo, hi].  In
    floats, h̃ = lo·(2·hi/(lo + hi)) takes three roundings of normal numbers
    (lo is normal and the ratio lies in [1, 2]), so it is within 3.01u of h
-   and within a + 6.02u of every point; ã is within 3.01u of a.  [achieved]
+   and within a + 6.02u of every point; ã is within 3.01u of a.  [proven]
    adds 2⁻⁴⁹ = 16u, at least 14.9u after its own rounding, so it bounds the
    estimate's true relative error.  Clamping into [lo, hi] only moves the
    estimate toward every point of the bracket. *)
@@ -118,13 +117,13 @@ let certified (t : t) ~eps =
   let lo = t.lo and hi = t.hi in
   if lo < Float.min_float then None
   else
-    let achieved = ((hi -. lo) /. (hi +. lo)) +. 0x1p-49 in
-    if achieved > eps then None
+    let proven = ((hi -. lo) /. (hi +. lo)) +. 0x1p-49 in
+    if proven > eps then None
     else
       let value = Float.min hi (Float.max lo (lo *. (2. *. hi /. (lo +. hi)))) in
       Some
         { value; trials = 0; residual_mass = value -. lo; lo; hi;
-          achieved_eps = achieved; complete = true }
+          claim = Guarantee.Certain proven }
 
 (* One adaptive pass over the whole normalized DNF, its interval intersected
    with the compiled bracket [t.lo, t.hi], which still bounds the answer
@@ -139,19 +138,19 @@ let sampled ?budget rng (t : t) w clauses ~eps ~delta =
       let hi = Float.max lo (Float.min 1. (Float.min t.hi p.p_hi)) in
       let value = Float.min hi (Float.max lo p.p_estimate) in
       { value; trials = p.p_trials; residual_mass = value; lo; hi;
-        achieved_eps = p.p_eps; complete = p.p_complete }
+        claim = p.p_claim }
   | exception _ ->
       (* Sampling died outright: all that remains sound is the compiled
          bracket. *)
       { value = t.lo; trials = 0; residual_mass = 0.; lo = t.lo; hi = t.hi;
-        achieved_eps = (t.hi -. t.lo) /. 2.; complete = false }
+        claim = Guarantee.Bracket }
 
 let solve_lane ?budget lane t ~eps ~delta =
   if eps <= 0. || delta <= 0. then invalid_arg "Compile.solve";
   match t.sample with
   | None ->
       { value = t.lo; trials = 0; residual_mass = 0.; lo = t.lo; hi = t.lo;
-        achieved_eps = 0.; complete = true }
+        claim = Guarantee.Exact }
   | Some (w, clauses) -> (
       match certified t ~eps with
       | Some o -> o

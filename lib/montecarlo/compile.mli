@@ -141,25 +141,20 @@ type outcome = {
   hi : float;
       (** a sound probability interval for the tuple confidence: the
           sampling pass's certified interval intersected with the
-          {!vacuous_interval}, cut to [[0, 1]].  It holds with probability
-          ≥ 1 − 2δ as proven: the stopping rule and its Chernoff cap may
-          each fail with probability δ (the tier-1 miss-rate test measures
-          about δ).  Degenerates to a point when exact; never wider than
+          {!vacuous_interval}, cut to [[0, 1]].  It holds except with the
+          claim's δ.  Degenerates to a point when exact; never wider than
           the {!vacuous_interval}. *)
-  achieved_eps : float;
-      (** the relative error actually certified at confidence δ: the
-          requested ε when [complete], the pass's partial-trial ε′
-          otherwise ([infinity] when its interval is vacuous, [0] when
-          exact).  When certified, it is [(hi − lo)/(hi + lo) + 2⁻⁴⁹ ≤ ε]:
-          the estimate's relative error bound with certainty, the [2⁻⁴⁹]
-          covering the float rounding of the estimate and of the ratio.
-          When sampling died outright, this is instead the {e absolute}
-          half-width of the {!vacuous_interval}, the honest certificate
-          actually held, rather than a claim about a relative contract
-          that was never attempted. *)
-  complete : bool;
-      (** the requested (ε, δ) contract was met — with certainty, not only
-          with probability 1 − 2δ, when certified *)
+  claim : Guarantee.t;
+      (** what the value claims: [Exact] when the DAG is;
+          [Certain ((hi − lo)/(hi + lo) + 2⁻⁴⁹)] when the bracket
+          certifies ε, the [2⁻⁴⁹] covering the float rounding of the
+          estimate and of the ratio; the pass's claim
+          ({!Karp_luby.partial}) when sampled — [Sampled {ε; 2δ}] when it
+          completes, as the stopping rule and its Chernoff cap may each
+          fail with δ (the tier-1 miss-rate test measures about δ); and
+          [Bracket] when sampling died outright.  The requested (ε, δ)
+          contract was met iff it {!Guarantee.meets}
+          [Guarantee.pass ~eps ~delta]. *)
 }
 
 val vacuous_interval : t -> float * float
@@ -176,7 +171,7 @@ val solve : ?budget:Budget.t -> Rng.t -> t -> eps:float -> delta:float -> outcom
     the answer needs no sampling.  The estimate is the harmonic mean
     [2·lo·hi/(lo + hi)], clamped into [[lo, hi]], which is within relative
     [(hi − lo)/(hi + lo)] of every point of the bracket; the outcome has
-    [trials = 0], [complete = true] and the bracket as [lo, hi].  No
+    [trials = 0], a [Certain] claim and the bracket as [lo, hi].  No
     budget is charged or consulted and no generator is asked for, so the
     certificate holds with certainty, under any budget.
 
@@ -186,12 +181,12 @@ val solve : ?budget:Budget.t -> Rng.t -> t -> eps:float -> delta:float -> outcom
     proven (see {!Karp_luby}), and deterministic per RNG state.
 
     {e Degradation}: an estimator failure is contained — the tuple comes
-    back with its {!vacuous_interval}, the floor as its estimate, and
-    [complete = false].  A [budget] never changes the schedule, only cuts
+    back with its {!vacuous_interval}, the floor as its estimate, and a
+    [Bracket] claim.  A [budget] never changes the schedule, only cuts
     it: the pass charges the shared governor and stops at exhaustion,
     reporting the interval its partial trials certify.  So a budget that
-    never binds changes no bit, and without one the call returns
-    [complete = true] with [achieved_eps = eps].
+    never binds changes no bit, and without one the claim is
+    [Guarantee.pass ~eps ~delta] whenever the value samples.
     @raise Invalid_argument when [eps <= 0] or [delta <= 0]. *)
 
 val solve_lane :

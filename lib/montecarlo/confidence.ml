@@ -46,6 +46,16 @@ let fill_apriori comp ~out ~intervals ~achieved i =
       achieved.(i) <- (hi -. lo) /. 2.;
       false
 
+(* A tuple that spent no trial may hold only its a-priori bracket, whose
+   recorded half-width is absolute: it misses ε unless its estimate is
+   within relative ε of both ends of the bracket. *)
+let misses st estimates ~eps i =
+  let lo, hi = st.intervals.(i) and v = estimates.(i) in
+  (not st.complete)
+  && (st.achieved_eps.(i) > eps
+     || st.trials_used.(i) = 0
+        && not (v -. lo <= eps *. lo && hi -. v <= eps *. hi))
+
 let exact_fraction_of ~out ~masses =
   let total_value = Array.fold_left ( +. ) 0. out in
   let sampled_mass = Array.fold_left ( +. ) 0. masses in
@@ -224,6 +234,7 @@ let solve_shard ?budget run (sh : Shard.t) ~fp =
   in
   let ntasks = Array.length live in
   if ntasks > 0 then begin
+    let request = Guarantee.pass ~eps:run.eps ~delta:run.delta in
     let task k =
       let j = live.(k) in
       match
@@ -236,8 +247,9 @@ let solve_shard ?budget run (sh : Shard.t) ~fp =
           trials.(j) <- o.Compile.trials;
           masses.(j) <- o.Compile.residual_mass;
           intervals.(j) <- (o.Compile.lo, o.Compile.hi);
-          achieved.(j) <- o.Compile.achieved_eps;
-          if not o.Compile.complete then Atomic.set all_complete false
+          achieved.(j) <- Guarantee.eps o.Compile.claim;
+          if not (Guarantee.meets o.Compile.claim request) then
+            Atomic.set all_complete false
       | exception _ ->
           (* Keep the pre-filled bracket; the batch must survive any single
              tuple. *)

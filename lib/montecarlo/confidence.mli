@@ -28,22 +28,23 @@ type stats = {
           sampling (or the batch is empty / all-zero). *)
   intervals : (float * float) array;
       (** Per tuple, a sound [lo, hi] bracket on the true confidence holding
-          with probability ≥ 1 − δ ({!Compile.outcome}).  A point for
+          except with its claim's δ, at most 2δ ({!Compile.outcome}).  A point for
           compiled-exact tuples; the a-priori compiled bracket for tuples
           whose sampling never ran (budget exhausted early, contained
           failure). *)
   achieved_eps : float array;
-      (** Per tuple, the error actually certified: the requested relative ε
-          on a complete run, the partial-trial relative ε′ under a budget,
-          [0] for exact tuples, and the bracket's own relative error bound
-          (at most ε) for tuples its compiled bracket certifies with no
-          trials.  For tuples where only the a-priori compiled
-          bracket holds — quarantined, unreached, or sampling died — this is
-          the bracket's {e absolute half-width}, the certificate actually in
-          hand, so the stats line never over-claims precision (it is never
-          the requested ε for a tuple that was not sampled). *)
+      (** Per tuple, the relative ε of its {!Compile.outcome} claim
+          ({!Guarantee.eps}): the requested ε on a complete run, the
+          partial-trial ε′ under a budget, [0] for exact tuples, the
+          bracket's own bound (at most ε) for tuples its compiled bracket
+          certifies with no trials, and [infinity] when the budget cut the
+          pass before its first trial or sampling died.  A tuple that never
+          got an outcome — its shard quarantined, its task or the pool
+          failed — keeps its a-priori bracket and, here, that bracket's
+          {e absolute half-width}; its [trials_used] is [0]. *)
   complete : bool;
-      (** Every tuple met the requested (ε, δ) contract.  [false] means the
+      (** Every tuple's claim {!Guarantee.meets}
+          [Guarantee.pass ~eps ~delta].  [false] means the
           run degraded somewhere — inspect [achieved_eps]/[intervals] —
           but the estimates and brackets are still sound. *)
 }
@@ -236,3 +237,12 @@ val run_stream_with_stats :
     [stats.complete = false].  A single tuple's or the pool's failure is
     contained the same way; {!run_stream} describes shard-level
     containment. *)
+
+val misses : stats -> float array -> eps:float -> int -> bool
+(** [misses stats estimates ~eps i]: tuple [i]'s estimate may miss
+    relative [eps].  Always [false] on a complete run.  Otherwise [true]
+    when its [achieved_eps] exceeds [eps], or when it spent no trial and
+    its estimate is not within relative [eps] of both ends of its bracket:
+    a tuple whose sampler died or whose shard was quarantined holds only
+    its a-priori bracket, and its [achieved_eps] there is an absolute
+    half-width, not a relative ε. *)

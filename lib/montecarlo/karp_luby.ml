@@ -5,18 +5,19 @@ type partial = {
   p_lo : float;
   p_hi : float;
   p_trials : int;
-  p_eps : float;
-  p_complete : bool;
+  p_claim : Guarantee.t;
 }
 
-let point p = { p_estimate = p; p_lo = p; p_hi = p; p_trials = 0; p_eps = 0.; p_complete = true }
+let point p =
+  { p_estimate = p; p_lo = p; p_hi = p; p_trials = 0; p_claim = Exact }
 
 (* [p̂] certified at relative error [eps] with confidence δ — the standard
    multiplicative inversion p ∈ [p̂/(1+ε), p̂/(1−ε)], clamped to [0, ub]. *)
-let certified ~ub ~eps p n =
+let certified ~ub ~eps ~delta p n =
   let lo = Float.max 0. (p /. (1. +. eps)) in
   let hi = if eps >= 1. then ub else Float.min ub (p /. (1. -. eps)) in
-  { p_estimate = p; p_lo = lo; p_hi = hi; p_trials = n; p_eps = eps; p_complete = true }
+  { p_estimate = p; p_lo = lo; p_hi = hi; p_trials = n;
+    p_claim = Guarantee.pass ~eps ~delta }
 
 (* With few trials the raw estimate (s/n)·M can overshoot its own certified
    interval (even 1); clamp it in — projecting onto the interval never
@@ -72,18 +73,21 @@ let adaptive_partial ?budget rng dnf ~eps ~delta =
     let cap = Stats.karp_luby_trials ~clauses ~eps ~delta in
     clamp
       (match stopping_rule ?budget rng dnf ~eps ~delta ~cap with
-      | (Target | Cap), p, n -> certified ~ub ~eps p n
+      | (Target | Cap), p, n -> certified ~ub ~eps ~delta p n
       | Cut, _, 0 ->
           (* Not one trial fit in the budget: the only sound claim is the
              a-priori interval [0, min(1, M)]. *)
           { p_estimate = 0.; p_lo = 0.; p_hi = ub; p_trials = 0;
-            p_eps = Float.infinity; p_complete = false }
+            p_claim = Guarantee.Bracket }
       | Cut, p, n ->
           (* Partial trials: the relative error the [n] trials actually
-             certify at this δ. *)
+             certify at this δ.  Past 1 the inversion proves nothing, so
+             the claim keeps ε′ at failure probability 1. *)
           let eps' = Stats.karp_luby_eps ~trials:n ~clauses ~delta in
-          if eps' >= 1. then
-            { p_estimate = p; p_lo = 0.; p_hi = ub; p_trials = n;
-              p_eps = eps'; p_complete = false }
-          else { (certified ~ub ~eps:eps' p n) with p_complete = eps' <= eps })
+          let c = certified ~ub ~eps:eps' ~delta p n in
+          if eps' < 1. then c
+          else
+            { c with
+              p_lo = 0.;
+              p_claim = Guarantee.Sampled { eps = eps'; delta = 1. } })
   end

@@ -24,7 +24,8 @@ open Pqdb_numeric
     Chernoff count, so it never costs more than the non-adaptive run; at
     the cap the answer is the plain sample mean.  The stopping rule alone
     fails with probability ≤ δ, and so does the capped mean alone, so the
-    proven bound is [Pr(|p̂ − p| ≥ ε·p) ≤ 2δ]; the tier-1 miss-rate test
+    proven bound is [Pr(|p̂ − p| ≥ ε·p) ≤ 2δ], the δ of the pass's claim
+    ({!Guarantee.pass}); the tier-1 miss-rate test
     measures about δ, the capped branch included (ROADMAP item B).
     Deterministic given the RNG state.  Trial counts saturate at
     [max_int], so at tiny ε an unbudgeted call is honest but unbounded. *)
@@ -35,26 +36,28 @@ open Pqdb_numeric
     pass polls the governor before every trial, so a budget that never
     binds changes no bit of the result.  When it does cut the pass, the
     result reports what the trials spent so far certify: a sound
-    probability interval [[p_lo, p_hi]] and the achieved relative error
-    [p_eps] at the requested confidence δ. *)
+    probability interval [[p_lo, p_hi]] and its claim. *)
 
 type partial = {
   p_estimate : float;  (** point estimate (0 when no trial ran) *)
   p_lo : float;        (** certified lower bound, in [0, 1] *)
   p_hi : float;        (** certified upper bound, ≤ min(1, M) *)
   p_trials : int;      (** estimator calls actually spent *)
-  p_eps : float;
-      (** achieved relative error at confidence δ: the requested ε when
-          complete, [√(3·|F|·ln(2/δ)/n)] after [n] partial trials,
-          [infinity] when the interval is vacuous, 0 when exact *)
-  p_complete : bool;   (** the requested (ε, δ) contract was met *)
+  p_claim : Guarantee.t;
+      (** [Exact] for a point; [Guarantee.pass ~eps ~delta] when the pass
+          reaches its target or its cap; after [n] cut trials
+          [Guarantee.pass ~eps:ε′ ~delta] with [ε′ = √(3·|F|·ln(2/δ)/n)]
+          when [ε′ < 1], and [Sampled {ε′; 1}] (no probabilistic claim)
+          otherwise; [Bracket] when the budget cut the pass before its
+          first trial.  The requested contract was met iff the claim
+          {!Guarantee.meets} [Guarantee.pass ~eps ~delta]. *)
 }
 
 val adaptive_partial :
   ?budget:Budget.t -> Rng.t -> Dnf.t -> eps:float -> delta:float -> partial
 (** One DKLR stopping-rule pass at (ε, δ), charging [budget] one trial at
     a time and polling {!Budget.exhausted}.  A pass that reaches its target
-    or its cap returns [p_complete = true]; one the budget cuts returns the
+    or its cap claims {!Guarantee.pass}; one the budget cuts returns the
     partial-trial Chernoff inversion above (vacuous [0, min(1, M)] when
     nothing can be said).  The estimate is clamped into its interval on
     every path.  Degenerate and single-clause DNFs are answered exactly

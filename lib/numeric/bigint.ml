@@ -37,7 +37,6 @@ let of_int n =
   end
 
 let one = of_int 1
-let minus_one = of_int (-1)
 let is_zero x = x.sign = 0
 let sign x = x.sign
 

@@ -13,7 +13,6 @@ type t
 
 val zero : t
 val one : t
-val minus_one : t
 
 val of_int : int -> t
 (** [of_int n] is the big integer with value [n].  Total for every native

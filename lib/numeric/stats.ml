@@ -11,8 +11,6 @@ let variance xs =
     ss /. float_of_int (n - 1)
   end
 
-let stddev xs = sqrt (variance xs)
-
 let quantile xs q =
   let n = Array.length xs in
   if n = 0 then invalid_arg "Stats.quantile: empty";

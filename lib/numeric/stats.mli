@@ -11,7 +11,6 @@ val mean : float array -> float
 val variance : float array -> float
 (** Unbiased sample variance (n−1 denominator); 0 for arrays shorter than 2. *)
 
-val stddev : float array -> float
 val median : float array -> float
 (** Does not mutate its argument. *)
 

@@ -55,7 +55,6 @@ let join a b =
         (Tuple.Table.find_all index (Tuple.project ta sa_shared)))
     a (Relation.empty out_schema)
 
-let theta_join pred a b = select pred (product a b)
 let union = Relation.union
 let diff = Relation.diff
 let inter = Relation.inter

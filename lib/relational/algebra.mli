@@ -27,9 +27,6 @@ val product : Relation.t -> Relation.t -> Relation.t
 val join : Relation.t -> Relation.t -> Relation.t
 (** Natural join on common attribute names. *)
 
-val theta_join : Predicate.t -> Relation.t -> Relation.t -> Relation.t
-(** Product followed by selection; disjoint schemas required. *)
-
 val union : Relation.t -> Relation.t -> Relation.t
 val diff : Relation.t -> Relation.t -> Relation.t
 val inter : Relation.t -> Relation.t -> Relation.t

@@ -8,8 +8,6 @@ type t =
   | True
   | False
 
-let not_ p = Not p
-
 let eval_cmp op a b =
   let c = Value.compare a b in
   match op with

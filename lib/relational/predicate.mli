@@ -24,7 +24,6 @@ val ( > ) : Expr.t -> Expr.t -> t
 val ( >= ) : Expr.t -> Expr.t -> t
 val ( && ) : t -> t -> t
 val ( || ) : t -> t -> t
-val not_ : t -> t
 
 val eval : Schema.t -> Tuple.t -> t -> bool
 val attributes : t -> string list

@@ -3,10 +3,8 @@ type t = Value.t array
 let of_list = Array.of_list
 let of_array = Array.copy
 let to_list = Array.to_list
-let to_array = Array.copy
 let arity = Array.length
 let get t i = t.(i)
-let get_named schema t name = t.(Schema.index schema name)
 let project t positions = Array.of_list (List.map (Array.get t) positions)
 let concat = Array.append
 

@@ -5,13 +5,9 @@ type t
 val of_list : Value.t list -> t
 val of_array : Value.t array -> t
 val to_list : t -> Value.t list
-val to_array : t -> Value.t array
-(** The returned array is a copy; tuples are immutable. *)
 
 val arity : t -> int
 val get : t -> int -> Value.t
-val get_named : Schema.t -> t -> string -> Value.t
-(** @raise Not_found when the attribute is absent. *)
 
 val project : t -> int list -> t
 (** Select positions in the given order. *)

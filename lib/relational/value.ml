@@ -51,10 +51,6 @@ let to_rational_opt = function
   | Rat r -> Some r
   | Float _ | Str _ | Bool _ -> None
 
-let is_numeric = function
-  | Int _ | Float _ | Rat _ -> true
-  | Str _ | Bool _ -> false
-
 (* Rank used to order values of different type families. *)
 let rank = function
   | Int _ | Float _ | Rat _ -> 0

@@ -56,8 +56,6 @@ val to_rational_opt : t -> Rational.t option
 (** [None] for non-numeric values and for [Float]s (which would need a lossy
     reinterpretation — use {!to_float_opt} for those paths). *)
 
-val is_numeric : t -> bool
-
 (** {1 Arithmetic}
 
     Numeric tower: [Int ⊂ Rat ⊂ Float].  [Int/Int] divides exactly into a

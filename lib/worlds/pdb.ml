@@ -58,7 +58,6 @@ let of_worlds ~complete worlds =
   { complete = List.sort String.compare complete; worlds }
 
 let worlds t = t.worlds
-let complete_names t = t.complete
 let relation_names t = List.map fst (fst (List.hd t.worlds))
 let world_count t = List.length t.worlds
 let is_complete t name = List.mem name t.complete
@@ -126,15 +125,6 @@ let equal_prel a b =
        (fun (ra, pa) (rb, pb) ->
          Relation.compare ra rb = 0 && Rational.equal pa pb)
        a b
-
-let pp_prel fmt prel =
-  Format.pp_open_vbox fmt 0;
-  List.iteri
-    (fun i (r, p) ->
-      Format.fprintf fmt "world %d (Pr = %a):@,%a@," i Rational.pp p
-        Relation.pp r)
-    (normalize_prel prel);
-  Format.pp_close_box fmt ()
 
 let confidence prel =
   let table = Hashtbl.create 64 in

@@ -26,7 +26,6 @@ val of_worlds :
     relation marked complete differs between worlds. *)
 
 val worlds : t -> (world * Rational.t) list
-val complete_names : t -> string list
 val relation_names : t -> string list
 val world_count : t -> int
 val is_complete : t -> string -> bool
@@ -52,7 +51,6 @@ type prel = (Relation.t * Rational.t) list
 
 val normalize_prel : prel -> prel
 val equal_prel : prel -> prel -> bool
-val pp_prel : Format.formatter -> prel -> unit
 
 val confidence : prel -> (Tuple.t * Rational.t) list
 (** Marginal probability of each possible tuple:

@@ -197,8 +197,12 @@ let run_materialized ?compile_fuel w clause_sets =
         (if total <= 0. then 1.
          else Float.max 0. (1. -. (sum (fun o -> o.Compile.residual_mass) /. total)));
       intervals = Array.map (fun o -> (o.Compile.lo, o.Compile.hi)) os;
-      achieved_eps = Array.map (fun o -> o.Compile.achieved_eps) os;
-      complete = Array.for_all (fun o -> o.Compile.complete) os;
+      achieved_eps = Array.map (fun o -> Guarantee.eps o.Compile.claim) os;
+      complete =
+        Array.for_all
+          (fun o ->
+            Guarantee.meets o.Compile.claim (Guarantee.pass ~eps ~delta))
+          os;
     } )
 
 (* ------------------------------------------------------------------ *)

@@ -17,6 +17,7 @@ module Pdb = Pqdb_worlds.Pdb
 module Naive = Pqdb_worlds.Eval_naive
 module Memo = Pqdb_montecarlo.Memo
 module Compile = Pqdb_montecarlo.Compile
+module Guarantee = Pqdb_montecarlo.Guarantee
 module Cset = Pqdb_conditioning.Constraint_set
 module Condition = Pqdb_conditioning.Condition
 module Pqdb_error = Pqdb_runtime.Pqdb_error
@@ -207,7 +208,8 @@ let test_approx_within_interval () =
      must be (numerically) a point and flagged exact. *)
   List.iter
     (fun (_, e) ->
-      check bool_c "exact where possible" true e.Condition.exact;
+      check bool_c "exact where possible" true
+        (e.Condition.claim = Guarantee.Exact);
       check int_c "no sampling spent" 0 e.Condition.trials)
     estimates
 
@@ -220,6 +222,65 @@ let test_approx_deterministic_per_seed () =
       (Condition.approx_confidences ~seed:13 udb compiled (Ua.table "R"))
   in
   check bool_c "same seed, same answer" true (run () = run ())
+
+(* Only a conditioned answer with no sampling and no bracket anywhere is
+   exact.  Twenty 14×14 DNFs at fuel 64 and ε = 0.5 (empty constraint set,
+   so the denominator is exactly 1): some are exact, some certified by
+   their compiled bracket and some sampled.  A certified tuple has a real
+   bracket and claims [Certain]; under an exhausted budget a tuple cut
+   before its first trial spends 0 trials too and claims [Bracket]. *)
+let test_claims_name_their_kind () =
+  let w = Wtable.create () in
+  let rng = Rng.create ~seed:3 in
+  let sets =
+    Array.init 20 (fun _ ->
+        Pqdb_workload.Gen.random_dnf rng w ~vars:14 ~clauses:14 ~clause_len:3)
+  in
+  let compiled = Condition.compile (Udb.create ()) Cset.empty in
+  let solve ?budget () =
+    snd
+      (Condition.solve_batch ?budget ~fuel:64 ~seed:1 w compiled sets ~eps:0.5
+         ~delta:0.05)
+  in
+  let kinds = Array.make 4 0 in
+  let count k = kinds.(k) <- kinds.(k) + 1 in
+  Array.iteri
+    (fun i (e : Condition.estimate) ->
+      let what = Printf.sprintf "tuple %d in [%g, %g]" i e.lo e.hi in
+      match e.claim with
+      | Guarantee.Exact ->
+          count 0;
+          check bool_c (what ^ ": exact is a point") true (e.lo = e.hi)
+      | Guarantee.Certain eps ->
+          count 1;
+          check bool_c (what ^ ": certified with no trial") true
+            (e.trials = 0 && e.lo < e.hi && eps <= 0.5)
+      | Guarantee.Sampled { delta; _ } ->
+          count 2;
+          check bool_c (what ^ ": sampled at 2·δ/4") true
+            (e.trials > 0 && delta = 2. *. (0.05 /. 4.))
+      | Guarantee.Bracket -> Alcotest.failf "%s: no budget, yet a bracket" what)
+    (solve ());
+  check bool_c
+    (Printf.sprintf "exact %d, certified %d, sampled %d" kinds.(0) kinds.(1)
+       kinds.(2))
+    true
+    (kinds.(0) > 0 && kinds.(1) > 0 && kinds.(2) > 0);
+  let spent = Pqdb_montecarlo.Budget.create ~max_trials:1 () in
+  Pqdb_montecarlo.Budget.spend spent 1;
+  Array.iteri
+    (fun i (e : Condition.estimate) ->
+      let what = Printf.sprintf "cut: tuple %d in [%g, %g]" i e.lo e.hi in
+      check int_c (what ^ ": no trial") 0 e.trials;
+      if e.lo < e.hi then begin
+        check bool_c (what ^ ": not exact") false (e.claim = Guarantee.Exact);
+        match e.claim with
+        | Guarantee.Bracket -> count 3
+        | _ -> ()
+      end)
+    (solve ~budget:spent ());
+  check bool_c (Printf.sprintf "%d tuples cut to their bracket" kinds.(3)) true
+    (kinds.(3) = kinds.(2))
 
 let test_topk_ranks_by_conditioned_probability () =
   (* Unconditioned, ann (0.5) outranks bob (0.4); under the FD the Id-1
@@ -254,23 +315,50 @@ let test_interval_difference_and_ratio () =
   check (Alcotest.float 1e-12) "clamp hi" 1. c.Interval.hi
 
 let test_error_bound_widens () =
-  let module Eb = Pqdb.Error_bound in
+  let module G = Guarantee in
+  let s eps = G.Sampled { eps; delta = 0.01 } in
   (* The egd difference Pr(φ) − Pr(φ ∧ ¬ψ): copying ε would be unsound. *)
-  let eps = Eb.difference_eps ~p:0.6 ~eps_p:0.1 ~q:0.5 ~eps_q:0.1 in
-  check (Alcotest.float 1e-9) "difference eps is the honest widening" 1.1 eps;
-  check bool_c "wider than the inputs" true (eps > 0.1);
+  let d = G.difference ~p:0.6 (s 0.1) ~q:0.5 (s 0.1) in
+  check (Alcotest.float 1e-9) "difference eps is the honest widening" 1.1
+    (G.eps d);
+  check bool_c "wider than the inputs" true (G.eps d > 0.1);
+  check (Alcotest.float 1e-12) "the failure probabilities add" 0.02
+    (G.delta d);
   check bool_c "vacuous when p <= q" true
-    (Eb.difference_eps ~p:0.5 ~eps_p:0.1 ~q:0.5 ~eps_q:0.1 = Float.infinity);
-  let r = Eb.ratio_eps ~eps_num:0.1 ~eps_den:0.1 in
-  check (Alcotest.float 1e-9) "ratio eps" (0.2 /. 0.9) r;
-  check bool_c "ratio eps exceeds both inputs" true (r > 0.1);
+    (G.eps (G.difference ~p:0.5 (s 0.1) ~q:0.5 (s 0.1)) = Float.infinity);
+  check bool_c "a zero operand adds nothing, whatever its claim" true
+    (G.difference ~p:0.6 (G.Certain 0.1) ~q:0. G.Bracket = G.Certain 0.1);
+  let r = G.ratio (s 0.1) (s 0.1) in
+  check (Alcotest.float 1e-9) "ratio eps" (0.2 /. 0.9) (G.eps r);
+  check bool_c "ratio eps exceeds both inputs" true (G.eps r > 0.1);
   check bool_c "vacuous denominator" true
-    (Eb.ratio_eps ~eps_num:0.1 ~eps_den:1.0 = Float.infinity);
-  (* Degenerate-safe: exact inputs propagate exactly. *)
-  check (Alcotest.float 1e-12) "exact difference stays exact" 0.
-    (Eb.difference_eps ~p:0.6 ~eps_p:0. ~q:0.5 ~eps_q:0.);
-  check (Alcotest.float 1e-12) "exact ratio stays exact" 0.
-    (Eb.ratio_eps ~eps_num:0. ~eps_den:0.)
+    (G.eps (G.ratio (s 0.1) (s 1.0)) = Float.infinity);
+  (* Degenerate-safe: exact inputs propagate exactly, certain ones
+     certainly. *)
+  check bool_c "exact difference stays exact" true
+    (G.difference ~p:0.6 G.Exact ~q:0.5 G.Exact = G.Exact);
+  check bool_c "exact ratio stays exact" true
+    (G.ratio G.Exact G.Exact = G.Exact);
+  check bool_c "certain parts give a certain claim" true
+    (G.ratio (G.Certain 0.1) G.Exact = G.Certain 0.1);
+  check bool_c "a bracket beside a sample keeps the sample's δ" true
+    (G.union G.Bracket (s 0.1)
+    = G.Sampled { eps = Float.infinity; delta = 0.01 });
+  check bool_c "brackets alone stay brackets" true
+    (G.union G.Bracket (G.Certain 0.2) = G.Bracket);
+  (match G.difference ~p:(-0.1) G.Exact ~q:0. G.Exact with
+  | _ -> Alcotest.fail "a negative operand must be rejected"
+  | exception Invalid_argument _ -> ());
+  (* The one split, with today's float expression. *)
+  check bool_c "split is delta / n" true (G.split 0.05 4 = 0.05 /. 4.);
+  check bool_c "a pass claims twice its delta" true
+    (G.pass ~eps:0.1 ~delta:0.05 = G.Sampled { eps = 0.1; delta = 0.1 });
+  check bool_c "a complete pass meets its request" true
+    (G.meets (G.pass ~eps:0.1 ~delta:0.05) (G.pass ~eps:0.1 ~delta:0.05));
+  check bool_c "a bracket meets no relative eps" false
+    (G.meets G.Bracket (G.pass ~eps:0.1 ~delta:0.05));
+  check bool_c "a certain claim is no point" false
+    (G.meets (G.Certain 0.) G.Exact)
 
 (* ------------------------------------------------------------------ *)
 (* Memo: the constraint-set salt must partition the cache.              *)
@@ -583,6 +671,8 @@ let () =
             test_approx_deterministic_per_seed;
           Alcotest.test_case "topk ranks by conditioned probability" `Quick
             test_topk_ranks_by_conditioned_probability;
+          Alcotest.test_case "claims name their kind" `Quick
+            test_claims_name_their_kind;
         ] );
       ( "propagation",
         [

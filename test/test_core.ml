@@ -992,7 +992,7 @@ let fig3_case_gen =
     in
     let knobs =
       quad (opt ~ratio:0.5 (int_range 1 64))
-        (opt ~ratio:0.5 (int_range 0 3000))
+        (opt ~ratio:0.5 (int_range 1 3000))
         (opt ~ratio:0.3 (int_range 1 8))
         bool
     in

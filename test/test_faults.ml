@@ -291,7 +291,13 @@ let test_estimator_fault_contained () =
       assert_sound "estimator fault" w clause_sets stats;
       check (Alcotest.float 0.) "certain tuple still exact" 1. estimates.(2);
       check (Alcotest.float 0.) "impossible tuple still exact" 0.
-        estimates.(3));
+        estimates.(3);
+      (* One tuple: the dead sampler leaves only the compiled bracket. *)
+      let c = Compile.compile ~fuel:0 w clause_sets.(0) in
+      let o = Compile.solve (Rng.create ~seed:29) c ~eps:0.1 ~delta:0.1 in
+      check bool_c "a dead sampler claims only its bracket" true
+        (o.Compile.claim = Guarantee.Bracket
+        && (o.Compile.lo, o.Compile.hi) = Compile.vacuous_interval c));
   (* Disarmed: same batch completes again. *)
   let w, clause_sets = batch_fixture () in
   let _, stats =
@@ -312,6 +318,98 @@ let test_estimator_fault_under_budget () =
       in
       check bool_c "budget path degrades too" false stats.Confidence.complete;
       assert_sound "estimator fault + budget" w clause_sets stats)
+
+(* A tuple whose sampler died or whose shard was quarantined keeps only
+   its a-priori compiled bracket, with the bracket's floor as its
+   estimate.  It must be a suspect unless the floor is within ε of the
+   ceiling, however small the bracket's absolute half-width.  All but one
+   of the 16 lineages (24 variables, 30 clauses of 6 literals: small
+   probabilities) stay inexact at the default fuel; [hard] lists each
+   one's bracket. *)
+let bracket_only_fixture () =
+  let udb = Udb.create () in
+  let w = Udb.wtable udb in
+  let rng = Rng.create ~seed:7 in
+  let sets =
+    Array.init 16 (fun _ ->
+        Pqdb_workload.Gen.random_dnf rng w ~vars:24 ~clauses:30 ~clause_len:6)
+  in
+  let rows =
+    List.concat
+      (List.init 16 (fun i ->
+           List.map (fun c -> (c, Tuple.of_list [ Value.Int i ])) sets.(i)))
+  in
+  Udb.add_urelation udb "U" (Urelation.make (Schema.of_list [ "T" ]) rows);
+  let hard =
+    List.filter_map
+      (fun i ->
+        let c = Compile.compile w sets.(i) in
+        if Compile.is_exact c then None
+        else Some (i, Compile.vacuous_interval c))
+      (List.init 16 Fun.id)
+  in
+  (udb, hard)
+
+let test_bracket_only_tuples_are_suspects () =
+  let eps = 0.1 in
+  let query =
+    Pqdb_ast.Ua.approx_conf ~eps ~delta:0.05 (Pqdb_ast.Ua.table "U")
+  in
+  let suspects site ?stream () =
+    clear_all ();
+    FP.arm site;
+    Fun.protect ~finally:clear_all (fun () ->
+        let udb, hard = bracket_only_fixture () in
+        let r, _ =
+          Pqdb.Eval_approx.eval ?stream ~rng:(Rng.create ~seed:3) udb query
+        in
+        let flagged =
+          List.map
+            (fun t ->
+              match Tuple.get t 0 with Value.Int i -> i | _ -> -1)
+            r.Pqdb.Eval_approx.suspects
+        in
+        (hard, flagged))
+  in
+  let floor_misses (lo, hi) = hi -. lo > eps *. hi in
+  let narrow = ref 0 in
+  let expect what flagged (i, (lo, hi)) =
+    if (hi -. lo) /. 2. <= eps then incr narrow;
+    check bool_c
+      (Printf.sprintf "%s tuple %d in [%g, %g] is a suspect" what i lo hi)
+      true (List.mem i flagged)
+  in
+  let some_narrow what =
+    check bool_c
+      (Printf.sprintf "%d %s tuples with a half-width within eps" !narrow what)
+      true (!narrow >= 1);
+    narrow := 0
+  in
+  (* Quarantine: every shard fails, so every inexact tuple holds only its
+     bracket. *)
+  let hard, flagged =
+    suspects "shard.run"
+      ~stream:{ Confidence.default_stream_options with retries = 0 }
+      ()
+  in
+  List.iter
+    (fun (i, b) -> if floor_misses b then expect "quarantined" flagged (i, b))
+    hard;
+  some_narrow "quarantined";
+  List.iter
+    (fun i ->
+      check bool_c (Printf.sprintf "suspect %d is inexact" i) true
+        (List.mem_assoc i hard))
+    flagged;
+  (* Dead samplers: every tuple that samples (its bracket does not
+     certify ε) dies and keeps its bracket. *)
+  let _, flagged = suspects "karp_luby.estimator" () in
+  List.iter
+    (fun (i, (lo, hi)) ->
+      if (hi -. lo) /. (hi +. lo) +. 0x1p-49 > eps then
+        expect "dead sampler" flagged (i, (lo, hi)))
+    hard;
+  some_narrow "dead-sampler"
 
 (* ------------------------------------------------------------------ *)
 (* Site: pool.task                                                     *)
@@ -523,6 +621,8 @@ let () =
             test_estimator_fault_contained;
           Alcotest.test_case "karp_luby.estimator under budget" `Quick
             test_estimator_fault_under_budget;
+          Alcotest.test_case "bracket-only tuples are suspects" `Quick
+            test_bracket_only_tuples_are_suspects;
           Alcotest.test_case "pool.task" `Quick test_pool_task_fault;
           Alcotest.test_case "pool.spawn degrades inline" `Quick
             test_pool_spawn_fault_degrades_inline;

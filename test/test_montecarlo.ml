@@ -7,6 +7,13 @@ open Pqdb_montecarlo
 module Q = Rational
 module Gen = Pqdb_workload.Gen
 
+(* What a claim states about a request at (ε, δ): its relative ε and
+   whether it met the request. *)
+let achieved = Guarantee.eps
+
+let complete ~eps ~delta claim =
+  Guarantee.meets claim (Guarantee.pass ~eps ~delta)
+
 (* Force a few resident pool workers so the parallel path is exercised even
    on single-core CI machines (where the pool would otherwise stay inline).
    Must run before the first [Pool.run]. *)
@@ -545,6 +552,7 @@ let test_compile_fixture_exact () =
   (* solve on an exact tree spends nothing. *)
   let o = Compile.solve (Rng.create ~seed:5) c ~eps:0.1 ~delta:0.1 in
   check int_c "0 trials" 0 o.Compile.trials;
+  check bool_c "an exact claim" true (o.Compile.claim = Guarantee.Exact);
   check (Alcotest.float 1e-9) "solve = exact" 0.88 o.Compile.value;
   check (Alcotest.float 0.) "no residual mass" 0. o.Compile.residual_mass
 
@@ -592,6 +600,10 @@ let test_compile_fuel_zero_is_residual () =
   | _ -> Alcotest.fail "expected the root to be the one residual");
   check int_c "the whole DNF is sampled" 3
     (Dnf.clause_count (Option.get (Compile.sampled_dnf c)));
+  let o = Compile.solve (Rng.create ~seed:5) c ~eps:0.1 ~delta:0.05 in
+  check bool_c "one complete pass claims (eps, 2 delta)" true
+    (o.Compile.trials > 0
+    && o.Compile.claim = Guarantee.Sampled { eps = 0.1; delta = 0.1 });
   (* Single clauses stay exact even without fuel. *)
   let x = Wtable.add_var w [ Q.half; Q.half ] in
   check bool_c "single clause exact at fuel 0" true
@@ -667,7 +679,7 @@ let prop_weight_aware_budgets_sound =
       in
       let bracketed = o.Compile.lo -. 1e-9 <= expect && expect <= o.Compile.hi +. 1e-9 in
       let relative_ok =
-        (not o.Compile.complete)
+        (not (complete ~eps ~delta:0.01 o.Compile.claim))
         || Float.abs (o.Compile.value -. expect) <= (eps *. expect) +. 1e-9
       in
       let interval_sane =
@@ -836,11 +848,14 @@ let test_bracket_certificate () =
                   incr certified;
                   check bool_c (what ^ ": the bracket proves eps") true proves;
                   check int_c (what ^ ": no trials") 0 o.Compile.trials;
-                  check bool_c (what ^ ": complete") true o.Compile.complete;
+                  check bool_c (what ^ ": complete") true
+                    (complete ~eps ~delta:0.05 o.Compile.claim);
                   check bool_c (what ^ ": the bracket is reported") true
                     (o.Compile.lo = lo && o.Compile.hi = hi);
-                  check bool_c (what ^ ": achieved eps at most eps") true
-                    (o.Compile.achieved_eps <= eps);
+                  check bool_c (what ^ ": certain, at most eps") true
+                    (match o.Compile.claim with
+                    | Guarantee.Certain e -> e <= eps
+                    | _ -> false);
                   check bool_c (what ^ ": within relative eps of the truth")
                     true
                     Q.(
@@ -1416,7 +1431,7 @@ let test_solve_miss_rate_with_shared_residuals () =
         o.Compile.lo -. 1e-9 <= expect && expect <= o.Compile.hi +. 1e-9
       in
       let relative =
-        (not o.Compile.complete)
+        (not (complete ~eps ~delta o.Compile.claim))
         || Float.abs (o.Compile.value -. expect) <= (eps *. expect) +. 1e-9
       in
       if not (bracketed && relative) then incr misses;
@@ -1485,8 +1500,8 @@ let sampling_case seed =
 let test_non_binding_budget_on_sampled_values () =
   let delta = 0.05 in
   let show o =
-    Printf.sprintf "%h %h %h %d %h %h %b" o.Compile.value o.lo o.hi o.trials
-      o.residual_mass o.achieved_eps o.complete
+    Printf.sprintf "%h %h %h %d %h %h %h" o.Compile.value o.lo o.hi o.trials
+      o.residual_mass (achieved o.claim) (Guarantee.delta o.claim)
   in
   for seed = 1 to 48 do
     let w, clauses, eps = sampling_case seed in
@@ -1672,7 +1687,8 @@ let sampled_digest () =
                   dnf ~eps ~delta
               in
               Printf.bprintf b "P%h %h %h %d %h %b;" p.Karp_luby.p_estimate
-                p.p_lo p.p_hi p.p_trials p.p_eps p.p_complete)
+                p.p_lo p.p_hi p.p_trials (achieved p.p_claim)
+                (complete ~eps ~delta p.p_claim))
             (budgets ()))
         epss;
       Buffer.add_char b '\n')
@@ -1697,8 +1713,8 @@ let sampled_digest () =
                       c ~eps ~delta
                   in
                   Printf.bprintf b "S%h %h %h %d %h %h %b;" o.Compile.value
-                    o.lo o.hi o.trials o.residual_mass o.achieved_eps
-                    o.complete)
+                    o.lo o.hi o.trials o.residual_mass (achieved o.claim)
+                    (complete ~eps ~delta o.claim))
                 (budgets ()))
             epss;
           Buffer.add_char b '\n')

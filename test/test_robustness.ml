@@ -128,7 +128,10 @@ let test_adaptive_partial_no_budget_bit_identical () =
   check bool_c "a generous budget returns the same record" true (generous = p);
   check (Alcotest.float 0.) "same estimate" reference p.Karp_luby.p_estimate;
   check int_c "same trial count" trials p.Karp_luby.p_trials;
-  check bool_c "complete" true p.Karp_luby.p_complete;
+  check bool_c "complete" true
+    (Guarantee.meets p.Karp_luby.p_claim (Guarantee.pass ~eps:0.1 ~delta:0.1));
+  check bool_c "a complete pass claims 2δ" true
+    (p.Karp_luby.p_claim = Guarantee.Sampled { eps = 0.1; delta = 0.2 });
   check bool_c "estimate inside own interval" true
     (p.Karp_luby.p_lo <= p.Karp_luby.p_estimate
     && p.Karp_luby.p_estimate <= p.Karp_luby.p_hi)
@@ -143,13 +146,14 @@ let test_adaptive_partial_exhausted_budget_vacuous () =
       ~delta:0.1
   in
   check int_c "no trials ran" 0 p.Karp_luby.p_trials;
-  check bool_c "incomplete" false p.Karp_luby.p_complete;
+  check bool_c "cut before its first trial: only the bracket" true
+    (p.Karp_luby.p_claim = Guarantee.Bracket);
   check (Alcotest.float 0.) "vacuous lower bound" 0. p.Karp_luby.p_lo;
   check (Alcotest.float 1e-9) "vacuous upper bound = min(1, M)"
     (Float.min 1. (Dnf.total_weight dnf))
     p.Karp_luby.p_hi;
   check bool_c "achieved eps infinite" true
-    (p.Karp_luby.p_eps = Float.infinity)
+    (Guarantee.eps p.Karp_luby.p_claim = Float.infinity)
 
 let test_adaptive_partial_interval_soundness () =
   (* With a hard trial cap, the partial-trial Chernoff inversion must still
@@ -205,14 +209,17 @@ let test_tiny_eps_saturates_trial_counts () =
       (Compile.compile ~fuel:0 w clauses)
       ~eps:1e-9 ~delta:0.05
   in
-  check bool_c "solve incomplete" false o.Compile.complete;
+  check bool_c "solve incomplete" false
+    (Guarantee.meets o.Compile.claim (Guarantee.pass ~eps:1e-9 ~delta:0.05));
   check int_c "solve spends the budget" 10_000 o.Compile.trials;
   contains "solve" o.Compile.lo o.Compile.hi;
   let p =
     Karp_luby.adaptive_partial ~budget:(budget ()) (Rng.create ~seed:1)
       (Dnf.prepare w clauses) ~eps:1e-9 ~delta:0.05
   in
-  check bool_c "partial incomplete" false p.Karp_luby.p_complete;
+  check bool_c "partial incomplete" false
+    (Guarantee.meets p.Karp_luby.p_claim
+       (Guarantee.pass ~eps:1e-9 ~delta:0.05));
   contains "partial" p.Karp_luby.p_lo p.Karp_luby.p_hi;
   check int_c "batch cost saturates" max_int
     (Confidence.total_trials
@@ -378,7 +385,7 @@ let test_topk_anytime_exit () =
     Pqdb.Topk.run ~budget:b ~compile_fuel:0 ~rng:(Rng.create ~seed:3)
       ~delta:0.1 ~k:2 candidates
   in
-  check bool_c "cancelled top-k uncertified" false r.Pqdb.Topk.certified;
+  check bool_c "cancelled top-k uncertified" false (Pqdb.Topk.certified r);
   check int_c "still returns k tuples" 2 (List.length r.Pqdb.Topk.ranked);
   (* With a generous budget the ranking certifies and agrees with the exact
      order: the certain tuple wins. *)
@@ -387,7 +394,7 @@ let test_topk_anytime_exit () =
       ~budget:(Budget.create ~max_trials:10_000_000 ())
       ~compile_fuel:0 ~rng:(Rng.create ~seed:3) ~delta:0.1 ~k:1 candidates
   in
-  check bool_c "generous top-k certified" true r.Pqdb.Topk.certified;
+  check bool_c "generous top-k certified" true (Pqdb.Topk.certified r);
   match r.Pqdb.Topk.ranked with
   | [ (t, p) ] ->
       check int_c "certain tuple wins" 2

@@ -587,9 +587,9 @@ let test_non_binding_budget_changes_no_bit () =
                       Compile.solve ?budget (Rng.create ~seed:i)
                         (Compile.compile ?fuel w cs) ~eps ~delta:0.05
                     in
-                    Printf.bprintf b "%h %h %h %d %h %h %b\n" o.Compile.value
-                      o.lo o.hi o.trials o.residual_mass o.achieved_eps
-                      o.complete)
+                    Printf.bprintf b "%h %h %h %d %h %h %h\n" o.Compile.value
+                      o.lo o.hi o.trials o.residual_mass
+                      (Guarantee.eps o.claim) (Guarantee.delta o.claim))
                   sets;
                 Buffer.contents b
               in

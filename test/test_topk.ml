@@ -9,6 +9,7 @@ module Rng = Pqdb_numeric.Rng
 module Ua = Pqdb_ast.Ua
 module Topk = Pqdb.Topk
 module Dnf = Pqdb_montecarlo.Dnf
+module Guarantee = Pqdb_montecarlo.Guarantee
 module Lineage = Pqdb_montecarlo.Lineage
 module Gen = Pqdb_workload.Gen
 
@@ -95,11 +96,12 @@ let test_topk_ranks_correctly () =
     List.map (fun (t, _) -> V.to_string (Tuple.get t 0)) r.Topk.ranked
   in
   check (Alcotest.list Alcotest.string) "top 2" [ "top"; "high" ] names;
-  check bool_c "certified" true r.Topk.certified;
+  check bool_c "certified" true (Topk.certified r);
   (* Two independent clauses per candidate: the compiler solves all of them
      in closed form, so the ranking costs zero estimator calls. *)
   check int_c "all candidates compiled exact" 4 r.Topk.exact_candidates;
-  check int_c "no sampling needed" 0 r.Topk.estimator_calls
+  check int_c "no sampling needed" 0 r.Topk.estimator_calls;
+  check bool_c "an exact certificate" true (r.Topk.claim = Guarantee.Exact)
 
 let test_topk_prunes_clear_losers () =
   (* A clear loser should stop refining long before the contested pair. *)
@@ -122,7 +124,14 @@ let test_topk_prunes_clear_losers () =
     (Printf.sprintf "loser (%d) sampled less than contested (%d)"
        (trials_of loser) (trials_of a))
     true
-    (trials_of loser < trials_of a)
+    (trials_of loser < trials_of a);
+  (* Three sampled intervals at δ/3 each: the certificate spends δ. *)
+  match r.Topk.claim with
+  | Guarantee.Sampled { eps; delta } ->
+      check bool_c "certified" true (Topk.certified r);
+      check (Alcotest.float 0.) "a selection claim has no eps" 0. eps;
+      check (Alcotest.float 1e-15) "the union of three delta/3" 0.05 delta
+  | _ -> Alcotest.fail "expected a sampled certificate"
 
 let test_topk_tie_uncertified () =
   (* Exact ties cannot be separated: the run must terminate uncertified. *)
@@ -133,7 +142,9 @@ let test_topk_tie_uncertified () =
   in
   let r = Topk.run ~eps0:0.05 ~compile_fuel:0 ~rng ~delta:0.1 ~k:1 candidates in
   check bool_c "terminates" true (List.length r.Topk.ranked = 1);
-  check bool_c "uncertified on a tie" false r.Topk.certified
+  check bool_c "uncertified on a tie" false (Topk.certified r);
+  check bool_c "the order claims nothing" true
+    (r.Topk.claim = Guarantee.Bracket)
 
 let test_topk_compiled_tie_certifies () =
   (* With compilation on, the same tie is two point intervals at exactly
@@ -145,8 +156,9 @@ let test_topk_compiled_tie_certifies () =
     [ noisy_candidate w "t1" 0.5; noisy_candidate w "t2" 0.5 ]
   in
   let r = Topk.run ~eps0:0.05 ~rng ~delta:0.1 ~k:1 candidates in
-  check bool_c "certified exactly" true r.Topk.certified;
-  check int_c "no sampling" 0 r.Topk.estimator_calls
+  check bool_c "certified exactly" true (Topk.certified r);
+  check int_c "no sampling" 0 r.Topk.estimator_calls;
+  check bool_c "an exact certificate" true (r.Topk.claim = Guarantee.Exact)
 
 let test_topk_k_covers_all () =
   let rng = Rng.create ~seed:4 in
@@ -154,7 +166,7 @@ let test_topk_k_covers_all () =
   let candidates = [ bernoulli_candidate w "a" 0.3; bernoulli_candidate w "b" 0.7 ] in
   let r = Topk.run ~rng ~delta:0.1 ~k:5 candidates in
   check int_c "k clamped to n" 2 (List.length r.Topk.ranked);
-  check bool_c "trivially certified" true r.Topk.certified
+  check bool_c "trivially certified" true (Topk.certified r)
 
 let test_topk_validation () =
   let rng = Rng.create ~seed:5 in
@@ -183,7 +195,7 @@ let test_topk_query_on_coins () =
       check Alcotest.string "winner" "2headed" (V.to_string (Tuple.get t 0));
       check bool_c "estimate near 1/3" true (Float.abs (p -. (1. /. 3.)) < 0.1)
   | _ -> Alcotest.fail "expected one tuple");
-  check bool_c "certified" true r.Topk.certified
+  check bool_c "certified" true (Topk.certified r)
 
 (* Races of 6 random DNFs at compile fuel 8, where compilation leaves
    several residuals: each sampled candidate races on one sampler over its
@@ -211,7 +223,7 @@ let test_topk_low_fuel_matches_exact () =
         ~delta:0.05 ~k:2 candidates
     in
     calls := !calls + r.Topk.estimator_calls;
-    if r.Topk.certified then begin
+    if Topk.certified r then begin
       incr certified;
       let by_exact =
         List.map
