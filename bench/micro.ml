@@ -13,6 +13,7 @@ module Dnf = Pqdb_montecarlo.Dnf
 module Karp_luby = Pqdb_montecarlo.Karp_luby
 module Estimator = Pqdb_montecarlo.Estimator
 module Mc_confidence = Pqdb_montecarlo.Confidence
+module Shard = Pqdb_montecarlo.Shard
 module Distrib = Pqdb_distrib
 module Budget = Pqdb_montecarlo.Budget
 module Memo = Pqdb_montecarlo.Memo
@@ -37,14 +38,23 @@ let fpras rng dnf ~eps ~delta =
   karp_luby rng dnf ~trials:(chernoff_trials dnf ~eps ~delta)
 
 (* The whole batch as one shard: one pool run under one governor, every
-   compiled DAG resident at once. *)
+   compiled DAG resident at once.  Its one emitted outcome. *)
 let batch_run ?budget ?nworkers rng w clause_sets ~eps ~delta =
   let options = { Mc_confidence.default_stream_options with shard_cost = max_int } in
-  let estimates, stats, _ =
-    Mc_confidence.run_stream_with_stats ?budget ?nworkers ~options rng w
-      clause_sets ~eps ~delta
-  in
-  (estimates, stats)
+  let whole = ref None in
+  ignore
+    (Mc_confidence.run_stream ?budget ?nworkers ~options rng w clause_sets
+       ~eps ~delta ~emit:(fun o -> whole := Some o));
+  Option.get !whole
+
+let total_trials (o : Shard.outcome) = Array.fold_left ( + ) 0 o.trials
+
+(* Share of the batch's probability mass resolved in closed form:
+   [1 − Σ residual mass / Σ estimate], [1] when the estimates sum to 0. *)
+let exact_fraction (o : Shard.outcome) =
+  let total = Array.fold_left ( +. ) 0. o.estimates in
+  let sampled = Array.fold_left ( +. ) 0. o.masses in
+  if total <= 0. then 1. else Float.max 0. (1. -. (sampled /. total))
 
 let test_exact_confidence () =
   let rng = Rng.create ~seed:201 in
@@ -476,15 +486,12 @@ let confidence_engine () =
       0 clause_sets
   in
   record ~trials:fixed_trials "per-tuple-fpras-500" per_tuple per_tuple;
-  let _, batch_stats = batch_run (Rng.create ~seed:2) w clause_sets ~eps ~delta in
+  let batch = batch_run (Rng.create ~seed:2) w clause_sets ~eps ~delta in
   let batched =
     Report.time_median (fun () ->
         ignore (batch_run (Rng.create ~seed:2) w clause_sets ~eps ~delta))
   in
-  record
-    ~trials:
-      (Array.fold_left ( + ) 0 batch_stats.Mc_confidence.trials_used)
-    ~exact_fraction:batch_stats.Mc_confidence.exact_fraction
+  record ~trials:(total_trials batch) ~exact_fraction:(exact_fraction batch)
     "batch-fpras-500" batched per_tuple;
   Report.table
     ~header:[ "500-tuple confidence"; "median"; "speedup" ]
@@ -517,16 +524,14 @@ let confidence_engine () =
       0 mixed_sets
   in
   record ~trials:mixed_fixed_trials "fpras-mixed-500" mixed_fpras mixed_fpras;
-  let _, mixed_stats = batch_run (Rng.create ~seed:3) wm mixed_sets ~eps ~delta in
+  let mixed = batch_run (Rng.create ~seed:3) wm mixed_sets ~eps ~delta in
   let mixed_compiled =
     Report.time_median (fun () ->
         ignore (batch_run (Rng.create ~seed:3) wm mixed_sets ~eps ~delta))
   in
-  let mixed_trials =
-    Array.fold_left ( + ) 0 mixed_stats.Mc_confidence.trials_used
-  in
+  let mixed_trials = total_trials mixed in
   record ~trials:mixed_trials
-    ~exact_fraction:mixed_stats.Mc_confidence.exact_fraction
+    ~exact_fraction:(exact_fraction mixed)
     "compile-vs-fpras-500" mixed_compiled mixed_fpras;
   Report.table
     ~header:
@@ -539,8 +544,7 @@ let confidence_engine () =
         "1.00x";
       ];
       [
-        Printf.sprintf "compiled (exact frac %.3f)"
-          mixed_stats.Mc_confidence.exact_fraction;
+        Printf.sprintf "compiled (exact frac %.3f)" (exact_fraction mixed);
         Report.fmt_seconds mixed_compiled;
         Report.fmt_int mixed_trials;
         Printf.sprintf "%.2fx" (mixed_fpras /. mixed_compiled);
@@ -597,16 +601,14 @@ let confidence_engine () =
      the same as no budget (the governor is one atomic poll per estimator
      trial), and shrinking deadlines trade certified interval width for
      wall clock — the brackets widen but stay sound. *)
-  let mean_width (st : Mc_confidence.stats) =
-    let n = Array.length st.Mc_confidence.intervals in
+  let mean_width (o : Shard.outcome) =
+    let n = Array.length o.intervals in
     if n = 0 then 0.
     else
-      Array.fold_left
-        (fun acc (lo, hi) -> acc +. (hi -. lo))
-        0. st.Mc_confidence.intervals
+      Array.fold_left (fun acc (lo, hi) -> acc +. (hi -. lo)) 0. o.intervals
       /. float_of_int n
   in
-  record ~trials:mixed_trials ~width:(mean_width mixed_stats)
+  record ~trials:mixed_trials ~width:(mean_width mixed)
     "anytime-no-budget" mixed_compiled mixed_compiled;
   let generous () = Budget.create ~max_trials:max_int () in
   let governed =
@@ -615,14 +617,12 @@ let confidence_engine () =
           (batch_run ~budget:(generous ()) (Rng.create ~seed:3) wm mixed_sets
              ~eps ~delta))
   in
-  let _, gov_stats =
+  let gov =
     batch_run ~budget:(generous ()) (Rng.create ~seed:3) wm mixed_sets ~eps
       ~delta
   in
-  let gov_trials =
-    Array.fold_left ( + ) 0 gov_stats.Mc_confidence.trials_used
-  in
-  record ~trials:gov_trials ~width:(mean_width gov_stats)
+  let gov_trials = total_trials gov in
+  record ~trials:gov_trials ~width:(mean_width gov)
     "anytime-generous-budget" governed mixed_compiled;
   (* The run compiles every tuple under the deadline before it samples,
      so each row's deadline is the batch's compile time plus [d]. *)
@@ -638,11 +638,11 @@ let confidence_engine () =
             (batch_run ~budget:(budget ()) (Rng.create ~seed:3) wm mixed_sets
                ~eps ~delta))
     in
-    let _, st =
+    let st =
       batch_run ~budget:(budget ()) (Rng.create ~seed:3) wm mixed_sets ~eps
         ~delta
     in
-    let trials = Array.fold_left ( + ) 0 st.Mc_confidence.trials_used in
+    let trials = total_trials st in
     record ~trials ~width:(mean_width st)
       (Printf.sprintf "anytime-deadline-%.0fms" (d *. 1000.))
       seconds mixed_compiled;
@@ -651,7 +651,7 @@ let confidence_engine () =
       Report.fmt_seconds seconds;
       Report.fmt_int trials;
       Printf.sprintf "%.4f" (mean_width st);
-      (if st.Mc_confidence.complete then "yes" else "no");
+      (if st.complete then "yes" else "no");
     ]
   in
   let deadline_rows = List.map deadline_row [ 0.05; 0.01; 0.002 ] in
@@ -663,15 +663,15 @@ let confidence_engine () =
          "no budget";
          Report.fmt_seconds mixed_compiled;
          Report.fmt_int mixed_trials;
-         Printf.sprintf "%.4f" (mean_width mixed_stats);
-         (if mixed_stats.Mc_confidence.complete then "yes" else "no");
+         Printf.sprintf "%.4f" (mean_width mixed);
+         (if mixed.complete then "yes" else "no");
        ];
        [
          "generous budget";
          Report.fmt_seconds governed;
          Report.fmt_int gov_trials;
-         Printf.sprintf "%.4f" (mean_width gov_stats);
-         (if gov_stats.Mc_confidence.complete then "yes" else "no");
+         Printf.sprintf "%.4f" (mean_width gov);
+         (if gov.complete then "yes" else "no");
        ];
      ]
     @ deadline_rows);
@@ -716,8 +716,8 @@ let confidence_engine () =
   let stream_time =
     Report.time_median (fun () ->
         ignore
-          (Mc_confidence.run_stream_with_stats ~options:stream_opts
-             (Rng.create ~seed:5) wc ceiling_sets ~eps:seps2 ~delta:sdelta2))
+          (Mc_confidence.run_stream ~options:stream_opts (Rng.create ~seed:5)
+             wc ceiling_sets ~eps:seps2 ~delta:sdelta2 ~emit:ignore))
   in
   record ~peak_words:!stream_peak "stream-heavy-shards" stream_time mat_time;
   (* Resume: journal a full streaming run, drop its final shard record (the
@@ -736,10 +736,10 @@ let confidence_engine () =
   let cold_once () =
     Sys.remove journal;
     ignore
-      (Mc_confidence.run_stream_with_stats ~compile_fuel:0
-         ~options:resume_opts (Rng.create ~seed:6) ws2
+      (Mc_confidence.run_stream ~compile_fuel:0 ~options:resume_opts
+         (Rng.create ~seed:6) ws2
          (Array.sub stream_sets 0 200)
-         ~eps:seps2 ~delta:sdelta2)
+         ~eps:seps2 ~delta:sdelta2 ~emit:ignore)
   in
   let cold_time = Report.time_median cold_once in
   cold_once ();
@@ -759,11 +759,11 @@ let confidence_engine () =
         Out_channel.with_open_bin journal (fun oc ->
             Out_channel.output_string oc truncated);
         ignore
-          (Mc_confidence.run_stream_with_stats ~compile_fuel:0
+          (Mc_confidence.run_stream ~compile_fuel:0
              ~options:{ resume_opts with resume = true }
              (Rng.create ~seed:6) ws2
              (Array.sub stream_sets 0 200)
-             ~eps:seps2 ~delta:sdelta2))
+             ~eps:seps2 ~delta:sdelta2 ~emit:ignore))
   in
   Sys.remove journal;
   record "resume-after-kill" resume_time cold_time;

@@ -158,42 +158,28 @@ let apply_faultpoints specs =
         (fun entry ->
           let entry = String.trim entry in
           if entry <> "" then begin
-            let base, mode =
-              match String.index_opt entry '@' with
-              | None -> (entry, None)
-              | Some i -> (
-                  let m =
-                    String.sub entry (i + 1) (String.length entry - i - 1)
-                  in
-                  match FP.mode_of_string (String.trim m) with
-                  | Ok mode -> (String.sub entry 0 i, Some mode)
-                  | Error msg ->
-                      failwith
-                        (Printf.sprintf "--faultpoints: in %S: %s" entry msg))
+            let { FP.site; count; mode } = FP.parse_spec entry in
+            let mode =
+              match mode with
+              | Ok mode -> mode
+              | Error msg ->
+                  failwith (Printf.sprintf "--faultpoints: in %S: %s" entry msg)
             in
-            let name, count =
-              match String.index_opt base ':' with
-              | None -> (base, None)
-              | Some i -> (
-                  let name = String.sub base 0 i in
-                  let c =
-                    String.sub base (i + 1) (String.length base - i - 1)
-                  in
-                  match int_of_string_opt c with
-                  | Some n when n > 0 -> (name, Some n)
-                  | _ ->
-                      failwith
-                        (Printf.sprintf
-                           "--faultpoints: count in %S must be a positive \
-                            integer"
-                           entry))
+            let count =
+              match count with
+              | Ok count -> count
+              | Error _ ->
+                  failwith
+                    (Printf.sprintf
+                       "--faultpoints: count in %S must be a positive integer"
+                       entry)
             in
-            if not (List.mem name FP.known) then
+            if not (List.mem site FP.known) then
               failwith
                 (Printf.sprintf
-                   "--faultpoints: unknown fault point %S (known: %s)" name
+                   "--faultpoints: unknown fault point %S (known: %s)" site
                    (String.concat ", " FP.known));
-            FP.arm ?count ?mode name
+            FP.arm ?count ~mode site
           end)
         (String.split_on_char ',' spec))
     specs

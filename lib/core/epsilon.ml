@@ -65,9 +65,6 @@ let prepare ?(search_iterations = 40) phi =
 
 let epsilon ?search_iterations phi point = prepare ?search_iterations phi point
 
-let epsilon_for_decision ?search_iterations phi point =
-  epsilon ?search_iterations phi point
-
 let split_duplicates phi =
   let arity = Apred.arity phi in
   let seen = Array.make (max 1 arity) false in

@@ -35,12 +35,6 @@ val prepare :
     variable raises {!Unsupported} when its ε is first needed, as
     {!epsilon} does. *)
 
-val epsilon_for_decision :
-  ?search_iterations:int -> Pqdb_ast.Apred.t -> float array -> float
-(** The ε used by the Figure-3 algorithm: [ε_φ(p̂)] when [φ(p̂)] holds and
-    [ε_{¬φ}(p̂)] otherwise — identical to {!epsilon} under the truth-directed
-    semantics above, provided for readability at call sites. *)
-
 val split_duplicates : Pqdb_ast.Apred.t -> Pqdb_ast.Apred.t * int array
 (** [split_duplicates φ = (φ', origin)]: every occurrence of a variable
     beyond its first gets a fresh variable index; [origin.(j)] is the original

@@ -197,15 +197,19 @@ let aconf_eval ?budget ?stream ~aconf_ord ~rng ~stats w { Ua.eps; delta }
      shard geometry; with one, the remaining allowance is split across
      shards proportionally to their cost. *)
   let groups = Urelation.clauses_by_tuple a.urel in
-  let estimates, cstats, _summary =
-    Pqdb_montecarlo.Confidence.run_stream_with_stats ?budget
+  let n = List.length groups in
+  let estimates = Array.make n 0. and achieved = Array.make n 0. in
+  let summary =
+    Pqdb_montecarlo.Confidence.run_stream ?budget
       ?options:(stream_options_for stream aconf_ord) rng w
       (Array.of_list (List.map snd groups))
       ~eps ~delta
+      ~emit:(fun (o : Pqdb_montecarlo.Shard.outcome) ->
+        Array.blit o.estimates 0 estimates o.shard.first o.shard.count;
+        Array.blit o.achieved 0 achieved o.shard.first o.shard.count)
   in
   stats.estimator_calls <-
-    stats.estimator_calls
-    + Array.fold_left ( + ) 0 cstats.Pqdb_montecarlo.Confidence.trials_used;
+    stats.estimator_calls + summary.Pqdb_montecarlo.Confidence.stream_trials;
   let values =
     List.mapi (fun i (t, _) -> (t, Value.Float estimates.(i))) groups
   in
@@ -225,7 +229,7 @@ let aconf_eval ?budget ?stream ~aconf_ord ~rng ~stats w { Ua.eps; delta }
            is reported as added uncertainty, not as a crash). *)
         let suspect =
           TSet.mem t a.ann.susp
-          || Pqdb_montecarlo.Confidence.misses cstats estimates ~eps i
+          || ((not summary.stream_complete) && achieved.(i) > eps)
         in
         (mu, (if suspect then TSet.add row susp else susp), i + 1))
       (TMap.empty, TSet.empty, 0)
@@ -349,8 +353,7 @@ let active_domain_size udb =
     (Udb.names udb);
   max 2 (Hashtbl.length seen)
 
-let eval_with_guarantee ?budget ?stream ?(eps0 = 0.05) ?(initial_rounds = 1)
-    ~rng ~delta udb q =
+let eval_with_guarantee ?budget ?stream ?(eps0 = 0.05) ~rng ~delta udb q =
   (* The Theorem 6.7 round cap only matters once an attempt misses δ, which
      a query whose one approximate operator is an aconf never does; the
      active-domain scan behind it is forced on that first miss. *)
@@ -411,4 +414,4 @@ let eval_with_guarantee ?budget ?stream ?(eps0 = 0.05) ?(initial_rounds = 1)
         (min (Lazy.force l_cap) (2 * l))
         (Pqdb_montecarlo.Guarantee.split sigma_delta 2)
   in
-  attempt ~first:true (max 1 initial_rounds) delta
+  attempt ~first:true 1 delta

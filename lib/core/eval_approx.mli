@@ -79,17 +79,15 @@ val eval_with_guarantee :
   ?budget:Pqdb_montecarlo.Budget.t ->
   ?stream:Pqdb_montecarlo.Confidence.stream_options ->
   ?eps0:float ->
-  ?initial_rounds:int ->
   rng:Rng.t ->
   delta:float ->
   Udb.t ->
   Pqdb_ast.Ua.t ->
   result * stats * int
 (** The Theorem 6.7 driver: evaluate with round budget [l] (starting at
-    [initial_rounds], default 1), and while some tuple's error exceeds
-    [delta], double [l] — tightening the per-decision target along with it,
-    since bounds sum over provenance — and re-evaluate on a fresh copy of the
-    database.  Stops unconditionally once [l] reaches the
+    1), and while some tuple's error exceeds [delta], double [l] —
+    tightening the per-decision target along with it, since bounds sum
+    over provenance — and re-evaluate on a fresh copy of the database.  Stops unconditionally once [l] reaches the
     [Stats.theorem_6_7_rounds] bound, so singular tuples cannot loop it
     forever.  Returns the final result, cumulative stats and the final [l].
 

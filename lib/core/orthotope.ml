@@ -20,8 +20,8 @@ let corners_agree phi ~point ~eps =
           | None -> false)
         (Interval.corners orthotope)
 
-let epsilon_search ?(iterations = 40) ?(eps_max = Linear_eps.eps_max) phi point
-    =
+let epsilon_search ?(iterations = 40) phi point =
+  let eps_max = Linear_eps.eps_max in
   if corners_agree phi ~point ~eps:eps_max then eps_max
   else begin
     (* Invariant: corners agree at [lo], disagree at [hi]. *)

@@ -14,11 +14,12 @@ val corners_agree : Pqdb_ast.Apred.t -> point:float array -> eps:float -> bool
     division) count as disagreement. *)
 
 val epsilon_search :
-  ?iterations:int -> ?eps_max:float -> Pqdb_ast.Apred.t -> float array -> float
-(** Largest ε (within [iterations] bisection steps, default 40) whose corner
-    points all agree with the center.  Sound as a homogeneity radius only for
-    single-occurrence predicates (Theorem 5.5) — callers check
-    {!Pqdb_ast.Apred.single_occurrence} or split duplicates first. *)
+  ?iterations:int -> Pqdb_ast.Apred.t -> float array -> float
+(** Largest ε up to {!Linear_eps.eps_max} (within [iterations] bisection
+    steps, default 40) whose corner points all agree with the center.
+    Sound as a homogeneity radius only for single-occurrence predicates
+    (Theorem 5.5) — callers check {!Pqdb_ast.Apred.single_occurrence} or
+    split duplicates first. *)
 
 val homogeneous_on_samples :
   Pqdb_numeric.Rng.t ->

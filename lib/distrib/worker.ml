@@ -177,7 +177,7 @@ let serve ?compile_fuel ?nworkers ?shard_cost ?heartbeat_s ?frame_timeout_s
    "reconnect-resume" from the worker's side is surviving to serve the
    next dial with the data already warm. *)
 let listen ?compile_fuel ?nworkers ?shard_cost ?heartbeat_s ?frame_timeout_s
-    ?(backlog = 16) ?max_sessions ?(ready = fun _ -> ()) ~make_rng ~resolve
+    ?max_sessions ?(ready = fun _ -> ()) ~make_rng ~resolve
     ~host ~port ~eps ~delta () =
   ignore_sigpipe ();
   let addr = Unix.ADDR_INET (Dial.resolve_host host, port) in
@@ -186,7 +186,7 @@ let listen ?compile_fuel ?nworkers ?shard_cost ?heartbeat_s ?frame_timeout_s
   (try
      Unix.setsockopt lfd Unix.SO_REUSEADDR true;
      Unix.bind lfd addr;
-     Unix.listen lfd backlog
+     Unix.listen lfd 16
    with e ->
      cleanup ();
      raise e);

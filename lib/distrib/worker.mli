@@ -75,7 +75,7 @@ val serve :
 
 val listen :
   ?compile_fuel:int -> ?nworkers:int -> ?shard_cost:int ->
-  ?heartbeat_s:float -> ?frame_timeout_s:float -> ?backlog:int ->
+  ?heartbeat_s:float -> ?frame_timeout_s:float ->
   ?max_sessions:int -> ?ready:(int -> unit) ->
   make_rng:(unit -> Rng.t) ->
   resolve:((string * string) option -> Wtable.t * Assignment.t list array) ->

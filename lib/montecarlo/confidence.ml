@@ -5,14 +5,6 @@ module Pqdb_error = Pqdb_runtime.Pqdb_error
 
 type batch = Assignment.t list array
 
-type stats = {
-  trials_used : int array;
-  exact_fraction : float;
-  intervals : (float * float) array;
-  achieved_eps : float array;
-  complete : bool;
-}
-
 let prepare ?compile_fuel:_ _w clause_sets = clause_sets
 
 let total_trials batch ~eps ~delta =
@@ -30,8 +22,10 @@ let total_trials batch ~eps ~delta =
 
 (* A tuple's a-priori compiled answer, written into slot [i]: the exact
    value as a point, or else the compiled bracket, with its lower end as the
-   estimate and its absolute half-width as the achieved error — the
-   certificate actually held, never the requested ε.  [true] when exact. *)
+   estimate and the relative ε that end is proven to, [(hi − lo)/hi], as the
+   achieved error — the certificate actually held, never the requested ε
+   ([hi > 0]: an inexact bracket's ceiling is rounded outward).  [true] when
+   exact. *)
 let fill_apriori comp ~out ~intervals ~achieved i =
   match Compile.exact_value comp with
   | Some p ->
@@ -43,24 +37,8 @@ let fill_apriori comp ~out ~intervals ~achieved i =
       let lo, hi = Compile.vacuous_interval comp in
       out.(i) <- lo;
       intervals.(i) <- (lo, hi);
-      achieved.(i) <- (hi -. lo) /. 2.;
+      achieved.(i) <- (hi -. lo) /. hi;
       false
-
-(* A tuple that spent no trial may hold only its a-priori bracket, whose
-   recorded half-width is absolute: it misses ε unless its estimate is
-   within relative ε of both ends of the bracket. *)
-let misses st estimates ~eps i =
-  let lo, hi = st.intervals.(i) and v = estimates.(i) in
-  (not st.complete)
-  && (st.achieved_eps.(i) > eps
-     || st.trials_used.(i) = 0
-        && not (v -. lo <= eps *. lo && hi -. v <= eps *. hi))
-
-let exact_fraction_of ~out ~masses =
-  let total_value = Array.fold_left ( +. ) 0. out in
-  let sampled_mass = Array.fold_left ( +. ) 0. masses in
-  if total_value <= 0. then 1.
-  else Float.max 0. (1. -. (sampled_mass /. total_value))
 
 (* --- streaming / checkpointed execution --------------------------------- *)
 
@@ -162,7 +140,7 @@ let apriori_outcome run (sh : Shard.t) ~fp ~error =
   let count = sh.count in
   let estimates = Array.make count 0. in
   let intervals = Array.make count (0., 1.) in
-  let achieved = Array.make count 0.5 in
+  let achieved = Array.make count 1. in
   for j = 0 to count - 1 do
     match
       Compile.compile ?fuel:run.compile_fuel run.w
@@ -370,31 +348,3 @@ let run_stream ?budget ?nworkers ?compile_fuel ?options rng w clause_sets
       emit_outcome run ~emit outcome)
     run.plan;
   close_run run
-
-let run_stream_with_stats ?budget ?nworkers ?compile_fuel ?options rng w
-    clause_sets ~eps ~delta =
-  let n = Array.length clause_sets in
-  let out = Array.make n 0. in
-  let trials_used = Array.make n 0 in
-  let masses = Array.make n 0. in
-  let intervals = Array.make n (0., 0.) in
-  let achieved = Array.make n 0. in
-  let summary =
-    run_stream ?budget ?nworkers ?compile_fuel ?options rng w clause_sets ~eps
-      ~delta ~emit:(fun (o : Shard.outcome) ->
-        let f = o.shard.Shard.first and c = o.shard.Shard.count in
-        Array.blit o.estimates 0 out f c;
-        Array.blit o.trials 0 trials_used f c;
-        Array.blit o.masses 0 masses f c;
-        Array.blit o.intervals 0 intervals f c;
-        Array.blit o.achieved 0 achieved f c)
-  in
-  ( out,
-    {
-      trials_used;
-      exact_fraction = exact_fraction_of ~out ~masses;
-      intervals;
-      achieved_eps = achieved;
-      complete = summary.stream_complete;
-    },
-    summary )

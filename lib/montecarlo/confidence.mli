@@ -5,6 +5,11 @@
     farmed to {!Compile.solve} over the domain pool.  Exact confidence
     lives in {!Lineage.exact}.
 
+    A batch has one entry point, {!run_stream} (the distributed
+    coordinator drives the same {!open_run} … {!close_run} steps).  Its
+    per-tuple result is the {!Shard.outcome} it emits for each shard:
+    estimates, brackets, trials, and each tuple's achieved relative ε.
+
     Determinism contract: every tuple gets its own lane
     ({!Pqdb_numeric.Rng.lane}, the stream {!Pqdb_numeric.Rng.split_n} would
     give it, built only when the tuple samples) and its own output slot,
@@ -18,37 +23,6 @@ open Pqdb_urel
 
 type batch
 
-type stats = {
-  trials_used : int array;
-      (** Estimator calls actually spent per tuple (0 for compiled-exact
-          tuples), in clause-set order. *)
-  exact_fraction : float;
-      (** Share of the batch's total probability mass resolved in closed
-          form: [1 − Σ residual_mass / Σ estimate].  [1] when nothing needed
-          sampling (or the batch is empty / all-zero). *)
-  intervals : (float * float) array;
-      (** Per tuple, a sound [lo, hi] bracket on the true confidence holding
-          except with its claim's δ, at most 2δ ({!Compile.outcome}).  A point for
-          compiled-exact tuples; the a-priori compiled bracket for tuples
-          whose sampling never ran (budget exhausted early, contained
-          failure). *)
-  achieved_eps : float array;
-      (** Per tuple, the relative ε of its {!Compile.outcome} claim
-          ({!Guarantee.eps}): the requested ε on a complete run, the
-          partial-trial ε′ under a budget, [0] for exact tuples, the
-          bracket's own bound (at most ε) for tuples its compiled bracket
-          certifies with no trials, and [infinity] when the budget cut the
-          pass before its first trial or sampling died.  A tuple that never
-          got an outcome — its shard quarantined, its task or the pool
-          failed — keeps its a-priori bracket and, here, that bracket's
-          {e absolute half-width}; its [trials_used] is [0]. *)
-  complete : bool;
-      (** Every tuple's claim {!Guarantee.meets}
-          [Guarantee.pass ~eps ~delta].  [false] means the
-          run degraded somewhere — inspect [achieved_eps]/[intervals] —
-          but the estimates and brackets are still sound. *)
-}
-
 val prepare : ?compile_fuel:int -> Wtable.t -> Assignment.t list array -> batch
 (** The batch's clause sets, for {!total_trials}.  Nothing is compiled
     here, so neither [compile_fuel] nor the W table changes the result;
@@ -57,7 +31,7 @@ val prepare : ?compile_fuel:int -> Wtable.t -> Assignment.t list array -> batch
 val total_trials : batch -> eps:float -> delta:float -> int
 (** Σ per-tuple fixed Chernoff budgets — what the {e uncompiled} FPRAS would
     pay.  The compiled run typically spends far less; compare against
-    {!stats.trials_used}. *)
+    the emitted {!Shard.outcome.trials}. *)
 
 (** {1 Streaming, checkpointed execution}
 
@@ -165,7 +139,9 @@ val apriori_outcome : run -> Shard.t -> fp:string -> error:exn -> Shard.outcome
 (** The sound give-up outcome for a shard whose computation cannot be
     trusted: per-tuple a-priori compiled brackets (exact where compilation
     resolves the tuple, vacuous [0, 1] where even compiling fails), zero
-    trials, [complete = false], and [error] typed into [quarantined]
+    trials, [achieved] the relative ε each estimate is proven to ([0] when
+    exact, [(hi − lo)/hi] on a bracket's floor, [1] when vacuous),
+    [complete = false], and [error] typed into [quarantined]
     ([Pqdb_error.Error t] gives [t]; any other exception is wrapped in
     [Task_failure]). *)
 
@@ -195,22 +171,34 @@ val run_stream :
   ?budget:Budget.t -> ?nworkers:int -> ?compile_fuel:int ->
   ?options:stream_options -> Rng.t -> Wtable.t -> Assignment.t list array ->
   eps:float -> delta:float -> emit:(Shard.outcome -> unit) -> stream_summary
-(** Stream the batch shard by shard, calling [emit] once per shard in plan
-    order: {!open_run}, then per shard either its resumed record or
-    {!solve_with_retries} (lanes built afresh per attempt, so retries replay
-    the fault-free stream) and {!journal_outcome}, then {!emit_outcome};
-    {!close_run} gives the summary.  Each shard is released before the next
-    one starts.
+(** Run a batch: stream it shard by shard, calling [emit] once per shard
+    in plan order with the shard's {!Shard.outcome} — the per-tuple result,
+    which callers read by tuple index ([shard.first + j]).  {!open_run},
+    then per shard either its resumed record or {!solve_with_retries}
+    (lanes built afresh per attempt, so retries replay the fault-free
+    stream) and {!journal_outcome}, then {!emit_outcome}; {!close_run}
+    gives the summary.  Each shard is released before the next one
+    starts.  With [options.shard_cost = max_int] the batch is one shard:
+    one pool run under one governor.
+
+    A tuple may miss the requested ε only on a run whose summary is not
+    [stream_complete], and exactly when its [achieved] exceeds ε.
 
     With a [budget], each shard receives the fraction of the {e remaining}
     allowance proportional to its a-priori cost ({!Budget.split}) — the
     tail degrades evenly instead of first-come-first-served exhaustion;
     trial-only budgets keep the schedule deterministic.  A cancel-only
-    budget is shared directly so cancellation takes effect mid-shard.
+    budget is shared directly so cancellation takes effect mid-shard.  The
+    call is {e anytime}: on exhaustion the remaining sampling is cut short
+    and every tuple still reports a sound interval — the partial-trial
+    bracket for tuples cut mid-flight, the a-priori compiled bracket for
+    tuples never reached.
 
     Failures are contained at shard granularity: a shard that still raises
     after [retries] attempts is {e quarantined} — emitted with sound
-    a-priori brackets and the typed error — and the stream continues.
+    a-priori brackets and the typed error — and the stream continues.  A
+    single tuple's failure degrades that tuple, and the pool's failure its
+    shard's sampling tuples, to the same a-priori brackets.
     Exceptions from [emit] itself are not contained (the journal already
     holds the emitted shard, so a crashed consumer resumes cleanly).
 
@@ -220,29 +208,3 @@ val run_stream :
     journal path and record index) when resuming from a journal that is
     corrupt mid-file or was written by a different run (parameters,
     geometry or data fingerprint mismatch). *)
-
-val run_stream_with_stats :
-  ?budget:Budget.t -> ?nworkers:int -> ?compile_fuel:int ->
-  ?options:stream_options -> Rng.t -> Wtable.t -> Assignment.t list array ->
-  eps:float -> delta:float -> float array * stats * stream_summary
-(** {!run_stream} collected into per-tuple arrays in clause-set order, with
-    the per-tuple trial spend, the batch exact fraction, the soundness
-    brackets and the stream summary.  With [options.shard_cost = max_int]
-    the batch is one shard: one pool run under one governor.
-
-    With a [budget] the call is {e anytime}: on exhaustion the remaining
-    sampling is cut short and every tuple still reports a sound interval —
-    the partial-trial bracket for tuples cut mid-flight, the a-priori
-    compiled bracket for tuples never reached — with
-    [stats.complete = false].  A single tuple's or the pool's failure is
-    contained the same way; {!run_stream} describes shard-level
-    containment. *)
-
-val misses : stats -> float array -> eps:float -> int -> bool
-(** [misses stats estimates ~eps i]: tuple [i]'s estimate may miss
-    relative [eps].  Always [false] on a complete run.  Otherwise [true]
-    when its [achieved_eps] exceeds [eps], or when it spent no trial and
-    its estimate is not within relative [eps] of both ends of its bracket:
-    a tuple whose sampler died or whose shard was quarantined holds only
-    its a-priori bracket, and its [achieved_eps] there is an absolute
-    half-width, not a relative ε. *)

@@ -17,8 +17,9 @@
        its stopping rule and its Chernoff cap may each fail with δ;}
     {- a dead sampler and a pass cut before its first trial keep only
        their a-priori bracket: [Bracket].  So does a tuple of a
-       quarantined shard, which gets no outcome at all;
-       {!Confidence.misses} tells it by its zero trials.}} *)
+       quarantined shard, which gets no claim at all; its
+       {!Shard.outcome} reports the relative ε its bracket's floor is
+       proven to, [(hi − lo)/hi].}} *)
 
 type t =
   | Exact  (** the value is the answer: a point bracket *)

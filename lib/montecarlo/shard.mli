@@ -53,10 +53,19 @@ type outcome = {
           nothing reads it there *)
   estimates : float array;  (** per tuple of the shard, in batch order *)
   intervals : (float * float) array;
-  trials : int array;
+      (** per tuple, a bracket on the true confidence, holding except with
+          its claim's δ *)
+  trials : int array;  (** estimator calls per tuple *)
   achieved : float array;
+      (** per tuple, the relative ε its estimate is proven to: its claim's
+          {!Guarantee.eps}, or [(hi − lo)/hi] on the floor of an a-priori
+          bracket (a quarantined shard, a dead task; [1] when even
+          compiling failed) *)
   masses : float array;  (** per-tuple sampled residual mass *)
-  complete : bool;  (** every tuple met its (ε, δ) contract *)
+  complete : bool;
+      (** every tuple's claim {!Guarantee.meets} [Guarantee.pass ~eps
+          ~delta]; when [false], a tuple may miss ε exactly when its
+          [achieved] exceeds it *)
   resumed : bool;  (** replayed from a journal, not recomputed *)
   quarantined : Pqdb_runtime.Pqdb_error.t option;
       (** [Some err] when the shard kept failing after its retry budget: the

@@ -78,37 +78,37 @@ let warn_unknown name =
       (String.concat ", " known)
   end
 
-let parse_entry entry =
-  (* site[:count][@mode] *)
-  let base, mode =
-    match String.index_opt entry '@' with
-    | None -> (entry, Raise)
-    | Some i ->
-        let spec =
-          String.trim (String.sub entry (i + 1) (String.length entry - i - 1))
-        in
-        let mode =
-          match mode_of_string spec with
-          | Ok m -> m
-          | Error msg ->
-              Printf.eprintf "pqdb: warning: PQDB_FAULTPOINTS entry %S: %s\n%!"
-                entry msg;
-              Raise
-        in
-        (String.sub entry 0 i, mode)
-  in
-  let name, count =
-    match String.index_opt base ':' with
-    | None -> (base, max_int)
-    | Some i -> (
-        let name = String.sub base 0 i in
-        let n = String.sub base (i + 1) (String.length base - i - 1) in
-        match int_of_string_opt (String.trim n) with
-        | Some c when c > 0 -> (name, c)
-        | _ -> (name, max_int))
-  in
-  (String.trim name, count, mode)
+type spec = {
+  site : string;
+  count : (int option, string) result;
+  mode : (mode, string) result;
+}
 
+let parse_spec entry =
+  (* site[:count][@mode], each part trimmed *)
+  let split c s =
+    match String.index_opt s c with
+    | None -> (String.trim s, None)
+    | Some i ->
+        ( String.trim (String.sub s 0 i),
+          Some (String.trim (String.sub s (i + 1) (String.length s - i - 1))) )
+  in
+  let base, mode = split '@' entry in
+  let site, count = split ':' base in
+  {
+    site;
+    count =
+      (match count with
+      | None -> Ok None
+      | Some c -> (
+          match int_of_string_opt c with
+          | Some n when n > 0 -> Ok (Some n)
+          | _ -> Error (Printf.sprintf "count %S is not a positive integer" c)));
+    mode = (match mode with None -> Ok Raise | Some m -> mode_of_string m);
+  }
+
+(* A malformed part of an env entry warns and falls back to its default
+   (unlimited shots, [raise]) rather than dropping the entry. *)
 let load_env () =
   match Sys.getenv_opt "PQDB_FAULTPOINTS" with
   | None | Some "" -> ()
@@ -117,9 +117,19 @@ let load_env () =
       |> List.iter (fun entry ->
              let entry = String.trim entry in
              if entry <> "" then begin
-               let name, count, mode = parse_entry entry in
-               warn_unknown name;
-               Hashtbl.replace table name (count, mode)
+               let { site; count; mode } = parse_spec entry in
+               let or_warn default = function
+                 | Ok v -> v
+                 | Error msg ->
+                     Printf.eprintf
+                       "pqdb: warning: PQDB_FAULTPOINTS entry %S: %s\n%!" entry
+                       msg;
+                     default
+               in
+               let count = or_warn None count and mode = or_warn Raise mode in
+               warn_unknown site;
+               Hashtbl.replace table site
+                 (Option.value count ~default:max_int, mode)
              end);
       refresh_flag ()
 

@@ -36,6 +36,19 @@ val mode_of_string : string -> (mode, string) result
 
 val mode_to_string : mode -> string
 
+type spec = {
+  site : string;
+  count : (int option, string) result;
+      (** [Ok None] when absent; [Error] unless a positive integer *)
+  mode : (mode, string) result;  (** [Ok Raise] when absent *)
+}
+
+val parse_spec : string -> spec
+(** Split one [site[:count][@mode]] entry into its parts, each trimmed and
+    each parsed on its own, so a caller chooses its policy per part:
+    [PQDB_FAULTPOINTS] warns and falls back to the default, the CLI's
+    [--faultpoints] rejects the entry. *)
+
 val known : string list
 (** Every site instrumented in the tree, for CLI/tooling validation and
     [--help] discoverability.  Arming an unknown name is legal (it simply

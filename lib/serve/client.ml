@@ -1,4 +1,5 @@
 module Protocol = Pqdb_distrib.Protocol
+module Dial = Pqdb_distrib.Dial
 module Pqdb_error = Pqdb_runtime.Pqdb_error
 
 type t = {
@@ -15,15 +16,6 @@ let sockaddr_of = function
 let domain_of = function
   | Server.Unix_socket _ -> Unix.PF_UNIX
   | Server.Tcp _ -> Unix.PF_INET
-
-(* The backoff law lives in {!Pqdb_distrib.Dial} now, shared with the
-   coordinator's TCP transport and redial loop; this re-export keeps the
-   serve-layer name (and its tests).  [salt] defaults to 0 — the
-   historical attempt-only jitter — and {!connect} passes the
-   per-connection (pid ⊕ fd) salt so a fleet of clients retrying together
-   fans out instead of thundering in lockstep. *)
-let backoff_delay_s ?salt ~retry_delay_s ~max_delay_s k =
-  Pqdb_distrib.Dial.backoff_delay_s ?salt ~retry_delay_s ~max_delay_s k
 
 let is_busy body =
   String.length body >= 5 && String.equal (String.sub body 0 5) "busy:"
@@ -42,10 +34,10 @@ let connect ?(retries = 0) ?(retry_delay_s = 0.2) ?(max_delay_s = 2.0)
     let left = retries - k in
     let fd = Unix.socket ~cloexec:true (domain_of addr) Unix.SOCK_STREAM 0 in
     (* Salt read before [drop] — a closed fd's number may be reused. *)
-    let salt = Pqdb_distrib.Dial.connection_salt fd in
+    let salt = Dial.connection_salt fd in
     let retry e =
       if left > 0 then begin
-        Unix.sleepf (backoff_delay_s ~salt ~retry_delay_s ~max_delay_s k);
+        Unix.sleepf (Dial.backoff_delay_s ~salt ~retry_delay_s ~max_delay_s k);
         attempt (k + 1)
       end
       else raise e
@@ -75,7 +67,7 @@ let connect ?(retries = 0) ?(retry_delay_s = 0.2) ?(max_delay_s = 2.0)
           ((Unix.ECONNREFUSED | Unix.ENOENT | Unix.EAGAIN), _, _)
       when left > 0 ->
         drop ();
-        Unix.sleepf (backoff_delay_s ~salt ~retry_delay_s ~max_delay_s k);
+        Unix.sleepf (Dial.backoff_delay_s ~salt ~retry_delay_s ~max_delay_s k);
         attempt (k + 1)
     | exception e ->
         drop ();

@@ -4,17 +4,6 @@
 
 type t
 
-val backoff_delay_s :
-  ?salt:int -> retry_delay_s:float -> max_delay_s:float -> int -> float
-(** The delay before retry attempt [k] (0-based): [retry_delay_s * 2^k]
-    capped at [max_delay_s], scaled into [[0.5, 1.0)] of itself by a
-    deterministic (Weyl-sequence) jitter of [salt ⊕ k].  Delegates to
-    {!Pqdb_distrib.Dial.backoff_delay_s} — one backoff law for every
-    socket client.  [salt] (default 0: the attempt-only jitter) is seeded
-    per connection by {!connect} with pid ⊕ fd, so a fleet of clients
-    retrying together spreads out instead of thundering in lockstep.
-    Exposed for tests. *)
-
 val connect :
   ?retries:int -> ?retry_delay_s:float -> ?max_delay_s:float ->
   ?io_timeout_s:float -> Server.listen -> t
@@ -22,9 +11,11 @@ val connect :
     (default 0) extra attempts are made when the socket is not there yet
     (connection refused / path absent), when the greeting times out, or
     when the daemon sheds the connection with a busy reply; attempt [k]
-    backs off {!backoff_delay_s}[ ~retry_delay_s ~max_delay_s k] —
-    capped exponential (base [retry_delay_s], default 0.2; cap
-    [max_delay_s], default 2.0) with deterministic jitter.  [io_timeout_s]
+    backs off {!Pqdb_distrib.Dial.backoff_delay_s}[ ~retry_delay_s
+    ~max_delay_s k] — capped exponential (base [retry_delay_s], default
+    0.2; cap [max_delay_s], default 2.0) with deterministic jitter, salted
+    per connection with pid ⊕ fd so a fleet of clients retrying together
+    spreads out instead of thundering in lockstep.  [io_timeout_s]
     bounds every frame read/write on the connection (greeting included);
     unset means block.
     @raise Unix.Unix_error when the last attempt fails to connect;

@@ -113,22 +113,6 @@ let shard_cost_for clause_sets ~target =
   in
   max 1 (total / target)
 
-let exact_probs w clause_sets =
-  Array.map
-    (fun clauses -> Q.to_float (Pqdb_montecarlo.Lineage.exact w clauses))
-    clause_sets
-
-let assert_sound name w clause_sets (intervals : (float * float) array) =
-  Array.iteri
-    (fun i p ->
-      let lo, hi = intervals.(i) in
-      check bool_c
-        (Printf.sprintf "%s: tuple %d exact %.4f inside [%g, %g]" name i p lo
-           hi)
-        true
-        (lo -. 1e-9 <= p && p <= hi +. 1e-9))
-    (exact_probs w clause_sets)
-
 let bits = Int64.bits_of_float
 
 let check_floats_bitwise name a b =
@@ -153,28 +137,18 @@ let check_intervals_bitwise name a b =
         (bits hi) (bits hi'))
     a
 
-let check_same_result name (out, (stats : Confidence.stats))
-    (out', (stats' : Confidence.stats)) =
-  check_floats_bitwise (name ^ ": estimates") out out';
-  check_intervals_bitwise (name ^ ": intervals") stats.Confidence.intervals
-    stats'.Confidence.intervals;
-  check_floats_bitwise (name ^ ": achieved") stats.Confidence.achieved_eps
-    stats'.Confidence.achieved_eps;
-  check
-    Alcotest.(array int_c)
-    (name ^ ": trials") stats.Confidence.trials_used
-    stats'.Confidence.trials_used
+let check_same_result name (o : Shard.outcome) (o' : Shard.outcome) =
+  check_floats_bitwise (name ^ ": estimates") o.estimates o'.estimates;
+  check_intervals_bitwise (name ^ ": intervals") o.intervals o'.intervals;
+  check_floats_bitwise (name ^ ": achieved") o.achieved o'.achieved;
+  check Alcotest.(array int_c) (name ^ ": trials") o.trials o'.trials
 
 let stream_opts ?checkpoint ?(resume = false) ?(retries = 2) ~shard_cost () =
   { Confidence.shard_cost; retries; checkpoint; resume }
 
 let run_stream ?budget ?compile_fuel ~options w clause_sets =
-  let rng = Rng.create ~seed:99 in
-  let out, stats, summary =
-    Confidence.run_stream_with_stats ?budget ?compile_fuel ~options rng w
-      clause_sets ~eps ~delta
-  in
-  ((out, stats), summary)
+  Batch.stream ?budget ?compile_fuel ~options (Rng.create ~seed:99) w
+    clause_sets ~eps ~delta
 
 (* The lane contract itself, materialized: one [Rng.split_n] child of the
    seed per tuple, and each tuple compiled and solved on its own lane. *)
@@ -187,23 +161,22 @@ let run_materialized ?compile_fuel w clause_sets =
           (Compile.compile ?fuel:compile_fuel w clause_sets.(i))
           ~eps ~delta)
   in
-  let out = Array.map (fun o -> o.Compile.value) os in
-  let sum f = Array.fold_left (fun acc o -> acc +. f o) 0. os in
-  let total = sum (fun o -> o.Compile.value) in
-  ( out,
-    {
-      Confidence.trials_used = Array.map (fun o -> o.Compile.trials) os;
-      exact_fraction =
-        (if total <= 0. then 1.
-         else Float.max 0. (1. -. (sum (fun o -> o.Compile.residual_mass) /. total)));
-      intervals = Array.map (fun o -> (o.Compile.lo, o.Compile.hi)) os;
-      achieved_eps = Array.map (fun o -> Guarantee.eps o.Compile.claim) os;
-      complete =
-        Array.for_all
-          (fun o ->
-            Guarantee.meets o.Compile.claim (Guarantee.pass ~eps ~delta))
-          os;
-    } )
+  let per f = Array.map f os in
+  {
+    Shard.shard = { index = 0; first = 0; count = n; cost = 0 };
+    fp = "";
+    estimates = per (fun o -> o.Compile.value);
+    intervals = per (fun o -> (o.Compile.lo, o.Compile.hi));
+    trials = per (fun o -> o.Compile.trials);
+    achieved = per (fun o -> Guarantee.eps o.Compile.claim);
+    masses = per (fun o -> o.Compile.residual_mass);
+    complete =
+      Array.for_all
+        (fun o -> Guarantee.meets o.Compile.claim (Guarantee.pass ~eps ~delta))
+        os;
+    resumed = false;
+    quarantined = None;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* 0. Environment smoke: whatever site CI armed, a checkpointed stream
@@ -216,8 +189,8 @@ let test_env_smoke () =
       let shard_cost = shard_cost_for clause_sets ~target:6 in
       let path = Filename.concat dir "smoke.ckpt" in
       let options = stream_opts ~checkpoint:path ~retries:1 ~shard_cost () in
-      let (_, stats), summary = run_stream ~options w clause_sets in
-      assert_sound "env smoke" w clause_sets stats.Confidence.intervals;
+      let o, summary = run_stream ~options w clause_sets in
+      Batch.assert_sound "env smoke" w clause_sets o.intervals;
       List.iter
         (fun (_, err) ->
           check bool_c "quarantine error is typed" true
@@ -565,10 +538,8 @@ let test_crash_resume_under_budget () =
       (* Size the allowance off the ACTUAL fault-free spend (the compiled
          run spends far less than the a-priori worst case), so the governor
          genuinely runs dry mid-batch. *)
-      let _, (free : Confidence.stats) = run_materialized w clause_sets in
-      let actual =
-        Array.fold_left ( + ) 0 free.Confidence.trials_used
-      in
+      let free = run_materialized w clause_sets in
+      let actual = Array.fold_left ( + ) 0 free.trials in
       let allowance = max 1 (actual * 3 / 10) in
       let fresh_budget () = Budget.create ~max_trials:allowance () in
       let reference =
@@ -591,8 +562,7 @@ let test_crash_resume_under_budget () =
       check int_c "budget resume replayed the prefix" 2
         summary.Confidence.resumed_shards;
       check_same_result "budget resumed vs cold" (fst reference) resumed;
-      assert_sound "budget resume" w clause_sets
-        (snd resumed).Confidence.intervals)
+      Batch.assert_sound "budget resume" w clause_sets resumed.intervals)
 
 (* ------------------------------------------------------------------ *)
 (* 4. Quarantine containment and self-healing resume. *)
@@ -614,7 +584,7 @@ let test_quarantine_containment () =
       FP.arm ~count:(2 * (retries + 1)) "shard.run";
       let path = Filename.concat dir "poison.ckpt" in
       let options = stream_opts ~checkpoint:path ~retries ~shard_cost () in
-      let (out, stats), summary = run_stream ~options w clause_sets in
+      let o, summary = run_stream ~options w clause_sets in
       clear_all ();
       check int_c "exactly two shards quarantined" 2
         (List.length summary.Confidence.quarantined);
@@ -632,24 +602,22 @@ let test_quarantine_containment () =
       check bool_c "stream not complete" false
         summary.Confidence.stream_complete;
       (* Every bracket stays sound, quarantined tuples included. *)
-      assert_sound "quarantine" w clause_sets stats.Confidence.intervals;
+      Batch.assert_sound "quarantine" w clause_sets o.intervals;
       (* Tuples outside the poisoned shards are bit-identical to the
          fault-free run; poisoned tuples spent nothing. *)
       let plan = Shard.plan ~eps ~delta ~max_cost:shard_cost clause_sets in
       let poisoned_tuples = plan.(0).Shard.count + plan.(1).Shard.count in
-      let ref_out, _ = reference in
       Array.iteri
         (fun i x ->
           if i >= poisoned_tuples then
             check Alcotest.int64
               (Printf.sprintf "clean tuple %d bit-identical" i)
-              (bits ref_out.(i)) (bits x)
+              (bits reference.Shard.estimates.(i)) (bits x)
           else
             check int_c
               (Printf.sprintf "poisoned tuple %d spent nothing" i)
-              0
-              stats.Confidence.trials_used.(i))
-        out;
+              0 o.trials.(i))
+        o.estimates;
       (* Quarantined shards are NOT journaled, so a resume with the fault
          gone retries exactly them and heals to the fault-free result. *)
       let healed, summary =
@@ -832,7 +800,7 @@ let test_meta_mismatch () =
          are meaningless for the new run — typed failure, not a resume. *)
       let rng = Rng.create ~seed:99 in
       match
-        Confidence.run_stream_with_stats
+        Batch.stream
           ~options:(stream_opts ~checkpoint:path ~resume:true ~shard_cost ())
           rng w clause_sets ~eps:(eps /. 2.) ~delta
       with
@@ -864,19 +832,17 @@ let test_budget_split_spreads_tail () =
   let n = Array.length clause_sets in
   (* compile_fuel:0 recovers the pure FPRAS: the compiler resolves these
      small formulas exactly otherwise, and the test needs sampling work. *)
-  let _, (free : Confidence.stats) =
-    run_materialized ~compile_fuel:0 w clause_sets
-  in
-  let needs_sampling = Array.map (fun t -> t > 0) free.Confidence.trials_used in
+  let free = run_materialized ~compile_fuel:0 w clause_sets in
+  let needs_sampling = Array.map (fun t -> t > 0) free.trials in
   let sampled_count =
     Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 needs_sampling
   in
   check bool_c "fixture has sampling work" true (sampled_count >= 5);
-  let actual = Array.fold_left ( + ) 0 free.Confidence.trials_used in
+  let actual = Array.fold_left ( + ) 0 free.trials in
   let allowance = max 1 (actual / 10) in
   (* FCFS: the whole batch as one shard drains the governor longest-first
      and starves whole tuples outright. *)
-  let (_, (fcfs : Confidence.stats)), _ =
+  let fcfs, _ =
     run_stream ~compile_fuel:0
       ~budget:(Budget.create ~max_trials:allowance ())
       ~options:(stream_opts ~shard_cost:max_int ())
@@ -886,13 +852,13 @@ let test_budget_split_spreads_tail () =
     let c = ref 0 in
     Array.iteri
       (fun i t -> if needs_sampling.(i) && t = 0 then incr c)
-      fcfs.Confidence.trials_used;
+      fcfs.trials;
     !c
   in
   check bool_c "FCFS starves sampled tuples" true (starved >= 1);
   (* Proportional split, one shard per tuple: every sampling tuple gets its
      share of the remaining allowance and makes progress. *)
-  let (_, (stats : Confidence.stats)), summary =
+  let o, summary =
     run_stream ~compile_fuel:0
       ~budget:(Budget.create ~max_trials:allowance ())
       ~options:(stream_opts ~shard_cost:1 ())
@@ -903,14 +869,14 @@ let test_budget_split_spreads_tail () =
     (fun i t ->
       if needs_sampling.(i) then
         check bool_c (Printf.sprintf "tuple %d made progress" i) true (t > 0))
-    stats.Confidence.trials_used;
+    o.trials;
   (* Both degraded, both sound. *)
   check bool_c "stream degraded" false summary.Confidence.stream_complete;
-  assert_sound "budget split" w clause_sets stats.Confidence.intervals;
+  Batch.assert_sound "budget split" w clause_sets o.intervals;
   (* The streamed spend respects the governor: at most the per-shard ceil
      rounding plus in-flight overshoot on top of the allowance. *)
   check bool_c "stream within allowance" true
-    (Array.fold_left ( + ) 0 stats.Confidence.trials_used
+    (Array.fold_left ( + ) 0 o.trials
     <= allowance + (9 * n))
 
 (* Exact apportionment: adversarial cost vectors where naive proportional

@@ -476,11 +476,6 @@ let test_epsilon_false_conjunction () =
   check (float_c 1e-12) "false conjunct drives it" (Epsilon.epsilon b p) eps;
   check bool_c "predicate is false at p" false (Apred.eval p (Apred.conj a b))
 
-let test_epsilon_for_decision_alias () =
-  let pred = Apred.ge (Apred.var 0) (Apred.const 0.4) in
-  check (float_c 0.) "alias agrees" (Epsilon.epsilon pred [| 0.5 |])
-    (Epsilon.epsilon_for_decision pred [| 0.5 |])
-
 let test_epsilon_search_is_sound_at_low_precision () =
   (* Few bisection iterations yield a smaller but still sound radius. *)
   let pred = Apred.ge (Apred.var 0) (Apred.const 0.4) in
@@ -1267,8 +1262,6 @@ let () =
           qcheck prop_epsilon_monotone_in_distance;
           Alcotest.test_case "false conjunction homogeneity" `Quick
             test_epsilon_false_conjunction;
-          Alcotest.test_case "epsilon_for_decision alias" `Quick
-            test_epsilon_for_decision_alias;
           Alcotest.test_case "coarse search stays sound" `Quick
             test_epsilon_search_is_sound_at_low_precision;
           Alcotest.test_case "decide argument validation" `Quick

@@ -25,50 +25,6 @@ let int_c = Alcotest.int
    exactly which site fires.  (FP.reset would re-apply PQDB_FAULTPOINTS.) *)
 let clear_all () = List.iter FP.disarm (FP.armed ())
 
-let batch_fixture () =
-  let w = Wtable.create () in
-  let x = Wtable.add_var w [ Q.of_ints 3 10; Q.of_ints 7 10 ] in
-  let y = Wtable.add_var w [ Q.of_ints 1 2; Q.of_ints 1 2 ] in
-  let z = Wtable.add_var w [ Q.of_ints 4 5; Q.of_ints 1 5 ] in
-  let clause_sets =
-    [|
-      [
-        Assignment.singleton x 1;
-        Assignment.of_list [ (y, 1); (z, 0) ];
-        Assignment.of_list [ (x, 0); (z, 1) ];
-      ];
-      [ Assignment.singleton y 1 ];
-      [ Assignment.empty ];
-      [];
-    |]
-  in
-  (w, clause_sets)
-
-let exact_probs w clause_sets =
-  Array.map
-    (fun clauses -> Q.to_float (Pqdb_montecarlo.Lineage.exact w clauses))
-    clause_sets
-
-(* The whole batch as one shard: one pool run under one governor. *)
-let batch_run ?budget ?compile_fuel rng w clause_sets ~eps ~delta =
-  let options = { Confidence.default_stream_options with shard_cost = max_int } in
-  let estimates, stats, _ =
-    Confidence.run_stream_with_stats ?budget ?compile_fuel ~options rng w
-      clause_sets ~eps ~delta
-  in
-  (estimates, stats)
-
-let assert_sound name w clause_sets (stats : Confidence.stats) =
-  Array.iteri
-    (fun i p ->
-      let lo, hi = stats.Confidence.intervals.(i) in
-      check bool_c
-        (Printf.sprintf "%s: tuple %d exact %.4f inside [%g, %g]" name i p lo
-           hi)
-        true
-        (lo -. 1e-9 <= p && p <= hi +. 1e-9))
-    (exact_probs w clause_sets)
-
 let temp_counter = ref 0
 
 let with_temp_dir f =
@@ -117,12 +73,12 @@ let test_env_smoke () =
      site fires, a batched confidence run must come back with sound
      intervals, and a load must either succeed or fail with the typed
      error — never a crash or a stuck pool. *)
-  let w, clause_sets = batch_fixture () in
-  let _, stats =
-    batch_run ~compile_fuel:0 (Rng.create ~seed:23) w clause_sets ~eps:0.1
-      ~delta:0.1
+  let w, clause_sets = Batch.fixture () in
+  let o =
+    Batch.whole ~compile_fuel:0 (Rng.create ~seed:23) w
+      clause_sets ~eps:0.1 ~delta:0.1
   in
-  assert_sound "env smoke" w clause_sets stats;
+  Batch.assert_sound "env smoke" w clause_sets o.intervals;
   with_temp_dir (fun dir ->
       let udb = small_udb () in
       Udb_io.save dir udb;
@@ -209,6 +165,60 @@ let test_mode_of_string () =
   check bool_c "unknown rejected" true
     (match FP.mode_of_string "explode" with Error _ -> true | Ok _ -> false)
 
+(* PQDB_FAULTPOINTS and --faultpoints read an entry through the one
+   [FP.parse_spec]: for every valid [site[:count][@mode]] the env registry
+   (after [FP.reset]) and the CLI's [FP.arm ?count ~mode site] on the
+   parsed parts arm the site alike — [count] shots (unlimited when absent)
+   of [mode] ([raise] when absent). *)
+let prop_faultpoint_paths_agree =
+  let modes =
+    [ (FP.Raise, "raise"); (FP.Stall, "stall"); (FP.Torn, "torn");
+      (FP.Delay 0., "delay:0"); (FP.Delay 0.015, "delay:15") ]
+  in
+  let gen =
+    QCheck.Gen.(
+      quad (oneofl FP.known) (opt (int_range 1 4)) (opt (oneofl modes))
+        (oneofl [ ""; " " ]))
+  in
+  let render (site, count, mode, pad) =
+    String.concat pad
+      ((site :: Option.fold ~none:[] ~some:(fun n -> [ ":"; string_of_int n ])
+                  count)
+      @ Option.fold ~none:[] ~some:(fun (_, m) -> [ "@"; m ]) mode)
+  in
+  QCheck.Test.make ~name:"env and CLI read every valid spec alike" ~count:200
+    (QCheck.make ~print:render gen)
+    (fun ((site, count, mode, _) as case) ->
+      let spec = render case in
+      let mode = Option.fold ~none:FP.Raise ~some:fst mode in
+      (* The modes the armed site fires with, up to 6 shots. *)
+      let shots () =
+        let fired = List.filter_map (fun _ -> FP.check site) [ 1; 2; 3; 4; 5; 6 ] in
+        clear_all ();
+        fired
+      in
+      let original = Sys.getenv_opt "PQDB_FAULTPOINTS" in
+      Fun.protect
+        ~finally:(fun () ->
+          Unix.putenv "PQDB_FAULTPOINTS" (Option.value original ~default:"");
+          FP.reset ();
+          clear_all ())
+        (fun () ->
+          let parsed = FP.parse_spec spec in
+          clear_all ();
+          (match parsed with
+          | { FP.site; count = Ok count; mode = Ok mode } ->
+              FP.arm ?count ~mode site
+          | _ -> ());
+          let cli = shots () in
+          Unix.putenv "PQDB_FAULTPOINTS" spec;
+          FP.reset ();
+          let expected =
+            List.init (Option.value count ~default:6) (fun _ -> mode)
+          in
+          parsed = { FP.site; count = Ok count; mode = Ok mode }
+          && cli = expected && shots () = expected))
+
 let test_behavioral_fire () =
   clear_all ();
   (* Delay: fire sleeps, returns normally, and consumes the shot. *)
@@ -280,18 +290,18 @@ let test_estimator_fault_contained () =
   clear_all ();
   FP.arm "karp_luby.estimator";
   Fun.protect ~finally:clear_all (fun () ->
-      let w, clause_sets = batch_fixture () in
-      let estimates, stats =
-        batch_run ~compile_fuel:0 (Rng.create ~seed:29) w clause_sets ~eps:0.1
-          ~delta:0.1
+      let w, clause_sets = Batch.fixture () in
+      let o =
+        Batch.whole ~compile_fuel:0 (Rng.create ~seed:29) w
+          clause_sets ~eps:0.1 ~delta:0.1
       in
       (* Sampling tuples degrade to their a-priori brackets; the batch
          itself survives. *)
-      check bool_c "degraded, not crashed" false stats.Confidence.complete;
-      assert_sound "estimator fault" w clause_sets stats;
-      check (Alcotest.float 0.) "certain tuple still exact" 1. estimates.(2);
+      check bool_c "degraded, not crashed" false o.complete;
+      Batch.assert_sound "estimator fault" w clause_sets o.intervals;
+      check (Alcotest.float 0.) "certain tuple still exact" 1. o.estimates.(2);
       check (Alcotest.float 0.) "impossible tuple still exact" 0.
-        estimates.(3);
+        o.estimates.(3);
       (* One tuple: the dead sampler leaves only the compiled bracket. *)
       let c = Compile.compile ~fuel:0 w clause_sets.(0) in
       let o = Compile.solve (Rng.create ~seed:29) c ~eps:0.1 ~delta:0.1 in
@@ -299,25 +309,25 @@ let test_estimator_fault_contained () =
         (o.Compile.claim = Guarantee.Bracket
         && (o.Compile.lo, o.Compile.hi) = Compile.vacuous_interval c));
   (* Disarmed: same batch completes again. *)
-  let w, clause_sets = batch_fixture () in
-  let _, stats =
-    batch_run ~compile_fuel:0 (Rng.create ~seed:29) w clause_sets ~eps:0.1
-      ~delta:0.1
+  let w, clause_sets = Batch.fixture () in
+  let o =
+    Batch.whole ~compile_fuel:0 (Rng.create ~seed:29) w
+      clause_sets ~eps:0.1 ~delta:0.1
   in
-  check bool_c "recovers once disarmed" true stats.Confidence.complete
+  check bool_c "recovers once disarmed" true o.complete
 
 let test_estimator_fault_under_budget () =
   clear_all ();
   FP.arm "karp_luby.estimator";
   Fun.protect ~finally:clear_all (fun () ->
-      let w, clause_sets = batch_fixture () in
+      let w, clause_sets = Batch.fixture () in
       let b = Budget.create ~max_trials:1000 () in
-      let _, stats =
-        batch_run ~compile_fuel:0 ~budget:b (Rng.create ~seed:31) w clause_sets
-          ~eps:0.1 ~delta:0.1
+      let o =
+        Batch.whole ~compile_fuel:0 ~budget:b (Rng.create ~seed:31) w
+          clause_sets ~eps:0.1 ~delta:0.1
       in
-      check bool_c "budget path degrades too" false stats.Confidence.complete;
-      assert_sound "estimator fault + budget" w clause_sets stats)
+      check bool_c "budget path degrades too" false o.complete;
+      Batch.assert_sound "estimator fault + budget" w clause_sets o.intervals)
 
 (* A tuple whose sampler died or whose shard was quarantined keeps only
    its a-priori compiled bracket, with the bracket's floor as its
@@ -350,25 +360,71 @@ let bracket_only_fixture () =
   in
   (udb, hard)
 
-let test_bracket_only_tuples_are_suspects () =
-  let eps = 0.1 in
-  let query =
-    Pqdb_ast.Ua.approx_conf ~eps ~delta:0.05 (Pqdb_ast.Ua.table "U")
+let tuple_id t = match Tuple.get t 0 with Value.Int i -> i | _ -> -1
+
+(* [Confidence.misses] as it was while [achieved] held an absolute
+   half-width on a-priori rows, verbatim, over the record it read. *)
+type old_stats = {
+  trials_used : int array;
+  intervals : (float * float) array;
+  achieved_eps : float array;
+  complete : bool;
+}
+
+let old_misses st estimates ~eps i =
+  let lo, hi = st.intervals.(i) and v = estimates.(i) in
+  (not st.complete)
+  && (st.achieved_eps.(i) > eps
+     || st.trials_used.(i) = 0
+        && not (v -. lo <= eps *. lo && hi -. v <= eps *. hi))
+
+(* The old record of a run: a row still on its bracket's floor with its
+   relative width as [achieved] (what [Confidence] writes for a-priori
+   rows) carried the half-width [(hi − lo)/2] instead. *)
+let old_stats_of (o : Shard.outcome) summary =
+  let achieved_eps =
+    Array.mapi
+      (fun i a ->
+        let lo, hi = o.intervals.(i) in
+        if o.trials.(i) = 0 && lo < hi && o.estimates.(i) = lo
+           && a = (hi -. lo) /. hi
+        then (hi -. lo) /. 2.
+        else a)
+      o.achieved
   in
+  { trials_used = o.trials; intervals = o.intervals; achieved_eps;
+    complete = summary.Confidence.stream_complete }
+
+let test_bracket_only_tuples_are_suspects () =
+  let eps = 0.1 and delta = 0.05 in
+  let query = Pqdb_ast.Ua.approx_conf ~eps ~delta (Pqdb_ast.Ua.table "U") in
   let suspects site ?stream () =
     clear_all ();
     FP.arm site;
     Fun.protect ~finally:clear_all (fun () ->
         let udb, hard = bracket_only_fixture () in
+        (* The old rule over the same batch, in aconf's tuple order: no
+           tuple samples (shards quarantined or samplers dead), so the
+           seed does not matter. *)
+        let groups = Urelation.clauses_by_tuple (Udb.find udb "U") in
+        let o, summary =
+          Batch.stream ?options:stream (Rng.create ~seed:5) (Udb.wtable udb)
+            (Array.of_list (List.map snd groups))
+            ~eps ~delta
+        in
+        let st = old_stats_of o summary in
+        let old_flagged =
+          List.filteri (fun i _ -> old_misses st o.estimates ~eps i) groups
+          |> List.map (fun (t, _) -> tuple_id t)
+        in
         let r, _ =
           Pqdb.Eval_approx.eval ?stream ~rng:(Rng.create ~seed:3) udb query
         in
-        let flagged =
-          List.map
-            (fun t ->
-              match Tuple.get t 0 with Value.Int i -> i | _ -> -1)
-            r.Pqdb.Eval_approx.suspects
-        in
+        let flagged = List.map tuple_id r.Pqdb.Eval_approx.suspects in
+        check (Alcotest.list int_c)
+          (site ^ ": suspects = the old rule's")
+          (List.sort compare old_flagged)
+          (List.sort compare flagged);
         (hard, flagged))
   in
   let floor_misses (lo, hi) = hi -. lo > eps *. hi in
@@ -411,6 +467,62 @@ let test_bracket_only_tuples_are_suspects () =
     hard;
   some_narrow "dead-sampler"
 
+(* A row left on its a-priori bracket — its shard quarantined, or its task
+   killed — reports the relative ε its floor is proven to, [(hi − lo)/hi],
+   in the same unit as a solved row's claim. *)
+let test_apriori_rows_report_relative_eps () =
+  let check_rows what (o : Shard.outcome) clause_sets w =
+    let inexact = ref 0 in
+    Array.iteri
+      (fun i clauses ->
+        let c = Compile.compile w clauses in
+        let lo, hi = o.intervals.(i) in
+        let expected =
+          match Compile.exact_value c with
+          | Some _ -> 0.
+          | None ->
+              incr inexact;
+              check bool_c
+                (Printf.sprintf "%s: tuple %d keeps its bracket's floor" what i)
+                true
+                ((lo, hi) = Compile.vacuous_interval c
+                && o.estimates.(i) = lo && o.trials.(i) = 0);
+              (hi -. lo) /. hi
+        in
+        check Alcotest.int64
+          (Printf.sprintf "%s: tuple %d achieved %h = %h" what i
+             o.achieved.(i) expected)
+          (Int64.bits_of_float expected)
+          (Int64.bits_of_float o.achieved.(i)))
+      clause_sets;
+    check bool_c (what ^ ": some tuple is inexact") true (!inexact > 0)
+  in
+  let udb, _ = bracket_only_fixture () in
+  let w = Udb.wtable udb in
+  let sets =
+    Array.of_list
+      (List.map snd (Urelation.clauses_by_tuple (Udb.find udb "U")))
+  in
+  let run site ?options () =
+    clear_all ();
+    FP.arm site;
+    Fun.protect ~finally:clear_all (fun () ->
+        fst
+          (Batch.stream ?options (Rng.create ~seed:5) w sets ~eps:0.1
+             ~delta:0.05))
+  in
+  let quarantined =
+    run "shard.run"
+      ~options:{ Confidence.default_stream_options with retries = 0 }
+      ()
+  in
+  check bool_c "shard.run: quarantined" true (quarantined.quarantined <> None);
+  check_rows "shard.run" quarantined sets w;
+  let dead = run "pool.task" () in
+  check bool_c "pool.task: degraded, not quarantined" true
+    ((not dead.complete) && dead.quarantined = None);
+  check_rows "pool.task" dead sets w
+
 (* ------------------------------------------------------------------ *)
 (* Site: pool.task                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -437,13 +549,13 @@ let test_pool_task_fault () =
      tuple, crashes nothing. *)
   FP.arm "pool.task";
   Fun.protect ~finally:clear_all (fun () ->
-      let w, clause_sets = batch_fixture () in
-      let _, stats =
-        batch_run ~compile_fuel:0 (Rng.create ~seed:37) w clause_sets ~eps:0.1
-          ~delta:0.1
+      let w, clause_sets = Batch.fixture () in
+      let o =
+        Batch.whole ~compile_fuel:0 (Rng.create ~seed:37) w
+          clause_sets ~eps:0.1 ~delta:0.1
       in
-      check bool_c "batch degraded" false stats.Confidence.complete;
-      assert_sound "pool.task fault" w clause_sets stats)
+      check bool_c "batch degraded" false o.complete;
+      Batch.assert_sound "pool.task fault" w clause_sets o.intervals)
 
 (* ------------------------------------------------------------------ *)
 (* Site: pool.spawn                                                    *)
@@ -466,13 +578,13 @@ let test_pool_spawn_fault_degrades_inline () =
       Pool.run pool ~ntasks:16 (fun i -> ok.(i) <- true);
       check bool_c "tasks ran inline" true (Array.for_all Fun.id ok);
       (* And a whole batch still computes correct estimates. *)
-      let w, clause_sets = batch_fixture () in
-      let _, stats =
-        batch_run ~compile_fuel:0 (Rng.create ~seed:41) w clause_sets ~eps:0.1
-          ~delta:0.1
+      let w, clause_sets = Batch.fixture () in
+      let o =
+        Batch.whole ~compile_fuel:0 (Rng.create ~seed:41) w
+          clause_sets ~eps:0.1 ~delta:0.1
       in
-      check bool_c "batch completes inline" true stats.Confidence.complete;
-      assert_sound "pool.spawn fault" w clause_sets stats);
+      check bool_c "batch completes inline" true o.complete;
+      Batch.assert_sound "pool.spawn fault" w clause_sets o.intervals);
   (* After reset without the fault, workers come back. *)
   check bool_c "workers respawn once disarmed" true
     (Pool.resident_workers () > 0)
@@ -611,6 +723,7 @@ let () =
           Alcotest.test_case "env parsing" `Quick test_env_parsing;
           Alcotest.test_case "env mode parsing" `Quick test_env_mode_parsing;
           Alcotest.test_case "mode_of_string" `Quick test_mode_of_string;
+          QCheck_alcotest.to_alcotest prop_faultpoint_paths_agree;
           Alcotest.test_case "behavioral fire" `Quick test_behavioral_fire;
           Alcotest.test_case "torn checkpoint write" `Quick
             test_torn_checkpoint_write;
@@ -623,6 +736,8 @@ let () =
             test_estimator_fault_under_budget;
           Alcotest.test_case "bracket-only tuples are suspects" `Quick
             test_bracket_only_tuples_are_suspects;
+          Alcotest.test_case "a-priori rows report relative eps" `Quick
+            test_apriori_rows_report_relative_eps;
           Alcotest.test_case "pool.task" `Quick test_pool_task_fault;
           Alcotest.test_case "pool.spawn degrades inline" `Quick
             test_pool_spawn_fault_degrades_inline;

@@ -47,14 +47,10 @@ let fpras rng dnf ~eps ~delta =
     (Stats.karp_luby_trials ~clauses:(Dnf.clause_count dnf) ~eps ~delta);
   Estimator.estimate est
 
-(* The whole batch as one shard: one pool run under one governor. *)
+(* The estimates of the whole batch run as one shard. *)
 let batch_run ?nworkers ?compile_fuel rng w clause_sets ~eps ~delta =
-  let options = { Confidence.default_stream_options with shard_cost = max_int } in
-  let estimates, stats, _ =
-    Confidence.run_stream_with_stats ?nworkers ?compile_fuel ~options rng w
-      clause_sets ~eps ~delta
-  in
-  (estimates, stats)
+  (Batch.whole ?nworkers ?compile_fuel rng w clause_sets ~eps ~delta)
+    .Shard.estimates
 
 (* The unbudgeted adaptive schedule as (estimate, trials). *)
 let adaptive rng dnf ~eps ~delta =
@@ -422,35 +418,13 @@ let prop_estimate_within_bound_often =
 (* The batched confidence engine                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* A small batch: the fixture DNF, a single-clause DNF, a certain and an
-   impossible one. *)
-let batch_fixture () =
-  let w = Wtable.create () in
-  let x = Wtable.add_var w [ Q.of_ints 3 10; Q.of_ints 7 10 ] in
-  let y = Wtable.add_var w [ Q.of_ints 1 2; Q.of_ints 1 2 ] in
-  let z = Wtable.add_var w [ Q.of_ints 4 5; Q.of_ints 1 5 ] in
-  let clause_sets =
-    [|
-      [
-        Assignment.singleton x 1;
-        Assignment.of_list [ (y, 1); (z, 0) ];
-        Assignment.of_list [ (x, 0); (z, 1) ];
-      ];
-      [ Assignment.singleton y 1 ];
-      [ Assignment.empty ];
-      [];
-    |]
-  in
-  (w, clause_sets)
-
 let test_batch_deterministic_across_pool_sizes () =
   (* The batch engine's stronger contract: estimates depend on the parent
      RNG state only — not on the pool size, not on scheduling. *)
-  let w, clause_sets = batch_fixture () in
+  let w, clause_sets = Batch.fixture () in
   let run nworkers =
-    fst
-      (batch_run ~nworkers (Rng.create ~seed:61) w clause_sets ~eps:0.1
-         ~delta:0.1)
+    batch_run ~nworkers (Rng.create ~seed:61) w clause_sets ~eps:0.1
+      ~delta:0.1
   in
   let reference = run 1 in
   List.iter
@@ -465,16 +439,15 @@ let test_batch_deterministic_across_pool_sizes () =
     [ 1; 2; 4 ]
 
 let test_batch_matches_exact () =
-  let w, clause_sets = batch_fixture () in
+  let w, clause_sets = Batch.fixture () in
   let exact =
     Array.map
       (fun clauses -> Q.to_float (Lineage.exact w clauses))
       clause_sets
   in
   let estimates =
-    fst
-      (batch_run ~nworkers:2 (Rng.create ~seed:71) w clause_sets ~eps:0.05
-         ~delta:0.05)
+    batch_run ~nworkers:2 (Rng.create ~seed:71) w clause_sets ~eps:0.05
+      ~delta:0.05
   in
   check int_c "one estimate per clause set" (Array.length clause_sets)
     (Array.length estimates);
@@ -489,7 +462,7 @@ let test_batch_matches_exact () =
     exact
 
 let test_batch_trials_accounting () =
-  let w, clause_sets = batch_fixture () in
+  let w, clause_sets = Batch.fixture () in
   let batch = Confidence.prepare w clause_sets in
   let expected =
     Array.fold_left
@@ -508,8 +481,7 @@ let test_batch_trials_accounting () =
       ignore (batch_run (Rng.create ~seed:1) w clause_sets ~eps:0. ~delta:0.1));
   check int_c "empty batch"
     0
-    (Array.length
-       (fst (batch_run (Rng.create ~seed:1) w [||] ~eps:0.1 ~delta:0.1)))
+    (Array.length (batch_run (Rng.create ~seed:1) w [||] ~eps:0.1 ~delta:0.1))
 
 (* ------------------------------------------------------------------ *)
 (* Lineage compilation                                                  *)
@@ -1656,8 +1628,8 @@ let test_adaptive_deterministic () =
    [Karp_luby.adaptive_partial] on 42 generated DNFs (every shape of
    [kernel_case]) with no budget, trial caps of 1, 20, 500 and 1e8, and a
    cancelled budget; [Compile.solve] at fuel 0 and the default with and
-   without a cap; and [Confidence.run_stream_with_stats] over the same sets
-   on one worker (a shared trial cap is raced by parallel tuples).
+   without a cap; and the outcomes [Confidence.run_stream] emits over the
+   same sets on one worker (a shared trial cap is raced by parallel tuples).
    ε covers both sides of ½.  A change to any draw, stopping decision or
    interval changes it. *)
 let sampled_digest () =
@@ -1723,17 +1695,18 @@ let sampled_digest () =
         (fun eps ->
           List.iter
             (fun budget ->
-              let est, st, _ =
-                Confidence.run_stream_with_stats ?budget ~nworkers:1
-                  ?compile_fuel:fuel (Rng.create ~seed:17) w sets ~eps ~delta
+              let o, summary =
+                Batch.stream ?budget ~nworkers:1 ?compile_fuel:fuel
+                  (Rng.create ~seed:17) w sets ~eps ~delta
               in
               Array.iteri
                 (fun i v ->
-                  let lo, hi = st.Confidence.intervals.(i) in
-                  Printf.bprintf b "B%h %h %h %d %h;" v lo hi
-                    st.trials_used.(i) st.achieved_eps.(i))
-                est;
-              Printf.bprintf b "%h %b\n" st.exact_fraction st.complete)
+                  let lo, hi = o.Shard.intervals.(i) in
+                  Printf.bprintf b "B%h %h %h %d %h;" v lo hi o.trials.(i)
+                    o.achieved.(i))
+                o.estimates;
+              Printf.bprintf b "%h %b\n" (Batch.exact_fraction o)
+                summary.Confidence.stream_complete)
             (budgets ()))
         epss)
     [ Some 0; None ];
@@ -1785,11 +1758,10 @@ let test_batch_compiled_deterministic_across_pool_sizes () =
   (* The compiled sampling path keeps the batch determinism contract: with
      compilation disabled every tuple samples, and the estimates still
      depend only on the parent RNG state — not on the pool size. *)
-  let w, clause_sets = batch_fixture () in
+  let w, clause_sets = Batch.fixture () in
   let run nworkers =
-    fst
-      (batch_run ~nworkers ~compile_fuel:0 (Rng.create ~seed:83) w clause_sets
-         ~eps:0.1 ~delta:0.1)
+    batch_run ~nworkers ~compile_fuel:0 (Rng.create ~seed:83) w clause_sets
+      ~eps:0.1 ~delta:0.1
   in
   let reference = run 1 in
   List.iter
@@ -1804,28 +1776,24 @@ let test_batch_compiled_deterministic_across_pool_sizes () =
     [ 1; 2; 4 ]
 
 let test_batch_stats () =
-  let w, clause_sets = batch_fixture () in
+  let w, clause_sets = Batch.fixture () in
   (* Default fuel: everything in the fixture compiles exactly. *)
-  let estimates, stats =
-    batch_run (Rng.create ~seed:29) w clause_sets ~eps:0.1 ~delta:0.1
-  in
-  check (Alcotest.float 1e-9) "fully exact" 1.
-    stats.Confidence.exact_fraction;
+  let o = Batch.whole (Rng.create ~seed:29) w clause_sets ~eps:0.1 ~delta:0.1 in
+  check (Alcotest.float 1e-9) "fully exact" 1. (Batch.exact_fraction o);
   check bool_c "no trials spent" true
-    (Array.for_all (fun n -> n = 0) stats.Confidence.trials_used);
-  check (Alcotest.float 1e-9) "tuple 0 exact" 0.88 estimates.(0);
+    (Array.for_all (fun n -> n = 0) o.Shard.trials);
+  check (Alcotest.float 1e-9) "tuple 0 exact" 0.88 o.estimates.(0);
   (* fuel 0: the multi-clause tuple samples, the trivial ones stay free. *)
-  let _, stats0 =
-    batch_run ~compile_fuel:0 (Rng.create ~seed:29) w clause_sets ~eps:0.1
+  let o0 =
+    Batch.whole ~compile_fuel:0 (Rng.create ~seed:29) w clause_sets ~eps:0.1
       ~delta:0.1
   in
-  check bool_c "multi-clause tuple sampled" true
-    (stats0.Confidence.trials_used.(0) > 0);
-  check int_c "certain tuple free" 0 stats0.Confidence.trials_used.(2);
-  check int_c "impossible tuple free" 0 stats0.Confidence.trials_used.(3);
+  check bool_c "multi-clause tuple sampled" true (o0.Shard.trials.(0) > 0);
+  check int_c "certain tuple free" 0 o0.trials.(2);
+  check int_c "impossible tuple free" 0 o0.trials.(3);
+  let fraction = Batch.exact_fraction o0 in
   check bool_c "exact fraction strictly between 0 and 1" true
-    (stats0.Confidence.exact_fraction > 0.
-    && stats0.Confidence.exact_fraction < 1.)
+    (fraction > 0. && fraction < 1.)
 
 let qcheck = QCheck_alcotest.to_alcotest
 

@@ -16,55 +16,6 @@ let check = Alcotest.check
 let bool_c = Alcotest.bool
 let int_c = Alcotest.int
 
-(* The batch from test_montecarlo: a 3-clause DNF (p = 0.88), a single
-   Bernoulli clause (p = 0.5), a certain and an impossible tuple. *)
-let batch_fixture () =
-  let w = Wtable.create () in
-  let x = Wtable.add_var w [ Q.of_ints 3 10; Q.of_ints 7 10 ] in
-  let y = Wtable.add_var w [ Q.of_ints 1 2; Q.of_ints 1 2 ] in
-  let z = Wtable.add_var w [ Q.of_ints 4 5; Q.of_ints 1 5 ] in
-  let clause_sets =
-    [|
-      [
-        Assignment.singleton x 1;
-        Assignment.of_list [ (y, 1); (z, 0) ];
-        Assignment.of_list [ (x, 0); (z, 1) ];
-      ];
-      [ Assignment.singleton y 1 ];
-      [ Assignment.empty ];
-      [];
-    |]
-  in
-  (w, clause_sets)
-
-(* The whole batch as one shard: one pool run under one governor. *)
-let batch_run ?budget ?compile_fuel rng w clause_sets ~eps ~delta =
-  let options = { Confidence.default_stream_options with shard_cost = max_int } in
-  let estimates, stats, _ =
-    Confidence.run_stream_with_stats ?budget ?compile_fuel ~options rng w
-      clause_sets ~eps ~delta
-  in
-  (estimates, stats)
-
-let exact_probs w clause_sets =
-  Array.map
-    (fun clauses -> Q.to_float (Pqdb_montecarlo.Lineage.exact w clauses))
-    clause_sets
-
-let assert_sound_intervals name exact (stats : Confidence.stats) =
-  Array.iteri
-    (fun i p ->
-      let lo, hi = stats.Confidence.intervals.(i) in
-      check bool_c
-        (Printf.sprintf "%s: tuple %d interval [%g, %g] ordered" name i lo hi)
-        true (lo <= hi +. 1e-12);
-      check bool_c
-        (Printf.sprintf "%s: tuple %d exact %.4f inside [%g, %g]" name i p lo
-           hi)
-        true
-        (lo -. 1e-9 <= p && p <= hi +. 1e-9))
-    exact
-
 (* ------------------------------------------------------------------ *)
 (* Budget basics                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -111,7 +62,7 @@ let test_budget_deadline_sticky () =
 (* ------------------------------------------------------------------ *)
 
 let test_adaptive_partial_no_budget_bit_identical () =
-  let w, clause_sets = batch_fixture () in
+  let w, clause_sets = Batch.fixture () in
   let dnf = Dnf.prepare w clause_sets.(0) in
   (* The one DKLR stopping-rule pass at (ε, δ), pinned for this seed: the
      no-budget path must keep consuming the RNG exactly as before, and a
@@ -137,7 +88,7 @@ let test_adaptive_partial_no_budget_bit_identical () =
     && p.Karp_luby.p_estimate <= p.Karp_luby.p_hi)
 
 let test_adaptive_partial_exhausted_budget_vacuous () =
-  let w, clause_sets = batch_fixture () in
+  let w, clause_sets = Batch.fixture () in
   let dnf = Dnf.prepare w clause_sets.(0) in
   let b = Budget.create () in
   Budget.cancel b;
@@ -159,7 +110,7 @@ let test_adaptive_partial_interval_soundness () =
   (* With a hard trial cap, the partial-trial Chernoff inversion must still
      bracket the truth (at confidence 1 - delta; the seeds below stay
      within it). *)
-  let w, clause_sets = batch_fixture () in
+  let w, clause_sets = Batch.fixture () in
   let dnf = Dnf.prepare w clause_sets.(0) in
   let exact = Q.to_float (Dnf.exact dnf) in
   List.iter
@@ -231,42 +182,40 @@ let test_tiny_eps_saturates_trial_counts () =
 (* ------------------------------------------------------------------ *)
 
 let test_batch_no_budget_complete () =
-  let w, clause_sets = batch_fixture () in
-  let exact = exact_probs w clause_sets in
-  let _, stats =
-    batch_run ~compile_fuel:0 (Rng.create ~seed:5) w clause_sets ~eps:0.1
-      ~delta:0.05
+  let w, clause_sets = Batch.fixture () in
+  let o =
+    Batch.whole ~compile_fuel:0 (Rng.create ~seed:5) w
+      clause_sets ~eps:0.1 ~delta:0.05
   in
-  check bool_c "no budget: complete" true stats.Confidence.complete;
-  assert_sound_intervals "no budget" exact stats;
+  check bool_c "no budget: complete" true o.complete;
+  Batch.assert_sound "no budget" w clause_sets o.intervals;
   Array.iter
     (fun e -> check bool_c "achieved eps within request" true (e <= 0.1))
-    stats.Confidence.achieved_eps
+    o.achieved
 
 let test_batch_trial_cap_sound () =
-  let w, clause_sets = batch_fixture () in
-  let exact = exact_probs w clause_sets in
+  let w, clause_sets = Batch.fixture () in
   List.iter
     (fun seed ->
       List.iter
         (fun cap ->
           let b = Budget.create ~max_trials:cap () in
-          let estimates, stats =
-            batch_run ~compile_fuel:0 ~budget:b (Rng.create ~seed) w clause_sets
-              ~eps:0.05 ~delta:0.05
+          let o =
+            Batch.whole ~compile_fuel:0 ~budget:b (Rng.create ~seed) w
+              clause_sets ~eps:0.05 ~delta:0.05
           in
-          assert_sound_intervals
+          Batch.assert_sound
             (Printf.sprintf "cap %d seed %d" cap seed)
-            exact stats;
+            w clause_sets o.intervals;
           Array.iteri
             (fun i v ->
-              let lo, hi = stats.Confidence.intervals.(i) in
+              let lo, hi = o.intervals.(i) in
               check bool_c
                 (Printf.sprintf "cap %d seed %d: estimate %d in own interval"
                    cap seed i)
                 true
                 (lo -. 1e-9 <= v && v <= hi +. 1e-9))
-            estimates;
+            o.estimates;
           (* The shared governor may overshoot by at most one in-flight
              trial per worker. *)
           check bool_c
@@ -278,21 +227,20 @@ let test_batch_trial_cap_sound () =
     [ 2; 31; 77 ]
 
 let test_batch_cancelled_budget_degrades () =
-  let w, clause_sets = batch_fixture () in
-  let exact = exact_probs w clause_sets in
+  let w, clause_sets = Batch.fixture () in
   let b = Budget.create () in
   Budget.cancel b;
-  let _, stats =
-    batch_run ~compile_fuel:0 ~budget:b (Rng.create ~seed:11) w clause_sets
-      ~eps:0.05 ~delta:0.05
+  let o =
+    Batch.whole ~compile_fuel:0 ~budget:b (Rng.create ~seed:11) w
+      clause_sets ~eps:0.05 ~delta:0.05
   in
-  check bool_c "cancelled: incomplete" false stats.Confidence.complete;
-  assert_sound_intervals "cancelled" exact stats;
+  check bool_c "cancelled: incomplete" false o.complete;
+  Batch.assert_sound "cancelled" w clause_sets o.intervals;
   (* The exact tuples still come out as points. *)
-  let lo2, hi2 = stats.Confidence.intervals.(2) in
+  let lo2, hi2 = o.intervals.(2) in
   check (Alcotest.float 0.) "certain tuple lo" 1. lo2;
   check (Alcotest.float 0.) "certain tuple hi" 1. hi2;
-  let lo3, hi3 = stats.Confidence.intervals.(3) in
+  let lo3, hi3 = o.intervals.(3) in
   check (Alcotest.float 0.) "impossible tuple lo" 0. lo3;
   check (Alcotest.float 0.) "impossible tuple hi" 0. hi3
 
@@ -308,35 +256,33 @@ let test_deadline_bounds_wallclock () =
         Assignment.singleton v 1)
   in
   let clause_sets = [| clauses |] in
-  let exact = exact_probs w clause_sets in
   let deadline = 0.2 in
   let b = Budget.create ~deadline_s:deadline () in
   let t0 = Unix.gettimeofday () in
-  let _, stats =
-    batch_run ~compile_fuel:0 ~budget:b (Rng.create ~seed:13) w clause_sets
-      ~eps:0.001 ~delta:0.01
+  let o =
+    Batch.whole ~compile_fuel:0 ~budget:b (Rng.create ~seed:13) w
+      clause_sets ~eps:0.001 ~delta:0.01
   in
   let elapsed = Unix.gettimeofday () -. t0 in
   check bool_c
     (Printf.sprintf "returned in %.3fs (deadline %.3fs)" elapsed deadline)
     true
     (elapsed <= 2. *. deadline);
-  check bool_c "deadline run incomplete" false stats.Confidence.complete;
+  check bool_c "deadline run incomplete" false o.complete;
   check bool_c "spent some trials before the deadline" true
     (Budget.spent b > 0);
-  assert_sound_intervals "deadline" exact stats
+  Batch.assert_sound "deadline" w clause_sets o.intervals
 
 let test_generous_budget_stays_complete () =
   (* A budget large enough to finish must not change completeness. *)
-  let w, clause_sets = batch_fixture () in
-  let exact = exact_probs w clause_sets in
+  let w, clause_sets = Batch.fixture () in
   let b = Budget.create ~max_trials:10_000_000 () in
-  let _, stats =
-    batch_run ~compile_fuel:0 ~budget:b (Rng.create ~seed:17) w clause_sets ~eps:0.1
-      ~delta:0.1
+  let o =
+    Batch.whole ~compile_fuel:0 ~budget:b (Rng.create ~seed:17) w
+      clause_sets ~eps:0.1 ~delta:0.1
   in
-  check bool_c "generous budget: complete" true stats.Confidence.complete;
-  assert_sound_intervals "generous" exact stats
+  check bool_c "generous budget: complete" true o.complete;
+  Batch.assert_sound "generous" w clause_sets o.intervals
 
 (* ------------------------------------------------------------------ *)
 (* Empty / all-exact batches never touch the pool (regression)         *)
@@ -349,31 +295,31 @@ let test_exact_batches_skip_pool () =
   Fun.protect ~finally:FP.reset (fun () ->
       let w = Wtable.create () in
       (* Empty batch. *)
-      let estimates, stats =
-        batch_run (Rng.create ~seed:1) w [||] ~eps:0.1 ~delta:0.1
+      let o =
+        Batch.whole (Rng.create ~seed:1) w [||] ~eps:0.1 ~delta:0.1
       in
-      check int_c "empty batch: no estimates" 0 (Array.length estimates);
+      check int_c "empty batch: no estimates" 0 (Array.length o.estimates);
       check (Alcotest.float 0.) "empty batch: exact fraction" 1.
-        stats.Confidence.exact_fraction;
-      check bool_c "empty batch: complete" true stats.Confidence.complete;
+        (Batch.exact_fraction o);
+      check bool_c "empty batch: complete" true o.complete;
       (* All-false and certain lineages: fully exact, no sampling tasks. *)
-      let estimates, stats =
-        batch_run (Rng.create ~seed:1) w [| []; [ Assignment.empty ] |]
+      let o =
+        Batch.whole (Rng.create ~seed:1) w [| []; [ Assignment.empty ] |]
           ~eps:0.1 ~delta:0.1
       in
-      check (Alcotest.float 0.) "impossible tuple" 0. estimates.(0);
-      check (Alcotest.float 0.) "certain tuple" 1. estimates.(1);
+      check (Alcotest.float 0.) "impossible tuple" 0. o.estimates.(0);
+      check (Alcotest.float 0.) "certain tuple" 1. o.estimates.(1);
       check (Alcotest.float 0.) "all-exact batch: exact fraction" 1.
-        stats.Confidence.exact_fraction;
+        (Batch.exact_fraction o);
       check bool_c "all-exact batch: complete despite armed pool" true
-        stats.Confidence.complete)
+        o.complete)
 
 (* ------------------------------------------------------------------ *)
 (* Top-k under budgets                                                 *)
 (* ------------------------------------------------------------------ *)
 
 let test_topk_anytime_exit () =
-  let w, clause_sets = batch_fixture () in
+  let w, clause_sets = Batch.fixture () in
   let candidates =
     List.mapi
       (fun i clauses -> (Tuple.of_list [ Value.Int i ], Dnf.prepare w clauses))

@@ -594,19 +594,19 @@ let test_non_binding_budget_changes_no_bit () =
                 Buffer.contents b
               in
               let stream budget =
-                let est, st, _ =
-                  Confidence.run_stream_with_stats ?budget ~nworkers:1
-                    ?compile_fuel:fuel (Rng.create ~seed:17) w sets ~eps
-                    ~delta:0.05
+                let o, summary =
+                  Batch.stream ?budget ~nworkers:1 ?compile_fuel:fuel
+                    (Rng.create ~seed:17) w sets ~eps ~delta:0.05
                 in
                 let b = Buffer.create 256 in
                 Array.iteri
                   (fun i v ->
-                    let lo, hi = st.Confidence.intervals.(i) in
-                    Printf.bprintf b "%h %h %h %d %h\n" v lo hi
-                      st.trials_used.(i) st.achieved_eps.(i))
-                  est;
-                Printf.bprintf b "%h %b" st.exact_fraction st.complete;
+                    let lo, hi = o.Shard.intervals.(i) in
+                    Printf.bprintf b "%h %h %h %d %h\n" v lo hi o.trials.(i)
+                      o.achieved.(i))
+                  o.estimates;
+                Printf.bprintf b "%h %b" (Batch.exact_fraction o)
+                  summary.Confidence.stream_complete;
                 Buffer.contents b
               in
               let request extra =
@@ -624,7 +624,7 @@ let test_non_binding_budget_changes_no_bit () =
                 (fun (how, budget) ->
                   check string_c (label "Compile.solve" how) (fst unbudgeted)
                     (solve (Some (budget ())));
-                  check string_c (label "run_stream_with_stats" how)
+                  check string_c (label "run_stream outcomes" how)
                     (snd unbudgeted)
                     (stream (Some (budget ()))))
                 generous;
@@ -1029,7 +1029,8 @@ let test_backoff_salt_spreads () =
      out); every delay stays inside [capped/2, capped]. *)
   let delays salt =
     List.init 8 (fun k ->
-        Client.backoff_delay_s ~salt ~retry_delay_s:0.1 ~max_delay_s:2.0 k)
+        Pqdb_distrib.Dial.backoff_delay_s ~salt ~retry_delay_s:0.1
+          ~max_delay_s:2.0 k)
   in
   check (Alcotest.list (Alcotest.float 0.)) "same salt, same schedule"
     (delays 7) (delays 7);
