@@ -95,31 +95,6 @@ let max_conf_width q =
 let is_positive q =
   fold (fun acc q -> acc && match q with Diff _ -> false | _ -> true) true q
 
-let has_sigma_hat_below_repair_key q =
-  let rec contains_sigma_hat = function
-    | ApproxSelect _ -> true
-    | Table _ | Lit _ -> false
-    | Select (_, q)
-    | Project (_, q)
-    | Rename (_, q)
-    | Conf q
-    | ApproxConf (_, q)
-    | RepairKey { query = q; _ }
-    | Poss q
-    | Cert q ->
-        contains_sigma_hat q
-    | Product (a, b) | Join (a, b) | Union (a, b) | Diff (a, b) ->
-        contains_sigma_hat a || contains_sigma_hat b
-  in
-  fold
-    (fun acc q ->
-      acc
-      ||
-      match q with
-      | RepairKey { query; _ } -> contains_sigma_hat query
-      | _ -> acc)
-    false q
-
 let p_column i = "P" ^ string_of_int (i + 1)
 
 (* σ̂_{φ(conf[Ā₁],…,conf[Āₖ])}(Q)

@@ -92,10 +92,6 @@ val is_positive : t -> bool
 (** No {!Diff} node — the positive fragment for which the U-relational
     translation and the approximation results apply. *)
 
-val has_sigma_hat_below_repair_key : t -> bool
-(** Detects the unsupported pattern of footnote 3: repair-key applied above an
-    approximate selection. *)
-
 val desugar_sigma_hat : t -> t
 (** Rewrite every σ̂ node into its defining composite
     [π(σ_φ(ρ(conf(π(Q))) ⋈ …))] (Section 6) — the exact semantics used by

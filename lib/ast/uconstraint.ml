@@ -48,11 +48,3 @@ let pp fmt = function
   | Holds q -> Format.fprintf fmt "(%a)" Ua.pp q
 
 let to_string c = Format.asprintf "%a" pp c
-
-(* The set fingerprint is order- and duplicate-insensitive: constraint
-   semantics is conjunctive, so {c1; c2} and {c2; c1; c1} condition on the
-   same event and must share cache entries. *)
-let set_fingerprint items =
-  match List.sort_uniq compare (List.map to_string items) with
-  | [] -> ""
-  | rendered -> String.concat " & " rendered

@@ -37,9 +37,3 @@ val pp : Format.formatter -> t -> unit
     [fd[K -> D](table)], [empty(q)], [(q)]. *)
 
 val to_string : t -> string
-
-val set_fingerprint : t list -> string
-(** Canonical fingerprint of a constraint {e set}: order- and
-    duplicate-insensitive (conjunction is commutative and idempotent), [""]
-    for the empty set.  Equal fingerprints mean identical constraint sets,
-    so the string is safe to fold into compiled-lineage cache keys. *)

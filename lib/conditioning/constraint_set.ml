@@ -1,7 +1,8 @@
 module Uconstraint = Pqdb_ast.Uconstraint
 
-(* Insertion order is kept for display; semantics (and the fingerprint) are
-   order- and duplicate-insensitive. *)
+(* Insertion order is kept for display; semantics, equality and the
+   fingerprint are order- and duplicate-insensitive, and read the
+   constraints' values, never their printed form. *)
 type t = Uconstraint.t list
 
 let empty = []
@@ -14,8 +15,14 @@ let add t c =
 let of_list cs = List.fold_left add empty cs
 let items t = t
 let cardinal = List.length
-let fingerprint t = Uconstraint.set_fingerprint t
-let equal a b = fingerprint a = fingerprint b
+let canonical t = List.sort_uniq compare t
+
+let fingerprint t =
+  match canonical t with
+  | [] -> ""
+  | cs -> Marshal.to_string cs [ Marshal.No_sharing ]
+
+let equal a b = compare (canonical a) (canonical b) = 0
 
 let pp fmt t =
   Format.pp_print_list

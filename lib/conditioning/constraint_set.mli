@@ -2,9 +2,10 @@
     validated on construction, attached to a database or a serve session.
 
     The set is semantically a conjunction: order-insensitive, duplicates
-    collapse.  {!fingerprint} is the canonical rendering used to salt
-    compiled-lineage cache keys ({!Pqdb_montecarlo.Memo}); two sets are
-    {!equal} iff their fingerprints are. *)
+    collapse.  {!equal} and {!fingerprint} read the constraints' values,
+    so constraints that print alike but differ ([A = 1] and [A = '1'], or
+    two literal relations of one size) never compare equal or share a
+    salt. *)
 
 type t
 
@@ -24,8 +25,14 @@ val items : t -> Pqdb_ast.Uconstraint.t list
 val cardinal : t -> int
 
 val fingerprint : t -> string
-(** Canonical, order- and duplicate-insensitive; [""] iff empty. *)
+(** The salt of this set's compiled-lineage cache keys
+    ({!Pqdb_montecarlo.Memo}): a serialization of the set's sorted,
+    deduplicated constraint values, so it is order- and
+    duplicate-insensitive, sets with different members never share one,
+    and it is [""] iff the set is empty.  Binary, not for display. *)
 
 val equal : t -> t -> bool
+(** Same members, in any order and multiplicity. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -3,22 +3,7 @@ open Pqdb_relational
 open Pqdb_urel
 module Ua = Pqdb_ast.Ua
 module Apred = Pqdb_ast.Apred
-
-let log_src = Logs.Src.create "pqdb.eval" ~doc:"approximate query evaluation"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
-module TMap = Map.Make (struct
-  type t = Tuple.t
-
-  let compare = Tuple.compare
-end)
-
-module TSet = Set.Make (struct
-  type t = Tuple.t
-
-  let compare = Tuple.compare
-end)
+module TM = Provenance.TM
 
 type stats = {
   mutable decisions : int;
@@ -33,22 +18,19 @@ type result = {
   unreliable : bool;
 }
 
-(* Internal annotation: per-data-tuple error bound and suspect set. *)
-type ann = { mu : float TMap.t; susp : TSet.t; unrel : bool }
-
-let mu_of (a : ann Eval_exact.node) t =
-  Option.value ~default:0. (TMap.find_opt t a.ann.mu)
+(* Per-data-tuple annotation of Lemma 6.4: the accumulated error bound μ,
+   and whether a budget-limited decision lies in the tuple's provenance.  A
+   tuple without one is reliable. *)
+type cell = { mu : float; suspect : bool }
 
 let cap x = Float.min 0.5 x
 
-let add_mu map t v =
-  if v <= 0. then map
-  else
-    TMap.update t
-      (function None -> Some (cap v) | Some old -> Some (cap (old +. v)))
-      map
+(* Two provenance tuples of one result tuple: their bounds sum (capped at
+   0.5) and either one's suspicion carries over. *)
+let merge x y = { mu = cap (x.mu +. y.mu); suspect = x.suspect || y.suspect }
 
-let reliable = { mu = TMap.empty; susp = TSet.empty; unrel = false }
+let mu_of (a : cell TM.t Eval_exact.node) t =
+  match TM.find_opt t a.ann with Some c -> c.mu | None -> 0.
 
 let max_error r =
   List.fold_left (fun acc (_, e) -> Float.max acc e) 0. r.errors
@@ -68,8 +50,8 @@ let footnote_3 () =
         (footnote 3)")
 
 let sigma_hat_eval ?budget ~eps0 ~max_rounds ~sigma_delta ~rng ~stats w
-    { Ua.phi; conf_args; input = _ } (input : ann Eval_exact.node) :
-    ann Eval_exact.node =
+    { Ua.phi; conf_args; input = _ } (input : cell TM.t Eval_exact.node) :
+    cell TM.t Eval_exact.node =
   let u = input.urel in
   let schema = Urelation.schema u in
   let branches =
@@ -119,8 +101,7 @@ let sigma_hat_eval ?budget ~eps0 ~max_rounds ~sigma_delta ~rng ~stats w
       conf_args
   in
   let selected = ref [] in
-  let mu = ref TMap.empty in
-  let susp = ref TSet.empty in
+  let cells = ref TM.empty in
   Relation.iter
     (fun cand ->
       let keys = List.map (Tuple.project cand) arg_positions in
@@ -147,8 +128,11 @@ let sigma_hat_eval ?budget ~eps0 ~max_rounds ~sigma_delta ~rng ~stats w
         (fun index key ->
           List.iter
             (fun s ->
-              input_contrib := !input_contrib +. mu_of input s;
-              if TSet.mem s input.ann.susp then inherited_suspect := true)
+              match TM.find_opt s input.ann with
+              | None -> ()
+              | Some c ->
+                  input_contrib := !input_contrib +. c.mu;
+                  if c.suspect then inherited_suspect := true)
             (lookup index key))
         input_index keys;
       let err = cap (decision.error_bound +. !input_contrib) in
@@ -158,16 +142,11 @@ let sigma_hat_eval ?budget ~eps0 ~max_rounds ~sigma_delta ~rng ~stats w
       (* Suspects are recorded whether or not the tuple was selected: a
          rejected boundary tuple is exactly the "absent from the result"
          error the caller should know about. *)
-      if suspect then susp := TSet.add cand !susp;
-      if decision.value then begin
-        selected := (Assignment.empty, cand) :: !selected;
-        mu := add_mu !mu cand err
-      end)
+      let mu = if decision.value then err else 0. in
+      if mu > 0. || suspect then cells := TM.add cand { mu; suspect } !cells;
+      if decision.value then selected := (Assignment.empty, cand) :: !selected)
     candidates;
-  {
-    urel = Urelation.make cand_schema !selected;
-    ann = { mu = !mu; susp = !susp; unrel = true };
-  }
+  { urel = Urelation.make cand_schema !selected; ann = !cells }
 
 (* Each ApproxConf occurrence gets its own journal: the first keeps the
    caller's path untouched (the common single-aconf query), later ones get a
@@ -188,7 +167,7 @@ let stream_options_for stream aconf_ord =
       Some { o with checkpoint }
 
 let aconf_eval ?budget ?stream ~aconf_ord ~rng ~stats w { Ua.eps; delta }
-    (a : ann Eval_exact.node) : ann Eval_exact.node =
+    (a : cell TM.t Eval_exact.node) : cell TM.t Eval_exact.node =
   (* Streaming compiled batch: tuples are sharded by a-priori cost and
      compiled/solved shard-at-a-time (bounded resident memory, optional
      crash-recovery journal); tuples that decompose fully are answered
@@ -213,115 +192,65 @@ let aconf_eval ?budget ?stream ~aconf_ord ~rng ~stats w { Ua.eps; delta }
   let values =
     List.mapi (fun i (t, _) -> (t, Value.Float estimates.(i))) groups
   in
-  let mu, susp, _ =
+  let cells, _ =
     List.fold_left
-      (fun (mu, susp, i) (t, p) ->
+      (fun (cells, i) (t, p) ->
         let row = Tuple.concat t (Tuple.of_list [ p ]) in
+        let input = TM.find_opt t a.ann in
         (* The reported P is outside the ε-relative interval with
            probability at most δ on top of the input's membership error. *)
-        let v = mu_of a t in
         let mu =
-          TMap.add row (if v > 0. then cap (cap v +. delta) else delta) mu
+          match input with
+          | Some c when c.mu > 0. -> cap (c.mu +. delta)
+          | _ -> delta
         in
         (* Tuples the governor (or a contained failure) kept from reaching
            the requested ε are singularity-style suspects: their P value
            only carries the wider achieved bound (Section 6: unreliability
            is reported as added uncertainty, not as a crash). *)
         let suspect =
-          TSet.mem t a.ann.susp
+          (match input with Some c -> c.suspect | None -> false)
           || ((not summary.stream_complete) && achieved.(i) > eps)
         in
-        (mu, (if suspect then TSet.add row susp else susp), i + 1))
-      (TMap.empty, TSet.empty, 0)
-      values
+        (TM.add row { mu; suspect } cells, i + 1))
+      (TM.empty, 0) values
   in
-  { urel = Eval_exact.with_p a.urel values; ann = { mu; susp; unrel = true } }
+  { urel = Eval_exact.with_p a.urel values; ann = cells }
 
-(* Per-operator bookkeeping of Lemma 6.4(1): a result tuple's bound is the
-   sum over its provenance, and it is suspect when a provenance tuple is. *)
-let unary q (a : ann Eval_exact.node) =
+(* Whether [q] holds an approximate operator (σ̂ or conf_{ε,δ}), refusing
+   a repair-key above one (footnote 3). *)
+let rec approximate q =
   match q with
-  | Ua.RepairKey _ when a.ann.unrel -> footnote_3 ()
-  | Ua.Project (cols, _) ->
-      let in_schema = Urelation.schema a.urel in
-      let exprs = List.map fst cols in
-      let out_of t =
-        Tuple.of_list (List.map (Expr.eval in_schema t) exprs)
-      in
-      fun _ ->
-        {
-          a.ann with
-          mu =
-            TMap.fold
-              (fun t v acc -> add_mu acc (out_of t) v)
-              a.ann.mu TMap.empty;
-          susp = TSet.map out_of a.ann.susp;
-        }
-  | Ua.Conf _ ->
-      (* Each output row is an input tuple plus its P. *)
-      let data = List.init (Schema.arity (Urelation.schema a.urel)) Fun.id in
-      fun urel ->
-        let rows =
-          List.map
-            (fun row -> (Tuple.project row data, row))
-            (Urelation.possible_tuples urel)
-        in
-        {
-          a.ann with
-          mu =
-            List.fold_left
-              (fun acc (t, row) -> add_mu acc row (mu_of a t))
-              TMap.empty rows;
-          susp =
-            List.fold_left
-              (fun acc (t, row) ->
-                if TSet.mem t a.ann.susp then TSet.add row acc else acc)
-              TSet.empty rows;
-        }
-  | _ -> fun _ -> a.ann
-
-let binary q (a : ann Eval_exact.node) (b : ann Eval_exact.node) _urel =
-  let unrel = a.ann.unrel || b.ann.unrel in
-  let carries (x : ann Eval_exact.node) =
-    not (TMap.is_empty x.ann.mu && TSet.is_empty x.ann.susp)
-  in
-  match q with
-  | (Ua.Product _ | Ua.Join _) when not (carries a || carries b) ->
-      (* Every provenance bound is 0 and nothing is suspect, so the sum is
-         empty: skip its |a|×|b| scan. *)
-      { reliable with unrel }
-  | Ua.Product _ | Ua.Join _ ->
-      let join = match q with Ua.Join _ -> true | _ -> false in
-      let mu, susp =
-        Eval_exact.fold_pairs ~join a.urel b.urel
-          (fun ta tb out (mu, susp) ->
-            ( add_mu mu out (mu_of a ta +. mu_of b tb),
-              if TSet.mem ta a.ann.susp || TSet.mem tb b.ann.susp then
-                TSet.add out susp
-              else susp ))
-          (TMap.empty, TSet.empty)
-      in
-      { mu; susp; unrel }
-  | _ ->
-      {
-        mu = TMap.fold (fun t v acc -> add_mu acc t v) b.ann.mu a.ann.mu;
-        susp = TSet.union a.ann.susp b.ann.susp;
-        unrel;
-      }
+  | Ua.Table _ | Ua.Lit _ -> false
+  | Ua.ApproxConf (_, a) | Ua.ApproxSelect { input = a; _ } ->
+      ignore (approximate a);
+      true
+  | Ua.RepairKey { query; _ } ->
+      if approximate query then footnote_3 () else false
+  | Ua.Select (_, a)
+  | Ua.Project (_, a)
+  | Ua.Rename (_, a)
+  | Ua.Conf a
+  | Ua.Poss a
+  | Ua.Cert a ->
+      approximate a
+  | Ua.Product (a, b) | Ua.Join (a, b) | Ua.Union (a, b) | Ua.Diff (a, b) ->
+      let left = approximate a in
+      approximate b || left
 
 let fresh_stats () = { decisions = 0; estimator_calls = 0; round_limit_hits = 0 }
 
 let eval ?budget ?stream ?(eps0 = 0.05) ?max_rounds ?(sigma_delta = 0.05) ~rng
     udb q =
-  if Ua.has_sigma_hat_below_repair_key q then footnote_3 ();
+  let unreliable = approximate q in
   let stats = fresh_stats () in
   let aconf_ord = ref 0 in
   let w = Udb.wtable udb in
   let rules =
     {
-      Eval_exact.leaf = (fun _ _ -> reliable);
-      unary;
-      binary;
+      Eval_exact.leaf = (fun _ _ -> TM.empty);
+      unary = Provenance.unary ~merge;
+      binary = Provenance.binary ~merge;
       aconf = Some (aconf_eval ?budget ?stream ~aconf_ord ~rng ~stats w);
       sigma_hat =
         Some
@@ -333,25 +262,25 @@ let eval ?budget ?stream ?(eps0 = 0.05) ?max_rounds ?(sigma_delta = 0.05) ~rng
       urel = a.urel;
       errors =
         List.map (fun t -> (t, mu_of a t)) (Urelation.possible_tuples a.urel);
-      suspects = TSet.elements a.ann.susp;
-      unreliable = a.ann.unrel;
+      suspects =
+        List.filter_map
+          (fun (t, c) -> if c.suspect then Some t else None)
+          (TM.bindings a.ann);
+      unreliable;
     },
     stats )
 
 (* Active-domain size: distinct values across the base relations. *)
 let active_domain_size udb =
-  let seen = Hashtbl.create 256 in
+  let module Seen = Hashtbl.Make (Value) in
+  let seen = Seen.create 256 in
   List.iter
     (fun name ->
-      let u = Udb.find udb name in
       List.iter
-        (fun t ->
-          List.iter
-            (fun v -> Hashtbl.replace seen (Value.to_string v) ())
-            (Tuple.to_list t))
-        (Urelation.possible_tuples u))
+        (fun t -> List.iter (fun v -> Seen.replace seen v ()) (Tuple.to_list t))
+        (Urelation.possible_tuples (Udb.find udb name)))
     (Udb.names udb);
-  max 2 (Hashtbl.length seen)
+  max 2 (Seen.length seen)
 
 let eval_with_guarantee ?budget ?stream ?(eps0 = 0.05) ~rng ~delta udb q =
   (* The Theorem 6.7 round cap only matters once an attempt misses δ, which
@@ -388,11 +317,6 @@ let eval_with_guarantee ?budget ?stream ?(eps0 = 0.05) ~rng ~delta udb q =
       eval ?budget ?stream ~eps0 ~max_rounds:l ~sigma_delta ~rng udb' q
     in
     accumulate stats;
-    Log.debug (fun m ->
-        m
-          "doubling driver: l=%d sigma_delta=%g max_error=%g decisions=%d            calls=%d limit_hits=%d"
-          l sigma_delta (max_error r) stats.decisions stats.estimator_calls
-          stats.round_limit_hits);
     (* Tuples still failing at the Theorem 6.7 budget cap are exactly the
        (suspected) singular ones the theorem exempts; before the cap, a
        round-limit hit only means the budget was small.  The per-decision

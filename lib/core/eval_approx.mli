@@ -2,10 +2,13 @@
     approximate selection, and per-tuple error bounds in the style of
     Lemma 6.4, with the Theorem 6.7 doubling driver on top.
 
-    Each result tuple carries an accumulated error bound [μ]:
-    - base tuples are reliable ([μ = 0]);
-    - relational operators sum the bounds of the provenance tuples
-      (Lemma 6.4(1));
+    Each result tuple carries an accumulated error bound [μ] and a suspect
+    flag:
+    - base tuples are reliable ([μ = 0], not suspect);
+    - relational operators sum the bounds of the provenance tuples, capped
+      at 0.5, and are suspect when one of them is (Lemma 6.4(1)) — the
+      one set of ≺ rules in {!Provenance} ({!Provenance.unary},
+      {!Provenance.binary}), which [explain]'s provenance also runs;
     - σ̂ adds the Figure-3 decision bound [min(0.5, Σᵢ δᵢ(ε))] to the input
       contribution (Lemma 6.4(2));
     - [conf_{ε,δ}] adds its [δ] (the probability its [P] value is outside the
@@ -18,7 +21,11 @@
     The pass is {!Eval_exact.walk} with μ/suspect annotations, overriding
     only the U-relations of [conf_{ε,δ}] (Karp-Luby batch) and σ̂
     (Figure 3); every other operator's relation, and its W variables, are
-    exactly {!Eval_exact.eval}'s. *)
+    exactly {!Eval_exact.eval}'s.  Besides those two overrides this module
+    holds only footnote 3's refusal of repair-key above an approximate
+    operator; π, [poss] and [cert] map only the possible tuples of their
+    input, so a bound an earlier σ or − left on a tuple it removed does
+    not reach their output. *)
 
 open Pqdb_numeric
 open Pqdb_relational
@@ -38,7 +45,8 @@ type result = {
       (** tuples whose provenance contains a budget-limited (suspected
           singular) σ̂ decision *)
   unreliable : bool;
-      (** true iff an approximate operator contributed to the result *)
+      (** true iff the query holds an approximate operator (σ̂ or
+          [conf_{ε,δ}]) *)
 }
 
 val max_error : result -> float
@@ -72,8 +80,9 @@ val eval :
     query with several [aconf] nodes journals the first at the given path
     and later ones at deterministic [.aconf<k>] suffixes, so [resume] pairs
     each node with its own journal.
-    @raise Eval_exact.Unsupported as the exact evaluator, and additionally
-    when [repair-key] sits above a σ̂ (footnote 3 of the paper). *)
+    @raise Eval_exact.Unsupported as the exact evaluator, and additionally,
+    before anything is evaluated, when [repair-key] sits above a σ̂ or a
+    [conf_{ε,δ}] (footnote 3 of the paper). *)
 
 val eval_with_guarantee :
   ?budget:Pqdb_montecarlo.Budget.t ->

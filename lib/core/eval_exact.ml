@@ -61,7 +61,7 @@ type 'a rules = {
 
 (* Structurally identical subexpressions denote the *same* relation (the
    paper's examples bind intermediate results by name and reuse them), so
-   the walk memoizes on the printed form of the subquery.  This is what
+   the walk memoizes on the subquery's value.  This is what
    makes repair-key idempotent across shared subtrees: both occurrences of S
    in Example 2.2's T see the same random variables.  Operands are walked
    left to right, so variable numbering follows the query text. *)
@@ -69,12 +69,11 @@ let walk rules udb q =
   let w = Udb.wtable udb in
   let memo = Hashtbl.create 64 in
   let rec go q =
-    let key = Format.asprintf "%a" Ua.pp q in
-    match Hashtbl.find_opt memo key with
+    match Hashtbl.find_opt memo q with
     | Some n -> n
     | None ->
         let n = node q in
-        Hashtbl.replace memo key n;
+        Hashtbl.replace memo q n;
         n
   and unary q a f =
     let a = go a in

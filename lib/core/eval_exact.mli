@@ -10,9 +10,9 @@
     U-relation over the database's W table.
 
     {!walk} is that evaluation with hooks: {!Eval_approx} and {!Provenance}
-    are the same walk with their own per-tuple annotations, so all three
-    evaluators see the same relations, the same memo and the same W-variable
-    numbering. *)
+    are the same walk with their own per-tuple annotations, propagated by
+    the one set of ≺ rules in {!Provenance}, so all three evaluators see
+    the same relations, the same memo and the same W-variable numbering. *)
 
 open Pqdb_numeric
 open Pqdb_relational
@@ -73,7 +73,7 @@ type 'a rules = {
 
 val walk : 'a rules -> Udb.t -> Pqdb_ast.Ua.t -> 'a node
 (** One evaluation with one memo: structurally identical subqueries (equal
-    printed forms) are walked once and denote one node, so shared
+    [Ua.t] values) are walked once and denote one node, so shared
     repair-keys create one set of W variables and the rules run once per
     distinct subquery.  Operands are walked left to right — a binary node's
     left operand, including every repair-key below it, before its right —
@@ -93,7 +93,8 @@ val fold_pairs :
 (** [fold_pairs ~join a b f acc] folds [f ta tb out] over the pairs of
     possible tuples of [a] (outer) and [b] (inner) that a product
     ([join = false]) or natural join combines into the data tuple [out] —
-    the |a|×|b| provenance sum of Lemma 6.4(1). *)
+    the ≺ rule of × and ⋈ ({!Provenance.binary}), and with it the |a|×|b|
+    provenance sum of Lemma 6.4(1). *)
 
 val with_p : Urelation.t -> (Tuple.t * Value.t) list -> Urelation.t
 (** [conf]'s output shape: the input's data columns plus [P], one certain

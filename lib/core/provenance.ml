@@ -2,6 +2,68 @@ open Pqdb_relational
 open Pqdb_urel
 module Ua = Pqdb_ast.Ua
 
+module TM = Map.Make (struct
+  type t = Tuple.t
+
+  let compare = Tuple.compare
+end)
+
+(* [x] flows into [key]; two annotations meeting at one key merge. *)
+let add ~merge key x map =
+  TM.update key
+    (function None -> Some x | Some old -> Some (merge old x))
+    map
+
+(* Each of [tuples] whose source [from t] is annotated passes that
+   annotation on to [into t], in list order. *)
+let gather ~merge ann ~from ~into tuples =
+  List.fold_left
+    (fun acc t ->
+      match TM.find_opt (from t) ann with
+      | None -> acc
+      | Some x -> add ~merge (into t) x acc)
+    TM.empty tuples
+
+let unary ~merge q (a : _ TM.t Eval_exact.node) =
+  if TM.is_empty a.ann then fun _ -> TM.empty
+  else
+    match q with
+    | Ua.Select _ | Ua.Rename _ -> fun _ -> a.ann
+    | Ua.Project (cols, _) ->
+        let in_schema = Urelation.schema a.urel in
+        let exprs = List.map fst cols in
+        let out_of t =
+          Tuple.of_list (List.map (Expr.eval in_schema t) exprs)
+        in
+        fun _ ->
+          gather ~merge a.ann ~from:Fun.id ~into:out_of
+            (Urelation.possible_tuples a.urel)
+    | _ ->
+        (* conf, poss, cert and repair-key: an output row's data part (the
+           row without a P column) is an input row. *)
+        let data = List.init (Schema.arity (Urelation.schema a.urel)) Fun.id in
+        fun urel ->
+          gather ~merge a.ann
+            ~from:(fun out -> Tuple.project out data)
+            ~into:Fun.id
+            (Urelation.possible_tuples urel)
+
+let binary ~merge q (a : _ TM.t Eval_exact.node) (b : _ TM.t Eval_exact.node)
+    _urel =
+  match q with
+  | Ua.Product _ | Ua.Join _ ->
+      if TM.is_empty a.ann && TM.is_empty b.ann then TM.empty
+      else
+        let join = match q with Ua.Join _ -> true | _ -> false in
+        Eval_exact.fold_pairs ~join a.urel b.urel
+          (fun ta tb out acc ->
+            match (TM.find_opt ta a.ann, TM.find_opt tb b.ann) with
+            | None, None -> acc
+            | Some x, None | None, Some x -> add ~merge out x acc
+            | Some x, Some y -> add ~merge out (merge x y) acc)
+          TM.empty
+  | _ -> TM.union (fun _ x y -> Some (merge x y)) a.ann b.ann
+
 type leaf =
   | Base of string * Tuple.t
   | Sigma_hat of int * Tuple.t
@@ -27,76 +89,47 @@ module LS = Set.Make (struct
   let compare = leaf_compare
 end)
 
-module TM = Map.Make (struct
-  type t = Tuple.t
-
-  let compare = Tuple.compare
-end)
-
 type t = { root : LS.t TM.t Eval_exact.node; sigma_hats : int }
-
-let prov_of (node : LS.t TM.t Eval_exact.node) tuple =
-  Option.value ~default:LS.empty (TM.find_opt tuple node.ann)
-
-let add_prov map tuple set =
-  TM.update tuple
-    (function None -> Some set | Some old -> Some (LS.union old set))
-    map
-
-let each_tuple urel f =
-  List.fold_left f TM.empty (Urelation.possible_tuples urel)
 
 let compute udb query =
   let counter = ref 0 in
   let leaves urel leaf =
-    each_tuple urel (fun acc t -> add_prov acc t (LS.singleton (leaf t)))
+    List.fold_left
+      (fun acc t -> TM.add t (LS.singleton (leaf t)) acc)
+      TM.empty
+      (Urelation.possible_tuples urel)
   in
   let leaf q urel =
     match q with
     | Ua.Table name -> leaves urel (fun t -> Base (name, t))
     | _ -> TM.empty
   in
-  let unary q a urel =
+  let unary q a =
     match q with
-    | Ua.Select _ | Ua.Rename _ -> a.Eval_exact.ann
-    | Ua.Project (cols, _) ->
-        let in_schema = Urelation.schema a.urel in
-        let exprs = List.map fst cols in
-        each_tuple a.urel (fun acc t ->
-            let out = Tuple.of_list (List.map (Expr.eval in_schema t) exprs) in
-            add_prov acc out (prov_of a t))
     | Ua.ApproxSelect _ ->
         (* Maximal sigma-hat subexpressions are provenance leaves. *)
         let id = !counter in
         incr counter;
-        leaves urel (fun t -> Sigma_hat (id, t))
-    | _ ->
-        (* conf, poss, cert and repair-key: an output row's data part (the
-           row without a P column) is an input row. *)
-        let data = List.init (Schema.arity (Urelation.schema a.urel)) Fun.id in
-        each_tuple urel (fun acc out ->
-            add_prov acc out (prov_of a (Tuple.project out data)))
-  in
-  let binary q a b _urel =
-    match q with
-    | Ua.Product _ | Ua.Join _ ->
-        let join = match q with Ua.Join _ -> true | _ -> false in
-        Eval_exact.fold_pairs ~join a.Eval_exact.urel b.Eval_exact.urel
-          (fun ta tb out acc ->
-            add_prov acc out (LS.union (prov_of a ta) (prov_of b tb)))
-          TM.empty
-    | _ -> TM.fold (fun t s acc -> add_prov acc t s) b.ann a.ann
+        fun urel -> leaves urel (fun t -> Sigma_hat (id, t))
+    | _ -> unary ~merge:LS.union q a
   in
   let root =
     Eval_exact.walk
-      { leaf; unary; binary; aconf = None; sigma_hat = None }
+      {
+        leaf;
+        unary;
+        binary = binary ~merge:LS.union;
+        aconf = None;
+        sigma_hat = None;
+      }
       udb query
   in
   { root; sigma_hats = !counter }
 
 let result t = t.root.urel
 
-let leaves t tuple = LS.elements (prov_of t.root tuple)
+let leaves t tuple =
+  LS.elements (Option.value ~default:LS.empty (TM.find_opt tuple t.root.ann))
 
 let sigma_hat_leaves t tuple =
   List.filter_map

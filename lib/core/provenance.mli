@@ -1,22 +1,62 @@
-(** Data provenance — the ≺ relation of Section 6, computed as data.
+(** Data provenance — the ≺ relation of Section 6, computed as data, and
+    the one set of per-operator ≺ rules behind every annotated evaluator.
 
     [(t, Q) ≺ (r, R)] holds when changing the membership of [r] in [R] can
     change the membership of [t] in the result of [Q]; Lemma 6.4 bounds a
     result tuple's error by summing over the tuples of {e maximal
-    σ̂-subexpressions} in its provenance.  This module evaluates a query
-    exactly and records, for every result tuple, the set of {e leaves} it
-    transitively depends on, where a leaf is either a base-table tuple or an
-    output tuple of a maximal σ̂ subexpression (σ̂ is opaque to ≺, exactly as
-    in the paper).
+    σ̂-subexpressions} in its provenance.  {!unary} and {!binary} are that
+    relation, one operator at a time, over any per-tuple annotation that
+    knows how two annotations meeting at one tuple combine ([merge]):
+    - σ and ρ preserve the annotation;
+    - π, [conf]/[poss]/[cert] and repair-key map each {e possible} input
+      tuple to its output tuple (π along the projection; the others map an
+      output row to the input row with its data part, since membership in
+      their results is membership in poss of the input);
+    - ∪ and − merge the two sides' annotations;
+    - × and ⋈ merge each combined pair's two annotations
+      ({!Eval_exact.fold_pairs});
+    - an input with an empty annotation yields an empty one, so reliable
+      subtrees cost nothing.
+    A tuple with no annotation contributes nothing.  Annotations meeting at
+    one output tuple merge in ascending {!Tuple.compare} order for π, in
+    [fold_pairs] order for × and ⋈, and with the left operand's annotation
+    first for ∪ and −, so a float sum adds in one fixed order.
 
-    The per-operator rules follow the paper: σ and ρ preserve, π maps along
-    the projection, ∪ unions both occurrences, × (and ⋈) unions the two
-    components.  [conf]/[poss]/[cert] map an output row to the input rows
-    with the same data part (membership in their results is membership in
-    poss of the input). *)
+    {!compute} instantiates the rules with sets of {e leaves}: a leaf is
+    either a base-table tuple or an output tuple of a maximal σ̂
+    subexpression (σ̂ is opaque to ≺, exactly as in the paper).
+    {!Eval_approx} instantiates them with its Lemma 6.4 error bounds and
+    suspect flags. *)
 
 open Pqdb_relational
 open Pqdb_urel
+
+(** {1 The ≺ rules} *)
+
+module TM : Map.S with type key = Tuple.t
+(** Per-data-tuple annotations, ordered by {!Tuple.compare}. *)
+
+val unary :
+  merge:('a -> 'a -> 'a) ->
+  Pqdb_ast.Ua.t ->
+  'a TM.t Eval_exact.node ->
+  Urelation.t ->
+  'a TM.t
+(** [unary ~merge q a urel] annotates the output [urel] of the one-operand
+    node [q] over the walked operand [a] — an {!Eval_exact.rules} [unary]
+    rule.  [conf_{ε,δ}] is treated as [conf].  σ̂ is not a rule here: its
+    output tuples are leaves of ≺, which the caller annotates. *)
+
+val binary :
+  merge:('a -> 'a -> 'a) ->
+  Pqdb_ast.Ua.t ->
+  'a TM.t Eval_exact.node ->
+  'a TM.t Eval_exact.node ->
+  Urelation.t ->
+  'a TM.t
+(** The {!Eval_exact.rules} [binary] rule of ×, ⋈, ∪ and −. *)
+
+(** {1 Leaf provenance} *)
 
 type leaf =
   | Base of string * Tuple.t  (** base table name, tuple *)
@@ -30,9 +70,9 @@ type t
 
 val compute : Udb.t -> Pqdb_ast.Ua.t -> t
 (** Exact evaluation with provenance recording: {!Eval_exact.walk} with
-    leaf-set annotations, so every subquery (a σ̂'s defining composite
-    included) is evaluated once.  Mutates the W table exactly like
-    {!Eval_exact.eval}.
+    the ≺ rules over leaf sets (merged by union), so every subquery (a σ̂'s
+    defining composite included) is evaluated once.  Mutates the W table
+    exactly like {!Eval_exact.eval}.
     @raise Eval_exact.Unsupported as the exact evaluator. *)
 
 val result : t -> Urelation.t

@@ -35,8 +35,8 @@
 
     A caller conditioning on a constraint set caches trees whose value
     depends on more than the tuple's own clauses — the conjoined lineage
-    under the active constraints.  The optional [salt] (the canonical
-    constraint-set fingerprint, {!Pqdb_ast.Uconstraint.set_fingerprint},
+    under the active constraints.  The optional [salt] (the constraint-set
+    fingerprint, [Pqdb_conditioning.Constraint_set.fingerprint],
     possibly suffixed by which conjunct is cached) is folded into the
     key, length-prefixed so salt content cannot forge another key: entries
     with different salts never alias, and an unconditioned hit can never

@@ -91,6 +91,29 @@ let escape s =
     "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
   else s
 
+(* A float's text reads back ({!Value.parse}) as the same float: the first
+   of 15, 16 and 17 significant digits that does, marked with a point when
+   it would read as an integer. *)
+let float_text f =
+  let same s =
+    Int64.equal
+      (Int64.bits_of_float (float_of_string s))
+      (Int64.bits_of_float f)
+  in
+  let s =
+    match
+      List.find_opt same
+        [ Printf.sprintf "%.15g" f; Printf.sprintf "%.16g" f ]
+    with
+    | Some s -> s
+    | None -> Printf.sprintf "%.17g" f
+  in
+  match int_of_string_opt s with Some _ -> s ^ "." | None -> s
+
+let field_text = function
+  | Value.Float f -> float_text f
+  | v -> escape (Value.to_string v)
+
 let to_string r =
   let buf = Buffer.create 256 in
   Buffer.add_string buf
@@ -100,7 +123,7 @@ let to_string r =
     (fun t ->
       Buffer.add_string buf
         (String.concat ","
-           (List.map (fun v -> escape (Value.to_string v)) (Tuple.to_list t)));
+           (List.map field_text (Tuple.to_list t)));
       Buffer.add_char buf '\n')
     r;
   Buffer.contents buf

@@ -13,4 +13,8 @@ val load : string -> Relation.t
 (** Read a file. @raise Sys_error on I/O failure. *)
 
 val to_string : Relation.t -> string
+(** The relation as CSV text.  A float is written with enough digits
+    (15 to 17) that {!Value.parse} reads back the same float: 0.12345675
+    stays 0.12345675 and 2.0 is written [2.], not [2]. *)
+
 val save : string -> Relation.t -> unit

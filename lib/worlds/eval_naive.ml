@@ -35,7 +35,7 @@ type repair_dist = (Relation.t * Rational.t) list
 type env = {
   pdb : Pdb.t;
   repairs : (int, repair_dist) Hashtbl.t;
-  annotations : (string, aq * int list) Hashtbl.t;
+  annotations : (Ua.t, aq * int list) Hashtbl.t;
       (* structurally identical subexpressions denote the same relation, so
          they share one annotation (and hence one set of repair variables) *)
   mutable next_repair : int;
@@ -153,12 +153,11 @@ let register_repair env ~key ~weight rel =
 (* Bottom-up annotation; returns the annotated tree and the repair ids in the
    subtree that are still "open" (not closed by a conf above them). *)
 let rec annotate env (q : Ua.t) : aq * int list =
-  let key = Format.asprintf "%a" Ua.pp q in
-  match Hashtbl.find_opt env.annotations key with
+  match Hashtbl.find_opt env.annotations q with
   | Some result -> result
   | None ->
       let result = annotate_raw env q in
-      Hashtbl.replace env.annotations key result;
+      Hashtbl.replace env.annotations q result;
       result
 
 and annotate_raw env (q : Ua.t) : aq * int list =

@@ -127,21 +127,21 @@ let equal_prel a b =
        a b
 
 let confidence prel =
-  let table = Hashtbl.create 64 in
+  let table = Tuple.Table.create 64 in
   let order = ref [] in
   List.iter
     (fun (r, p) ->
       Relation.iter
         (fun t ->
-          let key = Format.asprintf "%a" Tuple.pp t in
-          match Hashtbl.find_opt table key with
-          | Some (t0, acc) -> Hashtbl.replace table key (t0, Rational.add acc p)
+          match Tuple.Table.find_opt table t with
+          | Some (t0, acc) ->
+              Tuple.Table.replace table t (t0, Rational.add acc p)
           | None ->
-              order := key :: !order;
-              Hashtbl.add table key (t, p))
+              order := t :: !order;
+              Tuple.Table.add table t (t, p))
         r)
     prel;
-  List.rev_map (fun key -> Hashtbl.find table key) !order
+  List.rev_map (fun t -> Tuple.Table.find table t) !order
 
 let confidence_of prel tuple =
   List.fold_left

@@ -1,7 +1,8 @@
 (* Batch confidence runs for the tests: a small shared batch, the
-   [Shard.outcome]s [Confidence.run_stream] emits joined in plan order into
-   one outcome over the whole batch, and the soundness check of its
-   brackets against exact confidences. *)
+   [Shard.outcome]s [Confidence.run_stream] (or a coordinator) emits joined
+   in plan order into one outcome over the whole batch or collected into
+   per-tuple arrays, their bitwise comparison, and the soundness check of
+   the brackets against exact confidences. *)
 
 open Pqdb_urel
 open Pqdb_montecarlo
@@ -51,6 +52,46 @@ let join (os : Shard.outcome list) : Shard.outcome =
     resumed = false;
     quarantined = List.find_map (fun o -> o.Shard.quarantined) os;
   }
+
+let bits = Int64.bits_of_float
+
+(* An [emit] that materializes the emitted outcomes into per-tuple arrays
+   (estimate, lo, hi, trials) plus the emission order (shard indexes, last
+   first), so runs can be compared bitwise. *)
+let collector n =
+  let est = Array.make n nan in
+  let lo = Array.make n nan in
+  let hi = Array.make n nan in
+  let tr = Array.make n (-1) in
+  let order = ref [] in
+  let emit (o : Shard.outcome) =
+    order := o.Shard.shard.Shard.index :: !order;
+    Array.iteri
+      (fun j e ->
+        let i = o.Shard.shard.Shard.first + j in
+        est.(i) <- e;
+        tr.(i) <- o.Shard.trials.(j);
+        let l, h = o.Shard.intervals.(j) in
+        lo.(i) <- l;
+        hi.(i) <- h)
+      o.Shard.estimates
+  in
+  (emit, est, lo, hi, tr, order)
+
+(* Two collected runs agree bit for bit. *)
+let check_same name (est, lo, hi, tr) (est', lo', hi', tr') =
+  let fcmp what a b =
+    Array.iteri
+      (fun i x ->
+        Alcotest.check Alcotest.int64
+          (Printf.sprintf "%s: %s slot %d" name what i)
+          (bits x) (bits b.(i)))
+      a
+  in
+  fcmp "estimate" est est';
+  fcmp "lo" lo lo';
+  fcmp "hi" hi hi';
+  Alcotest.check (Alcotest.array Alcotest.int) (name ^ ": trials") tr tr'
 
 let stream ?budget ?nworkers ?compile_fuel ?options rng w clause_sets ~eps
     ~delta =

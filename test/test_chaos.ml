@@ -317,53 +317,6 @@ let shard_cost_for ~eps ~delta clause_sets ~target =
   in
   max 1 (total / target)
 
-let collector n =
-  let est = Array.make n nan in
-  let lo = Array.make n nan in
-  let hi = Array.make n nan in
-  let tr = Array.make n (-1) in
-  let order = ref [] in
-  let emit (o : Shard.outcome) =
-    order := o.Shard.shard.Shard.index :: !order;
-    Array.iteri
-      (fun j e ->
-        let i = o.Shard.shard.Shard.first + j in
-        est.(i) <- e;
-        tr.(i) <- o.Shard.trials.(j);
-        let l, h = o.Shard.intervals.(j) in
-        lo.(i) <- l;
-        hi.(i) <- h)
-      o.Shard.estimates
-  in
-  (emit, est, lo, hi, tr, order)
-
-let bits = Int64.bits_of_float
-
-let check_same name (est, lo, hi, tr) (est', lo', hi', tr') =
-  let fcmp what a b =
-    Array.iteri
-      (fun i x ->
-        check Alcotest.int64
-          (Printf.sprintf "%s: %s slot %d" name what i)
-          (bits x) (bits b.(i)))
-      a
-  in
-  fcmp "estimate" est est';
-  fcmp "lo" lo lo';
-  fcmp "hi" hi hi';
-  check (Alcotest.array int_c) (name ^ ": trials") tr tr'
-
-let assert_sound name w clause_sets lo hi =
-  Array.iteri
-    (fun i clauses ->
-      let p = Q.to_float (Pqdb_montecarlo.Lineage.exact w clauses) in
-      check bool_c
-        (Printf.sprintf "%s: tuple %d exact %.4f inside [%g, %g]" name i p
-           lo.(i) hi.(i))
-        true
-        (lo.(i) -. 1e-9 <= p && p <= hi.(i) +. 1e-9))
-    clause_sets
-
 let test_distrib_soak () =
   clear_all ();
   let w, sets = dist_fixture () in
@@ -373,7 +326,7 @@ let test_distrib_soak () =
     { Confidence.shard_cost; retries = 3; checkpoint = None; resume = false }
   in
   let reference =
-    let emit, est, lo, hi, tr, _ = collector n in
+    let emit, est, lo, hi, tr, _ = Batch.collector n in
     let _ =
       Confidence.run_stream ~options:opts (Rng.create ~seed:dseed) w sets ~eps
         ~delta ~emit
@@ -401,7 +354,7 @@ let test_distrib_soak () =
           FP.arm ~count:2 ~mode site;
           let (summary, lo, hi, order), elapsed =
             timed (fun () ->
-                let emit, _est, lo, hi, _tr, order = collector n in
+                let emit, _est, lo, hi, _tr, order = Batch.collector n in
                 let s =
                   Coordinator.run ~options:opts ~workers:2 ~spawn
                     (Rng.create ~seed:dseed) w sets ~eps ~delta ~emit
@@ -415,21 +368,22 @@ let test_distrib_soak () =
             (List.length !order);
           check bool_c (label ^ ": emitted in plan order") true
             (List.rev !order = List.init (List.length !order) Fun.id);
-          assert_sound label w sets lo hi)
+          Batch.assert_sound label w sets (Array.combine lo hi))
         (List.concat_map
            (fun site -> List.map (fun m -> (site, m)) modes)
            [ "distrib.send"; "distrib.recv" ]
         |> shuffle (Rng.create ~seed:2027));
       clear_all ();
       (* disarmed, the distributed run reproduces the sequential bits *)
-      let emit, est, lo, hi, tr, _ = collector n in
+      let emit, est, lo, hi, tr, _ = Batch.collector n in
       let s =
         Coordinator.run ~options:opts ~workers:2 ~spawn (Rng.create ~seed:dseed)
           w sets ~eps ~delta ~emit
       in
       check bool_c "fault-free run complete" true
         s.Coordinator.stream.Confidence.stream_complete;
-      check_same "fault-free distributed bits" (est, lo, hi, tr) reference)
+      Batch.check_same "fault-free distributed bits" (est, lo, hi, tr)
+        reference)
 
 let () =
   Alcotest.run "chaos"

@@ -101,62 +101,9 @@ let options ?checkpoint ?(resume = false) ?(retries = 2) shard_cost =
     resume;
   }
 
-let bits = Int64.bits_of_float
-
-(* Materialize an emit stream into per-tuple arrays plus the emission
-   order, so runs can be compared bitwise. *)
-let collector n =
-  let est = Array.make n nan in
-  let lo = Array.make n nan in
-  let hi = Array.make n nan in
-  let tr = Array.make n (-1) in
-  let order = ref [] in
-  let emit (o : Shard.outcome) =
-    order := o.Shard.shard.Shard.index :: !order;
-    Array.iteri
-      (fun j e ->
-        let i = o.Shard.shard.Shard.first + j in
-        est.(i) <- e;
-        tr.(i) <- o.Shard.trials.(j);
-        let l, h = o.Shard.intervals.(j) in
-        lo.(i) <- l;
-        hi.(i) <- h)
-      o.Shard.estimates
-  in
-  (emit, est, lo, hi, tr, order)
-
-let check_same name (est, lo, hi, tr) (est', lo', hi', tr') =
-  let fcmp what a b =
-    Array.iteri
-      (fun i x ->
-        check Alcotest.int64
-          (Printf.sprintf "%s: %s slot %d" name what i)
-          (bits x) (bits b.(i)))
-      a
-  in
-  fcmp "estimate" est est';
-  fcmp "lo" lo lo';
-  fcmp "hi" hi hi';
-  check (Alcotest.array int_c) (name ^ ": trials") tr tr'
-
-let exact_probs w clause_sets =
-  Array.map
-    (fun clauses -> Q.to_float (Pqdb_montecarlo.Lineage.exact w clauses))
-    clause_sets
-
-let assert_sound name w clause_sets lo hi =
-  Array.iteri
-    (fun i p ->
-      check bool_c
-        (Printf.sprintf "%s: tuple %d exact %.4f inside [%g, %g]" name i p
-           lo.(i) hi.(i))
-        true
-        (lo.(i) -. 1e-9 <= p && p <= hi.(i) +. 1e-9))
-    (exact_probs w clause_sets)
-
 let reference ?budget ~opts w sets =
   let n = Array.length sets in
-  let emit, est, lo, hi, tr, order = collector n in
+  let emit, est, lo, hi, tr, order = Batch.collector n in
   let summary =
     Confidence.run_stream ?budget ~options:opts (Rng.create ~seed) w sets
       ~eps ~delta ~emit
@@ -208,7 +155,7 @@ let test_env_smoke () =
   let w, sets = fixture () in
   let n = Array.length sets in
   let shard_cost = shard_cost_for ~eps ~delta sets ~target:5 in
-  let emit, _est, lo, hi, _tr, order = collector n in
+  let emit, _est, lo, hi, _tr, order = Batch.collector n in
   let summary =
     Coordinator.run ~options:(options shard_cost) ~workers:2
       ~spawn:(fun _ -> thread_spawn ~shard_cost w sets 0)
@@ -218,7 +165,7 @@ let test_env_smoke () =
     (List.length !order);
   check bool_c "emitted in plan order" true
     (List.rev !order = List.init (List.length !order) Fun.id);
-  assert_sound "env smoke" w sets lo hi
+  Batch.assert_sound "env smoke" w sets (Array.combine lo hi)
 
 (* ------------------------------------------------------------------ *)
 (* Protocol framing.                                                   *)
@@ -627,7 +574,7 @@ let test_identity_across_worker_counts () =
   List.iter
     (fun workers ->
       let pids = ref [] in
-      let emit, est, lo, hi, tr, order = collector n in
+      let emit, est, lo, hi, tr, order = Batch.collector n in
       let summary =
         Coordinator.run ~options:opts ~workers
           ~spawn:(fork_spawn ~shard_cost w sets pids)
@@ -641,7 +588,7 @@ let test_identity_across_worker_counts () =
         (List.rev !order = ref_order);
       check bool_c (name ^ ": complete") true
         summary.Coordinator.stream.Confidence.stream_complete;
-      check_same name (est, lo, hi, tr) ref_arrays)
+      Batch.check_same name (est, lo, hi, tr) ref_arrays)
     [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
@@ -659,7 +606,7 @@ let test_kill_worker_mid_run () =
   let n = Array.length sets in
   let shard_cost = shard_cost_for ~eps ~delta sets ~target:8 in
   let opts = options shard_cost in
-  let emit_ref, est, lo, hi, tr, _ = collector n in
+  let emit_ref, est, lo, hi, tr, _ = Batch.collector n in
   let _ =
     Confidence.run_stream ~options:opts (Rng.create ~seed) w sets ~eps ~delta
       ~emit:emit_ref
@@ -675,7 +622,7 @@ let test_kill_worker_mid_run () =
     if not (Atomic.exchange killed true) then
       Option.iter (fun pid -> Unix.kill pid Sys.sigkill) !victim
   in
-  let emit2, est', lo', hi', tr', _ = collector n in
+  let emit2, est', lo', hi', tr', _ = Batch.collector n in
   let timer = Thread.create (fun () -> Unix.sleepf 0.5; kill_victim ()) () in
   let summary =
     Coordinator.run ~options:opts ~workers:2
@@ -713,7 +660,7 @@ let test_kill_worker_mid_run () =
     (summary.Coordinator.reassigned >= 1);
   check bool_c "run complete" true
     summary.Coordinator.stream.Confidence.stream_complete;
-  check_same "after kill" (est', lo', hi', tr') (est, lo, hi, tr)
+  Batch.check_same "after kill" (est', lo', hi', tr') (est, lo, hi, tr)
 
 (* ------------------------------------------------------------------ *)
 (* Resume across worker counts, both directions.                       *)
@@ -733,7 +680,7 @@ let test_resume_across_worker_counts () =
   let ref_arrays, _, _ = reference ~opts:(options shard_cost) w sets in
   (* distributed writes, sequential resumes *)
   with_temp (fun path ->
-      let emit, _, _, _, _, _ = collector n in
+      let emit, _, _, _, _, _ = Batch.collector n in
       let s1 =
         Coordinator.run
           ~options:(options ~checkpoint:path shard_cost)
@@ -744,7 +691,7 @@ let test_resume_across_worker_counts () =
       check bool_c "clean completion compacts" true
         (s1.Coordinator.compacted <> None);
       ignore (drop_last_record path);
-      let emit, est, lo, hi, tr, _ = collector n in
+      let emit, est, lo, hi, tr, _ = Batch.collector n in
       let s2 =
         Confidence.run_stream
           ~options:(options ~checkpoint:path ~resume:true shard_cost)
@@ -752,18 +699,18 @@ let test_resume_across_worker_counts () =
       in
       check bool_c "stream resumed most shards" true
         (s2.Confidence.resumed_shards >= 1);
-      check_same "distrib journal -> stream resume" (est, lo, hi, tr)
+      Batch.check_same "distrib journal -> stream resume" (est, lo, hi, tr)
         ref_arrays);
   (* sequential writes, distributed resumes *)
   with_temp (fun path ->
-      let emit, _, _, _, _, _ = collector n in
+      let emit, _, _, _, _, _ = Batch.collector n in
       let _ =
         Confidence.run_stream
           ~options:(options ~checkpoint:path shard_cost)
           (Rng.create ~seed) w sets ~eps ~delta ~emit
       in
       ignore (drop_last_record path);
-      let emit, est, lo, hi, tr, _ = collector n in
+      let emit, est, lo, hi, tr, _ = Batch.collector n in
       let s2 =
         Coordinator.run
           ~options:(options ~checkpoint:path ~resume:true shard_cost)
@@ -773,7 +720,7 @@ let test_resume_across_worker_counts () =
       in
       check bool_c "coordinator resumed most shards" true
         (s2.Coordinator.stream.Confidence.resumed_shards >= 1);
-      check_same "stream journal -> distrib resume" (est, lo, hi, tr)
+      Batch.check_same "stream journal -> distrib resume" (est, lo, hi, tr)
         ref_arrays)
 
 (* ------------------------------------------------------------------ *)
@@ -786,7 +733,7 @@ let test_quarantine_and_self_heal () =
   let shard_cost = shard_cost_for ~eps ~delta sets ~target:5 in
   with_temp (fun path ->
       FP.arm "shard.run";
-      let emit, _, lo, hi, _, order = collector n in
+      let emit, _, lo, hi, _, order = Batch.collector n in
       let summary =
         Fun.protect ~finally:clear_all (fun () ->
             Coordinator.run
@@ -803,11 +750,11 @@ let test_quarantine_and_self_heal () =
       check bool_c "incomplete" false st.Confidence.stream_complete;
       check bool_c "no auto-compaction on a dirty run" true
         (summary.Coordinator.compacted = None);
-      assert_sound "quarantined brackets" w sets lo hi;
+      Batch.assert_sound "quarantined brackets" w sets (Array.combine lo hi);
       (* Quarantined shards were never journaled: a resume with the fault
          gone recomputes them all and lands on the clean run's bits. *)
       let ref_arrays, _, _ = reference ~opts:(options shard_cost) w sets in
-      let emit, est, lo, hi, tr, _ = collector n in
+      let emit, est, lo, hi, tr, _ = Batch.collector n in
       let healed =
         Coordinator.run
           ~options:(options ~checkpoint:path ~resume:true shard_cost)
@@ -819,7 +766,7 @@ let test_quarantine_and_self_heal () =
         healed.Coordinator.stream.Confidence.resumed_shards;
       check bool_c "healed run complete" true
         healed.Coordinator.stream.Confidence.stream_complete;
-      check_same "self-healed" (est, lo, hi, tr) ref_arrays)
+      Batch.check_same "self-healed" (est, lo, hi, tr) ref_arrays)
 
 (* A worker whose seed drifted is refused at handshake; the run falls back
    in-process and still produces the reference bits. *)
@@ -830,7 +777,7 @@ let test_drifted_worker_refused () =
   let shard_cost = shard_cost_for ~eps ~delta sets ~target:5 in
   let opts = options shard_cost in
   let ref_arrays, _, _ = reference ~opts w sets in
-  let emit, est, lo, hi, tr, _ = collector n in
+  let emit, est, lo, hi, tr, _ = Batch.collector n in
   let summary =
     Coordinator.run ~options:opts ~workers:1
       ~spawn:(fun _ ->
@@ -844,7 +791,7 @@ let test_drifted_worker_refused () =
   check bool_c "all shards fell back in-process" true
     (summary.Coordinator.fallback_shards
      = summary.Coordinator.stream.Confidence.shards);
-  check_same "fallback bits" (est, lo, hi, tr) ref_arrays
+  Batch.check_same "fallback bits" (est, lo, hi, tr) ref_arrays
 
 (* The in-process fallback retries and quarantines through the stream's
    own loop: a shard that keeps failing there is quarantined with the same
@@ -872,7 +819,7 @@ let test_fallback_quarantines_like_stream () =
   poison ();
   let _, _, stream = reference ~opts w sets in
   poison ();
-  let emit, _, _, _, _, _ = collector n in
+  let emit, _, _, _, _, _ = Batch.collector n in
   let summary =
     Coordinator.run ~options:opts ~workers:1
       ~spawn:(fun _ ->
@@ -911,7 +858,7 @@ let test_budget_slices_deterministic () =
   let opts = options shard_cost in
   let run workers =
     let budget = Budget.create ~max_trials:400 () in
-    let emit, est, lo, hi, tr, _ = collector n in
+    let emit, est, lo, hi, tr, _ = Batch.collector n in
     let summary =
       Coordinator.run ~budget ~options:opts ~workers
         ~spawn:(fun _ -> thread_spawn ~shard_cost w sets 0)
@@ -921,14 +868,11 @@ let test_budget_slices_deterministic () =
   in
   let a1, s1 = run 1 in
   let a2, s2 = run 2 in
-  check_same "slices independent of worker count" a2 a1;
+  Batch.check_same "slices independent of worker count" a2 a1;
   check int_c "same trial spend" s1.Coordinator.stream.Confidence.stream_trials
     s2.Coordinator.stream.Confidence.stream_trials;
-  let _, _, lo, hi, _, _ = collector n in
-  ignore lo;
-  ignore hi;
   let (_, lo1, hi1, _) = a1 in
-  assert_sound "budgeted brackets" w sets lo1 hi1
+  Batch.assert_sound "budgeted brackets" w sets (Array.combine lo1 hi1)
 
 (* ------------------------------------------------------------------ *)
 (* Journal compaction drops stale duplicates.                          *)
@@ -939,7 +883,7 @@ let test_compaction_drops_duplicates () =
   let n = Array.length sets in
   let shard_cost = shard_cost_for ~eps ~delta sets ~target:5 in
   with_temp (fun path ->
-      let emit, _, _, _, _, _ = collector n in
+      let emit, _, _, _, _, _ = Batch.collector n in
       let s =
         Confidence.run_stream
           ~options:(options ~checkpoint:path shard_cost)
@@ -955,7 +899,7 @@ let test_compaction_drops_duplicates () =
         kept;
       check int_c "duplicate dropped" 1 dropped;
       let ref_arrays, _, _ = reference ~opts:(options shard_cost) w sets in
-      let emit, est, lo, hi, tr, _ = collector n in
+      let emit, est, lo, hi, tr, _ = Batch.collector n in
       let s2 =
         Confidence.run_stream
           ~options:(options ~checkpoint:path ~resume:true shard_cost)
@@ -963,7 +907,7 @@ let test_compaction_drops_duplicates () =
       in
       check int_c "everything resumes from the compacted journal"
         s.Confidence.shards s2.Confidence.resumed_shards;
-      check_same "compacted resume" (est, lo, hi, tr) ref_arrays)
+      Batch.check_same "compacted resume" (est, lo, hi, tr) ref_arrays)
 
 let qcheck = QCheck_alcotest.to_alcotest
 

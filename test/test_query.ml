@@ -336,7 +336,22 @@ let test_footnote_3_rejected () =
     (try
        ignore (Approx.eval ~rng udb bad);
        false
-     with Exact.Unsupported _ -> true)
+     with Exact.Unsupported _ -> true);
+  (* Weights from an approximate conf are refused too, before the inner
+     repair-key adds a variable. *)
+  let vars = Wtable.var_count (Udb.wtable udb) in
+  let above_aconf =
+    Ua.repair_key ~key:[] ~weight:"P"
+      (Ua.approx_conf ~eps:0.1 ~delta:0.1
+         (Ua.repair_key ~key:[] ~weight:"Count" (Ua.table "Coins")))
+  in
+  check bool_c "repair-key above aconf rejected" true
+    (try
+       ignore (Approx.eval ~rng udb above_aconf);
+       false
+     with Exact.Unsupported _ -> true);
+  check int_c "refused before evaluation" vars
+    (Wtable.var_count (Udb.wtable udb))
 
 (* --- Error propagation (Lemma 6.4 / Example 6.5) --------------------- *)
 
@@ -355,6 +370,29 @@ let test_projection_error_fanin () =
     result.errors;
   check bool_c "output nonempty (both posteriors < 0.99)" true
     (not (Urelation.is_empty result.urel))
+
+(* π reads only its input's possible tuples: the bound σ̂ gave a tuple that
+   a σ then removed does not reach the projection, whose one output tuple
+   keeps exactly the bound of the one tuple left. *)
+let test_projection_skips_removed_tuples () =
+  let fair = Tuple.of_list [ V.Str "fair" ] in
+  let kept =
+    Ua.select
+      Predicate.(Expr.attr "CoinType" = Expr.const (V.Str "fair"))
+      (sigma_hat_query 0.99)
+  in
+  let run q =
+    fst
+      (Approx.eval ~eps0:0.05 ~sigma_delta:0.04 ~rng:(Rng.create ~seed:808)
+         (coin_udb ()) q)
+  in
+  let selected = run (sigma_hat_query 0.99) in
+  check bool_c "both coin types selected with a bound" true
+    (List.length selected.errors = 2
+    && List.for_all (fun (_, e) -> e > 0.) selected.errors);
+  check (Alcotest.float 0.) "projection keeps the kept tuple's bound"
+    (Approx.error_of (run kept) fair)
+    (Approx.error_of (run (Ua.project [] kept)) (Tuple.of_list []))
 
 (* Lemma 6.4(1) by nested loop over two standalone results: a join output
    tuple's bound is the (capped) sum of its two provenance tuples' bounds,
@@ -670,6 +708,8 @@ let () =
         [
           Alcotest.test_case "join with one unreliable side" `Quick
             test_join_one_unreliable_side;
+          Alcotest.test_case "projection skips removed tuples" `Quick
+            test_projection_skips_removed_tuples;
           Alcotest.test_case "projection fan-in (Example 6.5)" `Quick
             test_projection_error_fanin;
         ] );

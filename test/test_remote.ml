@@ -67,57 +67,9 @@ let shard_cost_for ~eps ~delta clause_sets ~target =
 let options ?(retries = 2) shard_cost =
   { Confidence.shard_cost; retries; checkpoint = None; resume = false }
 
-let bits = Int64.bits_of_float
-
-let collector n =
-  let est = Array.make n nan in
-  let lo = Array.make n nan in
-  let hi = Array.make n nan in
-  let tr = Array.make n (-1) in
-  let order = ref [] in
-  let emit (o : Shard.outcome) =
-    order := o.Shard.shard.Shard.index :: !order;
-    Array.iteri
-      (fun j e ->
-        let i = o.Shard.shard.Shard.first + j in
-        est.(i) <- e;
-        tr.(i) <- o.Shard.trials.(j);
-        let l, h = o.Shard.intervals.(j) in
-        lo.(i) <- l;
-        hi.(i) <- h)
-      o.Shard.estimates
-  in
-  (emit, est, lo, hi, tr, order)
-
-let check_same name (est, lo, hi, tr) (est', lo', hi', tr') =
-  let fcmp what a b =
-    Array.iteri
-      (fun i x ->
-        check Alcotest.int64
-          (Printf.sprintf "%s: %s slot %d" name what i)
-          (bits x) (bits b.(i)))
-      a
-  in
-  fcmp "estimate" est est';
-  fcmp "lo" lo lo';
-  fcmp "hi" hi hi';
-  check (Alcotest.array int_c) (name ^ ": trials") tr tr'
-
-let assert_sound name w clause_sets lo hi =
-  Array.iteri
-    (fun i p ->
-      check bool_c
-        (Printf.sprintf "%s: tuple %d exact %.4f inside [%g, %g]" name i p
-           lo.(i) hi.(i))
-        true
-        (lo.(i) -. 1e-9 <= p && p <= hi.(i) +. 1e-9))
-    (Array.map
-       (fun clauses -> Q.to_float (Pqdb_montecarlo.Lineage.exact w clauses))
-       clause_sets)
-
 let reference ~opts w sets =
   let n = Array.length sets in
-  let emit, est, lo, hi, tr, order = collector n in
+  let emit, est, lo, hi, tr, order = Batch.collector n in
   let summary =
     Confidence.run_stream ~options:opts (Rng.create ~seed) w sets ~eps ~delta
       ~emit
@@ -213,7 +165,7 @@ let test_env_smoke () =
   Fun.protect
     ~finally:(fun () -> reap pid)
     (fun () ->
-      let emit, _est, lo, hi, _tr, order = collector n in
+      let emit, _est, lo, hi, _tr, order = Batch.collector n in
       let summary =
         Coordinator.run ~options:(options shard_cost) ~workers:1
           ~lease_ttl_s:2.0 ~max_reconnects:1 ~reconnect_delay_s:0.05
@@ -224,7 +176,7 @@ let test_env_smoke () =
         summary.Coordinator.stream.Confidence.shards (List.length !order);
       check bool_c "emitted in plan order" true
         (List.rev !order = List.init (List.length !order) Fun.id);
-      assert_sound "tcp env smoke" w sets lo hi)
+      Batch.assert_sound "tcp env smoke" w sets (Array.combine lo hi))
 
 (* ------------------------------------------------------------------ *)
 (* Bit-identity across fleet sizes over loopback TCP.                   *)
@@ -247,7 +199,7 @@ let test_tcp_identity () =
         ~finally:(fun () -> List.iter (fun (pid, _) -> reap pid) listeners)
         (fun () ->
           let ports = Array.of_list (List.map snd listeners) in
-          let emit, est, lo, hi, tr, order = collector n in
+          let emit, est, lo, hi, tr, order = Batch.collector n in
           let summary =
             Coordinator.run ~options:opts ~workers ~spawn:(dial ports)
               (Rng.create ~seed) w sets ~eps ~delta ~emit
@@ -278,7 +230,7 @@ let test_tcp_identity () =
             (List.rev !order = ref_order);
           check bool_c (name ^ ": complete") true
             summary.Coordinator.stream.Confidence.stream_complete;
-          check_same name (est, lo, hi, tr) ref_arrays))
+          Batch.check_same name (est, lo, hi, tr) ref_arrays))
     [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
@@ -318,7 +270,7 @@ let test_kill_listener_redial () =
             ports.(0) <- snd spare)
           ()
       in
-      let emit, est, lo, hi, tr, _ = collector n in
+      let emit, est, lo, hi, tr, _ = Batch.collector n in
       let summary =
         Coordinator.run ~options:opts ~workers:1 ~lease_ttl_s:5.0
           ~max_reconnects:2 ~reconnect_delay_s:0.05
@@ -341,7 +293,7 @@ let test_kill_listener_redial () =
         summary.Coordinator.stream.Confidence.stream_complete;
       (* Bit-identity includes per-tuple trials: a double-ingested outcome
          would double-count trials before it changed any estimate bits. *)
-      check_same "after kill+redial" (est, lo, hi, tr) ref_arrays)
+      Batch.check_same "after kill+redial" (est, lo, hi, tr) ref_arrays)
 
 (* ------------------------------------------------------------------ *)
 (* Lease expiry, reassignment, late duplicate: a scripted fleet where   *)
@@ -513,7 +465,7 @@ let test_lease_expiry_late_duplicate () =
     }
   in
   let transports = [| (fun () -> a_tr); (fun () -> make_b ()); (fun () -> c_tr) |] in
-  let emit, est, lo, hi, tr, _ = collector n in
+  let emit, est, lo, hi, tr, _ = Batch.collector n in
   let summary =
     Coordinator.run ~options:opts ~workers:3 ~lease_ttl_s:0.3
       ~spawn:(fun id -> transports.(id) ())
@@ -529,7 +481,7 @@ let test_lease_expiry_late_duplicate () =
   check int_c "no double-counted trials"
     ref_summary.Confidence.stream_trials
     summary.Coordinator.stream.Confidence.stream_trials;
-  check_same "lease expiry bits" (est, lo, hi, tr) ref_arrays
+  Batch.check_same "lease expiry bits" (est, lo, hi, tr) ref_arrays
 
 (* ------------------------------------------------------------------ *)
 (* Duplicated frames on the wire: the worker resends its cached reply,  *)
@@ -553,7 +505,7 @@ let test_duplicate_frames () =
          duplicated order makes the worker resend its cached outcome; the
          copy must be counted and dropped, not double-ingested. *)
       FP.arm ~count:6 "distrib.tcp.dup";
-      let emit, est, lo, hi, tr, _ = collector n in
+      let emit, est, lo, hi, tr, _ = Batch.collector n in
       let summary =
         Coordinator.run ~options:opts ~workers:1 ~spawn:(dial [| port |])
           (Rng.create ~seed) w sets ~eps ~delta ~emit
@@ -564,7 +516,7 @@ let test_duplicate_frames () =
         summary.Coordinator.workers_lost;
       check bool_c "run complete" true
         summary.Coordinator.stream.Confidence.stream_complete;
-      check_same "duplicated frames" (est, lo, hi, tr) ref_arrays)
+      Batch.check_same "duplicated frames" (est, lo, hi, tr) ref_arrays)
 
 (* ------------------------------------------------------------------ *)
 (* Network chaos soak: connection drops and a half-open stall, bounded  *)
@@ -594,7 +546,7 @@ let test_tcp_chaos_soak () =
       FP.arm ~count:2 "distrib.tcp.drop";
       FP.arm ~count:1 ~mode:FP.Stall "distrib.tcp.stall";
       let t0 = Unix.gettimeofday () in
-      let emit, _est, lo, hi, _tr, order = collector n in
+      let emit, _est, lo, hi, _tr, order = Batch.collector n in
       let summary =
         Coordinator.run ~options:opts ~workers:2 ~lease_ttl_s:0.6
           ~max_reconnects:4 ~reconnect_delay_s:0.05 ~spawn:(dial ports)
@@ -606,18 +558,18 @@ let test_tcp_chaos_soak () =
         summary.Coordinator.stream.Confidence.shards (List.length !order);
       check bool_c "emitted in plan order" true
         (List.rev !order = List.init (List.length !order) Fun.id);
-      assert_sound "chaos soak" w sets lo hi;
+      Batch.assert_sound "chaos soak" w sets (Array.combine lo hi);
       (* Fault-free rerun: same inputs, fresh sessions on the surviving
          listeners, byte-identical to the reference stream. *)
       clear_all ();
-      let emit, est, lo, hi, tr, _ = collector n in
+      let emit, est, lo, hi, tr, _ = Batch.collector n in
       let healed =
         Coordinator.run ~options:opts ~workers:2 ~spawn:(dial ports)
           (Rng.create ~seed) w sets ~eps ~delta ~emit
       in
       check bool_c "fault-free rerun complete" true
         healed.Coordinator.stream.Confidence.stream_complete;
-      check_same "fault-free rerun" (est, lo, hi, tr) ref_arrays)
+      Batch.check_same "fault-free rerun" (est, lo, hi, tr) ref_arrays)
 
 (* Each case runs under an alarm, so a hung case fails under its own name
    instead of leaving the whole binary to an outer timeout.  The name also

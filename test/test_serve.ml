@@ -698,6 +698,34 @@ let test_interleaved_replies_match_reference () =
       check bool_c "the small cache evicted" true
         ((Server.stats srv).Server.cache.Memo.evictions > 0))
 
+(* Constraints that print alike are different constraints: one session
+   keeps both [id = 1] and [id = '1'], and two sessions holding one literal
+   relation each (both print as [lit(1 tuples)]) never share a cache entry,
+   so each conditioned reply equals its own reference. *)
+let test_constraints_compare_by_value () =
+  clear_all ();
+  with_dnf_db ~seed:31 [ ("g", 4, 3, 2) ] (fun db ->
+      let srv = Server.create (config ~db_path:db (Server.Tcp 1)) in
+      let assert_in sess guard =
+        Server.dispatch srv ~session:sess ("assert " ^ guard)
+      in
+      let both = Server.new_session () in
+      ignore (assert_in both "empty(select[id = 1](g))");
+      check string_c "both constraints kept" "asserted; 2 active\n"
+        (assert_in both "empty(select[id = '1'](g))");
+      List.iter
+        (fun guard ->
+          let sess = Server.new_session () in
+          ignore (assert_in sess guard);
+          let cset =
+            Pqdb_conditioning.Constraint_set.(
+              add empty (Pqdb_lang.Qparser.parse_constraint guard))
+          in
+          check string_c guard
+            (expected_reply db ~cset ~relation:"g" ~seed:42 ())
+            (Server.dispatch srv ~session:sess "conf g"))
+        [ "empty(g join lit[id]((1)))"; "empty(g join lit[id]((2)))" ])
+
 (* Which way [Compile.solve] answers a tuple: exactly, from a bracket that
    certifies ε with no trial, or by a sampling pass. *)
 let solve_path w ?fuel cs ~eps ~delta =
@@ -1078,6 +1106,8 @@ let () =
             test_warm_request_allocation_guard;
           Alcotest.test_case "interleaved replies match the reference" `Quick
             test_interleaved_replies_match_reference;
+          Alcotest.test_case "constraints compare by value" `Quick
+            test_constraints_compare_by_value;
           Alcotest.test_case "mixed relation matches the materialized reference"
             `Quick test_mixed_relation_matches_materialized_reference;
           Alcotest.test_case "a budget that never binds changes no bit" `Quick

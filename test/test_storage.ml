@@ -119,32 +119,39 @@ let roundtrip_prop =
             (fun (t, p) (t', p') -> Tuple.equal t t' && Q.equal p p')
             (conf udb) (conf from_bin)))
 
-(* Floats cannot ride the text format (%g rendering), but the binary format
-   stores IEEE bits verbatim — including negative zero and values needing
-   all 17 digits. *)
-let test_binary_float_bits () =
+(* A float column with values needing all 17 digits, negative zero, and an
+   integral float (2.0, which must not come back as the integer 2). *)
+let float_db () =
+  let udb = Udb.create () in
+  let floats =
+    [ 0.1; -0.0; 1e300; Float.min_float; 4._521_972e-5; 0.12345675; 2.0 ]
+  in
+  Udb.add_complete udb "F"
+    (Relation.of_list
+       (Schema.of_list [ "x" ])
+       (List.map (fun f -> Tuple.of_list [ Value.Float f ]) floats));
+  udb
+
+let float_bits u =
+  List.concat_map
+    (fun (_, t) ->
+      List.filter_map
+        (function Value.Float f -> Some (Int64.bits_of_float f) | _ -> None)
+        (Tuple.to_list t))
+    (Urelation.rows (Udb.find u "F"))
+
+(* Saved as [file] and loaded back, every float keeps its bits: the binary
+   format ([.udbb]) stores them verbatim, the text format writes the digits
+   that read back as the same float. *)
+let float_round_trip file () =
   with_temp_dir (fun dir ->
-      let udb = Udb.create () in
-      let floats = [ 0.1; -0.0; 1e300; Float.min_float; 4._521_972e-5 ] in
-      Udb.add_complete udb "F"
-        (Relation.of_list
-           (Schema.of_list [ "x" ])
-           (List.map (fun f -> Tuple.of_list [ Value.Float f ]) floats));
-      let path = Filename.concat dir "f.udbb" in
+      let udb = float_db () in
+      let path = Filename.concat dir file in
       Udb_io.save path udb;
-      let back = Udb_io.load path in
-      let bits u =
-        List.concat_map
-          (fun (_, t) ->
-            List.filter_map
-              (function
-                | Value.Float f -> Some (Int64.bits_of_float f) | _ -> None)
-              (Tuple.to_list t))
-          (Urelation.rows (Udb.find u "F"))
-      in
       check
         (Alcotest.list Alcotest.int64)
-        "float bits preserved" (bits udb) (bits back))
+        "float bits preserved" (float_bits udb)
+        (float_bits (Udb_io.load path)))
 
 (* ------------------------------------------------------------------ *)
 (* Lazy decoding and atomic replacement                                *)
@@ -278,7 +285,8 @@ let () =
         [
           qcheck roundtrip_prop;
           Alcotest.test_case "float bits (binary only)" `Quick
-            test_binary_float_bits;
+            (float_round_trip "f.udbb");
+          Alcotest.test_case "float bits (text)" `Quick (float_round_trip "f");
         ] );
       ( "lifecycle",
         [

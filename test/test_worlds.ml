@@ -267,9 +267,7 @@ let test_ast_metrics () =
   check int_c "conf width" 2 (Ua.max_conf_width sigma_hat_query);
   check
     (Alcotest.list Alcotest.string)
-    "tables" [ "Coins" ] (Ua.tables r_query);
-  check bool_c "no sigma-hat under repair-key" false
-    (Ua.has_sigma_hat_below_repair_key sigma_hat_query)
+    "tables" [ "Coins" ] (Ua.tables r_query)
 
 let test_diff_in_worlds () =
   (* Full UA difference works in the ground-truth evaluator. *)
@@ -320,6 +318,33 @@ let test_confidence_of_missing_tuple () =
   let prel = [ (r, Q.one) ] in
   check q_testable "absent tuple has confidence 0" Q.zero
     (Pdb.confidence_of prel (Tuple.of_list [ V.Int 9 ]))
+
+(* Confidences group tuples by value: [Int 1] and [Str "1"], or two floats
+   that agree to six digits, print alike but are different tuples. *)
+let test_confidence_by_value () =
+  let rel vs = Relation.of_rows [ "A" ] (List.map (fun v -> [ v ]) vs) in
+  let twins = [ V.Str "1"; V.Float 0.12345675; V.Float 0.1234568 ] in
+  let db =
+    Pdb.of_worlds ~complete:[]
+      [
+        ([ ("R", rel (V.Int 1 :: twins)) ], Q.of_ints 1 4);
+        ([ ("R", rel [ V.Int 1; V.Float 0.1234568 ]) ], Q.of_ints 3 4);
+      ]
+  in
+  let confs = Eval_naive.eval_confidence db (Ua.table "R") in
+  let conf_of v =
+    match
+      List.find_opt (fun (t, _) -> Tuple.equal t (Tuple.of_list [ v ])) confs
+    with
+    | Some (_, p) -> p
+    | None -> Alcotest.fail "tuple missing from the confidences"
+  in
+  check int_c "four tuples" 4 (List.length confs);
+  check q_testable "Int 1" Q.one (conf_of (V.Int 1));
+  check q_testable "Str 1" (Q.of_ints 1 4) (conf_of (V.Str "1"));
+  check q_testable "0.12345675" (Q.of_ints 1 4)
+    (conf_of (V.Float 0.12345675));
+  check q_testable "0.1234568" Q.one (conf_of (V.Float 0.1234568))
 
 let test_nested_conf_in_naive () =
   (* conf inside a subquery that is itself aggregated: selection on the
@@ -381,6 +406,8 @@ let () =
           Alcotest.test_case "confidence of absent tuple" `Quick
             test_confidence_of_missing_tuple;
           Alcotest.test_case "nested conf" `Quick test_nested_conf_in_naive;
+          Alcotest.test_case "confidence groups by value" `Quick
+            test_confidence_by_value;
         ] );
       ( "ast",
         [
