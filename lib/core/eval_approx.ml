@@ -173,8 +173,8 @@ let aconf_eval ?budget ?stream ~aconf_ord ~rng ~stats w { Ua.eps; delta }
      crash-recovery journal); tuples that decompose fully are answered
      exactly and only the residues are sampled, adaptively, over the
      domain pool.  Without a budget the estimates do not depend on the
-     shard geometry; with one, the remaining allowance is split across
-     shards proportionally to their cost. *)
+     shard geometry; with one, each shard runs under its static slice of
+     the allowance, dealt by cost when the run opens. *)
   let groups = Urelation.clauses_by_tuple a.urel in
   let n = List.length groups in
   let estimates = Array.make n 0. and achieved = Array.make n 0. in

@@ -1,6 +1,5 @@
 module Shard = Pqdb_montecarlo.Shard
 module Confidence = Pqdb_montecarlo.Confidence
-module Budget = Pqdb_montecarlo.Budget
 module Faultpoint = Pqdb_runtime.Faultpoint
 module Pqdb_error = Pqdb_runtime.Pqdb_error
 
@@ -124,8 +123,6 @@ type worker = {
 
 type event = Msg of Protocol.msg | Gone
 
-let sum_trials = Array.fold_left ( + ) 0
-
 let run ?budget ?nworkers ?compile_fuel
     ?(options = Confidence.default_stream_options) ?(lease_ttl_s = 30.)
     ?(max_reconnects = 0) ?(reconnect_delay_s = 0.25) ?source ~workers:nw
@@ -140,53 +137,13 @@ let run ?budget ?nworkers ?compile_fuel
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ | Sys_error _ -> ());
   let run =
-    Confidence.open_run ?nworkers ?compile_fuel ~options rng w clause_sets ~eps
-      ~delta
+    Confidence.open_run ?budget ?nworkers ?compile_fuel ~options rng w
+      clause_sets ~eps ~delta ~emit
   in
-  let plan = Confidence.plan run and resumed = Confidence.resumed run in
+  let plan = Confidence.plan run in
   let meta = Confidence.meta run and probe = Confidence.probe run in
   let fp i = Confidence.fingerprint run plan.(i) in
   let nshards = Array.length plan in
-  (* Every resolved shard lands here (resumed, worker, fallback or
-     quarantined); emission walks the plan in order over it. *)
-  let results : (int, Shard.outcome) Hashtbl.t = Hashtbl.create (max 1 nshards) in
-  Hashtbl.iter (fun i o -> Hashtbl.replace results i o) resumed;
-  (match budget with
-  | None -> ()
-  | Some b ->
-      Hashtbl.iter
-        (fun _ (o : Shard.outcome) -> Budget.spend b (sum_trials o.trials))
-        resumed);
-  (* Static budget slices: the remaining trial allowance dealt over the
-     unresolved shards proportionally to a-priori cost, exactly
-     ({!Budget.allocate}).  Unlike the sequential stream's re-split against
-     live remainder, slices are fixed up front so a shard's allowance does
-     not depend on which worker runs it or in what order — retries and
-     reassignments replay the same slice. *)
-  let todo =
-    Array.to_list
-      (Array.of_seq
-         (Seq.filter
-            (fun i -> not (Hashtbl.mem results i))
-            (Seq.init nshards Fun.id)))
-  in
-  let trial_slices : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  (match budget with
-  | Some b when Budget.remaining_trials b <> max_int ->
-      let idx = Array.of_list todo in
-      let costs = Array.map (fun i -> plan.(i).Shard.cost) idx in
-      let shares = Budget.allocate ~trials:(Budget.remaining_trials b) ~costs in
-      Array.iteri (fun k i -> Hashtbl.replace trial_slices i shares.(k)) idx
-  | _ -> ());
-  let slice_of i =
-    match budget with
-    | None -> (None, None)
-    | Some b ->
-        let trials =
-          if Budget.cancelled b then Some 0 else Hashtbl.find_opt trial_slices i
-        in
-        (trials, Budget.remaining_deadline b)
-  in
   (* Pending queue: LPT — deal the heaviest shards first (lowest index on
      ties) so the tail of the run is small shards that balance across
      workers. *)
@@ -196,7 +153,13 @@ let run ?budget ?nworkers ?compile_fuel
         | 0 -> compare a b
         | c -> c)
   in
-  let pending = ref (lpt todo) in
+  let pending =
+    ref
+      (lpt
+         (List.filter
+            (fun i -> not (Confidence.resolved run i))
+            (List.init nshards Fun.id)))
+  in
   let failures : (int, int list) Hashtbl.t = Hashtbl.create 8 in
   let workers_lost = ref 0 in
   let reassigned = ref 0 in
@@ -285,8 +248,9 @@ let run ?budget ?nworkers ?compile_fuel
   let requeue i =
     (* Reassigned shards go back in cost order; a fresh attempt re-copies
        the shard's lane slice, so whoever picks it up reproduces the
-       original stream bit for bit. *)
-    pending := lpt (i :: !pending)
+       original stream bit for bit.  A shard a late delivery already
+       resolved stays out. *)
+    if not (Confidence.resolved run i) then pending := lpt (i :: !pending)
   in
   let reap wk =
     match wk.tr.pid with
@@ -333,13 +297,6 @@ let run ?budget ?nworkers ?compile_fuel
     | None -> ());
     bury ?reconnect wk
   in
-  let record_outcome (o : Shard.outcome) =
-    (match budget with
-    | Some b -> Budget.spend b (sum_trials o.trials)
-    | None -> ());
-    Confidence.journal_outcome run o;
-    Hashtbl.replace results o.shard.Shard.index o
-  in
   let shard_failed wid i detail =
     (* One entry per failed attempt (worker ids, duplicates kept): the
        quarantine cap is total attempts — mirroring the sequential stream's
@@ -347,9 +304,10 @@ let run ?budget ?nworkers ?compile_fuel
        retries over distinct workers whenever the fleet allows it. *)
     let attempts = wid :: Option.value ~default:[] (Hashtbl.find_opt failures i) in
     Hashtbl.replace failures i attempts;
-    if List.length attempts > options.retries then
+    if Confidence.resolved run i then ()
+    else if List.length attempts > options.retries then
       (* A remote failure arrives as a string only. *)
-      record_outcome
+      Confidence.record run
         (Confidence.apriori_outcome run plan.(i) ~fp:(fp i)
            ~error:(Failure detail))
     else requeue i
@@ -362,7 +320,7 @@ let run ?budget ?nworkers ?compile_fuel
      when the lease that ordered it has since been superseded. *)
   let ingest_outcome wk ~index ~epoch payload =
     if not (issued index epoch) then kill wk
-    else if Hashtbl.mem results index then incr late_drops
+    else if Confidence.resolved run index then incr late_drops
     else
       match
         Shard.of_payload ~resumed:false
@@ -372,7 +330,7 @@ let run ?budget ?nworkers ?compile_fuel
       | o
         when o.Shard.shard = plan.(index) && String.equal o.Shard.fp (fp index)
              && o.Shard.quarantined = None ->
-          record_outcome o;
+          Confidence.record run o;
           (* A late resolution may race its own reassignment: drop the
              shard from the queue so nobody re-solves it. *)
           pending := List.filter (fun j -> j <> index) !pending
@@ -442,7 +400,7 @@ let run ?budget ?nworkers ?compile_fuel
         kill wk
   in
   let assign wk i =
-    let trials, deadline_s = slice_of i in
+    let trials, deadline_s = Confidence.order_slice run plan.(i) in
     incr epoch_counter;
     let epoch = !epoch_counter in
     Hashtbl.replace current_epoch i epoch;
@@ -455,24 +413,12 @@ let run ?budget ?nworkers ?compile_fuel
         requeue i;
         bury wk
   in
-  let cursor = ref 0 in
-  let emit_ready () =
-    while
-      !cursor < nshards
-      &&
-      match Hashtbl.find_opt results !cursor with
-      | Some o ->
-          Confidence.emit_outcome run ~emit o;
-          incr cursor;
-          true
-      | None -> false
-    do
-      ()
-    done
-  in
-  let unresolved () = Hashtbl.length results < nshards in
   (try
-     while unresolved () do
+     (* Deal while a worker can still take work: an active one, or a
+        redial pending. *)
+     while
+       Confidence.unresolved run > 0 && (active () <> [] || !redials <> [])
+     do
        let evs = drain () in
        List.iter
          (fun (key, ev) ->
@@ -540,34 +486,18 @@ let run ?budget ?nworkers ?compile_fuel
                pending := List.filter (fun j -> j <> i) !pending;
                assign wk i)
          idle;
-       if active () = [] && !redials = [] then
-         (* No dealable worker and no redial pending: finish in-process,
-            through the stream's own retry/quarantine loop — same solve,
-            same slices, same outcomes.  Shards still marked in-flight were
-            requeued by [bury] or suspension; a partitioned worker that
-            might heal later must not delay termination (its late outcomes
-            are dedup'd). *)
-         while unresolved () do
-           match !pending with
-           | i :: rest ->
-               pending := rest;
-               incr fallback_shards;
-               record_outcome
-                 (Confidence.solve_with_retries run plan.(i) ~fp:(fp i)
-                    ~budget:(fun () ->
-                      let trials, deadline_s = slice_of i in
-                      Worker.budget_of_slice ~trials ~deadline_s));
-               emit_ready ()
-           | [] -> assert false
-         done
-       else begin
-         emit_ready ();
-         (* Poll only when this round was quiet; a round that consumed
-            events or dealt work re-checks immediately. *)
-         if unresolved () && evs = [] then Thread.delay 0.005
-       end
+       (* Poll only when this round was quiet; a round that consumed
+          events or dealt work re-checks immediately. *)
+       if Confidence.unresolved run > 0 && evs = [] then Thread.delay 0.005
      done;
-     emit_ready ()
+     (* Whatever is left — nothing, or everything once no dealable worker
+        and no redial remain — is finished in-process by the stream's own
+        loop: same solve, same slices, same outcomes.  Shards still marked
+        in-flight were requeued by [bury] or suspension; a partitioned
+        worker that might heal later must not delay termination (its late
+        outcomes are dedup'd). *)
+     fallback_shards := Confidence.unresolved run;
+     Confidence.solve_pending run !pending
    with e ->
      List.iter (fun wk -> kill ~reconnect:false wk) (live ());
      ignore (Confidence.close_run run);

@@ -14,19 +14,21 @@
        ({!Pqdb_montecarlo.Confidence.solve_shard}), so without a budget the
        emitted outcomes — and anything printed from them — are byte-for-byte
        those of the single-process stream, for any worker count, any
-       completion order, and any crash/reassignment history.  [emit] is
-       called in plan order regardless of completion order.}
+       completion order, and any crash/reassignment history.  Under a
+       trial budget they are too, at one pool domain per process (more
+       domains race a shard's slice): every path deals the same static
+       slices.  [emit] is called in plan order regardless of completion
+       order.}
     {- {e Fault tolerance}: worker death (EOF, I/O error, heartbeat
        timeout) requeues its in-flight shard for the survivors; a shard
        whose attempts exceed the retry budget (spread over distinct workers
        when the fleet allows) is quarantined with sound a-priori brackets
        and a [Task_failure] carrying the worker's failure text.  With every
        worker gone the coordinator finishes in-process through the stream's
-       own retry/quarantine loop
-       ({!Pqdb_montecarlo.Confidence.solve_with_retries}, with the shard's
-       static slice as each attempt's budget), so a shard quarantined there
-       carries the same typed error as in [run_stream] — distribution can
-       only add capacity, never lose results.}
+       own loop ({!Pqdb_montecarlo.Confidence.solve_pending}: same slices,
+       same retry/quarantine policy), so a shard quarantined there carries
+       the same typed error as in [run_stream] — distribution can only add
+       capacity, never lose results.}
     {- {e Journal compatibility}: completed shards are appended to the same
        {!Pqdb_runtime.Checkpoint} journal with the same records, and the
        summary is built by the same
@@ -36,14 +38,15 @@
        completion the journal is compacted in place
        ({!Pqdb_montecarlo.Shard.compact_journal}).}}
 
-    Budgets are dealt as {e static} per-shard trial slices
-    ({!Pqdb_montecarlo.Budget.allocate} over the unresolved shards'
-    a-priori costs) so a slice does not depend on which worker runs the
-    shard; this intentionally differs from the sequential stream's
-    remaining-cost re-splitting, and budgeted runs are therefore
-    deterministic per (budget, plan) but not byte-identical to the
-    single-process stream.  Deadlines ride along as wall-clock remainders;
-    cancellation turns any later order into an already-dead slice. *)
+    The run's state — which shards are resolved, the outcomes waiting
+    for their turn, plan-order emission, journal appends and budget
+    charging — is the one {!Pqdb_montecarlo.Confidence.open_run} keeps for
+    the stream too; the coordinator adds only what is distributed: the
+    fleet, leases and epochs, LPT dealing and redials.  Each order carries
+    the shard's static trial slice
+    ({!Pqdb_montecarlo.Confidence.order_slice}) and the budget's remaining
+    deadline; cancellation turns any later order into an already-dead
+    slice. *)
 
 open Pqdb_numeric
 open Pqdb_urel

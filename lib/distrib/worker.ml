@@ -3,24 +3,6 @@ module Confidence = Pqdb_montecarlo.Confidence
 module Budget = Pqdb_montecarlo.Budget
 module Pqdb_error = Pqdb_runtime.Pqdb_error
 
-(* The budget a worker reconstructs from an order's slice.  [Some 0] trials
-   (or a spent deadline) means the coordinator's governor is already
-   exhausted: a born-cancelled budget makes the solve degrade to its sound
-   brackets immediately, exactly like a dead {!Budget.split} child. *)
-let budget_of_slice ~trials ~deadline_s =
-  let dead () =
-    let b = Budget.create () in
-    Budget.cancel b;
-    Some b
-  in
-  match (trials, deadline_s) with
-  | None, None -> None
-  | Some 0, _ -> dead ()
-  | _, Some d when d <= 0. -> dead ()
-  | Some t, None -> Some (Budget.create ~max_trials:t ())
-  | Some t, Some d -> Some (Budget.create ~max_trials:t ~deadline_s:d ())
-  | None, Some d -> Some (Budget.create ~deadline_s:d ())
-
 let ignore_sigpipe () =
   try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
   with Invalid_argument _ | Sys_error _ -> ()
@@ -40,11 +22,12 @@ let serve_session ?compile_fuel ?nworkers
     invalid_arg "Worker.serve: frame_timeout_s must be positive";
   ignore_sigpipe ();
   (* The same run the coordinator opened, rebuilt from this worker's own
-     inputs: its meta and probe go out in the Hello for literal comparison. *)
+     inputs: its meta and probe go out in the Hello for literal comparison.
+     A worker only solves; the coordinator records and emits. *)
   let run =
     Confidence.open_run ?nworkers ?compile_fuel
       ~options:{ Confidence.default_stream_options with shard_cost }
-      rng w clause_sets ~eps ~delta
+      rng w clause_sets ~eps ~delta ~emit:ignore
   in
   let plan = Confidence.plan run in
   let wlock = Mutex.create () in
@@ -103,10 +86,8 @@ let serve_session ?compile_fuel ?nworkers
                       own_fp;
                 }
             else
-              let budget = budget_of_slice ~trials ~deadline_s in
-              match
-                Confidence.solve_shard ?budget run sh ~fp
-              with
+              let budget = Budget.slice ~trials ~deadline_s in
+              match Confidence.solve_shard ?budget run sh ~fp with
               | o ->
                   Protocol.Outcome
                     { index; epoch; payload = Shard.to_payload o }

@@ -4,7 +4,8 @@
     W table, clause sets, (ε, δ), compilation fuel, shard ceiling — and
     opens the same run locally ({!Pqdb_montecarlo.Confidence.open_run}:
     shard plan, whole-batch per-tuple RNG lanes, meta, probe).  Orders then
-    only carry a shard index, a data fingerprint and a budget slice; by the
+    only carry a shard index, a data fingerprint and a budget slice (which
+    {!Pqdb_montecarlo.Budget.slice} turns into the attempt's budget); by the
     {!Pqdb_montecarlo.Confidence.solve_shard} contract the outcome a worker
     sends back is bit-identical to the one the in-process stream would have
     computed for that shard, which is what lets the coordinator mix
@@ -19,18 +20,6 @@
 
 open Pqdb_numeric
 open Pqdb_urel
-
-val budget_of_slice :
-  trials:int option -> deadline_s:float option ->
-  Pqdb_montecarlo.Budget.t option
-(** The budget a worker reconstructs from an order's slice: [None] for the
-    unlimited (bit-identical) path, a fresh trial/deadline budget
-    otherwise.  A zero-trial or spent-deadline slice yields a born-cancelled
-    budget — the solve degrades to sound brackets immediately, like a dead
-    {!Pqdb_montecarlo.Budget.split} child.  The coordinator's in-process
-    fallback gives the same mapping to
-    {!Pqdb_montecarlo.Confidence.solve_with_retries} as its per-attempt
-    budget, so a shard's slice means the same thing wherever it runs. *)
 
 val serve_session :
   ?compile_fuel:int -> ?nworkers:int -> ?shard_cost:int ->

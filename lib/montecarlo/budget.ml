@@ -1,3 +1,5 @@
+module Bigint = Pqdb_numeric.Bigint
+
 type t = {
   deadline : float option;  (* absolute Unix time *)
   max_trials : int option;
@@ -48,8 +50,6 @@ let past_deadline t =
 let remaining_deadline t =
   Option.map (fun d -> d -. Unix.gettimeofday ()) t.deadline
 
-let limitless t = t.deadline = None && t.max_trials = None
-
 let exhausted t =
   Atomic.get t.cancelled_flag
   || (match t.max_trials with
@@ -72,34 +72,46 @@ let allocate ~trials ~costs =
     let base = if trials >= n then 1 else 0 in
     let out = Array.make n base in
     let pool = trials - (base * n) in
+    let total =
+      Array.fold_left (fun a c -> Bigint.add a (Bigint.of_int c)) Bigint.zero
+        costs
+    in
     if pool > 0 then begin
-      let total = Array.fold_left Pqdb_numeric.Stats.saturating_add 0 costs in
-      if total <= 0 then begin
+      if Bigint.is_zero total then begin
         let q = pool / n and r = pool mod n in
         for i = 0 to n - 1 do
           out.(i) <- out.(i) + q + (if i < r then 1 else 0)
         done
       end
       else begin
-        let shares =
-          Array.map
-            (fun c -> float_of_int pool *. float_of_int c /. float_of_int total)
-            costs
-        in
-        let floors = Array.map (fun s -> int_of_float (Float.floor s)) shares in
-        Array.iteri (fun i f -> out.(i) <- out.(i) + f) floors;
-        let leftover = max 0 (pool - Array.fold_left ( + ) 0 floors) in
+        (* Each share's floor and remainder of [pool · c / total], exact in
+           arbitrary precision: the product overflows an [int] long before
+           [pool] reaches [max_int].  The floors sum to at most [pool] and
+           the leftover is below [n]. *)
+        let remainders = Array.make n Bigint.zero in
+        let handed = ref 0 in
+        Array.iteri
+          (fun i c ->
+            let q, r =
+              Bigint.divmod (Bigint.mul (Bigint.of_int pool) (Bigint.of_int c))
+                total
+            in
+            let q = Option.get (Bigint.to_int_opt q) in
+            out.(i) <- out.(i) + q;
+            handed := !handed + q;
+            remainders.(i) <- r)
+          costs;
         (* Hand the integer remainder out by largest fractional share
-           (lowest index on ties); cycling covers any float-noise excess. *)
-        let order = Array.init n (fun i -> i) in
+           (lowest index on ties). *)
+        let order = Array.init n Fun.id in
         Array.sort
           (fun i j ->
-            let fi = shares.(i) -. float_of_int floors.(i)
-            and fj = shares.(j) -. float_of_int floors.(j) in
-            match compare fj fi with 0 -> compare i j | c -> c)
+            match Bigint.compare remainders.(j) remainders.(i) with
+            | 0 -> compare i j
+            | c -> c)
           order;
-        for k = 0 to leftover - 1 do
-          let i = order.(k mod n) in
+        for k = 0 to pool - !handed - 1 do
+          let i = order.(k) in
           out.(i) <- out.(i) + 1
         done
       end
@@ -107,41 +119,14 @@ let allocate ~trials ~costs =
     out
   end
 
-let split t ~cost ~remaining_cost =
-  if remaining_cost < 1 then
-    invalid_arg "Budget.split: remaining_cost must be >= 1";
+let slice ~trials ~deadline_s =
   let dead () =
     let b = create () in
     cancel b;
-    b
+    Some b
   in
-  if exhausted t then dead ()
-  else
-    let c = max 0 (min cost remaining_cost) in
-    let fraction = float_of_int c /. float_of_int remaining_cost in
-    let deadline_s =
-      match remaining_deadline t with
-      | None -> None
-      | Some rem -> Some (rem *. fraction)
-    in
-    let max_trials =
-      match t.max_trials with
-      | None -> None
-      | Some _ ->
-          let rem = remaining_trials t in
-          (* The closing share ([cost = remaining_cost]) takes everything
-             left, so shares handed out over a full schedule sum to exactly
-             the remaining allowance — intermediate rounding drift lands on
-             the last shard instead of silently vanishing (or, with the old
-             per-share ceil, compounding into oversubscription). *)
-          let share =
-            if c >= remaining_cost then rem
-            else
-              int_of_float
-                (Float.round (float_of_int rem *. fraction))
-          in
-          Some (max 1 (min rem share))
-    in
-    match deadline_s with
-    | Some s when s <= 0. -> dead ()
-    | _ -> create ?deadline_s ?max_trials ()
+  match (trials, deadline_s) with
+  | None, None -> None
+  | Some 0, _ -> dead ()
+  | _, Some d when d <= 0. -> dead ()
+  | _ -> Some (create ?deadline_s ?max_trials:trials ())

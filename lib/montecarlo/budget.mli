@@ -10,9 +10,11 @@
     of the paper's Section 6 treatment of unreliability as added
     uncertainty.
 
-    A budget is shared: all tuples of a batch (across all pool domains)
-    draw from the same trial pool and watch the same deadline.  All
-    operations are atomic/lock-free and safe from worker domains.
+    A budget is shared: all tuples of one call (across all pool domains)
+    draw from the same trial pool and watch the same deadline; a batch run
+    gives each shard its own {!slice} of it and charges the trials used
+    back.  All operations are atomic/lock-free and safe from worker
+    domains.
 
     No-budget calls ([?budget] left [None]) take the exact pre-existing
     code paths — zero overhead, bit-identical results. *)
@@ -46,11 +48,6 @@ val remaining_deadline : t -> float option
 (** Wall-clock seconds until the deadline ([None] when there is none); may
     be negative once past it. *)
 
-val limitless : t -> bool
-(** [true] when the budget carries neither a deadline nor a trial cap — it
-    can only exhaust via {!cancel}.  Schedulers share such a budget directly
-    instead of splitting it, so cancellation propagates live. *)
-
 val exhausted : t -> bool
 (** [true] once the budget is cancelled, over its trial budget, or past its
     deadline.  The deadline check is sticky: once observed expired it stays
@@ -58,30 +55,23 @@ val exhausted : t -> bool
 
 val allocate : trials:int -> costs:int array -> int array
 (** Apportion a trial allowance over work items proportionally to their
-    costs, {e exactly}: the returned shares always sum to [trials]
-    (largest-remainder method — integer floors by cost share, then the
-    remainder handed out by largest fractional part, lowest index on ties).
-    When [trials >= Array.length costs] every item gets at least one trial;
-    an all-zero cost vector spreads evenly.  Deterministic, pure — the
-    distributed coordinator uses it to deal identical static slices no
-    matter which worker runs which shard.
+    costs, {e exactly}: the returned shares are non-negative and always sum
+    to [trials], for every allowance up to [max_int] (largest-remainder
+    method in exact arithmetic — integer floors by cost share, then the
+    remainder handed out by largest fractional part, lowest index on
+    ties).  When [trials >= Array.length costs] every item gets at least
+    one trial; an all-zero cost vector spreads evenly.  Deterministic,
+    pure — a batch run deals its shards' static trial slices with it once,
+    so a slice does not depend on which process runs the shard, in what
+    order, or after which resume.
     @raise Invalid_argument on negative [trials] or any negative cost. *)
 
-val split : t -> cost:int -> remaining_cost:int -> t
-(** A fresh child budget granted the share [cost / remaining_cost] of the
-    parent's {e remaining} trial and wall-clock allowance — the primitive
-    behind budget-aware shard scheduling: walking a plan with
-    [remaining_cost] the summed cost of the shards not yet run divides what
-    is left proportionally instead of first-come-first-served.  Trial
-    shares round to nearest and the closing share ([cost >= remaining_cost])
-    takes the whole remainder, so over a full sequential schedule the
-    shares sum to {e exactly} the remaining allowance — no trials are lost
-    to truncation on the last shard.  Every live share is at least one
-    trial (so a tiny shard can still certify something), which can
-    oversubscribe by at most one trial per such shard; the per-shard
-    re-split against the parent's live remainder self-corrects.  The child
-    is independent once created (charge the parent with the trials actually
-    used afterwards); an already exhausted parent yields a cancelled child.
-    Trial-only splits are deterministic; deadline shares depend on the
-    clock.
-    @raise Invalid_argument when [remaining_cost < 1]. *)
+val slice : trials:int option -> deadline_s:float option -> t option
+(** The budget of one shard attempt, from its slice: [None] when the slice
+    carries neither a trial cap nor a deadline (the unbudgeted,
+    bit-identical path), otherwise a fresh budget with that cap and that
+    many seconds.  A zero-trial or non-positive-deadline slice yields a
+    born-cancelled budget: the solve degrades to its sound brackets
+    immediately.  The same mapping serves a worker's order and the
+    in-process run, so a shard's slice means the same thing wherever it
+    runs; the caller charges the parent with the trials actually used. *)

@@ -76,8 +76,19 @@ type run = {
   probe : string;
   meta : string;
   journal : Shard.journal;
-  resumed : (int, Shard.outcome) Hashtbl.t;
   fps : string Lazy.t array;
+  emit : Shard.outcome -> unit;
+  budget : Budget.t option;
+  (* Every planned shard's trial slice, dealt once at open; [None] without
+     a trial cap. *)
+  slices : int array option;
+  resolved : bool array;
+  (* Resolved but not yet emitted outcomes: emission takes them out, so a
+     stream holds at most the shard in flight (plus unemitted resumes). *)
+  pending : (int, Shard.outcome) Hashtbl.t;
+  mutable cursor : int;  (* next shard to emit, in plan order *)
+  mutable unresolved : int;
+  mutable unresolved_cost : int;
   (* What has been emitted so far, in plan order: the only input of the
      run's summary, whoever (stream or coordinator) resolved the shards. *)
   mutable emitted_trials : int;
@@ -86,8 +97,8 @@ type run = {
   mutable quarantines : (int * Pqdb_error.t) list;  (* newest first *)
 }
 
-let open_run ?nworkers ?compile_fuel ?(options = default_stream_options) rng w
-    clause_sets ~eps ~delta =
+let open_run ?budget ?nworkers ?compile_fuel ?(options = default_stream_options)
+    rng w clause_sets ~eps ~delta ~emit =
   if eps <= 0. || delta <= 0. then
     invalid_arg "Confidence.open_run: eps and delta must be positive";
   if options.shard_cost < 1 then
@@ -123,15 +134,65 @@ let open_run ?nworkers ?compile_fuel ?(options = default_stream_options) rng w
   let fps =
     Array.map (fun sh -> lazy (Shard.fingerprint clause_sets sh)) plan
   in
+  (* Static trial slices: the allowance left at open, dealt over EVERY
+     planned shard by a-priori cost, so a shard's slice is the same whoever
+     runs it, in whatever order, cold or resumed ([max_int] left means no
+     cap).  Resumed shards leave their slice unused but charge their
+     journaled spend, as the run that wrote them did. *)
+  let slices =
+    match budget with
+    | Some b when Budget.remaining_trials b < max_int ->
+        Some
+          (Budget.allocate ~trials:(Budget.remaining_trials b)
+             ~costs:(Array.map (fun (sh : Shard.t) -> sh.cost) plan))
+    | _ -> None
+  in
+  let resolved = Array.make (Array.length plan) false in
+  let unresolved_cost = ref 0 in
+  Array.iter
+    (fun (sh : Shard.t) ->
+      match Hashtbl.find_opt resumed sh.index with
+      | Some (o : Shard.outcome) ->
+          resolved.(sh.index) <- true;
+          Option.iter (fun b -> Budget.spend b (sum_trials o.trials)) budget
+      | None ->
+          unresolved_cost := Stats.saturating_add !unresolved_cost sh.cost)
+    plan;
   { w; clause_sets; eps; delta; compile_fuel; nworkers; options; plan; lanes;
-    probe; meta; journal; resumed; fps; emitted_trials = 0;
+    probe; meta; journal; fps; emit; budget; slices; resolved;
+    pending = resumed; cursor = 0;
+    unresolved = Array.length plan - Hashtbl.length resumed;
+    unresolved_cost = !unresolved_cost; emitted_trials = 0;
     all_complete = true; resumed_count = 0; quarantines = [] }
 
 let plan run = run.plan
 let probe run = run.probe
 let meta run = run.meta
-let resumed run = run.resumed
 let fingerprint run (sh : Shard.t) = Lazy.force run.fps.(sh.index)
+let resolved run i = run.resolved.(i)
+let unresolved run = run.unresolved
+
+let order_slice run (sh : Shard.t) =
+  match run.budget with
+  | None -> (None, None)
+  | Some b ->
+      let trials =
+        if Budget.cancelled b then Some 0
+        else Option.map (fun s -> s.(sh.index)) run.slices
+      in
+      (trials, Budget.remaining_deadline b)
+
+(* An in-process attempt's budget: the static trial slice, and the shard's
+   cost share of the remaining deadline over the unresolved cost — never
+   the live trial remainder, so the bits do not depend on what ran
+   before. *)
+let shard_budget run (sh : Shard.t) =
+  let trials, deadline_s = order_slice run sh in
+  let share =
+    float_of_int sh.cost /. float_of_int (max 1 run.unresolved_cost)
+  in
+  Budget.slice ~trials
+    ~deadline_s:(Option.map (fun d -> d *. Float.min 1. share) deadline_s)
 
 (* Sound per-tuple outcome for a shard whose computation cannot be trusted
    (kept failing, or failed on enough distinct workers): a-priori compiled
@@ -267,18 +328,54 @@ let solve_with_retries run ~budget (sh : Shard.t) ~fp =
   in
   go 0
 
-let journal_outcome run (o : Shard.outcome) =
-  if o.quarantined = None && (not o.resumed) && Shard.journal_live run.journal
-  then Shard.journal_append run.journal (Shard.to_payload o)
+(* Emit every resolved outcome that is next in plan order, counting it
+   into the summary and dropping it from the pending table. *)
+let emit_ready run =
+  let rec go () =
+    match Hashtbl.find_opt run.pending run.cursor with
+    | None -> ()
+    | Some (o : Shard.outcome) ->
+        Hashtbl.remove run.pending run.cursor;
+        run.cursor <- run.cursor + 1;
+        run.emitted_trials <- run.emitted_trials + sum_trials o.trials;
+        if not o.complete then run.all_complete <- false;
+        if o.resumed then run.resumed_count <- run.resumed_count + 1;
+        (match o.quarantined with
+        | Some err -> run.quarantines <- (o.shard.index, err) :: run.quarantines
+        | None -> ());
+        run.emit o;
+        go ()
+  in
+  go ()
 
-let emit_outcome run ~emit (o : Shard.outcome) =
-  run.emitted_trials <- run.emitted_trials + sum_trials o.trials;
-  if not o.complete then run.all_complete <- false;
-  if o.resumed then run.resumed_count <- run.resumed_count + 1;
-  (match o.quarantined with
-  | Some err -> run.quarantines <- (o.shard.index, err) :: run.quarantines
-  | None -> ());
-  emit o
+let record run (o : Shard.outcome) =
+  let i = o.shard.index in
+  if run.resolved.(i) then
+    invalid_arg "Confidence.record: shard already resolved";
+  Option.iter (fun b -> Budget.spend b (sum_trials o.trials)) run.budget;
+  if o.quarantined = None && Shard.journal_live run.journal then
+    Shard.journal_append run.journal (Shard.to_payload o);
+  run.resolved.(i) <- true;
+  run.unresolved <- run.unresolved - 1;
+  run.unresolved_cost <- run.unresolved_cost - o.shard.cost;
+  Hashtbl.replace run.pending i o;
+  emit_ready run
+
+let solve_pending run shards =
+  List.iter
+    (fun i ->
+      if not run.resolved.(i) then begin
+        let sh = run.plan.(i) in
+        (* The fingerprint only travels in journal records. *)
+        let fp =
+          if Shard.journal_live run.journal then fingerprint run sh else ""
+        in
+        record run
+          (solve_with_retries run ~budget:(fun () -> shard_budget run sh) sh
+             ~fp)
+      end)
+    shards;
+  emit_ready run
 
 let close_run run =
   Shard.close_journal run.journal;
@@ -294,57 +391,8 @@ let close_run run =
 let run_stream ?budget ?nworkers ?compile_fuel ?options rng w clause_sets
     ~eps ~delta ~emit =
   let run =
-    open_run ?nworkers ?compile_fuel ?options rng w clause_sets ~eps ~delta
+    open_run ?budget ?nworkers ?compile_fuel ?options rng w clause_sets ~eps
+      ~delta ~emit
   in
-  (* Budget-aware scheduling: each shard gets its proportional share of
-     what is left, by a-priori cost — the tail degrades evenly instead of
-     starving, and the closing shard takes the whole remainder so no
-     allowance is lost to rounding.  A limitless (cancel-only) budget is
-     shared as is, so cancellation takes effect mid-shard. *)
-  let split_from =
-    match budget with
-    | Some b when not (Budget.limitless b) -> Some b
-    | _ -> None
-  in
-  let remaining_cost =
-    ref
-      (Array.fold_left
-         (fun a s -> Stats.saturating_add a s.Shard.cost)
-         0 run.plan)
-  in
-  Array.iter
-    (fun (sh : Shard.t) ->
-      let outcome =
-        match Hashtbl.find_opt run.resumed sh.index with
-        | Some o ->
-            (* Charge the governor with the journaled spend so later shards
-               see the same remaining allowance as in the uninterrupted
-               run. *)
-            Option.iter
-              (fun b -> Budget.spend b (sum_trials o.Shard.trials))
-              budget;
-            o
-        | None ->
-            (* The fingerprint only travels in journal records. *)
-            let fp =
-              if Shard.journal_live run.journal then fingerprint run sh else ""
-            in
-            let shard_budget () =
-              match split_from with
-              | Some b ->
-                  Some
-                    (Budget.split b ~cost:sh.cost
-                       ~remaining_cost:(max 1 !remaining_cost))
-              | None -> budget
-            in
-            let o = solve_with_retries run ~budget:shard_budget sh ~fp in
-            Option.iter
-              (fun b -> Budget.spend b (sum_trials o.Shard.trials))
-              split_from;
-            journal_outcome run o;
-            o
-      in
-      remaining_cost := !remaining_cost - sh.cost;
-      emit_outcome run ~emit outcome)
-    run.plan;
+  solve_pending run (List.init (Array.length run.plan) Fun.id);
   close_run run

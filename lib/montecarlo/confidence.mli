@@ -6,7 +6,7 @@
     lives in {!Lineage.exact}.
 
     A batch has one entry point, {!run_stream} (the distributed
-    coordinator drives the same {!open_run} … {!close_run} steps).  Its
+    coordinator drives the same {!open_run} … {!close_run} run).  Its
     per-tuple result is the {!Shard.outcome} it emits for each shard:
     estimates, brackets, trials, and each tuple's achieved relative ε.
 
@@ -82,21 +82,31 @@ type stream_summary = {
 (** {1 One batch run}
 
     What a batch run is, for {!run_stream}, the distributed coordinator and
-    every worker alike: {!open_run} opens it, {!solve_with_retries} is the
-    only retry/quarantine loop (a worker makes single {!solve_shard}
-    attempts and the coordinator retries), and {!emit_outcome} and
-    {!close_run} build the one {!stream_summary}. *)
+    every worker alike.  {!open_run} opens it; the run owns the one shard
+    schedule: which shards are resolved, the static trial slices, the
+    outcomes waiting for their turn, and the plan-order emission that
+    builds the one {!stream_summary}.  {!record} resolves a shard,
+    {!solve_pending} solves shards in process through the only
+    retry/quarantine loop (a worker makes single {!solve_shard} attempts
+    and the coordinator retries), and {!close_run} summarizes. *)
 
 type run
-(** One opened batch: its inputs, plan, lanes, probe, meta, journal and the
-    running summary of what has been emitted. *)
+(** One opened batch: its inputs, plan, lanes, probe, meta, journal,
+    budget slices, resolution state and the running summary of what has
+    been emitted. *)
 
 val open_run :
-  ?nworkers:int -> ?compile_fuel:int -> ?options:stream_options -> Rng.t ->
-  Wtable.t -> Assignment.t list array -> eps:float -> delta:float -> run
+  ?budget:Budget.t -> ?nworkers:int -> ?compile_fuel:int ->
+  ?options:stream_options -> Rng.t -> Wtable.t -> Assignment.t list array ->
+  eps:float -> delta:float -> emit:(Shard.outcome -> unit) -> run
 (** Open a batch run: validate (ε, δ) and [options], plan the shards, draw
     the probe, draw the lanes (none for an empty batch), build the meta
-    payload and, with [options.checkpoint], open (or resume) the journal.
+    payload and, with [options.checkpoint], open (or resume) the journal;
+    resumed shards are resolved from the start.  With a [budget] that caps
+    trials, every planned shard's trial slice is fixed here: the
+    allowance left at open dealt over all planned shards by a-priori cost
+    ({!Budget.allocate}); then each resumed shard's journaled spend is
+    charged to [budget].  [emit] receives each outcome, in plan order.
     The parent RNG advances by exactly one {!Pqdb_numeric.Rng.split_n}'s
     draws ({!Pqdb_numeric.Rng.lanes}); no lane is built here.
     [nworkers] (pool size per shard) defaults to {!Pool.default_workers}.
@@ -117,12 +127,21 @@ val meta : run -> string
 (** {!Shard.meta_payload}: the journal's first record and the handshake's
     parameter check. *)
 
-val resumed : run -> (int, Shard.outcome) Hashtbl.t
-(** Validated journal records keyed by shard index; empty unless
-    [options.resume]. *)
-
 val fingerprint : run -> Shard.t -> string
 (** The shard's {!Shard.fingerprint}, hashed on first use and cached. *)
+
+val resolved : run -> int -> bool
+(** Whether the shard at this plan index has its outcome (resumed or
+    {!record}ed). *)
+
+val unresolved : run -> int
+(** How many planned shards have no outcome yet. *)
+
+val order_slice : run -> Shard.t -> int option * float option
+(** What a distributed order for the shard carries: its static trial slice
+    ([None] without a trial cap, [Some 0] once the budget is cancelled)
+    and the budget's remaining deadline.  [(None, None)] without a
+    budget. *)
 
 val solve_shard :
   ?budget:Budget.t -> run -> Shard.t -> fp:string -> Shard.outcome
@@ -145,21 +164,22 @@ val apriori_outcome : run -> Shard.t -> fp:string -> error:exn -> Shard.outcome
     ([Pqdb_error.Error t] gives [t]; any other exception is wrapped in
     [Task_failure]). *)
 
-val solve_with_retries :
-  run -> budget:(unit -> Budget.t option) -> Shard.t -> fp:string ->
-  Shard.outcome
-(** The retry/quarantine loop: up to [1 + options.retries] {!solve_shard}
-    attempts, each under a fresh [budget ()], with the deterministic
-    {!Shard.backoff_s} between them; a shard still failing is quarantined
-    through {!apriori_outcome} with the last exception. *)
+val record : run -> Shard.outcome -> unit
+(** Resolve the outcome's shard: charge its trials to the run's budget,
+    append it to the journal (unless quarantined, or the journal is not
+    live), then emit every outcome now ready in plan order.
+    @raise Invalid_argument when the shard is already resolved. *)
 
-val journal_outcome : run -> Shard.outcome -> unit
-(** Append a freshly computed, non-quarantined outcome to the run's
-    journal (a no-op when the journal is not live). *)
-
-val emit_outcome : run -> emit:(Shard.outcome -> unit) -> Shard.outcome -> unit
-(** Count the outcome into the run's summary, then pass it to [emit].
-    Call once per shard, in plan order. *)
+val solve_pending : run -> int list -> unit
+(** Solve the listed shards (plan indices) that are still unresolved, in
+    list order and in process, and {!record} each; then emit whatever is
+    ready.  Each shard gets up to [1 + options.retries] {!solve_shard}
+    attempts with the deterministic {!Shard.backoff_s} between them, each
+    under a fresh shard budget ({!Budget.slice}): its static trial slice,
+    and its cost share of the remaining deadline over the unresolved
+    cost — dead once the budget is cancelled or past its deadline.  A
+    shard still failing is quarantined through {!apriori_outcome} with the
+    last exception. *)
 
 val close_run : run -> stream_summary
 (** Close the journal and summarize what was emitted: trials (journaled
@@ -173,26 +193,30 @@ val run_stream :
   eps:float -> delta:float -> emit:(Shard.outcome -> unit) -> stream_summary
 (** Run a batch: stream it shard by shard, calling [emit] once per shard
     in plan order with the shard's {!Shard.outcome} — the per-tuple result,
-    which callers read by tuple index ([shard.first + j]).  {!open_run},
-    then per shard either its resumed record or {!solve_with_retries}
-    (lanes built afresh per attempt, so retries replay the fault-free
-    stream) and {!journal_outcome}, then {!emit_outcome}; {!close_run}
-    gives the summary.  Each shard is released before the next one
-    starts.  With [options.shard_cost = max_int] the batch is one shard:
-    one pool run under one governor.
+    which callers read by tuple index ([shard.first + j]): {!open_run},
+    {!solve_pending} over the whole plan (resumed shards are replayed, not
+    solved; lanes are built afresh per attempt, so retries replay the
+    fault-free stream), {!close_run}.  Each shard is released before the
+    next one starts.  With [options.shard_cost = max_int] the batch is one
+    shard: one pool run under one governor.
 
     A tuple may miss the requested ε only on a run whose summary is not
     [stream_complete], and exactly when its [achieved] exceeds ε.
 
-    With a [budget], each shard receives the fraction of the {e remaining}
-    allowance proportional to its a-priori cost ({!Budget.split}) — the
-    tail degrades evenly instead of first-come-first-served exhaustion;
-    trial-only budgets keep the schedule deterministic.  A cancel-only
-    budget is shared directly so cancellation takes effect mid-shard.  The
-    call is {e anytime}: on exhaustion the remaining sampling is cut short
-    and every tuple still reports a sound interval — the partial-trial
-    bracket for tuples cut mid-flight, the a-priori compiled bracket for
-    tuples never reached.
+    With a [budget], each shard runs under its own slice, fixed by rule
+    and never by live spend: a trial cap is dealt once over all planned
+    shards by a-priori cost ({!open_run}), and a deadline shared out by
+    cost over the shards still unresolved.  So under a trial budget the
+    bits do not depend on the distributed worker count or on a resume (at
+    a fixed pool size: the sampling tuples of one shard still race its
+    slice); the price is that a shard's unspent trials are not re-dealt
+    to later shards.  A
+    cancelled budget (or one past its deadline) gives every later shard a
+    dead slice; a cancel-only budget is observed between shards.  The call
+    is {e anytime}: on exhaustion the remaining sampling is cut short and
+    every tuple still reports a sound interval — the partial-trial bracket
+    for tuples cut mid-flight, the a-priori compiled bracket for tuples
+    never reached.
 
     Failures are contained at shard granularity: a shard that still raises
     after [retries] attempts is {e quarantined} — emitted with sound

@@ -83,12 +83,20 @@ let load path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> parse_string (In_channel.input_all ic))
 
-let escape s =
-  let needs_quote =
-    String.exists (fun c -> c = ',' || c = '"' || c = '\n') s
+let quote s = "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
+
+(* A string is written bare only when it reads back ({!split_line} trims,
+   {!Value.parse} types) as the same string: ["1"], ["true"] or [" a"]
+   are quoted, as is anything holding a comma, a quote or a newline. *)
+let string_text s =
+  let reads_back () =
+    match Value.parse (String.trim s) with
+    | Value.Str s' -> String.equal s s'
+    | _ -> false
   in
-  if needs_quote then
-    "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
+  if String.exists (fun c -> c = ',' || c = '"' || c = '\n') s
+     || not (reads_back ())
+  then quote s
   else s
 
 (* A float's text reads back ({!Value.parse}) as the same float: the first
@@ -112,7 +120,8 @@ let float_text f =
 
 let field_text = function
   | Value.Float f -> float_text f
-  | v -> escape (Value.to_string v)
+  | Value.Str s -> string_text s
+  | v -> Value.to_string v
 
 let to_string r =
   let buf = Buffer.create 256 in

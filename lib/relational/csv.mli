@@ -15,6 +15,9 @@ val load : string -> Relation.t
 val to_string : Relation.t -> string
 (** The relation as CSV text.  A float is written with enough digits
     (15 to 17) that {!Value.parse} reads back the same float: 0.12345675
-    stays 0.12345675 and 2.0 is written [2.], not [2]. *)
+    stays 0.12345675 and 2.0 is written [2.], not [2].  A string is
+    quoted when its bare text would not read back as the same string
+    (["1"], ["true"], [" a"], ["1/2"]) or holds a comma, a quote or a
+    newline. *)
 
 val save : string -> Relation.t -> unit

@@ -101,23 +101,24 @@ let options ?checkpoint ?(resume = false) ?(retries = 2) shard_cost =
     resume;
   }
 
-let reference ?budget ~opts w sets =
+let reference ?budget ?compile_fuel ~opts w sets =
   let n = Array.length sets in
   let emit, est, lo, hi, tr, order = Batch.collector n in
   let summary =
-    Confidence.run_stream ?budget ~options:opts (Rng.create ~seed) w sets
-      ~eps ~delta ~emit
+    Confidence.run_stream ?budget ?compile_fuel ~options:opts
+      (Rng.create ~seed) w sets ~eps ~delta ~emit
   in
   ((est, lo, hi, tr), List.rev !order, summary)
 
 (* ------------------------------------------------------------------ *)
 (* Transports.                                                         *)
 
-let thread_spawn ~shard_cost w sets _id =
+let thread_spawn ?compile_fuel ~shard_cost w sets _id =
   (* Short frame deadline so a torn coordinator frame (env-armed matrix)
      kills the worker in ~2s instead of the 30s default. *)
   Coordinator.thread_transport (fun ~input ~output ->
-      Worker.serve ~shard_cost ~heartbeat_s:0.05 ~frame_timeout_s:2.0
+      Worker.serve ?compile_fuel ~shard_cost ~heartbeat_s:0.05
+        ~frame_timeout_s:2.0
         (Rng.create ~seed) w sets ~eps ~delta ~input ~output)
 
 (* A real child process without exec: fork, run the worker loop, _exit.
@@ -850,29 +851,71 @@ let test_fallback_quarantines_like_stream () =
 (* ------------------------------------------------------------------ *)
 (* Static budget slices: deterministic across worker counts.           *)
 
+(* Under a trial budget that binds, every path deals each shard the same
+   static slice: the single-process stream, the coordinator with one and
+   two workers, and a stream or coordinator resuming a journal that holds
+   one shard's record.  The bits, the spend and the soundness agree. *)
 let test_budget_slices_deterministic () =
   clear_all ();
   let w, sets = fixture () in
   let n = Array.length sets in
   let shard_cost = shard_cost_for ~eps ~delta sets ~target:5 in
-  let opts = options shard_cost in
-  let run workers =
-    let budget = Budget.create ~max_trials:400 () in
+  let budget () = Budget.create ~max_trials:400 () in
+  let streamed ?checkpoint ?resume () =
+    let arrays, _, summary =
+      reference ~budget:(budget ()) ~compile_fuel:0
+        ~opts:(options ?checkpoint ?resume shard_cost)
+        w sets
+    in
+    (arrays, summary)
+  in
+  let coordinated ?checkpoint ?resume workers =
     let emit, est, lo, hi, tr, _ = Batch.collector n in
     let summary =
-      Coordinator.run ~budget ~options:opts ~workers
-        ~spawn:(fun _ -> thread_spawn ~shard_cost w sets 0)
+      Coordinator.run ~budget:(budget ()) ~compile_fuel:0
+        ~options:(options ?checkpoint ?resume shard_cost)
+        ~workers
+        ~spawn:(fun _ -> thread_spawn ~compile_fuel:0 ~shard_cost w sets 0)
         (Rng.create ~seed) w sets ~eps ~delta ~emit
     in
-    ((est, lo, hi, tr), summary)
+    ((est, lo, hi, tr), summary.Coordinator.stream)
   in
-  let a1, s1 = run 1 in
-  let a2, s2 = run 2 in
-  Batch.check_same "slices independent of worker count" a2 a1;
-  check int_c "same trial spend" s1.Coordinator.stream.Confidence.stream_trials
-    s2.Coordinator.stream.Confidence.stream_trials;
-  let (_, lo1, hi1, _) = a1 in
-  Batch.assert_sound "budgeted brackets" w sets (Array.combine lo1 hi1)
+  let _, _, free =
+    reference ~compile_fuel:0 ~opts:(options shard_cost) w sets
+  in
+  let a0, s0 = streamed () in
+  check bool_c "unbudgeted stream complete" true
+    free.Confidence.stream_complete;
+  check bool_c "the budget binds" false s0.Confidence.stream_complete;
+  let same label (a, (s : Confidence.stream_summary)) =
+    Batch.check_same label a a0;
+    check int_c (label ^ ": same trial spend") s0.stream_trials
+      s.stream_trials
+  in
+  same "coordinator, 1 worker" (coordinated 1);
+  same "coordinator, 2 workers" (coordinated 2);
+  with_temp (fun path ->
+      ignore (streamed ~checkpoint:path ());
+      (* The version line, the meta record, then one record per shard in
+         plan order: keep shard 1's only. *)
+      let cut =
+        match read_lines path with
+        | version :: meta :: _ :: shard1 :: _ -> [ version; meta; shard1 ]
+        | _ -> Alcotest.fail "journal too short"
+      in
+      let resumed label run =
+        write_lines path cut;
+        let a, s = run () in
+        check int_c (label ^ ": one shard replayed") 1
+          s.Confidence.resumed_shards;
+        same label (a, s)
+      in
+      resumed "stream resume" (fun () ->
+          streamed ~checkpoint:path ~resume:true ());
+      resumed "coordinator resume" (fun () ->
+          coordinated ~checkpoint:path ~resume:true 2));
+  let _, lo0, hi0, _ = a0 in
+  Batch.assert_sound "budgeted brackets" w sets (Array.combine lo0 hi0)
 
 (* ------------------------------------------------------------------ *)
 (* Journal compaction drops stale duplicates.                          *)

@@ -333,6 +333,7 @@ let test_lease_expiry_late_duplicate () =
      worker would: open the same run from the same seed. *)
   let mirror =
     Confidence.open_run ~options:opts (Rng.create ~seed) w sets ~eps ~delta
+      ~emit:ignore
   in
   let probe = Confidence.probe mirror in
   let plan = Shard.plan ~eps ~delta ~max_cost:shard_cost sets in

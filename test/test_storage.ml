@@ -153,6 +153,35 @@ let float_round_trip file () =
         "float bits preserved" (float_bits udb)
         (float_bits (Udb_io.load path)))
 
+(* Strings whose bare text would read back as another value (["1"] as an
+   integer, ["true"] as a boolean, [" a"] trimmed, ["1/2"] as a rational)
+   keep their type and bytes through a text save, next to the integer 1
+   they must not merge with; a W table variable named ["1"] and
+   probabilities of 7/10 and exactly 1 load back too. *)
+let test_text_strings () =
+  with_temp_dir (fun dir ->
+      let udb = Udb.create () in
+      let values =
+        Value.
+          [
+            Str "1"; Int 1; Str "true"; Str " a"; Str "1/2"; Str "0.5";
+            Str "x,y"; Str "plain";
+          ]
+      in
+      Udb.add_complete udb "Q"
+        (Relation.of_list
+           (Schema.of_list [ "A" ])
+           (List.map (fun v -> Tuple.of_list [ v ]) values));
+      let w = Udb.wtable udb in
+      ignore (Wtable.add_var ~name:"1" w [ Q.of_ints 3 10; Q.of_ints 7 10 ]);
+      ignore (Wtable.add_var w [ Q.one ]);
+      let path = Filename.concat dir "out" in
+      Udb_io.save path udb;
+      let back = Udb_io.load path in
+      assert_same_db "text save" udb back;
+      check int_c "every value kept apart" (List.length values)
+        (List.length (Urelation.rows (Udb.find back "Q"))))
+
 (* ------------------------------------------------------------------ *)
 (* Lazy decoding and atomic replacement                                *)
 (* ------------------------------------------------------------------ *)
@@ -287,6 +316,8 @@ let () =
           Alcotest.test_case "float bits (binary only)" `Quick
             (float_round_trip "f.udbb");
           Alcotest.test_case "float bits (text)" `Quick (float_round_trip "f");
+          Alcotest.test_case "strings keep their type (text)" `Quick
+            test_text_strings;
         ] );
       ( "lifecycle",
         [
