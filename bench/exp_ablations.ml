@@ -103,8 +103,8 @@ let e14_batch_size ~quick =
         for _ = 1 to trials do
           let est = make_estimator () in
           let d =
-            Pqdb.Predicate_approx.decide ?batch ~eps0:0.05 ~rng ~delta:0.1 phi
-              [| est |]
+            Pqdb.Predicate_approx.decide ?batch ~compile_fuel:0 ~eps0:0.05 ~rng
+              ~delta:0.1 phi [| est |]
           in
           calls := !calls + d.Pqdb.Predicate_approx.estimator_calls;
           eps_calls := !eps_calls + d.Pqdb.Predicate_approx.rounds

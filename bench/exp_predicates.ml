@@ -148,7 +148,8 @@ let e7_fig3_vs_naive ~quick =
           let w = Wtable.create () in
           let est = bernoulli_estimator rng w p in
           let d =
-            Pqdb.Predicate_approx.decide ~eps0 ~rng ~delta phi [| est |]
+            Pqdb.Predicate_approx.decide ~compile_fuel:0 ~eps0 ~rng ~delta phi
+              [| est |]
           in
           adaptive := !adaptive + d.Pqdb.Predicate_approx.estimator_calls;
           Stats.record wrong (d.Pqdb.Predicate_approx.value = (p >= threshold));
@@ -215,7 +216,10 @@ let e8_singularity_wall ~quick =
         for _ = 1 to trials do
           let w = Wtable.create () in
           let est = bernoulli_estimator rng w p in
-          let d = Pqdb.Predicate_approx.decide ~eps0 ~rng ~delta phi [| est |] in
+          let d =
+            Pqdb.Predicate_approx.decide ~compile_fuel:0 ~eps0 ~rng ~delta phi
+              [| est |]
+          in
           calls := !calls + d.Pqdb.Predicate_approx.estimator_calls;
           if d.Pqdb.Predicate_approx.used_floor then incr floored
         done;
@@ -242,7 +246,8 @@ let e8_singularity_wall ~quick =
   in
   let cert_phi = Apred.ge (Apred.var 0) (Apred.const 1.) in
   let d =
-    Pqdb.Predicate_approx.decide ~eps0 ~rng ~delta cert_phi [| est |]
+    Pqdb.Predicate_approx.decide ~compile_fuel:0 ~eps0 ~rng ~delta cert_phi
+      [| est |]
   in
   Report.note
     "certainty test (conf >= 1 with true p = 1): answered %b relying on the \

@@ -70,8 +70,8 @@ let e9_provenance_fanin ~quick =
           (* Deliberately weak decisions (tight budget) so errors are
              measurable. *)
           let result, _ =
-            Pqdb.Eval_approx.eval ~eps0:0.02 ~max_rounds:2 ~sigma_delta:0.3
-              ~rng udb query
+            Pqdb.Eval_approx.eval ~compile_fuel:0 ~eps0:0.02 ~max_rounds:2
+              ~sigma_delta:0.3 ~rng udb query
           in
           let wrong = not (Urelation.is_empty result.Pqdb.Eval_approx.urel) in
           Stats.record present (not wrong);
@@ -148,49 +148,55 @@ let e10_query_doubling ~quick =
     "Theorem 6.7: the doubling driver reaches any delta in polynomial time";
   let rng = Rng.create ~seed:10 in
   let deltas = if quick then [ 0.2; 0.05 ] else [ 0.2; 0.1; 0.05; 0.02 ] in
-  let run_depth name query =
-    let rows =
-      List.map
-        (fun delta ->
-          let udb = sensors_with_links (Rng.create ~seed:11) ~sensors:3 in
-          let (result, stats, budget), secs =
-            Report.timed (fun () ->
-                Pqdb.Eval_approx.eval_with_guarantee ~rng ~delta udb query)
-          in
-          [
-            name;
-            Report.fmt_float delta;
-            Report.fmt_int budget;
-            Report.fmt_int stats.Pqdb.Eval_approx.estimator_calls;
-            Report.fmt_float (Pqdb.Eval_approx.max_error result);
-            Report.fmt_int (List.length result.Pqdb.Eval_approx.suspects);
-            Report.fmt_seconds secs;
-          ])
-        deltas
-    in
-    rows
+  let run_depth ~compile_fuel name query =
+    List.map
+      (fun delta ->
+        let udb = sensors_with_links (Rng.create ~seed:11) ~sensors:3 in
+        let (result, stats, budget), secs =
+          Report.timed (fun () ->
+              Pqdb.Eval_approx.eval_with_guarantee ?compile_fuel ~rng ~delta
+                udb query)
+        in
+        [
+          name;
+          Report.fmt_float delta;
+          Report.fmt_int budget;
+          Report.fmt_int stats.Pqdb.Eval_approx.estimator_calls;
+          Report.fmt_float (Pqdb.Eval_approx.max_error result);
+          Report.fmt_int (List.length result.Pqdb.Eval_approx.suspects);
+          Report.fmt_seconds secs;
+        ])
+      deltas
   in
-  let depth1 =
-    run_depth "d=1" (Scenarios.hot_sensors ~threshold:0.4)
+  let both ~compile_fuel =
+    run_depth ~compile_fuel "d=1" (Scenarios.hot_sensors ~threshold:0.4)
+    @ run_depth ~compile_fuel "d=2"
+        (nested_query ~inner_threshold:0.4 ~outer_threshold:0.3)
   in
-  let depth2 =
-    run_depth "d=2" (nested_query ~inner_threshold:0.4 ~outer_threshold:0.3)
+  let header =
+    [
+      "depth";
+      "delta";
+      "final l";
+      "estimator calls";
+      "max error";
+      "suspects";
+      "time";
+    ]
   in
-  Report.table
-    ~header:
-      [
-        "depth";
-        "delta";
-        "final l";
-        "estimator calls";
-        "max error";
-        "suspects";
-        "time";
-      ]
-    (depth1 @ depth2);
+  (* Sampled: every σ̂ value through Figure 3's Karp-Luby rounds
+     (compile_fuel 0), the doubling the theorem is about. *)
+  Report.table ~header (both ~compile_fuel:(Some 0));
   Report.note
     "the final round budget grows ~log(1/delta)/eps0^2 and the per-tuple \
-     bounds land under the target; suspects mark (near-)singular decisions."
+     bounds land under the target; suspects mark (near-)singular decisions.";
+  (* Compiled: the default fuel, as pqdb run -a evaluates. *)
+  Report.table ~header (both ~compile_fuel:None);
+  Report.note
+    "compiled (default fuel): every sensor and link lineage compiles \
+     exactly, so each decision takes 0 rounds with error 0 and the first \
+     attempt (l = 1) already meets delta; suspects are decisions within \
+     the compiled floats' rounding bound of a threshold."
 
 (* ------------------------------------------------------------------ *)
 (* E11: Theorem 4.4 — egd rewriting                                    *)

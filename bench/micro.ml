@@ -194,8 +194,8 @@ let test_fig3_decide () =
   Test.make ~name:"fig3/decide-2clause-4096"
     (Staged.stage (fun () ->
          ignore
-           (Pqdb.Predicate_approx.decide ~eps0:0.01 ~max_rounds:fig3_rounds
-              ~rng:(Rng.create ~seed:11) ~delta:0.01 phi
+           (Pqdb.Predicate_approx.decide ~compile_fuel:0 ~eps0:0.01
+              ~max_rounds:fig3_rounds ~rng:(Rng.create ~seed:11) ~delta:0.01 phi
               [| Estimator.create dnf |])))
 
 (* One DKLR stopping-rule pass on a 30-variable DNF, from a fixed seed so

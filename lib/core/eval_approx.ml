@@ -49,7 +49,8 @@ let footnote_3 () =
        "repair-key above an approximate selection is not supported \
         (footnote 3)")
 
-let sigma_hat_eval ?budget ~eps0 ~max_rounds ~sigma_delta ~rng ~stats w
+let sigma_hat_eval ?budget ?compile_fuel ~eps0 ~max_rounds ~sigma_delta ~rng
+    ~stats w
     { Ua.phi; conf_args; input = _ } (input : cell TM.t Eval_exact.node) :
     cell TM.t Eval_exact.node =
   let u = input.urel in
@@ -114,7 +115,7 @@ let sigma_hat_eval ?budget ~eps0 ~max_rounds ~sigma_delta ~rng ~stats w
              clause_index keys)
       in
       let decision =
-        Predicate_approx.decide ?budget ~eps0 ?max_rounds ~rng
+        Predicate_approx.decide ?budget ?compile_fuel ~eps0 ?max_rounds ~rng
           ~delta:sigma_delta phi estimators
       in
       stats.decisions <- stats.decisions + 1;
@@ -166,7 +167,8 @@ let stream_options_for stream aconf_ord =
       in
       Some { o with checkpoint }
 
-let aconf_eval ?budget ?stream ~aconf_ord ~rng ~stats w { Ua.eps; delta }
+let aconf_eval ?budget ?stream ?compile_fuel ~aconf_ord ~rng ~stats w
+    { Ua.eps; delta }
     (a : cell TM.t Eval_exact.node) : cell TM.t Eval_exact.node =
   (* Streaming compiled batch: tuples are sharded by a-priori cost and
      compiled/solved shard-at-a-time (bounded resident memory, optional
@@ -179,7 +181,7 @@ let aconf_eval ?budget ?stream ~aconf_ord ~rng ~stats w { Ua.eps; delta }
   let n = List.length groups in
   let estimates = Array.make n 0. and achieved = Array.make n 0. in
   let summary =
-    Pqdb_montecarlo.Confidence.run_stream ?budget
+    Pqdb_montecarlo.Confidence.run_stream ?budget ?compile_fuel
       ?options:(stream_options_for stream aconf_ord) rng w
       (Array.of_list (List.map snd groups))
       ~eps ~delta
@@ -240,8 +242,8 @@ let rec approximate q =
 
 let fresh_stats () = { decisions = 0; estimator_calls = 0; round_limit_hits = 0 }
 
-let eval ?budget ?stream ?(eps0 = 0.05) ?max_rounds ?(sigma_delta = 0.05) ~rng
-    udb q =
+let eval ?budget ?stream ?compile_fuel ?(eps0 = 0.05) ?max_rounds
+    ?(sigma_delta = 0.05) ~rng udb q =
   let unreliable = approximate q in
   let stats = fresh_stats () in
   let aconf_ord = ref 0 in
@@ -251,10 +253,13 @@ let eval ?budget ?stream ?(eps0 = 0.05) ?max_rounds ?(sigma_delta = 0.05) ~rng
       Eval_exact.leaf = (fun _ _ -> TM.empty);
       unary = Provenance.unary ~merge;
       binary = Provenance.binary ~merge;
-      aconf = Some (aconf_eval ?budget ?stream ~aconf_ord ~rng ~stats w);
+      aconf =
+        Some
+          (aconf_eval ?budget ?stream ?compile_fuel ~aconf_ord ~rng ~stats w);
       sigma_hat =
         Some
-          (sigma_hat_eval ?budget ~eps0 ~max_rounds ~sigma_delta ~rng ~stats w);
+          (sigma_hat_eval ?budget ?compile_fuel ~eps0 ~max_rounds ~sigma_delta
+             ~rng ~stats w);
     }
   in
   let a = Eval_exact.walk rules udb q in
@@ -282,7 +287,8 @@ let active_domain_size udb =
     (Udb.names udb);
   max 2 (Seen.length seen)
 
-let eval_with_guarantee ?budget ?stream ?(eps0 = 0.05) ~rng ~delta udb q =
+let eval_with_guarantee ?budget ?stream ?compile_fuel ?(eps0 = 0.05) ~rng
+    ~delta udb q =
   (* The Theorem 6.7 round cap only matters once an attempt misses δ, which
      a query whose one approximate operator is an aconf never does; the
      active-domain scan behind it is forced on that first miss. *)
@@ -314,7 +320,8 @@ let eval_with_guarantee ?budget ?stream ?(eps0 = 0.05) ~rng ~delta udb q =
           stream
     in
     let r, stats =
-      eval ?budget ?stream ~eps0 ~max_rounds:l ~sigma_delta ~rng udb' q
+      eval ?budget ?stream ?compile_fuel ~eps0 ~max_rounds:l ~sigma_delta ~rng
+        udb' q
     in
     accumulate stats;
     (* Tuples still failing at the Theorem 6.7 budget cap are exactly the

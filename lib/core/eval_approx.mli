@@ -10,13 +10,16 @@
       one set of ≺ rules in {!Provenance} ({!Provenance.unary},
       {!Provenance.binary}), which [explain]'s provenance also runs;
     - σ̂ adds the Figure-3 decision bound [min(0.5, Σᵢ δᵢ(ε))] to the input
-      contribution (Lemma 6.4(2));
+      contribution (Lemma 6.4(2)); values whose lineage compiles exactly
+      contribute no [δᵢ], so a decision over exact values adds 0;
     - [conf_{ε,δ}] adds its [δ] (the probability its [P] value is outside the
       ε-relative interval).
 
     Tuples whose σ̂ decision hit the round budget before reaching its target
     are flagged as {e singularity suspects} — they are exactly the tuples
-    Theorem 6.7 cannot (and provably need not) guarantee.
+    Theorem 6.7 cannot (and provably need not) guarantee — and so are
+    tuples whose decision leaned on the ε₀ floor or, over compiled values,
+    sat within the floats' rounding bound of the boundary.
 
     The pass is {!Eval_exact.walk} with μ/suspect annotations, overriding
     only the U-relations of [conf_{ε,δ}] (Karp-Luby batch) and σ̂
@@ -55,6 +58,7 @@ val error_of : result -> Tuple.t -> float
 val eval :
   ?budget:Pqdb_montecarlo.Budget.t ->
   ?stream:Pqdb_montecarlo.Confidence.stream_options ->
+  ?compile_fuel:int ->
   ?eps0:float ->
   ?max_rounds:int ->
   ?sigma_delta:float ->
@@ -67,6 +71,17 @@ val eval :
     [l] of Theorem 6.7 (default: unlimited, i.e. run Figure 3 to its stopping
     condition).  Mutates the W table via [repair-key] — evaluate on
     {!Pqdb_urel.Udb.copy} when the database must survive.
+
+    [compile_fuel] (default {!Pqdb_montecarlo.Compile.default_fuel}) is
+    handed to every σ̂ decision ({!Predicate_approx.decide}) and to every
+    [conf_{ε,δ}] batch ({!Pqdb_montecarlo.Confidence.run_stream}).  A σ̂
+    candidate whose lineage compiles exactly enters Figure 3 as a
+    constant and samples nothing; a decision over exact values only has
+    error bound 0, and is a suspect when [ε_φ] does not clear the compiled
+    floats' rounding bound.  [~compile_fuel:0] samples every σ̂ value, as
+    Figure 3 does over raw Karp-Luby estimators; the [conf_{ε,δ}] batches
+    keep {!Pqdb_montecarlo.Confidence}'s meaning of 0 (normalization,
+    trivial cases and single clauses only).
 
     [budget] makes the pass anytime: [conf_{ε,δ}] batches and σ̂ decisions
     charge the shared governor and degrade on exhaustion — estimates stay
@@ -87,6 +102,7 @@ val eval :
 val eval_with_guarantee :
   ?budget:Pqdb_montecarlo.Budget.t ->
   ?stream:Pqdb_montecarlo.Confidence.stream_options ->
+  ?compile_fuel:int ->
   ?eps0:float ->
   rng:Rng.t ->
   delta:float ->
@@ -99,6 +115,9 @@ val eval_with_guarantee :
     over provenance — and re-evaluate on a fresh copy of the database.  Stops unconditionally once [l] reaches the
     [Stats.theorem_6_7_rounds] bound, so singular tuples cannot loop it
     forever.  Returns the final result, cumulative stats and the final [l].
+    When every σ̂ value compiles exactly the first attempt already meets
+    [delta] (its decisions have error 0), so [l = 1].  [compile_fuel] is
+    passed to every attempt as in {!eval}.
 
     Each attempt runs on a fresh {!Pqdb_urel.Udb.copy}, so repair-key
     variables created during evaluation live in that copy's W table; use the

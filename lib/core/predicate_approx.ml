@@ -48,7 +48,7 @@ let combined_error ~independent values ~eps =
 let total_steps values =
   Array.fold_left (fun acc v -> acc + Approximable.steps v) 0 values
 
-let finish ~independent ~value ~eps ~eps_phi ~eps0 ~rounds ~hit_round_limit
+let finish ~independent ~value ~eps ~used_floor ~rounds ~hit_round_limit
     values =
   {
     value;
@@ -58,17 +58,21 @@ let finish ~independent ~value ~eps ~eps_phi ~eps0 ~rounds ~hit_round_limit
     estimator_calls = total_steps values;
     estimates = Array.map Approximable.estimate values;
     hit_round_limit;
-    used_floor = eps_phi < eps0;
+    used_floor;
   }
 
 (* Figure 3 over abstract approximable values (Section 5's claimed
    generality): refinement and delta bounds come from the Approximable
    interface, so tuple confidences and online aggregates mix freely in one
-   predicate.  [decide] is this loop over Karp-Luby estimators. *)
-let decide_values ?budget ?(eps0 = 0.05) ?max_rounds ?(search_iterations = 40)
-    ?batch ?(independent = false) ~rng ~delta phi values =
+   predicate.  [rounding] is the largest relative distance from an exact
+   value's float to its true value (0 when every exact value is exactly
+   right): a decision whose ε_φ does not clear it may be wrong, so it is
+   flagged [used_floor] like one that leans on ε₀. *)
+let figure_3 ?budget ?(eps0 = 0.05) ?max_rounds ?(search_iterations = 40)
+    ?batch ?(independent = false) ~rounding ~rng ~delta phi values =
   check_args ?batch ~delta ~eps0 phi values;
   let epsilon = Epsilon.prepare ~search_iterations phi in
+  let rounded eps_phi = rounding > 0. && eps_phi <= rounding in
   let refine v =
     match batch with
     | None -> Approximable.refine rng v (* |F_i| calls, as in Figure 3 *)
@@ -93,7 +97,8 @@ let decide_values ?budget ?(eps0 = 0.05) ?max_rounds ?(search_iterations = 40)
         let eps = Float.max eps0 eps_phi in
         finish ~independent
           ~value:(Apred.eval p_hat phi)
-          ~eps ~eps_phi ~eps0 ~rounds ~hit_round_limit:true values
+          ~eps ~used_floor:(eps_phi < eps0 || rounded eps_phi) ~rounds
+          ~hit_round_limit:true values
     | _ ->
         (match budget with
         | Some b ->
@@ -107,35 +112,69 @@ let decide_values ?budget ?(eps0 = 0.05) ?max_rounds ?(search_iterations = 40)
            truth-directed ε computation covers both cases. *)
         let eps_phi = epsilon p_hat in
         let eps = Float.max eps0 eps_phi in
+        let used_floor = eps_phi < eps0 || rounded eps_phi in
         if combined_error ~independent values ~eps <= delta then
           finish ~independent
             ~value:(Apred.eval p_hat phi)
-            ~eps ~eps_phi ~eps0 ~rounds ~hit_round_limit:false values
+            ~eps ~used_floor ~rounds ~hit_round_limit:false values
         else begin
           match max_rounds with
           | Some limit when rounds >= limit ->
               finish ~independent
                 ~value:(Apred.eval p_hat phi)
-                ~eps ~eps_phi ~eps0 ~rounds ~hit_round_limit:true values
+                ~eps ~used_floor ~rounds ~hit_round_limit:true values
           | _ -> loop rounds
         end
   in
-  (* Degenerate case: every value already exact (trivial DNFs). *)
+  (* Every value exact: no round, no error.  Exact values need no ε₀
+     floor, but floats that are only rounded need ε_φ to clear their
+     rounding. *)
   if Array.for_all Approximable.is_exact values then begin
     estimate ();
-    (* Exact values need no floor. *)
     finish ~independent
       ~value:(Apred.eval p_hat phi)
-      ~eps:eps0 ~eps_phi:Linear_eps.eps_max ~eps0 ~rounds:0
+      ~eps:eps0
+      ~used_floor:(rounding > 0. && epsilon p_hat <= rounding)
+      ~rounds:0
       ~hit_round_limit:false values
   end
   else loop 0
 
+let decide_values ?budget ?eps0 ?max_rounds ?search_iterations ?batch
+    ?independent ~rng ~delta phi values =
+  figure_3 ?budget ?eps0 ?max_rounds ?search_iterations ?batch ?independent
+    ~rounding:0. ~rng ~delta phi values
+
+(* The relative distance from a compiled float [p] to the rational value
+   it rounds, rounded up: its absolute rounding bound over [p]. *)
+let relative_rounding ~abs p =
+  if abs = 0. then 0. else if p > 0. then Float.succ (abs /. p) else infinity
+
 let decide ?budget ?eps0 ?max_rounds ?search_iterations ?batch ?independent
-    ~rng ~delta phi estimators =
-  decide_values ?budget ?eps0 ?max_rounds ?search_iterations ?batch
-    ?independent ~rng ~delta phi
-    (Array.map Approximable.of_karp_luby estimators)
+    ?(compile_fuel = Compile.default_fuel) ~rng ~delta phi estimators =
+  if compile_fuel < 0 then
+    invalid_arg "Predicate_approx: compile_fuel must be non-negative";
+  let rounding = ref 0. in
+  (* Each lineage is compiled once: an exact value enters as a constant
+     and its estimator draws nothing; the rest sample as in Figure 3. *)
+  let value est =
+    if compile_fuel = 0 || Estimator.is_degenerate est then
+      Approximable.of_karp_luby est
+    else begin
+      let dnf = Estimator.dnf est in
+      let w = Dnf.wtable dnf and clauses = Dnf.clauses dnf in
+      let compiled = Compile.compile ~fuel:compile_fuel w clauses in
+      match Compile.exact_value compiled with
+      | None -> Approximable.of_karp_luby est
+      | Some p ->
+          let abs = Compile.rounding_bound w clauses in
+          rounding := Float.max !rounding (relative_rounding ~abs p);
+          Approximable.constant p
+    end
+  in
+  let values = Array.map value estimators in
+  figure_3 ?budget ?eps0 ?max_rounds ?search_iterations ?batch ?independent
+    ~rounding:!rounding ~rng ~delta phi values
 
 let decide_naive ?(eps0 = 0.05) ~rng ~delta phi estimators =
   check_args ~delta ~eps0 phi estimators;
@@ -154,5 +193,5 @@ let decide_naive ?(eps0 = 0.05) ~rng ~delta phi estimators =
   in
   finish ~independent:false
     ~value:(Apred.eval p_hat phi)
-    ~eps:eps0 ~eps_phi ~eps0 ~rounds:1 ~hit_round_limit:false
+    ~eps:eps0 ~used_floor:(eps_phi < eps0) ~rounds:1 ~hit_round_limit:false
     (Array.map Approximable.of_karp_luby estimators)

@@ -26,7 +26,10 @@ type decision = {
           stopping condition was met only thanks to the ε₀ floor: by
           Theorem 5.8 the reported bound is then valid {e only if} the true
           point is not an ε₀-singularity — the singularity-suspicion signal
-          used by query evaluation *)
+          used by query evaluation.  {!decide} also sets it when [ε_ψ(p̂)]
+          does not exceed the largest relative rounding bound of its
+          compiled values: the truth may then lie across the boundary from
+          the floats, even at error bound 0. *)
 }
 
 val decide_values :
@@ -73,15 +76,32 @@ val decide :
   ?search_iterations:int ->
   ?batch:int ->
   ?independent:bool ->
+  ?compile_fuel:int ->
   rng:Rng.t ->
   delta:float ->
   Pqdb_ast.Apred.t ->
   Estimator.t array ->
   decision
-(** Figure 3 itself: {!decide_values} over
-    [Array.map Approximable.of_karp_luby estimators], one round being
-    [|Fᵢ|] Karp-Luby estimator calls per value.  The estimators keep their
-    accumulated trials. *)
+(** Figure 3 itself over {e approximable} values (Section 5): each
+    estimator's lineage is compiled once with {!Compile.compile} at
+    [compile_fuel] (default {!Compile.default_fuel}, as in {!Topk.run}).
+    {ul
+    {- A value that compiles exactly enters as {!Approximable.constant}
+       and its estimator draws nothing;}
+    {- a value that does not stays {!Approximable.of_karp_luby}, one round
+       being [|Fᵢ|] Karp-Luby estimator calls, and its estimator keeps its
+       accumulated trials.}}
+    A decision whose values are all exact takes 0 rounds and has error
+    bound 0.  A compiled float is only within
+    {!Compile.rounding_bound} of the rational confidence, so [ε_ψ(p̂)] is
+    computed even then, and a decision whose [ε_ψ(p̂)] does not exceed the
+    largest relative rounding bound [w/p̂] is flagged [used_floor].
+
+    [~compile_fuel:0] compiles nothing: {!decide_values} over
+    [Array.map Approximable.of_karp_luby estimators], bit for bit the
+    sampled Figure 3 (degenerate DNFs are exact as always).
+    @raise Invalid_argument as {!decide_values}, or when [compile_fuel] is
+    negative. *)
 
 val decide_naive :
   ?eps0:float ->

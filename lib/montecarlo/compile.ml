@@ -43,6 +43,28 @@ let residual_ub w ~nvars set =
   if m >= 1. || k > 1 lsl 31 then 1.
   else Float.min 1. (Float.succ (m +. (float_of_int k *. 0x1p-51)))
 
+(* The rounding lemma's V and D + 4 over [clauses]: the literal count
+   bounds V from above, and the bound only grows with V, so no variable
+   set is built. *)
+let lemma_size w clauses =
+  let v = ref 0 and d = ref 1 in
+  let visit () x _ =
+    incr v;
+    d := max !d (Wtable.domain_size w x)
+  in
+  List.iter (Assignment.fold visit ()) clauses;
+  (!v, !d + 4)
+
+(* w = (2D + 8)·u·(2V − 1) with u = 2⁻⁵³, exact as a float while
+   k·(2V − 1) ≤ 2³² — the lemma's range (w ≤ 2⁻²⁰). *)
+let widen ~nvars ~k =
+  if (2 * nvars) - 1 > (1 lsl 32) / k then Float.infinity
+  else float_of_int (k * ((2 * nvars) - 1)) *. 0x1p-52
+
+let rounding_bound w clauses =
+  let nvars, k = lemma_size w clauses in
+  if nvars = 0 then 0. else widen ~nvars ~k
+
 let compile ?(fuel = default_fuel) w clauses =
   let dag = Lineage.decompose ~fuel (float_ops w) w clauses in
   let nodes = dag.Lineage.nodes in
@@ -51,21 +73,8 @@ let compile ?(fuel = default_fuel) w clauses =
     let v = eval [||] nodes in
     { size; lo = v; hi = v; sample = None }
   else begin
-    (* The literal count bounds V from above, and the bound only grows
-       with V, so no variable set is built. *)
-    let v = ref 0 and d = ref 1 in
-    let visit () x _ =
-      incr v;
-      d := max !d (Wtable.domain_size w x)
-    in
-    List.iter (Assignment.fold visit ()) dag.Lineage.clauses;
-    let k = !d + 4 and nvars = !v in
-    (* w = (2D + 8)·u·(2V − 1) with u = 2⁻⁵³, exact as a float while
-       k·(2V − 1) ≤ 2³² — the lemma's range (w ≤ 2⁻²⁰). *)
-    let widen =
-      if (2 * nvars) - 1 > (1 lsl 32) / k then Float.infinity
-      else float_of_int (k * ((2 * nvars) - 1)) *. 0x1p-52
-    in
+    let nvars, k = lemma_size w dag.Lineage.clauses in
+    let widen = widen ~nvars ~k in
     (* The monotone DAG at the residual extremes: the lower endpoint is the
        exact compiled mass — what the tuple is worth with every residual
        written off — and the upper endpoint charges each residual its full

@@ -110,7 +110,20 @@ val compile : ?fuel:int -> Wtable.t -> Assignment.t list -> t
 
 val is_exact : t -> bool
 val exact_value : t -> float option
-(** [Some p] iff compilation resolved the whole DNF ([is_exact]). *)
+(** [Some p] iff compilation resolved the whole DNF ([is_exact]).  [p] is
+    a float: it lies within [rounding_bound w clauses] of the rational
+    confidence ({!Lineage.exact}), not on it. *)
+
+val rounding_bound : Wtable.t -> Assignment.t list -> float
+(** The rounding lemma's [w] for [clauses]: the float value of any DAG
+    {!compile} builds from them is within [w] of the exact value of that
+    DAG, so an {!exact_value} is within [w] of the rational confidence.
+    [V] is the literal count of [clauses], which bounds the normalized
+    DNF's variables from above, so the input list itself gives a sound
+    (if looser) bound.  [0.] when [clauses] has no literal (the exact
+    constants 0 and 1); [infinity] past the lemma's range.  The same [w]
+    widens the {!vacuous_interval} of a value that is not exact; an exact
+    value's point interval is not widened. *)
 
 val size : t -> int
 (** Distinct DAG nodes (diagnostics): a shared sub-DNF counts once, and a

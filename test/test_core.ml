@@ -238,7 +238,10 @@ let test_fig3_decides_correctly () =
     let w = Wtable.create () in
     let est = bernoulli_estimator w 0.8 in
     let phi = Apred.ge (Apred.var 0) (Apred.const 0.5) in
-    let d = Predicate_approx.decide ~eps0:0.05 ~rng ~delta phi [| est |] in
+    let d =
+      Predicate_approx.decide ~compile_fuel:0 ~eps0:0.05 ~rng ~delta phi
+        [| est |]
+    in
     Stats.record tally (d.value = true);
     assert (d.error_bound <= delta +. 1e-9)
   done;
@@ -255,7 +258,10 @@ let test_fig3_terminates_on_boundary () =
   let w = Wtable.create () in
   let est = bernoulli_estimator w 0.5 in
   let phi = Apred.ge (Apred.var 0) (Apred.const 0.5) in
-  let d = Predicate_approx.decide ~eps0:0.1 ~rng ~delta:0.2 phi [| est |] in
+  let d =
+    Predicate_approx.decide ~compile_fuel:0 ~eps0:0.1 ~rng ~delta:0.2 phi
+      [| est |]
+  in
   check bool_c "terminated" true (d.rounds > 0);
   check bool_c "bound met at eps0" true (d.error_bound <= 0.2 +. 1e-9)
 
@@ -269,7 +275,10 @@ let test_fig3_far_cheaper_than_near () =
     for _ = 1 to 20 do
       let w = Wtable.create () in
       let est = bernoulli_estimator w p in
-      let d = Predicate_approx.decide ~eps0:0.02 ~rng ~delta:0.1 phi [| est |] in
+      let d =
+        Predicate_approx.decide ~compile_fuel:0 ~eps0:0.02 ~rng ~delta:0.1 phi
+          [| est |]
+      in
       total := !total + d.estimator_calls
     done;
     !total
@@ -288,7 +297,10 @@ let test_fig3_vs_naive () =
   for _ = 1 to 20 do
     let w = Wtable.create () in
     let est = bernoulli_estimator w 0.9 in
-    let d = Predicate_approx.decide ~eps0:0.02 ~rng ~delta:0.1 phi [| est |] in
+    let d =
+      Predicate_approx.decide ~compile_fuel:0 ~eps0:0.02 ~rng ~delta:0.1 phi
+        [| est |]
+    in
     adaptive_calls := !adaptive_calls + d.estimator_calls;
     let w2 = Wtable.create () in
     let est2 = bernoulli_estimator w2 0.9 in
@@ -307,8 +319,8 @@ let test_fig3_round_limit () =
   let est = bernoulli_estimator w 0.5 in
   let phi = Apred.ge (Apred.var 0) (Apred.const 0.5) in
   let d =
-    Predicate_approx.decide ~eps0:0.001 ~max_rounds:3 ~rng ~delta:0.001 phi
-      [| est |]
+    Predicate_approx.decide ~compile_fuel:0 ~eps0:0.001 ~max_rounds:3 ~rng
+      ~delta:0.001 phi [| est |]
   in
   check bool_c "hit the limit" true d.hit_round_limit;
   check Alcotest.int "stopped at 3 rounds" 3 d.rounds
@@ -325,7 +337,10 @@ let test_fig3_two_values_ratio () =
     let w = Wtable.create () in
     let e0 = bernoulli_estimator w (1. /. 6.) in
     let e1 = bernoulli_estimator w 0.5 in
-    let d = Predicate_approx.decide ~eps0:0.05 ~rng ~delta:0.1 phi [| e0; e1 |] in
+    let d =
+      Predicate_approx.decide ~compile_fuel:0 ~eps0:0.05 ~rng ~delta:0.1 phi
+        [| e0; e1 |]
+    in
     Stats.record tally d.value
   done;
   check bool_c "ratio predicate decided true" true
@@ -392,8 +407,8 @@ let sigma_decisions_digest () =
     in
     let eps0 = if case mod 2 = 0 then 0.05 else 0.1 in
     record
-      (Predicate_approx.decide ?budget ?max_rounds ~independent ~eps0 ~rng
-         ~delta:0.1 phi (estimators ()));
+      (Predicate_approx.decide ?budget ?max_rounds ~independent ~compile_fuel:0
+         ~eps0 ~rng ~delta:0.1 phi (estimators ()));
     if case mod 4 = 0 then
       record
         (Predicate_approx.decide_values ?max_rounds ~independent ~eps0 ~rng
@@ -416,8 +431,8 @@ let test_sigma_decisions_pinned () =
   check bool_c "repeated-variable non-linear atom raises Unsupported" true
     (try
        ignore
-         (Predicate_approx.decide ~rng:(Rng.create ~seed:1) ~delta:0.1 phi
-            [| bernoulli_estimator w 0.7 |]);
+         (Predicate_approx.decide ~compile_fuel:0 ~rng:(Rng.create ~seed:1)
+            ~delta:0.1 phi [| bernoulli_estimator w 0.7 |]);
        false
      with Epsilon.Unsupported _ -> true)
 
@@ -496,6 +511,13 @@ let test_decide_argument_validation () =
        ignore (Predicate_approx.decide ~rng ~delta:0. phi [| est |]);
        false
      with Invalid_argument _ -> true);
+  check bool_c "negative compile fuel" true
+    (try
+       ignore
+         (Predicate_approx.decide ~compile_fuel:(-1) ~rng ~delta:0.1 phi
+            [| est |]);
+       false
+     with Invalid_argument _ -> true);
   check bool_c "bad eps0" true
     (try
        ignore (Predicate_approx.decide ~eps0:1.5 ~rng ~delta:0.1 phi [| est |]);
@@ -521,7 +543,7 @@ let test_decide_with_degenerate_estimator () =
       (Apred.ge (Apred.var 1) (Apred.const 0.5))
   in
   let d =
-    Predicate_approx.decide ~eps0:0.05 ~rng ~delta:0.1 phi
+    Predicate_approx.decide ~compile_fuel:0 ~eps0:0.05 ~rng ~delta:0.1 phi
       [| certain; sampled |]
   in
   check bool_c "decided true" true d.Predicate_approx.value;
@@ -568,8 +590,8 @@ let test_independent_bound_is_cheaper () =
       let e0 = bernoulli_estimator w 0.8 in
       let e1 = bernoulli_estimator w 0.9 in
       let d =
-        Predicate_approx.decide ~independent:flag ~eps0:0.05 ~rng ~delta:0.1
-          phi [| e0; e1 |]
+        Predicate_approx.decide ~independent:flag ~compile_fuel:0 ~eps0:0.05
+          ~rng ~delta:0.1 phi [| e0; e1 |]
       in
       calls := !calls + d.Predicate_approx.estimator_calls
     done;
@@ -762,7 +784,8 @@ let test_decide_values_matches_karp_luby_path () =
     let rng = Rng.create ~seed in
     let w = Wtable.create () in
     let est = bernoulli_estimator w 0.8 in
-    Predicate_approx.decide ~eps0:0.05 ~rng ~delta:0.1 phi [| est |]
+    Predicate_approx.decide ~compile_fuel:0 ~eps0:0.05 ~rng ~delta:0.1 phi
+      [| est |]
   in
   let g = run_generic 5 and d = run_direct 5 in
   check bool_c "same decision" d.Predicate_approx.value
@@ -1026,7 +1049,7 @@ let prop_fig3_matches_reference =
       let rng = Rng.create ~seed:(seed + 1) and ref_rng = Rng.create ~seed:(seed + 1) in
       let d =
         Predicate_approx.decide ?budget:(budget ()) ?max_rounds ?batch
-          ~independent ~eps0 ~rng ~delta:0.1 phi
+          ~independent ~compile_fuel:0 ~eps0 ~rng ~delta:0.1 phi
           (Array.map (fun cs -> Estimator.create (Dnf.prepare w cs)) sets)
       in
       let r =
@@ -1149,8 +1172,8 @@ let test_fig3_round_allocation () =
   let rng = Rng.create ~seed:11 in
   let before = Gc.minor_words () in
   let d =
-    Predicate_approx.decide ~eps0:0.01 ~max_rounds:4096 ~rng ~delta:0.01 phi
-      [| est |]
+    Predicate_approx.decide ~compile_fuel:0 ~eps0:0.01 ~max_rounds:4096 ~rng
+      ~delta:0.01 phi [| est |]
   in
   let per_round = (Gc.minor_words () -. before) /. float_of_int d.rounds in
   check Alcotest.int "ran to the round limit" 4096 d.rounds;
@@ -1198,6 +1221,108 @@ let test_decide_rejects_empty_batch () =
            ()))
 
 let qcheck = QCheck_alcotest.to_alcotest
+
+(* ------------------------------------------------------------------ *)
+(* Figure 3 over compiled values                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Thresholds on a compiled float and its two one-ulp neighbours: the
+   float is only within [Compile.rounding_bound] of the rational
+   confidence, so a decision there may disagree with the rational truth.
+   Every decision takes 0 rounds, 0 calls and error 0, and each one either
+   agrees with the truth or is flagged [used_floor] — never silently
+   wrong.  Some decisions do disagree, so the flag is what keeps them
+   sound. *)
+let test_compiled_ulp_thresholds () =
+  let flagged_wrong = ref 0 and decisions = ref 0 in
+  for seed = 1 to 6 do
+    let udb =
+      Pqdb_workload.Gen.uncertain_db (Rng.create ~seed) ~tuples:15 ~clauses:3
+    in
+    let w = Udb.wtable udb in
+    let groups =
+      Urelation.clauses_by_tuple
+        (Translate.project_attrs [ "id" ] (Udb.find udb "events"))
+    in
+    List.iter
+      (fun (_, clauses) ->
+        let truth = Lineage.exact w clauses in
+        match Compile.exact_value (Compile.compile w clauses) with
+        | None -> Alcotest.fail "a generated event did not compile exactly"
+        | Some p ->
+            List.iter
+              (fun threshold ->
+                List.iter
+                  (fun phi ->
+                    let d =
+                      Predicate_approx.decide ~rng:(Rng.create ~seed:1)
+                        ~delta:0.05 phi
+                        [| Estimator.create (Dnf.prepare w clauses) |]
+                    in
+                    incr decisions;
+                    if d.rounds <> 0 || d.estimator_calls <> 0
+                       || d.error_bound <> 0.
+                    then Alcotest.fail "a compiled decision sampled";
+                    if d.value <> Apred.eval_rational [| truth |] phi then begin
+                      if not d.used_floor then
+                        Alcotest.failf
+                          "threshold %h on %h (truth %s): silently wrong"
+                          threshold p (Q.to_string truth);
+                      incr flagged_wrong
+                    end)
+                  [
+                    Apred.ge (Apred.var 0) (Apred.const threshold);
+                    Apred.gt (Apred.var 0) (Apred.const threshold);
+                  ])
+              [ Float.pred p; p; Float.succ p ])
+      groups
+  done;
+  check bool_c
+    (Printf.sprintf "%d of %d decisions disagree with the truth, all flagged"
+       !flagged_wrong !decisions)
+    true (!flagged_wrong > 0)
+
+(* At a fuel the lineage exceeds, the value that does not compile samples
+   as in Figure 3, while the exact value of the same predicate draws
+   nothing; at the default fuel both are exact and nothing samples. *)
+let test_compiled_mixed_fuel () =
+  let w = Wtable.create () in
+  let coin () = Wtable.add_var w [ Q.of_ints 1 2; Q.of_ints 1 2 ] in
+  let x = coin () and y = coin () and z = coin () and u = coin () in
+  let pair a b = Assignment.of_list [ (a, 1); (b, 1) ] in
+  (* Two of three coins: no independent split and no variable in every
+     clause, so compiling it needs a Shannon expansion. *)
+  let majority = [ pair x y; pair y z; pair x z ] in
+  let single = [ Assignment.singleton u 1 ] in
+  check bool_c "majority needs more than fuel 1" false
+    (Compile.is_exact (Compile.compile ~fuel:1 w majority));
+  check bool_c "a single clause is exact at fuel 1" true
+    (Compile.is_exact (Compile.compile ~fuel:1 w single));
+  let phi =
+    Apred.conj
+      (Apred.ge (Apred.var 0) (Apred.const 0.3))
+      (Apred.ge (Apred.var 1) (Apred.const 0.3))
+  in
+  let run ?compile_fuel () =
+    let sampled = Estimator.create (Dnf.prepare w majority)
+    and exact = Estimator.create (Dnf.prepare w single) in
+    let d =
+      Predicate_approx.decide ?compile_fuel ~rng:(Rng.create ~seed:3)
+        ~delta:0.05 phi [| sampled; exact |]
+    in
+    (d, Estimator.trials sampled, Estimator.trials exact)
+  in
+  let d, sampled, exact = run ~compile_fuel:1 () in
+  check bool_c "fuel 1: the inexact value samples" true (sampled > 0);
+  check Alcotest.int "fuel 1: the exact value draws nothing" 0 exact;
+  check Alcotest.int "fuel 1: every call is the inexact value's" sampled
+    d.estimator_calls;
+  check bool_c "fuel 1: decided true" true d.value;
+  let d, sampled, exact = run () in
+  check Alcotest.int "default fuel: no call" 0
+    (d.estimator_calls + sampled + exact);
+  check Alcotest.int "default fuel: no round" 0 d.rounds;
+  check bool_c "default fuel: decided true" true d.value
 
 let () =
   Alcotest.run "core"
@@ -1297,6 +1422,13 @@ let () =
             test_decide_values_mixed_kinds;
           Alcotest.test_case "generic = dedicated on Karp-Luby" `Quick
             test_decide_values_matches_karp_luby_path;
+        ] );
+      ( "compiled values",
+        [
+          Alcotest.test_case "one-ulp thresholds: right or flagged" `Quick
+            test_compiled_ulp_thresholds;
+          Alcotest.test_case "only the inexact value samples" `Quick
+            test_compiled_mixed_fuel;
         ] );
       ( "proposition 6.6",
         [ Alcotest.test_case "bound shapes" `Quick test_error_bound_shapes ]

@@ -13,6 +13,7 @@ module Apred = Pqdb_ast.Apred
 module Pdb = Pqdb_worlds.Pdb
 module Naive = Pqdb_worlds.Eval_naive
 module Exact = Pqdb.Eval_exact
+module Lineage = Pqdb_montecarlo.Lineage
 module Approx = Pqdb.Eval_approx
 
 let check = Alcotest.check
@@ -141,7 +142,8 @@ let test_approx_sigma_hat_decision () =
   for _ = 1 to runs do
     let udb = coin_udb () in
     let result, _stats =
-      Approx.eval ~eps0:0.05 ~sigma_delta:0.05 ~rng udb (sigma_hat_query 0.5)
+      Approx.eval ~compile_fuel:0 ~eps0:0.05 ~sigma_delta:0.05 ~rng udb
+        (sigma_hat_query 0.5)
     in
     if Relation.equal (Urelation.to_relation result.urel) expected then
       incr agreements
@@ -212,7 +214,8 @@ let doubling_by_hand ~eps0 ~delta ~seed udb q =
   let rng = Rng.create ~seed in
   let rec go l sigma_delta =
     let r, _ =
-      Approx.eval ~eps0 ~max_rounds:l ~sigma_delta ~rng (Udb.copy udb) q
+      Approx.eval ~compile_fuel:0 ~eps0 ~max_rounds:l ~sigma_delta ~rng
+        (Udb.copy udb) q
     in
     if Approx.max_error r <= delta || l >= l_cap then (r, l)
     else go (min l_cap (2 * l)) (sigma_delta /. 2.)
@@ -223,7 +226,7 @@ let test_doubling_driver () =
   let rng = Rng.create ~seed:31415 in
   let udb = coin_udb () in
   let result, _stats, l =
-    Approx.eval_with_guarantee ~eps0:0.05 ~rng ~delta:0.1 udb
+    Approx.eval_with_guarantee ~compile_fuel:0 ~eps0:0.05 ~rng ~delta:0.1 udb
       (sigma_hat_query 0.5)
   in
   check bool_c "reached the target" true (Approx.max_error result <= 0.1 +. 1e-9);
@@ -238,8 +241,8 @@ let test_doubling_driver () =
     (fun (threshold, eps0, delta, seed, expect_l) ->
       let q = sigma_hat_query threshold in
       let r, _, l =
-        Approx.eval_with_guarantee ~eps0 ~rng:(Rng.create ~seed) ~delta
-          (coin_udb ()) q
+        Approx.eval_with_guarantee ~compile_fuel:0 ~eps0
+          ~rng:(Rng.create ~seed) ~delta (coin_udb ()) q
       in
       let r', l' = doubling_by_hand ~eps0 ~delta ~seed (coin_udb ()) q in
       let tag = Printf.sprintf "threshold %g delta %g" threshold delta in
@@ -275,8 +278,8 @@ let test_doubling_isolated () =
       st'.round_limit_hits
   in
   let run ?(seed = 27) udb q =
-    Approx.eval_with_guarantee ~eps0:0.05 ~rng:(Rng.create ~seed) ~delta:0.1
-      udb q
+    Approx.eval_with_guarantee ~compile_fuel:0 ~eps0:0.05
+      ~rng:(Rng.create ~seed) ~delta:0.1 udb q
   in
   let udb = coin_udb () in
   let w = Udb.wtable udb in
@@ -301,7 +304,7 @@ let test_doubling_isolated () =
   in
   let fresh = run (events ()) q in
   let udb = events () in
-  ignore (Approx.eval ~rng:(Rng.create ~seed:1) udb q);
+  ignore (Approx.eval ~compile_fuel:0 ~rng:(Rng.create ~seed:1) udb q);
   let w = Udb.wtable udb in
   let count = Wtable.var_count w and gen = Wtable.generation w in
   same "events, samplers already built" fresh (run udb q);
@@ -314,8 +317,8 @@ let test_near_singularity_suspect () =
   let rng = Rng.create ~seed:555 in
   let udb = coin_udb () in
   let result, stats =
-    Approx.eval ~eps0:0.02 ~max_rounds:3 ~sigma_delta:0.01 ~rng udb
-      (sigma_hat_query (2. /. 3.))
+    Approx.eval ~compile_fuel:0 ~eps0:0.02 ~max_rounds:3 ~sigma_delta:0.01
+      ~rng udb (sigma_hat_query (2. /. 3.))
   in
   check bool_c "some decision hit the budget" true
     (stats.Approx.round_limit_hits >= 1);
@@ -383,8 +386,8 @@ let test_projection_skips_removed_tuples () =
   in
   let run q =
     fst
-      (Approx.eval ~eps0:0.05 ~sigma_delta:0.04 ~rng:(Rng.create ~seed:808)
-         (coin_udb ()) q)
+      (Approx.eval ~compile_fuel:0 ~eps0:0.05 ~sigma_delta:0.04
+         ~rng:(Rng.create ~seed:808) (coin_udb ()) q)
   in
   let selected = run (sigma_hat_query 0.99) in
   check bool_c "both coin types selected with a bound" true
@@ -429,7 +432,7 @@ let test_join_one_unreliable_side () =
   let base = Ua.table "Coins" in
   let run seed q =
     fst
-      (Approx.eval ~eps0:0.02 ~max_rounds:3 ~sigma_delta:0.01
+      (Approx.eval ~compile_fuel:0 ~eps0:0.02 ~max_rounds:3 ~sigma_delta:0.01
          ~rng:(Rng.create ~seed) (coin_udb ()) q)
   in
   let tuples = Alcotest.(list (testable Tuple.pp Tuple.equal)) in
@@ -661,17 +664,65 @@ let test_guarantee_improves_on_budget () =
   let udb = coin_udb () in
   let rng = Rng.create ~seed:5 in
   let _, _, l_loose =
-    Approx.eval_with_guarantee ~rng ~delta:0.2 (Udb.copy udb)
+    Approx.eval_with_guarantee ~compile_fuel:0 ~rng ~delta:0.2 (Udb.copy udb)
       (sigma_hat_query 0.5)
   in
   let rng = Rng.create ~seed:5 in
   let _, _, l_tight =
-    Approx.eval_with_guarantee ~rng ~delta:0.02 (Udb.copy udb)
+    Approx.eval_with_guarantee ~compile_fuel:0 ~rng ~delta:0.02 (Udb.copy udb)
       (sigma_hat_query 0.5)
   in
   check bool_c
     (Printf.sprintf "loose %d <= tight %d" l_loose l_tight)
     true (l_loose <= l_tight)
+
+(* σ̂ on compiled lineage: every candidate of a generated events table
+   compiles exactly, so the selection is the exact one — each id on the
+   side of the threshold that [Lineage.exact]'s rational confidence puts
+   it — with no estimator call, no round-limit hit and round budget 1.  A
+   candidate within the compiled floats' rounding bound of the threshold
+   is listed as a suspect and exempt. *)
+let prop_compiled_sigma_is_exact =
+  QCheck.Test.make ~count:200
+    ~name:"compiled sigma-hat = exact selection (0 estimator calls)"
+    QCheck.(
+      pair (make ~print:string_of_int Gen.(int_bound 100_000))
+        (make ~print:string_of_int Gen.(int_range 0 10)))
+    (fun (seed, tenths) ->
+      let udb =
+        Pqdb_workload.Gen.uncertain_db (Rng.create ~seed) ~tuples:12
+          ~clauses:3
+      in
+      let phi =
+        Apred.ge (Apred.var 0) (Apred.const (float_of_int tenths /. 10.))
+      in
+      let q = Ua.approx_select phi [ [ "id" ] ] (Ua.table "events") in
+      let groups =
+        Urelation.clauses_by_tuple
+          (Translate.project_attrs [ "id" ] (Udb.find udb "events"))
+      in
+      let w = Udb.wtable udb in
+      let r, (stats : Approx.stats), l =
+        Approx.eval_with_guarantee ~rng:(Rng.create ~seed:1) ~delta:0.05
+          (Udb.copy udb) q
+      in
+      let selected t =
+        List.exists (Tuple.equal t) (Urelation.possible_tuples r.urel)
+      in
+      let suspect t = List.exists (Tuple.equal t) r.suspects in
+      List.iter
+        (fun (t, clauses) ->
+          let truth = Apred.eval_rational [| Lineage.exact w clauses |] phi in
+          if (not (suspect t)) && selected t <> truth then
+            QCheck.Test.fail_reportf "id %s: selected %b, exact %b"
+              (Format.asprintf "%a" Tuple.pp t) (selected t) truth)
+        groups;
+      if stats.estimator_calls <> 0 || stats.round_limit_hits <> 0 || l <> 1
+      then
+        QCheck.Test.fail_reportf
+          "%d estimator calls, %d round-limit hits, round budget %d"
+          stats.estimator_calls stats.round_limit_hits l;
+      stats.decisions = List.length groups)
 
 let () =
   Alcotest.run "query"
@@ -713,6 +764,8 @@ let () =
           Alcotest.test_case "projection fan-in (Example 6.5)" `Quick
             test_projection_error_fanin;
         ] );
+      ( "compiled",
+        [ QCheck_alcotest.to_alcotest prop_compiled_sigma_is_exact ] );
       ( "edge cases",
         [
           Alcotest.test_case "literal relations" `Quick test_exact_on_literal;

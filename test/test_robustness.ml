@@ -375,7 +375,8 @@ let test_eval_approx_budget_suspects () =
   let b = Budget.create () in
   Budget.cancel b;
   let result, stats =
-    Pqdb.Eval_approx.eval ~budget:b ~rng:(Rng.create ~seed:9) udb query
+    Pqdb.Eval_approx.eval ~budget:b ~compile_fuel:0 ~rng:(Rng.create ~seed:9)
+      udb query
   in
   check bool_c "unreliable" true result.Pqdb.Eval_approx.unreliable;
   check bool_c "round-limit hits recorded" true
@@ -384,7 +385,7 @@ let test_eval_approx_budget_suspects () =
     (stats.Pqdb.Eval_approx.decisions > 0);
   (* The same query with no budget runs Figure 3 to its stopping rule. *)
   let _, stats =
-    Pqdb.Eval_approx.eval ~rng:(Rng.create ~seed:9) udb query
+    Pqdb.Eval_approx.eval ~compile_fuel:0 ~rng:(Rng.create ~seed:9) udb query
   in
   check int_c "no budget: no round-limit hits" 0
     stats.Pqdb.Eval_approx.round_limit_hits
