@@ -86,6 +86,30 @@ let test_translate_join () =
   Test.make ~name:"translate/hashjoin-500x100"
     (Staged.stage (fun () -> ignore (Translate.join r s)))
 
+(* The query-aconf join at seed 1: events join tags over 1 500 events,
+   3 002 rows. *)
+let aconf_join () =
+  let udb = Gen.uncertain_db (Rng.create ~seed:1) ~tuples:1500 ~clauses:3 in
+  Translate.join (Udb.find udb "events") (Udb.find udb "tags")
+
+(* Rebuilding a relation from rows already in its own order. *)
+let test_urel_make () =
+  let j = aconf_join () in
+  let schema = Urelation.schema j and rows = Urelation.rows j in
+  Test.make ~name:"urel/make-3002"
+    (Staged.stage (fun () -> ignore (Urelation.make schema rows)))
+
+let test_urel_project () =
+  let j = aconf_join () in
+  Test.make ~name:"urel/project-3002"
+    (Staged.stage (fun () ->
+         ignore (Translate.project_attrs [ "id"; "tag" ] j)))
+
+let test_urel_group () =
+  let p = Translate.project_attrs [ "id"; "tag" ] (aconf_join ()) in
+  Test.make ~name:"urel/group-3002"
+    (Staged.stage (fun () -> ignore (Urelation.clauses_by_tuple p)))
+
 let kl_dnf () =
   let rng = Rng.create ~seed:202 in
   let w = Wtable.create () in
@@ -266,6 +290,9 @@ let run () =
         test_karp_luby ();
         test_batch_confidence ();
         test_translate_join ();
+        test_urel_make ();
+        test_urel_project ();
+        test_urel_group ();
         test_thm52 ();
         test_corner_search ();
         test_coin_posterior ();

@@ -71,34 +71,22 @@ let sigma_hat_eval ?budget ?compile_fuel ~eps0 ~max_rounds ~sigma_delta ~rng
   let lookup index key =
     Option.value ~default:[] (Tuple.Table.find_opt index key)
   in
-  (* One hash pass: key → the values of [xs] with that key, each group in
-     the reverse of its order in [xs]. *)
-  let group key value xs =
-    let index = Tuple.Table.create 64 in
-    List.iter
-      (fun x ->
-        let k = key x in
-        Tuple.Table.replace index k (value x :: lookup index k))
-      xs;
-    index
-  in
-  (* Per conf argument, the branch's clauses by key.  Rows ascend, so each
-     group is in descending row order — exactly [Urelation.clauses_for]'s
-     order, which fixes [Dnf.prepare]'s clause order and with it every
-     sampled bit. *)
-  let clause_index =
-    List.map (fun branch -> group snd fst (Urelation.rows branch)) branches
-  in
   (* Error contribution of the input per candidate: for each conf argument,
-     the summed μ of input tuples projecting onto the candidate's key.  Each
-     group keeps [possible_tuples] order, so the sums add in the order a
-     scan would. *)
+     one hash pass maps a key to the input tuples projecting onto it, whose
+     μ the candidate sums.  Each group keeps [possible_tuples] order, so the
+     sums add in the order a scan would. *)
   let input_index =
     let rev_poss = List.rev (Urelation.possible_tuples u) in
     List.map
       (fun attrs ->
         let in_pos = positions schema attrs in
-        group (fun s -> Tuple.project s in_pos) Fun.id rev_poss)
+        let index = Tuple.Table.create 64 in
+        List.iter
+          (fun s ->
+            let k = Tuple.project s in_pos in
+            Tuple.Table.replace index k (s :: lookup index k))
+          rev_poss;
+        index)
       conf_args
   in
   let selected = ref [] in
@@ -106,13 +94,16 @@ let sigma_hat_eval ?budget ?compile_fuel ~eps0 ~max_rounds ~sigma_delta ~rng
   Relation.iter
     (fun cand ->
       let keys = List.map (Tuple.project cand) arg_positions in
+      (* [clauses_for]'s descending clause order fixes [Dnf.prepare]'s, and
+         with it every sampled bit. *)
       let estimators =
         Array.of_list
           (List.map2
-             (fun index key ->
+             (fun branch key ->
                Pqdb_montecarlo.Estimator.create
-                 (Pqdb_montecarlo.Dnf.prepare w (lookup index key)))
-             clause_index keys)
+                 (Pqdb_montecarlo.Dnf.prepare w
+                    (Urelation.clauses_for branch key)))
+             branches keys)
       in
       let decision =
         Predicate_approx.decide ?budget ?compile_fuel ~eps0 ?max_rounds ~rng
@@ -191,13 +182,16 @@ let aconf_eval ?budget ?stream ?compile_fuel ~aconf_ord ~rng ~stats w
   in
   stats.estimator_calls <-
     stats.estimator_calls + summary.Pqdb_montecarlo.Confidence.stream_trials;
-  let values =
-    List.mapi (fun i (t, _) -> (t, Value.Float estimates.(i))) groups
+  (* One row per group, for the relation and its cell; rows ascend. *)
+  let rows =
+    List.mapi
+      (fun i (t, _) ->
+        Tuple.concat t (Tuple.of_list [ Value.Float estimates.(i) ]))
+      groups
   in
   let cells, _ =
-    List.fold_left
-      (fun (cells, i) (t, p) ->
-        let row = Tuple.concat t (Tuple.of_list [ p ]) in
+    List.fold_left2
+      (fun (cells, i) (t, _) row ->
         let input = TM.find_opt t a.ann in
         (* The reported P is outside the ε-relative interval with
            probability at most δ on top of the input's membership error. *)
@@ -215,9 +209,9 @@ let aconf_eval ?budget ?stream ?compile_fuel ~aconf_ord ~rng ~stats w
           || ((not summary.stream_complete) && achieved.(i) > eps)
         in
         (TM.add row { mu; suspect } cells, i + 1))
-      (TM.empty, 0) values
+      (TM.empty, 0) groups rows
   in
-  { urel = Eval_exact.with_p a.urel values; ann = cells }
+  { urel = Eval_exact.with_p a.urel rows; ann = cells }
 
 (* Whether [q] holds an approximate operator (σ̂ or conf_{ε,δ}), refusing
    a repair-key above one (footnote 3). *)

@@ -10,14 +10,11 @@ let all_confidences w u =
     (fun (t, clauses) -> (t, Pqdb_montecarlo.Lineage.exact w clauses))
     (Urelation.clauses_by_tuple u)
 
-let with_p u values =
+let with_p u rows =
   let out_schema =
     Schema.of_list (Schema.attributes (Urelation.schema u) @ [ "P" ])
   in
-  Urelation.make out_schema
-    (List.map
-       (fun (t, v) -> (Assignment.empty, Tuple.concat t (Tuple.of_list [ v ])))
-       values)
+  Urelation.make out_schema (List.map (fun t -> (Assignment.empty, t)) rows)
 
 let no_p_column u =
   if Schema.mem (Urelation.schema u) "P" then
@@ -26,7 +23,9 @@ let no_p_column u =
 
 let conf w u =
   no_p_column u;
-  with_p u (List.map (fun (t, p) -> (t, Value.Rat p)) (all_confidences w u))
+  with_p u
+    (List.map (fun (t, p) -> Tuple.concat t (Tuple.of_list [ Value.Rat p ]))
+       (all_confidences w u))
 
 let cert w u =
   let certain =

@@ -96,6 +96,6 @@ val fold_pairs :
     the ≺ rule of × and ⋈ ({!Provenance.binary}), and with it the |a|×|b|
     provenance sum of Lemma 6.4(1). *)
 
-val with_p : Urelation.t -> (Tuple.t * Value.t) list -> Urelation.t
+val with_p : Urelation.t -> Tuple.t list -> Urelation.t
 (** [conf]'s output shape: the input's data columns plus [P], one certain
-    row per (tuple, P value). *)
+    row per given tuple, each a data tuple with its P value appended. *)

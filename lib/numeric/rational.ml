@@ -51,8 +51,10 @@ let pow x k =
     { n = Bigint.pow y.n (-k); d = Bigint.pow y.d (-k) }
   end
 
+(* Denominators are positive: over a common one the numerators decide. *)
 let compare a b =
-  Bigint.compare (Bigint.mul a.n b.d) (Bigint.mul b.n a.d)
+  if Bigint.equal a.d b.d then Bigint.compare a.n b.n
+  else Bigint.compare (Bigint.mul a.n b.d) (Bigint.mul b.n a.d)
 
 let equal a b = Bigint.equal a.n b.n && Bigint.equal a.d b.d
 let hash x = (Bigint.hash x.n * 31) + Bigint.hash x.d

@@ -8,19 +8,17 @@ let get t i = t.(i)
 let project t positions = Array.of_list (List.map (Array.get t) positions)
 let concat = Array.append
 
+(* Top-level, so a comparison allocates no closure.  Value.compare x x = 0
+   for every x (NaN too), so values shared by two tuples skip it. *)
+let rec compare_from a b i =
+  if i >= Array.length a then 0
+  else
+    let c = if a.(i) == b.(i) then 0 else Value.compare a.(i) b.(i) in
+    if c <> 0 then c else compare_from a b (i + 1)
+
 let compare a b =
   let la = Array.length a and lb = Array.length b in
-  if la <> lb then Stdlib.compare la lb
-  else begin
-    let rec go i =
-      if i >= la then 0
-      else begin
-        let c = Value.compare a.(i) b.(i) in
-        if c <> 0 then c else go (i + 1)
-      end
-    in
-    go 0
-  end
+  if la <> lb then Stdlib.compare la lb else compare_from a b 0
 
 let equal a b = compare a b = 0
 

@@ -110,23 +110,21 @@ let weight_float w a =
     1. a
 
 (* Stdlib.compare's order on these arrays — shorter first, then
-   lexicographic on (var, value) — without the polymorphic walk. *)
-let compare (a : t) (b : t) =
-  let n = Array.length a in
-  let c = Int.compare n (Array.length b) in
-  if c <> 0 then c
+   lexicographic on (var, value) — without the polymorphic walk or a
+   closure. *)
+let rec compare_from (a : t) (b : t) i =
+  if i = Array.length a then 0
   else
-    let rec go i =
-      if i = n then 0
-      else
-        let va, xa = a.(i) and vb, xb = b.(i) in
-        let c = Int.compare va vb in
-        if c <> 0 then c
-        else
-          let c = Int.compare xa xb in
-          if c <> 0 then c else go (i + 1)
-    in
-    go 0
+    let va, xa = a.(i) and vb, xb = b.(i) in
+    let c = Int.compare va vb in
+    if c <> 0 then c
+    else
+      let c = Int.compare xa xb in
+      if c <> 0 then c else compare_from a b (i + 1)
+
+let compare (a : t) (b : t) =
+  let c = Int.compare (Array.length a) (Array.length b) in
+  if c <> 0 then c else compare_from a b 0
 let equal (a : t) (b : t) = a = b
 let hash (a : t) = Hashtbl.hash a
 

@@ -21,10 +21,8 @@ let total_assignments w vars =
   go [] Rational.one vars
 
 let world_of_assignment lookup u =
-  let rows =
-    List.filter (fun (f, _) -> Assignment.extended_by lookup f) (Urelation.rows u)
-  in
-  Relation.of_list (Urelation.schema u) (List.map snd rows)
+  Urelation.to_relation
+    (Urelation.filter (fun (f, _) -> Assignment.extended_by lookup f) u)
 
 let decode w u =
   let vars = Urelation.variables u in

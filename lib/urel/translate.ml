@@ -23,24 +23,6 @@ let rename mapping u =
   let out_schema = Schema.rename (Urelation.schema u) mapping in
   Urelation.map_rows out_schema (fun row -> row) u
 
-let product a b =
-  let out_schema =
-    Schema.concat (Urelation.schema a) (Urelation.schema b)
-  in
-  let rows_b = Urelation.rows b in
-  let rows =
-    List.concat_map
-      (fun (fa, ta) ->
-        List.filter_map
-          (fun (fb, tb) ->
-            match Assignment.union fa fb with
-            | Some f -> Some (f, Tuple.concat ta tb)
-            | None -> None)
-          rows_b)
-      (Urelation.rows a)
-  in
-  Urelation.make out_schema rows
-
 let join a b =
   let sa = Urelation.schema a and sb = Urelation.schema b in
   let shared = Schema.common sa sb in
@@ -72,6 +54,12 @@ let join a b =
   in
   Urelation.make out_schema rows
 
+(* Schema.concat refuses shared attributes, and a join on none pairs every
+   row with every row. *)
+let product a b =
+  ignore (Schema.concat (Urelation.schema a) (Urelation.schema b));
+  join a b
+
 let union = Urelation.union
 
 let diff_complete a b =
@@ -81,7 +69,7 @@ let diff_complete a b =
     Urelation.of_relation
       (Relation.diff (Urelation.to_relation a) (Urelation.to_relation b))
 
-let poss u = Relation.of_list (Urelation.schema u) (Urelation.possible_tuples u)
+let poss = Urelation.to_relation
 
 let bad_weight detail =
   Pqdb_runtime.Pqdb_error.invalid_probability ~context:"Translate.repair_key"

@@ -2,95 +2,114 @@ open Pqdb_relational
 
 type row = Assignment.t * Tuple.t
 
+(* Tuple first, then condition: a tuple's clauses are one run of rows. *)
 let compare_row (a1, t1) (a2, t2) =
-  let c = Assignment.compare a1 a2 in
-  if c <> 0 then c else Tuple.compare t1 t2
+  match Tuple.compare t1 t2 with 0 -> Assignment.compare a1 a2 | c -> c
 
-module RS = Set.Make (struct
-  type t = row
-
-  let compare = compare_row
-end)
-
-type t = { schema : Schema.t; set : RS.t }
+(* [rows] ascends strictly by [compare_row]. *)
+type t = { schema : Schema.t; rows : row array }
 
 let check_arity schema (_, tuple) =
   if Tuple.arity tuple <> Schema.arity schema then
     invalid_arg "Urelation: tuple arity does not match schema"
 
+(* Sorts [rows] in place unless they already ascend strictly, keeping the
+   first of equal rows. *)
+let normalize rows =
+  let n = Array.length rows in
+  let rec ascends i =
+    i >= n || (compare_row rows.(i - 1) rows.(i) < 0 && ascends (i + 1))
+  in
+  if ascends 1 then rows
+  else begin
+    Array.stable_sort compare_row rows;
+    let k = ref 1 in
+    for i = 1 to n - 1 do
+      if compare_row rows.(!k - 1) rows.(i) <> 0 then begin
+        rows.(!k) <- rows.(i);
+        incr k
+      end
+    done;
+    if !k = n then rows else Array.sub rows 0 !k
+  end
+
 let make schema rows =
   List.iter (check_arity schema) rows;
-  { schema; set = RS.of_list rows }
+  { schema; rows = normalize (Array.of_list rows) }
 
 let of_relation rel =
-  {
-    schema = Relation.schema rel;
-    set =
-      Relation.fold
-        (fun t acc -> RS.add (Assignment.empty, t) acc)
-        rel RS.empty;
-  }
+  make (Relation.schema rel)
+    (List.map (fun t -> (Assignment.empty, t)) (Relation.tuples rel))
 
 let schema u = u.schema
-let rows u = RS.elements u.set
-let size u = RS.cardinal u.set
-let is_empty u = RS.is_empty u.set
-let is_complete_rep u = RS.for_all (fun (a, _) -> Assignment.is_empty a) u.set
+let rows u = Array.to_list u.rows
+let size u = Array.length u.rows
+let is_empty u = size u = 0
+let is_complete_rep u =
+  Array.for_all (fun (a, _) -> Assignment.is_empty a) u.rows
 
-let to_relation u =
-  Relation.of_list u.schema (List.map snd (rows u))
+(* [f tuple clauses acc] over the runs, the last first; clauses ascend. *)
+let fold_runs f u acc =
+  let r = u.rows in
+  let acc = ref acc and clauses = ref [] in
+  for i = Array.length r - 1 downto 0 do
+    clauses := fst r.(i) :: !clauses;
+    if i = 0 || not (Tuple.equal (snd r.(i - 1)) (snd r.(i))) then begin
+      acc := f (snd r.(i)) !clauses !acc;
+      clauses := []
+    end
+  done;
+  !acc
 
-let possible_tuples u = Relation.tuples (to_relation u)
+let clauses_by_tuple u = fold_runs (fun t cs acc -> (t, cs) :: acc) u []
+let possible_tuples u = fold_runs (fun t _ acc -> t :: acc) u []
+let to_relation u = Relation.of_list u.schema (possible_tuples u)
 
 let clauses_for u tuple =
-  RS.fold
-    (fun (a, t) acc -> if Tuple.equal t tuple then a :: acc else acc)
-    u.set []
-
-(* One hash pass instead of a clauses_for scan per possible tuple. *)
-let clauses_by_tuple u =
-  let table = Tuple.Table.create (max 16 (RS.cardinal u.set)) in
-  let order = ref [] in
-  RS.iter
-    (fun (a, t) ->
-      match Tuple.Table.find_opt table t with
-      | Some acc -> Tuple.Table.replace table t (a :: acc)
-      | None ->
-          order := t :: !order;
-          Tuple.Table.add table t [ a ])
-    u.set;
-  List.rev_map (fun t -> (t, List.rev (Tuple.Table.find table t))) !order
-  |> List.sort (fun (t1, _) (t2, _) -> Tuple.compare t1 t2)
+  let r = u.rows in
+  (* Binary search for the first row whose tuple is not below [tuple]. *)
+  let rec first lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if Tuple.compare (snd r.(mid)) tuple < 0 then first (mid + 1) hi
+      else first lo mid
+  in
+  let rec collect i acc =
+    if i < Array.length r && Tuple.equal (snd r.(i)) tuple then
+      collect (i + 1) (fst r.(i) :: acc)
+    else acc
+  in
+  collect (first 0 (Array.length r)) []
 
 let variables u =
-  let vars =
-    RS.fold (fun (a, _) acc -> Assignment.vars a @ acc) u.set []
-  in
-  List.sort_uniq compare vars
+  List.sort_uniq compare
+    (Array.fold_left (fun acc (a, _) -> Assignment.vars a @ acc) [] u.rows)
 
-let filter p u = { u with set = RS.filter p u.set }
+let filter p u = { u with rows = Array.of_list (List.filter p (rows u)) }
 
 let map_rows schema f u =
-  let set =
-    RS.fold
-      (fun row acc ->
-        let row' = f row in
-        check_arity schema row';
-        RS.add row' acc)
-      u.set RS.empty
+  let checked row =
+    let row' = f row in
+    check_arity schema row';
+    row'
   in
-  { schema; set }
+  { schema; rows = normalize (Array.map checked u.rows) }
 
 let union a b =
   if not (Schema.equal a.schema b.schema) then
     invalid_arg "Urelation.union: schema mismatch"
-  else { a with set = RS.union a.set b.set }
+  else { a with rows = normalize (Array.append a.rows b.rows) }
 
+(* Printed condition first, then tuple. *)
 let pp fmt u =
+  let by_condition (a1, t1) (a2, t2) =
+    match Assignment.compare a1 a2 with 0 -> Tuple.compare t1 t2 | c -> c
+  in
   Format.pp_open_vbox fmt 0;
   Format.fprintf fmt "U%a:@," Schema.pp u.schema;
   List.iter
     (fun (a, t) ->
       Format.fprintf fmt "  %a  %a@," Assignment.pp a Tuple.pp t)
-    (rows u);
+    (List.stable_sort by_condition (rows u));
   Format.pp_close_box fmt ()

@@ -3,7 +3,8 @@
 
     A tuple [t̄] is in relation [R] of possible world [f*] iff some
     [⟨f, t̄⟩ ∈ U_R] has [f] consistent with [f*].  Set semantics on the
-    [(D, tuple)] pairs. *)
+    [(D, tuple)] pairs, stored as one array sorted tuple first, then by
+    condition, so a tuple's clauses are adjacent.  Costs are in rows [n]. *)
 
 open Pqdb_relational
 
@@ -11,14 +12,15 @@ type row = Assignment.t * Tuple.t
 type t
 
 val make : Schema.t -> row list -> t
-(** Deduplicates rows. @raise Invalid_argument on arity mismatches. *)
+(** Deduplicates rows: O(n) if they already ascend strictly, else a stable
+    O(n log n) sort. @raise Invalid_argument on arity mismatches. *)
 
 val of_relation : Relation.t -> t
 (** A complete relation as a U-relation: every condition empty. *)
 
 val schema : t -> Schema.t
 val rows : t -> row list
-(** Sorted (by condition, then tuple). *)
+(** Sorted by tuple, then condition. *)
 
 val size : t -> int
 (** Number of representation rows (the input size for the data-complexity
@@ -34,24 +36,25 @@ val to_relation : t -> Relation.t
     complete representation this is the represented relation itself. *)
 
 val possible_tuples : t -> Tuple.t list
-(** Distinct data tuples (poss). *)
+(** Distinct data tuples (poss), ascending; O(n). *)
 
 val clauses_for : t -> Tuple.t -> Assignment.t list
 (** The DNF [F = {f | ⟨f, t̄⟩ ∈ U_R}] whose weight is the tuple's confidence
-    (Section 4). *)
+    (Section 4), in descending condition order; O(log n + |F|). *)
 
 val clauses_by_tuple : t -> (Tuple.t * Assignment.t list) list
-(** Every possible tuple with its DNF, grouped in one hash pass — the batched
-    confidence path uses this instead of one {!clauses_for} scan per tuple.
-    Ordered by {!Pqdb_relational.Tuple.compare} (the {!possible_tuples}
-    order). *)
+(** Every possible tuple with its DNF, in the {!possible_tuples} order and
+    ascending condition order: one O(n) scan, no hashing or sorting. *)
 
 val variables : t -> Wtable.var list
 (** Variables mentioned by any condition, deduplicated, sorted. *)
 
 val filter : (row -> bool) -> t -> t
+(** O(n), no sort.  {!map_rows} and {!union} cost what {!make} does. *)
+
 val map_rows : Schema.t -> (row -> row) -> t -> t
 val union : t -> t -> t
 (** @raise Invalid_argument unless schemas agree. *)
 
 val pp : Format.formatter -> t -> unit
+(** Prints the rows condition first, then tuple. *)

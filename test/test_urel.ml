@@ -568,6 +568,177 @@ let prop_project_commutes_with_decode =
       Pdb.equal_prel lhs rhs)
 
 (* ------------------------------------------------------------------ *)
+(* Sorted row arrays vs a balanced-set reference                       *)
+(* ------------------------------------------------------------------ *)
+
+(* U-relations as a balanced set ordered condition first: the semantic
+   reference for [Urelation]'s sorted, tuple-major row arrays. *)
+module Set_urelation = struct
+  module RS = Set.Make (struct
+    type t = Urelation.row
+
+    let compare (a1, t1) (a2, t2) =
+      let c = Assignment.compare a1 a2 in
+      if c <> 0 then c else Tuple.compare t1 t2
+  end)
+
+  let rows = RS.elements
+  let is_complete_rep = RS.for_all (fun (a, _) -> Assignment.is_empty a)
+  let to_relation schema u = Relation.of_list schema (List.map snd (rows u))
+  let possible_tuples schema u = Relation.tuples (to_relation schema u)
+
+  let clauses_for u tuple =
+    RS.fold
+      (fun (a, t) acc -> if Tuple.equal t tuple then a :: acc else acc)
+      u []
+
+  let clauses_by_tuple u =
+    let table = Tuple.Table.create 16 in
+    let order = ref [] in
+    RS.iter
+      (fun (a, t) ->
+        match Tuple.Table.find_opt table t with
+        | Some acc -> Tuple.Table.replace table t (a :: acc)
+        | None ->
+            order := t :: !order;
+            Tuple.Table.add table t [ a ])
+      u;
+    List.rev_map (fun t -> (t, List.rev (Tuple.Table.find table t))) !order
+    |> List.sort (fun (t1, _) (t2, _) -> Tuple.compare t1 t2)
+
+  let variables u =
+    List.sort_uniq compare
+      (RS.fold (fun (a, _) acc -> Assignment.vars a @ acc) u [])
+
+  let map_rows f u = RS.fold (fun row acc -> RS.add (f row) acc) u RS.empty
+end
+
+(* Numerically equal values in different representations, so that equal
+   rows need not be identical. *)
+let row_values =
+  [ V.Int 0; V.Int 1; V.Float 1.; V.rat Q.one; V.rat Q.half; V.Float 0.5;
+    V.Str "a" ]
+
+let row_gen =
+  let open QCheck.Gen in
+  let binding = pair (int_range 0 2) (int_range 0 1) in
+  let cond =
+    map
+      (fun pairs ->
+        Assignment.of_list
+          (List.sort_uniq (fun (v, _) (w, _) -> compare v w) pairs))
+      (list_size (int_range 0 2) binding)
+  in
+  map2
+    (fun a vs -> (a, Tuple.of_list vs))
+    cond
+    (list_repeat 2 (oneofl row_values))
+
+let rows_arb =
+  let print rows =
+    String.concat "; "
+      (List.map
+         (fun (a, t) -> Format.asprintf "%a %a" Assignment.pp a Tuple.pp t)
+         rows)
+  in
+  QCheck.make ~print:(QCheck.Print.pair print print)
+    QCheck.Gen.(
+      pair (list_size (int_range 0 40) row_gen)
+        (list_size (int_range 0 40) row_gen))
+
+(* Tuple first, then condition. *)
+let tuple_major (a1, t1) (a2, t2) =
+  let c = Tuple.compare t1 t2 in
+  if c <> 0 then c else Assignment.compare a1 a2
+
+(* Equal as sets of rows, up to equal representations. *)
+let same_rows xs ys =
+  List.equal
+    (fun x y -> tuple_major x y = 0)
+    (List.sort tuple_major xs) (List.sort tuple_major ys)
+
+let same_clauses = List.equal Assignment.equal
+
+let prop_rows_match_set_reference =
+  QCheck.Test.make ~name:"row arrays = balanced-set reference" ~count:300
+    rows_arb (fun (rows1, rows2) ->
+      let schema = Schema.of_list [ "A"; "B" ] in
+      let u = Urelation.make schema rows1
+      and r = Set_urelation.RS.of_list rows1 in
+      let u2 = Urelation.make schema rows2
+      and r2 = Set_urelation.RS.of_list rows2 in
+      let probes =
+        List.concat_map
+          (fun x -> List.map (fun y -> Tuple.of_list [ x; y ]) row_values)
+          row_values
+      in
+      let keep (a, t) =
+        V.equal (Tuple.get t 0) (V.Int 1) || Assignment.cardinal a = 2
+      in
+      let first (a, t) = (Assignment.remove a 0, Tuple.project t [ 0 ]) in
+      same_rows (Urelation.rows u) (Set_urelation.rows r)
+      && List.equal Tuple.equal (Urelation.possible_tuples u)
+           (Set_urelation.possible_tuples schema r)
+      && List.for_all
+           (fun t ->
+             same_clauses (Urelation.clauses_for u t)
+               (Set_urelation.clauses_for r t))
+           probes
+      && List.equal
+           (fun (t1, c1) (t2, c2) -> Tuple.equal t1 t2 && same_clauses c1 c2)
+           (Urelation.clauses_by_tuple u)
+           (Set_urelation.clauses_by_tuple r)
+      && same_rows
+           (Urelation.rows (Urelation.filter keep u))
+           (Set_urelation.rows (Set_urelation.RS.filter keep r))
+      && same_rows
+           (Urelation.rows
+              (Urelation.map_rows (Schema.of_list [ "A" ]) first u))
+           (Set_urelation.rows (Set_urelation.map_rows first r))
+      && same_rows
+           (Urelation.rows (Urelation.union u u2))
+           (Set_urelation.rows (Set_urelation.RS.union r r2))
+      && Urelation.is_complete_rep u = Set_urelation.is_complete_rep r
+      && Urelation.variables u = Set_urelation.variables r
+      && Relation.equal (Urelation.to_relation u)
+           (Set_urelation.to_relation schema r))
+
+(* Minor-heap words [f] allocates.  An array of more than 256 words, such
+   as a relation's row array, goes to the major heap directly and is not
+   counted. *)
+let minor_words f =
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
+let test_row_array_allocation () =
+  (* 1 500 tuples of two clauses each, rows already in the module's order:
+     the shape of a join output that is grouped by tuple. *)
+  let tuples = 1500 in
+  let rows =
+    List.concat
+      (List.init tuples (fun i ->
+           let t = Tuple.of_list [ V.Int i; V.Str "t" ] in
+           [ (Assignment.singleton (2 * i) 0, t);
+             (Assignment.singleton ((2 * i) + 1) 1, t) ]))
+  in
+  let n = List.length rows in
+  let schema = Schema.of_list [ "A"; "B" ] in
+  let u = Urelation.make schema rows in
+  check int_c "rows kept" n (Urelation.size u);
+  let make_words = minor_words (fun () -> Urelation.make schema rows) in
+  let group_words =
+    minor_words (fun () -> Urelation.clauses_by_tuple u)
+  in
+  (* A tree node per row, or a hash table and a sort per grouping, would
+     exceed these bounds several times over. *)
+  check bool_c "make on sorted rows: no sort, no tree" true
+    (make_words <= 64.);
+  check bool_c "clauses_by_tuple: one cons per row, one pair per tuple"
+    true
+    (group_words <= float_of_int ((3 * n) + (6 * tuples) + 64))
+
+(* ------------------------------------------------------------------ *)
 (* Hash join vs nested-loop reference                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -769,6 +940,73 @@ let test_udb_io_sparse_var_ids_rejected () =
            false
          with Pqdb_runtime.Pqdb_error.Error (Malformed_input _) -> true))
 
+(* The text database below as a .udbb file (hex) with its rows stored
+   condition first, the order earlier releases wrote: its B column
+   segment reads "cbaaba", where a tuple-major save writes "aaabbc". *)
+let condition_major_udbb =
+  "707164622d756462622f76310a00000003000000020000007830020000000300\
+   0000312f3203000000312f320200000078310300000003000000312f33030000\
+   00312f3303000000312f330200000078320200000003000000312f3403000000\
+   332f340600000006000000000000000000000001000000020000000300000004\
+   0000000600000000000000000000000000000001000000010000000000000001\
+   0000000200000000000000000000000200000001000000060000000000000000\
+   0003000000000000000200000000000000010000000000000001000000000000\
+   0002000000000000000100000000000000000000000600000002020202020200\
+   0000000100000001000000010000000200000001000000030000000100000004\
+   0000000100000005000000010000000600000063626161626104000000571000\
+   00000000000053000000000000007a17ddf24463000000000000005400000000\
+   000000cdcd111343b7000000000000003e000000000000007b8d753443f50000\
+   00000000004400000000000000e307c11d000000000100000001000000520006\
+   0000000200000001000000410100000042010000000200000003000000390100\
+   000000000084000000a208507f55444242454e440a"
+
+let of_hex h =
+  String.init (String.length h / 2) (fun i ->
+      Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+
+let test_udb_condition_major_files () =
+  with_temp_dir (fun dir ->
+      Sys.mkdir dir 0o755;
+      let write name body =
+        let oc = open_out_bin (Filename.concat dir name) in
+        output_string oc body;
+        close_out oc
+      in
+      write "wtable.csv"
+        "Var,Name,Dom,P\n0,x0,0,\"1/2\"\n0,x0,1,\"1/2\"\n1,x1,0,\"1/3\"\n\
+         1,x1,1,\"1/3\"\n1,x1,2,\"1/3\"\n2,x2,0,\"1/4\"\n2,x2,1,\"3/4\"\n";
+      write "manifest.csv" "Ord,Name,Complete\n0,R,false\n";
+      (* Condition first: fewer bindings, then by binding. *)
+      write "rel_R.csv"
+        "D,A,B\n,3,c\nx0=0,2,b\nx0=1,1,a\nx1=0,1,a\nx1=2,2,b\nx0=0;x2=1,1,a\n";
+      write "old.udbb" (of_hex condition_major_udbb);
+      let row cond a b =
+        (Assignment.of_list cond, Tuple.of_list [ V.Int a; V.Str b ])
+      in
+      let expected =
+        Urelation.make (Schema.of_list [ "A"; "B" ])
+          [
+            row [ (0, 1) ] 1 "a";
+            row [ (1, 0) ] 1 "a";
+            row [ (0, 0); (2, 1) ] 1 "a";
+            row [ (0, 0) ] 2 "b";
+            row [ (1, 2) ] 2 "b";
+            row [] 3 "c";
+          ]
+      in
+      List.iter
+        (fun path ->
+          let udb = Udb_io.load path in
+          let r = Udb.find udb "R" in
+          check bool_c (path ^ " loads the rows") true
+            (same_urelation r expected);
+          check (Alcotest.list q_testable)
+            (path ^ " confidences")
+            [ Q.of_ints 11 12; Q.of_ints 2 3; Q.one ]
+            (List.map snd
+               (Pqdb.Eval_exact.all_confidences (Udb.wtable udb) r)))
+        [ dir; Filename.concat dir "old.udbb" ])
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 let () =
@@ -838,6 +1076,8 @@ let () =
             test_udb_io_failure_injection;
           Alcotest.test_case "sparse variable ids" `Quick
             test_udb_io_sparse_var_ids_rejected;
+          Alcotest.test_case "condition-major files load" `Quick
+            test_udb_condition_major_files;
         ] );
       ( "translation",
         [
@@ -850,5 +1090,11 @@ let () =
           Alcotest.test_case "cross-type join keys" `Quick
             test_join_cross_type_keys;
           qcheck prop_hash_join_equals_nested_loop;
+        ] );
+      ( "row arrays",
+        [
+          qcheck prop_rows_match_set_reference;
+          Alcotest.test_case "allocation guard" `Quick
+            test_row_array_allocation;
         ] );
     ]
