@@ -473,14 +473,9 @@ let batch_inputs ~db ~relation ~gen ~gen_seed =
    the journal holds.  Shared verbatim by the in-process and distributed
    paths; byte-identical output is the distributed mode's acceptance
    test. *)
-let emit_batch_outcome (o : Pqdb_montecarlo.Shard.outcome) =
-  let module S = Pqdb_montecarlo.Shard in
+let emit_batch_outcome o =
   let buf = Buffer.create 256 in
-  Array.iteri
-    (fun j est ->
-      let lo, hi = o.S.intervals.(j) in
-      S.add_batch_line buf (o.S.shard.S.first + j) est lo hi o.S.trials.(j))
-    o.S.estimates;
+  Pqdb_montecarlo.Shard.add_outcome buf o;
   Buffer.output_buffer stdout buf;
   flush stdout
 
@@ -1773,7 +1768,8 @@ let query_cmd_info =
     ~doc:
       "Submit one request to a running $(b,pqdb serve) daemon and print \
        the reply body ($(b,conf) output is the batch per-tuple line format, \
-       bit-exact)."
+       bit-exact; under $(b,trials=N) it is one-shard $(b,pqdb batch) \
+       output under $(b,--max-trials) N)."
 
 let compact_term =
   Term.(

@@ -10,11 +10,10 @@
     of the paper's Section 6 treatment of unreliability as added
     uncertainty.
 
-    A budget is shared: all tuples of one call (across all pool domains)
-    draw from the same trial pool and watch the same deadline; a batch run
-    gives each shard its own {!slice} of it and charges the trials used
-    back.  All operations are atomic/lock-free and safe from worker
-    domains.
+    A budget may be shared by the tuples of one call; a batch run instead
+    gives each shard, then each sampling tuple of it, its own {!slice}
+    and charges the trials used back.  All operations are atomic/lock-free
+    and safe from worker domains.
 
     No-budget calls ([?budget] left [None]) take the exact pre-existing
     code paths — zero overhead, bit-identical results. *)
@@ -61,9 +60,9 @@ val allocate : trials:int -> costs:int array -> int array
     remainder handed out by largest fractional part, lowest index on
     ties).  When [trials >= Array.length costs] every item gets at least
     one trial; an all-zero cost vector spreads evenly.  Deterministic,
-    pure — a batch run deals its shards' static trial slices with it once,
-    so a slice does not depend on which process runs the shard, in what
-    order, or after which resume.
+    pure — a batch run deals its shards' slices with it, and each shard
+    its sampling tuples', so a slice does not depend on which process or
+    domain runs it, in what order, or after which resume.
     @raise Invalid_argument on negative [trials] or any negative cost. *)
 
 val slice : trials:int option -> deadline_s:float option -> t option

@@ -97,14 +97,6 @@ let vacuous_interval t = (t.lo, t.hi)
 let sampled_dnf t =
   Option.map (fun (w, clauses) -> Dnf.prepare w clauses) t.sample
 
-(* The sampled DNF has two or more clauses, none of them empty, so its cap
-   is the plain Chernoff count. *)
-let cost_cap t ~eps ~delta =
-  match t.sample with
-  | None -> 0
-  | Some (_, clauses) ->
-      Stats.karp_luby_trials ~clauses:(List.length clauses) ~eps ~delta
-
 type outcome = {
   value : float;
   trials : int;
@@ -133,6 +125,14 @@ let certified (t : t) ~eps =
       Some
         { value; trials = 0; residual_mass = value -. lo; lo; hi;
           claim = Guarantee.Certain proven }
+
+(* The sampled DNF has two or more clauses, none of them empty, so its cap
+   is the plain Chernoff count; a certified bracket samples nothing. *)
+let cost_cap t ~eps ~delta =
+  match t.sample with
+  | Some (_, clauses) when certified t ~eps = None ->
+      Stats.karp_luby_trials ~clauses:(List.length clauses) ~eps ~delta
+  | _ -> 0
 
 (* One adaptive pass over the whole normalized DNF, its interval intersected
    with the compiled bracket [t.lo, t.hi], which still bounds the answer

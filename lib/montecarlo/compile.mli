@@ -136,7 +136,8 @@ val sampled_dnf : t -> Dnf.t option
 val cost_cap : t -> eps:float -> delta:float -> int
 (** The most estimator calls {!solve} can spend on the value unbudgeted:
     the Chernoff cap of its one pass ({!Stats.karp_luby_trials} over the
-    normalized DNF's clauses), [0] when exact. *)
+    normalized DNF's clauses), [0] when exact or when its bracket already
+    certifies ε ({!solve_lane} answers those with no trial). *)
 
 type outcome = {
   value : float;

@@ -64,11 +64,10 @@ type stream_summary = {
 let sum_trials a = Array.fold_left ( + ) 0 a
 
 type run = {
-  w : Wtable.t;
   clause_sets : Assignment.t list array;
+  compile : int -> Compile.t;  (* tuple index -> its compiled lineage *)
   eps : float;
   delta : float;
-  compile_fuel : int option;
   nworkers : int;
   options : stream_options;
   plan : Shard.t array;
@@ -97,8 +96,8 @@ type run = {
   mutable quarantines : (int * Pqdb_error.t) list;  (* newest first *)
 }
 
-let open_run ?budget ?nworkers ?compile_fuel ?(options = default_stream_options)
-    rng w clause_sets ~eps ~delta ~emit =
+let open_run ?budget ?nworkers ?compile_fuel ?compile
+    ?(options = default_stream_options) rng w clause_sets ~eps ~delta ~emit =
   if eps <= 0. || delta <= 0. then
     invalid_arg "Confidence.open_run: eps and delta must be positive";
   if options.shard_cost < 1 then
@@ -158,7 +157,11 @@ let open_run ?budget ?nworkers ?compile_fuel ?(options = default_stream_options)
       | None ->
           unresolved_cost := Stats.saturating_add !unresolved_cost sh.cost)
     plan;
-  { w; clause_sets; eps; delta; compile_fuel; nworkers; options; plan; lanes;
+  let compile =
+    Option.value compile ~default:(fun i ->
+        Compile.compile ?fuel:compile_fuel w clause_sets.(i))
+  in
+  { clause_sets; compile; eps; delta; nworkers; options; plan; lanes;
     probe; meta; journal; fps; emit; budget; slices; resolved;
     pending = resumed; cursor = 0;
     unresolved = Array.length plan - Hashtbl.length resumed;
@@ -203,10 +206,7 @@ let apriori_outcome run (sh : Shard.t) ~fp ~error =
   let intervals = Array.make count (0., 1.) in
   let achieved = Array.make count 1. in
   for j = 0 to count - 1 do
-    match
-      Compile.compile ?fuel:run.compile_fuel run.w
-        run.clause_sets.(sh.first + j)
-    with
+    match run.compile (sh.first + j) with
     | comp -> ignore (fill_apriori comp ~out:estimates ~intervals ~achieved j)
     | exception _ -> () (* keep the vacuous [0, 1] default *)
   done;
@@ -241,10 +241,7 @@ let apriori_outcome run (sh : Shard.t) ~fp ~error =
 let solve_shard ?budget run (sh : Shard.t) ~fp =
   Faultpoint.fire "shard.run";
   let n = sh.count in
-  let comps =
-    Array.init n (fun j ->
-        Compile.compile ?fuel:run.compile_fuel run.w run.clause_sets.(sh.first + j))
-  in
+  let comps = Array.init n (fun j -> run.compile (sh.first + j)) in
   let out = Array.make n 0. in
   let trials = Array.make n 0 in
   let masses = Array.make n 0. in
@@ -269,15 +266,35 @@ let solve_shard ?budget run (sh : Shard.t) ~fp =
       (fun j -> (Compile.cost_cap comps.(j) ~eps:run.eps ~delta:run.delta, j))
       !live
     |> List.stable_sort (fun (ci, _) (cj, _) -> Int.compare cj ci)
-    |> List.map snd |> Array.of_list
+    |> Array.of_list
   in
   let ntasks = Array.length live in
   if ntasks > 0 then begin
     let request = Guarantee.pass ~eps:run.eps ~delta:run.delta in
+    (* Each task has its own budget, so no two domains race one trial pool:
+       a cap is dealt by cost cap over the tuples that sample (certified
+       ones cap at 0, sort last and take no share). *)
+    let budgets =
+      match budget with
+      | Some b when Budget.remaining_trials b < max_int ->
+          let costs = Array.map fst live in
+          let m =
+            Array.fold_left (fun m c -> if c > 0 then m + 1 else m) 0 costs
+          in
+          let slices =
+            Budget.allocate ~trials:(Budget.remaining_trials b)
+              ~costs:(Array.sub costs 0 m)
+          in
+          let deadline_s = Budget.remaining_deadline b in
+          Array.init ntasks (fun k ->
+              let trials = Some (if k < m then slices.(k) else 0) in
+              Budget.slice ~trials ~deadline_s)
+      | _ -> Array.make ntasks budget
+    in
     let task k =
-      let j = live.(k) in
+      let j = snd live.(k) in
       match
-        Compile.solve_lane ?budget
+        Compile.solve_lane ?budget:budgets.(k)
           (fun () -> Rng.lane (Option.get run.lanes) (sh.first + j))
           comps.(j) ~eps:run.eps ~delta:run.delta
       with
@@ -388,11 +405,11 @@ let close_run run =
     journal_ok = Shard.journal_ok run.journal;
   }
 
-let run_stream ?budget ?nworkers ?compile_fuel ?options rng w clause_sets
-    ~eps ~delta ~emit =
+let run_stream ?budget ?nworkers ?compile_fuel ?compile ?options rng w
+    clause_sets ~eps ~delta ~emit =
   let run =
-    open_run ?budget ?nworkers ?compile_fuel ?options rng w clause_sets ~eps
-      ~delta ~emit
+    open_run ?budget ?nworkers ?compile_fuel ?compile ?options rng w
+      clause_sets ~eps ~delta ~emit
   in
   solve_pending run (List.init (Array.length run.plan) Fun.id);
   close_run run

@@ -12,8 +12,8 @@
 
     Determinism contract: every tuple gets its own lane
     ({!Pqdb_numeric.Rng.lane}, the stream {!Pqdb_numeric.Rng.split_n} would
-    give it, built only when the tuple samples) and its own output slot,
-    and runs its one sampling pass on one domain.  For a fixed
+    give it, built only when the tuple samples), its own output slot and
+    trial slice, and runs its one sampling pass on one domain.  For a fixed
     parent RNG state (and fixed compilation fuel) the estimates are therefore
     bit-identical across runs {e and across pool sizes}; parallelism is
     across tuples only. *)
@@ -97,8 +97,9 @@ type run
 
 val open_run :
   ?budget:Budget.t -> ?nworkers:int -> ?compile_fuel:int ->
-  ?options:stream_options -> Rng.t -> Wtable.t -> Assignment.t list array ->
-  eps:float -> delta:float -> emit:(Shard.outcome -> unit) -> run
+  ?compile:(int -> Compile.t) -> ?options:stream_options -> Rng.t ->
+  Wtable.t -> Assignment.t list array -> eps:float -> delta:float ->
+  emit:(Shard.outcome -> unit) -> run
 (** Open a batch run: validate (ε, δ) and [options], plan the shards, draw
     the probe, draw the lanes (none for an empty batch), build the meta
     payload and, with [options.checkpoint], open (or resume) the journal;
@@ -110,6 +111,8 @@ val open_run :
     The parent RNG advances by exactly one {!Pqdb_numeric.Rng.split_n}'s
     draws ({!Pqdb_numeric.Rng.lanes}); no lane is built here.
     [nworkers] (pool size per shard) defaults to {!Pool.default_workers}.
+    [compile i] compiles tuple [i] ({!Compile.compile} at [compile_fuel]
+    by default; serve passes its {!Memo} lookup).
     @raise Invalid_argument on bad (ε, δ), options, [nworkers <= 0], or
     [resume] without a [checkpoint] path.
     @raise Pqdb_runtime.Pqdb_error.Error ([Malformed_input]) when resuming
@@ -151,8 +154,10 @@ val solve_shard :
     builds none.  By the per-tuple-lane contract the outcome is bit-identical no
     matter which process runs it, in what order, or after how many failed
     attempts.  [budget], if given, is the attempt's own budget — the caller
-    charges any parent afterwards.  [fp] is stored in the outcome.  Fires
-    the ["shard.run"] fault point; failures propagate. *)
+    charges any parent afterwards.  Its trial cap is dealt over the tuples
+    that sample by {!Compile.cost_cap}, each sampling under its own
+    {!Budget.slice} and the shared deadline.  [fp] is stored in the
+    outcome.  Fires the ["shard.run"] fault point; failures propagate. *)
 
 val apriori_outcome : run -> Shard.t -> fp:string -> error:exn -> Shard.outcome
 (** The sound give-up outcome for a shard whose computation cannot be
@@ -189,8 +194,9 @@ val close_run : run -> stream_summary
 
 val run_stream :
   ?budget:Budget.t -> ?nworkers:int -> ?compile_fuel:int ->
-  ?options:stream_options -> Rng.t -> Wtable.t -> Assignment.t list array ->
-  eps:float -> delta:float -> emit:(Shard.outcome -> unit) -> stream_summary
+  ?compile:(int -> Compile.t) -> ?options:stream_options -> Rng.t ->
+  Wtable.t -> Assignment.t list array -> eps:float -> delta:float ->
+  emit:(Shard.outcome -> unit) -> stream_summary
 (** Run a batch: stream it shard by shard, calling [emit] once per shard
     in plan order with the shard's {!Shard.outcome} — the per-tuple result,
     which callers read by tuple index ([shard.first + j]): {!open_run},
@@ -206,11 +212,10 @@ val run_stream :
     With a [budget], each shard runs under its own slice, fixed by rule
     and never by live spend: a trial cap is dealt once over all planned
     shards by a-priori cost ({!open_run}), and a deadline shared out by
-    cost over the shards still unresolved.  So under a trial budget the
-    bits do not depend on the distributed worker count or on a resume (at
-    a fixed pool size: the sampling tuples of one shard still race its
-    slice); the price is that a shard's unspent trials are not re-dealt
-    to later shards.  A
+    cost over the shards still unresolved; each tuple then samples under
+    its own slice of its shard's ({!solve_shard}).  So under a trial budget
+    the bits do not depend on the worker count, the pool size or a resume;
+    the price is that unspent trials are not re-dealt.  A
     cancelled budget (or one past its deadline) gives every later shard a
     dead slice; a cancel-only budget is observed between shards.  The call
     is {e anytime}: on exhaustion the remaining sampling is cut short and

@@ -80,6 +80,13 @@ let add_batch_line buf i est lo hi trials =
   Hexfmt.add_int buf trials;
   Buffer.add_char buf '\n'
 
+let add_outcome buf o =
+  Array.iteri
+    (fun j est ->
+      let lo, hi = o.intervals.(j) in
+      add_batch_line buf (o.shard.first + j) est lo hi o.trials.(j))
+    o.estimates
+
 let csv add a =
   let buf = Buffer.create (24 * Array.length a) in
   Array.iteri

@@ -82,6 +82,9 @@ val add_batch_line : Buffer.t -> int -> float -> float -> float -> int -> unit
     {!Pqdb_numeric.Hexfmt}, byte-identical to [Printf.bprintf] with that
     format at about a third of its cost. *)
 
+val add_outcome : Buffer.t -> outcome -> unit
+(** One {!add_batch_line} per tuple of the outcome, at [shard.first + j]. *)
+
 val to_payload : outcome -> string
 (** Newline-free journal payload.  Quarantined outcomes must not be
     journaled (resume should retry them); this raises [Invalid_argument] on

@@ -172,28 +172,27 @@ let relation_groups t relation =
       Hashtbl.replace t.groups relation g;
       g
 
-(* The conf body reuses the batch output contract verbatim — one
-   {!Shard.add_batch_line} per tuple (index, estimate, lo, hi, trials) — so
-   a serve reply is byte-comparable against `pqdb batch` output and against
-   itself across warm and cold runs.  Tuple [i] samples from lane [i] of
-   [seed], the lane [Rng.split_n] would give it; the lanes are drawn, and
-   lane [i] built, only once some tuple's tree samples. *)
+(* The conf body is one-shard batch output compiled through the cache:
+   byte-equal to `pqdb batch` (as one shard under a trial cap) and to
+   itself warm or cold.  Compiling is deterministic, so no retry; a failed
+   shard's error, unwrapped from the pool's [Task_failure], is the reply. *)
 let run_conf t ?budget ~relation ~eps ~delta ~seed ~fuel () =
   let { sets; codes; _ } = relation_groups t relation in
   let w = Udb.wtable t.udb in
-  let n = Array.length sets in
-  let lanes = lazy (Rng.lanes (Rng.create ~seed) n) in
-  let buf = Buffer.create (64 * (n + 1)) in
-  for i = 0 to n - 1 do
-    let tree =
-      Memo.find_or_compile t.cache ?fuel ~code:codes.(i) w sets.(i)
-    in
-    let lane () = Rng.lane (Lazy.force lanes) i in
-    let o = Compile.solve_lane ?budget lane tree ~eps ~delta in
-    Shard.add_batch_line buf i o.Compile.value o.Compile.lo o.Compile.hi
-      o.Compile.trials
-  done;
-  Buffer.contents buf
+  let buf = Buffer.create (64 * (Array.length sets + 1)) in
+  let summary =
+    Confidence.run_stream ?budget
+      ~compile:(fun i ->
+        Memo.find_or_compile t.cache ?fuel ~code:codes.(i) w sets.(i))
+      ~options:
+        { Confidence.default_stream_options with
+          shard_cost = max_int; retries = 0 }
+      (Rng.create ~seed) w sets ~eps ~delta ~emit:(Shard.add_outcome buf)
+  in
+  match summary.Confidence.quarantined with
+  | (_, Pqdb_error.Task_failure { inner; _ }) :: _ -> raise inner
+  | (_, err) :: _ -> raise (Pqdb_error.Error err)
+  | [] -> Buffer.contents buf
 
 (* Conditioned variant: same output contract, same [seed]-deterministic RNG
    discipline ({!Condition.solve_batch}: one extra lane, past the per-tuple

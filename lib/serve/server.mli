@@ -7,7 +7,7 @@
     using {!Pqdb_distrib.Protocol}'s CRC-framed [Query]/[Reply] messages.
     Repeated or incremental [conf] queries hit the {!Pqdb_montecarlo.Memo}
     cache and skip normalization and compilation entirely, going straight
-    to {!Pqdb_montecarlo.Compile.solve}.
+    to the one-shard batch solve.
 
     {2 Request language}
 
@@ -16,7 +16,8 @@
     {ul
     {- [conf <relation> [eps=F] [delta=F] [seed=N] [fuel=N] [deadline=SECS]
        [trials=N]] — per-tuple confidence for every possible tuple of the
-       relation.  The reply body is the batch output contract verbatim: one
+       relation.  The reply body is one-shard [pqdb batch] output, also
+       under [trials=N] ([--max-trials N]): one
        ["<index> %h-est %h-lo %h-hi <trials>"] line per tuple.  Defaults:
        [eps=0.05], [delta=0.01], [seed=42], fuel
        {!Pqdb_montecarlo.Compile.default_fuel}.  Deterministic per [seed]:

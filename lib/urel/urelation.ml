@@ -86,7 +86,17 @@ let variables u =
   List.sort_uniq compare
     (Array.fold_left (fun acc (a, _) -> Assignment.vars a @ acc) [] u.rows)
 
-let filter p u = { u with rows = Array.of_list (List.filter p (rows u)) }
+let filter p u =
+  let r = u.rows and k = ref 0 in
+  while !k < Array.length r && p r.(!k) do incr k done;
+  if !k = Array.length r then u
+  else begin
+    let out = Array.copy r and m = ref !k in
+    for i = !k + 1 to Array.length r - 1 do
+      if p r.(i) then (out.(!m) <- r.(i); incr m)
+    done;
+    { u with rows = Array.sub out 0 !m }
+  end
 
 let map_rows schema f u =
   let checked row =

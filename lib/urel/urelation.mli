@@ -50,7 +50,8 @@ val variables : t -> Wtable.var list
 (** Variables mentioned by any condition, deduplicated, sorted. *)
 
 val filter : (row -> bool) -> t -> t
-(** O(n), no sort.  {!map_rows} and {!union} cost what {!make} does. *)
+(** O(n), no sort; the input itself, with nothing allocated, when [p]
+    keeps every row.  {!map_rows} and {!union} cost what {!make} does. *)
 
 val map_rows : Schema.t -> (row -> row) -> t -> t
 val union : t -> t -> t

@@ -841,22 +841,41 @@ let test_budget_split_spreads_tail () =
   check bool_c "fixture has sampling work" true (sampled_count >= 5);
   let actual = Array.fold_left ( + ) 0 free.trials in
   let allowance = max 1 (actual / 10) in
-  (* FCFS: the whole batch as one shard drains the governor longest-first
-     and starves whole tuples outright. *)
-  let fcfs, _ =
-    run_stream ~compile_fuel:0
-      ~budget:(Budget.create ~max_trials:allowance ())
-      ~options:(stream_opts ~shard_cost:max_int ())
-      w clause_sets
+  (* One shard: the allowance is dealt again over its sampling tuples by
+     cost cap, so every one of them makes progress. *)
+  let one_shard ?nworkers () =
+    fst
+      (Batch.stream ?nworkers ~compile_fuel:0
+         ~budget:(Budget.create ~max_trials:allowance ())
+         ~options:(stream_opts ~shard_cost:max_int ())
+         (Rng.create ~seed:99) w clause_sets ~eps ~delta)
   in
-  let starved =
-    let c = ref 0 in
-    Array.iteri
-      (fun i t -> if needs_sampling.(i) && t = 0 then incr c)
-      fcfs.trials;
-    !c
+  Array.iteri
+    (fun i t ->
+      if needs_sampling.(i) then
+        check bool_c
+          (Printf.sprintf "at one shard every sampling tuple makes progress \
+                           (tuple %d)" i)
+          true (t > 0))
+    (one_shard ()).trials;
+  (* Each tuple samples under its own slice, so the same allowance gives
+     the same bits on one pool domain and on two. *)
+  check int_c "the 174-trial probe" 174 allowance;
+  let at_pool k =
+    Unix.putenv "PQDB_POOL_WORKERS" (string_of_int k);
+    Pool.reset ();
+    one_shard ~nworkers:2 ()
   in
-  check bool_c "FCFS starves sampled tuples" true (starved >= 1);
+  let inline, raced =
+    Fun.protect
+      ~finally:(fun () ->
+        Unix.putenv "PQDB_POOL_WORKERS" "3";
+        Pool.reset ())
+      (fun () ->
+        let inline = at_pool 1 in
+        (inline, at_pool 2))
+  in
+  check_same_result "pool sizes 1 and 2" inline raced;
   (* Static slices, one shard per tuple: every sampling tuple gets its
      cost share of the allowance and makes progress. *)
   let o, summary =

@@ -849,6 +849,58 @@ let test_bracket_certificate () =
     true
     (!certified >= 10 && !sampled >= 10)
 
+(* [Compile.cost_cap] is what a batch shard deals a trial cap by, so it
+   must be 0 exactly for the values that answer without a trial (exact, or
+   a bracket that certifies ε, the ones that never ask for their lane) and
+   the one pass's Chernoff cap, never exceeded, for the rest. *)
+let test_cost_cap_zero_iff_no_trial () =
+  let free = ref 0 and sampling = ref 0 in
+  List.iter
+    (fun seed ->
+      let rng = Rng.create ~seed in
+      for case = 0 to 11 do
+        let w = Wtable.create () in
+        let clauses, fuel =
+          match case mod 4 with
+          | 1 -> (Gen.random_dnf rng w ~vars:8 ~clauses:6 ~clause_len:3, 4096)
+          | 2 -> (multi_dnf rng w ~vars:12 ~clauses:16, 8)
+          | 3 -> (disjoint_dnf rng w, 0)
+          | _ -> (Gen.random_dnf rng w ~vars:16 ~clauses:16 ~clause_len:3, 8)
+        in
+        let c = Compile.compile ~fuel w clauses in
+        List.iter
+          (fun eps ->
+            let what = Printf.sprintf "seed %d case %d eps %g" seed case eps in
+            let cap = Compile.cost_cap c ~eps ~delta:0.05 in
+            match
+              Compile.solve_lane (fun () -> raise Lane_forced) c ~eps
+                ~delta:0.05
+            with
+            | _ ->
+                incr free;
+                check int_c (what ^ ": no trial, no cost") 0 cap
+            | exception Lane_forced ->
+                incr sampling;
+                let clauses =
+                  Dnf.clause_count (Option.get (Compile.sampled_dnf c))
+                in
+                check int_c (what ^ ": the pass's Chernoff cap")
+                  (Stats.karp_luby_trials ~clauses ~eps ~delta:0.05)
+                  cap;
+                if eps >= 0.2 then
+                  check bool_c (what ^ ": the pass spends at most its cap")
+                    true
+                    ((Compile.solve (Rng.create ~seed:case) c ~eps
+                        ~delta:0.05)
+                       .Compile.trials <= cap))
+          [ 0.05; 0.1; 0.2 ]
+      done)
+    [ 1; 2; 3 ];
+  check bool_c
+    (Printf.sprintf "both kinds seen (%d free, %d sampling)" !free !sampling)
+    true
+    (!free >= 10 && !sampling >= 10)
+
 let shuffle rng l =
   let a = Array.of_list l in
   for i = Array.length a - 1 downto 1 do
@@ -1629,7 +1681,7 @@ let test_adaptive_deterministic () =
    [kernel_case]) with no budget, trial caps of 1, 20, 500 and 1e8, and a
    cancelled budget; [Compile.solve] at fuel 0 and the default with and
    without a cap; and the outcomes [Confidence.run_stream] emits over the
-   same sets on one worker (a shared trial cap is raced by parallel tuples).
+   same sets (each sampling tuple under its own slice of its shard's cap).
    ε covers both sides of ½.  A change to any draw, stopping decision or
    interval changes it. *)
 let sampled_digest () =
@@ -1714,7 +1766,7 @@ let sampled_digest () =
 
 let test_sampled_output_pinned () =
   check Alcotest.string "adaptive_partial, Compile.solve and run_stream bits"
-    "5ecb70b78046a5e72baa76883bfe97c2" (sampled_digest ())
+    "1f838318ce0be6734e1d78ccfced49d0" (sampled_digest ())
 
 (* ------------------------------------------------------------------ *)
 (* Resident pool                                                        *)
@@ -1870,6 +1922,8 @@ let () =
             test_rounding_lemma_on_exact_dags;
           Alcotest.test_case "zero-trial bracket certificate" `Quick
             test_bracket_certificate;
+          Alcotest.test_case "cost cap is 0 exactly without a trial" `Quick
+            test_cost_cap_zero_iff_no_trial;
           Alcotest.test_case "fallback past a constant sibling" `Quick
             test_fallback_past_constant_sibling;
           Alcotest.test_case "a function of the clause set" `Quick

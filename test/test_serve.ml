@@ -451,6 +451,22 @@ let test_dispatch_stats_and_errors () =
       fails "frobnicate" "unknown request";
       fails "stats now" "no arguments")
 
+(* A conf request is a one-shard batch run with no retry: a shard that
+   fails is quarantined, and the request answers with its error instead of
+   the shard's a-priori brackets; the next request is answered again. *)
+let test_failed_shard_is_an_error () =
+  clear_all ();
+  with_fixture_db (fun db ->
+      let srv = Server.create (config ~db_path:db (Server.Tcp 1)) in
+      let reply = Server.dispatch srv "conf events" in
+      FP.arm ~count:1 "shard.run";
+      (match Server.dispatch srv "conf events" with
+      | body -> Alcotest.failf "a failed shard answered %S" body
+      | exception E.Error (E.Injected site) ->
+          check string_c "the shard's error" "shard.run" site);
+      check string_c "the next request is answered" reply
+        (Server.dispatch srv "conf events"))
+
 let test_budget_admission () =
   clear_all ();
   with_fixture_db (fun db ->
@@ -637,6 +653,60 @@ let test_non_binding_budget_changes_no_bit () =
                 (Server.dispatch srv (request " deadline=3600")))
             [ 0.05; 0.3; 0.7 ])
         [ Some 0; None ])
+
+(* Under a binding trial cap a conf reply is one-shard batch output: the
+   cap dealt over the relation's sampling tuples by cost cap, each tuple
+   under its own slice, so neither the pool size nor the order the tuples
+   run in moves a bit. *)
+let test_budgeted_reply_is_one_shard_batch () =
+  clear_all ();
+  with_fixture_db (fun db ->
+      let udb = Udb_io.load db in
+      let w = Udb.wtable udb in
+      let sets = Udb.relation_sets udb "events" in
+      let srv = Server.create (config ~db_path:db (Server.Tcp 1)) in
+      let cap = 20_000 in
+      let batch () =
+        let o, summary =
+          Batch.stream ~nworkers:2 ~compile_fuel:0
+            ~budget:(Budget.create ~max_trials:cap ())
+            ~options:
+              { Confidence.default_stream_options with shard_cost = max_int }
+            (Rng.create ~seed:42) w sets ~eps:0.05 ~delta:0.01
+        in
+        check int_c "one shard" 1 summary.Confidence.shards;
+        let b = Buffer.create 4096 in
+        Array.iteri
+          (fun i v ->
+            let lo, hi = o.Shard.intervals.(i) in
+            Printf.bprintf b "%d %h %h %h %d\n" i v lo hi o.Shard.trials.(i))
+          o.Shard.estimates;
+        Buffer.contents b
+      in
+      let request = Printf.sprintf "conf events fuel=0 trials=%d" cap in
+      let at_pool k =
+        Unix.putenv "PQDB_POOL_WORKERS" (string_of_int k);
+        Pool.reset ();
+        (Server.dispatch srv request, batch ())
+      in
+      let runs =
+        Fun.protect
+          ~finally:(fun () ->
+            Unix.putenv "PQDB_POOL_WORKERS" "1";
+            Pool.reset ())
+          (fun () -> List.map (fun k -> (k, at_pool k)) [ 1; 2 ])
+      in
+      List.iter
+        (fun (k, (reply, batch)) ->
+          let what = Printf.sprintf "pool size %d" k in
+          check string_c (what ^ ": the reply is the one-shard batch") batch
+            reply;
+          check string_c (what ^ ": the same bytes at every pool size")
+            (fst (List.assoc 1 runs))
+            reply)
+        runs;
+      check bool_c "the cap binds" true
+        (Server.dispatch srv "conf events fuel=0" <> fst (List.assoc 1 runs)))
 
 (* Interleaved requests over several relations, with seed and fuel
    variants and a conditioned session, through an 8-entry cache that
@@ -1102,6 +1172,8 @@ let () =
           Alcotest.test_case "stats + friendly errors" `Quick
             test_dispatch_stats_and_errors;
           Alcotest.test_case "budget admission" `Quick test_budget_admission;
+          Alcotest.test_case "a failed shard is an error reply" `Quick
+            test_failed_shard_is_an_error;
           Alcotest.test_case "warm request allocation guard" `Quick
             test_warm_request_allocation_guard;
           Alcotest.test_case "interleaved replies match the reference" `Quick
@@ -1110,6 +1182,8 @@ let () =
             test_constraints_compare_by_value;
           Alcotest.test_case "mixed relation matches the materialized reference"
             `Quick test_mixed_relation_matches_materialized_reference;
+          Alcotest.test_case "a budgeted reply is one-shard batch output" `Quick
+            test_budgeted_reply_is_one_shard_batch;
           Alcotest.test_case "a budget that never binds changes no bit" `Quick
             test_non_binding_budget_changes_no_bit;
         ] );

@@ -738,6 +738,33 @@ let test_row_array_allocation () =
     true
     (group_words <= float_of_int ((3 * n) + (6 * tuples) + 64))
 
+(* A selection that keeps every row (E2's [A >= 0]) returns its input:
+   the same array, nothing allocated past the scan, the predicate called
+   once per row.  One that drops rows keeps the others in order. *)
+let test_filter_keeping_every_row () =
+  let tuples = 1500 in
+  let u =
+    Urelation.make (Schema.of_list [ "A" ])
+      (List.init tuples (fun i ->
+           (Assignment.singleton i 0, Tuple.of_list [ V.Int i ])))
+  in
+  let calls = ref 0 in
+  let all (_, _) =
+    incr calls;
+    true
+  in
+  check bool_c "keeping every row returns the input itself" true
+    (Urelation.filter all u == u);
+  check int_c "the predicate runs once per row" tuples !calls;
+  check bool_c "keeping every row allocates nothing" true
+    (minor_words (fun () -> Urelation.filter all u) = 0.);
+  let even (_, t) =
+    match Tuple.get t 0 with V.Int i -> i mod 2 = 0 | _ -> false
+  in
+  check bool_c "a dropping filter keeps the others, in order" true
+    (Urelation.rows (Urelation.filter even u)
+    = List.filter even (Urelation.rows u))
+
 (* ------------------------------------------------------------------ *)
 (* Hash join vs nested-loop reference                                  *)
 (* ------------------------------------------------------------------ *)
@@ -1096,5 +1123,7 @@ let () =
           qcheck prop_rows_match_set_reference;
           Alcotest.test_case "allocation guard" `Quick
             test_row_array_allocation;
+          Alcotest.test_case "filter keeping every row returns its input"
+            `Quick test_filter_keeping_every_row;
         ] );
     ]
