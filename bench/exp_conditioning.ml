@@ -34,7 +34,9 @@ let unconditioned_pass w sets cache seed =
   done
 
 let conditioned_pass w sets compiled cache seed =
-  ignore (Condition.solve_batch ~cache ~seed w compiled sets ~eps ~delta)
+  ignore
+    (Condition.solve_batch ~cache ~seed w compiled sets ~eps ~delta
+       ~emit:ignore)
 
 let run ~quick =
   Report.section "E18"
@@ -78,11 +80,13 @@ let run ~quick =
   let exact_count =
     List.length
       (List.filter
-         (fun (_, e) -> e.Condition.claim = Guarantee.Exact)
+         (fun (_, (e : Compile.outcome)) -> e.claim = Guarantee.Exact)
          estimates)
   in
   let trials =
-    List.fold_left (fun acc (_, e) -> acc + e.Condition.trials) 0 estimates
+    List.fold_left
+      (fun acc (_, (e : Compile.outcome)) -> acc + e.trials)
+      0 estimates
   in
   let exact_fraction = float_of_int exact_count /. float_of_int n in
   Report.table

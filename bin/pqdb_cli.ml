@@ -29,6 +29,7 @@ module Qparser = Pqdb_lang.Qparser
 module Rng = Pqdb_numeric.Rng
 module Budget = Pqdb_montecarlo.Budget
 module Guarantee = Pqdb_montecarlo.Guarantee
+module Compile = Pqdb_montecarlo.Compile
 module Cset = Pqdb_conditioning.Constraint_set
 module Condition = Pqdb_conditioning.Condition
 module Pqdb_error = Pqdb_runtime.Pqdb_error
@@ -292,11 +293,11 @@ let run_cmd engine db tables query_file approx optimize eps0 shard_size
           compiled q
       in
       List.iter
-        (fun (t, e) ->
-          Format.printf "%a  ~%.6f in [%.6f, %.6f]%s@." Tuple.pp t
-            e.Condition.value e.Condition.lo e.Condition.hi
-            (if e.Condition.claim = Guarantee.Exact then " (exact)"
-             else Printf.sprintf " (%d trials)" e.Condition.trials))
+        (fun (t, (e : Compile.outcome)) ->
+          Format.printf "%a  ~%.6f in [%.6f, %.6f]%s@." Tuple.pp t e.value
+            e.lo e.hi
+            (if e.claim = Guarantee.Exact then " (exact)"
+             else Printf.sprintf " (%d trials)" e.trials))
         estimates;
       report_budget budget
     end
@@ -413,9 +414,9 @@ let topk_cmd engine db tables query_file k asserts query () =
       Condition.topk ?budget ?fuel ~seed ~delta ~k udb compiled q
     in
     List.iteri
-      (fun i (t, e) ->
+      (fun i (t, (e : Compile.outcome)) ->
         Format.printf "%d. %a  (~%.4f in [%.4f, %.4f])@." (i + 1) Tuple.pp
-          t e.Condition.value e.Condition.lo e.Condition.hi)
+          t e.value e.lo e.hi)
       ranked
   end
   else begin
@@ -587,22 +588,15 @@ let batch_conditioned (e : engine) ~db ~relation ~gen ~eps ~asserts =
   let sets = Udb.relation_sets udb name in
   let cset = constraint_set_of ~asserts ~stmts:[] in
   let compiled = Condition.compile udb cset in
-  let den, estimates =
+  let den, _ =
     Condition.solve_batch ?budget:e.budget ?fuel:e.fuel ~seed:e.seed
       (Udb.wtable udb) compiled sets ~eps ~delta:e.delta
+      ~emit:emit_batch_outcome
   in
-  let buf = Buffer.create 256 in
-  Array.iteri
-    (fun i est ->
-      Pqdb_montecarlo.Shard.add_batch_line buf i est.Condition.value
-        est.Condition.lo est.Condition.hi est.Condition.trials)
-    estimates;
-  Buffer.output_buffer stdout buf;
-  flush stdout;
   Format.eprintf
     "-- %d tuples conditioned on %a: Pr(c) in [%h, %h], %d denominator \
      trials@."
-    (Array.length sets) Cset.pp cset den.Condition.lo den.hi den.trials
+    (Array.length sets) Cset.pp cset den.Compile.lo den.hi den.trials
 
 let batch_cmd engine db relation gen gen_seed eps shard_size checkpoint
     resume retries workers connect lease_ttl heartbeat_interval reconnects

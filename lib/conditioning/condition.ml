@@ -99,131 +99,124 @@ let exact_confidences udb c q =
     (Urelation.clauses_by_tuple u)
 
 (* ------------------------------------------------------------------ *)
-(* Anytime path (compiled lineage + one Karp-Luby pass when sampled).  *)
-
-type estimate = {
-  value : float;
-  lo : float;
-  hi : float;
-  trials : int;
-  claim : Guarantee.t;
-}
+(* Anytime path: every conditioned answer is a batch tuple.            *)
 
 let zero_part =
   { Compile.value = 0.; trials = 0; residual_mass = 0.; lo = 0.; hi = 0.;
     claim = Guarantee.Exact }
 
+(* A conditioned tuple, or one of its conjuncts: what a batch run asks of
+   it ({!Confidence.hook}). *)
+type tuple = {
+  apriori : Compile.outcome;
+  cost : int;
+  solve : Budget.t option -> (unit -> Rng.t) -> Compile.outcome;
+}
+
 let part_salt base suffix = if base = "" then "" else base ^ suffix
 
-(* One anytime estimate of a positive DNF.  [key] (default [clauses]) is
-   what the cache entry is keyed on; together with [salt] it must determine
-   [clauses] — the conditioned paths key on the tuple's own lineage and
-   salt with the constraint-set fingerprint plus a conjunct tag, so the
-   cached tree is the conjoined compile while lookups stay as cheap as the
-   unconditioned ones.  [lane] is asked for only when the tree samples. *)
-let solve_part ?budget ?fuel ?cache ?(salt = "") ?key lane w clauses ~eps
-    ~delta =
-  match clauses with
-  | [] -> zero_part
-  | _ ->
-      let tree =
-        match cache with
-        | Some memo ->
-            Memo.find_or_compile memo ?fuel ~salt
-              ~build:(fun () -> Compile.compile ?fuel w clauses)
-              w
-              (Option.value key ~default:clauses)
-        | None -> Compile.compile ?fuel w clauses
-      in
-      Compile.solve_lane ?budget lane tree ~eps ~delta
+(* A bracket cut to [0, 1], the value clamped into it and its claim.  The
+   share resting on inexact parts is the whole value unless all are exact. *)
+let outcome iv ~value ~trials claim =
+  let { Interval.lo; hi } = Interval.clamp ~lo:0. ~hi:1. iv in
+  let value = Float.max lo (Float.min hi value) in
+  { Compile.value; trials; lo; hi; claim;
+    residual_mass = (if claim = Guarantee.Exact then 0. else value) }
 
-(* Pr(ψ ∧ c) as a sound bracket: the difference of the two conjunct
-   brackets, clamped to [0, 1] (the true difference is a probability).
-   Each conjunct gets δ/4 of the four solves behind one conditioned answer
-   (two numerator, two denominator); the claims say what each solve spent.
-   The conjuncts sample from the two lanes [Rng.split_n] would split from
-   [lane]; [lane] and the pair are built only once a conjunct samples. *)
-let solve_joint ?budget ?fuel ?cache ~salt ~key lane w c clauses ~eps ~delta =
-  let pair = lazy (Rng.lanes (lane ()) 2) in
-  let half k () = Rng.lane (Lazy.force pair) k in
-  let pe = conjoin clauses c.positive in
+(* Pr(ψ ∧ E) − Pr(ψ ∧ E ∧ V): the difference of the conjunct brackets. *)
+let difference (e : Compile.outcome) (ev : Compile.outcome) =
+  outcome
+    (Interval.difference (Interval.make e.lo e.hi) (Interval.make ev.lo ev.hi))
+    ~value:(e.value -. ev.value) ~trials:(e.trials + ev.trials)
+    (Guarantee.difference ~p:e.lo e.claim ~q:ev.hi ev.claim)
+
+let ratio (den : Compile.outcome) (q : Compile.outcome) =
+  outcome
+    (Interval.ratio ~num:(Interval.make q.lo q.hi)
+       ~den:(Interval.make den.lo den.hi))
+    ~value:(q.value /. den.value) ~trials:q.trials
+    (Guarantee.ratio q.claim den.claim)
+
+(* Pr(ψ ∧ c) as one batch tuple (Theorem 4.4).  Each conjunct compiles
+   here, on the caller's domain, and gets δ/4 of the four solves behind one
+   answer.  A cache entry is keyed on the tuple's own clauses salted with
+   the constraint-set fingerprint and a conjunct tag, so lookups stay as
+   cheap as unconditioned ones.  The solve runs the conjuncts in order under
+   one budget, on the two lanes [Rng.split_n] would split from [lane]. *)
+let joint ?fuel ?cache ~salt w c clauses ~eps ~delta =
   let delta = Guarantee.split delta 4 in
-  let e =
-    solve_part ?budget ?fuel ?cache ~salt:(part_salt salt "#e") ?key
-      (half 0) w pe ~eps ~delta
+  let part tag = function
+    | [] -> { apriori = zero_part; cost = 0; solve = (fun _ _ -> zero_part) }
+    | conjunct ->
+        let c =
+          match cache with
+          | Some memo ->
+              Memo.find_or_compile memo ?fuel ~salt:(part_salt salt tag)
+                ~build:(fun () -> Compile.compile ?fuel w conjunct)
+                w clauses
+          | None -> Compile.compile ?fuel w conjunct
+        in
+        { apriori = Compile.apriori c;
+          cost = Compile.cost_cap c ~eps ~delta;
+          solve =
+            (fun budget lane -> Compile.solve_lane ?budget lane c ~eps ~delta)
+        }
   in
-  let ev =
-    match c.violation with
-    | [] -> zero_part
-    | v ->
-        solve_part ?budget ?fuel ?cache ~salt:(part_salt salt "#ev") ?key
-          (half 1) w (conjoin pe v) ~eps ~delta
-  in
-  let { Interval.lo; hi } =
-    Interval.clamp ~lo:0. ~hi:1.
-      (Interval.difference
-         (Interval.make e.lo e.hi)
-         (Interval.make ev.lo ev.hi))
-  in
-  { value = Float.max lo (Float.min hi (e.value -. ev.value));
-    lo;
-    hi;
-    trials = e.trials + ev.trials;
-    claim = Guarantee.difference ~p:e.lo e.claim ~q:ev.hi ev.claim }
+  let pe = conjoin clauses c.positive in
+  let e = part "#e" pe in
+  let ev = part "#ev" (conjoin pe c.violation) in
+  { apriori = difference e.apriori ev.apriori;
+    cost = Stats.saturating_add e.cost ev.cost;
+    solve =
+      (fun budget lane ->
+        let pair = lazy (Rng.lanes (lane ()) 2) in
+        let half k () = Rng.lane (Lazy.force pair) k in
+        let oe = e.solve budget (half 0) in
+        difference oe (ev.solve budget (half 1))) }
 
-let solve_denominator ?budget ?fuel ?cache lane w c ~eps ~delta =
-  let salt = Constraint_set.fingerprint c.set in
-  let d =
-    solve_joint ?budget ?fuel ?cache ~salt:(part_salt salt "#c")
-      ~key:(Some [ Assignment.empty ]) lane w c [ Assignment.empty ] ~eps
-      ~delta
-  in
-  let detail reason =
-    Printf.sprintf "%s for constraint set {%s}: Pr(c) ∈ [%g, %g]" reason
-      (Constraint_set.to_string c.set)
-      d.lo d.hi
-  in
-  if d.hi <= 0. then
-    Pqdb_error.unsatisfiable ~context:"Condition.solve_denominator"
-      (detail "Pr(c) = 0 (certified)")
-  else if d.lo <= 0. then
-    Pqdb_error.unsatisfiable ~context:"Condition.solve_denominator"
-      (detail "interval straddles zero (cannot certify Pr(c) > 0)")
-  else d
-
-let solve_clauses ?budget ?fuel ?cache lane w c den clauses ~eps ~delta =
-  let salt = Constraint_set.fingerprint c.set in
-  let q =
-    solve_joint ?budget ?fuel ?cache ~salt:(part_salt salt "#q")
-      ~key:(Some clauses) lane w c clauses ~eps ~delta
-  in
-  let { Interval.lo; hi } =
-    Interval.clamp ~lo:0. ~hi:1.
-      (Interval.ratio
-         ~num:(Interval.make q.lo q.hi)
-         ~den:(Interval.make den.lo den.hi))
-  in
-  { value = Float.max lo (Float.min hi (q.value /. den.value));
-    lo;
-    hi;
-    trials = q.trials;
-    claim = Guarantee.ratio q.claim den.claim }
-
-(* Lane n is the denominator's; lanes 0..n-1 are per-tuple.  Drawing
-   them from one seed keeps the whole conditioned answer a pure function of
-   (lineage, constraint set, seed, eps, delta, fuel); each lane is built
-   only when its tuple samples. *)
-let solve_batch ?budget ?fuel ?cache ~seed w c sets ~eps ~delta =
+(* Pr(c) first, on lane n of the lanes the batch run draws over n + 1,
+   charged to [budget]; then the tuples as one batch shard over lanes
+   0..n-1.  Each answer is also kept in [answers] as its task returns it. *)
+let solve_batch ?budget ?fuel ?cache ~seed w c sets ~eps ~delta ~emit =
   let n = Array.length sets in
-  let lanes = lazy (Rng.lanes (Rng.create ~seed) (n + 1)) in
-  let lane i () = Rng.lane (Lazy.force lanes) i in
-  let den = solve_denominator ?budget ?fuel ?cache (lane n) w c ~eps ~delta in
-  ( den,
-    Array.mapi
-      (fun i clauses ->
-        solve_clauses ?budget ?fuel ?cache (lane i) w c den clauses ~eps
-          ~delta)
-      sets )
+  let rng = Rng.create ~seed in
+  let salt = part_salt (Constraint_set.fingerprint c.set) in
+  let den =
+    (joint ?fuel ?cache ~salt:(salt "#c") w c [ Assignment.empty ] ~eps
+       ~delta).solve budget (fun () ->
+        Rng.lane (Rng.lanes (Rng.copy rng) (n + 1)) n)
+  in
+  let unsatisfiable reason =
+    Pqdb_error.unsatisfiable ~context:"Condition.solve_denominator"
+      (Printf.sprintf "%s for constraint set {%s}: Pr(c) ∈ [%g, %g]" reason
+         (Constraint_set.to_string c.set)
+         den.lo den.hi)
+  in
+  if den.hi <= 0. then unsatisfiable "Pr(c) = 0 (certified)";
+  if den.lo <= 0. then
+    unsatisfiable "interval straddles zero (cannot certify Pr(c) > 0)";
+  let answers = Array.make n zero_part in
+  let tuple i =
+    let q = joint ?fuel ?cache ~salt:(salt "#q") w c sets.(i) ~eps ~delta in
+    let apriori = ratio den q.apriori in
+    answers.(i) <- apriori;
+    { apriori;
+      cost = q.cost;
+      solve =
+        (fun budget lane ->
+          let o = ratio den (q.solve budget lane) in
+          answers.(i) <- o;
+          o) }
+  in
+  Confidence.run_one_shard ?budget
+    ~hook:
+      (Hook
+         { tuple;
+           apriori = (fun t -> t.apriori);
+           cost = (fun t -> t.cost);
+           solve = (fun t -> t.solve) })
+    rng w sets ~eps ~delta ~emit;
+  (den, answers)
 
 let approx_confidences ?budget ?fuel ?cache ?(seed = 42) ?(eps = 0.05)
     ?(delta = 0.01) udb c q =
@@ -232,7 +225,7 @@ let approx_confidences ?budget ?fuel ?cache ?(seed = 42) ?(eps = 0.05)
   let _, estimates =
     solve_batch ?budget ?fuel ?cache ~seed (Udb.wtable udb) c
       (Array.of_list (List.map snd pairs))
-      ~eps ~delta
+      ~eps ~delta ~emit:ignore
   in
   List.mapi (fun i (t, _) -> (t, estimates.(i))) pairs
 
@@ -240,7 +233,8 @@ let topk ?budget ?fuel ?cache ?seed ?eps ?delta ~k udb c q =
   if k < 0 then invalid_arg "Condition.topk: k must be >= 0";
   let ranked =
     List.stable_sort
-      (fun (_, a) (_, b) -> compare b.value a.value)
+      (fun (_, (a : Compile.outcome)) (_, (b : Compile.outcome)) ->
+        compare b.value a.value)
       (approx_confidences ?budget ?fuel ?cache ?seed ?eps ?delta udb c q)
   in
   List.filteri (fun i _ -> i < k) ranked

@@ -19,7 +19,7 @@
     {!Pqdb_numeric.Interval.ratio}).  Each solve runs at δ/4
     ({!Pqdb_montecarlo.Guarantee.split}), and a Karp–Luby pass at δ/4
     claims 2δ/4, so the reported [lo, hi] holds with probability
-    ≥ 1 − 2δ when all four solves sample (union bound); the estimate's
+    ≥ 1 − 2δ when all four solves sample (union bound); each answer's
     claim composes the four with {!Pqdb_montecarlo.Guarantee.difference}
     and {!Pqdb_montecarlo.Guarantee.ratio} and states the δ actually
     spent.  A denominator certified zero — or not certifiable
@@ -67,23 +67,6 @@ val exact_confidences :
 
 (** {1 Anytime path} *)
 
-type estimate = {
-  value : float;  (** point estimate, clamped into [\[lo, hi\]] *)
-  lo : float;
-  hi : float;
-      (** sound bracket for the conditioned confidence, holding except
-          with the claim's δ (at most 2δ) *)
-  trials : int;  (** sampling spent on this tuple's numerator (the shared
-                     denominator's spend is reported once, on it) *)
-  claim : Guarantee.t;
-      (** the ratio of the numerator's and the denominator's claims, each
-          the difference of its two conjuncts' {!Compile.outcome} claims:
-          [Exact] only when all four compiled exactly, [Certain] when no
-          part sampled but a bracket certified one, [Sampled] as soon as
-          one part sampled, with the summed δ, and [Bracket] when a part
-          kept only its bracket and none sampled *)
-}
-
 val solve_batch :
   ?budget:Budget.t ->
   ?fuel:int ->
@@ -94,22 +77,35 @@ val solve_batch :
   Assignment.t list array ->
   eps:float ->
   delta:float ->
-  estimate * estimate array
-(** Conditioned confidence of every tuple lineage in [sets]: the shared
-    [Pr(c)] denominator — its bracket certified positive, computed once and
-    shared by every tuple — then one estimate per tuple, in order.  The RNG
-    lanes are drawn from [seed] ({!Pqdb_numeric.Rng.lanes} over [n + 1]):
-    lane [n] (one past the last tuple) feeds the denominator, lane [i]
-    tuple [i], so the answer is a pure function of (lineage, constraint
-    set, seed, eps, delta, fuel).  A lane is built only when its tuple
-    samples; an exactly compiled tuple builds none.  With a [cache],
-    entries are keyed on each tuple's own clauses salted with the
-    constraint-set fingerprint (plus a conjunct tag), so conditioned and
-    unconditioned entries never alias and a warm conditioned answer is
-    byte-identical to its cold run.
+  emit:(Shard.outcome -> unit) ->
+  Compile.outcome * Compile.outcome array
+(** Conditioned confidence of every tuple lineage in [sets]: the [Pr(c)]
+    denominator, its bracket certified positive, then the tuples as one
+    {!Confidence.run_one_shard} whose outcome goes to [emit].  Returns the
+    denominator and each tuple's answer, in order, with the trials its
+    numerator spent (the denominator's are reported once, on it) and its
+    claim: the ratio of the numerator's and denominator's claims, each the
+    difference of its two conjuncts' ([Exact] only when all four compiled
+    exactly, [Certain] when none sampled but a bracket certified one,
+    [Sampled] with the summed δ as soon as one sampled, [Bracket] when one
+    kept only its bracket and none sampled).
+
+    {e Lanes.}  {!Pqdb_numeric.Rng.lanes} over [n + 1] from [seed]: lane
+    [n] feeds the denominator, lane [i] tuple [i], each split in two for
+    its conjuncts and built only when one samples.  {e Budget.}  The
+    denominator spends [budget] first; a trial cap it leaves is dealt over
+    the tuples by cost (the sum of the two conjuncts' {!Compile.cost_cap}s
+    at δ/4), one slice each, and the two conjuncts spend a slice in order.
+    So the answer is a pure function of (lineage, constraint set, seed,
+    eps, delta, fuel, trial cap), whatever the pool size.
+
+    With a [cache], conjuncts compile through it keyed on the tuple's own
+    clauses, salted with the constraint-set fingerprint and a conjunct
+    tag: conditioned and unconditioned entries never alias, and a warm
+    answer is byte-identical to its cold run.
     @raise Pqdb_runtime.Pqdb_error.Error ([Unsatisfiable_condition]) when
     the [Pr(c)] bracket is certified zero or cannot be bounded away from
-    zero. *)
+    zero; the first error building a tuple is raised as well. *)
 
 val approx_confidences :
   ?budget:Budget.t ->
@@ -121,7 +117,7 @@ val approx_confidences :
   Udb.t ->
   compiled ->
   Pqdb_ast.Ua.t ->
-  (Tuple.t * estimate) list
+  (Tuple.t * Compile.outcome) list
 (** Evaluate the (positive) query and estimate every answer tuple's
     conditioned confidence.  Deterministic per [seed] (defaults: [seed=42],
     [eps=0.05], [delta=0.01]). *)
@@ -137,6 +133,6 @@ val topk :
   Udb.t ->
   compiled ->
   Pqdb_ast.Ua.t ->
-  (Tuple.t * estimate) list
+  (Tuple.t * Compile.outcome) list
 (** The [k] answer tuples ranked by conditioned confidence (descending,
     stable on ties). *)

@@ -1,14 +1,31 @@
 open Pqdb_numeric
 open Pqdb_urel
 
+type outcome = {
+  value : float;
+  trials : int;
+  residual_mass : float;
+  lo : float;
+  hi : float;
+  claim : Guarantee.t;
+}
+
 type t = {
   size : int;  (* distinct DAG nodes *)
-  lo : float;
-  hi : float;  (* the a-priori bracket ([vacuous_interval]); a point when exact *)
   sample : (Wtable.t * Assignment.t list) option;
       (* the whole normalized DNF, the one problem [solve] samples; [None]
          when exact.  It is prepared only when sampled. *)
+  apriori : outcome;
+      (* the a-priori bracket ([vacuous_interval]), a point when exact; built
+         once, so a batch reading it per warm memo hit allocates nothing *)
 }
+
+let make ~size ~lo ~hi sample =
+  { size; sample;
+    apriori =
+      { value = lo; trials = 0; residual_mass = 0.; lo; hi;
+        claim = (if sample = None then Guarantee.Exact else Guarantee.Bracket)
+      } }
 
 let default_fuel = 4096
 
@@ -71,7 +88,7 @@ let compile ?(fuel = default_fuel) w clauses =
   let size = Array.length nodes in
   if dag.Lineage.residuals = [||] then
     let v = eval [||] nodes in
-    { size; lo = v; hi = v; sample = None }
+    make ~size ~lo:v ~hi:v None
   else begin
     let nvars, k = lemma_size w dag.Lineage.clauses in
     let widen = widen ~nvars ~k in
@@ -83,28 +100,21 @@ let compile ?(fuel = default_fuel) w clauses =
        outward by one ulp. *)
     let ubs = Array.map (residual_ub w ~nvars) dag.Lineage.residuals in
     let zeros = Array.map (fun _ -> 0.) ubs in
-    { size;
-      lo = Float.max 0. (Float.pred (eval zeros nodes -. widen));
-      hi = Float.min 1. (Float.succ (eval ubs nodes +. widen));
-      sample = Some (w, dag.Lineage.clauses) }
+    make ~size
+      ~lo:(Float.max 0. (Float.pred (eval zeros nodes -. widen)))
+      ~hi:(Float.min 1. (Float.succ (eval ubs nodes +. widen)))
+      (Some (w, dag.Lineage.clauses))
   end
 
 let is_exact t = t.sample = None
-let exact_value t = if is_exact t then Some t.lo else None
+let exact_value t = if is_exact t then Some t.apriori.lo else None
 let size t = t.size
-let vacuous_interval t = (t.lo, t.hi)
+let vacuous_interval t = (t.apriori.lo, t.apriori.hi)
+
+let apriori t = t.apriori
 
 let sampled_dnf t =
   Option.map (fun (w, clauses) -> Dnf.prepare w clauses) t.sample
-
-type outcome = {
-  value : float;
-  trials : int;
-  residual_mass : float;
-  lo : float;
-  hi : float;
-  claim : Guarantee.t;
-}
 
 (* The zero-trial certificate: the harmonic mean h = 2·lo·hi/(lo + hi) is
    within relative a = (hi − lo)/(hi + lo) of every point of [lo, hi].  In
@@ -115,7 +125,7 @@ type outcome = {
    estimate's true relative error.  Clamping into [lo, hi] only moves the
    estimate toward every point of the bracket. *)
 let certified (t : t) ~eps =
-  let lo = t.lo and hi = t.hi in
+  let { lo; hi; _ } = t.apriori in
   if lo < Float.min_float then None
   else
     let proven = ((hi -. lo) /. (hi +. lo)) +. 0x1p-49 in
@@ -135,7 +145,7 @@ let cost_cap t ~eps ~delta =
   | _ -> 0
 
 (* One adaptive pass over the whole normalized DNF, its interval intersected
-   with the compiled bracket [t.lo, t.hi], which still bounds the answer
+   with the compiled bracket [lo, hi], which still bounds the answer
    when sampling fails or runs out of budget.  The bracket is cut to
    [0, 1] and the estimate clamped into it: clamping only moves it toward
    any truth inside the bracket, so its relative-ε claim still holds
@@ -143,23 +153,21 @@ let cost_cap t ~eps ~delta =
 let sampled ?budget rng (t : t) w clauses ~eps ~delta =
   match Karp_luby.adaptive_partial ?budget rng (Dnf.prepare w clauses) ~eps ~delta with
   | p ->
-      let lo = Float.min 1. (Float.max 0. (Float.max t.lo p.Karp_luby.p_lo)) in
-      let hi = Float.max lo (Float.min 1. (Float.min t.hi p.p_hi)) in
+      let { lo; hi; _ } = t.apriori in
+      let lo = Float.min 1. (Float.max 0. (Float.max lo p.Karp_luby.p_lo)) in
+      let hi = Float.max lo (Float.min 1. (Float.min hi p.p_hi)) in
       let value = Float.min hi (Float.max lo p.p_estimate) in
       { value; trials = p.p_trials; residual_mass = value; lo; hi;
         claim = p.p_claim }
   | exception _ ->
       (* Sampling died outright: all that remains sound is the compiled
          bracket. *)
-      { value = t.lo; trials = 0; residual_mass = 0.; lo = t.lo; hi = t.hi;
-        claim = Guarantee.Bracket }
+      t.apriori
 
 let solve_lane ?budget lane t ~eps ~delta =
   if eps <= 0. || delta <= 0. then invalid_arg "Compile.solve";
   match t.sample with
-  | None ->
-      { value = t.lo; trials = 0; residual_mass = 0.; lo = t.lo; hi = t.lo;
-        claim = Guarantee.Exact }
+  | None -> t.apriori
   | Some (w, clauses) -> (
       match certified t ~eps with
       | Some o -> o

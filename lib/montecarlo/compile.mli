@@ -171,6 +171,11 @@ type outcome = {
           [Guarantee.pass ~eps ~delta]. *)
 }
 
+val apriori : t -> outcome
+(** The zero-trial answer, built once by {!compile}: the exact point, or
+    else the {!vacuous_interval} with its floor as the estimate and a
+    [Bracket] claim. *)
+
 val vacuous_interval : t -> float * float
 (** The a-priori bracket on the tuple confidence, free of any sampling:
     the monotone DAG evaluated with every residual at 0 (the exact

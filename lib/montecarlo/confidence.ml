@@ -20,25 +20,31 @@ let total_trials batch ~eps ~delta =
             (Stats.karp_luby_trials ~clauses:(List.length cs) ~eps ~delta))
     0 batch
 
-(* A tuple's a-priori compiled answer, written into slot [i]: the exact
-   value as a point, or else the compiled bracket, with its lower end as the
-   estimate and the relative ε that end is proven to, [(hi − lo)/hi], as the
-   achieved error — the certificate actually held, never the requested ε
-   ([hi > 0]: an inexact bracket's ceiling is rounded outward).  [true] when
-   exact. *)
-let fill_apriori comp ~out ~intervals ~achieved i =
-  match Compile.exact_value comp with
-  | Some p ->
-      out.(i) <- p;
-      intervals.(i) <- (p, p);
-      achieved.(i) <- 0.;
-      true
-  | None ->
-      let lo, hi = Compile.vacuous_interval comp in
-      out.(i) <- lo;
-      intervals.(i) <- (lo, hi);
-      achieved.(i) <- (hi -. lo) /. hi;
-      false
+type hook =
+  | Hook : {
+      tuple : int -> 'a;
+      apriori : 'a -> Compile.outcome;
+      cost : 'a -> int;
+      solve : 'a -> Budget.t option -> (unit -> Rng.t) -> Compile.outcome;
+    }
+      -> hook
+
+let compiled ~eps ~delta compile =
+  Hook
+    { tuple = compile;
+      apriori = Compile.apriori;
+      cost = (fun c -> Compile.cost_cap c ~eps ~delta);
+      solve =
+        (fun c budget lane -> Compile.solve_lane ?budget lane c ~eps ~delta) }
+
+(* A tuple's zero-trial answer, written into slot [i], with the relative ε
+   the estimate is proven to as the achieved error: [0] on a point, and on
+   a bracket's floor [(hi − lo)/hi] — the certificate actually held, never
+   the requested ε. *)
+let fill_apriori (o : Compile.outcome) ~out ~intervals ~achieved i =
+  out.(i) <- o.value;
+  intervals.(i) <- (o.lo, o.hi);
+  achieved.(i) <- (if o.hi > o.lo then (o.hi -. o.lo) /. o.hi else 0.)
 
 (* --- streaming / checkpointed execution --------------------------------- *)
 
@@ -65,7 +71,7 @@ let sum_trials a = Array.fold_left ( + ) 0 a
 
 type run = {
   clause_sets : Assignment.t list array;
-  compile : int -> Compile.t;  (* tuple index -> its compiled lineage *)
+  hook : hook;
   eps : float;
   delta : float;
   nworkers : int;
@@ -96,7 +102,7 @@ type run = {
   mutable quarantines : (int * Pqdb_error.t) list;  (* newest first *)
 }
 
-let open_run ?budget ?nworkers ?compile_fuel ?compile
+let open_run ?budget ?nworkers ?compile_fuel ?hook
     ?(options = default_stream_options) rng w clause_sets ~eps ~delta ~emit =
   if eps <= 0. || delta <= 0. then
     invalid_arg "Confidence.open_run: eps and delta must be positive";
@@ -157,11 +163,13 @@ let open_run ?budget ?nworkers ?compile_fuel ?compile
       | None ->
           unresolved_cost := Stats.saturating_add !unresolved_cost sh.cost)
     plan;
-  let compile =
-    Option.value compile ~default:(fun i ->
-        Compile.compile ?fuel:compile_fuel w clause_sets.(i))
+  let hook =
+    Option.value hook
+      ~default:
+        (compiled ~eps ~delta (fun i ->
+             Compile.compile ?fuel:compile_fuel w clause_sets.(i)))
   in
-  { clause_sets; compile; eps; delta; nworkers; options; plan; lanes;
+  { clause_sets; hook; eps; delta; nworkers; options; plan; lanes;
     probe; meta; journal; fps; emit; budget; slices; resolved;
     pending = resumed; cursor = 0;
     unresolved = Array.length plan - Hashtbl.length resumed;
@@ -205,9 +213,10 @@ let apriori_outcome run (sh : Shard.t) ~fp ~error =
   let estimates = Array.make count 0. in
   let intervals = Array.make count (0., 1.) in
   let achieved = Array.make count 1. in
+  let (Hook h) = run.hook in
   for j = 0 to count - 1 do
-    match run.compile (sh.first + j) with
-    | comp -> ignore (fill_apriori comp ~out:estimates ~intervals ~achieved j)
+    match h.apriori (h.tuple (sh.first + j)) with
+    | a -> fill_apriori a ~out:estimates ~intervals ~achieved j
     | exception _ -> () (* keep the vacuous [0, 1] default *)
   done;
   let err =
@@ -240,8 +249,9 @@ let apriori_outcome run (sh : Shard.t) ~fp ~error =
    a-priori brackets. *)
 let solve_shard ?budget run (sh : Shard.t) ~fp =
   Faultpoint.fire "shard.run";
+  let (Hook h) = run.hook in
   let n = sh.count in
-  let comps = Array.init n (fun j -> run.compile (sh.first + j)) in
+  let tuples = Array.init n (fun j -> h.tuple (sh.first + j)) in
   let out = Array.make n 0. in
   let trials = Array.make n 0 in
   let masses = Array.make n 0. in
@@ -250,21 +260,20 @@ let solve_shard ?budget run (sh : Shard.t) ~fp =
   (* Flipped (from any domain) the moment a tuple misses its (ε, δ)
      contract or a task/pool failure is contained. *)
   let all_complete = Atomic.make true in
-  (* Tuples the compiler resolved in closed form cost nothing — fill them
-     here and farm only the ones that may sample, longest worst-case budget
-     first.  Live tuples are pre-filled with their
-     a-priori compiled bracket so that a tuple whose task never runs (or
-     dies) still reports a sound interval instead of garbage. *)
+  (* Tuples whose zero-trial answer is exact cost nothing — fill them
+     here and farm only the ones that may sample, costliest first.  Live
+     tuples are pre-filled with their zero-trial bracket so that a tuple
+     whose task never runs (or dies) still reports a sound interval
+     instead of garbage. *)
   let live = ref [] in
   Array.iteri
-    (fun j comp ->
-      if not (fill_apriori comp ~out ~intervals ~achieved j) then
-        live := j :: !live)
-    comps;
+    (fun j t ->
+      let a = h.apriori t in
+      fill_apriori a ~out ~intervals ~achieved j;
+      match a.claim with Guarantee.Exact -> () | _ -> live := j :: !live)
+    tuples;
   let live =
-    List.rev_map
-      (fun j -> (Compile.cost_cap comps.(j) ~eps:run.eps ~delta:run.delta, j))
-      !live
+    List.rev_map (fun j -> (h.cost tuples.(j), j)) !live
     |> List.stable_sort (fun (ci, _) (cj, _) -> Int.compare cj ci)
     |> Array.of_list
   in
@@ -272,8 +281,8 @@ let solve_shard ?budget run (sh : Shard.t) ~fp =
   if ntasks > 0 then begin
     let request = Guarantee.pass ~eps:run.eps ~delta:run.delta in
     (* Each task has its own budget, so no two domains race one trial pool:
-       a cap is dealt by cost cap over the tuples that sample (certified
-       ones cap at 0, sort last and take no share). *)
+       a cap is dealt by cost over the tuples that sample (certified ones
+       cost 0, sort last and take no share). *)
     let budgets =
       match budget with
       | Some b when Budget.remaining_trials b < max_int ->
@@ -294,9 +303,8 @@ let solve_shard ?budget run (sh : Shard.t) ~fp =
     let task k =
       let j = snd live.(k) in
       match
-        Compile.solve_lane ?budget:budgets.(k)
-          (fun () -> Rng.lane (Option.get run.lanes) (sh.first + j))
-          comps.(j) ~eps:run.eps ~delta:run.delta
+        h.solve tuples.(j) budgets.(k) (fun () ->
+            Rng.lane (Option.get run.lanes) (sh.first + j))
       with
       | o ->
           out.(j) <- o.Compile.value;
@@ -405,11 +413,22 @@ let close_run run =
     journal_ok = Shard.journal_ok run.journal;
   }
 
-let run_stream ?budget ?nworkers ?compile_fuel ?compile ?options rng w
+let run_stream ?budget ?nworkers ?compile_fuel ?hook ?options rng w
     clause_sets ~eps ~delta ~emit =
   let run =
-    open_run ?budget ?nworkers ?compile_fuel ?compile ?options rng w
+    open_run ?budget ?nworkers ?compile_fuel ?hook ?options rng w
       clause_sets ~eps ~delta ~emit
   in
   solve_pending run (List.init (Array.length run.plan) Fun.id);
   close_run run
+
+let run_one_shard ?budget ?hook rng w clause_sets ~eps ~delta ~emit =
+  let summary =
+    run_stream ?budget ?hook
+      ~options:{ default_stream_options with shard_cost = max_int; retries = 0 }
+      rng w clause_sets ~eps ~delta ~emit
+  in
+  match summary.quarantined with
+  | (_, Pqdb_error.Task_failure { inner; _ }) :: _ -> raise inner
+  | (_, err) :: _ -> raise (Pqdb_error.Error err)
+  | [] -> ()

@@ -33,6 +33,26 @@ val total_trials : batch -> eps:float -> delta:float -> int
     pay.  The compiled run typically spends far less; compare against
     the emitted {!Shard.outcome.trials}. *)
 
+type hook =
+  | Hook : {
+      tuple : int -> 'a;  (** tuple [i], built when its shard is solved *)
+      apriori : 'a -> Compile.outcome;
+          (** its zero-trial answer: done when [Exact], else the bracket
+              reported if its solve never runs or dies *)
+      cost : 'a -> int;
+          (** the most trials its solve can spend: a trial cap is dealt by
+              it, and cost [0] takes no share *)
+      solve : 'a -> Budget.t option -> (unit -> Rng.t) -> Compile.outcome;
+          (** its solve under its own slice, building the lane only when it
+              samples *)
+    }
+      -> hook
+(** What a batch run asks of each tuple ({!open_run}'s [hook]). *)
+
+val compiled : eps:float -> delta:float -> (int -> Compile.t) -> hook
+(** Compiled values as tuples: {!Compile.apriori}, {!Compile.cost_cap}
+    and {!Compile.solve_lane}. *)
+
 (** {1 Streaming, checkpointed execution}
 
     {!run_stream} processes a batch shard-at-a-time ({!Shard.plan}): only
@@ -97,7 +117,7 @@ type run
 
 val open_run :
   ?budget:Budget.t -> ?nworkers:int -> ?compile_fuel:int ->
-  ?compile:(int -> Compile.t) -> ?options:stream_options -> Rng.t ->
+  ?hook:hook -> ?options:stream_options -> Rng.t ->
   Wtable.t -> Assignment.t list array -> eps:float -> delta:float ->
   emit:(Shard.outcome -> unit) -> run
 (** Open a batch run: validate (ε, δ) and [options], plan the shards, draw
@@ -111,8 +131,8 @@ val open_run :
     The parent RNG advances by exactly one {!Pqdb_numeric.Rng.split_n}'s
     draws ({!Pqdb_numeric.Rng.lanes}); no lane is built here.
     [nworkers] (pool size per shard) defaults to {!Pool.default_workers}.
-    [compile i] compiles tuple [i] ({!Compile.compile} at [compile_fuel]
-    by default; serve passes its {!Memo} lookup).
+    [hook] gives each tuple (default: {!compiled} over {!Compile.compile}
+    at [compile_fuel]).
     @raise Invalid_argument on bad (ε, δ), options, [nworkers <= 0], or
     [resume] without a [checkpoint] path.
     @raise Pqdb_runtime.Pqdb_error.Error ([Malformed_input]) when resuming
@@ -155,7 +175,7 @@ val solve_shard :
     matter which process runs it, in what order, or after how many failed
     attempts.  [budget], if given, is the attempt's own budget — the caller
     charges any parent afterwards.  Its trial cap is dealt over the tuples
-    that sample by {!Compile.cost_cap}, each sampling under its own
+    that may sample by their hook [cost], each sampling under its own
     {!Budget.slice} and the shared deadline.  [fp] is stored in the
     outcome.  Fires the ["shard.run"] fault point; failures propagate. *)
 
@@ -194,7 +214,7 @@ val close_run : run -> stream_summary
 
 val run_stream :
   ?budget:Budget.t -> ?nworkers:int -> ?compile_fuel:int ->
-  ?compile:(int -> Compile.t) -> ?options:stream_options -> Rng.t ->
+  ?hook:hook -> ?options:stream_options -> Rng.t ->
   Wtable.t -> Assignment.t list array -> eps:float -> delta:float ->
   emit:(Shard.outcome -> unit) -> stream_summary
 (** Run a batch: stream it shard by shard, calling [emit] once per shard
@@ -237,3 +257,11 @@ val run_stream :
     journal path and record index) when resuming from a journal that is
     corrupt mid-file or was written by a different run (parameters,
     geometry or data fingerprint mismatch). *)
+
+val run_one_shard :
+  ?budget:Budget.t -> ?hook:hook -> Rng.t -> Wtable.t ->
+  Assignment.t list array -> eps:float -> delta:float ->
+  emit:(Shard.outcome -> unit) -> unit
+(** {!run_stream} as one shard ([shard_cost = max_int]) with no retry:
+    building a tuple is deterministic, so the first quarantined error is
+    raised, a [Task_failure] unwrapped to its inner exception. *)

@@ -5,16 +5,23 @@ module Pqdb_error = Pqdb_runtime.Pqdb_error
 
 type t = { index : int; first : int; count : int; cost : int }
 
-let tuple_cost ~eps ~delta clauses =
-  match clauses with
-  | [] -> 1
-  | cs when List.exists Assignment.is_empty cs -> 1
-  | cs ->
-      Stats.saturating_add 1
-        (Stats.karp_luby_trials ~clauses:(List.length cs) ~eps ~delta)
+(* [log (2/δ)] and [ε²] are taken once per (ε, δ).  The count keeps
+   {!Stats.karp_luby_trials}' order, [(3·m)·log(2/δ)/ε²], bit for bit. *)
+let tuple_cost ~eps ~delta =
+  if eps <= 0. || delta <= 0. then
+    invalid_arg "Shard.tuple_cost: eps and delta must be positive";
+  let l = log (2. /. delta) and e2 = eps *. eps in
+  let rec scan m = function
+    | [] ->
+        Stats.saturating_add 1
+          (Stats.count_of_float (3. *. float_of_int m *. l /. e2))
+    | c :: rest -> if Assignment.is_empty c then 1 else scan (m + 1) rest
+  in
+  scan 0
 
 let plan ~eps ~delta ~max_cost clause_sets =
   if max_cost < 1 then invalid_arg "Shard.plan: max_cost must be >= 1";
+  let tuple_cost = tuple_cost ~eps ~delta in
   let n = Array.length clause_sets in
   let shards = ref [] in
   let nshards = ref 0 in
@@ -33,7 +40,7 @@ let plan ~eps ~delta ~max_cost clause_sets =
     end
   in
   for i = 0 to n - 1 do
-    let c = tuple_cost ~eps ~delta clause_sets.(i) in
+    let c = tuple_cost clause_sets.(i) in
     if !count > 0 && Stats.saturating_add !cost c > max_cost then flush ();
     incr count;
     cost := Stats.saturating_add !cost c

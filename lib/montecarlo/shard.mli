@@ -29,14 +29,15 @@ type t = {
 
 val tuple_cost : eps:float -> delta:float -> Assignment.t list -> int
 (** Worst-case cost of one tuple: its fixed Chernoff budget, plus 1 so even
-    free (empty / trivially-true) tuples occupy planning weight. *)
+    free (empty / trivially-true) tuples occupy planning weight.
+    @raise Invalid_argument when [eps] or [delta] is not positive. *)
 
 val plan : eps:float -> delta:float -> max_cost:int -> Assignment.t list array -> t array
 (** Greedy contiguous cut: tuples are appended to the current shard while
     the summed cost stays within [max_cost]; a single tuple costlier than
     [max_cost] gets a shard of its own.  Covers every tuple exactly once, in
     order.  Empty input plans to [[||]].
-    @raise Invalid_argument when [max_cost < 1]. *)
+    @raise Invalid_argument when [max_cost < 1], [eps <= 0] or [delta <= 0]. *)
 
 val fingerprint : Assignment.t list array -> t -> string
 (** 8-hex CRC-32 over the shard's clause sets in canonical
@@ -76,14 +77,14 @@ type outcome = {
 val add_batch_line : Buffer.t -> int -> float -> float -> float -> int -> unit
 (** [add_batch_line buf i est lo hi trials] writes one line of the batch
     output contract, ["%d %h %h %h %d\n"]: tuple index, estimate, bracket
-    and trials, every float bit-exact.  [pqdb batch], its conditioned
-    variant and the serve [conf] reply all print through it, which keeps
-    their bytes comparable.  The numbers go through
+    and trials, every float bit-exact.  The numbers go through
     {!Pqdb_numeric.Hexfmt}, byte-identical to [Printf.bprintf] with that
     format at about a third of its cost. *)
 
 val add_outcome : Buffer.t -> outcome -> unit
-(** One {!add_batch_line} per tuple of the outcome, at [shard.first + j]. *)
+(** One {!add_batch_line} per tuple of the outcome, at [shard.first + j].
+    [pqdb batch] (conditioned or not) and the serve [conf] reply all print
+    through it, which keeps their bytes comparable. *)
 
 val to_payload : outcome -> string
 (** Newline-free journal payload.  Quarantined outcomes must not be

@@ -173,58 +173,27 @@ let relation_groups t relation =
       g
 
 (* The conf body is one-shard batch output compiled through the cache:
-   byte-equal to `pqdb batch` (as one shard under a trial cap) and to
-   itself warm or cold.  Compiling is deterministic, so no retry; a failed
-   shard's error, unwrapped from the pool's [Task_failure], is the reply. *)
-let run_conf t ?budget ~relation ~eps ~delta ~seed ~fuel () =
+   byte-equal to `pqdb batch` (as one shard under a trial cap; conditioned,
+   to `pqdb batch --assert`) and to itself warm or cold.  Conditioned
+   entries are salted by the constraint-set fingerprint, so a conditioned
+   reply is never served from an unconditioned entry (or vice versa). *)
+let run_conf t ?budget ?compiled ~relation ~eps ~delta ~seed ~fuel () =
   let { sets; codes; _ } = relation_groups t relation in
   let w = Udb.wtable t.udb in
   let buf = Buffer.create (64 * (Array.length sets + 1)) in
-  let summary =
-    Confidence.run_stream ?budget
-      ~compile:(fun i ->
-        Memo.find_or_compile t.cache ?fuel ~code:codes.(i) w sets.(i))
-      ~options:
-        { Confidence.default_stream_options with
-          shard_cost = max_int; retries = 0 }
-      (Rng.create ~seed) w sets ~eps ~delta ~emit:(Shard.add_outcome buf)
-  in
-  match summary.Confidence.quarantined with
-  | (_, Pqdb_error.Task_failure { inner; _ }) :: _ -> raise inner
-  | (_, err) :: _ -> raise (Pqdb_error.Error err)
-  | [] -> Buffer.contents buf
-
-(* Conditioned variant: same output contract, same [seed]-deterministic RNG
-   discipline ({!Condition.solve_batch}: one extra lane, past the per-tuple
-   ones, feeds the shared denominator), with every cache entry salted by
-   the constraint-set fingerprint — a warm conditioned reply is
-   byte-identical to its cold run, and can never be served from an
-   unconditioned entry (or vice versa). *)
-let run_conf_conditioned t ?budget ~compiled ~relation ~eps ~delta ~seed
-    ~fuel () =
-  let { sets; _ } = relation_groups t relation in
-  let _, estimates =
-    Condition.solve_batch ?budget ?fuel ~cache:t.cache ~seed
-      (Udb.wtable t.udb) compiled sets ~eps ~delta
-  in
-  let buf = Buffer.create (64 * (Array.length sets + 1)) in
-  Array.iteri
-    (fun i e ->
-      Shard.add_batch_line buf i e.Condition.value e.Condition.lo
-        e.Condition.hi e.Condition.trials)
-    estimates;
-  Buffer.contents buf
-
-(* The session's compiled constraint lineage, built on first conditioned
-   use.  Must run under the engine lock: compilation evaluates the member
-   queries against the shared database. *)
-let compiled_constraints t sess =
-  match sess.compiled with
-  | Some c -> c
+  let emit = Shard.add_outcome buf in
+  (match compiled with
+  | Some c ->
+      ignore
+        (Condition.solve_batch ?budget ?fuel ~cache:t.cache ~seed w c sets
+           ~eps ~delta ~emit)
   | None ->
-      let c = Condition.compile t.udb sess.cset in
-      sess.compiled <- Some c;
-      c
+      Confidence.run_one_shard ?budget
+        ~hook:
+          (Confidence.compiled ~eps ~delta (fun i ->
+               Memo.find_or_compile t.cache ?fuel ~code:codes.(i) w sets.(i)))
+        (Rng.create ~seed) w sets ~eps ~delta ~emit);
+  Buffer.contents buf
 
 let stats_body t =
   let s = stats t in
@@ -316,24 +285,23 @@ let dispatch t ?budget ?session spec =
         | deadline_s, max_trials ->
             Some (Budget.create ?deadline_s ?max_trials ())
       in
-      (* An empty (or absent) constraint set takes the legacy path — same
-         code, same cache keys, byte-identical replies to a pre-conditioning
-         daemon. *)
-      let conditioned =
-        match session with
-        | Some sess when not (Cset.is_empty sess.cset) -> Some sess
-        | _ -> None
-      in
+      (* The session's compiled constraint lineage is built on first
+         conditioned use, under the engine lock: compilation evaluates the
+         member queries against the shared database.  An empty (or absent)
+         constraint set takes the legacy path — same code, same cache keys,
+         byte-identical replies to a pre-conditioning daemon. *)
       let body =
         with_lock t.engine (fun () ->
-            match conditioned with
-            | Some sess ->
-                let compiled = compiled_constraints t sess in
-                run_conf_conditioned t ?budget:q_budget ~compiled ~relation
-                  ~eps ~delta ~seed ~fuel ()
-            | None ->
-                run_conf t ?budget:q_budget ~relation ~eps ~delta ~seed ~fuel
-                  ())
+            let compiled =
+              match session with
+              | Some sess when not (Cset.is_empty sess.cset) ->
+                  if Option.is_none sess.compiled then
+                    sess.compiled <- Some (Condition.compile t.udb sess.cset);
+                  sess.compiled
+              | _ -> None
+            in
+            run_conf t ?budget:q_budget ?compiled ~relation ~eps ~delta ~seed
+              ~fuel ())
       in
       (match (budget, q_budget) with
       | Some sb, Some qb when sb != qb -> Budget.spend sb (Budget.spent qb)

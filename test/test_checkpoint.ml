@@ -988,6 +988,77 @@ let test_shard_plan () =
     (Invalid_argument "Shard.plan: max_cost must be >= 1") (fun () ->
       ignore (Shard.plan ~eps ~delta ~max_cost:0 clause_sets))
 
+(* [Shard.plan] prices tuples with (ε, δ) taken once per plan; every cost
+   and every cut must equal those of a reference plan priced tuple by tuple
+   through [Stats.karp_luby_trials], over random clause sets with empty and
+   trivially-true tuples, ε down to saturation and any ceiling. *)
+let test_shard_plan_matches_reference () =
+  let reference_cost ~eps ~delta = function
+    | [] -> 1
+    | cs when List.exists Assignment.is_empty cs -> 1
+    | cs ->
+        Stats.saturating_add 1
+          (Stats.karp_luby_trials ~clauses:(List.length cs) ~eps ~delta)
+  in
+  let reference_plan ~eps ~delta ~max_cost sets =
+    let shards = ref [] and first = ref 0 and count = ref 0 and cost = ref 0 in
+    let flush () =
+      if !count > 0 then begin
+        shards :=
+          { Shard.index = List.length !shards; first = !first; count = !count;
+            cost = !cost }
+          :: !shards;
+        first := !first + !count;
+        count := 0;
+        cost := 0
+      end
+    in
+    Array.iter
+      (fun cs ->
+        let c = reference_cost ~eps ~delta cs in
+        if !count > 0 && Stats.saturating_add !cost c > max_cost then flush ();
+        incr count;
+        cost := Stats.saturating_add !cost c)
+      sets;
+    flush ();
+    Array.of_list (List.rev !shards)
+  in
+  let rng = Rng.create ~seed:2024 in
+  let w = Wtable.create () in
+  for round = 1 to 200 do
+    let sets =
+      Array.init (Rng.int rng 40) (fun _ ->
+          match Rng.int rng 8 with
+          | 0 -> []
+          | 1 -> [ Assignment.empty ]
+          | k ->
+              let cs =
+                Gen.random_dnf rng w ~vars:12 ~clauses:(1 + Rng.int rng 30)
+                  ~clause_len:3
+              in
+              if k = 2 then cs @ [ Assignment.empty ] else cs)
+    in
+    let eps =
+      if round mod 50 = 0 then 1e-160 else Rng.float_range rng 0.001 0.9
+    in
+    let delta = Rng.float_range rng 1e-9 0.5 in
+    let max_cost =
+      match Rng.int rng 3 with
+      | 0 -> max_int
+      | 1 -> 1
+      | _ -> 1 + Rng.int rng 5_000_000
+    in
+    let what = Printf.sprintf "round %d (eps %h, delta %h)" round eps delta in
+    Array.iter
+      (fun cs ->
+        check int_c (what ^ ": cost") (reference_cost ~eps ~delta cs)
+          (Shard.tuple_cost ~eps ~delta cs))
+      sets;
+    check bool_c (what ^ ": plan") true
+      (reference_plan ~eps ~delta ~max_cost sets
+      = Shard.plan ~eps ~delta ~max_cost sets)
+  done
+
 let outcome_of_seed seed =
   let rng = Rng.create ~seed in
   let count = 1 + Rng.int rng 5 in
@@ -1080,6 +1151,8 @@ let () =
           Alcotest.test_case "bit-identical to materialized run" `Quick
             test_stream_matches_run;
           Alcotest.test_case "shard plan geometry" `Quick test_shard_plan;
+          Alcotest.test_case "shard plan prices like the reference" `Quick
+            test_shard_plan_matches_reference;
         ] );
       ( "resume",
         [

@@ -16,6 +16,7 @@ module Uconstraint = Pqdb_ast.Uconstraint
 module Pdb = Pqdb_worlds.Pdb
 module Naive = Pqdb_worlds.Eval_naive
 module Memo = Pqdb_montecarlo.Memo
+module Budget = Pqdb_montecarlo.Budget
 module Compile = Pqdb_montecarlo.Compile
 module Guarantee = Pqdb_montecarlo.Guarantee
 module Cset = Pqdb_conditioning.Constraint_set
@@ -197,20 +198,20 @@ let test_approx_within_interval () =
   List.iter
     (fun (t, e) ->
       let p = Q.to_float (truth t) in
-      check bool_c "lo <= hi" true (e.Condition.lo <= e.Condition.hi);
+      check bool_c "lo <= hi" true (e.Compile.lo <= e.Compile.hi);
       check bool_c "truth inside the reported interval" true
-        (e.Condition.lo -. 1e-9 <= p && p <= e.Condition.hi +. 1e-9);
+        (e.Compile.lo -. 1e-9 <= p && p <= e.Compile.hi +. 1e-9);
       check bool_c "value inside its own interval" true
-        (e.Condition.lo <= e.Condition.value
-        && e.Condition.value <= e.Condition.hi))
+        (e.Compile.lo <= e.Compile.value
+        && e.Compile.value <= e.Compile.hi))
     estimates;
   (* This fixture's lineage is small enough to compile exactly: the bracket
      must be (numerically) a point and flagged exact. *)
   List.iter
     (fun (_, e) ->
       check bool_c "exact where possible" true
-        (e.Condition.claim = Guarantee.Exact);
-      check int_c "no sampling spent" 0 e.Condition.trials)
+        (e.Compile.claim = Guarantee.Exact);
+      check int_c "no sampling spent" 0 e.Compile.trials)
     estimates
 
 let test_approx_deterministic_per_seed () =
@@ -218,7 +219,7 @@ let test_approx_deterministic_per_seed () =
   let compiled = Condition.compile udb (Cset.of_list [ fd_id_name ]) in
   let run () =
     List.map
-      (fun (_, e) -> (e.Condition.value, e.Condition.lo, e.Condition.hi))
+      (fun (_, e) -> (e.Compile.value, e.Compile.lo, e.Compile.hi))
       (Condition.approx_confidences ~seed:13 udb compiled (Ua.table "R"))
   in
   check bool_c "same seed, same answer" true (run () = run ())
@@ -240,12 +241,12 @@ let test_claims_name_their_kind () =
   let solve ?budget () =
     snd
       (Condition.solve_batch ?budget ~fuel:64 ~seed:1 w compiled sets ~eps:0.5
-         ~delta:0.05)
+         ~delta:0.05 ~emit:ignore)
   in
   let kinds = Array.make 4 0 in
   let count k = kinds.(k) <- kinds.(k) + 1 in
   Array.iteri
-    (fun i (e : Condition.estimate) ->
+    (fun i (e : Compile.outcome) ->
       let what = Printf.sprintf "tuple %d in [%g, %g]" i e.lo e.hi in
       match e.claim with
       | Guarantee.Exact ->
@@ -269,7 +270,7 @@ let test_claims_name_their_kind () =
   let spent = Pqdb_montecarlo.Budget.create ~max_trials:1 () in
   Pqdb_montecarlo.Budget.spend spent 1;
   Array.iteri
-    (fun i (e : Condition.estimate) ->
+    (fun i (e : Compile.outcome) ->
       let what = Printf.sprintf "cut: tuple %d in [%g, %g]" i e.lo e.hi in
       check int_c (what ^ ": no trial") 0 e.trials;
       if e.lo < e.hi then begin
@@ -281,6 +282,71 @@ let test_claims_name_their_kind () =
     (solve ~budget:spent ());
   check bool_c (Printf.sprintf "%d tuples cut to their bracket" kinds.(3)) true
     (kinds.(3) = kinds.(2))
+
+(* Under a binding trial cap, Pr(c) spends first and every tuple then
+   samples under its own slice of what is left, dealt by cost.  The cap
+   covers the denominator and half of the first sampling tuple's
+   unbudgeted spend: first come, first served, that tuple would take it
+   all and every later one would keep its a-priori bracket.  A slice per
+   tuple also makes the bytes independent of the pool size. *)
+let test_budgeted_batch_deals_per_tuple_slices () =
+  let udb =
+    Pqdb_workload.Gen.dirty_db (Rng.create ~seed:4242) ~entities:6 ~max_dups:3
+  in
+  let w = Udb.wtable udb in
+  let compiled =
+    Condition.compile udb
+      (Cset.of_list
+         [
+           Uconstraint.Fd
+             { table = "people"; key = [ "id" ]; determined = [ "name" ] };
+         ])
+  in
+  let sets = Udb.relation_sets udb "people" in
+  let solve ?budget ?emit () =
+    Condition.solve_batch ?budget ~fuel:0 ~seed:7 w compiled sets ~eps:0.05
+      ~delta:0.05
+      ~emit:(Option.value emit ~default:ignore)
+  in
+  let den, free = solve () in
+  let sampling =
+    List.filter (fun i -> free.(i).Compile.trials > 0)
+      (List.init (Array.length sets) Fun.id)
+  in
+  check bool_c "two or more tuples sample" true (List.length sampling >= 2);
+  let cap = den.Compile.trials + (free.(List.hd sampling).Compile.trials / 2) in
+  let capped () =
+    let buf = Buffer.create 256 in
+    let budget = Budget.create ~max_trials:cap () in
+    let _, answers =
+      solve ~budget ~emit:(Pqdb_montecarlo.Shard.add_outcome buf) ()
+    in
+    check bool_c "the cap is spent, never exceeded" true
+      (Budget.spent budget <= cap);
+    (answers, Buffer.contents buf)
+  in
+  let answers, _ = capped () in
+  List.iter
+    (fun i ->
+      check bool_c (Printf.sprintf "tuple %d samples under the cap" i) true
+        (answers.(i).Compile.trials > 0))
+    sampling;
+  let saved = Sys.getenv_opt "PQDB_POOL_WORKERS" in
+  let at_pool k =
+    Unix.putenv "PQDB_POOL_WORKERS" (string_of_int k);
+    Pqdb_montecarlo.Pool.reset ();
+    snd (capped ())
+  in
+  let inline, raced =
+    Fun.protect
+      ~finally:(fun () ->
+        Unix.putenv "PQDB_POOL_WORKERS" (Option.value saved ~default:"");
+        Pqdb_montecarlo.Pool.reset ())
+      (fun () ->
+        let inline = at_pool 1 in
+        (inline, at_pool 2))
+  in
+  check string_c "pool sizes 1 and 2" inline raced
 
 let test_topk_ranks_by_conditioned_probability () =
   (* Unconditioned, ann (0.5) outranks bob (0.4); under the FD the Id-1
@@ -421,7 +487,7 @@ let test_memo_stale_hit_regression_end_to_end () =
   let q = Ua.table "R" in
   let conditioned_with cache =
     List.map
-      (fun (_, e) -> (e.Condition.value, e.Condition.lo, e.Condition.hi))
+      (fun (_, e) -> (e.Compile.value, e.Compile.lo, e.Compile.hi))
       (Condition.approx_confidences ?cache ~seed:5 udb compiled q)
   in
   let cold = conditioned_with None in
@@ -600,8 +666,9 @@ let test_serve_unsatisfiable_is_typed () =
           ())
 
 (* A session's conditioned conf reply is the batch line format over
-   Condition.solve_batch, byte for byte, for the same seed, eps, delta and
-   fuel — sampled (fuel=0) as well as compiled. *)
+   Condition.solve_batch, byte for byte, for the same seed, eps, delta,
+   fuel and trial cap — sampled (fuel=0) as well as compiled, and under a
+   cap that binds. *)
 let test_serve_reply_is_solve_batch () =
   let udb =
     Pqdb_workload.Gen.dirty_db (Rng.create ~seed:4242) ~entities:6 ~max_dups:3
@@ -623,31 +690,47 @@ let test_serve_reply_is_solve_batch () =
         Array.of_list
           (List.map snd (Urelation.clauses_by_tuple (Udb.find db "people")))
       in
-      List.iter
-        (fun (seed, eps, delta, fuel) ->
-          let _, estimates =
-            Condition.solve_batch ?fuel ~seed (Udb.wtable db) compiled sets
-              ~eps ~delta
-          in
-          if fuel = Some 0 then
-            check bool_c "fuel=0 samples" true
-              (Array.exists (fun e -> e.Condition.trials > 0) estimates);
-          let expected = Buffer.create 256 in
-          Array.iteri
-            (fun i e ->
-              Printf.bprintf expected "%d %h %h %h %d\n" i e.Condition.value
-                e.Condition.lo e.Condition.hi e.Condition.trials)
-            estimates;
-          let request =
-            Printf.sprintf "conf people eps=%g delta=%g seed=%d%s" eps delta
-              seed
-              (match fuel with
-              | Some f -> Printf.sprintf " fuel=%d" f
-              | None -> "")
-          in
-          check string_c request (Buffer.contents expected)
-            (Server.dispatch srv ~session:sess request))
-        [ (42, 0.05, 0.01, None); (7, 0.05, 0.05, Some 0) ])
+      let reply (seed, eps, delta, fuel, trials) =
+        let budget =
+          Option.map (fun n -> Budget.create ~max_trials:n ()) trials
+        in
+        let den, estimates =
+          Condition.solve_batch ?budget ?fuel ~seed (Udb.wtable db) compiled
+            sets ~eps ~delta ~emit:ignore
+        in
+        if fuel = Some 0 then
+          check bool_c "fuel=0 samples" true
+            (Array.exists (fun e -> e.Compile.trials > 0) estimates);
+        let expected = Buffer.create 256 in
+        Array.iteri
+          (fun i e ->
+            Printf.bprintf expected "%d %h %h %h %d\n" i e.Compile.value
+              e.Compile.lo e.Compile.hi e.Compile.trials)
+          estimates;
+        let request =
+          Printf.sprintf "conf people eps=%g delta=%g seed=%d%s%s" eps delta
+            seed
+            (match fuel with
+            | Some f -> Printf.sprintf " fuel=%d" f
+            | None -> "")
+            (match trials with
+            | Some n -> Printf.sprintf " trials=%d" n
+            | None -> "")
+        in
+        let body = Server.dispatch srv ~session:sess request in
+        check string_c request (Buffer.contents expected) body;
+        (body, den.Compile.trials, estimates)
+      in
+      ignore (reply (42, 0.05, 0.01, None, None));
+      let unbudgeted, den_trials, estimates =
+        reply (7, 0.05, 0.05, Some 0, None)
+      in
+      (* Pr(c) spends first; the cap leaves the tuples half their need. *)
+      let need = Array.fold_left (fun n e -> n + e.Compile.trials) 0 estimates in
+      let capped, _, _ =
+        reply (7, 0.05, 0.05, Some 0, Some (den_trials + (need / 2)))
+      in
+      check bool_c "the trial cap binds" false (String.equal unbudgeted capped))
 
 (* ------------------------------------------------------------------ *)
 
@@ -671,6 +754,9 @@ let () =
             test_approx_deterministic_per_seed;
           Alcotest.test_case "topk ranks by conditioned probability" `Quick
             test_topk_ranks_by_conditioned_probability;
+          Alcotest.test_case "a budgeted conditioned batch deals per-tuple \
+                              slices" `Quick
+            test_budgeted_batch_deals_per_tuple_slices;
           Alcotest.test_case "claims name their kind" `Quick
             test_claims_name_their_kind;
         ] );
