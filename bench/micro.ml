@@ -110,6 +110,29 @@ let test_urel_group () =
   Test.make ~name:"urel/group-3002"
     (Staged.stage (fun () -> ignore (Urelation.clauses_by_tuple p)))
 
+(* query-aconf at seed 1: [pqdb run -a]'s evaluation of its query, the
+   join, the projection, 1 500 compiled tuples and the Lemma 6.4 table.
+   The query has no repair-key, so the database is never changed. *)
+let test_eval_aconf () =
+  let udb = Gen.uncertain_db (Rng.create ~seed:1) ~tuples:1500 ~clauses:3 in
+  let q =
+    Pqdb_lang.Qparser.parse_query
+      "aconf[0.05, 0.01](project[id, tag](events join tags))"
+  in
+  Test.make ~name:"eval/aconf-1500"
+    (Staged.stage (fun () ->
+         ignore (Pqdb.Eval_approx.eval ~rng:(Rng.create ~seed:42) udb q)))
+
+(* The ≺ rule of ⋈ with both sides annotated: [explain]'s provenance of
+   the query-aconf join at seed 1, a leaf set per tuple. *)
+let test_annotated_join () =
+  let udb = Gen.uncertain_db (Rng.create ~seed:1) ~tuples:1500 ~clauses:3 in
+  let q =
+    Pqdb_ast.Ua.join (Pqdb_ast.Ua.table "events") (Pqdb_ast.Ua.table "tags")
+  in
+  Test.make ~name:"provenance/join-1500"
+    (Staged.stage (fun () -> ignore (Pqdb.Provenance.compute udb q)))
+
 let kl_dnf () =
   let rng = Rng.create ~seed:202 in
   let w = Wtable.create () in
@@ -293,6 +316,8 @@ let run () =
         test_urel_make ();
         test_urel_project ();
         test_urel_group ();
+        test_eval_aconf ();
+        test_annotated_join ();
         test_thm52 ();
         test_corner_search ();
         test_coin_posterior ();

@@ -3,7 +3,6 @@ open Pqdb_relational
 open Pqdb_urel
 module Ua = Pqdb_ast.Ua
 module Apred = Pqdb_ast.Apred
-module TM = Provenance.TM
 
 type stats = {
   mutable decisions : int;
@@ -29,8 +28,8 @@ let cap x = Float.min 0.5 x
    0.5) and either one's suspicion carries over. *)
 let merge x y = { mu = cap (x.mu +. y.mu); suspect = x.suspect || y.suspect }
 
-let mu_of (a : cell TM.t Eval_exact.node) t =
-  match TM.find_opt t a.ann with Some c -> c.mu | None -> 0.
+(* A walked subquery with its cells, one per annotated data tuple. *)
+type node = cell Provenance.table Eval_exact.node
 
 let max_error r =
   List.fold_left (fun acc (_, e) -> Float.max acc e) 0. r.errors
@@ -51,8 +50,7 @@ let footnote_3 () =
 
 let sigma_hat_eval ?budget ?compile_fuel ~eps0 ~max_rounds ~sigma_delta ~rng
     ~stats w
-    { Ua.phi; conf_args; input = _ } (input : cell TM.t Eval_exact.node) :
-    cell TM.t Eval_exact.node =
+    { Ua.phi; conf_args; input = _ } (input : node) : node =
   let u = input.urel in
   let schema = Urelation.schema u in
   let branches =
@@ -90,7 +88,7 @@ let sigma_hat_eval ?budget ?compile_fuel ~eps0 ~max_rounds ~sigma_delta ~rng
       conf_args
   in
   let selected = ref [] in
-  let cells = ref TM.empty in
+  let cells = ref [] in
   Relation.iter
     (fun cand ->
       let keys = List.map (Tuple.project cand) arg_positions in
@@ -120,7 +118,7 @@ let sigma_hat_eval ?budget ?compile_fuel ~eps0 ~max_rounds ~sigma_delta ~rng
         (fun index key ->
           List.iter
             (fun s ->
-              match TM.find_opt s input.ann with
+              match Provenance.find_opt input.ann s with
               | None -> ()
               | Some c ->
                   input_contrib := !input_contrib +. c.mu;
@@ -135,10 +133,14 @@ let sigma_hat_eval ?budget ?compile_fuel ~eps0 ~max_rounds ~sigma_delta ~rng
          rejected boundary tuple is exactly the "absent from the result"
          error the caller should know about. *)
       let mu = if decision.value then err else 0. in
-      if mu > 0. || suspect then cells := TM.add cand { mu; suspect } !cells;
+      if mu > 0. || suspect then cells := (cand, { mu; suspect }) :: !cells;
       if decision.value then selected := (Assignment.empty, cand) :: !selected)
     candidates;
-  { urel = Urelation.make cand_schema !selected; ann = !cells }
+  (* Relation.iter visits the candidates in ascending order. *)
+  {
+    urel = Urelation.of_array cand_schema (Array.of_list (List.rev !selected));
+    ann = Provenance.of_ascending (Array.of_list (List.rev !cells));
+  }
 
 (* Each ApproxConf occurrence gets its own journal: the first keeps the
    caller's path untouched (the common single-aconf query), later ones get a
@@ -160,7 +162,7 @@ let stream_options_for stream aconf_ord =
 
 let aconf_eval ?budget ?stream ?compile_fuel ~aconf_ord ~rng ~stats w
     { Ua.eps; delta }
-    (a : cell TM.t Eval_exact.node) : cell TM.t Eval_exact.node =
+    (a : node) : node =
   (* Streaming compiled batch: tuples are sharded by a-priori cost and
      compiled/solved shard-at-a-time (bounded resident memory, optional
      crash-recovery journal); tuples that decompose fully are answered
@@ -168,14 +170,13 @@ let aconf_eval ?budget ?stream ?compile_fuel ~aconf_ord ~rng ~stats w
      domain pool.  Without a budget the estimates do not depend on the
      shard geometry; with one, each shard runs under its static slice of
      the allowance, dealt by cost when the run opens. *)
-  let groups = Urelation.clauses_by_tuple a.urel in
-  let n = List.length groups in
+  let groups = Array.of_list (Urelation.clauses_by_tuple a.urel) in
+  let n = Array.length groups in
   let estimates = Array.make n 0. and achieved = Array.make n 0. in
   let summary =
     Pqdb_montecarlo.Confidence.run_stream ?budget ?compile_fuel
       ?options:(stream_options_for stream aconf_ord) rng w
-      (Array.of_list (List.map snd groups))
-      ~eps ~delta
+      (Array.map snd groups) ~eps ~delta
       ~emit:(fun (o : Pqdb_montecarlo.Shard.outcome) ->
         Array.blit o.estimates 0 estimates o.shard.first o.shard.count;
         Array.blit o.achieved 0 achieved o.shard.first o.shard.count)
@@ -184,15 +185,15 @@ let aconf_eval ?budget ?stream ?compile_fuel ~aconf_ord ~rng ~stats w
     stats.estimator_calls + summary.Pqdb_montecarlo.Confidence.stream_trials;
   (* One row per group, for the relation and its cell; rows ascend. *)
   let rows =
-    List.mapi
+    Array.mapi
       (fun i (t, _) ->
         Tuple.concat t (Tuple.of_list [ Value.Float estimates.(i) ]))
       groups
   in
-  let cells, _ =
-    List.fold_left2
-      (fun (cells, i) (t, _) row ->
-        let input = TM.find_opt t a.ann in
+  let cells =
+    Array.mapi
+      (fun i (t, _) ->
+        let input = Provenance.find_opt a.ann t in
         (* The reported P is outside the ε-relative interval with
            probability at most δ on top of the input's membership error. *)
         let mu =
@@ -208,10 +209,13 @@ let aconf_eval ?budget ?stream ?compile_fuel ~aconf_ord ~rng ~stats w
           (match input with Some c -> c.suspect | None -> false)
           || ((not summary.stream_complete) && achieved.(i) > eps)
         in
-        (TM.add row { mu; suspect } cells, i + 1))
-      (TM.empty, 0) groups rows
+        (rows.(i), { mu; suspect }))
+      groups
   in
-  { urel = Eval_exact.with_p a.urel rows; ann = cells }
+  {
+    urel = Eval_exact.with_p a.urel rows;
+    ann = Provenance.of_ascending cells;
+  }
 
 (* Whether [q] holds an approximate operator (σ̂ or conf_{ε,δ}), refusing
    a repair-key above one (footnote 3). *)
@@ -244,7 +248,7 @@ let eval ?budget ?stream ?compile_fuel ?(eps0 = 0.05) ?max_rounds
   let w = Udb.wtable udb in
   let rules =
     {
-      Eval_exact.leaf = (fun _ _ -> TM.empty);
+      Eval_exact.leaf = (fun _ _ -> Provenance.empty);
       unary = Provenance.unary ~merge;
       binary = Provenance.binary ~merge;
       aconf =
@@ -260,11 +264,14 @@ let eval ?budget ?stream ?compile_fuel ?(eps0 = 0.05) ?max_rounds
   ( {
       urel = a.urel;
       errors =
-        List.map (fun t -> (t, mu_of a t)) (Urelation.possible_tuples a.urel);
+        Provenance.filter_map_along
+          (fun t c -> Some (t, match c with Some c -> c.mu | None -> 0.))
+          a.ann
+          (Urelation.possible_tuples a.urel);
       suspects =
         List.filter_map
           (fun (t, c) -> if c.suspect then Some t else None)
-          (TM.bindings a.ann);
+          (Provenance.bindings a.ann);
       unreliable;
     },
     stats )

@@ -14,7 +14,8 @@ let with_p u rows =
   let out_schema =
     Schema.of_list (Schema.attributes (Urelation.schema u) @ [ "P" ])
   in
-  Urelation.make out_schema (List.map (fun t -> (Assignment.empty, t)) rows)
+  Urelation.of_array out_schema
+    (Array.map (fun t -> (Assignment.empty, t)) rows)
 
 let no_p_column u =
   if Schema.mem (Urelation.schema u) "P" then
@@ -24,8 +25,10 @@ let no_p_column u =
 let conf w u =
   no_p_column u;
   with_p u
-    (List.map (fun (t, p) -> Tuple.concat t (Tuple.of_list [ Value.Rat p ]))
-       (all_confidences w u))
+    (Array.of_list
+       (List.map
+          (fun (t, p) -> Tuple.concat t (Tuple.of_list [ Value.Rat p ]))
+          (all_confidences w u)))
 
 let cert w u =
   let certain =
@@ -126,28 +129,14 @@ let walk rules udb q =
   in
   go q
 
-let fold_pairs ~join a b f acc =
-  let sa = Urelation.schema a and sb = Urelation.schema b in
-  let shared = Schema.common sa sb in
-  let sa_shared = List.map (Schema.index sa) shared
-  and sb_shared = List.map (Schema.index sb) shared in
-  let sb_only =
-    List.filter_map
-      (fun x -> if List.mem x shared then None else Some (Schema.index sb x))
-      (Schema.attributes sb)
-  in
-  let tbs = Urelation.possible_tuples b in
+let fold_pairs a b f acc =
+  let _, probe = Translate.matches a b in
   List.fold_left
     (fun acc ta ->
       List.fold_left
-        (fun acc tb ->
-          if not join then f ta tb (Tuple.concat ta tb) acc
-          else if
-            Tuple.equal (Tuple.project ta sa_shared)
-              (Tuple.project tb sb_shared)
-          then f ta tb (Tuple.concat ta (Tuple.project tb sb_only)) acc
-          else acc)
-        acc tbs)
+        (fun acc (m : Translate.run) ->
+          f ta m.tuple (Tuple.concat ta m.own) acc)
+        acc (probe ta))
     acc
     (Urelation.possible_tuples a)
 

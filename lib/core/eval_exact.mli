@@ -84,18 +84,22 @@ val walk : 'a rules -> Udb.t -> Pqdb_ast.Ua.t -> 'a node
     with unit annotations.  Mutates the W table like {!eval}. *)
 
 val fold_pairs :
-  join:bool ->
   Urelation.t ->
   Urelation.t ->
   (Tuple.t -> Tuple.t -> Tuple.t -> 'b -> 'b) ->
   'b ->
   'b
-(** [fold_pairs ~join a b f acc] folds [f ta tb out] over the pairs of
-    possible tuples of [a] (outer) and [b] (inner) that a product
-    ([join = false]) or natural join combines into the data tuple [out] —
-    the ≺ rule of × and ⋈ ({!Provenance.binary}), and with it the |a|×|b|
-    provenance sum of Lemma 6.4(1). *)
+(** [fold_pairs a b f acc] folds [f ta tb out] over the pairs of possible
+    tuples of [a] (outer, ascending) and [b] (inner, ascending) that a
+    natural join combines into the data tuple [out]; with no shared
+    attribute, that is a product's every pair.  This is the ≺ rule of × and
+    ⋈ ({!Provenance.binary}), and with it the provenance sum of Lemma
+    6.4(1).  [b] is indexed once by {!Pqdb_urel.Translate.matches}, so the
+    cost is O(|a| + |b|) plus one [f] per pair, and [out] ascends
+    strictly over the fold. *)
 
-val with_p : Urelation.t -> Tuple.t list -> Urelation.t
+val with_p : Urelation.t -> Tuple.t array -> Urelation.t
 (** [conf]'s output shape: the input's data columns plus [P], one certain
-    row per given tuple, each a data tuple with its P value appended. *)
+    row per given tuple, each a data tuple with its P value appended.  The
+    array's tuples become the rows ({!Pqdb_urel.Urelation.of_array}): O(n)
+    when they ascend strictly, as [conf]'s do. *)

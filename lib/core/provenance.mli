@@ -18,9 +18,10 @@
     - an input with an empty annotation yields an empty one, so reliable
       subtrees cost nothing.
     A tuple with no annotation contributes nothing.  Annotations meeting at
-    one output tuple merge in ascending {!Tuple.compare} order for π, in
-    [fold_pairs] order for × and ⋈, and with the left operand's annotation
-    first for ∪ and −, so a float sum adds in one fixed order.
+    one output tuple merge in ascending {!Tuple.compare} order of their
+    input tuples for π, in [fold_pairs] order for × and ⋈ (where no two
+    pairs meet), and with the left operand's annotation first for ∪ and −,
+    so a float sum adds in one fixed order.
 
     {!compute} instantiates the rules with sets of {e leaves}: a leaf is
     either a base-table tuple or an output tuple of a maximal σ̂
@@ -31,17 +32,45 @@
 open Pqdb_relational
 open Pqdb_urel
 
-(** {1 The ≺ rules} *)
+(** {1 Per-tuple tables} *)
 
-module TM : Map.S with type key = Tuple.t
-(** Per-data-tuple annotations, ordered by {!Tuple.compare}. *)
+type 'a table
+(** Annotations keyed by data tuple: a [(Tuple.t * 'a)] array, strictly
+    ascending by {!Tuple.compare}.  It is keyed by tuple, not aligned with
+    a relation's runs, since σ̂ annotates rejected suspects that its output
+    lacks.  Costs, for [n] entries: built in O(n) from ascending input; a
+    lookup is a binary search, O(log n).  The rules below merge ∪'s two
+    tables in one O(n + m) walk, and gather the (output tuple, annotation)
+    pairs of π, × and ⋈ by a stable sort, skipped when the pairs already
+    ascend (× and ⋈'s always do), then fold the entries that meet into
+    the first one's tuple. *)
+
+val empty : 'a table
+val is_empty : 'a table -> bool
+
+val of_ascending : (Tuple.t * 'a) array -> 'a table
+(** The table of these entries, which it takes over; O(n).
+    @raise Invalid_argument unless the tuples ascend strictly. *)
+
+val find_opt : 'a table -> Tuple.t -> 'a option
+
+val bindings : 'a table -> (Tuple.t * 'a) list
+(** Ascending. *)
+
+val filter_map_along :
+  (Tuple.t -> 'a option -> 'b option) -> 'a table -> Tuple.t list -> 'b list
+(** [filter_map_along f table tuples] is [List.filter_map] of [f t (find_opt
+    table t)] over [tuples], which must ascend strictly: one walk of both,
+    O(n + |tuples|), no search. *)
+
+(** {1 The ≺ rules} *)
 
 val unary :
   merge:('a -> 'a -> 'a) ->
   Pqdb_ast.Ua.t ->
-  'a TM.t Eval_exact.node ->
+  'a table Eval_exact.node ->
   Urelation.t ->
-  'a TM.t
+  'a table
 (** [unary ~merge q a urel] annotates the output [urel] of the one-operand
     node [q] over the walked operand [a] — an {!Eval_exact.rules} [unary]
     rule.  [conf_{ε,δ}] is treated as [conf].  σ̂ is not a rule here: its
@@ -50,10 +79,10 @@ val unary :
 val binary :
   merge:('a -> 'a -> 'a) ->
   Pqdb_ast.Ua.t ->
-  'a TM.t Eval_exact.node ->
-  'a TM.t Eval_exact.node ->
+  'a table Eval_exact.node ->
+  'a table Eval_exact.node ->
   Urelation.t ->
-  'a TM.t
+  'a table
 (** The {!Eval_exact.rules} [binary] rule of ×, ⋈, ∪ and −. *)
 
 (** {1 Leaf provenance} *)

@@ -5,7 +5,13 @@ let of_array = Array.copy
 let to_list = Array.to_list
 let arity = Array.length
 let get t i = t.(i)
-let project t positions = Array.of_list (List.map (Array.get t) positions)
+let project t positions =
+  match positions with
+  | [] -> [||]
+  | p :: _ ->
+      let out = Array.make (List.length positions) t.(p) in
+      List.iteri (fun i p -> out.(i) <- t.(p)) positions;
+      out
 let concat = Array.append
 
 (* Top-level, so a comparison allocates no closure.  Value.compare x x = 0

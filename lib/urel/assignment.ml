@@ -37,7 +37,7 @@ let value a v =
   search 0 n
 
 (* Merge two sorted assignments; detect conflicts on shared variables. *)
-let union a b =
+let merge a b =
   let la = Array.length a and lb = Array.length b in
   let out = Array.make (la + lb) (0, 0) in
   let rec go i j k ok =
@@ -70,6 +70,9 @@ let union a b =
     end
   in
   go 0 0 0 true
+
+let union a b =
+  if is_empty a then Some b else if is_empty b then Some a else merge a b
 
 let consistent a b = union a b <> None
 

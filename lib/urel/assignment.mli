@@ -30,7 +30,8 @@ val value : t -> Wtable.var -> int option
 val consistent : t -> t -> bool
 val union : t -> t -> t option
 (** Merge; [None] when inconsistent.  This is the condition calculus of the
-    product/join translation. *)
+    product/join translation.  When one operand is empty the other is
+    returned as is, with nothing allocated but the [Some]. *)
 
 val restrict : t -> Wtable.var list -> t
 (** Drop bindings for variables not in the list. *)

@@ -11,10 +11,18 @@ let project cols u =
   List.iter (fun (e, _) -> Expr.check in_schema e) cols;
   let out_schema = Schema.of_list (List.map snd cols) in
   let exprs = List.map fst cols in
-  Urelation.map_rows out_schema
-    (fun (a, t) ->
-      (a, Tuple.of_list (List.map (Expr.eval in_schema t) exprs)))
-    u
+  (* The rows of a run often share one tuple, whose image is then computed
+     once and shared too. *)
+  let last = ref None in
+  let image t =
+    match !last with
+    | Some (s, image) when s == t -> image
+    | _ ->
+        let image = Tuple.of_list (List.map (Expr.eval in_schema t) exprs) in
+        last := Some (t, image);
+        image
+  in
+  Urelation.map_rows out_schema (fun (a, t) -> (a, image t)) u
 
 let project_attrs names u =
   project (List.map (fun a -> (Expr.attr a, a)) names) u
@@ -23,7 +31,9 @@ let rename mapping u =
   let out_schema = Schema.rename (Urelation.schema u) mapping in
   Urelation.map_rows out_schema (fun row -> row) u
 
-let join a b =
+type run = { tuple : Tuple.t; own : Tuple.t; clauses : Assignment.t list }
+
+let matches a b =
   let sa = Urelation.schema a and sb = Urelation.schema b in
   let shared = Schema.common sa sb in
   let sb_only =
@@ -33,26 +43,73 @@ let join a b =
   let sa_shared = List.map (Schema.index sa) shared in
   let sb_shared = List.map (Schema.index sb) shared in
   let sb_only_pos = List.map (Schema.index sb) sb_only in
-  (* Hash b's rows by their shared-attribute key tuple; Tuple.Table's
-     Value-aware equality makes probes exact, so no re-check is needed. *)
+  (* b's runs by their shared-attribute key tuple; Tuple.Table's
+     Value-aware equality makes probes exact, so no re-check is needed.
+     The fold visits the last run first, so each key's list ascends. *)
   let index = Tuple.Table.create (max 16 (Urelation.size b)) in
-  List.iter
-    (fun (fb, tb) ->
-      Tuple.Table.add index (Tuple.project tb sb_shared) (fb, tb))
-    (Urelation.rows b);
-  let rows =
-    List.concat_map
-      (fun (fa, ta) ->
-        List.filter_map
-          (fun (fb, tb) ->
-            match Assignment.union fa fb with
-            | Some f ->
-                Some (f, Tuple.concat ta (Tuple.project tb sb_only_pos))
-            | None -> None)
-          (Tuple.Table.find_all index (Tuple.project ta sa_shared)))
-      (Urelation.rows a)
+  let find key = Option.value ~default:[] (Tuple.Table.find_opt index key) in
+  Urelation.fold_runs
+    (fun tuple clauses () ->
+      let key = Tuple.project tuple sb_shared in
+      Tuple.Table.replace index key
+        ({ tuple; own = Tuple.project tuple sb_only_pos; clauses } :: find key))
+    b ();
+  (out_schema, fun ta -> find (Tuple.project ta sa_shared))
+
+(* The end of the run of [u]'s rows with tuple [t] that reaches [i]. *)
+let rec run_end u t i =
+  if i < Urelation.size u && Tuple.equal (snd (Urelation.row u i)) t then
+    run_end u t (i + 1)
+  else i
+
+let rows_of runs = List.fold_left (fun n m -> n + List.length m.clauses) 0 runs
+
+let join a b =
+  let out_schema, probe = matches a b in
+  let n = Urelation.size a in
+  (* Each run [i, j) of a meets each matching run of b in one output tuple,
+     which takes every consistent union of a condition of the first and one
+     of the second: the output tuples ascend, and only each run's
+     conditions are left for Urelation to sort.  A first pass probes and
+     counts, so the rows go straight into one array of the right size. *)
+  let matched = Array.make n [] and total = ref 0 in
+  let i = ref 0 in
+  while !i < n do
+    let ta = snd (Urelation.row a !i) in
+    let j = run_end a ta (!i + 1) in
+    matched.(!i) <- probe ta;
+    total := !total + ((j - !i) * rows_of matched.(!i));
+    i := j
+  done;
+  let out = Array.make !total (Assignment.empty, Tuple.of_list []) in
+  let k = ref 0 in
+  let rec pair fa t = function
+    | [] -> ()
+    | fb :: rest ->
+        (match Assignment.union fa fb with
+        | Some f ->
+            out.(!k) <- (f, t);
+            incr k
+        | None -> ());
+        pair fa t rest
   in
-  Urelation.make out_schema rows
+  let rec meet i j = function
+    | [] -> ()
+    | m :: rest ->
+        let t = Tuple.concat (snd (Urelation.row a i)) m.own in
+        for r = i to j - 1 do
+          pair (fst (Urelation.row a r)) t m.clauses
+        done;
+        meet i j rest
+  in
+  i := 0;
+  while !i < n do
+    let j = run_end a (snd (Urelation.row a !i)) (!i + 1) in
+    meet !i j matched.(!i);
+    i := j
+  done;
+  Urelation.of_array out_schema
+    (if !k = !total then out else Array.sub out 0 !k)
 
 (* Schema.concat refuses shared attributes, and a join on none pairs every
    row with every row. *)

@@ -14,7 +14,9 @@ val select : Predicate.t -> Urelation.t -> Urelation.t
 (** [σ_φ(U_R)]: filter rows by the data tuple. *)
 
 val project : (Expr.t * string) list -> Urelation.t -> Urelation.t
-(** [π(U_R)]: project the data columns, keep conditions, deduplicate. *)
+(** [π(U_R)]: project the data columns, keep conditions, deduplicate.
+    Adjacent rows that share one tuple (as {!join}'s runs do) share its
+    image, computed once. *)
 
 val project_attrs : string list -> Urelation.t -> Urelation.t
 
@@ -25,7 +27,26 @@ val product : Urelation.t -> Urelation.t -> Urelation.t
     conditions are dropped. *)
 
 val join : Urelation.t -> Urelation.t -> Urelation.t
-(** Natural join on shared data attributes, with condition union. *)
+(** Natural join on shared data attributes, with condition union.  One hash
+    index over [b]'s runs, one probe per run of [a], and the rows written
+    into one array in tuple order: each run of [a] against each matching
+    run of [b], so Urelation sorts conditions only within output runs, and
+    not at all when one side's conditions are empty.  An output run's rows
+    share one tuple, built from the two runs' first rows. *)
+
+type run = {
+  tuple : Tuple.t;  (** the run's tuple, as {!Urelation.fold_runs} gives it *)
+  own : Tuple.t;  (** its projection on the attributes only [b] has *)
+  clauses : Assignment.t list;  (** its conditions, ascending *)
+}
+(** One possible tuple of the right operand of a join. *)
+
+val matches : Urelation.t -> Urelation.t -> Schema.t * (Tuple.t -> run list)
+(** [matches a b] is the natural join's output schema and its probe: [probe
+    ta] lists the runs of [b] whose shared attributes equal [ta]'s, in
+    ascending tuple order, and [Tuple.concat ta r.own] is the joined tuple
+    of each.  [b] is indexed once, in O(|b|); each probe hashes one key.
+    With no shared attribute every run of [b] matches: the product. *)
 
 val union : Urelation.t -> Urelation.t -> Urelation.t
 

@@ -13,16 +13,38 @@ let check_arity schema (_, tuple) =
   if Tuple.arity tuple <> Schema.arity schema then
     invalid_arg "Urelation: tuple arity does not match schema"
 
+(* Stably sorts [rows.(lo) .. rows.(hi - 1)] by condition. *)
+let sort_conditions rows lo hi =
+  let run = Array.sub rows lo (hi - lo) in
+  Array.stable_sort (fun (a1, _) (a2, _) -> Assignment.compare a1 a2) run;
+  Array.blit run 0 rows lo (hi - lo)
+
 (* Sorts [rows] in place unless they already ascend strictly, keeping the
-   first of equal rows. *)
+   first of equal rows.  When the tuples already ascend, only the runs of
+   equal tuples are sorted, by condition: the same order as the stable sort
+   by [compare_row], which the other rows get. *)
 let normalize rows =
   let n = Array.length rows in
-  let rec ascends i =
-    i >= n || (compare_row rows.(i - 1) rows.(i) < 0 && ascends (i + 1))
-  in
-  if ascends 1 then rows
+  let strict = ref true and tuples_ascend = ref true and i = ref 1 in
+  while !tuples_ascend && !i < n do
+    let a0, t0 = rows.(!i - 1) and a1, t1 = rows.(!i) in
+    let c = Tuple.compare t0 t1 in
+    if c > 0 then tuples_ascend := false
+    else if c = 0 && Assignment.compare a0 a1 >= 0 then strict := false;
+    incr i
+  done;
+  if !tuples_ascend && !strict then rows
   else begin
-    Array.stable_sort compare_row rows;
+    if not !tuples_ascend then Array.stable_sort compare_row rows
+    else begin
+      let lo = ref 0 in
+      for i = 1 to n do
+        if i = n || not (Tuple.equal (snd rows.(!lo)) (snd rows.(i))) then begin
+          if i - !lo > 1 then sort_conditions rows !lo i;
+          lo := i
+        end
+      done
+    end;
     let k = ref 1 in
     for i = 1 to n - 1 do
       if compare_row rows.(!k - 1) rows.(i) <> 0 then begin
@@ -33,9 +55,11 @@ let normalize rows =
     if !k = n then rows else Array.sub rows 0 !k
   end
 
-let make schema rows =
-  List.iter (check_arity schema) rows;
-  { schema; rows = normalize (Array.of_list rows) }
+let of_array schema rows =
+  Array.iter (check_arity schema) rows;
+  { schema; rows = normalize rows }
+
+let make schema rows = of_array schema (Array.of_list rows)
 
 let of_relation rel =
   make (Relation.schema rel)
@@ -43,6 +67,7 @@ let of_relation rel =
 
 let schema u = u.schema
 let rows u = Array.to_list u.rows
+let row u i = u.rows.(i)
 let size u = Array.length u.rows
 let is_empty u = size u = 0
 let is_complete_rep u =

@@ -12,8 +12,16 @@ type row = Assignment.t * Tuple.t
 type t
 
 val make : Schema.t -> row list -> t
-(** Deduplicates rows: O(n) if they already ascend strictly, else a stable
-    O(n log n) sort. @raise Invalid_argument on arity mismatches. *)
+(** Deduplicates rows: O(n) if they already ascend strictly; if only their
+    tuples ascend, each run of equal tuples is sorted by condition, on its
+    own; otherwise a stable O(n log n) sort of the whole array.  Either way
+    the first of equal rows is kept.
+    @raise Invalid_argument on arity mismatches. *)
+
+val of_array : Schema.t -> row array -> t
+(** {!make} on an array, which the relation takes over: it may be sorted in
+    place and kept as the relation's rows, so the caller must not use it
+    afterwards.  No list is built. *)
 
 val of_relation : Relation.t -> t
 (** A complete relation as a U-relation: every condition empty. *)
@@ -21,6 +29,10 @@ val of_relation : Relation.t -> t
 val schema : t -> Schema.t
 val rows : t -> row list
 (** Sorted by tuple, then condition. *)
+
+val row : t -> int -> row
+(** [row u i] is the [i]th of {!rows}, counting from 0; O(1).
+    @raise Invalid_argument unless [0 <= i < size u]. *)
 
 val size : t -> int
 (** Number of representation rows (the input size for the data-complexity
@@ -45,6 +57,11 @@ val clauses_for : t -> Tuple.t -> Assignment.t list
 val clauses_by_tuple : t -> (Tuple.t * Assignment.t list) list
 (** Every possible tuple with its DNF, in the {!possible_tuples} order and
     ascending condition order: one O(n) scan, no hashing or sorting. *)
+
+val fold_runs : (Tuple.t -> Assignment.t list -> 'a -> 'a) -> t -> 'a -> 'a
+(** [fold_runs f u acc] applies [f] to each possible tuple and its DNF, as
+    {!clauses_by_tuple} lists them but the last tuple first, so a fold that
+    conses builds an ascending list.  A tuple is its run's first row's. *)
 
 val variables : t -> Wtable.var list
 (** Variables mentioned by any condition, deduplicated, sorted. *)

@@ -1324,6 +1324,58 @@ let test_compiled_mixed_fuel () =
   check Alcotest.int "default fuel: no round" 0 d.rounds;
   check bool_c "default fuel: decided true" true d.value
 
+(* ------------------------------------------------------------------ *)
+(* The ≺ rule of × and ⋈                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Eval_exact.fold_pairs visits the pairs an all-pairs loop would keep, in
+   its order — a's tuples outer, b's inner, both ascending — so the μ sums
+   of Lemma 6.4(1) add in one fixed order. *)
+let prop_fold_pairs_all_pairs_order =
+  QCheck.Test.make ~name:"fold_pairs = all-pairs fold, in order" ~count:100
+    (QCheck.int_range 0 10_000) (fun seed ->
+      let module Tuple = Pqdb_relational.Tuple in
+      let module Schema = Pqdb_relational.Schema in
+      let udb =
+        Pqdb_workload.Gen.uncertain_db (Rng.create ~seed)
+          ~tuples:(seed mod 20) ~clauses:3
+      in
+      let events = Udb.find udb "events" and tags = Udb.find udb "tags" in
+      let tag_of = Translate.project_attrs [ "tag" ] events in
+      let renamed = Translate.rename [ ("tag", "t2") ] tags in
+      let all_pairs a b =
+        let sa = Urelation.schema a and sb = Urelation.schema b in
+        let shared = Schema.common sa sb in
+        let key s t = Tuple.project t (List.map (Schema.index s) shared) in
+        let own =
+          List.filter_map
+            (fun x ->
+              if List.mem x shared then None else Some (Schema.index sb x))
+            (Schema.attributes sb)
+        in
+        List.concat_map
+          (fun ta ->
+            List.filter_map
+              (fun tb ->
+                if Tuple.equal (key sa ta) (key sb tb) then
+                  Some (ta, tb, Tuple.concat ta (Tuple.project tb own))
+                else None)
+              (Urelation.possible_tuples b))
+          (Urelation.possible_tuples a)
+      in
+      let same a b =
+        List.equal
+          (fun (a1, b1, o1) (a2, b2, o2) ->
+            Tuple.equal a1 a2 && Tuple.equal b1 b2 && Tuple.equal o1 o2)
+          (List.rev
+             (Pqdb.Eval_exact.fold_pairs a b
+                (fun ta tb out acc -> (ta, tb, out) :: acc)
+                []))
+          (all_pairs a b)
+      in
+      same events tags && same tags events && same tag_of events
+      && same tag_of renamed)
+
 let () =
   Alcotest.run "core"
     [
@@ -1433,4 +1485,5 @@ let () =
       ( "proposition 6.6",
         [ Alcotest.test_case "bound shapes" `Quick test_error_bound_shapes ]
       );
+      ("provenance pairs", [ qcheck prop_fold_pairs_all_pairs_order ]);
     ]

@@ -703,6 +703,26 @@ let prop_rows_match_set_reference =
       && Relation.equal (Urelation.to_relation u)
            (Set_urelation.to_relation schema r))
 
+(* Rows whose tuples ascend but whose conditions do not take the per-run
+   sort: the same rows, the same kept representatives, as a stable sort of
+   the whole list. *)
+let prop_run_sort_is_stable_sort =
+  QCheck.Test.make ~name:"tuple-ascending rows: per-run sort = stable sort"
+    ~count:300 rows_arb (fun (rows, _) ->
+      let by_tuple =
+        List.stable_sort (fun (_, t1) (_, t2) -> Tuple.compare t1 t2) rows
+      in
+      let rec dedup = function
+        | x :: y :: rest when tuple_major x y = 0 -> dedup (x :: rest)
+        | x :: rest -> x :: dedup rest
+        | [] -> []
+      in
+      List.equal
+        (fun (a1, t1) (a2, t2) -> Assignment.equal a1 a2 && t1 == t2)
+        (Urelation.rows
+           (Urelation.make (Schema.of_list [ "A"; "B" ]) by_tuple))
+        (dedup (List.stable_sort tuple_major by_tuple)))
+
 (* Minor-heap words [f] allocates.  An array of more than 256 words, such
    as a relation's row array, goes to the major heap directly and is not
    counted. *)
@@ -854,6 +874,64 @@ let test_join_cross_type_keys () =
   (* Float 0.5 must meet Rat 1/2: one pair is condition-inconsistent
      (x=0 vs x=1), one survives; Int 2 meets Float 2. *)
   check int_c "cross-type keys matched" 2 (Urelation.size j)
+
+(* Rows whose tuples repeat, each with its own conditions, drawn with
+   [row_gen]'s mixed representations: the join must walk a left tuple's
+   whole run against each run of right matches. *)
+let prop_join_repeated_left_tuples =
+  QCheck.Test.make ~name:"join = nested-loop join (repeated tuples)"
+    ~count:300 rows_arb (fun (rows1, rows2) ->
+      let a = Urelation.make (Schema.of_list [ "A"; "B" ]) rows1 in
+      let b = Urelation.make (Schema.of_list [ "B"; "C" ]) rows2 in
+      let c = Urelation.make (Schema.of_list [ "C"; "D" ]) rows2 in
+      same_urelation (Translate.join a b) (nested_loop_join a b)
+      && same_urelation (Translate.join b a) (nested_loop_join b a)
+      && same_urelation (Translate.join a a) (nested_loop_join a a)
+      && same_urelation (Translate.product a c) (nested_loop_join a c))
+
+(* Every word [f] allocates, minor heap and major heap alike: an array of
+   more than 256 words goes to the major heap directly.  (Gc.minor_words is
+   exact; quick_stat's minor count lags to the last minor collection.) *)
+let allocated_words f =
+  let minor = Gc.minor_words () and before = Gc.quick_stat () in
+  ignore (Sys.opaque_identity (f ()));
+  let after = Gc.quick_stat () in
+  Gc.minor_words () -. minor
+  +. (after.major_words -. before.major_words)
+  -. (after.promoted_words -. before.promoted_words)
+
+let test_join_allocation () =
+  (* 1 500 left tuples of two clauses each, ten key values, and three
+     certain right rows per key: 9 000 output rows, which already come out
+     in tuple order, so no whole-array sort is needed. *)
+  let tuples = 1500 in
+  let a =
+    Urelation.make
+      (Schema.of_list [ "A"; "K" ])
+      (List.concat
+         (List.init tuples (fun i ->
+              let t = Tuple.of_list [ V.Int i; V.Int (i mod 10) ] in
+              [ (Assignment.singleton (2 * i) 0, t);
+                (Assignment.singleton ((2 * i) + 1) 1, t) ])))
+  in
+  let b =
+    Urelation.of_relation
+      (Relation.of_list
+         (Schema.of_list [ "K"; "C" ])
+         (List.init 30 (fun j -> Tuple.of_list [ V.Int (j / 3); V.Int j ])))
+  in
+  let n = 6 * tuples in
+  check int_c "output rows" n (Urelation.size (Translate.join a b));
+  let words = allocated_words (fun () -> Translate.join a b) in
+  (* About 11 words per output row: its pair, its condition's [Some], its
+     array slot, half a joined tuple, and a sixth of a left run's probe.  A
+     join through lists, with a key and a projection per pair and a
+     whole-array sort, allocates about 63 here. *)
+  check bool_c
+    (Printf.sprintf "join allocates %.1f words per output row"
+       (words /. float_of_int n))
+    true
+    (words <= float_of_int (14 * n))
 
 (* ------------------------------------------------------------------ *)
 (* Persistence                                                          *)
@@ -1117,10 +1195,14 @@ let () =
           Alcotest.test_case "cross-type join keys" `Quick
             test_join_cross_type_keys;
           qcheck prop_hash_join_equals_nested_loop;
+          qcheck prop_join_repeated_left_tuples;
+          Alcotest.test_case "join allocation guard" `Quick
+            test_join_allocation;
         ] );
       ( "row arrays",
         [
           qcheck prop_rows_match_set_reference;
+          qcheck prop_run_sort_is_stable_sort;
           Alcotest.test_case "allocation guard" `Quick
             test_row_array_allocation;
           Alcotest.test_case "filter keeping every row returns its input"
