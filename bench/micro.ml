@@ -88,9 +88,12 @@ let test_translate_join () =
 
 (* The query-aconf join at seed 1: events join tags over 1 500 events,
    3 002 rows. *)
-let aconf_join () =
-  let udb = Gen.uncertain_db (Rng.create ~seed:1) ~tuples:1500 ~clauses:3 in
+let aconf_udb () = Gen.uncertain_db (Rng.create ~seed:1) ~tuples:1500 ~clauses:3
+
+let aconf_join_of udb =
   Translate.join (Udb.find udb "events") (Udb.find udb "tags")
+
+let aconf_join () = aconf_join_of (aconf_udb ())
 
 (* Rebuilding a relation from rows already in its own order. *)
 let test_urel_make () =
@@ -99,11 +102,12 @@ let test_urel_make () =
   Test.make ~name:"urel/make-3002"
     (Staged.stage (fun () -> ignore (Urelation.make schema rows)))
 
-let test_urel_project () =
+let urel_project_case () =
   let j = aconf_join () in
-  Test.make ~name:"urel/project-3002"
-    (Staged.stage (fun () ->
-         ignore (Translate.project_attrs [ "id"; "tag" ] j)))
+  fun () -> ignore (Translate.project_attrs [ "id"; "tag" ] j)
+
+let test_urel_project () =
+  Test.make ~name:"urel/project-3002" (Staged.stage (urel_project_case ()))
 
 let test_urel_group () =
   let p = Translate.project_attrs [ "id"; "tag" ] (aconf_join ()) in
@@ -113,15 +117,46 @@ let test_urel_group () =
 (* query-aconf at seed 1: [pqdb run -a]'s evaluation of its query, the
    join, the projection, 1 500 compiled tuples and the Lemma 6.4 table.
    The query has no repair-key, so the database is never changed. *)
-let test_eval_aconf () =
-  let udb = Gen.uncertain_db (Rng.create ~seed:1) ~tuples:1500 ~clauses:3 in
+let eval_aconf_case () =
+  let udb = aconf_udb () in
   let q =
     Pqdb_lang.Qparser.parse_query
       "aconf[0.05, 0.01](project[id, tag](events join tags))"
   in
-  Test.make ~name:"eval/aconf-1500"
-    (Staged.stage (fun () ->
-         ignore (Pqdb.Eval_approx.eval ~rng:(Rng.create ~seed:42) udb q)))
+  fun () -> ignore (Pqdb.Eval_approx.eval ~rng:(Rng.create ~seed:42) udb q)
+
+let test_eval_aconf () =
+  Test.make ~name:"eval/aconf-1500" (Staged.stage (eval_aconf_case ()))
+
+(* query-aconf's compile stage at seed 1: [Compile.compile] at the default
+   fuel over the 1 500 per-tuple lineages, two thirds of them 2–3 small
+   clauses. *)
+let compile_small_case () =
+  let udb = aconf_udb () in
+  let w = Udb.wtable udb in
+  let lineages =
+    List.map snd
+      (Urelation.clauses_by_tuple
+         (Translate.project_attrs [ "id"; "tag" ] (aconf_join_of udb)))
+  in
+  fun () -> List.iter (fun cs -> ignore (Compile.compile w cs)) lineages
+
+let test_compile_small () =
+  Test.make ~name:"compile/small-1500" (Staged.stage (compile_small_case ()))
+
+(* The p10 of [samples] timed runs of [f], each after a [Gc.compact], in
+   ms.  An OLS fit over an allocation-heavy kernel spreads up to 1.7x
+   between two runs of one build (its samples land on different heap
+   states); one compacted heap per sample and a low quantile are steadier. *)
+let p10_ms ?(samples = 61) f =
+  f ();
+  let t =
+    Array.init samples (fun _ ->
+        Gc.compact ();
+        snd (Report.timed f) *. 1e3)
+  in
+  Array.sort Float.compare t;
+  t.(samples / 10)
 
 (* The ≺ rule of ⋈ with both sides annotated: [explain]'s provenance of
    the query-aconf join at seed 1, a leaf set per tuple. *)
@@ -317,6 +352,7 @@ let run () =
         test_urel_project ();
         test_urel_group ();
         test_eval_aconf ();
+        test_compile_small ();
         test_annotated_join ();
         test_thm52 ();
         test_corner_search ();
@@ -367,7 +403,14 @@ let run () =
     ~header:[ "kernel"; "time/run"; "r^2"; "rate" ]
     (List.sort compare !rows);
   Report.note "lineage/decompose-30x30 promotes %.0f words per DNF"
-    (decompose_promoted ())
+    (decompose_promoted ());
+  Report.note "p10 of 61 runs, each after a Gc.compact:";
+  Report.table ~header:[ "kernel"; "p10" ]
+    (List.map
+       (fun (name, case) -> [ name; Printf.sprintf "%.3f ms" (p10_ms (case ())) ])
+       [ ("pqdb/eval/aconf-1500", eval_aconf_case);
+         ("pqdb/urel/project-3002", urel_project_case);
+         ("pqdb/compile/small-1500", compile_small_case) ])
 
 (* ------------------------------------------------------------------ *)
 (* Confidence-engine wall-clock comparisons + BENCH_confidence.json    *)

@@ -22,13 +22,35 @@ let compare_clause (a : int array) (b : int array) =
     if !i = n then 0 else Int.compare a.(!i) b.(!i)
   end
 
-(* One bit per literal: [a ⊆ b] implies [flat_mask a ⊆ flat_mask b]. *)
-let flat_mask (c : int array) =
+(* One bit per literal but the one at position [j]: [a ⊆ b] implies
+   [flat_mask a ⊆ flat_mask b]. *)
+let mask_without (c : int array) j =
   let m = ref 0 in
   for t = 0 to Array.length c - 1 do
-    m := !m lor (1 lsl (c.(t) mod 63))
+    if t <> j then m := !m lor (1 lsl (c.(t) mod 63))
   done;
   !m
+
+let flat_mask c = mask_without c (-1)
+
+(* [without a skip ⊆ b], without building [without a skip]: a merge walk
+   over the sorted literals, O(|a| + |b|). *)
+let subset_without (a : int array) skip (b : int array) =
+  let la = Array.length a and lb = Array.length b in
+  let i = ref 0 and j = ref 0 and ok = ref true in
+  while !ok && !i < la do
+    if !i = skip then incr i
+    else if !j = lb then ok := false
+    else
+      let x = a.(!i) and y = b.(!j) in
+      if x = y then begin
+        incr i;
+        incr j
+      end
+      else if x > y then incr j
+      else ok := false
+  done;
+  !ok
 
 (* Quadratic-pass guard: subsumption is O(n² · clause length); above this
    size we keep possibly-redundant clauses rather than stall compilation. *)
@@ -49,7 +71,8 @@ module Canonical (C : sig
   (** one bit per binding: [subset a b] implies [mask a ⊆ mask b] *)
 end) =
 struct
-  (* The canonical form of [cs], which it sorts in place: sorted,
+  (* The canonical form of [cs], which it sorts in place (and returns when
+     it keeps every clause): sorted,
      deduplicated, [[|empty|]] when some clause is empty, and — up to the
      cap — only the minimal clauses.  A strict subsumer is shorter, so it
      sorts earlier: keeping a clause iff no earlier kept clause subsumes it
@@ -70,10 +93,9 @@ struct
           end
         done;
         let n = !k in
-        if n > subsumption_cap then Array.sub cs 0 n
-        else begin
+        if n <= subsumption_cap then begin
           let masks = Array.make n 0 in
-          let k = ref 0 in
+          k := 0;
           for j = 0 to n - 1 do
             let c = cs.(j) in
             let mj = C.mask c in
@@ -89,9 +111,9 @@ struct
               masks.(!k) <- mj;
               incr k
             end
-          done;
-          Array.sub cs 0 !k
-        end
+          done
+        end;
+        if !k = Array.length cs then cs else Array.sub cs 0 !k
       end
     end
 end
@@ -102,20 +124,7 @@ module Flat = Canonical (struct
   let compare = compare_clause
   let length = Array.length
 
-  (* A merge walk over the sorted literals: O(|a| + |b|). *)
-  let subset (a : int array) (b : int array) =
-    let la = Array.length a and lb = Array.length b in
-    let i = ref 0 and j = ref 0 in
-    while !i < la && lb - !j >= la - !i do
-      let x = a.(!i) and y = b.(!j) in
-      if x = y then begin
-        incr i;
-        incr j
-      end
-      else if x > y then incr j
-      else j := lb + 1
-    done;
-    !i = la
+  let subset a b = subset_without a (-1) b
 
   let mask = flat_mask
 end)
@@ -181,31 +190,6 @@ let condition bits set v x =
 (* [pos] tags of the clauses [condition_minimal] keeps whole or drops. *)
 let untouched = -1
 let dropped = -2
-
-let mask_without (c : int array) j =
-  let m = ref 0 in
-  for t = 0 to Array.length c - 1 do
-    if t <> j then m := !m lor (1 lsl (c.(t) mod 63))
-  done;
-  !m
-
-(* [without a skip ⊆ b], without building [without a skip]. *)
-let subset_without (a : int array) skip (b : int array) =
-  let la = Array.length a and lb = Array.length b in
-  let i = ref 0 and j = ref 0 and ok = ref true in
-  while !ok && !i < la do
-    if !i = skip then incr i
-    else if !j = lb then ok := false
-    else
-      let x = a.(!i) and y = b.(!j) in
-      if x = y then begin
-        incr i;
-        incr j
-      end
-      else if x > y then incr j
-      else ok := false
-  done;
-  !ok
 
 let rec next_shrunk pos m i =
   if i < m && pos.(i) < 0 then next_shrunk pos m (i + 1) else i
@@ -352,16 +336,9 @@ type 'a sub = Known of { p : 'a; mutable at : int } | Node of int
 
 (* The decomposition workspace: the walk's cache and the split and
    conditioning scratch, taken by one walk at a time and reused by the next
-   walk of the same domain.
-
-   Why not a fresh cache per walk: a batch-shaped DNF caches about a
-   thousand sets, so a fresh table grows its arrays past the minor heap's
-   size limit, and those are allocated in the major heap.  Each set stored
-   into one is a remembered-set entry, and the next minor collection
-   promotes whatever such an entry points to, whether or not the table is
-   still alive: every set and result of every walk since the last minor
-   collection.  The reused table keeps its arrays, and [release] overwrites
-   the walk's entries, so a minor collection finds them empty.
+   walk of the same domain, for the minor GC's sake (see "Workspace" in
+   lineage.mli): [release] overwrites the walk's entries, so a minor
+   collection finds the reused table empty.
 
    The cache is a chained hash table over int arrays: entry [k] is the
    walk's [k]-th cached set, with its hash and its bucket successor, and
@@ -468,9 +445,9 @@ let add ws h set =
 let release ws ~nv =
   let mask = Array.length ws.heads - 1 in
   for e = 0 to ws.entries - 1 do
-    ws.heads.(ws.hashes.(e) land mask) <- -1
+    ws.heads.(ws.hashes.(e) land mask) <- -1;
+    ws.sets.(e) <- [||]
   done;
-  Array.fill ws.sets 0 ws.entries [||];
   ws.entries <- 0;
   if Array.length ws.next > cache_bound then begin
     ws.heads <- Array.make 16 (-1);
@@ -478,9 +455,10 @@ let release ws ~nv =
     ws.hashes <- [||];
     ws.sets <- [||]
   end;
-  let nv = min nv (Array.length ws.owner) in
-  Array.fill ws.counts 0 nv 0;
-  Array.fill ws.owner 0 nv (-1);
+  for v = 0 to min nv (Array.length ws.owner) - 1 do
+    ws.counts.(v) <- 0;
+    ws.owner.(v) <- -1
+  done;
   if Array.length ws.counts > scratch_bound then begin
     ws.counts <- [||];
     ws.owner <- [||]
@@ -499,17 +477,11 @@ type 'a builder = {
   w : Wtable.t;
   vars : int array;  (* local id -> W variable, ascending *)
   bits : int;
-  ws : workspace;  (* the cache *)
-  (* The workspace's scratch (see [workspace]). *)
-  counts : int array;
-  owner : int array;
-  parent : int array;
-  comp : int array;
-  slot : int array;
-  pos : int array;
-  masks : int array;
+  ws : workspace;  (* the cache and the scratch *)
   mutable fuel : int;
-  mutable nodes : 'a node array;  (* children before parents *)
+  mutable nodes : 'a node array;
+      (* children before parents; [||] until the first push, so a walk that
+         folds to a constant allocates none *)
   mutable count : int;
   mutable stash : 'a sub array array;  (* cache entry -> its result, in chunks *)
   mutable residuals : int array array list;  (* newest first *)
@@ -525,7 +497,7 @@ let chunk = 256
 let stash b k sub =
   let c = k / chunk and i = k mod chunk in
   if c = Array.length b.stash then begin
-    let bigger = Array.make (2 * c) [||] in
+    let bigger = Array.make (max 1 (2 * c)) [||] in
     Array.blit b.stash 0 bigger 0 c;
     b.stash <- bigger
   end;
@@ -541,7 +513,7 @@ let stashed b k = b.stash.(k / chunk).(k mod chunk)
 
 let push b node =
   if b.count = Array.length b.nodes then begin
-    let bigger = Array.make (2 * b.count) node in
+    let bigger = Array.make (max 8 (2 * b.count)) node in
     Array.blit b.nodes 0 bigger 0 b.count;
     b.nodes <- bigger
   end;
@@ -575,13 +547,13 @@ let rec find parent i =
     find parent parent.(i)
   end
 
-(* Counts each variable's clauses into [b.counts] and, in the same pass,
-   unions the clauses that share a variable; then fills [b.comp] with
+(* Counts each variable's clauses into [counts] and, in the same pass,
+   unions the clauses that share a variable; then fills [comp] with
    component ids in first-occurrence order and returns how many components
    there are. *)
 let count_and_components b set =
   let m = Array.length set and bits = b.bits in
-  let parent = b.parent and owner = b.owner and counts = b.counts in
+  let { parent; owner; counts; _ } = b.ws in
   for i = 0 to m - 1 do
     parent.(i) <- i
   done;
@@ -597,8 +569,10 @@ let count_and_components b set =
         if ri <> ro then parent.(ri) <- ro
     done
   done;
-  let comp = b.comp and slot = b.slot in
-  Array.fill slot 0 m (-1);
+  let comp = b.ws.comp and slot = b.ws.slot in
+  for i = 0 to m - 1 do
+    slot.(i) <- -1
+  done;
   let n = ref 0 in
   for i = 0 to m - 1 do
     let r = find parent i in
@@ -611,7 +585,7 @@ let count_and_components b set =
   !n
 
 let count b set =
-  let bits = b.bits and counts = b.counts in
+  let bits = b.bits and counts = b.ws.counts in
   for i = 0 to Array.length set - 1 do
     let c = set.(i) in
     for t = 0 to Array.length c - 1 do
@@ -622,8 +596,10 @@ let count b set =
 
 (* The [n] components [count_and_components] numbered, each in set order. *)
 let gather b set n =
-  let m = Array.length set and comp = b.comp and size = b.slot in
-  Array.fill size 0 n 0;
+  let m = Array.length set and comp = b.ws.comp and size = b.ws.slot in
+  for k = 0 to n - 1 do
+    size.(k) <- 0
+  done;
   for i = 0 to m - 1 do
     size.(comp.(i)) <- size.(comp.(i)) + 1
   done;
@@ -648,7 +624,8 @@ let gather b set n =
    variables; any other set counts and runs the union-find in one pass.  A
    last pass resets both per-variable arrays. *)
 let split b ~connected set =
-  let m = Array.length set and bits = b.bits and counts = b.counts in
+  let m = Array.length set and bits = b.bits in
+  let { counts; owner; _ } = b.ws in
   let n =
     if connected then begin
       count b set;
@@ -689,7 +666,7 @@ let split b ~connected set =
     for t = 0 to Array.length c - 1 do
       let v = c.(t) lsr bits in
       counts.(v) <- 0;
-      b.owner.(v) <- -1
+      owner.(v) <- -1
     done
   done;
   decision
@@ -802,105 +779,120 @@ and branch b set v =
   let subs = Array.make d (Node 0) in
   for x = 0 to d - 1 do
     subs.(x) <-
-      child b ~connected:false (conditioned b.bits b.pos b.masks set v x)
+      child b ~connected:false (conditioned b.bits b.ws.pos b.ws.masks set v x)
   done;
   sum b wv subs
-(* The flat image of a normalized DNF: dense local variable ids in
-   ascending W order (found by binary search), each clause a sorted array of
-   literals [(local lsl bits) lor value]. *)
-let flatten kept =
-  let all = Array.make (Array.fold_left (fun n c -> n + Assignment.cardinal c) 0 kept) 0 in
-  let n = ref 0 and top_value = ref 0 in
-  Array.iter
-    (Assignment.fold
-       (fun () v x ->
-         if x < 0 then invalid_arg "Lineage: negative value in a clause";
-         top_value := max !top_value x;
-         all.(!n) <- v;
-         incr n)
-       ())
-    kept;
-  Array.sort Int.compare all;
-  let nv = ref 0 in
-  Array.iter
-    (fun v ->
-      if !nv = 0 || all.(!nv - 1) <> v then begin
-        all.(!nv) <- v;
-        incr nv
-      end)
-    all;
-  let vars = Array.sub all 0 !nv in
-  let rec width b = if !top_value lsr b = 0 then b else width (b + 1) in
-  let bits = width 0 in
-  if !nv - 1 > max_int lsr bits then
-    invalid_arg "Lineage: too many variables to pack beside their values";
-  let local v =
-    let rec go lo hi =
-      let mid = (lo + hi) lsr 1 in
-      if vars.(mid) = v then mid
-      else if vars.(mid) < v then go (mid + 1) hi
-      else go lo mid
-    in
-    go 0 !nv
-  in
-  let pack c =
-    let out = Array.make (Assignment.cardinal c) 0 in
-    ignore
-      (Assignment.fold
-         (fun i v x ->
-           out.(i) <- (local v lsl bits) lor x;
-           i + 1)
-         0 c);
-    out
-  in
-  (vars, bits, Array.map pack kept)
 
-let decompose ?(fuel = max_int) ops w clauses =
-  let weight c =
-    Assignment.fold (fun acc v x -> ops.mul acc (ops.prob v x)) ops.one c
+(* Ascending heap sort of an int array: O(n log n), no closure. *)
+let swap (a : int array) i j =
+  let t = a.(i) in
+  a.(i) <- a.(j);
+  a.(j) <- t
+
+let rec sift (a : int array) n i =
+  let l = (2 * i) + 1 in
+  let c = if l + 1 < n && a.(l + 1) > a.(l) then l + 1 else l in
+  if l < n && a.(c) > a.(i) then begin
+    swap a i c;
+    sift a n c
+  end
+
+let sort_ints a =
+  let n = Array.length a in
+  for i = (n / 2) - 1 downto 0 do
+    sift a n i
+  done;
+  for k = n - 1 downto 1 do
+    swap a 0 k;
+    sift a k 0
+  done
+
+(* The rank of W variable [v] among the sorted [vars.(lo .. hi - 1)]. *)
+let rec local (vars : int array) v lo hi =
+  let mid = (lo + hi) lsr 1 in
+  if vars.(mid) = v then mid
+  else if vars.(mid) < v then local vars v (mid + 1) hi
+  else local vars v lo mid
+
+let rec width top b = if top lsr b = 0 then b else width top (b + 1)
+
+(* The flat image of a normalized DNF: its [nv] distinct W variables,
+   ascending, in the first [nv] cells of [vars] (cell [i] is local id [i]),
+   and each clause a sorted array of literals [(local lsl bits) lor value].
+   Loops only: no closure per clause or literal. *)
+let flatten kept =
+  let m = Array.length kept in
+  let vars = Array.make (Array.fold_left (fun n c -> n + Assignment.cardinal c) 0 kept) 0 in
+  let n = ref 0 and top = ref 0 in
+  for i = 0 to m - 1 do
+    for t = 0 to Assignment.cardinal kept.(i) - 1 do
+      let v, x = Assignment.nth kept.(i) t in
+      if x < 0 then invalid_arg "Lineage: negative value in a clause";
+      if x > !top then top := x;
+      vars.(!n) <- v;
+      incr n
+    done
+  done;
+  sort_ints vars;
+  (* No clause is empty, or normalization would have collapsed the DNF. *)
+  let nv = ref 1 in
+  for t = 1 to Array.length vars - 1 do
+    if vars.(t) <> vars.(!nv - 1) then (vars.(!nv) <- vars.(t); incr nv)
+  done;
+  let nv = !nv and bits = width !top 0 in
+  if nv - 1 > max_int lsr bits then
+    invalid_arg "Lineage: too many variables to pack beside their values";
+  let root = Array.make m [||] in
+  for i = 0 to m - 1 do
+    let c = Array.make (Assignment.cardinal kept.(i)) 0 in
+    for t = 0 to Array.length c - 1 do
+      let v, x = Assignment.nth kept.(i) t in
+      c.(t) <- (local vars v 0 nv lsl bits) lor x
+    done;
+    root.(i) <- c
+  done;
+  (vars, nv, bits, root)
+
+let weight ops c =
+  Assignment.fold (fun acc v x -> ops.mul acc (ops.prob v x)) ops.one c
+
+let constant clauses p = { nodes = [| Const p |]; residuals = [||]; clauses }
+
+(* The walk over the flat [root], on the taken workspace [ws]. *)
+let walk ?(fuel = max_int) ops w ws (vars, nv, bits, root) normalized =
+  fit ws ~nv ~m:(Array.length root);
+  let b =
+    { ops; w; vars; bits; ws; fuel; nodes = [||]; count = 0; stash = [||];
+      residuals = []; nres = 0 }
   in
-  let constant clauses p = { nodes = [| Const p |]; residuals = [||]; clauses } in
+  (* The root is never looked up: no set recurs below itself. *)
+  match expand b ~connected:false root with
+  | Known { p; _ } -> constant normalized p
+  | Node _ ->
+      let binding lit = (vars.(lit lsr bits), value_of b lit) in
+      let clause c = Assignment.of_list (List.map binding (Array.to_list c)) in
+      let residual set = List.map clause (Array.to_list set) in
+      { nodes = Array.sub b.nodes 0 b.count;
+        residuals = Array.of_list (List.rev_map residual b.residuals);
+        clauses = normalized }
+
+let decompose ?fuel ops w clauses =
   let kept = Clauses.normalize (Array.of_list clauses) in
   let normalized = Array.to_list kept in
   match kept with
   | [||] -> constant normalized ops.zero
-  | [| c |] -> constant normalized (weight c)
+  | [| c |] -> constant normalized (weight ops c)
   | _ -> (
-      let vars, bits, root = flatten kept in
-      let nv = Array.length vars and m = Array.length root in
+      let ((_, nv, _, _) as flat) = flatten kept in
       let ws = take () in
-      Fun.protect
-        ~finally:(fun () -> release ws ~nv)
-        (fun () ->
-          fit ws ~nv ~m;
-          let b =
-            { ops; w; vars; bits; ws;
-              counts = ws.counts; owner = ws.owner; parent = ws.parent;
-              comp = ws.comp; slot = ws.slot; pos = ws.pos; masks = ws.masks;
-              fuel;
-              nodes = Array.make 8 (Const ops.zero);
-              count = 0;
-              stash = [| [||] |];
-              residuals = [];
-              nres = 0 }
-          in
-          (* The root is never looked up: no set recurs below itself. *)
-          match expand b ~connected:false root with
-          | Known { p; _ } -> constant normalized p
-          | Node _ ->
-              let to_clause c =
-                Assignment.of_list
-                  (Array.fold_right
-                     (fun lit acc -> (vars.(lit lsr bits), value_of b lit) :: acc)
-                     c [])
-              in
-              { nodes = Array.sub b.nodes 0 b.count;
-                residuals =
-                  Array.of_list
-                    (List.rev_map
-                       (fun set -> Array.to_list (Array.map to_clause set))
-                       b.residuals);
-                clauses = normalized }))
+      match walk ?fuel ops w ws flat normalized with
+      | dag ->
+          release ws ~nv;
+          dag
+      | exception e ->
+          let trace = Printexc.get_raw_backtrace () in
+          release ws ~nv;
+          Printexc.raise_with_backtrace e trace)
 
 let exact w clauses =
   let open Pqdb_numeric in

@@ -101,6 +101,22 @@ val decompose : ?fuel:int -> 'a arith -> Wtable.t -> Assignment.t list -> 'a dag
     typed, and the results are kept in arrays small enough for the minor
     heap.
 
+    {b What a walk costs before its first split.}  Most lineage an aconf
+    over a join compiles is two or three clauses of one or two bindings,
+    so the fixed cost per call matters as much as the walk.  Before its
+    first split a walk pays: the normalization of the input list and its
+    round trip through an array; one flattening pass with no closure (the
+    bound variables gathered into one array, heap-sorted and
+    deduplicated into local ids, the values' bit width, then each clause
+    packed by binary search); taking and fitting the workspace (one
+    compare-and-set, no allocation once it has grown); and one builder
+    record.  The node buffer and the result chunks are allocated at their
+    first use, so a walk that folds into one constant allocates neither,
+    and the workspace is released on both arms of a [match … with
+    exception], without a closure.  [test_montecarlo] bounds the minor
+    words per {!Compile.compile} of the seed-1 query-aconf lineages that
+    keep two or more clauses at 221 (they read 165).
+
     The walk keeps every clause set normalized, and {e every set of at most
     the subsumption cap (512 clauses) is minimal}: sorted, deduplicated,
     no clause subsuming another.  The root is normalized, a part of a

@@ -5,13 +5,16 @@ let of_array = Array.copy
 let to_list = Array.to_list
 let arity = Array.length
 let get t i = t.(i)
+let rec fill out t i = function
+  | [] -> out
+  | p :: ps ->
+      out.(i) <- t.(p);
+      fill out t (i + 1) ps
+
 let project t positions =
   match positions with
   | [] -> [||]
-  | p :: _ ->
-      let out = Array.make (List.length positions) t.(p) in
-      List.iteri (fun i p -> out.(i) <- t.(p)) positions;
-      out
+  | p :: _ -> fill (Array.make (List.length positions) t.(p)) t 0 positions
 let concat = Array.append
 
 (* Top-level, so a comparison allocates no closure.  Value.compare x x = 0

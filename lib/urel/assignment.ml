@@ -100,7 +100,14 @@ let subsumes a b =
   in
   la <= lb && go 0 0
 
-let fold f init a = Array.fold_left (fun acc (v, x) -> f acc v x) init a
+let rec fold_from f acc (a : t) i =
+  if i = Array.length a then acc
+  else
+    let v, x = a.(i) in
+    fold_from f (f acc v x) a (i + 1)
+
+let fold f init a = fold_from f init a 0
+let nth (a : t) i = a.(i)
 
 let weight w a =
   Array.fold_left

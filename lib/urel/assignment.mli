@@ -47,8 +47,13 @@ val subsumes : t -> t -> bool
     O(|a| + |b|) on the sorted binding arrays. *)
 
 val fold : ('a -> Wtable.var -> int -> 'a) -> 'a -> t -> 'a
-(** Fold over the bindings in ascending variable order without building a
-    list — how the lineage compiler flattens clauses. *)
+(** Fold over the bindings in ascending variable order, allocating nothing
+    beyond what [f] does. *)
+
+val nth : t -> int -> Wtable.var * int
+(** [nth a i] is the binding of rank [i] in ascending variable order, for
+    [0 <= i < cardinal a]; it allocates nothing.  How the lineage compiler
+    flattens clauses. *)
 
 val weight : Wtable.t -> t -> Rational.t
 val weight_float : Wtable.t -> t -> float

@@ -10,7 +10,21 @@ let project cols u =
   let in_schema = Urelation.schema u in
   List.iter (fun (e, _) -> Expr.check in_schema e) cols;
   let out_schema = Schema.of_list (List.map snd cols) in
-  let exprs = List.map fst cols in
+  (* Plain attributes are resolved to positions once; only computed
+     columns go through [Expr.eval]. *)
+  let columns =
+    List.map
+      (function
+        | Expr.Attr a, _ -> Ok (Schema.index in_schema a)
+        | e, _ -> Error e)
+      cols
+  in
+  let positions = List.filter_map Result.to_option columns in
+  let plain = List.compare_lengths positions columns = 0 in
+  let column t = function
+    | Ok i -> Tuple.get t i
+    | Error e -> Expr.eval in_schema t e
+  in
   (* The rows of a run often share one tuple, whose image is then computed
      once and shared too. *)
   let last = ref None in
@@ -18,7 +32,10 @@ let project cols u =
     match !last with
     | Some (s, image) when s == t -> image
     | _ ->
-        let image = Tuple.of_list (List.map (Expr.eval in_schema t) exprs) in
+        let image =
+          if plain then Tuple.project t positions
+          else Tuple.of_list (List.map (column t) columns)
+        in
         last := Some (t, image);
         image
   in

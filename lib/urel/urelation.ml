@@ -131,10 +131,39 @@ let map_rows schema f u =
   in
   { schema; rows = normalize (Array.map checked u.rows) }
 
+(* A merge walk over two strictly ascending row arrays, the left row kept
+   where two are equal: what a stable sort of [Array.append ra rb] and
+   [normalize]'s dedup keep. *)
+let merge ra rb =
+  let la = Array.length ra and lb = Array.length rb in
+  if lb = 0 then ra
+  else if la = 0 then rb
+  else begin
+    let out = Array.make (la + lb) ra.(0) in
+    let i = ref 0 and j = ref 0 and k = ref 0 in
+    while !i < la && !j < lb do
+      let c = compare_row ra.(!i) rb.(!j) in
+      if c <= 0 then begin
+        out.(!k) <- ra.(!i);
+        incr i;
+        if c = 0 then incr j
+      end
+      else begin
+        out.(!k) <- rb.(!j);
+        incr j
+      end;
+      incr k
+    done;
+    Array.blit ra !i out !k (la - !i);
+    Array.blit rb !j out (!k + la - !i) (lb - !j);
+    let n = !k + (la - !i) + (lb - !j) in
+    if n = la + lb then out else Array.sub out 0 n
+  end
+
 let union a b =
   if not (Schema.equal a.schema b.schema) then
     invalid_arg "Urelation.union: schema mismatch"
-  else { a with rows = normalize (Array.append a.rows b.rows) }
+  else { a with rows = merge a.rows b.rows }
 
 (* Printed condition first, then tuple. *)
 let pp fmt u =

@@ -68,11 +68,14 @@ val variables : t -> Wtable.var list
 
 val filter : (row -> bool) -> t -> t
 (** O(n), no sort; the input itself, with nothing allocated, when [p]
-    keeps every row.  {!map_rows} and {!union} cost what {!make} does. *)
+    keeps every row.  {!map_rows} costs what {!make} does. *)
 
 val map_rows : Schema.t -> (row -> row) -> t -> t
+
 val union : t -> t -> t
-(** @raise Invalid_argument unless schemas agree. *)
+(** One merge walk, O(n) with no sort; where both sides hold equal rows
+    (equal tuples may differ in representation) the left one is kept.
+    @raise Invalid_argument unless schemas agree. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints the rows condition first, then tuple. *)

@@ -1173,36 +1173,43 @@ let pinned_lineages () =
   in
   [ (w, batch @ wide); (Udb.wtable udb, by_tag) ]
 
-(* Digest of what [Compile.compile] builds at default fuel: the float DAG
-   (constants as [%h]) and every residual's clauses.  [prob] wraps each
-   table's [Wtable.prob_float], to run the same walks under a test arith. *)
-let compiled_digest ?(prob = Fun.id) () =
+let float_arith ?(prob = Fun.id) w =
+  { Lineage.zero = 0.; one = 1.; add = ( +. ); mul = ( *. );
+    complement = (fun p -> 1. -. p); prob = prob (Wtable.prob_float w) }
+
+let add_clauses b set =
+  List.iter
+    (fun c ->
+      Assignment.fold (fun () v x -> Printf.bprintf b "%d=%d," v x) () c;
+      Buffer.add_char b '|')
+    set
+
+(* A float DAG (constants as [%h]) and every residual's clauses. *)
+let add_dag b (dag : float Lineage.dag) =
+  Array.iter
+    (function
+      | Lineage.Const p -> Printf.bprintf b "C%h;" p
+      | Res r -> Printf.bprintf b "R%d;" r
+      | Sum bs -> Array.iter (fun (p, c) -> Printf.bprintf b "S%h:%d," p c) bs
+      | IndepOr cs -> Array.iter (fun c -> Printf.bprintf b "I%d," c) cs)
+    dag.Lineage.nodes;
+  Array.iter
+    (fun set ->
+      add_clauses b set;
+      Buffer.add_char b '/')
+    dag.Lineage.residuals
+
+(* Digest of what [Compile.compile] builds at default fuel.  [prob] wraps
+   each table's [Wtable.prob_float], to run the same walks under a test
+   arith. *)
+let compiled_digest ?prob () =
   let b = Buffer.create 65536 in
   List.iter
     (fun (w, lineages) ->
-      let ops =
-        { Lineage.zero = 0.; one = 1.; add = ( +. ); mul = ( *. );
-          complement = (fun p -> 1. -. p); prob = prob (Wtable.prob_float w) }
-      in
+      let ops = float_arith ?prob w in
       List.iter
         (fun clauses ->
-          let dag = Lineage.decompose ~fuel:Compile.default_fuel ops w clauses in
-          Array.iter
-            (function
-              | Lineage.Const p -> Printf.bprintf b "C%h;" p
-              | Res r -> Printf.bprintf b "R%d;" r
-              | Sum bs -> Array.iter (fun (p, c) -> Printf.bprintf b "S%h:%d," p c) bs
-              | IndepOr cs -> Array.iter (fun c -> Printf.bprintf b "I%d," c) cs)
-            dag.Lineage.nodes;
-          Array.iter
-            (fun set ->
-              List.iter
-                (fun c ->
-                  Assignment.fold (fun () v x -> Printf.bprintf b "%d=%d," v x) () c;
-                  Buffer.add_char b '|')
-                set;
-              Buffer.add_char b '/')
-            dag.Lineage.residuals;
+          add_dag b (Lineage.decompose ~fuel:Compile.default_fuel ops w clauses);
           Buffer.add_char b '\n')
         lineages)
     (pinned_lineages ());
@@ -1213,6 +1220,91 @@ let pinned_digest = "ed054606fc1bb5c315e271c86915e3a5"
 let test_compiled_output_pinned () =
   check Alcotest.string "compiled DAGs and residuals" pinned_digest
     (compiled_digest ())
+
+(* Small lineages, the shape an aconf over a join compiles once per output
+   tuple: 1–3 clauses of 1–3 literals over eight variables of 2–4 values,
+   plus now and then a duplicate clause, a subsumed one (a clause with one
+   more literal) or the empty clause. *)
+let small_lineages () =
+  let rng = Rng.create ~seed:41 in
+  let w = Wtable.create () in
+  let xs =
+    Array.init 8 (fun i ->
+        let d = 2 + (i mod 3) in
+        Wtable.add_var w (List.init d (fun j -> Q.of_ints (j + 1) (d * (d + 1) / 2))))
+  in
+  let bind v = (xs.(v), Rng.int rng (Wtable.domain_size w xs.(v))) in
+  let clause len =
+    let vs = ref [] in
+    while List.length !vs < len do
+      let v = Rng.int rng 8 in
+      if not (List.mem v !vs) then vs := v :: !vs
+    done;
+    List.map bind !vs
+  in
+  let dnf () =
+    let base = List.init (1 + Rng.int rng 3) (fun _ -> clause (1 + Rng.int rng 3)) in
+    let pick () = List.nth base (Rng.int rng (List.length base)) in
+    let extra =
+      match Rng.int rng 8 with
+      | 0 | 1 -> [ pick () ]
+      | 2 | 3 -> (
+          let c = pick () in
+          let free v = not (List.mem_assoc xs.(v) c) in
+          match List.filter free (List.init 8 Fun.id) with
+          | [] -> []
+          | free -> [ bind (List.nth free (Rng.int rng (List.length free))) :: c ])
+      | 4 -> [ [] ]
+      | _ -> []
+    in
+    List.map Assignment.of_list (base @ extra)
+  in
+  (w, List.init 600 (fun _ -> dnf ()))
+
+(* Digest of [Lineage.decompose] over the small lineages: the normalized
+   clauses and the float DAG at fuel 0, 2 and the default, and the exact
+   rational value. *)
+let small_digest () =
+  let w, lineages = small_lineages () in
+  let b = Buffer.create 65536 in
+  let ops = float_arith w in
+  List.iter
+    (fun clauses ->
+      List.iter
+        (fun fuel ->
+          let dag = Lineage.decompose ~fuel ops w clauses in
+          add_clauses b dag.Lineage.clauses;
+          Buffer.add_char b '#';
+          add_dag b dag;
+          Buffer.add_char b ';')
+        [ 0; 2; Compile.default_fuel ];
+      Printf.bprintf b "%s\n" (Q.to_string (Lineage.exact w clauses)))
+    lineages;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Pinned before the walk entry was made closure-free; the cases counted
+   must all occur. *)
+let test_small_lineages_pinned () =
+  check Alcotest.string "small lineages' DAGs" "5cc0f51b4af66a74ab5bd6439312e7ca"
+    (small_digest ());
+  let w, lineages = small_lineages () in
+  let ops = float_arith w in
+  let count p = List.length (List.filter p lineages) in
+  let nodes fuel cs = (Lineage.decompose ~fuel ops w cs).Lineage.nodes in
+  let has_res = Array.exists (function Lineage.Res _ -> true | _ -> false) in
+  let cases =
+    [ ("collapsed by an empty clause",
+       count (fun cs -> Lineage.normalize cs = [ Assignment.empty ]));
+      ("shrunk by normalization",
+       count (fun cs -> List.length (Lineage.normalize cs) < List.length cs));
+      ("of three clauses after normalization",
+       count (fun cs -> List.length (Lineage.normalize cs) = 3));
+      ("walked, then left a residual at fuel 2",
+       count (fun cs ->
+           let n = nodes 2 cs in
+           Array.length n > 1 && has_res n)) ]
+  in
+  List.iter (fun (what, k) -> if k = 0 then Alcotest.failf "no lineage %s" what) cases
 
 (* Minor words [Compile.compile] allocates over the pinned set, measured on
    a second pass so one-time allocations (sampling tables) are not counted.
@@ -1236,6 +1328,34 @@ let test_compile_allocation_guard () =
   if words > parent /. 2. then
     Alcotest.failf "compiling the pinned set allocated %.0f minor words (bound %.0f)"
       words (parent /. 2.)
+
+(* The query-aconf lineages at seed 1 ([project[id, tag](events join tags)]
+   over 1 500 events) that keep two or more clauses after normalization. *)
+let aconf_lineages () =
+  let udb = Gen.uncertain_db (Rng.create ~seed:1) ~tuples:1500 ~clauses:3 in
+  let joined = Translate.join (Udb.find udb "events") (Udb.find udb "tags") in
+  let groups =
+    Urelation.clauses_by_tuple (Translate.project_attrs [ "id"; "tag" ] joined)
+  in
+  ( Udb.wtable udb,
+    List.filter
+      (fun cs -> List.length (Lineage.normalize cs) >= 2)
+      (List.map snd groups) )
+
+(* Minor words per [Compile.compile] of a small lineage, over a second
+   pass.  Before the walk entry was made closure-free (no closure per
+   clause in [flatten], no [Fun.protect], no node buffer before the first
+   push) it read 368 words; most of that was paid before the walk began. *)
+let test_small_compile_allocation_guard () =
+  let w, lineages = aconf_lineages () in
+  let run () = List.iter (fun cs -> ignore (Compile.compile w cs)) lineages in
+  run ();
+  let before = Gc.minor_words () in
+  run ();
+  let per = (Gc.minor_words () -. before) /. float_of_int (List.length lineages) in
+  check int_c "multi-clause lineages" 1007 (List.length lineages);
+  if per > 221. then
+    Alcotest.failf "a small compile allocated %.1f minor words (bound 221)" per
 
 (* Words [Compile.compile] promotes, and words it allocates directly in the
    major heap, per DNF over a second pass of 60 batch-shaped DNFs, under the
@@ -1330,7 +1450,59 @@ let test_raising_walk_leaves_no_state () =
         pinned_digest (compiled_digest ()))
     [ 1; 9; 120; 700 ];
   check (Alcotest.float 0.) "direct major words per DNF after the raises" 0.
-    (fst (compile_gc_words ()))
+    (fst (compile_gc_words ()));
+  (* Small walks: a raise at every [prob] call of a 2- and a 3-clause walk,
+     and a clause binding a negative value, which [flatten] refuses.  A
+     workspace left taken would make the next walk build a fresh one, so
+     a clean walk must then allocate exactly what it did before. *)
+  let w = Wtable.create () in
+  let var d = Wtable.add_var w (List.init d (fun _ -> Q.of_ints 1 d)) in
+  let x = var 2 and y = var 3 and z = var 4 in
+  let dnfs =
+    [ [ Assignment.singleton x 1; Assignment.singleton y 2 ];
+      [ Assignment.of_list [ (x, 1); (y, 1) ]; Assignment.of_list [ (y, 0); (z, 3) ];
+        Assignment.of_list [ (x, 0); (z, 2) ] ] ]
+  in
+  let walk_words ops clauses =
+    ignore (Lineage.decompose ops w clauses);
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Lineage.decompose ops w clauses));
+    Gc.minor_words () -. before
+  in
+  let plain = float_arith w in
+  List.iter
+    (fun clauses ->
+      let words = walk_words plain clauses in
+      let calls = ref 0 in
+      let counting p v a =
+        incr calls;
+        p v a
+      in
+      ignore (Lineage.decompose (float_arith ~prob:counting w) w clauses);
+      for k = 1 to !calls do
+        let n = ref 0 in
+        let raising p v a =
+          incr n;
+          if !n = k then raise Exit;
+          p v a
+        in
+        (match Lineage.decompose (float_arith ~prob:raising w) w clauses with
+        | _ -> Alcotest.failf "call %d of %d did not raise" k !calls
+        | exception Exit -> ());
+        check (Alcotest.float 0.)
+          (Printf.sprintf "%d-clause walk after a raise at call %d"
+             (List.length clauses) k)
+          words (walk_words plain clauses)
+      done)
+    dnfs;
+  let words = walk_words plain (List.nth dnfs 1) in
+  Alcotest.check_raises "negative value"
+    (Invalid_argument "Lineage: negative value in a clause") (fun () ->
+      ignore
+        (Lineage.decompose plain w
+           [ Assignment.singleton x (-1); Assignment.singleton y 1 ]));
+  check (Alcotest.float 0.) "a walk after the refusal" words
+    (walk_words plain (List.nth dnfs 1))
 
 (* Walks past the workspace's size bounds: a 40x60 DNF at unbounded fuel
    caches about 23 000 sets, and 5 000 one-literal clauses need scratch for
@@ -1946,8 +2118,12 @@ let () =
             test_renormalized_component_is_split;
           Alcotest.test_case "compiled output pinned" `Quick
             test_compiled_output_pinned;
+          Alcotest.test_case "small lineages pinned" `Quick
+            test_small_lineages_pinned;
           Alcotest.test_case "compile allocation guard" `Quick
             test_compile_allocation_guard;
+          Alcotest.test_case "small compile allocation guard" `Quick
+            test_small_compile_allocation_guard;
           Alcotest.test_case "compile GC guard" `Quick test_compile_gc_guard;
           Alcotest.test_case "concurrent walks" `Quick test_concurrent_walks;
           Alcotest.test_case "a raising walk leaves no state" `Quick
