@@ -144,20 +144,6 @@ let compile_small_case () =
 let test_compile_small () =
   Test.make ~name:"compile/small-1500" (Staged.stage (compile_small_case ()))
 
-(* The p10 of [samples] timed runs of [f], each after a [Gc.compact], in
-   ms.  An OLS fit over an allocation-heavy kernel spreads up to 1.7x
-   between two runs of one build (its samples land on different heap
-   states); one compacted heap per sample and a low quantile are steadier. *)
-let p10_ms ?(samples = 61) f =
-  f ();
-  let t =
-    Array.init samples (fun _ ->
-        Gc.compact ();
-        snd (Report.timed f) *. 1e3)
-  in
-  Array.sort Float.compare t;
-  t.(samples / 10)
-
 (* The ≺ rule of ⋈ with both sides annotated: [explain]'s provenance of
    the query-aconf join at seed 1, a leaf set per tuple. *)
 let test_annotated_join () =
@@ -407,7 +393,7 @@ let run () =
   Report.note "p10 of 61 runs, each after a Gc.compact:";
   Report.table ~header:[ "kernel"; "p10" ]
     (List.map
-       (fun (name, case) -> [ name; Printf.sprintf "%.3f ms" (p10_ms (case ())) ])
+       (fun (name, case) -> [ name; Printf.sprintf "%.3f ms" (Report.p10_ms (case ())) ])
        [ ("pqdb/eval/aconf-1500", eval_aconf_case);
          ("pqdb/urel/project-3002", urel_project_case);
          ("pqdb/compile/small-1500", compile_small_case) ])

@@ -41,6 +41,20 @@ let time_median ?(repeat = 3) f =
   in
   Pqdb_numeric.Stats.median samples
 
+(* The p10 of [samples] timed runs of [f], each after a [Gc.compact], in
+   ms.  An OLS fit over an allocation-heavy kernel spreads up to 1.7x
+   between two runs of one build (its samples land on different heap
+   states); one compacted heap per sample and a low quantile are steadier. *)
+let p10_ms ?(samples = 61) f =
+  f ();
+  let t =
+    Array.init samples (fun _ ->
+        Gc.compact ();
+        snd (timed f) *. 1e3)
+  in
+  Array.sort Float.compare t;
+  t.(samples / 10)
+
 let fmt_seconds s =
   if s < 1e-6 then Printf.sprintf "%.0fns" (s *. 1e9)
   else if s < 1e-3 then Printf.sprintf "%.1fus" (s *. 1e6)

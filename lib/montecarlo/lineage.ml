@@ -168,124 +168,6 @@ let without (c : int array) j =
   done;
   d
 
-(* [set | v = x]: clauses binding [v] to another value drop, the literal
-   [v = x] leaves the rest.  Unnormalized. *)
-let condition bits set v x =
-  let out = Array.make (Array.length set) [||] in
-  let k = ref 0 in
-  for i = 0 to Array.length set - 1 do
-    let c = set.(i) in
-    let j = find_var bits c v in
-    if j < 0 then begin
-      out.(!k) <- c;
-      incr k
-    end
-    else if c.(j) land ((1 lsl bits) - 1) = x then begin
-      out.(!k) <- without c j;
-      incr k
-    end
-  done;
-  Array.sub out 0 !k
-
-(* [pos] tags of the clauses [condition_minimal] keeps whole or drops. *)
-let untouched = -1
-let dropped = -2
-
-let rec next_shrunk pos m i =
-  if i < m && pos.(i) < 0 then next_shrunk pos m (i + 1) else i
-
-let rec next_untouched pos m i =
-  if i < m && pos.(i) <> untouched then next_untouched pos m (i + 1) else i
-
-(* Incremental conditioning of a minimal set.  For [set] minimal (sorted,
-   deduplicated, no clause subsuming another), split it into the untouched
-   clauses U (not binding [v]) and the shrunk ones T = {t − (v = x)}:
-   - T is sorted, duplicate-free and minimal: removing the same literal
-     from every parent keeps their order, and t₁ − L ⊆ t₂ − L would give
-     t₁ ⊆ t₂;
-   - no u ∈ U equals or subsumes a t − L, else u ⊆ t;
-   - a single-literal parent [v = x] shrinks to the empty clause, and then
-     nothing else binds [v = x] (it would be subsumed) and the result is
-     [[|[||]|]].
-   So [normalize (set | v = x)] is U minus the clauses some shorter t − L
-   subsumes, merged with T — the same array [Flat.normalize (condition …)]
-   returns, without sorting or a quadratic pass over the whole set.
-   [pos] and [masks] are per-clause scratch of at least [Array.length set]
-   cells: [pos.(i)] is the position of [v = x] in a shrunk clause, or
-   [untouched]/[dropped]; [masks.(i)] the shrunk clause's literal mask. *)
-let condition_minimal bits pos masks set v x =
-  let m = Array.length set in
-  let shrunk = ref 0 and kept = ref 0 and unit = ref false in
-  for i = 0 to m - 1 do
-    let c = set.(i) in
-    let j = find_var bits c v in
-    if j < 0 then begin
-      pos.(i) <- untouched;
-      incr kept
-    end
-    else if c.(j) land ((1 lsl bits) - 1) = x then begin
-      pos.(i) <- j;
-      masks.(i) <- mask_without c j;
-      incr shrunk;
-      if Array.length c = 1 then unit := true
-    end
-    else pos.(i) <- dropped
-  done;
-  if !unit then [| [||] |]
-  else begin
-    (* Only a shrunk clause shorter than [u], i.e. with a parent no longer
-       than [u], can subsume it; the set is sorted shortest first. *)
-    if !shrunk > 0 then
-      for i = 0 to m - 1 do
-        if pos.(i) = untouched then begin
-          let u = set.(i) in
-          let lu = Array.length u and mu = flat_mask u in
-          let j = ref 0 in
-          while !j < m && Array.length set.(!j) <= lu do
-            let p = pos.(!j) in
-            if
-              p >= 0
-              && masks.(!j) land lnot mu = 0
-              && subset_without set.(!j) p u
-            then begin
-              pos.(i) <- dropped;
-              decr kept;
-              j := m
-            end
-            else incr j
-          done
-        end
-      done;
-    let n = !shrunk + !kept in
-    let out = Array.make n [||] in
-    let s = ref (next_shrunk pos m 0) and u = ref (next_untouched pos m 0) in
-    let t = ref (if !s < m then without set.(!s) pos.(!s) else [||]) in
-    for o = 0 to n - 1 do
-      if !u = m || (!s < m && compare_clause !t set.(!u) < 0) then begin
-        out.(o) <- !t;
-        s := next_shrunk pos m (!s + 1);
-        if !s < m then t := without set.(!s) pos.(!s)
-      end
-      else begin
-        out.(o) <- set.(!u);
-        u := next_untouched pos m (!u + 1)
-      end
-    done;
-    out
-  end
-
-(* [set | v = x], normalized, for a normalized [set]: a set within the cap
-   is minimal and conditions incrementally; a larger one is conditioned and
-   normalized from scratch. *)
-let conditioned bits pos masks set v x =
-  if Array.length set <= subsumption_cap then
-    condition_minimal bits pos masks set v x
-  else Flat.normalize (condition bits set v x)
-
-let condition_flat ~bits set v x =
-  let m = Array.length set in
-  conditioned bits (Array.make m 0) (Array.make m 0) set v x
-
 type 'a node =
   | Const of 'a
   | Res of int
@@ -354,22 +236,30 @@ type workspace = {
   mutable hashes : int array;  (* entry -> [hash_set] of its set *)
   mutable sets : int array array array;  (* entry -> set; all [||] between walks *)
   mutable entries : int;  (* 0 between walks *)
-  mutable counts : int array;  (* per local variable; all 0 between splits *)
-  mutable owner : int array;  (* per local variable; all -1 between splits *)
+  (* Per local variable, read where [stamp] holds the split that counted
+     the variable: its clause count and its latest clause. *)
+  mutable counts : int array;
+  mutable owner : int array;
+  mutable stamp : int array;
+  mutable splits : int;  (* the stamp of the latest split *)
   (* Per-clause scratch, at least as long as the root: no set below it is
-     larger.  Each is live only inside one [split] or [conditioned] call,
-     never across the recursion. *)
+     larger.  Each is live only inside one split or one expansion's
+     conditioning, never across the recursion. *)
   mutable parent : int array;  (* union-find *)
   mutable comp : int array;  (* component id per clause *)
   mutable slot : int array;  (* component id per root, then sizes and cursors *)
-  mutable pos : int array;  (* conditioning: see [condition_minimal] *)
+  mutable at : int array;  (* conditioning: see [locate] and [restrict] *)
   mutable masks : int array;
+  mutable others : int array;
+  mutable shrunk : int array;
+  mutable kept : int array;
 }
 
 let fresh_workspace () =
   { busy = Atomic.make false; heads = Array.make 16 (-1); next = [||];
     hashes = [||]; sets = [||]; entries = 0; counts = [||]; owner = [||];
-    parent = [||]; comp = [||]; slot = [||]; pos = [||]; masks = [||] }
+    stamp = [||]; splits = 0; parent = [||]; comp = [||]; slot = [||];
+    at = [||]; masks = [||]; others = [||]; shrunk = [||]; kept = [||] }
 
 let workspace = Domain.DLS.new_key fresh_workspace
 
@@ -378,7 +268,7 @@ let workspace = Domain.DLS.new_key fresh_workspace
 let cache_bound = 1 lsl 14
 let scratch_bound = 1 lsl 12
 
-let grown a n fill = if Array.length a >= n then a else Array.make n fill
+let grown a n = if Array.length a >= n then a else Array.make n 0
 
 (* The domain's workspace if no other walk (a systhread of the same domain)
    holds it, else a fresh one. *)
@@ -389,13 +279,17 @@ let take () =
 
 (* Scratch for [nv] variables and [m] clauses. *)
 let fit ws ~nv ~m =
-  ws.counts <- grown ws.counts nv 0;
-  ws.owner <- grown ws.owner nv (-1);
-  ws.parent <- grown ws.parent m 0;
-  ws.comp <- grown ws.comp m 0;
-  ws.slot <- grown ws.slot m 0;
-  ws.pos <- grown ws.pos m 0;
-  ws.masks <- grown ws.masks m 0
+  ws.counts <- grown ws.counts nv;
+  ws.owner <- grown ws.owner nv;
+  ws.stamp <- grown ws.stamp nv;
+  ws.parent <- grown ws.parent m;
+  ws.comp <- grown ws.comp m;
+  ws.slot <- grown ws.slot m;
+  ws.at <- grown ws.at m;
+  ws.masks <- grown ws.masks m;
+  ws.others <- grown ws.others m;
+  ws.shrunk <- grown ws.shrunk m;
+  ws.kept <- grown ws.kept m
 
 (* The entry holding [set] (of hash [h]) from entry [e] down its bucket,
    or -1.  Sets are compared in full, so a hash collision never shares a
@@ -439,10 +333,10 @@ let add ws h set =
   end
   else link ws e
 
-(* Runs however the walk ended, even inside [fit].  The per-variable
-   arrays are restored because an exception can leave a split half
-   done. *)
-let release ws ~nv =
+(* Runs however the walk ended, even inside [fit].  A split half done
+   leaves nothing to restore: the next split reads no variable it has not
+   stamped itself. *)
+let release ws =
   let mask = Array.length ws.heads - 1 in
   for e = 0 to ws.entries - 1 do
     ws.heads.(ws.hashes.(e) land mask) <- -1;
@@ -455,22 +349,130 @@ let release ws ~nv =
     ws.hashes <- [||];
     ws.sets <- [||]
   end;
-  for v = 0 to min nv (Array.length ws.owner) - 1 do
-    ws.counts.(v) <- 0;
-    ws.owner.(v) <- -1
-  done;
   if Array.length ws.counts > scratch_bound then begin
     ws.counts <- [||];
-    ws.owner <- [||]
+    ws.owner <- [||];
+    ws.stamp <- [||]
   end;
   if Array.length ws.parent > scratch_bound then begin
     ws.parent <- [||];
     ws.comp <- [||];
     ws.slot <- [||];
-    ws.pos <- [||];
-    ws.masks <- [||]
+    ws.at <- [||];
+    ws.masks <- [||];
+    ws.others <- [||];
+    ws.shrunk <- [||];
+    ws.kept <- [||]
   end;
   Atomic.set ws.busy false
+
+(* Conditioning a set on every value of [v] shares one pass: [locate]
+   records the position of [v] in each clause ([at], -1 where it is
+   unbound) and lists the clauses that do not bind it ([others], in set
+   order), and returns how many there are.  [masks] then caches each
+   clause's literal mask as a subsumption test first needs it (0 before:
+   a mask of a clause of at least one literal is not 0); a clause that
+   binds [v] is masked without it. *)
+let locate bits ws set v =
+  let nu = ref 0 in
+  for i = 0 to Array.length set - 1 do
+    let j = find_var bits set.(i) v in
+    ws.at.(i) <- j;
+    ws.masks.(i) <- 0;
+    if j < 0 then begin
+      ws.others.(!nu) <- i;
+      incr nu
+    end
+  done;
+  !nu
+
+let mask_of ws set i =
+  let m = ws.masks.(i) in
+  if m <> 0 then m
+  else begin
+    let m = mask_without set.(i) ws.at.(i) in
+    ws.masks.(i) <- m;
+    m
+  end
+
+(* Incremental conditioning of a minimal set.  For [set] minimal (sorted,
+   deduplicated, no clause subsuming another), split it into the untouched
+   clauses U (not binding [v]) and the shrunk ones T = {t − (v = x)}:
+   - T is sorted, duplicate-free and minimal: removing the same literal
+     from every parent keeps their order, and t₁ − L ⊆ t₂ − L would give
+     t₁ ⊆ t₂;
+   - no u ∈ U equals or subsumes a t − L, else u ⊆ t;
+   - a single-literal parent [v = x] shrinks to the empty clause, and then
+     nothing else binds [v = x] (it would be subsumed) and the result is
+     [[|[||]|]].
+   So [normalize (set | v = x)] is U minus the clauses some shorter t − L
+   subsumes, merged with T.  [restrict] builds it from [locate]'s scratch:
+   one pass lists T's parents ([shrunk]), the untouched clauses are tested
+   only against the parents no longer than themselves (the set is sorted
+   shortest first), the survivors are listed in [kept], and one merge walk
+   writes the result.  Above the cap, where a set is only sorted and
+   deduplicated, T is still sorted and duplicate-free, so the same merge of
+   U and T is normalized from scratch. *)
+let restrict bits ws set nu x =
+  let m = Array.length set and at = ws.at and shrunk = ws.shrunk in
+  let ns = ref 0 and unit = ref false in
+  for i = 0 to m - 1 do
+    let j = at.(i) in
+    if j >= 0 && set.(i).(j) land ((1 lsl bits) - 1) = x then begin
+      shrunk.(!ns) <- i;
+      incr ns;
+      if Array.length set.(i) = 1 then unit := true
+    end
+  done;
+  if !unit then [| [||] |]
+  else begin
+    let ns = !ns and minimal = m <= subsumption_cap in
+    let keep = ref ws.others and nk = ref nu in
+    if minimal && ns > 0 then begin
+      let shortest = Array.length set.(shrunk.(0)) in
+      keep := ws.kept;
+      nk := 0;
+      for k = 0 to nu - 1 do
+        let i = ws.others.(k) in
+        let u = set.(i) in
+        let lu = Array.length u and s = ref 0 in
+        if shortest <= lu then begin
+          let mu = mask_of ws set i in
+          while !s < ns && Array.length set.(shrunk.(!s)) <= lu do
+            let p = shrunk.(!s) in
+            if mask_of ws set p land lnot mu = 0 && subset_without set.(p) at.(p) u
+            then s := max_int
+            else incr s
+          done
+        end;
+        if !s < max_int then begin
+          ws.kept.(!nk) <- i;
+          incr nk
+        end
+      done
+    end;
+    let keep = !keep and nk = !nk in
+    let out = Array.make (ns + nk) [||] in
+    let s = ref 0 and u = ref 0 in
+    let t = ref (if ns > 0 then without set.(shrunk.(0)) at.(shrunk.(0)) else [||]) in
+    for o = 0 to ns + nk - 1 do
+      if !u = nk || (!s < ns && compare_clause !t set.(keep.(!u)) < 0) then begin
+        out.(o) <- !t;
+        incr s;
+        if !s < ns then t := without set.(shrunk.(!s)) at.(shrunk.(!s))
+      end
+      else begin
+        out.(o) <- set.(keep.(!u));
+        incr u
+      end
+    done;
+    if minimal then out else Flat.normalize out
+  end
+
+let condition_flat ~bits set v x =
+  let ws = fresh_workspace () in
+  fit ws ~nv:0 ~m:(Array.length set);
+  restrict bits ws set (locate bits ws set v) x
 
 type 'a builder = {
   ops : 'a arith;
@@ -534,11 +536,6 @@ let leaf b (c : int array) =
   done;
   !acc
 
-type split =
-  | Components of int array array array
-  | Disjoint of int
-  | Shannon of int
-
 let rec find parent i =
   let p = parent.(i) in
   if p = i then i
@@ -547,56 +544,56 @@ let rec find parent i =
     find parent parent.(i)
   end
 
-(* Counts each variable's clauses into [counts] and, in the same pass,
-   unions the clauses that share a variable; then fills [comp] with
-   component ids in first-occurrence order and returns how many components
-   there are. *)
+(* Counts each variable's clauses into [counts], stamped with a fresh
+   split, and in the same pass unions the clauses that share a variable;
+   returns how many components there are.  Clause [i] stays the root of
+   its own tree while its literals are read, so each literal costs one
+   [find], from the variable's latest clause. *)
 let count_and_components b set =
-  let m = Array.length set and bits = b.bits in
-  let { parent; owner; counts; _ } = b.ws in
+  let m = Array.length set and bits = b.bits and ws = b.ws in
+  let { parent; owner; counts; stamp; _ } = ws in
+  let g = ws.splits + 1 in
+  ws.splits <- g;
+  let unions = ref 0 in
   for i = 0 to m - 1 do
-    parent.(i) <- i
-  done;
-  for i = 0 to m - 1 do
+    parent.(i) <- i;
     let c = set.(i) in
     for t = 0 to Array.length c - 1 do
       let v = c.(t) lsr bits in
-      counts.(v) <- counts.(v) + 1;
-      let o = owner.(v) in
-      if o < 0 then owner.(v) <- i
-      else
-        let ri = find parent i and ro = find parent o in
-        if ri <> ro then parent.(ri) <- ro
+      if stamp.(v) <> g then begin
+        stamp.(v) <- g;
+        counts.(v) <- 1
+      end
+      else begin
+        counts.(v) <- counts.(v) + 1;
+        let r = find parent owner.(v) in
+        if r <> i then begin
+          parent.(r) <- i;
+          incr unions
+        end
+      end;
+      owner.(v) <- i
     done
   done;
-  let comp = b.ws.comp and slot = b.ws.slot in
+  m - !unions
+
+(* The [n] components [count_and_components] found, numbered in
+   first-occurrence order, each in set order. *)
+let gather b set n =
+  let m = Array.length set and { parent; comp; slot; _ } = b.ws in
   for i = 0 to m - 1 do
     slot.(i) <- -1
   done;
-  let n = ref 0 in
+  let k = ref 0 in
   for i = 0 to m - 1 do
     let r = find parent i in
     if slot.(r) < 0 then begin
-      slot.(r) <- !n;
-      incr n
+      slot.(r) <- !k;
+      incr k
     end;
     comp.(i) <- slot.(r)
   done;
-  !n
-
-let count b set =
-  let bits = b.bits and counts = b.ws.counts in
-  for i = 0 to Array.length set - 1 do
-    let c = set.(i) in
-    for t = 0 to Array.length c - 1 do
-      let v = c.(t) lsr bits in
-      counts.(v) <- counts.(v) + 1
-    done
-  done
-
-(* The [n] components [count_and_components] numbered, each in set order. *)
-let gather b set n =
-  let m = Array.length set and comp = b.ws.comp and size = b.ws.slot in
+  let size = slot in
   for k = 0 to n - 1 do
     size.(k) <- 0
   done;
@@ -615,61 +612,25 @@ let gather b set n =
   done;
   comps
 
-(* The one decomposition policy on a normalized set of two or more clauses,
-   tried in order: variable-connected components (union-find over clauses,
-   in first-occurrence order), a variable bound in every clause (smallest
-   id), the variable in the most clauses (smallest id on ties).  Local ids
-   follow W-variable order, so "smallest" means the same as on W ids.  A
-   set known to be [connected] (a component a split found) only counts
-   variables; any other set counts and runs the union-find in one pass.  A
-   last pass resets both per-variable arrays. *)
-let split b ~connected set =
-  let m = Array.length set and bits = b.bits in
-  let { counts; owner; _ } = b.ws in
-  let n =
-    if connected then begin
-      count b set;
-      1
-    end
-    else count_and_components b set
-  in
-  let decision =
-    if n > 1 then Components (gather b set n)
-    else begin
-      (* A variable bound in every clause is bound in the first one, whose
-         literals ascend by variable. *)
-      let c0 = set.(0) in
-      let t = ref 0 in
-      while !t < Array.length c0 && counts.(c0.(!t) lsr bits) <> m do
-        incr t
-      done;
-      if !t < Array.length c0 then Disjoint (c0.(!t) lsr bits)
-      else begin
-        let best = ref (-1) and most = ref 0 in
-        for i = 0 to m - 1 do
-          let c = set.(i) in
-          for t = 0 to Array.length c - 1 do
-            let v = c.(t) lsr bits in
-            let k = counts.(v) in
-            if k > !most || (k = !most && v < !best) then begin
-              best := v;
-              most := k
-            end
-          done
-        done;
-        Shannon !best
-      end
-    end
-  in
+(* The pivot of a connected set whose variables' [counts] are its own, as
+   [(v lsl 1) lor 1] for a variable bound in every clause, i.e. counted [m]
+   times (smallest id), else [v lsl 1] for the variable in the most clauses
+   (smallest id on ties). *)
+let pivot b set =
+  let m = Array.length set and bits = b.bits and counts = b.ws.counts in
+  let best = ref max_int and most = ref 0 in
   for i = 0 to m - 1 do
     let c = set.(i) in
     for t = 0 to Array.length c - 1 do
       let v = c.(t) lsr bits in
-      counts.(v) <- 0;
-      owner.(v) <- -1
+      let k = counts.(v) in
+      if k > !most || (k = !most && v < !best) then begin
+        best := v;
+        most := k
+      end
     done
   done;
-  decision
+  (!best lsl 1) lor Bool.to_int (!most = m)
 
 let known p = Known { p; at = -1 }
 
@@ -745,41 +706,59 @@ and expand b ~connected set =
     Node (push b (Res (b.nres - 1)))
   end
   else
-    match split b ~connected set with
-    | Components comps ->
-        (* A component is connected, and normalized when the set is: a
-           part of a minimal set is minimal.  A component of a set too
-           large for the subsumption pass is normalized here, and is only
-           known to be connected when that dropped no clause (a dropped
-           clause may have been its only link). *)
-        let big = Array.length set > subsumption_cap in
-        let n = Array.length comps in
-        let subs = Array.make n (Node 0) in
-        for k = 0 to n - 1 do
-          let c = comps.(k) in
-          subs.(k) <-
-            (if big then
-               let c' = Flat.normalize c in
-               child b ~connected:(Array.length c' = Array.length c) c'
-             else child b ~connected:true c)
-        done;
-        indep_or b subs
-    | Disjoint v ->
-        (* The branches v = x are mutually exclusive and every clause
-           shrinks, so expansion is free and terminates on binding count. *)
-        branch b set v
-    | Shannon v ->
-        b.fuel <-
-          b.fuel - Wtable.domain_size b.w b.vars.(v) - Array.length set;
-        branch b set v
+    (* The one decomposition policy on a normalized set of two or more
+       clauses, tried in order: variable-connected components (union-find
+       over clauses, in first-occurrence order), a variable bound in every
+       clause (smallest id), the variable in the most clauses (smallest id
+       on ties).  Local ids follow W-variable order, so "smallest" means the
+       same as on W ids.  A [connected] set is a component a split found,
+       and no split since has counted any of its variables — the walk below
+       a component only ever sees its own variables — so its counts are
+       still current, and its pivot costs one read-only pass. *)
+    let n = if connected then 1 else count_and_components b set in
+    if n > 1 then begin
+      (* A component is connected, and normalized when the set is: a part
+         of a minimal set is minimal.  A component of a set too large for
+         the subsumption pass is normalized here, and is only known to be
+         connected when that dropped no clause (a dropped clause may have
+         been its only link). *)
+      let comps = gather b set n in
+      let big = Array.length set > subsumption_cap in
+      let subs = Array.make n (Node 0) in
+      for k = 0 to n - 1 do
+        let c = comps.(k) in
+        subs.(k) <-
+          (if big then
+             let c' = Flat.normalize c in
+             child b ~connected:(Array.length c' = Array.length c) c'
+           else child b ~connected:true c)
+      done;
+      indep_or b subs
+    end
+    else begin
+      (* On a variable bound in every clause the branches are mutually
+         exclusive and every clause shrinks, so the expansion is free and
+         terminates on binding count; a Shannon expansion pays fuel. *)
+      let p = pivot b set in
+      let v = p lsr 1 in
+      if p land 1 = 0 then
+        b.fuel <- b.fuel - Wtable.domain_size b.w b.vars.(v) - Array.length set;
+      branch b set v
+    end
 
+(* Every branch is conditioned before the first is walked: the walk
+   reuses the conditioning scratch. *)
 and branch b set v =
   let wv = b.vars.(v) in
   let d = Wtable.domain_size b.w wv in
+  let nu = locate b.bits b.ws set v in
+  let sets = Array.make d [||] in
+  for x = 0 to d - 1 do
+    sets.(x) <- restrict b.bits b.ws set nu x
+  done;
   let subs = Array.make d (Node 0) in
   for x = 0 to d - 1 do
-    subs.(x) <-
-      child b ~connected:false (conditioned b.bits b.ws.pos b.ws.masks set v x)
+    subs.(x) <- child b ~connected:false sets.(x)
   done;
   sum b wv subs
 
@@ -883,15 +862,15 @@ let decompose ?fuel ops w clauses =
   | [||] -> constant normalized ops.zero
   | [| c |] -> constant normalized (weight ops c)
   | _ -> (
-      let ((_, nv, _, _) as flat) = flatten kept in
+      let flat = flatten kept in
       let ws = take () in
       match walk ?fuel ops w ws flat normalized with
       | dag ->
-          release ws ~nv;
+          release ws;
           dag
       | exception e ->
           let trace = Printexc.get_raw_backtrace () in
-          release ws ~nv;
+          release ws;
           Printexc.raise_with_backtrace e trace)
 
 let exact w clauses =

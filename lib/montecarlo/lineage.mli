@@ -115,7 +115,7 @@ val decompose : ?fuel:int -> 'a arith -> Wtable.t -> Assignment.t list -> 'a dag
     and the workspace is released on both arms of a [match … with
     exception], without a closure.  [test_montecarlo] bounds the minor
     words per {!Compile.compile} of the seed-1 query-aconf lineages that
-    keep two or more clauses at 221 (they read 165).
+    keep two or more clauses at 221 (they read 163).
 
     The walk keeps every clause set normalized, and {e every set of at most
     the subsumption cap (512 clauses) is minimal}: sorted, deduplicated,
@@ -130,11 +130,27 @@ val decompose : ?fuel:int -> 'a arith -> Wtable.t -> Assignment.t list -> 'a dag
        have subsumed the parent).  So the result is the untouched clauses
        minus those a shrunk clause subsumes, merged with the shrunk ones
        (see {!condition_flat});}
-    {- a component a split found is connected, so its own split only
-       counts variables; union-find runs once per set.  The exception is a
-       component of a set above the cap: it is normalized before it is
-       expanded, and if that dropped a clause — possibly its only link —
-       it is split in full.}}
+    {- a component a split found is connected, and the walk below a
+       component never sees another component's variables, so the
+       variable counts its parent's split left are still its own: its
+       pivot is read off them, with no count pass and no union-find.  The
+       exception is a component of a set above the cap: it is normalized
+       before it is expanded, and if that dropped a clause — possibly its
+       only link — it is split in full.}}
+
+    {b What a node costs.}  A split of a set that is not a known
+    component is one pass over its literals: each variable is counted
+    (the counts carry the split's stamp, so no pass resets them) and the
+    clauses sharing it are unioned with one [find] per literal.  There are
+    as many components as clauses minus unions, and only several
+    components cost a second pass, over the clauses, to number and gather
+    them.  The pivot is one read-only pass over the counts.  An expansion
+    locates its pivot in each clause once, by binary search, for all its
+    branches, so every branch is conditioned before the first is walked.
+    A branch takes one pass to list its shrunk clauses, tests each
+    untouched clause only against the shrunk ones no longer than it (the
+    literal masks are computed at first use and shared by the branches)
+    and writes its set in one merge walk.
 
     Deterministic: the DAG is a pure function of (W table, clause set,
     fuel) — the order and duplicates of the input list do not matter.

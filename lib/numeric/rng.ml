@@ -101,7 +101,13 @@ module Alias = struct
   let total d = d.total
   let size d = Array.length d.prob
 
+  (* For a power-of-two [n], [Random.State.int t n] takes one [bits] draw
+     and never rejects it, so its low bits are the same draw. *)
   let sample t d =
-    let i = Random.State.int t (Array.length d.prob) in
+    let n = Array.length d.prob in
+    let i =
+      if n land (n - 1) = 0 then Random.State.bits t land (n - 1)
+      else Random.State.int t n
+    in
     if Random.State.float t 1. < d.prob.(i) then i else d.alias.(i)
 end

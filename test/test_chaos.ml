@@ -361,7 +361,22 @@ let test_distrib_soak () =
                 in
                 (s, lo, hi, order))
           in
-          check bool_c (label ^ ": run bounded") true (elapsed < 30.0);
+          (* Where a slow trial stood: its summary and the shards it emitted
+             in plan order before the first one out of order. *)
+          let s = summary.Coordinator.stream in
+          let rec in_order k = function
+            | i :: rest when i = k -> in_order (k + 1) rest
+            | _ -> k
+          in
+          check bool_c
+            (Printf.sprintf
+               "%s: run bounded (%.1f s of 30; %d shards, %d resumed, %d \
+                quarantined, stream_complete %b, %d of %d emitted in order)"
+               label elapsed s.Confidence.shards s.Confidence.resumed_shards
+               (List.length s.Confidence.quarantined)
+               s.Confidence.stream_complete (in_order 0 (List.rev !order))
+               (List.length !order))
+            true (elapsed < 30.0);
           check int_c
             (label ^ ": every shard emitted")
             summary.Coordinator.stream.Confidence.shards

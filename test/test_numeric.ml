@@ -290,6 +290,33 @@ let test_rng_alias_frequencies () =
         (Float.abs (observed -. expected) < 0.01))
     weights
 
+(* A uniform table's columns all have probability 1, so a sample is its
+   index draw.  A power-of-two size draws the index from [bits] directly;
+   that must be [Rng.int]'s ([Random.State.int]'s) draw, leaving the same
+   state. *)
+let prop_alias_draw_matches_int =
+  let tables =
+    lazy
+      (List.map
+         (fun n -> (n, Rng.Alias.of_weights (Array.make n 1.)))
+         (List.init 21 (fun k -> 1 lsl k) @ [ 3; 5; 6; 7; 12; 100; 1000; 65_537 ]))
+  in
+  QCheck.Test.make ~name:"alias index draw = Rng.int" ~count:100
+    (QCheck.int_range 0 1_000_000) (fun seed ->
+      List.for_all
+        (fun (n, dist) ->
+          let a = Rng.create ~seed in
+          let b = Rng.copy a in
+          let same = ref true in
+          for _ = 1 to 8 do
+            let i = Rng.Alias.sample a dist in
+            let j = Rng.int b n in
+            ignore (Rng.float b 1.);
+            if i <> j then same := false
+          done;
+          !same && Rng.int a 1_000_000 = Rng.int b 1_000_000)
+        (Lazy.force tables))
+
 let test_rng_alias_matches_discrete_stats () =
   (* Alias and cumulative-scan sampling draw from the same distribution. *)
   let weights = [| 0.2; 0.5; 0.1; 0.15; 0.05 |] in
@@ -727,6 +754,7 @@ let () =
           Alcotest.test_case "alias matches discrete" `Quick
             test_rng_alias_matches_discrete_stats;
           Alcotest.test_case "alias singleton" `Quick test_rng_alias_singleton;
+          qcheck prop_alias_draw_matches_int;
           Alcotest.test_case "split_n deterministic" `Quick
             test_rng_split_n_deterministic;
           Alcotest.test_case "lanes on demand match split_n" `Quick
