@@ -333,7 +333,8 @@ let e17_topk ~quick =
       (fun n ->
         let make_candidates () =
           let w = Wtable.create () in
-          List.init n (fun i ->
+          ( w,
+            List.init n (fun i ->
               (* Spread the true confidences so only a few candidates are
                  contested around the k-th boundary. *)
               let p = 0.05 +. (0.9 *. float_of_int i /. float_of_int n) in
@@ -345,18 +346,18 @@ let e17_topk ~quick =
               in
               ( Pqdb_relational.Tuple.of_list
                   [ Pqdb_relational.Value.Int i ],
-                Pqdb_montecarlo.Dnf.prepare w
-                  [
-                    Pqdb_urel.Assignment.singleton (fresh ()) 1;
-                    Pqdb_urel.Assignment.singleton (fresh ()) 1;
-                  ] ))
+                [
+                  Pqdb_urel.Assignment.singleton (fresh ()) 1;
+                  Pqdb_urel.Assignment.singleton (fresh ()) 1;
+                ] )) )
         in
         let k = n / 4 in
         (* [compile_fuel:0] keeps every candidate on the sampling path: this
            experiment ablates interval pruning, not lineage compilation. *)
         let r =
-          Pqdb.Topk.run ~eps0:0.01 ~compile_fuel:0 ~rng ~delta:0.1 ~k
-            (make_candidates ())
+          let w, candidates = make_candidates () in
+          Pqdb.Topk.run ~eps0:0.01 ~compile_fuel:0 ~rng ~delta:0.1 ~k w
+            candidates
         in
         (* Baseline: refine every candidate to the budget the most-refined
            contested candidate needed (what a non-pruning loop would do). *)

@@ -148,9 +148,11 @@ let e3_exact_vs_fpras ~quick =
           else None
         in
         let exact = ref Q.zero in
+        (* One run swings by half between runs of one build; the p10 of
+           11 runs on compacted heaps reads level. *)
         let decomposer_time =
-          Report.time_median ~repeat:1 (fun () ->
-              exact := Lineage.exact w clauses)
+          Report.p10_ms ~samples:11 (fun () -> exact := Lineage.exact w clauses)
+          /. 1e3
         in
         let exact = Q.to_float !exact in
         let kl = ref 0. in

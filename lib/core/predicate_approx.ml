@@ -162,12 +162,13 @@ let decide ?budget ?eps0 ?max_rounds ?search_iterations ?batch ?independent
       Approximable.of_karp_luby est
     else begin
       let dnf = Estimator.dnf est in
-      let w = Dnf.wtable dnf and clauses = Dnf.clauses dnf in
-      let compiled = Compile.compile ~fuel:compile_fuel w clauses in
+      let compiled =
+        Compile.of_lineage ~fuel:compile_fuel (Dnf.wtable dnf) (Dnf.lineage dnf)
+      in
       match Compile.exact_value compiled with
       | None -> Approximable.of_karp_luby est
       | Some p ->
-          let abs = Compile.rounding_bound w clauses in
+          let abs = Compile.rounding_bound dnf in
           rounding := Float.max !rounding (relative_rounding ~abs p);
           Approximable.constant p
     end

@@ -83,8 +83,8 @@ val decide :
   Estimator.t array ->
   decision
 (** Figure 3 itself over {e approximable} values (Section 5): each
-    estimator's lineage is compiled once with {!Compile.compile} at
-    [compile_fuel] (default {!Compile.default_fuel}, as in {!Topk.run}).
+    estimator's lineage is compiled once, from its DNF's canonical value
+    ({!Dnf.lineage}, {!Compile.of_lineage}), at [compile_fuel] (default {!Compile.default_fuel}, as in {!Topk.run}).
     {ul
     {- A value that compiles exactly enters as {!Approximable.constant}
        and its estimator draws nothing;}

@@ -1,7 +1,6 @@
 open Pqdb_relational
 open Pqdb_urel
 module Estimator = Pqdb_montecarlo.Estimator
-module Dnf = Pqdb_montecarlo.Dnf
 module Compile = Pqdb_montecarlo.Compile
 module Guarantee = Pqdb_montecarlo.Guarantee
 
@@ -40,18 +39,15 @@ let update_interval ~delta_t c =
       c.lo <- Float.max 0. lo;
       c.hi <- Float.min 1. hi
 
-let run ?budget ?(eps0 = 0.01) ?max_rounds ?compile_fuel ~rng ~delta ~k
+let run ?budget ?(eps0 = 0.01) ?max_rounds ?compile_fuel ~rng ~delta ~k w
     candidates =
   if k <= 0 then invalid_arg "Topk.run: k must be positive";
   if candidates = [] then invalid_arg "Topk.run: no candidates";
   let compiled =
     Array.of_list
       (List.map
-         (fun (tuple, dnf) ->
-           let comp =
-             Compile.compile ?fuel:compile_fuel (Dnf.wtable dnf)
-               (Dnf.clauses dnf)
-           in
+         (fun (tuple, clauses) ->
+           let comp = Compile.compile ?fuel:compile_fuel w clauses in
            let lo, hi = Compile.vacuous_interval comp in
            (tuple, comp, lo, hi))
          candidates)
@@ -198,8 +194,5 @@ let run ?budget ?(eps0 = 0.01) ?max_rounds ?compile_fuel ~rng ~delta ~k
 let query ?budget ?eps0 ?max_rounds ?compile_fuel ~rng ~delta ~k udb q =
   let u = Eval_exact.eval udb q in
   let w = Udb.wtable udb in
-  let candidates =
-    List.map (fun (t, clauses) -> (t, Dnf.prepare w clauses))
-      (Urelation.clauses_by_tuple u)
-  in
-  run ?budget ?eps0 ?max_rounds ?compile_fuel ~rng ~delta ~k candidates
+  run ?budget ?eps0 ?max_rounds ?compile_fuel ~rng ~delta ~k w
+    (Urelation.clauses_by_tuple u)

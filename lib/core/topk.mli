@@ -64,10 +64,11 @@ val run :
   rng:Rng.t ->
   delta:float ->
   k:int ->
-  (Tuple.t * Pqdb_montecarlo.Dnf.t) list ->
+  Wtable.t ->
+  (Tuple.t * Assignment.t list) list ->
   result
 (** Rank the candidates and return the [k] most probable.  Each candidate's
-    clause set is compiled with [compile_fuel] (default
+    clause set, over the W table, is compiled with [compile_fuel] (default
     {!Pqdb_montecarlo.Compile.default_fuel}; [~compile_fuel:0] recovers
     pure-sampling multisimulation).  [delta] is split evenly across
     candidates for the per-tuple interval bounds ([claim] above).

@@ -12,7 +12,7 @@ type outcome = {
 
 type t = {
   size : int;  (* distinct DAG nodes *)
-  sample : (Wtable.t * Assignment.t list) option;
+  sample : (Wtable.t * Lineage.t) option;
       (* the whole normalized DNF, the one problem [solve] samples; [None]
          when exact.  It is prepared only when sampled. *)
   apriori : outcome;
@@ -60,38 +60,37 @@ let residual_ub w ~nvars set =
   if m >= 1. || k > 1 lsl 31 then 1.
   else Float.min 1. (Float.succ (m +. (float_of_int k *. 0x1p-51)))
 
-(* The rounding lemma's V and D + 4 over [clauses]: the literal count
-   bounds V from above, and the bound only grows with V, so no variable
-   set is built. *)
-let lemma_size w clauses =
-  let v = ref 0 and d = ref 1 in
-  let visit () x _ =
-    incr v;
-    d := max !d (Wtable.domain_size w x)
-  in
-  List.iter (Assignment.fold visit ()) clauses;
-  (!v, !d + 4)
-
 (* w = (2D + 8)·u·(2V − 1) with u = 2⁻⁵³, exact as a float while
    k·(2V − 1) ≤ 2³² — the lemma's range (w ≤ 2⁻²⁰). *)
 let widen ~nvars ~k =
   if (2 * nvars) - 1 > (1 lsl 32) / k then Float.infinity
   else float_of_int (k * ((2 * nvars) - 1)) *. 0x1p-52
 
-let rounding_bound w clauses =
-  let nvars, k = lemma_size w clauses in
-  if nvars = 0 then 0. else widen ~nvars ~k
+(* The rounding lemma's D + 4 over the variables [vars]. *)
+let domain_term w vars =
+  Array.fold_left (fun d x -> max d (Wtable.domain_size w x)) 1 vars + 4
 
-let compile ?(fuel = default_fuel) w clauses =
-  let dag = Lineage.decompose ~fuel (float_ops w) w clauses in
+(* The literal count bounds V from above, and the bound only grows with V,
+   so no variable set is built. *)
+let rounding_bound dnf =
+  let nvars = Dnf.literal_count dnf in
+  if nvars = 0 then 0.
+  else
+    widen ~nvars
+      ~k:(domain_term (Dnf.wtable dnf) (Array.of_list (Dnf.variables dnf)))
+
+let point p = make ~size:1 ~lo:p ~hi:p None
+
+let of_lineage ?(fuel = default_fuel) w (lineage : Lineage.t) =
+  let dag = Lineage.decompose_lineage ~fuel (float_ops w) w lineage in
   let nodes = dag.Lineage.nodes in
   let size = Array.length nodes in
   if dag.Lineage.residuals = [||] then
     let v = eval [||] nodes in
     make ~size ~lo:v ~hi:v None
   else begin
-    let nvars, k = lemma_size w dag.Lineage.clauses in
-    let widen = widen ~nvars ~k in
+    let nvars = Array.fold_left (fun n c -> n + Array.length c) 0 lineage.clauses in
+    let widen = widen ~nvars ~k:(domain_term w lineage.vars) in
     (* The monotone DAG at the residual extremes: the lower endpoint is the
        exact compiled mass — what the tuple is worth with every residual
        written off — and the upper endpoint charges each residual its full
@@ -103,8 +102,14 @@ let compile ?(fuel = default_fuel) w clauses =
     make ~size
       ~lo:(Float.max 0. (Float.pred (eval zeros nodes -. widen)))
       ~hi:(Float.min 1. (Float.succ (eval ubs nodes +. widen)))
-      (Some (w, dag.Lineage.clauses))
+      (Some (w, lineage))
   end
+
+(* A raw list of at most one clause is its own closed form: no packing. *)
+let compile ?fuel w = function
+  | [] -> point 0.
+  | [ c ] -> point (Assignment.weight_float w c)
+  | clauses -> of_lineage ?fuel w (Lineage.of_clauses clauses)
 
 let is_exact t = t.sample = None
 let exact_value t = if is_exact t then Some t.apriori.lo else None
@@ -114,7 +119,7 @@ let vacuous_interval t = (t.apriori.lo, t.apriori.hi)
 let apriori t = t.apriori
 
 let sampled_dnf t =
-  Option.map (fun (w, clauses) -> Dnf.prepare w clauses) t.sample
+  Option.map (fun (w, l) -> Dnf.prepare w (Lineage.to_clauses l)) t.sample
 
 (* The zero-trial certificate: the harmonic mean h = 2·lo·hi/(lo + hi) is
    within relative a = (hi − lo)/(hi + lo) of every point of [lo, hi].  In
@@ -140,8 +145,8 @@ let certified (t : t) ~eps =
    is the plain Chernoff count; a certified bracket samples nothing. *)
 let cost_cap t ~eps ~delta =
   match t.sample with
-  | Some (_, clauses) when certified t ~eps = None ->
-      Stats.karp_luby_trials ~clauses:(List.length clauses) ~eps ~delta
+  | Some (_, (l : Lineage.t)) when certified t ~eps = None ->
+      Stats.karp_luby_trials ~clauses:(Array.length l.clauses) ~eps ~delta
   | _ -> 0
 
 (* One adaptive pass over the whole normalized DNF, its interval intersected
@@ -150,8 +155,11 @@ let cost_cap t ~eps ~delta =
    [0, 1] and the estimate clamped into it: clamping only moves it toward
    any truth inside the bracket, so its relative-ε claim still holds
    whenever the bracket does. *)
-let sampled ?budget rng (t : t) w clauses ~eps ~delta =
-  match Karp_luby.adaptive_partial ?budget rng (Dnf.prepare w clauses) ~eps ~delta with
+let sampled ?budget rng (t : t) w l ~eps ~delta =
+  match
+    Karp_luby.adaptive_partial ?budget rng (Dnf.prepare w (Lineage.to_clauses l))
+      ~eps ~delta
+  with
   | p ->
       let { lo; hi; _ } = t.apriori in
       let lo = Float.min 1. (Float.max 0. (Float.max lo p.Karp_luby.p_lo)) in
@@ -168,10 +176,10 @@ let solve_lane ?budget lane t ~eps ~delta =
   if eps <= 0. || delta <= 0. then invalid_arg "Compile.solve";
   match t.sample with
   | None -> t.apriori
-  | Some (w, clauses) -> (
+  | Some (w, l) -> (
       match certified t ~eps with
       | Some o -> o
-      | None -> sampled ?budget (lane ()) t w clauses ~eps ~delta)
+      | None -> sampled ?budget (lane ()) t w l ~eps ~delta)
 
 let solve ?budget rng t ~eps ~delta =
   solve_lane ?budget (fun () -> rng) t ~eps ~delta

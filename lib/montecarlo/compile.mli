@@ -108,19 +108,29 @@ val compile : ?fuel:int -> Wtable.t -> Assignment.t list -> t
     it is exact, the normalized DNF, which is prepared for sampling only
     when sampled. *)
 
+val of_lineage : ?fuel:int -> Wtable.t -> Lineage.t -> t
+(** {!compile} of a canonical lineage ({!Lineage.of_clauses}): the same
+    value, with no packing or normalization of its own.  {!compile} of a
+    list of two or more clauses is [of_lineage] of its
+    {!Lineage.of_clauses}; a list of at most one clause is answered in
+    closed form without packing.  A value that is not exact keeps the
+    lineage it compiled, which {!solve}, {!sampled_dnf} and {!cost_cap}
+    read. *)
+
 val is_exact : t -> bool
 val exact_value : t -> float option
 (** [Some p] iff compilation resolved the whole DNF ([is_exact]).  [p] is
     a float: it lies within [rounding_bound w clauses] of the rational
     confidence ({!Lineage.exact}), not on it. *)
 
-val rounding_bound : Wtable.t -> Assignment.t list -> float
-(** The rounding lemma's [w] for [clauses]: the float value of any DAG
-    {!compile} builds from them is within [w] of the exact value of that
-    DAG, so an {!exact_value} is within [w] of the rational confidence.
-    [V] is the literal count of [clauses], which bounds the normalized
-    DNF's variables from above, so the input list itself gives a sound
-    (if looser) bound.  [0.] when [clauses] has no literal (the exact
+val rounding_bound : Dnf.t -> float
+(** The rounding lemma's [w] for the DNF's clauses: the float value of any
+    DAG {!compile} builds from them is within [w] of the exact value of
+    that DAG, so an {!exact_value} is within [w] of the rational
+    confidence.  [V] is the literal count of the clauses
+    ({!Dnf.literal_count}), which bounds the normalized DNF's variables
+    from above, so the unnormalized clauses give a sound (if looser)
+    bound.  [0.] when [clauses] has no literal (the exact
     constants 0 and 1); [infinity] past the lemma's range.  The same [w]
     widens the {!vacuous_interval} of a value that is not exact; an exact
     value's point interval is not widened. *)

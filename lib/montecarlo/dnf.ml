@@ -60,7 +60,8 @@ let total_weight t = t.total
 let is_trivially_false t = Array.length t.clauses = 0
 let is_trivially_true t = Array.exists Assignment.is_empty t.clauses
 let variables t = Array.to_list t.vars
-let clauses t = Array.to_list t.clauses
+let literal_count t = t.lit_start.(Array.length t.clauses)
+let lineage t = Lineage.of_clauses (Array.to_list t.clauses)
 
 (* Does f* (one value per slot) extend the literals p .. stop - 1? *)
 let rec extends t world p stop =

@@ -15,8 +15,8 @@ val prepare : Wtable.t -> Assignment.t list -> t
 (** Clause order is the list order. *)
 
 val wtable : t -> Wtable.t
-(** The W table the DNF was prepared against — lets consumers (the confidence
-    compiler, top-k) recompile or condition the clause set. *)
+(** The W table the DNF was prepared against — lets consumers (σ̂'s
+    compile of each estimator) compile the clause set. *)
 
 val clause_count : t -> int
 (** [|F|] — the FPRAS trial counts scale linearly in it. *)
@@ -31,7 +31,13 @@ val is_trivially_true : t -> bool
 (** Contains the empty clause: confidence 1. *)
 
 val variables : t -> Wtable.var list
-val clauses : t -> Assignment.t list
+
+val literal_count : t -> int
+(** The clauses' bindings, counted with multiplicity. *)
+
+val lineage : t -> Lineage.t
+(** The canonical value of the clause set ({!Lineage.of_clauses}), built
+    on each call: what a consumer compiles, with no list in between. *)
 
 val sample_estimator : Rng.t -> t -> int
 (** One Karp-Luby trial (Definition 4.1): draw a clause [f] proportionally to

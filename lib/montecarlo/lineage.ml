@@ -56,90 +56,51 @@ let subset_without (a : int array) skip (b : int array) =
    size we keep possibly-redundant clauses rather than stall compilation. *)
 let subsumption_cap = 512
 
-(* Normalization over either clause representation. *)
-module Canonical (C : sig
-  type t
-
-  val compare : t -> t -> int  (** shorter first, then lexicographic *)
-
-  val length : t -> int
-
-  val subset : t -> t -> bool
-  (** every binding of the first is a binding of the second *)
-
-  val mask : t -> int
-  (** one bit per binding: [subset a b] implies [mask a ⊆ mask b] *)
-end) =
-struct
-  (* The canonical form of [cs], which it sorts in place (and returns when
-     it keeps every clause): sorted,
-     deduplicated, [[|empty|]] when some clause is empty, and — up to the
-     cap — only the minimal clauses.  A strict subsumer is shorter, so it
-     sorts earlier: keeping a clause iff no earlier kept clause subsumes it
-     leaves exactly the clauses nothing else subsumes, in sorted order.  The
-     mask test rejects most pairs before the merge walk. *)
-  let normalize (cs : C.t array) =
-    let n = Array.length cs in
-    if n <= 1 then cs
+(* The one clause normalizer: the canonical form of [cs], which it sorts in
+   place (and returns when it keeps every clause): sorted, deduplicated,
+   [[|[||]|]] when some clause is empty, and — up to the cap — only the
+   minimal clauses.  A strict subsumer is shorter, so it sorts earlier:
+   keeping a clause iff no earlier kept clause subsumes it leaves exactly the
+   clauses nothing else subsumes, in sorted order.  The mask test rejects
+   most pairs before the merge walk. *)
+let normalize_flat (cs : int array array) =
+  let n = Array.length cs in
+  if n <= 1 then cs
+  else begin
+    Array.stable_sort compare_clause cs;
+    if Array.length cs.(0) = 0 then [| cs.(0) |]
     else begin
-      Array.stable_sort C.compare cs;
-      if C.length cs.(0) = 0 then [| cs.(0) |]
-      else begin
-        let k = ref 1 in
-        for t = 1 to n - 1 do
-          if C.compare cs.(t) cs.(!k - 1) <> 0 then begin
-            cs.(!k) <- cs.(t);
+      let k = ref 1 in
+      for t = 1 to n - 1 do
+        if compare_clause cs.(t) cs.(!k - 1) <> 0 then begin
+          cs.(!k) <- cs.(t);
+          incr k
+        end
+      done;
+      let n = !k in
+      if n <= subsumption_cap then begin
+        let masks = Array.make n 0 in
+        k := 0;
+        for j = 0 to n - 1 do
+          let c = cs.(j) in
+          let mj = flat_mask c in
+          let i = ref 0 in
+          while
+            !i < !k
+            && not (masks.(!i) land lnot mj = 0 && subset_without cs.(!i) (-1) c)
+          do
+            incr i
+          done;
+          if !i = !k then begin
+            cs.(!k) <- c;
+            masks.(!k) <- mj;
             incr k
           end
-        done;
-        let n = !k in
-        if n <= subsumption_cap then begin
-          let masks = Array.make n 0 in
-          k := 0;
-          for j = 0 to n - 1 do
-            let c = cs.(j) in
-            let mj = C.mask c in
-            let i = ref 0 in
-            while
-              !i < !k
-              && not (masks.(!i) land lnot mj = 0 && C.subset cs.(!i) c)
-            do
-              incr i
-            done;
-            if !i = !k then begin
-              cs.(!k) <- c;
-              masks.(!k) <- mj;
-              incr k
-            end
-          done
-        end;
-        if !k = Array.length cs then cs else Array.sub cs 0 !k
-      end
+        done
+      end;
+      if !k = Array.length cs then cs else Array.sub cs 0 !k
     end
-end
-
-module Flat = Canonical (struct
-  type t = int array
-
-  let compare = compare_clause
-  let length = Array.length
-
-  let subset a b = subset_without a (-1) b
-
-  let mask = flat_mask
-end)
-
-module Clauses = Canonical (struct
-  include Assignment
-
-  let length = cardinal
-  let subset = subsumes
-  let mask c = fold (fun m v x -> m lor (1 lsl (((5 * v) + x) mod 63))) 0 c
-end)
-
-let normalize = function
-  | ([] | [ _ ]) as clauses -> clauses
-  | clauses -> Array.to_list (Clauses.normalize (Array.of_list clauses))
+  end
 
 (* Position of the literal on local variable [v] in clause [c], or -1. *)
 let find_var bits (c : int array) v =
@@ -183,10 +144,12 @@ type 'a arith = {
   prob : Wtable.var -> int -> 'a;
 }
 
+type t = { vars : Wtable.var array; bits : int; clauses : int array array }
+
 type 'a dag = {
   nodes : 'a node array;
   residuals : Assignment.t list array;
-  clauses : Assignment.t list;
+  clauses : t;
 }
 
 let hash_set (s : int array array) =
@@ -466,7 +429,7 @@ let restrict bits ws set nu x =
         incr u
       end
     done;
-    if minimal then out else Flat.normalize out
+    if minimal then out else normalize_flat out
   end
 
 let condition_flat ~bits set v x =
@@ -523,16 +486,13 @@ let push b node =
   b.count <- b.count + 1;
   b.count - 1
 
-let value_of b lit = lit land ((1 lsl b.bits) - 1)
-
 (* A clause's weight, multiplied out in ascending variable order — the
    order [Assignment.weight] and [Assignment.weight_float] use. *)
-let leaf b (c : int array) =
-  let acc = ref b.ops.one in
+let weight ops vars bits (c : int array) =
+  let acc = ref ops.one in
   for t = 0 to Array.length c - 1 do
     let lit = c.(t) in
-    acc :=
-      b.ops.mul !acc (b.ops.prob b.vars.(lit lsr b.bits) (value_of b lit))
+    acc := ops.mul !acc (ops.prob vars.(lit lsr bits) (lit land ((1 lsl bits) - 1)))
   done;
   !acc
 
@@ -688,7 +648,7 @@ let indep_or b subs =
 let rec child b ~connected set =
   match Array.length set with
   | 0 -> known b.ops.zero
-  | 1 -> known (leaf b set.(0))
+  | 1 -> known (weight b.ops b.vars b.bits set.(0))
   | _ -> (
       let h = hash_set set in
       match lookup b.ws h set with
@@ -729,7 +689,7 @@ and expand b ~connected set =
         let c = comps.(k) in
         subs.(k) <-
           (if big then
-             let c' = Flat.normalize c in
+             let c' = normalize_flat c in
              child b ~connected:(Array.length c' = Array.length c) c'
            else child b ~connected:true c)
       done;
@@ -795,76 +755,126 @@ let rec local (vars : int array) v lo hi =
 
 let rec width top b = if top lsr b = 0 then b else width top (b + 1)
 
-(* The flat image of a normalized DNF: its [nv] distinct W variables,
-   ascending, in the first [nv] cells of [vars] (cell [i] is local id [i]),
-   and each clause a sorted array of literals [(local lsl bits) lor value].
-   Loops only: no closure per clause or literal. *)
-let flatten kept =
-  let m = Array.length kept in
-  let vars = Array.make (Array.fold_left (fun n c -> n + Assignment.cardinal c) 0 kept) 0 in
-  let n = ref 0 and top = ref 0 in
-  for i = 0 to m - 1 do
-    for t = 0 to Assignment.cardinal kept.(i) - 1 do
-      let v, x = Assignment.nth kept.(i) t in
-      if x < 0 then invalid_arg "Lineage: negative value in a clause";
-      if x > !top then top := x;
-      vars.(!n) <- v;
-      incr n
-    done
-  done;
+(* Gathers the W variables [cs] bind into [vars] from cell [n] on, and
+   returns the largest value bound, at least [top]. *)
+let rec gather vars n top = function
+  | [] -> top
+  | c :: rest ->
+      let k = Assignment.cardinal c and top = ref top in
+      for t = 0 to k - 1 do
+        let v, x = Assignment.nth c t in
+        if x < 0 then invalid_arg "Lineage: negative value in a clause";
+        if x > !top then top := x;
+        vars.(n + t) <- v
+      done;
+      gather vars (n + k) !top rest
+
+(* Packs [cs] from clause [i] on into [out] over the sorted [table]. *)
+let rec pack_into out i table bits = function
+  | [] -> ()
+  | c :: rest ->
+      let a = Array.make (Assignment.cardinal c) 0 in
+      for t = 0 to Array.length a - 1 do
+        let v, x = Assignment.nth c t in
+        a.(t) <- (local table v 0 (Array.length table) lsl bits) lor x
+      done;
+      out.(i) <- a;
+      pack_into out (i + 1) table bits rest
+
+(* The one packer: the clauses in list order, empty ones included, over the
+   sorted table of every variable they bind and the bit width of every
+   value they bind.  Loops only: no closure per clause or literal. *)
+let pack clauses =
+  let lits = List.fold_left (fun n c -> n + Assignment.cardinal c) 0 clauses in
+  let vars = Array.make lits 0 in
+  let top = gather vars 0 0 clauses in
   sort_ints vars;
-  (* No clause is empty, or normalization would have collapsed the DNF. *)
-  let nv = ref 1 in
-  for t = 1 to Array.length vars - 1 do
+  let nv = ref (min 1 lits) in
+  for t = 1 to lits - 1 do
     if vars.(t) <> vars.(!nv - 1) then (vars.(!nv) <- vars.(t); incr nv)
   done;
-  let nv = !nv and bits = width !top 0 in
+  let nv = !nv and bits = width top 0 in
   if nv - 1 > max_int lsr bits then
     invalid_arg "Lineage: too many variables to pack beside their values";
-  let root = Array.make m [||] in
-  for i = 0 to m - 1 do
-    let c = Array.make (Assignment.cardinal kept.(i)) 0 in
-    for t = 0 to Array.length c - 1 do
-      let v, x = Assignment.nth kept.(i) t in
-      c.(t) <- (local vars v 0 nv lsl bits) lor x
-    done;
-    root.(i) <- c
-  done;
-  (vars, nv, bits, root)
+  let table = if nv = lits then vars else Array.sub vars 0 nv in
+  let out = Array.make (List.length clauses) [||] in
+  pack_into out 0 table bits clauses;
+  { vars = table; bits; clauses = out }
 
-let weight ops c =
-  Assignment.fold (fun acc v x -> ops.mul acc (ops.prob v x)) ops.one c
+(* [p] with its clauses cut to [kept], renumbered onto the table of exactly
+   the variables [kept] binds and the bit width of exactly its values, so
+   a dropped clause leaves no trace in the canonical value. *)
+let compact (p : t) kept =
+  let nv = Array.length p.vars and bits = p.bits in
+  let rank = Array.make nv (-1) and top = ref 0 in
+  for i = 0 to Array.length kept - 1 do
+    let c = kept.(i) in
+    for t = 0 to Array.length c - 1 do
+      rank.(c.(t) lsr bits) <- 0;
+      top := max !top (c.(t) land ((1 lsl bits) - 1))
+    done
+  done;
+  let n = ref 0 in
+  for u = 0 to nv - 1 do
+    if rank.(u) = 0 then (rank.(u) <- !n; incr n)
+  done;
+  let bits' = width !top 0 in
+  if !n = nv && bits' = bits then { (p : t) with clauses = kept }
+  else begin
+    let vars = Array.make !n 0 in
+    for u = 0 to nv - 1 do
+      if rank.(u) >= 0 then vars.(rank.(u)) <- p.vars.(u)
+    done;
+    let remap c =
+      Array.map
+        (fun lit -> (rank.(lit lsr bits) lsl bits') lor (lit land ((1 lsl bits) - 1)))
+        c
+    in
+    { vars; bits = bits'; clauses = Array.map remap kept }
+  end
+
+let of_clauses clauses =
+  let p = pack clauses in
+  let kept = normalize_flat p.clauses in
+  if kept == p.clauses then p else compact p kept
+
+let to_clauses ({ vars; bits; clauses } : t) =
+  let binding lit = (vars.(lit lsr bits), lit land ((1 lsl bits) - 1)) in
+  Array.to_list
+    (Array.map
+       (fun c -> Assignment.of_list (List.map binding (Array.to_list c)))
+       clauses)
+
+let normalize = function
+  | ([] | [ _ ]) as clauses -> clauses
+  | clauses -> to_clauses (of_clauses clauses)
 
 let constant clauses p = { nodes = [| Const p |]; residuals = [||]; clauses }
 
-(* The walk over the flat [root], on the taken workspace [ws]. *)
-let walk ?(fuel = max_int) ops w ws (vars, nv, bits, root) normalized =
-  fit ws ~nv ~m:(Array.length root);
+(* The walk over [l]'s clauses, on the taken workspace [ws]. *)
+let walk ?(fuel = max_int) ops w ws (l : t) =
+  let { vars; bits; clauses = root } = l in
+  fit ws ~nv:(Array.length vars) ~m:(Array.length root);
   let b =
     { ops; w; vars; bits; ws; fuel; nodes = [||]; count = 0; stash = [||];
       residuals = []; nres = 0 }
   in
   (* The root is never looked up: no set recurs below itself. *)
   match expand b ~connected:false root with
-  | Known { p; _ } -> constant normalized p
+  | Known { p; _ } -> constant l p
   | Node _ ->
-      let binding lit = (vars.(lit lsr bits), value_of b lit) in
-      let clause c = Assignment.of_list (List.map binding (Array.to_list c)) in
-      let residual set = List.map clause (Array.to_list set) in
+      let residual set = to_clauses { (l : t) with clauses = set } in
       { nodes = Array.sub b.nodes 0 b.count;
         residuals = Array.of_list (List.rev_map residual b.residuals);
-        clauses = normalized }
+        clauses = l }
 
-let decompose ?fuel ops w clauses =
-  let kept = Clauses.normalize (Array.of_list clauses) in
-  let normalized = Array.to_list kept in
-  match kept with
-  | [||] -> constant normalized ops.zero
-  | [| c |] -> constant normalized (weight ops c)
+let decompose_lineage ?fuel ops w (l : t) =
+  match l.clauses with
+  | [||] -> constant l ops.zero
+  | [| c |] -> constant l (weight ops l.vars l.bits c)
   | _ -> (
-      let flat = flatten kept in
       let ws = take () in
-      match walk ?fuel ops w ws flat normalized with
+      match walk ?fuel ops w ws l with
       | dag ->
           release ws;
           dag
@@ -872,6 +882,8 @@ let decompose ?fuel ops w clauses =
           let trace = Printexc.get_raw_backtrace () in
           release ws;
           Printexc.raise_with_backtrace e trace)
+
+let decompose ?fuel ops w clauses = decompose_lineage ?fuel ops w (of_clauses clauses)
 
 let exact w clauses =
   let open Pqdb_numeric in

@@ -11,8 +11,33 @@
 
 open Pqdb_urel
 
+type t = private {
+  vars : Wtable.var array;
+      (** local id -> W variable, ascending: exactly the variables the
+          clauses bind *)
+  bits : int;  (** the bit width of the largest value the clauses bind *)
+  clauses : int array array;
+      (** the normalized clauses ({!normalize}), each a sorted array of
+          packed literals [(local lsl bits) lor value] *)
+}
+(** The canonical lineage value: a pure function of the clause set, so two
+    lists with the same clause set give structurally equal values. *)
+
+val of_clauses : Assignment.t list -> t
+(** The one packer (the clauses in any order, empty ones included, over the
+    sorted table of the variables they bind), then the one normalizer
+    ({!normalize}'s rules on packed clauses), then a renumbering onto exactly
+    the variables and value width of the kept clauses when some clause was
+    dropped.
+    @raise Invalid_argument when a clause binds a negative value or a
+    variable id too large to pack beside the values. *)
+
+val to_clauses : t -> Assignment.t list
+(** The clauses unpacked, in their canonical order. *)
+
 val normalize : Assignment.t list -> Assignment.t list
-(** Deduplicate (structural equality), collapse to [[Assignment.empty]] when
+(** [to_clauses (of_clauses clauses)], and a list of at most one clause as
+    it is.  Deduplicate (structural equality), collapse to [[Assignment.empty]] when
     some clause is empty (trivially true), and drop subsumed clauses: [b] is
     redundant when some other clause [a] has [Assignment.subsumes a b].
     The output is sorted by [Assignment.compare], so it is canonical: two
@@ -51,11 +76,15 @@ type 'a dag = {
   residuals : Assignment.t list array;
       (** per {!Res} index: its normalized clause set, in the order the walk
           first reached it *)
-  clauses : Assignment.t list;  (** the normalized DNF ({!normalize}) *)
+  clauses : t;  (** the lineage decomposed *)
 }
 
+val decompose_lineage : ?fuel:int -> 'a arith -> Wtable.t -> t -> 'a dag
+(** {!decompose} of an already canonical lineage: no packing and no
+    normalization. *)
+
 val decompose : ?fuel:int -> 'a arith -> Wtable.t -> Assignment.t list -> 'a dag
-(** Normalize the DNF and decompose it by one policy, tried in order at
+(** {!of_clauses}, then decompose the DNF by one policy, tried in order at
     every clause set of two or more clauses:
     {ol
     {- two or more variable-connected components (union-find over the
@@ -104,18 +133,20 @@ val decompose : ?fuel:int -> 'a arith -> Wtable.t -> Assignment.t list -> 'a dag
     {b What a walk costs before its first split.}  Most lineage an aconf
     over a join compiles is two or three clauses of one or two bindings,
     so the fixed cost per call matters as much as the walk.  Before its
-    first split a walk pays: the normalization of the input list and its
-    round trip through an array; one flattening pass with no closure (the
-    bound variables gathered into one array, heap-sorted and
-    deduplicated into local ids, the values' bit width, then each clause
-    packed by binary search); taking and fitting the workspace (one
+    first split a walk of a lineage built by {!of_clauses} pays nothing for
+    its input: the packing pass (the bound variables gathered into one
+    array, heap-sorted and deduplicated into local ids, the values' bit
+    width, then each clause packed by binary search, with no closure) and
+    the one normalization of the packed clauses were paid once, when the
+    value was built.  The walk itself pays: taking and fitting the workspace (one
     compare-and-set, no allocation once it has grown); and one builder
     record.  The node buffer and the result chunks are allocated at their
     first use, so a walk that folds into one constant allocates neither,
     and the workspace is released on both arms of a [match … with
     exception], without a closure.  [test_montecarlo] bounds the minor
     words per {!Compile.compile} of the seed-1 query-aconf lineages that
-    keep two or more clauses at 221 (they read 163).
+    keep two or more clauses at 199 (they read 141), packing and normalization
+    included.
 
     The walk keeps every clause set normalized, and {e every set of at most
     the subsumption cap (512 clauses) is minimal}: sorted, deduplicated,

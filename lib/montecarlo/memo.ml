@@ -40,18 +40,20 @@ let rec add_varint b n =
     add_varint b (n lsr 7)
   end
 
-(* Clause code: for each clause of Lineage.normalize's output
-   (deduplicated, subsumption dropped, sorted by Assignment.compare) its
-   binding count and its (var, value) pairs in variable order.  A pure
-   function of the clause set, so a caller that asks about the same set
-   again can keep its code and skip the normalization. *)
-let code clauses =
-  let b = Buffer.create 128 in
-  List.iter
-    (fun c ->
-      add_varint b (Assignment.cardinal c);
-      Assignment.fold (fun () v x -> add_varint b v; add_varint b x) () c)
-    (Lineage.normalize clauses);
+(* Clause code: for each clause of the canonical lineage (deduplicated,
+   subsumption dropped, sorted) its binding count and its (W variable,
+   value) pairs in variable order.  A pure function of the clause set, so a
+   caller that asks about the same set again can keep its code. *)
+let code (l : Lineage.t) =
+  let b = Buffer.create 128 and mask = (1 lsl l.bits) - 1 in
+  for i = 0 to Array.length l.clauses - 1 do
+    let c = l.clauses.(i) in
+    add_varint b (Array.length c);
+    for t = 0 to Array.length c - 1 do
+      add_varint b l.vars.(c.(t) lsr l.bits);
+      add_varint b (c.(t) land mask)
+    done
+  done;
   Buffer.contents b
 
 (* Key bytes: a header of W-table uid, generation, fuel, salt length and
@@ -74,7 +76,7 @@ let fuel_of = function Some f -> f | None -> Compile.default_fuel
 let salt_of = function Some s -> s | None -> ""
 
 let fingerprint ?fuel ?salt w clauses =
-  key ~fuel:(fuel_of fuel) ~salt:(salt_of salt) w (code clauses)
+  key ~fuel:(fuel_of fuel) ~salt:(salt_of salt) w (code (Lineage.of_clauses clauses))
 
 let with_lock t f =
   Mutex.lock t.lock;
@@ -102,10 +104,10 @@ let evict_lru t =
       Hashtbl.remove t.nodes node.key;
       t.evictions <- t.evictions + 1
 
-let find_or_compile t ?fuel ?salt ?code:c ?build w clauses =
+let find t ?fuel ?salt ?code:c ?build w lineage =
   let fuel = fuel_of fuel in
-  (* Normalize and encode outside the lock: neither needs cache state. *)
-  let c = match c with Some c -> c | None -> code clauses in
+  (* Encode outside the lock: it needs no cache state. *)
+  let c = match c with Some c -> c | None -> code lineage in
   let key = key ~fuel ~salt:(salt_of salt) w c in
   let cached =
     with_lock t (fun () ->
@@ -128,7 +130,7 @@ let find_or_compile t ?fuel ?salt ?code:c ?build w clauses =
       let tree =
         match build with
         | Some f -> f ()
-        | None -> Compile.compile ~fuel w clauses
+        | None -> Compile.of_lineage ~fuel w lineage
       in
       with_lock t (fun () ->
           t.misses <- t.misses + 1;
@@ -140,6 +142,9 @@ let find_or_compile t ?fuel ?salt ?code:c ?build w clauses =
               touch t node;
               Hashtbl.replace t.nodes key node);
       tree
+
+let find_or_compile t ?fuel ?salt ?build w clauses =
+  find t ?fuel ?salt ?build w (Lineage.of_clauses clauses)
 
 type stats = { hits : int; misses : int; evictions : int; entries : int }
 

@@ -1,5 +1,5 @@
-(** Compiled-lineage cache: skip {!Lineage.normalize} + {!Compile.compile}
-    for clause sets the engine has seen before.
+(** Compiled-lineage cache: skip {!Compile.compile} for clause sets the
+    engine has seen before.
 
     {!Compile.compile} is a pure function of (W table, clause set, fuel), so
     its trees are safe to share across queries, sessions and threads: the
@@ -11,20 +11,22 @@
     {2 Canonicalization}
 
     Two clause lists that denote the same DNF must hit the same entry.  The
-    cache has one key per lookup, hit or miss: {!Lineage.normalize}'s
-    output (duplicates and subsumed clauses dropped, sorted) encoded as a
-    compact binary string — LEB128 varints for each clause's binding count
+    cache has one key per lookup, hit or miss: the canonical lineage
+    ({!Lineage.of_clauses}: duplicates and subsumed clauses dropped,
+    sorted) encoded as a compact binary string — LEB128 varints for each clause's binding count
     and (variable, value) pairs.  Permuted, duplicated and
     subsumption-equivalent clause lists meet at one key, and the encoding
     is injective: it decodes to exactly one input, so distinct inputs never
     share an entry.
 
-    The normalized-and-encoded clause set is the {e clause code}
-    ({!code}); a key is a short header — W-table uid and generation, fuel,
-    salt — followed by that code.  The code depends on the clause set
-    alone, so a caller asking about the same sets repeatedly (the serve
-    daemon, per stored relation) can compute the codes once and pass each
-    one as [?code], leaving a probe to build the header and look up.
+    The encoded lineage is the {e clause code} ({!code}); a key is a short
+    header — W-table uid and generation, fuel, salt — followed by that
+    code.  The code depends on the clause set alone, so a caller asking
+    about the same sets repeatedly (the serve daemon, per stored relation)
+    builds each {!Lineage.t} and its code once and probes with {!find},
+    which builds the header, looks up, and compiles a miss from the
+    lineage it was given: the set is normalized once, not once per key and
+    once more per compile.
 
     The key embeds the W table's identity and generation
     ({!Pqdb_urel.Wtable.uid} / {!Pqdb_urel.Wtable.generation}) and the
@@ -47,8 +49,8 @@
     {2 Bit-identity}
 
     A hit returns the {e same} DAG a cold {!Compile.compile} of the same
-    clause set would build (compilation normalizes first, so it is a
-    function of the clause set, not of the list); solving it against the
+    clause set would build (compilation reads the canonical lineage, so it
+    is a function of the clause set, not of the list); solving it against the
     same RNG state yields bit-identical ["%h"] outputs.  The serve CI job
     [cmp]s warm against cold stdout to hold this line.
 
@@ -76,27 +78,38 @@ val fingerprint :
     subsumption-equivalent clause lists, and different after any W-table
     edit, under a different fuel, or under a different salt. *)
 
-val code : Assignment.t list -> string
-(** The clause code: {!Lineage.normalize}'s output in the binary, injective
+val code : Lineage.t -> string
+(** The clause code: the canonical lineage in the binary, injective
     encoding that a key ends with.  A pure function of the clause set
     (equal for permuted, duplicated or subsumption-equivalent lists). *)
 
-val find_or_compile :
+val find :
   t ->
   ?fuel:int ->
   ?salt:string ->
   ?code:string ->
   ?build:(unit -> Compile.t) ->
   Wtable.t ->
-  Assignment.t list ->
+  Lineage.t ->
   Compile.t
-(** The cached {!Compile.compile} (or, when [build] is given, the cached
+(** The cached {!Compile.of_lineage} (or, when [build] is given, the cached
     [build ()] — see {e Salted entries} above).  Every lookup builds its
     key from the header and the clause code — [code], when given, must be
-    [Memo.code clauses] and saves the normalization and encoding; otherwise
-    the lookup computes it.  A hit skips compilation; a miss compiles,
-    inserts, and evicts the least recently used entry beyond capacity.
-    Either way the LRU is touched and the hit or miss is counted. *)
+    [Memo.code lineage] and saves the encoding; otherwise the lookup
+    computes it.  A hit skips compilation; a miss compiles, inserts, and
+    evicts the least recently used entry beyond capacity.  Either way the
+    LRU is touched and the hit or miss is counted. *)
+
+val find_or_compile :
+  t ->
+  ?fuel:int ->
+  ?salt:string ->
+  ?build:(unit -> Compile.t) ->
+  Wtable.t ->
+  Assignment.t list ->
+  Compile.t
+(** {!find} of the list's {!Lineage.of_clauses}: the one place a listed
+    clause set is packed and normalized on its way into the cache. *)
 
 type stats = {
   hits : int;  (** key hits: compilation skipped *)

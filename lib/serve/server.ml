@@ -46,12 +46,15 @@ type slot = {
   mutable wedged : bool;
 }
 
-(* A stored relation's lineage grouped by tuple, and each set's
-   {!Memo.code}, valid while the W table keeps this uid and generation. *)
+(* A stored relation's lineage grouped by tuple, each set's canonical
+   {!Lineage.t} and its {!Memo.code}, valid while the W table keeps this uid
+   and generation: a set is normalized once per generation, and a cache
+   miss compiles from its lineage. *)
 type groups = {
   uid : int;
   generation : int;
   sets : Assignment.t list array;
+  lineages : Lineage.t array;
   codes : string array;
 }
 
@@ -168,7 +171,8 @@ let relation_groups t relation =
   | Some g when g.uid = uid && g.generation = generation -> g
   | _ ->
       let sets = Udb.relation_sets t.udb relation in
-      let g = { uid; generation; sets; codes = Array.map Memo.code sets } in
+      let lineages = Array.map Lineage.of_clauses sets in
+      let g = { uid; generation; sets; lineages; codes = Array.map Memo.code lineages } in
       Hashtbl.replace t.groups relation g;
       g
 
@@ -178,7 +182,7 @@ let relation_groups t relation =
    entries are salted by the constraint-set fingerprint, so a conditioned
    reply is never served from an unconditioned entry (or vice versa). *)
 let run_conf t ?budget ?compiled ~relation ~eps ~delta ~seed ~fuel () =
-  let { sets; codes; _ } = relation_groups t relation in
+  let { sets; lineages; codes; _ } = relation_groups t relation in
   let w = Udb.wtable t.udb in
   let buf = Buffer.create (64 * (Array.length sets + 1)) in
   let emit = Shard.add_outcome buf in
@@ -191,7 +195,7 @@ let run_conf t ?budget ?compiled ~relation ~eps ~delta ~seed ~fuel () =
       Confidence.run_one_shard ?budget
         ~hook:
           (Confidence.compiled ~eps ~delta (fun i ->
-               Memo.find_or_compile t.cache ?fuel ~code:codes.(i) w sets.(i)))
+               Memo.find t.cache ?fuel ~code:codes.(i) w lineages.(i)))
         (Rng.create ~seed) w sets ~eps ~delta ~emit);
   Buffer.contents buf
 

@@ -12,7 +12,30 @@ module Linear_eps = Pqdb.Linear_eps
 module Orthotope = Pqdb.Orthotope
 module Singularity = Pqdb.Singularity
 module Predicate_approx = Pqdb.Predicate_approx
-module Error_bound = Pqdb.Error_bound
+
+(* Proposition 6.6's failure bound on a depth-[d] predicate nesting over [k]
+   conf arguments and [n]-tuple inputs, the per-level recurrence it solves,
+   and the rounds that make it hold (Theorem 6.7). *)
+module Error_bound = struct
+  let proposition_6_6 ~k ~d ~n ~eps0 ~rounds =
+    let kf = float_of_int k and df = float_of_int d and nf = float_of_int n in
+    let log_bound =
+      log kf +. log df
+      +. (kf *. df *. log nf)
+      +. log (Stats.delta' ~eps:eps0 ~rounds)
+    in
+    Float.min 1. (exp log_bound)
+
+  let recurrence ~k ~n ~d ~per_level =
+    let nk = float_of_int n ** float_of_int k in
+    let rec go acc power i =
+      if i >= d then acc else go (acc +. power) (power *. nk) (i + 1)
+    in
+    Float.min 1. (float_of_int k *. per_level *. go 0. 1. 0)
+
+  let rounds_for_guarantee ~k ~d ~n ~eps0 ~delta =
+    Stats.theorem_6_7_rounds ~eps0 ~delta ~k ~d ~n
+end
 
 let check = Alcotest.check
 let bool_c = Alcotest.bool

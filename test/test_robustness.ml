@@ -322,14 +322,14 @@ let test_topk_anytime_exit () =
   let w, clause_sets = Batch.fixture () in
   let candidates =
     List.mapi
-      (fun i clauses -> (Tuple.of_list [ Value.Int i ], Dnf.prepare w clauses))
+      (fun i clauses -> (Tuple.of_list [ Value.Int i ], clauses))
       (Array.to_list clause_sets)
   in
   let b = Budget.create () in
   Budget.cancel b;
   let r =
     Pqdb.Topk.run ~budget:b ~compile_fuel:0 ~rng:(Rng.create ~seed:3)
-      ~delta:0.1 ~k:2 candidates
+      ~delta:0.1 ~k:2 w candidates
   in
   check bool_c "cancelled top-k uncertified" false (Pqdb.Topk.certified r);
   check int_c "still returns k tuples" 2 (List.length r.Pqdb.Topk.ranked);
@@ -338,7 +338,7 @@ let test_topk_anytime_exit () =
   let r =
     Pqdb.Topk.run
       ~budget:(Budget.create ~max_trials:10_000_000 ())
-      ~compile_fuel:0 ~rng:(Rng.create ~seed:3) ~delta:0.1 ~k:1 candidates
+      ~compile_fuel:0 ~rng:(Rng.create ~seed:3) ~delta:0.1 ~k:1 w candidates
   in
   check bool_c "generous top-k certified" true (Pqdb.Topk.certified r);
   match r.Pqdb.Topk.ranked with

@@ -540,6 +540,33 @@ let test_warm_request_allocation_guard () =
           "warm dispatch %.0f + encode %.0f minor words (bound %.0f)"
           (w1 -. w0) (w2 -. w1) bound)
 
+(* One cold-cache [conf] over 128 tuples of 12x12 DNFs, the relation's
+   groups already built: a one-entry cache makes every probe miss, so each
+   set is compiled.  The server compiles a miss from the canonical lineage
+   it keeps per W-table generation, normalized once: it reads 176 365
+   words.  When a miss normalized and packed its list again, the same
+   request allocated 205 368; the bound is the reading plus 8%. *)
+let cold_conf_words () =
+  clear_all ();
+  with_dnf_db ~seed:128 [ ("r", 128, 12, 12) ] (fun db ->
+      let srv =
+        Server.create (config ~cache_entries:1 ~db_path:db (Server.Tcp 1))
+      in
+      ignore (Server.dispatch srv "conf r");
+      let before = (Server.stats srv).Server.cache in
+      let w0 = Gc.minor_words () in
+      ignore (Server.dispatch srv "conf r");
+      let w1 = Gc.minor_words () in
+      let after = (Server.stats srv).Server.cache in
+      check int_c "every probe missed" (before.Memo.misses + 128) after.Memo.misses;
+      w1 -. w0)
+
+let test_cold_request_allocation_guard () =
+  let words = cold_conf_words () in
+  let bound = 190_000. in
+  if words > bound then
+    Alcotest.failf "cold dispatch %.0f minor words (bound %.0f)" words bound
+
 (* What [conf <relation>] must answer, computed without a server or a
    cache: the stored relation grouped by tuple, each set compiled cold and
    solved on its own lane, or the conditioned batch over the same sets. *)
@@ -1175,6 +1202,8 @@ let () =
             test_failed_shard_is_an_error;
           Alcotest.test_case "warm request allocation guard" `Quick
             test_warm_request_allocation_guard;
+          Alcotest.test_case "cold request allocation guard" `Quick
+            test_cold_request_allocation_guard;
           Alcotest.test_case "interleaved replies match the reference" `Quick
             test_interleaved_replies_match_reference;
           Alcotest.test_case "constraints compare by value" `Quick

@@ -62,7 +62,7 @@ let test_decomposition_speedup_shape () =
 let bernoulli_candidate w name p =
   let num = int_of_float (Float.round (p *. 1000.)) in
   let var = Wtable.add_var w [ Q.of_ints (1000 - num) 1000; Q.of_ints num 1000 ] in
-  (Tuple.of_list [ V.Str name ], Dnf.prepare w [ Assignment.singleton var 1 ])
+  (Tuple.of_list [ V.Str name ], [ Assignment.singleton var 1 ])
 
 (* Two-clause candidate so the estimate is genuinely noisy when compilation
    is disabled ([compile_fuel:0]); with compilation on it resolves exactly
@@ -74,7 +74,6 @@ let noisy_candidate w name p =
     Wtable.add_var w [ Q.of_ints (1000 - num) 1000; Q.of_ints num 1000 ]
   in
   ( Tuple.of_list [ V.Str name ],
-    Dnf.prepare w
       [
         Assignment.singleton (fresh ()) 1;
         Assignment.singleton (fresh ()) 1;
@@ -91,7 +90,7 @@ let test_topk_ranks_correctly () =
       noisy_candidate w "top" 0.95;
     ]
   in
-  let r = Topk.run ~rng ~delta:0.05 ~k:2 candidates in
+  let r = Topk.run ~rng ~delta:0.05 ~k:2 w candidates in
   let names =
     List.map (fun (t, _) -> V.to_string (Tuple.get t 0)) r.Topk.ranked
   in
@@ -112,7 +111,7 @@ let test_topk_prunes_clear_losers () =
   let b = noisy_candidate w "b" 0.52 in
   (* [compile_fuel:0] forces every candidate onto the sampling path — this
      test is about interval pruning, not compilation. *)
-  let r = Topk.run ~compile_fuel:0 ~rng ~delta:0.05 ~k:1 [ loser; a; b ] in
+  let r = Topk.run ~compile_fuel:0 ~rng ~delta:0.05 ~k:1 w [ loser; a; b ] in
   check bool_c "ranked a first" true
     (match r.Topk.ranked with
     | [ (t, _) ] -> V.to_string (Tuple.get t 0) = "a"
@@ -140,7 +139,7 @@ let test_topk_tie_uncertified () =
   let candidates =
     [ noisy_candidate w "t1" 0.5; noisy_candidate w "t2" 0.5 ]
   in
-  let r = Topk.run ~eps0:0.05 ~compile_fuel:0 ~rng ~delta:0.1 ~k:1 candidates in
+  let r = Topk.run ~eps0:0.05 ~compile_fuel:0 ~rng ~delta:0.1 ~k:1 w candidates in
   check bool_c "terminates" true (List.length r.Topk.ranked = 1);
   check bool_c "uncertified on a tie" false (Topk.certified r);
   check bool_c "the order claims nothing" true
@@ -155,7 +154,7 @@ let test_topk_compiled_tie_certifies () =
   let candidates =
     [ noisy_candidate w "t1" 0.5; noisy_candidate w "t2" 0.5 ]
   in
-  let r = Topk.run ~eps0:0.05 ~rng ~delta:0.1 ~k:1 candidates in
+  let r = Topk.run ~eps0:0.05 ~rng ~delta:0.1 ~k:1 w candidates in
   check bool_c "certified exactly" true (Topk.certified r);
   check int_c "no sampling" 0 r.Topk.estimator_calls;
   check bool_c "an exact certificate" true (r.Topk.claim = Guarantee.Exact)
@@ -164,20 +163,20 @@ let test_topk_k_covers_all () =
   let rng = Rng.create ~seed:4 in
   let w = Wtable.create () in
   let candidates = [ bernoulli_candidate w "a" 0.3; bernoulli_candidate w "b" 0.7 ] in
-  let r = Topk.run ~rng ~delta:0.1 ~k:5 candidates in
+  let r = Topk.run ~rng ~delta:0.1 ~k:5 w candidates in
   check int_c "k clamped to n" 2 (List.length r.Topk.ranked);
   check bool_c "trivially certified" true (Topk.certified r)
 
 let test_topk_validation () =
-  let rng = Rng.create ~seed:5 in
+  let rng = Rng.create ~seed:5 and w = Wtable.create () in
   check bool_c "k = 0 rejected" true
     (try
-       ignore (Topk.run ~rng ~delta:0.1 ~k:0 []);
+       ignore (Topk.run ~rng ~delta:0.1 ~k:0 w []);
        false
      with Invalid_argument _ -> true);
   check bool_c "empty candidates rejected" true
     (try
-       ignore (Topk.run ~rng ~delta:0.1 ~k:1 []);
+       ignore (Topk.run ~rng ~delta:0.1 ~k:1 w []);
        false
      with Invalid_argument _ -> true)
 
@@ -216,18 +215,18 @@ let test_topk_low_fuel_matches_exact () =
               .Lineage.residuals
           in
           if Array.length residuals >= 2 then incr several;
-          (Tuple.of_list [ V.Int i ], Dnf.prepare w cs))
+          (Tuple.of_list [ V.Int i ], cs))
     in
     let r =
       Topk.run ~eps0:0.05 ~compile_fuel:8 ~rng:(Rng.create ~seed:(race + 100))
-        ~delta:0.05 ~k:2 candidates
+        ~delta:0.05 ~k:2 w candidates
     in
     calls := !calls + r.Topk.estimator_calls;
     if Topk.certified r then begin
       incr certified;
       let by_exact =
         List.map
-          (fun (t, dnf) -> (Q.to_float (Lineage.exact w (Dnf.clauses dnf)), t))
+          (fun (t, cs) -> (Q.to_float (Lineage.exact w cs), t))
           candidates
         |> List.sort (fun a b -> compare b a)
       in
