@@ -281,8 +281,8 @@ let test_stopping_rule () =
   Test.make ~name:"karp-luby/stopping-rule-30var"
     (Staged.stage (fun () -> ignore (stopping_rule_pass dnf)))
 
-(* The batch workload's decomposition: 60 seed-1 30x30 DNFs through
-   [Lineage.decompose] over floats at the default fuel. *)
+(* The batch workload's decomposition: 60 seed-1 30x30 DNFs packed and
+   normalized, then through [Lineage.decompose] over floats at the default fuel. *)
 let decompose_dnfs = 60
 
 let decompose_case () =
@@ -298,7 +298,10 @@ let decompose_case () =
   in
   fun () ->
     List.iter
-      (fun cs -> ignore (Lineage.decompose ~fuel:Compile.default_fuel ops w cs))
+      (fun cs ->
+        ignore
+          (Lineage.decompose ~fuel:Compile.default_fuel ops w
+             (Lineage.of_clauses cs)))
       dnfs
 
 let test_decompose () =

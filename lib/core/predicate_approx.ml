@@ -163,7 +163,8 @@ let decide ?budget ?eps0 ?max_rounds ?search_iterations ?batch ?independent
     else begin
       let dnf = Estimator.dnf est in
       let compiled =
-        Compile.of_lineage ~fuel:compile_fuel (Dnf.wtable dnf) (Dnf.lineage dnf)
+        Compile.of_lineage ~fuel:compile_fuel (Dnf.wtable dnf)
+          (Lineage.of_packed (Dnf.packed dnf))
       in
       match Compile.exact_value compiled with
       | None -> Approximable.of_karp_luby est

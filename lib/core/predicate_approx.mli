@@ -84,7 +84,9 @@ val decide :
   decision
 (** Figure 3 itself over {e approximable} values (Section 5): each
     estimator's lineage is compiled once, from its DNF's canonical value
-    ({!Dnf.lineage}, {!Compile.of_lineage}), at [compile_fuel] (default {!Compile.default_fuel}, as in {!Topk.run}).
+    ({!Lineage.of_packed} of {!Dnf.packed}, then {!Compile.of_lineage}),
+    at [compile_fuel] (default {!Compile.default_fuel}, as in
+    {!Topk.run}).
     {ul
     {- A value that compiles exactly enters as {!Approximable.constant}
        and its estimator draws nothing;}

@@ -29,10 +29,6 @@ let make ~size ~lo ~hi sample =
 
 let default_fuel = 4096
 
-let float_ops w =
-  { Lineage.zero = 0.; one = 1.; add = ( +. ); mul = ( *. );
-    complement = (fun p -> 1. -. p); prob = Wtable.prob_float w }
-
 (* One pass over the topologically ordered nodes. *)
 let eval vals nodes =
   let n = Array.length nodes in
@@ -51,53 +47,50 @@ let eval vals nodes =
 (* A float at least the residual's probability: min(1, M̂ᵢ) raised past
    the rounding of M̂ᵢ, a sum of m clause weights of at most V factors each
    (see the rounding lemma in compile.mli), summed in {!Dnf.total_weight}'s
-   order. *)
-let residual_ub w ~nvars set =
-  let m =
-    List.fold_left (fun acc c -> acc +. Assignment.weight_float w c) 0. set
-  in
-  let k = (5 * nvars) + List.length set in
+   order.  The residual's clauses are over [l]'s table. *)
+let residual_ub ops l ~nvars set =
+  let m = Array.fold_left (fun acc c -> acc +. Lineage.clause_weight ops l c) 0. set in
+  let k = (5 * nvars) + Array.length set in
   if m >= 1. || k > 1 lsl 31 then 1.
   else Float.min 1. (Float.succ (m +. (float_of_int k *. 0x1p-51)))
 
-(* w = (2D + 8)·u·(2V − 1) with u = 2⁻⁵³, exact as a float while
-   k·(2V − 1) ≤ 2³² — the lemma's range (w ≤ 2⁻²⁰). *)
-let widen ~nvars ~k =
-  if (2 * nvars) - 1 > (1 lsl 32) / k then Float.infinity
+(* The literal count bounds the rounding lemma's V from above, and the
+   bound only grows with V, so no variable set is built. *)
+let literals (p : Lineage.packed) =
+  Array.fold_left (fun n c -> n + Array.length c) 0 p.clauses
+
+(* w = (2D + 8)·u·(2V − 1) with u = 2⁻⁵³ over [p]'s V literals and
+   domains, exact as a float while k·(2V − 1) ≤ 2³² — the lemma's range
+   (w ≤ 2⁻²⁰), and 0 for no literal. *)
+let widen w (p : Lineage.packed) =
+  let nvars = literals p in
+  let k = Array.fold_left (fun d x -> max d (Wtable.domain_size w x)) 1 p.vars + 4 in
+  if nvars = 0 then 0.
+  else if (2 * nvars) - 1 > (1 lsl 32) / k then Float.infinity
   else float_of_int (k * ((2 * nvars) - 1)) *. 0x1p-52
 
-(* The rounding lemma's D + 4 over the variables [vars]. *)
-let domain_term w vars =
-  Array.fold_left (fun d x -> max d (Wtable.domain_size w x)) 1 vars + 4
-
-(* The literal count bounds V from above, and the bound only grows with V,
-   so no variable set is built. *)
-let rounding_bound dnf =
-  let nvars = Dnf.literal_count dnf in
-  if nvars = 0 then 0.
-  else
-    widen ~nvars
-      ~k:(domain_term (Dnf.wtable dnf) (Array.of_list (Dnf.variables dnf)))
+let rounding_bound dnf = widen (Dnf.wtable dnf) (Dnf.packed dnf)
 
 let point p = make ~size:1 ~lo:p ~hi:p None
 
 let of_lineage ?(fuel = default_fuel) w (lineage : Lineage.t) =
-  let dag = Lineage.decompose_lineage ~fuel (float_ops w) w lineage in
+  let ops = Lineage.float_arith w in
+  let dag = Lineage.decompose ~fuel ops w lineage in
   let nodes = dag.Lineage.nodes in
   let size = Array.length nodes in
   if dag.Lineage.residuals = [||] then
     let v = eval [||] nodes in
     make ~size ~lo:v ~hi:v None
   else begin
-    let nvars = Array.fold_left (fun n c -> n + Array.length c) 0 lineage.clauses in
-    let widen = widen ~nvars ~k:(domain_term w lineage.vars) in
+    let l = (lineage :> Lineage.packed) in
+    let widen = widen w l in
     (* The monotone DAG at the residual extremes: the lower endpoint is the
        exact compiled mass — what the tuple is worth with every residual
        written off — and the upper endpoint charges each residual its full
        a-priori mass min(1, Mᵢ).  Both are then moved outward past the
        rounding lemma's bound, each subtraction and addition itself rounded
        outward by one ulp. *)
-    let ubs = Array.map (residual_ub w ~nvars) dag.Lineage.residuals in
+    let ubs = Array.map (residual_ub ops l ~nvars:(literals l)) dag.Lineage.residuals in
     let zeros = Array.map (fun _ -> 0.) ubs in
     make ~size
       ~lo:(Float.max 0. (Float.pred (eval zeros nodes -. widen)))
@@ -118,8 +111,7 @@ let vacuous_interval t = (t.apriori.lo, t.apriori.hi)
 
 let apriori t = t.apriori
 
-let sampled_dnf t =
-  Option.map (fun (w, l) -> Dnf.prepare w (Lineage.to_clauses l)) t.sample
+let sampled_dnf t = Option.map (fun (w, l) -> Dnf.of_lineage w l) t.sample
 
 (* The zero-trial certificate: the harmonic mean h = 2·lo·hi/(lo + hi) is
    within relative a = (hi − lo)/(hi + lo) of every point of [lo, hi].  In
@@ -145,8 +137,9 @@ let certified (t : t) ~eps =
    is the plain Chernoff count; a certified bracket samples nothing. *)
 let cost_cap t ~eps ~delta =
   match t.sample with
-  | Some (_, (l : Lineage.t)) when certified t ~eps = None ->
-      Stats.karp_luby_trials ~clauses:(Array.length l.clauses) ~eps ~delta
+  | Some (_, l) when certified t ~eps = None ->
+      Stats.karp_luby_trials ~clauses:(Array.length (l :> Lineage.packed).clauses)
+        ~eps ~delta
   | _ -> 0
 
 (* One adaptive pass over the whole normalized DNF, its interval intersected
@@ -156,10 +149,7 @@ let cost_cap t ~eps ~delta =
    any truth inside the bracket, so its relative-ε claim still holds
    whenever the bracket does. *)
 let sampled ?budget rng (t : t) w l ~eps ~delta =
-  match
-    Karp_luby.adaptive_partial ?budget rng (Dnf.prepare w (Lineage.to_clauses l))
-      ~eps ~delta
-  with
+  match Karp_luby.adaptive_partial ?budget rng (Dnf.of_lineage w l) ~eps ~delta with
   | p ->
       let { lo; hi; _ } = t.apriori in
       let lo = Float.min 1. (Float.max 0. (Float.max lo p.Karp_luby.p_lo)) in

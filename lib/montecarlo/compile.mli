@@ -93,12 +93,13 @@ type t
 val default_fuel : int
 
 val compile : ?fuel:int -> Wtable.t -> Assignment.t list -> t
-(** Normalize and decompose the DNF ({!Lineage.decompose} over floats).
-    [fuel] (default {!default_fuel}) bounds the {e distinct} Shannon
-    expansions: each pivot charges its domain size plus the clause count,
-    a sub-DNF compiled earlier in the same call is reused at no charge, and
-    once the fuel is spent every sub-DNF not compiled yet becomes a residual
-    leaf.  [fuel = 0] disables compilation beyond normalization, trivial
+(** A list of at most one clause in closed form, with no packing;
+    otherwise {!of_lineage} of its {!Lineage.of_clauses}, which packs and
+    normalizes the list once.  [fuel] (default {!default_fuel}) bounds the
+    {e distinct} Shannon expansions: each pivot charges its domain size
+    plus the clause count, a sub-DNF compiled earlier in the same call is
+    reused at no charge, and once the fuel is spent every sub-DNF not
+    compiled yet becomes a residual leaf.  [fuel = 0] disables compilation beyond normalization, trivial
     cases and single clauses — the pure-FPRAS baseline.
     Independent-component splits and disjoint-OR expansions are free (they
     are linear-time and always shrink the problem).  Deterministic: the DAG
@@ -109,13 +110,10 @@ val compile : ?fuel:int -> Wtable.t -> Assignment.t list -> t
     when sampled. *)
 
 val of_lineage : ?fuel:int -> Wtable.t -> Lineage.t -> t
-(** {!compile} of a canonical lineage ({!Lineage.of_clauses}): the same
-    value, with no packing or normalization of its own.  {!compile} of a
-    list of two or more clauses is [of_lineage] of its
-    {!Lineage.of_clauses}; a list of at most one clause is answered in
-    closed form without packing.  A value that is not exact keeps the
-    lineage it compiled, which {!solve}, {!sampled_dnf} and {!cost_cap}
-    read. *)
+(** Decompose a canonical lineage ({!Lineage.decompose} over floats),
+    with no packing or normalization of its own.  A value that is not
+    exact keeps the lineage it compiled, which {!solve}, {!sampled_dnf}
+    and {!cost_cap} read. *)
 
 val is_exact : t -> bool
 val exact_value : t -> float option
@@ -127,10 +125,10 @@ val rounding_bound : Dnf.t -> float
 (** The rounding lemma's [w] for the DNF's clauses: the float value of any
     DAG {!compile} builds from them is within [w] of the exact value of
     that DAG, so an {!exact_value} is within [w] of the rational
-    confidence.  [V] is the literal count of the clauses
-    ({!Dnf.literal_count}), which bounds the normalized DNF's variables
-    from above, so the unnormalized clauses give a sound (if looser)
-    bound.  [0.] when [clauses] has no literal (the exact
+    confidence.  [V] is the literal count of the DNF's clauses
+    ({!Dnf.packed}) and [D] the largest domain among its variables; the
+    count bounds the normalized DNF's variables from above, so the
+    unnormalized clauses give a sound (if looser) bound.  [0.] when [clauses] has no literal (the exact
     constants 0 and 1); [infinity] past the lemma's range.  The same [w]
     widens the {!vacuous_interval} of a value that is not exact; an exact
     value's point interval is not widened. *)
@@ -141,7 +139,8 @@ val size : t -> int
 
 val sampled_dnf : t -> Dnf.t option
 (** The one problem a non-exact value samples: its whole normalized DNF,
-    freshly prepared.  [None] when [is_exact]. *)
+    freshly prepared from the lineage it keeps ({!Dnf.of_lineage}, no
+    repacking).  [None] when [is_exact]. *)
 
 val cost_cap : t -> eps:float -> delta:float -> int
 (** The most estimator calls {!solve} can spend on the value unbudgeted:

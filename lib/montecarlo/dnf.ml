@@ -3,80 +3,49 @@ open Pqdb_urel
 
 type t = {
   w : Wtable.t;
-  clauses : Assignment.t array;
-  weights : float array;  (* p_f per clause *)
+  packed : Lineage.packed;  (* the clauses in sampling order *)
   total : float;  (* M *)
   dist : Rng.Alias.dist option;  (* clause sampler; None when F = ∅ *)
-  vars : int array;  (* union of clause variables, ascending *)
-  var_alias : Rng.Alias.dist array;  (* per vars slot; shared via the W cache *)
-  (* Clause i's literals are positions lit_start.(i) .. lit_start.(i+1) - 1
-     of lit_slot/lit_val: the index into [vars] of each bound variable, in
-     ascending order, and the value it is bound to. *)
-  lit_start : int array;
-  lit_slot : int array;
-  lit_val : int array;
+  var_alias : Rng.Alias.dist array;  (* per local variable; shared via the W cache *)
 }
 
-let prepare w clause_list =
-  let clauses = Array.of_list clause_list in
-  let weights = Array.map (Assignment.weight_float w) clauses in
-  let total = Array.fold_left ( +. ) 0. weights in
-  let vars =
-    Array.of_list
-      (List.sort_uniq compare
-         (List.concat_map Assignment.vars clause_list))
+let build w (packed : Lineage.packed) =
+  let weights =
+    Array.map (Lineage.clause_weight (Lineage.float_arith w) packed) packed.clauses
   in
+  let total = Array.fold_left ( +. ) 0. weights in
   (* Forcing the W-table alias cache here keeps the sampling phase read-only,
      so prepared DNFs can be drawn from concurrently by several domains. *)
-  let var_alias = Array.map (Wtable.alias w) vars in
-  let n = Array.length clauses in
-  let lit_start = Array.make (n + 1) 0 in
-  Array.iteri
-    (fun i f -> lit_start.(i + 1) <- lit_start.(i) + Assignment.cardinal f)
-    clauses;
-  let lit_slot = Array.make lit_start.(n) 0 in
-  let lit_val = Array.make lit_start.(n) 0 in
-  Array.iteri
-    (fun i f ->
-      (* Bindings and vars are both sorted by variable id, so one forward
-         scan of vars finds every slot. *)
-      let slot = ref 0 in
-      List.iteri
-        (fun k (v, x) ->
-          while vars.(!slot) <> v do
-            incr slot
-          done;
-          lit_slot.(lit_start.(i) + k) <- !slot;
-          lit_val.(lit_start.(i) + k) <- x)
-        (Assignment.bindings f))
-    clauses;
-  let dist = if n = 0 then None else Some (Rng.Alias.of_weights weights) in
-  { w; clauses; weights; total; dist; vars; var_alias; lit_start; lit_slot;
-    lit_val }
+  let var_alias = Array.map (Wtable.alias w) packed.vars in
+  let dist =
+    if Array.length weights = 0 then None
+    else Some (Rng.Alias.of_weights weights)
+  in
+  { w; packed; total; dist; var_alias }
 
+let prepare w clauses = build w (Lineage.pack clauses)
+let of_lineage w (l : Lineage.t) = build w (l :> Lineage.packed)
 let wtable t = t.w
-let clause_count t = Array.length t.clauses
+let packed t = t.packed
+let clause_count t = Array.length t.packed.clauses
 let total_weight t = t.total
-let is_trivially_false t = Array.length t.clauses = 0
-let is_trivially_true t = Array.exists Assignment.is_empty t.clauses
-let variables t = Array.to_list t.vars
-let literal_count t = t.lit_start.(Array.length t.clauses)
-let lineage t = Lineage.of_clauses (Array.to_list t.clauses)
+let is_trivially_false t = Option.is_none t.dist
+let is_trivially_true t = Array.exists (fun c -> Array.length c = 0) t.packed.clauses
 
-(* Does f* (one value per slot) extend the literals p .. stop - 1? *)
-let rec extends t world p stop =
-  p >= stop
-  || (world.(t.lit_slot.(p)) = t.lit_val.(p) && extends t world (p + 1) stop)
+(* Does f* (one value per local variable) extend literals k .. of [c]? *)
+let rec extends bits world (c : int array) k =
+  k >= Array.length c
+  || world.(c.(k) lsr bits) = c.(k) land ((1 lsl bits) - 1)
+     && extends bits world c (k + 1)
 
 (* Is none of clauses j .. i - 1 consistent with f*? *)
-let rec smallest t world i j =
+let rec smallest (p : Lineage.packed) world i j =
   j >= i
-  || (not (extends t world t.lit_start.(j) t.lit_start.(j + 1)))
-     && smallest t world i (j + 1)
+  || (not (extends p.bits world p.clauses.(j) 0)) && smallest p world i (j + 1)
 
 type world = int array
 
-let scratch t = Array.make (Array.length t.vars) 0
+let scratch t = Array.make (Array.length t.packed.vars) 0
 
 (* The trial kernel: every slot of [world] is written before step 3 reads
    it, so a scratch world carries nothing from one trial to the next. *)
@@ -87,21 +56,22 @@ let trial rng t world =
       (* Step 1: clause index proportional to p_f (alias method, O(1)). *)
       let i = Rng.Alias.sample rng dist in
       (* Step 2: extend f to a total assignment f* over the DNF's variables,
-         drawing each slot f leaves unbound from its W alias table in
-         ascending slot order. *)
-      let p = ref t.lit_start.(i) and stop = t.lit_start.(i + 1) in
-      for slot = 0 to Array.length t.vars - 1 do
-        if !p < stop && t.lit_slot.(!p) = slot then begin
-          world.(slot) <- t.lit_val.(!p);
+         drawing each variable f leaves unbound from its W alias table in
+         ascending order. *)
+      let { Lineage.bits; clauses; _ } = t.packed in
+      let c = clauses.(i) and p = ref 0 in
+      for v = 0 to Array.length t.var_alias - 1 do
+        if !p < Array.length c && c.(!p) lsr bits = v then begin
+          world.(v) <- c.(!p) land ((1 lsl bits) - 1);
           incr p
         end
-        else world.(slot) <- Rng.Alias.sample rng t.var_alias.(slot)
+        else world.(v) <- Rng.Alias.sample rng t.var_alias.(v)
       done;
       (* Step 3: 1 iff f is the smallest-index clause consistent with f*. *)
-      if smallest t world i 0 then 1 else 0
+      if smallest t.packed world i 0 then 1 else 0
 
 let sample_estimator rng t =
   if Option.is_none t.dist then invalid_arg "Dnf.sample_estimator: empty DNF";
   trial rng t (scratch t)
 
-let exact t = Lineage.exact t.w (Array.to_list t.clauses)
+let exact t = Lineage.exact t.w (Lineage.to_clauses t.packed)

@@ -12,11 +12,18 @@ open Pqdb_urel
 type t
 
 val prepare : Wtable.t -> Assignment.t list -> t
-(** Clause order is the list order. *)
+(** The list packed by {!Lineage.pack}: clause order is the list order,
+    duplicates included. *)
+
+val of_lineage : Wtable.t -> Lineage.t -> t
+(** The canonical clauses, in their canonical order, with no repacking. *)
 
 val wtable : t -> Wtable.t
-(** The W table the DNF was prepared against — lets consumers (σ̂'s
-    compile of each estimator) compile the clause set. *)
+(** The W table the DNF was prepared against. *)
+
+val packed : t -> Lineage.packed
+(** The clauses in sampling order over the sorted table of the variables
+    they bind: what σ̂ normalizes ({!Lineage.of_packed}) and compiles. *)
 
 val clause_count : t -> int
 (** [|F|] — the FPRAS trial counts scale linearly in it. *)
@@ -29,15 +36,6 @@ val is_trivially_false : t -> bool
 
 val is_trivially_true : t -> bool
 (** Contains the empty clause: confidence 1. *)
-
-val variables : t -> Wtable.var list
-
-val literal_count : t -> int
-(** The clauses' bindings, counted with multiplicity. *)
-
-val lineage : t -> Lineage.t
-(** The canonical value of the clause set ({!Lineage.of_clauses}), built
-    on each call: what a consumer compiles, with no list in between. *)
 
 val sample_estimator : Rng.t -> t -> int
 (** One Karp-Luby trial (Definition 4.1): draw a clause [f] proportionally to

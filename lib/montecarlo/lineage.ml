@@ -144,13 +144,10 @@ type 'a arith = {
   prob : Wtable.var -> int -> 'a;
 }
 
-type t = { vars : Wtable.var array; bits : int; clauses : int array array }
+type packed = { vars : Wtable.var array; bits : int; clauses : int array array }
+type t = packed
 
-type 'a dag = {
-  nodes : 'a node array;
-  residuals : Assignment.t list array;
-  clauses : t;
-}
+type 'a dag = { nodes : 'a node array; residuals : int array array array; clauses : t }
 
 let hash_set (s : int array array) =
   let h = ref 0 in
@@ -496,6 +493,12 @@ let weight ops vars bits (c : int array) =
   done;
   !acc
 
+let clause_weight ops (p : packed) c = weight ops p.vars p.bits c
+
+let float_arith w =
+  { zero = 0.; one = 1.; add = ( +. ); mul = ( *. );
+    complement = (fun p -> 1. -. p); prob = Wtable.prob_float w }
+
 let rec find parent i =
   let p = parent.(i) in
   if p = i then i
@@ -755,90 +758,70 @@ let rec local (vars : int array) v lo hi =
 
 let rec width top b = if top lsr b = 0 then b else width top (b + 1)
 
-(* Gathers the W variables [cs] bind into [vars] from cell [n] on, and
-   returns the largest value bound, at least [top]. *)
-let rec gather vars n top = function
-  | [] -> top
-  | c :: rest ->
-      let k = Assignment.cardinal c and top = ref top in
-      for t = 0 to k - 1 do
-        let v, x = Assignment.nth c t in
-        if x < 0 then invalid_arg "Lineage: negative value in a clause";
-        if x > !top then top := x;
-        vars.(n + t) <- v
-      done;
-      gather vars (n + k) !top rest
-
-(* Packs [cs] from clause [i] on into [out] over the sorted [table]. *)
-let rec pack_into out i table bits = function
-  | [] -> ()
-  | c :: rest ->
-      let a = Array.make (Assignment.cardinal c) 0 in
-      for t = 0 to Array.length a - 1 do
-        let v, x = Assignment.nth c t in
-        a.(t) <- (local table v 0 (Array.length table) lsl bits) lor x
-      done;
-      out.(i) <- a;
-      pack_into out (i + 1) table bits rest
-
 (* The one packer: the clauses in list order, empty ones included, over the
    sorted table of every variable they bind and the bit width of every
    value they bind.  Loops only: no closure per clause or literal. *)
 let pack clauses =
-  let lits = List.fold_left (fun n c -> n + Assignment.cardinal c) 0 clauses in
-  let vars = Array.make lits 0 in
-  let top = gather vars 0 0 clauses in
+  let cs = Array.of_list clauses in
+  let m = Array.length cs in
+  let vars = Array.make (Array.fold_left (fun n c -> n + Assignment.cardinal c) 0 cs) 0 in
+  let n = ref 0 and top = ref 0 in
+  for i = 0 to m - 1 do
+    for t = 0 to Assignment.cardinal cs.(i) - 1 do
+      let v, x = Assignment.nth cs.(i) t in
+      if x < 0 then invalid_arg "Lineage: negative value in a clause";
+      if x > !top then top := x;
+      vars.(!n) <- v;
+      incr n
+    done
+  done;
   sort_ints vars;
-  let nv = ref (min 1 lits) in
-  for t = 1 to lits - 1 do
+  let nv = ref (min 1 !n) in
+  for t = 1 to !n - 1 do
     if vars.(t) <> vars.(!nv - 1) then (vars.(!nv) <- vars.(t); incr nv)
   done;
-  let nv = !nv and bits = width top 0 in
+  let nv = !nv and bits = width !top 0 in
   if nv - 1 > max_int lsr bits then
     invalid_arg "Lineage: too many variables to pack beside their values";
-  let table = if nv = lits then vars else Array.sub vars 0 nv in
-  let out = Array.make (List.length clauses) [||] in
-  pack_into out 0 table bits clauses;
-  { vars = table; bits; clauses = out }
+  let vars = if nv = !n then vars else Array.sub vars 0 nv in
+  let out = Array.make m [||] in
+  for i = 0 to m - 1 do
+    let c = Array.make (Assignment.cardinal cs.(i)) 0 in
+    for t = 0 to Array.length c - 1 do
+      let v, x = Assignment.nth cs.(i) t in
+      c.(t) <- (local vars v 0 nv lsl bits) lor x
+    done;
+    out.(i) <- c
+  done;
+  { vars; bits; clauses = out }
 
 (* [p] with its clauses cut to [kept], renumbered onto the table of exactly
    the variables [kept] binds and the bit width of exactly its values, so
    a dropped clause leaves no trace in the canonical value. *)
-let compact (p : t) kept =
-  let nv = Array.length p.vars and bits = p.bits in
-  let rank = Array.make nv (-1) and top = ref 0 in
-  for i = 0 to Array.length kept - 1 do
-    let c = kept.(i) in
-    for t = 0 to Array.length c - 1 do
-      rank.(c.(t) lsr bits) <- 0;
-      top := max !top (c.(t) land ((1 lsl bits) - 1))
-    done
-  done;
-  let n = ref 0 in
-  for u = 0 to nv - 1 do
-    if rank.(u) = 0 then (rank.(u) <- !n; incr n)
-  done;
-  let bits' = width !top 0 in
-  if !n = nv && bits' = bits then { (p : t) with clauses = kept }
-  else begin
+let compact (p : packed) kept =
+  let mask = (1 lsl p.bits) - 1 and rank = Array.make (Array.length p.vars) (-1) in
+  let top = ref 0 and n = ref 0 in
+  let see lit = rank.(lit lsr p.bits) <- 0; top := max !top (lit land mask) in
+  Array.iter (Array.iter see) kept;
+  Array.iteri (fun u r -> if r = 0 then (rank.(u) <- !n; incr n)) rank;
+  let bits = width !top 0 in
+  if !n = Array.length p.vars && bits = p.bits then { p with clauses = kept }
+  else
     let vars = Array.make !n 0 in
-    for u = 0 to nv - 1 do
-      if rank.(u) >= 0 then vars.(rank.(u)) <- p.vars.(u)
-    done;
-    let remap c =
-      Array.map
-        (fun lit -> (rank.(lit lsr bits) lsl bits') lor (lit land ((1 lsl bits) - 1)))
-        c
-    in
-    { vars; bits = bits'; clauses = Array.map remap kept }
-  end
+    Array.iteri (fun u r -> if r >= 0 then vars.(r) <- p.vars.(u)) rank;
+    let remap lit = (rank.(lit lsr p.bits) lsl bits) lor (lit land mask) in
+    { vars; bits; clauses = Array.map (Array.map remap) kept }
 
-let of_clauses clauses =
-  let p = pack clauses in
+(* The one normalizer on [p]'s clauses, which it sorts in place. *)
+let canonical (p : packed) =
   let kept = normalize_flat p.clauses in
   if kept == p.clauses then p else compact p kept
 
-let to_clauses ({ vars; bits; clauses } : t) =
+let of_clauses clauses = canonical (pack clauses)
+
+let of_packed (p : packed) = canonical { p with clauses = Array.copy p.clauses }
+
+let to_clauses ({ vars; bits; clauses } : packed) =
   let binding lit = (vars.(lit lsr bits), lit land ((1 lsl bits) - 1)) in
   Array.to_list
     (Array.map
@@ -863,12 +846,11 @@ let walk ?(fuel = max_int) ops w ws (l : t) =
   match expand b ~connected:false root with
   | Known { p; _ } -> constant l p
   | Node _ ->
-      let residual set = to_clauses { (l : t) with clauses = set } in
       { nodes = Array.sub b.nodes 0 b.count;
-        residuals = Array.of_list (List.rev_map residual b.residuals);
+        residuals = Array.of_list (List.rev b.residuals);
         clauses = l }
 
-let decompose_lineage ?fuel ops w (l : t) =
+let decompose ?fuel ops w (l : t) =
   match l.clauses with
   | [||] -> constant l ops.zero
   | [| c |] -> constant l (weight ops l.vars l.bits c)
@@ -883,8 +865,6 @@ let decompose_lineage ?fuel ops w (l : t) =
           release ws;
           Printexc.raise_with_backtrace e trace)
 
-let decompose ?fuel ops w clauses = decompose_lineage ?fuel ops w (of_clauses clauses)
-
 let exact w clauses =
   let open Pqdb_numeric in
   let ops =
@@ -892,6 +872,6 @@ let exact w clauses =
       mul = Rational.mul; complement = Rational.complement;
       prob = Wtable.prob w }
   in
-  match decompose ops w clauses with
+  match decompose ops w (of_clauses clauses) with
   | { nodes = [| Const p |]; _ } -> p
   | _ -> invalid_arg "Lineage.exact: fuel ran out"

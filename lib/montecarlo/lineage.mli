@@ -11,35 +11,44 @@
 
 open Pqdb_urel
 
-type t = private {
+type packed = {
   vars : Wtable.var array;
       (** local id -> W variable, ascending: exactly the variables the
           clauses bind *)
   bits : int;  (** the bit width of the largest value the clauses bind *)
   clauses : int array array;
-      (** the normalized clauses ({!normalize}), each a sorted array of
-          packed literals [(local lsl bits) lor value] *)
+      (** each a sorted array of packed literals [(local lsl bits) lor
+          value] *)
 }
-(** The canonical lineage value: a pure function of the clause set, so two
-    lists with the same clause set give structurally equal values. *)
+(** A packed clause set, in any order. *)
 
-val of_clauses : Assignment.t list -> t
-(** The one packer (the clauses in any order, empty ones included, over the
-    sorted table of the variables they bind), then the one normalizer
-    ({!normalize}'s rules on packed clauses), then a renumbering onto exactly
-    the variables and value width of the kept clauses when some clause was
-    dropped.
+type t = private packed
+(** The canonical lineage value: a packed set whose clauses are normalized
+    ({!normalize}'s rules), so it is a pure function of the clause set —
+    two lists with the same clause set give structurally equal values. *)
+
+val pack : Assignment.t list -> packed
+(** The one packer: the clauses in list order, duplicates and empty ones
+    included, over the sorted table of every variable they bind.
     @raise Invalid_argument when a clause binds a negative value or a
     variable id too large to pack beside the values. *)
 
-val to_clauses : t -> Assignment.t list
-(** The clauses unpacked, in their canonical order. *)
+val of_packed : packed -> t
+(** The one normalizer on a copy of [p]'s clauses ([p] is left as it is),
+    then a renumbering onto exactly the variables and value width of the
+    kept clauses when some clause was dropped. *)
+
+val of_clauses : Assignment.t list -> t
+(** [of_packed (pack clauses)], without the copy. *)
+
+val to_clauses : packed -> Assignment.t list
+(** The clauses unpacked, in their packed order. *)
 
 val normalize : Assignment.t list -> Assignment.t list
 (** [to_clauses (of_clauses clauses)], and a list of at most one clause as
     it is.  Deduplicate (structural equality), collapse to [[Assignment.empty]] when
     some clause is empty (trivially true), and drop subsumed clauses: [b] is
-    redundant when some other clause [a] has [Assignment.subsumes a b].
+    redundant when every binding of some other clause [a] is a binding of [b].
     The output is sorted by [Assignment.compare], so it is canonical: two
     lists with the same clause set normalize to the same list.  Subsumption
     is skipped above a size cap of 512 clauses (quadratic pass); the result is
@@ -68,23 +77,28 @@ type 'a arith = {
 }
 (** The number type a DAG is built over. *)
 
+val float_arith : Wtable.t -> float arith
+(** Floats, with [prob] read from {!Wtable.prob_float}: what
+    {!Compile} decomposes over and {!Dnf} weighs clauses with. *)
+
+val clause_weight : 'a arith -> packed -> int array -> 'a
+(** The weight of one clause over [p]'s table, multiplied out from [one]
+    in ascending variable order, as {!Assignment.weight} and
+    {!Assignment.weight_float} do. *)
+
 type 'a dag = {
   nodes : 'a node array;
       (** topologically ordered — every child before its parents — and
           holding only nodes reachable from the root, which is the last
           one.  A node reached along several paths is stored once. *)
-  residuals : Assignment.t list array;
-      (** per {!Res} index: its normalized clause set, in the order the walk
-          first reached it *)
+  residuals : int array array array;
+      (** per {!Res} index: its normalized clause set over the table of
+          [clauses], in the order the walk first reached it *)
   clauses : t;  (** the lineage decomposed *)
 }
 
-val decompose_lineage : ?fuel:int -> 'a arith -> Wtable.t -> t -> 'a dag
-(** {!decompose} of an already canonical lineage: no packing and no
-    normalization. *)
-
-val decompose : ?fuel:int -> 'a arith -> Wtable.t -> Assignment.t list -> 'a dag
-(** {!of_clauses}, then decompose the DNF by one policy, tried in order at
+val decompose : ?fuel:int -> 'a arith -> Wtable.t -> t -> 'a dag
+(** Decompose the DNF by one policy, tried in order at
     every clause set of two or more clauses:
     {ol
     {- two or more variable-connected components (union-find over the
@@ -133,20 +147,20 @@ val decompose : ?fuel:int -> 'a arith -> Wtable.t -> Assignment.t list -> 'a dag
     {b What a walk costs before its first split.}  Most lineage an aconf
     over a join compiles is two or three clauses of one or two bindings,
     so the fixed cost per call matters as much as the walk.  Before its
-    first split a walk of a lineage built by {!of_clauses} pays nothing for
-    its input: the packing pass (the bound variables gathered into one
+    first split a walk pays nothing for its input: the packing pass (the
+    list copied into an array, the bound variables gathered into one
     array, heap-sorted and deduplicated into local ids, the values' bit
     width, then each clause packed by binary search, with no closure) and
     the one normalization of the packed clauses were paid once, when the
-    value was built.  The walk itself pays: taking and fitting the workspace (one
-    compare-and-set, no allocation once it has grown); and one builder
-    record.  The node buffer and the result chunks are allocated at their
-    first use, so a walk that folds into one constant allocates neither,
-    and the workspace is released on both arms of a [match … with
-    exception], without a closure.  [test_montecarlo] bounds the minor
-    words per {!Compile.compile} of the seed-1 query-aconf lineages that
-    keep two or more clauses at 199 (they read 141), packing and normalization
-    included.
+    value was built.  The walk itself pays: taking and fitting the
+    workspace (one compare-and-set, no allocation once it has grown); and
+    one builder record.  The node buffer and the result chunks are
+    allocated at their first use, so a walk that folds into one constant
+    allocates neither, and the workspace is released on both arms of a
+    [match … with exception], without a closure.  [test_montecarlo]
+    bounds the minor words per {!Compile.compile} of the seed-1
+    query-aconf lineages that keep two or more clauses at 199 (they read
+    149), packing and normalization included.
 
     The walk keeps every clause set normalized, and {e every set of at most
     the subsumption cap (512 clauses) is minimal}: sorted, deduplicated,
@@ -184,14 +198,12 @@ val decompose : ?fuel:int -> 'a arith -> Wtable.t -> Assignment.t list -> 'a dag
     and writes its set in one merge walk.
 
     Deterministic: the DAG is a pure function of (W table, clause set,
-    fuel) — the order and duplicates of the input list do not matter.
-    @raise Invalid_argument when a clause binds a negative value or a
-    variable id too large to pack beside the DNF's values. *)
+    fuel), and each residual is kept packed, as the walk conditioned it. *)
 
 val exact : Wtable.t -> Assignment.t list -> Pqdb_numeric.Rational.t
 (** Exact confidence (the #P-hard operation of Theorem 3.4): {!decompose}
-    over rationals with no fuel bound, which folds the whole DAG into one
-    constant.  Still exponential in the worst case, as it must be, but
+    of {!of_clauses} over rationals with no fuel bound, which folds the
+    whole DAG into one constant.  Still exponential in the worst case, as it must be, but
     independent components, free disjoint expansions and shared sub-DNFs
     keep structured lineage polynomial. *)
 

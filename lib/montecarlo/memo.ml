@@ -45,6 +45,7 @@ let rec add_varint b n =
    value) pairs in variable order.  A pure function of the clause set, so a
    caller that asks about the same set again can keep its code. *)
 let code (l : Lineage.t) =
+  let l = (l :> Lineage.packed) in
   let b = Buffer.create 128 and mask = (1 lsl l.bits) - 1 in
   for i = 0 to Array.length l.clauses - 1 do
     let c = l.clauses.(i) in
@@ -143,8 +144,8 @@ let find t ?fuel ?salt ?code:c ?build w lineage =
               Hashtbl.replace t.nodes key node);
       tree
 
-let find_or_compile t ?fuel ?salt ?build w clauses =
-  find t ?fuel ?salt ?build w (Lineage.of_clauses clauses)
+let find_or_compile t ?fuel ?salt ?code ?build w clauses =
+  find t ?fuel ?salt ?code ?build w (Lineage.of_clauses clauses)
 
 type stats = { hits : int; misses : int; evictions : int; entries : int }
 

@@ -104,12 +104,15 @@ val find_or_compile :
   t ->
   ?fuel:int ->
   ?salt:string ->
+  ?code:string ->
   ?build:(unit -> Compile.t) ->
   Wtable.t ->
   Assignment.t list ->
   Compile.t
 (** {!find} of the list's {!Lineage.of_clauses}: the one place a listed
-    clause set is packed and normalized on its way into the cache. *)
+    clause set is packed and normalized on its way into the cache.  A
+    given [code] saves only the encoding: a miss compiles the packed
+    list. *)
 
 type stats = {
   hits : int;  (** key hits: compilation skipped *)

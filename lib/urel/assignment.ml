@@ -85,28 +85,6 @@ let remove a v =
 
 let extended_by total a = Array.for_all (fun (v, x) -> total v = x) a
 
-(* Sorted-merge subset test: every binding of [a] is a binding of [b]. *)
-let subsumes a b =
-  let la = Array.length a and lb = Array.length b in
-  let rec go i j =
-    if i >= la then true
-    else if j >= lb || lb - j < la - i then false
-    else begin
-      let va, xa = a.(i) and vb, xb = b.(j) in
-      if va < vb then false
-      else if va > vb then go i (j + 1)
-      else xa = xb && go (i + 1) (j + 1)
-    end
-  in
-  la <= lb && go 0 0
-
-let rec fold_from f acc (a : t) i =
-  if i = Array.length a then acc
-  else
-    let v, x = a.(i) in
-    fold_from f (f acc v x) a (i + 1)
-
-let fold f init a = fold_from f init a 0
 let nth (a : t) i = a.(i)
 
 let weight w a =

@@ -41,19 +41,10 @@ val remove : t -> Wtable.var -> t
 val extended_by : (Wtable.var -> int) -> t -> bool
 (** [extended_by f* f]: does the total assignment [f*] belong to [ω(f)]? *)
 
-val subsumes : t -> t -> bool
-(** [subsumes a b] iff every binding of [a] is a binding of [b], i.e.
-    [ω(b) ⊆ ω(a)].  As DNF clauses, [b] is then redundant next to [a].
-    O(|a| + |b|) on the sorted binding arrays. *)
-
-val fold : ('a -> Wtable.var -> int -> 'a) -> 'a -> t -> 'a
-(** Fold over the bindings in ascending variable order, allocating nothing
-    beyond what [f] does. *)
-
 val nth : t -> int -> Wtable.var * int
 (** [nth a i] is the binding of rank [i] in ascending variable order, for
-    [0 <= i < cardinal a]; it allocates nothing.  How the lineage compiler
-    flattens clauses. *)
+    [0 <= i < cardinal a]; it allocates nothing.  How the lineage packer
+    reads clauses. *)
 
 val weight : Wtable.t -> t -> Rational.t
 val weight_float : Wtable.t -> t -> float

@@ -211,7 +211,7 @@ let test_topk_low_fuel_matches_exact () =
             (Lineage.decompose ~fuel:8
                { Lineage.zero = 0.; one = 1.; add = ( +. ); mul = ( *. );
                  complement = (fun p -> 1. -. p); prob = Wtable.prob_float w }
-               w cs)
+               w (Lineage.of_clauses cs))
               .Lineage.residuals
           in
           if Array.length residuals >= 2 then incr several;
